@@ -188,6 +188,8 @@ class GenericJoin:
             )
             for variable in order
         ]
+        #: ``[lo, hi)`` bound on the top variable for the running execution.
+        self._range: Tuple[object, object] = (None, None)
 
     def _build_indexes(self) -> None:
         """(Re)build the shared prefix indexes under the current mode."""
@@ -210,10 +212,21 @@ class GenericJoin:
                 break
         return tuple(prefix)
 
-    def count(self) -> int:
-        """Return ``|q(D)|``."""
-        assignment: List[object] = [None] * self.num_variables
-        return self._count_recursive(0, assignment)
+    def _prepare(self, lo, hi, counter: Optional[OperationCounter]) -> List[object]:
+        """Bind one execution's range and counter; return a blank assignment."""
+        if counter is not None:
+            self.counter = counter
+        self._range = (lo, hi)
+        return [None] * self.num_variables
+
+    def count(self, lo=None, hi=None, counter=None) -> int:
+        """Return ``|q(D)|``, restricted to top-variable keys in ``[lo, hi)``.
+
+        ``counter``, when given, becomes the executor's counter from this
+        execution on (the morsel-parallel executor passes a fresh one per
+        morsel).
+        """
+        return self._count_recursive(0, self._prepare(lo, hi, counter))
 
     def _count_recursive(self, depth: int, assignment: List[object]) -> int:
         self.counter.record_recursive_call()
@@ -251,10 +264,11 @@ class GenericJoin:
         else:
             yield from self.evaluate_coded()
 
-    def evaluate_coded(self) -> Iterator[Tuple[object, ...]]:
+    def evaluate_coded(
+        self, lo=None, hi=None, counter=None
+    ) -> Iterator[Tuple[object, ...]]:
         """Yield result tuples in storage space (codes when encoded)."""
-        assignment: List[object] = [None] * self.num_variables
-        yield from self._evaluate_recursive(0, assignment)
+        yield from self._evaluate_recursive(0, self._prepare(lo, hi, counter))
 
     def _evaluate_recursive(self, depth: int, assignment: List[object]) -> Iterator[Tuple[object, ...]]:
         self.counter.record_recursive_call()
@@ -297,7 +311,18 @@ class GenericJoin:
             for atom_index in atom_indexes
             if atom_index != best_atom
         ]
-        return best_candidates or [], probes
+        candidates = best_candidates or []
+        if depth == 0 and self._range != (None, None):
+            lo, hi = self._range
+            # Candidate lists are sorted (by code or value), so the range
+            # restriction is a binary-searched slice; probed values already
+            # lie in range, so the membership probes need no change.
+            lo_pos = 0 if lo is None else bisect_left(candidates, lo)
+            hi_pos = (
+                len(candidates) if hi is None else bisect_left(candidates, hi, lo_pos)
+            )
+            candidates = candidates[lo_pos:hi_pos]
+        return candidates, probes
 
 
 def generic_join_count(

@@ -135,7 +135,7 @@ class CachedLeapfrogTrieJoin(TrieJoinBase):
         self._intrmd: Dict[int, int] = {}
         self._builders: Dict[int, Optional[FactorizedNode]] = {}
 
-    def _prepare(self) -> None:
+    def _prepare(self, lo=None, hi=None, counter=None) -> None:
         """Fresh iterators plus per-execution cache/policy state.
 
         A cache reused across executions (the Figure 10 workflow) must report
@@ -144,7 +144,7 @@ class CachedLeapfrogTrieJoin(TrieJoinBase):
         stateful admission policies (per-node budgets) restart their budget
         for every execution.
         """
-        super()._prepare()
+        super()._prepare(lo, hi, counter)
         self.cache.counter = self.counter
         self.policy.reset()
         self.policy.bind_space(self.database, self.encoded)
@@ -157,10 +157,13 @@ class CachedLeapfrogTrieJoin(TrieJoinBase):
         return tuple(self._assignment[depth] for depth in self._own_depths[node])
 
     # ----------------------------------------------------------------- count
-    def count(self) -> int:
-        """Return ``|q(D)|`` — the algorithm ``CachedTJCount`` of Figure 2."""
+    def count(self, lo=None, hi=None, counter=None) -> int:
+        """Return ``|q(D)|`` — the algorithm ``CachedTJCount`` of Figure 2.
+
+        ``lo``/``hi``/``counter`` as for :meth:`LeapfrogTrieJoin.count`.
+        """
         self.cache.bind_mode("count")
-        self._prepare()
+        self._prepare(lo, hi, counter)
         if self.deadline is not None:
             self.deadline.check()
         self._total = 0
@@ -305,10 +308,12 @@ class CachedLeapfrogTrieJoin(TrieJoinBase):
         else:
             yield from self.evaluate_coded()
 
-    def evaluate_coded(self) -> Iterator[Tuple[object, ...]]:
+    def evaluate_coded(
+        self, lo=None, hi=None, counter=None
+    ) -> Iterator[Tuple[object, ...]]:
         """Yield result tuples in storage space (codes when encoded)."""
         self.cache.bind_mode("evaluate")
-        self._prepare()
+        self._prepare(lo, hi, counter)
         if self.deadline is not None:
             self.deadline.check()
         self._builders = {node: None for node in self.decomposition.preorder()}

@@ -29,7 +29,12 @@ from repro.query.atoms import ConjunctiveQuery
 from repro.query.terms import Variable
 from repro.storage.database import Database
 from repro.storage.dictionary import ValueDictionary, ValueEncodingError
-from repro.storage.trie import NodeTrieIndex, TrieIndex, TrieIterator
+from repro.storage.trie import (
+    BoundedTrieIterator,
+    NodeTrieIndex,
+    TrieIndex,
+    TrieIterator,
+)
 from repro.storage.views import atom_column_order, atom_trie, materialize_atom
 
 #: Trie backends accepted by :class:`TrieJoinBase`.  "columnar" (the default)
@@ -49,7 +54,10 @@ class TrieJoinBase:
       constants and repeated variables applied) whose level order follows the
       global variable order — shared tries come from the database's index
       cache, so repeated constructions and equivalent atoms pay no rebuild;
-    * precompute, for every depth, which atom iterators participate.
+    * precompute, for every depth, which atom iterators participate;
+    * restrict one execution to top-variable keys in ``[lo, hi)`` — an
+      argument of ``count`` / ``evaluate_coded``, like the counter, so a
+      morsel-parallel worker runs one executor over many ranges.
     """
 
     #: Cooperative deadline, set post-construction by the engine when a
@@ -154,9 +162,28 @@ class TrieJoinBase:
             )
 
     # -------------------------------------------------------------- execution
-    def _prepare(self) -> None:
-        """Create fresh iterators and a blank assignment for one execution."""
+    def _prepare(self, lo=None, hi=None, counter=None) -> None:
+        """Create fresh iterators and a blank assignment for one execution.
+
+        ``counter``, when given, replaces the executor's counter from this
+        execution on (iterators bind whatever counter is current here).  A
+        ``[lo, hi)`` range bounds the top variable: every atom containing it
+        indexes it at trie level 1 (the global order puts it at minimal
+        depth), so bounding those iterators restricts exactly the depth-0
+        intersection; atoms without it run unrestricted.  CLFTJ's cached
+        intermediates stay range-independent: a probed decomposition node
+        is always entered at depth > 0, so no cache entry's subtree block
+        contains the bounded variable, and a cache warmed by one morsel is
+        valid for every other morsel and for the unrestricted execution.
+        """
+        if counter is not None:
+            self.counter = counter
         self._iterators = [trie.iterator(self.counter) for trie in self._atom_tries]
+        if lo is not None or hi is not None:
+            for atom_index in self._atoms_at_depth[0]:
+                self._iterators[atom_index] = BoundedTrieIterator(
+                    self._iterators[atom_index], lo, hi
+                )
         self._assignment = [None] * self.num_variables
         # Participant lists are fixed per depth for the execution's lifetime;
         # materialising them once keeps the per-recursion lookup a plain
@@ -233,9 +260,14 @@ class TrieJoinBase:
 class LeapfrogTrieJoin(TrieJoinBase):
     """Vanilla LFTJ: worst-case-optimal multiway join without caching."""
 
-    def count(self) -> int:
-        """Return ``|q(D)|`` (the algorithm ``TJCount`` of Figure 1)."""
-        self._prepare()
+    def count(self, lo=None, hi=None, counter=None) -> int:
+        """Return ``|q(D)|`` (the algorithm ``TJCount`` of Figure 1).
+
+        With ``lo``/``hi``, only results whose top variable lies in
+        ``[lo, hi)`` (storage key space) are counted; ``counter`` becomes
+        the executor's counter for this and later executions.
+        """
+        self._prepare(lo, hi, counter)
         if self.deadline is not None:
             self.deadline.check()
         total = self._count_recursive(0)
@@ -339,9 +371,14 @@ class LeapfrogTrieJoin(TrieJoinBase):
         else:
             yield from self.evaluate_coded()
 
-    def evaluate_coded(self) -> Iterator[Tuple[object, ...]]:
-        """Yield result tuples in storage space (codes when encoded)."""
-        self._prepare()
+    def evaluate_coded(
+        self, lo=None, hi=None, counter=None
+    ) -> Iterator[Tuple[object, ...]]:
+        """Yield result tuples in storage space (codes when encoded).
+
+        ``lo``/``hi``/``counter`` as for :meth:`count`.
+        """
+        self._prepare(lo, hi, counter)
         if self.deadline is not None:
             self.deadline.check()
         yield from self._evaluate_recursive(0)

@@ -53,6 +53,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import leapfrog
 from repro.core.cache import AdhesionCache, CachePolicy
+from repro.core.clftj import CachedLeapfrogTrieJoin
 from repro.core.instrumentation import OperationCounter
 from repro.core.leapfrog import (
     _pair_intersection_count,
@@ -60,12 +61,9 @@ from repro.core.leapfrog import (
     run_intersect,
     run_keys,
 )
+from repro.core.lftj import LeapfrogTrieJoin
 from repro.decomposition.tree_decomposition import TreeDecomposition
 from repro.engine.faults import QueryTimeoutError, fault_point
-from repro.engine.parallel import (
-    _BoundedCachedLeapfrogTrieJoin,
-    _BoundedLeapfrogTrieJoin,
-)
 from repro.query.atoms import ConjunctiveQuery
 from repro.query.terms import Variable
 from repro.storage.database import Database
@@ -1161,7 +1159,7 @@ def compile_clftj_driver(
     )
 
 
-class CompiledCachedTrieJoin(_BoundedCachedLeapfrogTrieJoin):
+class CompiledCachedTrieJoin(CachedLeapfrogTrieJoin):
     """CLFTJ executor that runs counts through a compiled driver when it can.
 
     Same two-phase protocol and fallback discipline as
@@ -1185,8 +1183,6 @@ class CompiledCachedTrieJoin(_BoundedCachedLeapfrogTrieJoin):
         policy: Optional[CachePolicy] = None,
         cache: Optional[AdhesionCache] = None,
         counter: Optional[OperationCounter] = None,
-        lo=None,
-        hi=None,
     ) -> None:
         super().__init__(
             query,
@@ -1196,8 +1192,6 @@ class CompiledCachedTrieJoin(_BoundedCachedLeapfrogTrieJoin):
             policy=policy,
             cache=cache,
             counter=counter,
-            lo=lo,
-            hi=hi,
         )
         self._driver: Optional[CompiledClftjDriver] = None
         self._built = False
@@ -1257,10 +1251,12 @@ class CompiledCachedTrieJoin(_BoundedCachedLeapfrogTrieJoin):
         return driver.debug_source(mode) if driver is not None else None
 
     # -------------------------------------------------------------- execute
-    def count(self) -> int:
+    def count(self, lo=None, hi=None, counter=None) -> int:
         driver = self.build()
         if driver is None:
-            return super().count()
+            return super().count(lo, hi, counter)
+        if counter is not None:
+            self.counter = counter
         self._mode_reason = None
         # The same per-execution cache/policy discipline as the interpreted
         # _prepare(): counts on the current counter, fresh policy state,
@@ -1269,17 +1265,16 @@ class CompiledCachedTrieJoin(_BoundedCachedLeapfrogTrieJoin):
         self.cache.counter = self.counter
         self.policy.reset()
         self.policy.bind_space(self.database, self.encoded)
-        lo, hi = self._range
         return driver.count(
             self.counter, self.cache, self.policy, lo, hi, self.deadline
         )
 
-    def evaluate_coded(self):
+    def evaluate_coded(self, lo=None, hi=None, counter=None):
         if self.build() is not None:
             self._mode_reason = (
                 "evaluation runs interpreted (factorized-representation grafting)"
             )
-        yield from super().evaluate_coded()
+        yield from super().evaluate_coded(lo, hi, counter)
 
     # ------------------------------------------------------------- metadata
     def execution_metadata(self) -> Dict[str, object]:
@@ -1294,7 +1289,7 @@ class CompiledCachedTrieJoin(_BoundedCachedLeapfrogTrieJoin):
         return metadata
 
 
-class CompiledTrieJoin(_BoundedLeapfrogTrieJoin):
+class CompiledTrieJoin(LeapfrogTrieJoin):
     """LFTJ executor that runs through a compiled driver when it can.
 
     The two-phase protocol: construction resolves tries exactly like the
@@ -1302,8 +1297,8 @@ class CompiledTrieJoin(_BoundedLeapfrogTrieJoin):
     behave identically); :meth:`build` then fetches-or-compiles the driver
     from the database's compiled cache.  Raw databases and tries with
     pending deltas fall back to the inherited interpreted execution — the
-    executor is then byte-for-byte the interpreted ``lftj`` (or its bounded
-    shard variant when a ``[lo, hi)`` range is given).
+    executor is then byte-for-byte the interpreted ``lftj``, range arguments
+    included.
 
     **Shared-driver handoff to morsel-parallel execution**: the cache key
     carries no range, so every morsel of a parallel query resolves to the
@@ -1312,8 +1307,8 @@ class CompiledTrieJoin(_BoundedLeapfrogTrieJoin):
     workers inherit the parent's already-built driver by copy-on-write
     (the parallel executor's ``build()`` runs before the pool forks or
     re-arms).  ``count()``/``evaluate_coded()`` also call :meth:`build`
-    lazily, so a worker constructing an executor per morsel only ever
-    cache-hits.
+    lazily, so a pool worker's once-per-job executor only ever cache-hits,
+    and each morsel just calls the driver with its own ``[lo, hi)``.
     """
 
     def __init__(
@@ -1322,10 +1317,8 @@ class CompiledTrieJoin(_BoundedLeapfrogTrieJoin):
         database: Database,
         variable_order: Optional[Sequence[Variable]] = None,
         counter: Optional[OperationCounter] = None,
-        lo=None,
-        hi=None,
     ) -> None:
-        super().__init__(query, database, variable_order, counter, lo, hi)
+        super().__init__(query, database, variable_order, counter)
         self._driver: Optional[CompiledDriver] = None
         self._built = False
         self._compiled_reason: Optional[str] = None
@@ -1379,21 +1372,23 @@ class CompiledTrieJoin(_BoundedLeapfrogTrieJoin):
         return driver.debug_source(mode) if driver is not None else None
 
     # -------------------------------------------------------------- execute
-    def count(self) -> int:
+    def count(self, lo=None, hi=None, counter=None) -> int:
         driver = self.build()
         if driver is None:
-            return super().count()
-        lo, hi = self._range
+            return super().count(lo, hi, counter)
+        if counter is not None:
+            self.counter = counter
         total = driver.count(self.counter, lo, hi, self.deadline)
         self.counter.record_result(0)
         return total
 
-    def evaluate_coded(self):
+    def evaluate_coded(self, lo=None, hi=None, counter=None):
         driver = self.build()
         if driver is None:
-            yield from super().evaluate_coded()
+            yield from super().evaluate_coded(lo, hi, counter)
             return
-        lo, hi = self._range
+        if counter is not None:
+            self.counter = counter
         yield from driver.evaluate(self.counter, lo, hi, self.deadline)
 
     # ------------------------------------------------------------- metadata

@@ -383,6 +383,7 @@ class QueryEngine:
                     parallel,
                     parallel_backend,
                     parallel_mode,
+                    plan if resolved in ("clftj", "pclftj") else None,
                 )
             )
         if decomposition is not None:
@@ -443,14 +444,20 @@ class QueryEngine:
         parallel: Optional[object],
         parallel_backend: Optional[str],
         parallel_mode: Optional[str],
+        clftj_plan: Optional[ExecutionPlan] = None,
     ) -> str:
         """One explain line describing the morsel/worker layout.
 
         Reads through the same memoised plan as execution
         (:func:`repro.engine.parallel.cached_partition_plan`), so the bounds
-        shown here are exactly the bounds the next execution will use.
+        shown here are exactly the bounds the next execution will use, and
+        says why that many morsels were asked for.
         """
-        from repro.engine.parallel import MIN_MORSEL_KEYS, cached_partition_plan
+        from repro.engine.parallel import (
+            MIN_MORSEL_KEYS,
+            MORSEL_OVERPARTITION,
+            cached_partition_plan,
+        )
 
         order = (
             tuple(variable_order)
@@ -464,9 +471,16 @@ class QueryEngine:
             workers = max(int(parallel), 1)
         if mode == "static" or workers <= 1:
             morsels, min_keys = workers, 1
+            reason = "one per worker"
         else:
-            morsels = self.selector.recommend_morsels(query, order, workers=workers)
+            morsels = self.selector.recommend_morsels(
+                query, order, workers=workers, plan=clftj_plan
+            )
             min_keys = MIN_MORSEL_KEYS
+            if morsels == workers * MORSEL_OVERPARTITION:
+                reason = f"{MORSEL_OVERPARTITION} per worker"
+            else:
+                reason = "work floor: a smaller morsel would not repay its dispatch"
         plan = cached_partition_plan(
             self.database,
             self.selector.catalog,
@@ -478,7 +492,8 @@ class QueryEngine:
         backend = parallel_backend or "threads"
         return (
             f"parallel: backend={backend}, mode={mode}, "
-            f"workers={workers}, {plan.describe()}"
+            f"workers={workers}, {plan.describe()}; "
+            f"planned morsels: {morsels} ({reason})"
         )
 
     def _compiled_state(

@@ -23,8 +23,9 @@ tail).  This module now runs the classic fix, morsel-driven parallelism:
   ``MORSEL_OVERPARTITION``), subject to a per-range key floor
   (``MIN_MORSEL_KEYS``), so mis-estimated weights average out across the
   pool instead of deciding the critical path;
-* range-restricted executors — :class:`LeapfrogTrieJoin` and
-  :class:`GenericJoin` subclasses that bound the top variable to one range;
+* range-restricted execution — every inner executor takes the top
+  variable's ``[lo, hi)`` as an argument of ``count`` / ``evaluate_coded``,
+  so a pool worker builds one executor per job and re-ranges it per morsel;
 * :class:`ParallelExecutor` — submits the ranges as one
   :class:`~repro.engine.pool.MorselJob` to the database's **persistent**
   :class:`~repro.engine.pool.WorkerPool` (threads or forked processes; see
@@ -60,7 +61,6 @@ import multiprocessing
 import threading
 import time
 import weakref
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -70,7 +70,7 @@ from repro.core.clftj import CachedLeapfrogTrieJoin
 from repro.core.instrumentation import OperationCounter
 from repro.core.lftj import LeapfrogTrieJoin
 from repro.decomposition.tree_decomposition import TreeDecomposition
-from repro.engine.faults import Deadline, QueryTimeoutError
+from repro.engine.faults import Deadline
 from repro.engine.pool import (
     JobReport,
     MorselJob,
@@ -78,11 +78,11 @@ from repro.engine.pool import (
     MorselTask,
     TaskOutcome,
     available_workers,
+    worker_job_state,
 )
 from repro.query.atoms import ConjunctiveQuery
 from repro.query.terms import Variable
 from repro.storage.database import Database
-from repro.storage.trie import BoundedTrieIterator
 from repro.storage.views import atom_has_constants
 
 #: Inner algorithms the parallel executor can shard.  CLFTJ shards safely
@@ -365,115 +365,6 @@ def cached_partition_plan(
 
 
 # --------------------------------------------------------------------------
-# Range-restricted executors.
-# --------------------------------------------------------------------------
-
-
-class _BoundedLeapfrogTrieJoin(LeapfrogTrieJoin):
-    """LFTJ restricted to top-variable keys in ``[lo, hi)``.
-
-    Every atom containing the top variable indexes it at trie level 1 (the
-    global order puts the top variable at minimal depth), so wrapping those
-    iterators in :class:`~repro.storage.trie.BoundedTrieIterator` restricts
-    exactly the depth-0 intersection; atoms without the top variable run
-    unrestricted.
-    """
-
-    def __init__(self, query, database, variable_order, counter, lo, hi) -> None:
-        super().__init__(query, database, variable_order, counter)
-        self._range = (lo, hi)
-
-    def _prepare(self) -> None:
-        super()._prepare()
-        lo, hi = self._range
-        if lo is None and hi is None:
-            return
-        for atom_index in self._atoms_at_depth[0]:
-            self._iterators[atom_index] = BoundedTrieIterator(
-                self._iterators[atom_index], lo, hi
-            )
-        self._depth_participants = [
-            [self._iterators[atom_index] for atom_index in self._atoms_at_depth[depth]]
-            for depth in range(self.num_variables)
-        ]
-
-
-class _BoundedCachedLeapfrogTrieJoin(CachedLeapfrogTrieJoin):
-    """CLFTJ restricted to top-variable keys in ``[lo, hi)``.
-
-    The same depth-0 bounding as :class:`_BoundedLeapfrogTrieJoin`.  Cached
-    intermediates stay range-independent: a probed decomposition node is
-    always entered at depth > 0 (a node entered at depth 0 is never
-    consulted), so the subtree block behind any cache entry never contains
-    the bounded top variable — a cache warmed by one morsel is valid for
-    every other morsel and for the serial execution alike.
-    """
-
-    def __init__(
-        self,
-        query,
-        database,
-        decomposition,
-        variable_order=None,
-        policy=None,
-        cache=None,
-        counter=None,
-        lo=None,
-        hi=None,
-    ) -> None:
-        super().__init__(
-            query,
-            database,
-            decomposition,
-            variable_order,
-            policy=policy,
-            cache=cache,
-            counter=counter,
-        )
-        self._range = (lo, hi)
-
-    def _prepare(self) -> None:
-        super()._prepare()
-        lo, hi = self._range
-        if lo is None and hi is None:
-            return
-        for atom_index in self._atoms_at_depth[0]:
-            self._iterators[atom_index] = BoundedTrieIterator(
-                self._iterators[atom_index], lo, hi
-            )
-        self._depth_participants = [
-            [self._iterators[atom_index] for atom_index in self._atoms_at_depth[depth]]
-            for depth in range(self.num_variables)
-        ]
-
-
-class _BoundedGenericJoin(GenericJoin):
-    """GenericJoin restricted to top-variable candidates in ``[lo, hi)``.
-
-    Candidate lists at depth 0 are sorted (by code or value), so the
-    restriction is a binary-searched slice; membership probes against the
-    other atoms need no change because probed values already lie in range.
-    """
-
-    def __init__(self, query, database, variable_order, counter, lo, hi) -> None:
-        super().__init__(query, database, variable_order, counter)
-        self._lo = lo
-        self._hi = hi
-
-    def _split_atoms(self, depth, assignment):
-        candidates, probes = super()._split_atoms(depth, assignment)
-        if depth == 0 and (self._lo is not None or self._hi is not None):
-            lo_pos = 0 if self._lo is None else bisect_left(candidates, self._lo)
-            hi_pos = (
-                len(candidates)
-                if self._hi is None
-                else bisect_left(candidates, self._hi, lo_pos)
-            )
-            candidates = candidates[lo_pos:hi_pos]
-        return candidates, probes
-
-
-# --------------------------------------------------------------------------
 # The morsel runner (module-level: the fork backend pickles it by reference).
 # --------------------------------------------------------------------------
 
@@ -509,55 +400,38 @@ def make_range_executor(
     variable_order: Sequence[Variable],
     inner: str,
     compile: Optional[bool],
-    counter: OperationCounter,
-    lo,
-    hi,
     decomposition: Optional[TreeDecomposition] = None,
     policy: Optional[CachePolicy] = None,
     cache: Optional[AdhesionCache] = None,
 ):
-    """Build one range-restricted inner executor.
+    """Build one inner executor whose ``count`` / ``evaluate_coded`` take the
+    top variable's ``[lo, hi)`` and a counter per call.
 
-    Compiled lftj/clftj morsels all resolve to the *same* cached driver
-    (the cache key has no range in it) — each morsel merely calls it with
-    its own ``[lo, hi)``, so a parallel query costs one compilation total,
-    and forked workers inherit the parent's already-built driver for free.
+    The parallel executor builds one as its full-range template and every
+    pool worker builds one per job, then runs it once per morsel.  Compiled
+    lftj/clftj executors all resolve to the *same* cached driver (the cache
+    key has no range in it), so a parallel query costs one compilation
+    total, and forked workers inherit the parent's already-built driver.
     """
     if inner == "lftj":
         if compile is False:
-            return _BoundedLeapfrogTrieJoin(
-                query, database, variable_order, counter, lo, hi
-            )
+            return LeapfrogTrieJoin(query, database, variable_order)
         from repro.engine.compiler import CompiledTrieJoin
 
-        return CompiledTrieJoin(query, database, variable_order, counter, lo, hi)
+        return CompiledTrieJoin(query, database, variable_order)
     if inner == "clftj":
         if compile is False:
-            return _BoundedCachedLeapfrogTrieJoin(
-                query,
-                database,
-                decomposition,
-                variable_order,
-                policy=policy,
-                cache=cache,
-                counter=counter,
-                lo=lo,
-                hi=hi,
+            return CachedLeapfrogTrieJoin(
+                query, database, decomposition, variable_order,
+                policy=policy, cache=cache,
             )
         from repro.engine.compiler import CompiledCachedTrieJoin
 
         return CompiledCachedTrieJoin(
-            query,
-            database,
-            decomposition,
-            variable_order,
-            policy=policy,
-            cache=cache,
-            counter=counter,
-            lo=lo,
-            hi=hi,
+            query, database, decomposition, variable_order,
+            policy=policy, cache=cache,
         )
-    return _BoundedGenericJoin(query, database, variable_order, counter, lo, hi)
+    return GenericJoin(query, database, variable_order)
 
 
 #: Per-thread adhesion-cache store.  Pool worker threads are long-lived, so
@@ -569,7 +443,19 @@ def make_range_executor(
 _WORKER_CACHES = threading.local()
 
 
-def _worker_adhesion_cache(database: Database, spec: MorselSpec) -> AdhesionCache:
+@dataclass
+class _WorkerCache:
+    """One worker's persistent adhesion cache for one plan."""
+
+    versions: Tuple[int, ...]
+    cache: AdhesionCache
+    #: ``cache.memory_estimate()`` as of the last morsel that stored
+    #: anything; the walk is O(entries), and a warm job, which stores
+    #: nothing, reports the figure it already has.
+    memory_bytes: Optional[int] = None
+
+
+def _worker_adhesion_cache(database: Database, spec: MorselSpec) -> _WorkerCache:
     """The calling worker's persistent adhesion cache for this job's plan.
 
     Keyed like the compiled-driver cache — name-erased query signature,
@@ -590,28 +476,55 @@ def _worker_adhesion_cache(database: Database, spec: MorselSpec) -> AdhesionCach
     key = (spec.cache_key, spec.run_mode)
     versions = database.relation_versions(spec.query.relation_names)
     entry = per_database.get(key)
-    if entry is not None and entry[0] == versions:
-        return entry[1]
+    if entry is not None and entry.versions == versions:
+        return entry
     if spec.cache_capacity is not None:
         cache = AdhesionCache(capacity=spec.cache_capacity, eviction="lru")
     else:
         cache = AdhesionCache()
-    per_database[key] = (versions, cache)
-    return cache
+    entry = per_database[key] = _WorkerCache(versions, cache)
+    return entry
 
 
 def _execution_policy(policy: Optional[CachePolicy]) -> Optional[CachePolicy]:
-    """A per-morsel policy instance when the policy carries mutable state.
+    """A per-worker policy instance when the policy carries mutable state.
 
     Stateless policies (``reset`` not overridden — Always/Never/Support
     threshold) are shared read-only across workers.  Stateful ones (per-node
-    admission budgets) are deep-copied per morsel: sharing would race across
-    worker threads, and a budget is a per-execution notion — each morsel
-    restarting it is the documented parallel semantic.
+    admission budgets) are deep-copied per (job, worker): sharing would race
+    across worker threads.  A budget is a per-execution notion and every
+    morsel is one execution of the worker's executor, which ``reset()``s the
+    policy — each morsel restarting the budget is the documented parallel
+    semantic.
     """
     if policy is None or type(policy).reset is CachePolicy.reset:
         return policy
     return copy.deepcopy(policy)
+
+
+def _worker_executor(database: Database, spec: MorselSpec, state: dict):
+    """Build the calling worker's executor for this job (its first morsel)."""
+    cache: Optional[AdhesionCache] = None
+    policy = spec.policy
+    if spec.inner == "clftj":
+        state["cache"] = _worker_adhesion_cache(database, spec)
+        cache = state["cache"].cache
+        policy = _execution_policy(policy)
+    executor = state["executor"] = make_range_executor(
+        spec.query,
+        database,
+        spec.variable_order,
+        spec.inner,
+        spec.compile,
+        decomposition=spec.decomposition,
+        policy=policy,
+        cache=cache,
+    )
+    # In-executor cooperative checks (every N recursive calls interpreted,
+    # counter-gated in compiled drivers) bound the overshoot even within
+    # one long morsel.
+    executor.deadline = spec.deadline
+    return executor
 
 
 def _run_morsel(database: Database, spec: MorselSpec, task: MorselTask) -> TaskOutcome:
@@ -620,45 +533,26 @@ def _run_morsel(database: Database, spec: MorselSpec, task: MorselTask) -> TaskO
         # Morsel-boundary check: a morsel dequeued after expiry never
         # starts (the parent is cancelling the job concurrently anyway).
         spec.deadline.check()
+    state = worker_job_state()
+    executor = state.get("executor") or _worker_executor(database, spec, state)
     counter = OperationCounter()
-    cache: Optional[AdhesionCache] = None
-    policy = spec.policy
-    if spec.inner == "clftj":
-        cache = _worker_adhesion_cache(database, spec)
-        policy = _execution_policy(policy)
-    executor = make_range_executor(
-        spec.query,
-        database,
-        spec.variable_order,
-        spec.inner,
-        spec.compile,
-        counter,
-        task.lo,
-        task.hi,
-        decomposition=spec.decomposition,
-        policy=policy,
-        cache=cache,
-    )
-    if spec.deadline is not None:
-        # In-executor cooperative checks (every N recursive calls
-        # interpreted, counter-gated in compiled drivers) bound the
-        # overshoot even within one long morsel.
-        executor.deadline = spec.deadline
     if spec.run_mode == "count":
-        value = executor.count()
+        value = executor.count(task.lo, task.hi, counter)
         rows: Optional[List[Tuple[object, ...]]] = None
     else:
-        rows = [tuple(row) for row in executor.evaluate_coded()]
+        rows = [tuple(row) for row in executor.evaluate_coded(task.lo, task.hi, counter)]
         value = len(rows)
-    stats: Optional[dict] = None
-    if cache is not None:
-        stats = {
-            "entries": len(cache),
-            "memory_bytes": cache.memory_estimate(),
-            "hits": counter.cache_hits,
-            "stores": counter.cache_insertions,
-        }
-    return TaskOutcome(value=value, rows=rows, counter=counter, stats=stats)
+    if counter.cache_insertions:
+        state["cache"].memory_bytes = None
+    return TaskOutcome(value=value, rows=rows, counter=counter)
+
+
+def _summarize_worker(database: Database, spec: MorselSpec, state: dict) -> dict:
+    """A CLFTJ worker's adhesion-cache footprint after its last morsel."""
+    held: _WorkerCache = state["cache"]
+    if held.memory_bytes is None:
+        held.memory_bytes = held.cache.memory_estimate()
+    return {"entries": len(held.cache), "memory_bytes": held.memory_bytes}
 
 
 def _skew(work: Sequence[float]) -> float:
@@ -682,9 +576,9 @@ class ParallelExecutor:
     like any other algorithm.  Construction builds (or cache-hits) every
     shared index once, in the calling thread, through a full-range
     *template* executor; morsel tasks then reuse the warm cache through the
-    database's persistent :class:`~repro.engine.pool.WorkerPool` — a thread
-    morsel costs an executor construction, and fork workers are spawned
-    once and re-armed across queries.
+    database's persistent :class:`~repro.engine.pool.WorkerPool` — a worker
+    constructs one executor per job and runs it once per morsel, and fork
+    workers are spawned once and re-armed across queries.
 
     The merge is deterministic: results are ordered by ``(planner index,
     split path)`` (ranges are ordered, and within a range the inner
@@ -763,9 +657,6 @@ class ParallelExecutor:
             self.variable_order,
             inner,
             compile,
-            OperationCounter(),
-            None,
-            None,
             decomposition=plan.decomposition if plan is not None else None,
             policy=plan.policy if plan is not None else None,
             cache=plan.make_cache() if plan is not None else None,
@@ -844,7 +735,10 @@ class ParallelExecutor:
             return workers
         if self._selector is not None:
             return self._selector.recommend_morsels(
-                self.query, self.variable_order, workers=workers
+                self.query,
+                self.variable_order,
+                workers=workers,
+                plan=self._plan if self.inner_algorithm == "clftj" else None,
             )
         return workers * MORSEL_OVERPARTITION
 
@@ -864,16 +758,13 @@ class ParallelExecutor:
         """Serial fallback: the full-range template IS the single morsel."""
         counter = OperationCounter()
         executor = self._template
-        # Iterators are created per execution with whatever counter the
-        # executor holds at that moment, so swapping it in is safe.
-        executor.counter = counter
         executor.deadline = self.deadline
         started = time.perf_counter()
         if run_mode == "count":
-            value = executor.count()
+            value = executor.count(counter=counter)
             rows: Optional[List[Tuple[object, ...]]] = None
         else:
-            rows = [tuple(row) for row in executor.evaluate_coded()]
+            rows = [tuple(row) for row in executor.evaluate_coded(counter=counter)]
             value = len(rows)
         elapsed = time.perf_counter() - started
         return MorselResult(
@@ -939,6 +830,7 @@ class ParallelExecutor:
             min_split_span=max(2, MIN_MORSEL_KEYS),
             split_domain=split_domain,
             deadline=self.deadline,
+            summarize=_summarize_worker if clftj else None,
             # Thread workers adopt this execution's accounting scopes so
             # worker-side cache hits land in the right result metadata.
             scopes=self.database.active_scopes(),
@@ -974,7 +866,6 @@ class ParallelExecutor:
             "parallel_mode": self.mode,
             "workers": 1,
             "morsels": 1,
-            "shards": 1,
             "tasks_executed": 1,
             "steals": 0,
             "splits": 0,
@@ -986,6 +877,7 @@ class ParallelExecutor:
             "shard_seconds": [round(result.elapsed, 6)],
             "task_seconds": [round(result.elapsed, 6)],
             "worker_busy_seconds": [round(result.elapsed, 6)],
+            "dispatch_seconds": 0.0,
             "utilization": 1.0,
             "partition_skew": 1.0,
             "morsel_skew": 1.0,
@@ -1016,24 +908,18 @@ class ParallelExecutor:
         )
         extra: Dict[str, object] = {}
         if self.inner_algorithm == "clftj":
-            # Merge the per-morsel snapshots of each worker's persistent
-            # cache: entry count / footprint are point-in-time (take the
-            # last = largest snapshot), hit/store counters are per-morsel
-            # increments (sum them).
-            per_worker: Dict[int, Dict[str, int]] = {}
+            # Each worker's persistent cache: entry count / footprint from
+            # its end-of-job summary, hits / stores summed over the
+            # counters of the morsels it ran.
+            per_worker = {
+                worker: {**summary, "hits": 0, "stores": 0}
+                for worker, summary in report.worker_stats.items()
+            }
             for result in results:
-                if result.stats is None:
-                    continue
-                merged = per_worker.setdefault(
-                    result.worker,
-                    {"entries": 0, "memory_bytes": 0, "hits": 0, "stores": 0},
-                )
-                merged["entries"] = max(merged["entries"], result.stats["entries"])
-                merged["memory_bytes"] = max(
-                    merged["memory_bytes"], result.stats["memory_bytes"]
-                )
-                merged["hits"] += result.stats["hits"]
-                merged["stores"] += result.stats["stores"]
+                merged = per_worker.get(result.worker)
+                if merged is not None:
+                    merged["hits"] += result.counter.cache_hits
+                    merged["stores"] += result.counter.cache_insertions
             extra["worker_caches"] = [
                 {"worker": worker, **merged}
                 for worker, merged in sorted(per_worker.items())
@@ -1046,9 +932,6 @@ class ParallelExecutor:
             "parallel_mode": self.mode,
             "workers": workers,
             "morsels": plan.num_shards,
-            # Legacy alias: pre-pool metadata called the planned ranges
-            # "shards"; kept so dashboards comparing BENCH_5 still line up.
-            "shards": plan.num_shards,
             "tasks_executed": len(results),
             "steals": report.steals,
             "splits": report.splits,
@@ -1060,6 +943,9 @@ class ParallelExecutor:
             "shard_seconds": [round(seconds, 6) for seconds in morsel_seconds],
             "task_seconds": [round(result.elapsed, 6) for result in results],
             "worker_busy_seconds": [round(seconds, 6) for seconds in busy],
+            # Wall time the pool spent on anything but the busiest worker's
+            # morsels: arming, task/result transport, the end handshake.
+            "dispatch_seconds": round(report.dispatch_seconds, 6),
             "utilization": round(min(utilization, 1.0), 3),
             # Per-worker imbalance of actual work done — the number work
             # stealing drives toward 1.0 — vs the planner's per-range
@@ -1083,7 +969,6 @@ class ParallelExecutor:
                     "parallel_mode": self.mode,
                     "workers": 0,
                     "morsels": 0,
-                    "shards": 0,
                 }
             )
         return metadata

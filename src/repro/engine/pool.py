@@ -20,17 +20,26 @@ Two backends implement the same :meth:`WorkerPool.run` contract:
   control pipe per job, amortizing fork + copy-on-write page-table setup
   across queries.  Tasks flow through one shared queue (pulling is
   self-balancing; a task executed off its round-robin home worker counts as
-  a steal).  Forked workers snapshot the database at fork time, so the pool
+  a steal).  A worker blocks on the queue's reader and its control pipe
+  *together*, so the end-of-job handshake — ``("end",)`` down every pipe,
+  one ``("ack", worker, busy seconds, summary)`` back — completes within a
+  pipe round-trip of the last result; the same handshake is the drain after
+  a deadline cancellation, and ``("close",)`` is seen just as promptly.
+  Tasks and results carry the job's sequence number, so a leftover of a
+  cancelled or recovered job can never be mistaken for the next job's.
+  Forked workers snapshot the database at fork time, so the pool
   records a staleness key (data version, index/compiled builds, dictionary
   size) and transparently re-forks when the parent built new state — warm
   repeated queries re-use the same workers with **zero** new spawns (the
   ``spawns`` counter is the proof, asserted in tests).
 
 **Adaptive splitting**: when a worker's previous morsel ran longer than the
-job's ``split_threshold``, it halves any subsequent task that still spans
-enough dictionary codes and requeues both halves instead of running the
-original — a mis-estimated hot range gets re-fed to the whole pool
-mid-flight.  Split halves carry a binary ``path`` suffix, so sorting results
+job's ``split_threshold``, it halves the next task that still spans enough
+dictionary codes and requeues both halves instead of running the original
+— a mis-estimated hot range gets re-fed to the whole pool mid-flight.  One
+slow morsel buys one split: a run of slow morsels keeps splitting, and
+morsels that come out short are left alone (a flag that stayed up turned
+32 planned morsels into 4500 tasks of four keys each).  Split halves carry a binary ``path`` suffix, so sorting results
 by ``(index, path)`` reproduces the exact planner range order no matter
 which worker ran what: the merged row stream is byte-identical to the
 serial one under any stealing/splitting schedule.
@@ -100,6 +109,7 @@ import time
 import weakref
 from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from queue import Empty
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -143,10 +153,6 @@ def _env_int(name: str, default: int, minimum: int = 0) -> int:
 #: a dead fork worker is noticed within a couple of these.  Overridable
 #: via ``REPRO_HEARTBEAT_SECONDS`` (see the module docstring).
 HEARTBEAT_SECONDS: float = _env_float("REPRO_HEARTBEAT_SECONDS", 0.25)
-
-#: Child-side task-queue poll; bounds how long a fork worker takes to
-#: notice the end-of-job (or close) message on its control pipe.
-WORKER_POLL_SECONDS: float = 0.05
 
 #: Consecutive silent heartbeats with a dead worker before recovery kicks
 #: in (grace for results already in flight from other workers).
@@ -201,17 +207,11 @@ class MorselTask:
 
 @dataclass
 class TaskOutcome:
-    """What a job's runner returns for one task.
-
-    ``stats`` is an optional runner-defined observability payload (e.g. the
-    worker-local adhesion-cache state after a CLFTJ morsel); the pool passes
-    it through untouched.
-    """
+    """What a job's runner returns for one task."""
 
     value: int
     rows: Optional[List[Tuple[object, ...]]]
     counter: object
-    stats: Optional[dict] = None
 
 
 @dataclass
@@ -228,7 +228,6 @@ class MorselResult:
     elapsed: float
     worker: int
     stolen: bool
-    stats: Optional[dict] = None
 
 
 @dataclass
@@ -237,7 +236,13 @@ class MorselJob:
 
     ``runner`` must be a **module-level** callable ``(database, spec, task)
     -> TaskOutcome`` (the fork backend pickles it by reference); ``spec`` is
-    an arbitrary picklable object threaded through to every task.  A
+    an arbitrary picklable object threaded through to every task.  State a
+    runner wants to build once per (job, worker) rather than once per task
+    — an executor, say — lives in the dict :func:`worker_job_state`
+    returns.  ``summarize``, when set, is a module-level callable
+    ``(database, spec, state) -> dict`` the pool calls once per
+    worker that stored such state, after that worker's last task; the
+    answers come back in :attr:`JobReport.worker_stats`.  A
     ``split_threshold`` of ``None`` (or a ``split_domain`` of ``None``)
     disables adaptive splitting; ``allow_steal=False`` pins thread-backend
     tasks to their round-robin workers (the *static* scheduling mode).
@@ -254,6 +259,7 @@ class MorselJob:
     split_domain: Optional[Tuple[int, int]] = None
     deadline: Optional[Deadline] = None
     max_retries: Optional[int] = None
+    summarize: Optional[Callable[[object, object, dict], dict]] = None
     #: The submitting execution's cache-accounting scopes
     #: (:meth:`repro.storage.database.Database.active_scopes`).  Thread
     #: workers adopt them around each morsel so worker-side index/driver
@@ -281,18 +287,45 @@ class JobReport:
     worker_restarts: int = 0
     #: Morsels re-enqueued after a worker death or a runner error.
     morsel_retries: int = 0
+    #: ``MorselJob.summarize`` answers, by worker.
+    worker_stats: Dict[int, dict] = field(default_factory=dict)
+
+    @property
+    def dispatch_seconds(self) -> float:
+        """Job wall time minus the busiest worker's busy time: what the job
+        paid for arming workers, moving tasks and results, and the
+        end-of-job handshake — the fixed cost a morsel has to be worth."""
+        return max(0.0, self.wall_seconds - max(self.worker_busy, default=0.0))
 
 
 @dataclass(frozen=True)
 class _JobPayload:
     """The per-job message broadcast to every fork worker's control pipe."""
 
+    #: The pool's job sequence number; tags every task and result.
+    job: int
     spec: object
     runner: Callable[[object, object, MorselTask], TaskOutcome]
+    summarize: Optional[Callable[[object, object, dict], dict]]
     split_threshold: Optional[float]
     min_split_span: int
     split_domain: Optional[Tuple[int, int]]
     size: int
+
+
+_WORKER_JOB = threading.local()
+
+
+def worker_job_state() -> dict:
+    """The calling pool worker's scratch dict for the job it is running.
+
+    The pool creates one dict per (job, worker) and drops it with the job,
+    so whatever a runner parks here is built once per worker per job and
+    never outlives it.  Called outside a pool worker (a runner driven
+    directly), every call returns a fresh dict.
+    """
+    state = getattr(_WORKER_JOB, "state", None)
+    return state if state is not None else {}
 
 
 def split_task(
@@ -484,12 +517,14 @@ class _ThreadJob:
         self.results: List[MorselResult] = []
         self.errors: List[Tuple[int, Tuple[int, ...], str]] = []
         self.busy = [0.0] * size
+        #: One scratch dict per worker (see :func:`worker_job_state`).
+        self.worker_states: List[dict] = [{} for _ in range(size)]
         self.steals = 0
         self.splits = 0
         self.retries: Dict[Tuple[int, Tuple[int, ...]], int] = {}
         self.morsel_retries = 0
-        #: Set once any task ran past the split threshold; wide tasks taken
-        #: after that are halved and requeued instead of run.
+        #: Set when a task ran past the split threshold; the next wide task
+        #: taken is halved and requeued instead of run, which clears it.
         self.hot = False
         #: Set when the job's deadline expired; queued tasks were discarded
         #: and only in-flight ones drain.
@@ -586,6 +621,15 @@ class ThreadWorkerPool(WorkerPool):
                 ],
             )
         results = sorted(state.results, key=lambda r: (r.index, r.path))
+        worker_stats: Dict[int, dict] = {}
+        if job.summarize is not None:
+            # The job is finished, so the workers' states are quiescent and
+            # safe to read from this (the submitting) thread.
+            worker_stats = {
+                wid: job.summarize(self.database, job.spec, worker_state)
+                for wid, worker_state in enumerate(state.worker_states)
+                if worker_state
+            }
         return JobReport(
             results,
             state.steals,
@@ -595,6 +639,7 @@ class ThreadWorkerPool(WorkerPool):
             self.size,
             worker_restarts=0,
             morsel_retries=state.morsel_retries,
+            worker_stats=worker_stats,
         )
 
     def _worker_main(self, wid: int) -> None:
@@ -641,6 +686,7 @@ class ThreadWorkerPool(WorkerPool):
             if halves is not None:
                 left, right = halves
                 with self._cond:
+                    state.hot = False
                     state.pending += 1
                     state.splits += 1
                     own = state.deques[wid]
@@ -651,6 +697,7 @@ class ThreadWorkerPool(WorkerPool):
                     self._cond.notify_all()
                 return
         started = time.perf_counter()
+        _WORKER_JOB.state = state.worker_states[wid]
         try:
             fault_point("pool.before_morsel")
             with self.database.adopt_scopes(job.scopes):
@@ -678,6 +725,8 @@ class ThreadWorkerPool(WorkerPool):
                     )
                     self._finish_one(state)
             return
+        finally:
+            _WORKER_JOB.state = None
         elapsed = time.perf_counter() - started
         with self._cond:
             state.busy[wid] += elapsed
@@ -700,7 +749,6 @@ class ThreadWorkerPool(WorkerPool):
                     elapsed=elapsed,
                     worker=wid,
                     stolen=stolen,
-                    stats=outcome.stats,
                 )
             )
             self._finish_one(state)
@@ -732,6 +780,23 @@ class _CloseWorker(Exception):
     """Raised inside a fork worker to unwind out of an active job."""
 
 
+def _pin_to_cpu(wid: int) -> None:
+    """Pin the calling fork worker to one CPU of the inherited affinity set.
+
+    A task reaches a worker through a pipe write, and the kernel starts a
+    process woken that way on the *writer's* CPU: two workers woken together
+    then share one CPU and run their morsels one after the other until the
+    idle balancer moves one, several milliseconds later (two 1.3 ms morsels
+    on two idle cores: 3.0 ms unpinned, 1.8 ms pinned).  Workers take the
+    CPUs round-robin, so a pool wider than the machine still spreads.
+    """
+    try:
+        cpus = sorted(os.sched_getaffinity(0))
+        os.sched_setaffinity(0, {cpus[wid % len(cpus)]})
+    except (AttributeError, OSError):  # no affinity API, or a CPU went away
+        pass
+
+
 def _fork_worker_main(pool: "ForkWorkerPool", wid: int, conn) -> None:
     """Entry point of one forked worker; loops over jobs until closed.
 
@@ -740,6 +805,7 @@ def _fork_worker_main(pool: "ForkWorkerPool", wid: int, conn) -> None:
     queues; only control messages and results ever cross a pipe.
     """
     reinitialise_child_locks(pool.database)
+    _pin_to_cpu(wid)
     fault_point("pool.worker_start")
     try:
         while True:
@@ -762,72 +828,86 @@ def _fork_worker_main(pool: "ForkWorkerPool", wid: int, conn) -> None:
 
 
 def _serve_job(pool: "ForkWorkerPool", wid: int, conn, payload: _JobPayload) -> None:
-    """Pull tasks from the shared queue until the parent ends the job."""
+    """Run tasks off the shared queue until the parent ends the job.
+
+    The worker sleeps on the queue's reader *and* its control pipe, holding
+    no lock while it waits (a worker SIGKILLed here cannot wedge the
+    others), and a control message wins over a queued task: ``("end",)``
+    is only sent once the parent wants nothing more from this job.
+    """
     task_queue = pool._task_queue
-    result_queue = pool._result_queue
+    job = payload.job
+    waitables = [conn, task_queue._reader]
+
+    def post(*message) -> None:
+        pool._result_queue.put((job, message))
+
+    state: dict = {}
     busy = 0.0
     hot = False
     while True:
-        try:
-            task = task_queue.get(timeout=WORKER_POLL_SECONDS)
-        except Empty:
-            if conn.poll():
+        if conn in wait(waitables):
+            try:
                 message = conn.recv()
-                if message[0] == "end":
-                    conn.send(("ack", wid, busy))
-                    return
-                if message[0] == "close":
-                    raise _CloseWorker()
+            except (EOFError, OSError):  # the parent is gone
+                raise _CloseWorker()
+            if message[0] == "end":
+                summary = None
+                if payload.summarize is not None and state:
+                    summary = payload.summarize(pool.database, payload.spec, state)
+                conn.send(("ack", wid, busy, summary))
+                return
+            if message[0] == "close":
+                raise _CloseWorker()
+            continue
+        try:
+            task_job, task = task_queue.get_nowait()
+        except Empty:  # another worker was quicker
+            continue
+        if task_job != job:  # left over from a cancelled or recovered job
             continue
         if hot and payload.split_threshold is not None:
             halves = split_task(task, payload.split_domain, payload.min_split_span)
             if halves is not None:
+                hot = False
                 left, right = halves
-                result_queue.put(
-                    (
-                        "split",
-                        (task.index, task.path),
-                        (left.index, left.path),
-                        (right.index, right.path),
-                    )
+                post(
+                    "split",
+                    (task.index, task.path),
+                    (left.index, left.path),
+                    (right.index, right.path),
                 )
-                task_queue.put(left)
-                task_queue.put(right)
+                task_queue.put((job, left))
+                task_queue.put((job, right))
                 continue
         started = time.perf_counter()
+        _WORKER_JOB.state = state
         try:
             fault_point("pool.before_morsel")
             outcome = payload.runner(pool.database, payload.spec, task)
         except BaseException as error:  # noqa: BLE001 - crosses the process boundary
-            result_queue.put(
-                (
-                    "error",
-                    (task.index, task.path),
-                    f"{type(error).__name__}: {error}",
-                )
-            )
+            post("error", (task.index, task.path), f"{type(error).__name__}: {error}")
             continue
+        finally:
+            _WORKER_JOB.state = None
         elapsed = time.perf_counter() - started
         busy += elapsed
         if payload.split_threshold is not None and elapsed >= payload.split_threshold:
             hot = True
-        result_queue.put(
-            (
-                "result",
-                MorselResult(
-                    index=task.index,
-                    path=task.path,
-                    lo=task.lo,
-                    hi=task.hi,
-                    value=outcome.value,
-                    rows=outcome.rows,
-                    counter=outcome.counter,
-                    elapsed=elapsed,
-                    worker=wid,
-                    stolen=wid != task.index % payload.size,
-                    stats=outcome.stats,
-                ),
-            )
+        post(
+            "result",
+            MorselResult(
+                index=task.index,
+                path=task.path,
+                lo=task.lo,
+                hi=task.hi,
+                value=outcome.value,
+                rows=outcome.rows,
+                counter=outcome.counter,
+                elapsed=elapsed,
+                worker=wid,
+                stolen=wid != task.index % payload.size,
+            ),
         )
 
 
@@ -936,6 +1016,8 @@ class ForkWorkerPool(WorkerPool):
         self._task_queue = None
         self._result_queue = None
         self._fork_key: Optional[tuple] = None
+        #: Jobs ever started (completed or not); see ``_JobPayload.job``.
+        self._job_seq = 0
 
     # ------------------------------------------------------------- internals
     def _state_key(self) -> tuple:
@@ -983,9 +1065,12 @@ class ForkWorkerPool(WorkerPool):
         if not tasks:
             return JobReport([], 0, 0, [0.0] * self.size, 0.0, self.size)
         self._ensure_workers()
+        self._job_seq += 1
         payload = _JobPayload(
+            job=self._job_seq,
             spec=job.spec,
             runner=job.runner,
+            summarize=job.summarize,
             split_threshold=job.split_threshold,
             min_split_span=job.min_split_span,
             split_domain=job.split_domain,
@@ -1000,7 +1085,7 @@ class ForkWorkerPool(WorkerPool):
                 # detects the death and forks an armed replacement.
                 pass
         for task in tasks:
-            self._task_queue.put(task)
+            self._task_queue.put((payload.job, task))
         tracker = _ForkJobTracker(tasks, job.split_domain, job.min_split_span)
         retries: Dict[Tuple[int, Tuple[int, ...]], int] = {}
         max_retries = _job_max_retries(job)
@@ -1017,13 +1102,13 @@ class ForkWorkerPool(WorkerPool):
                     "worker pool closed while a job was in flight"
                 )
             if job.deadline is not None and job.deadline.expired():
-                busy = self._cancel_job()
+                self._cancel_job()
                 raise QueryTimeoutError(job.deadline.timeout)
             timeout = HEARTBEAT_SECONDS
             if job.deadline is not None:
                 timeout = max(0.005, min(timeout, job.deadline.remaining()))
             try:
-                message = self._result_queue.get(timeout=timeout)
+                message_job, message = self._result_queue.get(timeout=timeout)
             except Empty:
                 fault_point("pool.heartbeat")
                 dead = [
@@ -1079,7 +1164,7 @@ class ForkWorkerPool(WorkerPool):
                 # live worker) are safe: the tracker completes a key once
                 # and parks later arrivals as orphans.
                 for key in lost:
-                    self._task_queue.put(tracker.tasks[key])
+                    self._task_queue.put((payload.job, tracker.tasks[key]))
                 continue
             except (OSError, ValueError, EOFError, AttributeError) as error:
                 # close() tore the queues down under a job it abandoned.
@@ -1087,6 +1172,8 @@ class ForkWorkerPool(WorkerPool):
                     f"worker pool torn down mid-job: {error}"
                 )
             silent_with_dead = 0
+            if message_job != payload.job:
+                continue  # a straggler of an earlier cancelled job
             if message[0] == "error":
                 key = message[1]
                 text = message[2]
@@ -1102,11 +1189,11 @@ class ForkWorkerPool(WorkerPool):
                     retries[key] = retries.get(key, 0) + 1
                     job_retries += 1
                     self.morsel_retries += 1
-                    self._task_queue.put(tracker.tasks[key])
+                    self._task_queue.put((payload.job, tracker.tasks[key]))
                     continue
             tracker.absorb(message)
         self._drain_queue(self._task_queue)  # duplicates from recovery
-        busy = self._end_job()
+        busy, worker_stats = self._end_job()
         self._drain_queue(self._result_queue)  # orphan duplicate results
         if (
             job.deadline is not None
@@ -1140,6 +1227,7 @@ class ForkWorkerPool(WorkerPool):
             self.size,
             worker_restarts=job_restarts,
             morsel_retries=job_retries,
+            worker_stats=worker_stats,
         )
 
     def _replace_workers(
@@ -1189,17 +1277,17 @@ class ForkWorkerPool(WorkerPool):
         self.worker_restarts += replaced
         return replaced
 
-    def _cancel_job(self) -> List[float]:
+    def _cancel_job(self) -> None:
         """Deadline cancellation: drop queued morsels, drain in-flight ones.
 
-        The end-of-job handshake doubles as the drain — workers finish
-        their current morsel, find the queue empty, and ack — so the pool
-        is immediately reusable for the next query.
+        The end-of-job handshake doubles as the drain — a worker finishes
+        the morsel it is in (idle ones ack at once) and leaves the job, so
+        the pool is immediately reusable for the next query.  Whatever the
+        two sweeps miss carries this job's number and is ignored later.
         """
         self._drain_queue(self._task_queue)
-        busy = self._end_job()
+        self._end_job()
         self._drain_queue(self._result_queue)
-        return busy
 
     def _drain_queue(self, queue) -> None:
         if queue is None:
@@ -1210,11 +1298,14 @@ class ForkWorkerPool(WorkerPool):
             except (Empty, OSError, ValueError, EOFError):
                 return
 
-    def _end_job(self) -> List[float]:
-        """End-of-job handshake: collect per-worker busy time, with a deadline.
+    def _end_job(self) -> Tuple[List[float], Dict[int, dict]]:
+        """End-of-job handshake: per-worker busy seconds and job summaries.
 
-        A worker that dies after its last task (before acking) is dropped
-        and the set is marked stale so the next job re-forks.
+        Every worker answers ``("end",)`` the moment it is idle, so with the
+        results already in this returns within a pipe round-trip (bounded
+        by ten seconds whatever happens).  A worker that dies after its
+        last task (before acking) is dropped and the set is marked stale so
+        the next job re-forks.
         """
         for pipe in self._pipes:
             try:
@@ -1222,28 +1313,32 @@ class ForkWorkerPool(WorkerPool):
             except (OSError, BrokenPipeError):
                 pass
         busy = [0.0] * self.size
-        waiting = set(range(self.size))
+        worker_stats: Dict[int, dict] = {}
+        waiting = {pipe: wid for wid, pipe in enumerate(self._pipes)}
+        acked = 0
         deadline = time.monotonic() + 10.0
         while waiting and time.monotonic() < deadline:
-            for wid in list(waiting):
-                pipe = self._pipes[wid]
+            try:
+                ready = wait(list(waiting), timeout=HEARTBEAT_SECONDS)
+            except (OSError, ValueError):  # close() tore the pipes down
+                break
+            for pipe in ready:
+                wid = waiting.pop(pipe)
                 try:
-                    if pipe.poll(WORKER_POLL_SECONDS):
-                        ack = pipe.recv()
-                        if ack[0] == "ack":
-                            busy[wid] = ack[2]
-                            waiting.discard(wid)
-                        continue
-                except (EOFError, OSError):
-                    waiting.discard(wid)
-                    self._fork_key = None  # force re-fork next job
+                    ack = pipe.recv()
+                except (EOFError, OSError):  # died before acking
                     continue
-                if not self._processes[wid].is_alive():
-                    waiting.discard(wid)
-                    self._fork_key = None
-        if waiting:
-            self._fork_key = None
-        return busy
+                acked += 1
+                busy[wid] = ack[2]
+                if ack[3] is not None:
+                    worker_stats[wid] = ack[3]
+            if not ready:
+                for pipe, wid in list(waiting.items()):
+                    if not self._processes[wid].is_alive():
+                        del waiting[pipe]
+        if acked < self.size:
+            self._fork_key = None  # force a re-fork on the next job
+        return busy, worker_stats
 
     def _stop_workers(self) -> None:
         for pipe in self._pipes:

@@ -69,12 +69,17 @@ _COMPILE_CHARGE_CAP = 64.0
 #: in scheduling overhead.
 _WORKER_ENGAGE_COST = 400.0
 
-#: Estimated cost units one *morsel* pays before doing useful work on the
-#: persistent pool: one range-restricted executor construction over warm
-#: caches plus one scheduling round-trip.  Far below the old per-shard
-#: figure (no thread-pool setup, no fork — workers are re-armed, not
-#: spawned), which is exactly what makes 16x over-partitioning affordable.
-_MORSEL_STARTUP_COST = 48.0
+#: The work floor of a *morsel*, in estimated cost units: what dispatching a
+#: job on the persistent fork pool costs whatever it computes.  Measured on
+#: the 2-core reference box: a warm no-op job takes 0.4 ms for 2 morsels plus
+#: 0.06 ms per further morsel, and a real one 1-1.5 ms once the plan is
+#: pickled to each worker, each worker builds its executor and CLFTJ workers
+#: size their caches; compiled count loops retire 2.5k-8k units per ms, and
+#: the floor is taken at the fast end, because queries that cheap are the
+#: ones it exists for.  A range worth less than this is not cut off: a 3 ms
+#: query becomes one range per worker, while 100 ms of work still gets its
+#: 16 per worker.
+_MORSEL_DISPATCH_COST = 12000.0
 
 
 @dataclass(frozen=True)
@@ -161,14 +166,17 @@ class CostBasedSelector:
         query: ConjunctiveQuery,
         variable_order: Sequence,
         workers: Optional[int] = None,
+        plan: Optional[ExecutionPlan] = None,
     ) -> int:
         """Morsel count for a pool of ``workers``: fine, but not free.
 
         Targets ``MORSEL_OVERPARTITION`` (16) ranges per worker so stealing
         can level skew, but never plans a morsel worth less than
-        :data:`_MORSEL_STARTUP_COST` units of estimated work, and never
+        :data:`_MORSEL_DISPATCH_COST` units of estimated work, and never
         fewer than one range per worker.  (The partition planner separately
-        floors the *keys* per morsel; this floors the work.)
+        floors the *keys* per morsel; this floors the work.)  ``plan`` is
+        the CLFTJ plan when the morsels run cached: the work is then the
+        cached estimate, an order of magnitude below LFTJ's on paths.
         """
         from repro.engine.parallel import MORSEL_OVERPARTITION
 
@@ -177,8 +185,12 @@ class CostBasedSelector:
         workers = max(int(workers), 1)
         if workers == 1:
             return 1
-        cost = self._order_cost(query, variable_order)
-        affordable = int(cost // _MORSEL_STARTUP_COST)
+        if plan is not None:
+            model = ChuCostModel(self.database, query, catalog=self.catalog)
+            cost = self._clftj_cost(model, query, plan)
+        else:
+            cost = self._order_cost(query, variable_order)
+        affordable = int(cost // _MORSEL_DISPATCH_COST)
         return max(workers, min(workers * MORSEL_OVERPARTITION, affordable))
 
     def _order_cost(self, query: ConjunctiveQuery, variable_order: Sequence) -> float:

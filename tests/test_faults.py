@@ -73,8 +73,9 @@ class TestWorkerRecovery:
         query = cycle_query(3)
         serial = engine.evaluate(query, algorithm="clftj")
         # Arm before the pool forks so the workers inherit the registry.
+        # The query is under the work floor: two morsels, the second killed.
         with inject_faults(
-            {"pool.before_morsel": {"action": "kill", "after": 2, "times": 1}}
+            {"pool.before_morsel": {"action": "kill", "after": 1, "times": 1}}
         ) as armed:
             result = engine.evaluate(
                 query, algorithm="pclftj", parallel=2,

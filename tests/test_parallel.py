@@ -1,7 +1,7 @@
 """Morsel-parallel execution: differential correctness + the bounded-cursor
 contract + thread-safety audits.
 
-Three suites:
+Four suites:
 
 * **Differential** — every parallel configuration (backend x inner algorithm
   x encoded/raw x worker count, prime counts and empty ranges included) must
@@ -15,12 +15,18 @@ Three suites:
   and concurrent ``Database.view_index`` fills must produce correct results
   with no duplicate index builds (the database lock serialises cache fills,
   so the allowed race window is zero).
+* **Per-job cost** — what a job pays beside the join: one executor and one
+  cache-footprint walk per worker per job, and morsels no smaller than the
+  work floor.
 """
 
 import threading
 
 import pytest
 
+import repro.engine.parallel as parallel_module
+import repro.engine.selector as selector_module
+from repro.core.cache import AdhesionCache
 from repro.engine import QueryEngine
 from repro.engine.executors import registered_algorithms
 from repro.engine.parallel import ParallelExecutor, PartitionPlanner
@@ -85,8 +91,7 @@ class TestDifferential:
         assert result.metadata["parallel_mode"] == "morsel"
         assert result.metadata["inner_algorithm"] == algorithm
         assert sum(result.metadata["shard_results"]) == result.count
-        # The legacy "shards" key aliases the planned morsel count.
-        assert result.metadata["shards"] == result.metadata["morsels"]
+        assert "shards" not in result.metadata  # the PR 5 alias is gone
         assert (
             len(result.metadata["partition_bounds"])
             == result.metadata["morsels"] - 1
@@ -191,6 +196,7 @@ class TestDifferential:
         assert metadata["tasks_executed"] >= metadata["morsels"]
         assert metadata["steals"] >= 0 and metadata["splits"] >= 0
         assert len(metadata["worker_busy_seconds"]) == 2
+        assert metadata["dispatch_seconds"] >= 0.0
         assert 0.0 <= metadata["utilization"] <= 1.0
         assert metadata["partition_skew"] >= 1.0
         assert metadata["morsel_skew"] >= 1.0
@@ -396,7 +402,7 @@ class TestPartitionPlanner:
         assert len(plan.bounds) == 2
         result = engine.count(query, algorithm="lftj", parallel=3)
         assert result.count == 0
-        assert result.metadata["shards"] == 3
+        assert result.metadata["morsels"] == 3
 
     def test_small_domains_pad_with_empty_shards(self):
         rows = [(1, 2), (2, 3), (3, 1)]
@@ -652,6 +658,89 @@ class TestThreadSafety:
         _run_threads(worker, 4)
         assert counts == [serial] * 4
         assert database.index_builds == builds_before  # warm: zero rebuilds
+
+
+class TestPerJobCost:
+    def test_one_executor_and_one_cache_walk_per_worker_per_job(self, monkeypatch):
+        """A worker builds its range executor once per job and re-ranges it
+        per morsel, and its cache footprint is measured once, after its last
+        morsel — not once per morsel each."""
+        base = random_edge_database(num_nodes=60, num_edges=420, seed=11)
+        database = Database(list(base), name="per-job-cost")
+        engine = QueryEngine(database)
+        query = path_query(4)
+        serial = engine.count(query, algorithm="clftj")
+        # Lift the work floor so the job has many morsels per worker.
+        monkeypatch.setattr(selector_module, "_MORSEL_DISPATCH_COST", 1.0)
+        built = []
+        make = parallel_module.make_range_executor
+        monkeypatch.setattr(
+            parallel_module,
+            "make_range_executor",
+            lambda *args, **kwargs: built.append(1) or make(*args, **kwargs),
+        )
+        walks = {}
+        estimate = AdhesionCache.memory_estimate
+
+        def counting_estimate(cache):
+            walks[id(cache)] = walks.get(id(cache), 0) + 1
+            return estimate(cache)
+
+        monkeypatch.setattr(AdhesionCache, "memory_estimate", counting_estimate)
+        result = engine.count(query, algorithm="pclftj", parallel=2)
+        assert result.count == serial.count
+        assert result.metadata["tasks_executed"] >= 8
+        assert len(built) <= 1 + 2  # the parent's template, then one per worker
+        assert len(walks) <= 1 + 2 and max(walks.values()) == 1
+        caches = result.metadata["worker_caches"]
+        assert [entry["worker"] for entry in caches] == sorted(
+            {entry["worker"] for entry in caches}
+        )
+        for entry in caches:
+            assert set(entry) == {"worker", "entries", "memory_bytes", "hits", "stores"}
+            assert entry["memory_bytes"] > 0 and entry["entries"] > 0
+        assert sum(entry["hits"] for entry in caches) == result.counter.cache_hits
+        database.close_pools()
+
+    def test_work_floor_sizes_morsels(self):
+        """Work under the floor is cut once per worker; work far above it
+        keeps its 16 ranges per worker; explain says which applied."""
+        base = random_edge_database(num_nodes=200, num_edges=1200, seed=23)
+        database = Database(list(base), name="work-floor")
+        engine = QueryEngine(database)
+        light, heavy = cycle_query(3), cycle_query(5)
+        result = engine.count(light, algorithm="lftj", parallel=2)
+        assert result.metadata["morsels"] == 2
+        recommend = engine.selector.recommend_morsels
+        assert recommend(light, light.variables, workers=2) == 2
+        assert recommend(light, light.variables, workers=4) == 4
+        assert recommend(heavy, heavy.variables, workers=2) == 32
+        assert "planned morsels: 2 (work floor" in engine.explain(
+            light, algorithm="plftj", parallel=2
+        )
+        assert "planned morsels: 32 (16 per worker)" in engine.explain(
+            heavy, algorithm="plftj", parallel=2
+        )
+        database.close_pools()
+
+    def test_cached_work_is_sized_by_the_cached_estimate(self):
+        """A path's CLFTJ estimate is an order of magnitude under LFTJ's, so
+        pclftj plans fewer morsels than plftj for the same query."""
+        base = random_edge_database(num_nodes=60, num_edges=420, seed=11)
+        database = Database(list(base), name="work-floor-clftj")
+        engine = QueryEngine(database)
+        query = path_query(4)
+        plan = engine.plan(query)
+        recommend = engine.selector.recommend_morsels
+        uncached = recommend(query, plan.variable_order, workers=2)
+        cached = recommend(query, plan.variable_order, workers=2, plan=plan)
+        assert uncached > cached == 2
+        result = engine.count(query, algorithm="pclftj", parallel=2)
+        assert result.metadata["morsels"] == cached
+        assert f"planned morsels: {cached} (work floor" in engine.explain(
+            query, algorithm="pclftj", parallel=2
+        )
+        database.close_pools()
 
 
 class TestForkSafety:

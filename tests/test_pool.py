@@ -14,21 +14,28 @@ Four suites:
   adaptive splitting on both backends, static mode never stealing or
   splitting, and dead fork workers surfacing as a bounded-time error
   instead of a hang.
+* **Handshake** — the fork pool's event-driven job end: a warm job costs
+  about a millisecond, idle workers see a cancellation or a close at once,
+  a worker killed while it waits is replaced, and leftovers of an earlier
+  job are never mistaken for the next one's.
 * **Unit** — ``split_task`` range algebra and ``available_workers`` sizing.
 """
 
 import os
 import signal
+import statistics
 import threading
 import time
+from multiprocessing.connection import wait
 
 import pytest
 
 import repro.engine.parallel as parallel_module
 import repro.engine.pool as pool_module
+import repro.engine.selector as selector_module
 from repro.core.instrumentation import OperationCounter
 from repro.engine import QueryEngine
-from repro.engine.faults import PoolClosedError
+from repro.engine.faults import Deadline, PoolClosedError, QueryTimeoutError
 from repro.engine.pool import (
     ForkWorkerPool,
     MorselJob,
@@ -61,6 +68,46 @@ def _sleepy_runner(database, spec, task):
 
 def _suicide_runner(database, spec, task):
     os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _slow_first_runner(database, spec, task):
+    if task.index == 0:
+        time.sleep(spec)
+    return TaskOutcome(value=1, rows=None, counter=OperationCounter())
+
+
+def _noop_runner(database, spec, task):
+    return TaskOutcome(value=1, rows=None, counter=OperationCounter())
+
+
+def _range_runner(database, spec, task):
+    return TaskOutcome(value=task.lo, rows=None, counter=OperationCounter())
+
+
+def _pid_logging_runner(database, spec, task):
+    """Write the worker's pid to ``spec = (path, seconds)``, then sleep."""
+    path, seconds = spec
+    with open(path, "w") as handle:
+        handle.write(str(os.getpid()))
+    time.sleep(seconds)
+    return TaskOutcome(value=1, rows=None, counter=OperationCounter())
+
+
+def _busy_and_idle(pool, pid_file):
+    """The (busy, idle) worker processes of a 2-worker pool running one
+    ``_pid_logging_runner`` task."""
+    deadline = time.monotonic() + 10
+    while time.monotonic() < deadline:
+        try:
+            busy_pid = int(pid_file.read_text())
+            break
+        except (OSError, ValueError):
+            time.sleep(0.005)
+    else:
+        raise AssertionError("the task never started")
+    busy = next(p for p in pool._processes if p.pid == busy_pid)
+    idle = next(p for p in pool._processes if p.pid != busy_pid)
+    return busy, idle
 
 
 def _tasks(count):
@@ -383,6 +430,9 @@ class TestScheduling:
         query = cycle_query(3)
         serial = engine.evaluate(query, algorithm="lftj")
         monkeypatch.setattr(parallel_module, "MORSEL_SPLIT_THRESHOLD", 0.0)
+        # This little query is under the work floor; lift it, so that there
+        # are queued morsels left to split.
+        monkeypatch.setattr(selector_module, "_MORSEL_DISPATCH_COST", 1.0)
         result = engine.evaluate(
             query, algorithm="lftj", parallel=3, parallel_backend=backend
         )
@@ -403,6 +453,7 @@ class TestScheduling:
         query = path_query(4)
         serial = engine.evaluate(query, algorithm="clftj")
         monkeypatch.setattr(parallel_module, "MORSEL_SPLIT_THRESHOLD", 0.0)
+        monkeypatch.setattr(selector_module, "_MORSEL_DISPATCH_COST", 1.0)
         result = engine.evaluate(
             query, algorithm="pclftj", parallel=3, parallel_backend=backend
         )
@@ -412,6 +463,26 @@ class TestScheduling:
         caches = result.metadata["worker_caches"]
         assert caches and all(entry["entries"] >= 0 for entry in caches)
         database.close_pools()
+
+    def test_one_slow_morsel_buys_one_split(self):
+        """The splitter halves the task after a slow one and then stands
+        down: fast morsels are left whole (a flag that stayed up used to
+        shatter every later task down to the minimum span)."""
+        database = _edge_database(name="pool-one-split")
+        with ThreadWorkerPool(database, 1) as pool:
+            report = pool.run(
+                MorselJob(
+                    spec=0.03,
+                    runner=_slow_first_runner,
+                    tasks=[MorselTask(i, (), 64 * i, 64 * (i + 1)) for i in range(4)],
+                    split_threshold=0.01,
+                    split_domain=(0, 256),
+                )
+            )
+        assert report.splits == 1
+        assert [(r.index, r.path) for r in report.results] == [
+            (0, ()), (1, (0,)), (1, (1,)), (2, ()), (3, ()),
+        ]
 
     def test_steals_are_deterministic_for_results(self):
         """Whatever the stealing schedule, repeated runs merge identically."""
@@ -466,6 +537,137 @@ class TestScheduling:
         report = pool.run(MorselJob(spec=0.0, runner=_sleepy_runner, tasks=_tasks(2)))
         assert len(report.results) == 2
         pool.close()
+
+
+# ---------------------------------------------------------------------------
+# Handshake: the fork pool's event-driven job end.
+# ---------------------------------------------------------------------------
+
+
+class TestForkHandshake:
+    def test_warm_job_pays_no_stall(self):
+        """Eight no-op morsels on two warm workers: about a millisecond.
+        (A worker that polls its control pipe every 50 ms makes this >= 50.)"""
+        database = _edge_database(name="pool-handshake")
+        with ForkWorkerPool(database, 2) as pool:
+            job = MorselJob(spec=None, runner=_noop_runner, tasks=_tasks(8))
+            pool.run(job)  # forks the workers
+            walls = []
+            for _ in range(5):
+                report = pool.run(job)
+                assert len(report.results) == 8
+                walls.append(report.wall_seconds)
+            assert statistics.median(walls) < 0.025
+            assert 0.0 <= report.dispatch_seconds <= report.wall_seconds
+            assert pool.worker_restarts == 0
+
+    def test_cancellation_returns_when_the_last_worker_is_done(self):
+        """One worker sleeps through the deadline, the other is idle: the
+        timeout surfaces within 10 ms of the sleeper finishing (best of
+        three; a 50 ms poll would put every attempt past that)."""
+        database = _edge_database(name="pool-cancel")
+        with ForkWorkerPool(database, 2) as pool:
+            pool.run(MorselJob(spec=0.0, runner=_sleepy_runner, tasks=_tasks(2)))
+            overshoots = []
+            for _ in range(3):
+                started = time.perf_counter()
+                with pytest.raises(QueryTimeoutError):
+                    pool.run(
+                        MorselJob(spec=0.05, runner=_sleepy_runner, tasks=_tasks(1),
+                                  deadline=Deadline.start(0.01))
+                    )
+                overshoots.append(time.perf_counter() - started - 0.05)
+            assert min(overshoots) < 0.010
+            # Reusable at once, with the same workers.
+            report = pool.run(
+                MorselJob(spec=0.0, runner=_sleepy_runner, tasks=_tasks(4))
+            )
+            assert len(report.results) == 4
+            assert pool.worker_restarts == 0
+
+    def test_idle_worker_sees_close_mid_job(self, tmp_path):
+        """A worker with nothing to do exits within 10 ms of ``close()``
+        abandoning the job its sibling is still busy with (best of three)."""
+        latencies = []
+        for attempt in range(3):
+            database = _edge_database(name=f"pool-close-idle-{attempt}")
+            pool = ForkWorkerPool(database, 2)
+            pid_file = tmp_path / f"busy-{attempt}.pid"
+            job = MorselJob(spec=(str(pid_file), 0.3), runner=_pid_logging_runner,
+                            tasks=_tasks(1))
+            outcomes = []
+
+            def _run():
+                try:
+                    outcomes.append(pool.run(job))
+                except RuntimeError as error:
+                    outcomes.append(error)
+
+            runner = threading.Thread(target=_run)
+            runner.start()
+            _busy, idle = _busy_and_idle(pool, pid_file)
+            exited = []
+            watcher = threading.Thread(
+                target=lambda: exited.append(
+                    (bool(wait([idle.sentinel], timeout=5)), time.perf_counter())
+                )
+            )
+            watcher.start()
+            closing = time.perf_counter()
+            pool.close(drain_timeout=0.0)
+            watcher.join(timeout=10)
+            runner.join(timeout=10)
+            assert not runner.is_alive() and not watcher.is_alive()
+            assert exited[0][0], "the idle worker never exited"
+            assert len(outcomes) == 1 and isinstance(outcomes[0], RuntimeError)
+            latencies.append(exited[0][1] - closing)
+        assert min(latencies) < 0.010
+
+    def test_worker_killed_while_waiting_is_replaced(self, monkeypatch, tmp_path):
+        """SIGKILL the worker that is blocked waiting for a task: it holds
+        no lock there, so the job finishes, the worker is replaced, the
+        unfinished morsel is re-fed, and the next job runs normally."""
+        monkeypatch.setattr(pool_module, "HEARTBEAT_SECONDS", 0.05)
+        database = _edge_database(name="pool-kill-idle")
+        with ForkWorkerPool(database, 2) as pool:
+            pool.run(MorselJob(spec=None, runner=_noop_runner, tasks=_tasks(2)))
+            pid_file = tmp_path / "busy.pid"
+            reports = []
+            runner = threading.Thread(
+                target=lambda: reports.append(
+                    pool.run(
+                        MorselJob(spec=(str(pid_file), 0.5),
+                                  runner=_pid_logging_runner, tasks=_tasks(1))
+                    )
+                )
+            )
+            runner.start()
+            _busy, idle = _busy_and_idle(pool, pid_file)
+            os.kill(idle.pid, signal.SIGKILL)
+            runner.join(timeout=30)
+            assert not runner.is_alive()
+            assert [result.value for result in reports[0].results] == [1]
+            assert reports[0].worker_restarts == 1
+            assert reports[0].morsel_retries == 1
+            after = pool.run(
+                MorselJob(spec=None, runner=_noop_runner, tasks=_tasks(6))
+            )
+            assert len(after.results) == 6
+
+    def test_leftovers_of_an_earlier_job_are_ignored(self):
+        """A task or result still in a queue when its job ended carries that
+        job's number and must not leak into the next one."""
+        database = _edge_database(name="pool-leftovers")
+        with ForkWorkerPool(database, 2) as pool:
+            pool.run(MorselJob(spec=None, runner=_noop_runner, tasks=_tasks(2)))
+            stale = pool._job_seq
+            pool._task_queue.put((stale, MorselTask(0, (), 100, 200)))
+            pool._result_queue.put((stale, ("error", (0, ()), "ValueError: stale")))
+            report = pool.run(
+                MorselJob(spec=None, runner=_range_runner,
+                          tasks=[MorselTask(0, (), 7, 9), MorselTask(1, (), 9, 11)])
+            )
+            assert [(r.lo, r.value) for r in report.results] == [(7, 7), (9, 9)]
 
 
 # ---------------------------------------------------------------------------
