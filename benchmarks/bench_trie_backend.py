@@ -54,7 +54,7 @@ BENCH5_JSON = str(Path(__file__).resolve().parent.parent / "BENCH_5.json")
 #: PR 6's trajectory file: compiled-vs-interpreted driver cells.
 BENCH6_JSON = str(Path(__file__).resolve().parent.parent / "BENCH_6.json")
 
-#: This PR's trajectory file: morsel-vs-static scheduling on the persistent
+#: PR 7's trajectory file: serial vs morsel scheduling on the persistent
 #: worker pool (BENCH_5 keeps the PR-5 per-query static-partition numbers).
 BENCH7_JSON = str(Path(__file__).resolve().parent.parent / "BENCH_7.json")
 
@@ -454,7 +454,7 @@ def test_clftj_compiled_speedup_and_parallel_identity():
 
 def _parallel_report(scale=PARALLEL_SCALE, workers=None, backend="processes",
                      rounds=3, quick=False):
-    """Serial vs static vs morsel triangle / 4-clique cells over wiki-Vote.
+    """Serial vs morsel triangle / 4-clique cells over wiki-Vote.
 
     Counts are cross-checked inside the harness; the >= 1.5x warm morsel
     speedup bar only applies with the process backend on machines with >= 2
@@ -518,14 +518,12 @@ def test_parallel_triangle_and_clique_speedup():
             query=cell["query"],
             count=cell["count"],
             serial_seconds=round(cell["serial_seconds"], 5),
-            static_seconds=round(cell["static_seconds"], 5),
             morsel_seconds=round(cell["parallel_seconds"], 5),
             speedup=round(cell["speedup"], 2),
             workers=cell["workers"],
             morsels=cell["morsels"],
             steals=cell["steals"],
             backend=cell["parallel_backend"],
-            skew_static=cell["partition_skew_static"],
             skew_morsel=cell["partition_skew_morsel"],
         )
         assert cell["workers"] >= 1
@@ -639,7 +637,7 @@ def main(argv=None):
     parser.add_argument("--scale", type=float, default=None,
                         help="dataset scale (default: 0.15 with --quick, else 0.3)")
     parser.add_argument("--parallel", type=int, default=None, metavar="N",
-                        help="also run the serial/static/morsel cells with N "
+                        help="also run the serial/morsel cells with N "
                              "pool workers (writes BENCH_7.json)")
     parser.add_argument("--parallel-backend", choices=("threads", "processes"),
                         default="processes",
@@ -781,15 +779,13 @@ def main(argv=None):
                 query=cell["query"],
                 count=cell["count"],
                 serial_seconds=round(cell["serial_seconds"], 5),
-                static_seconds=round(cell["static_seconds"], 5),
-                morsel_seconds=round(cell["parallel_seconds"], 5),
+                    morsel_seconds=round(cell["parallel_seconds"], 5),
                 speedup=round(cell["speedup"], 2),
                 workers=cell["workers"],
                 morsels=cell["morsels"],
                 steals=cell["steals"],
                 backend=cell["parallel_backend"],
-                skew_static=cell["partition_skew_static"],
-                skew_morsel=cell["partition_skew_morsel"],
+                    skew_morsel=cell["partition_skew_morsel"],
             )
     print("bench_trie_backend: OK")
     return 0

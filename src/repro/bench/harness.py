@@ -239,7 +239,7 @@ def run_parallel_benchmark(
     assert_speedup: Optional[float] = None,
     compile: Optional[bool] = None,
 ) -> Dict[str, object]:
-    """Serial vs static vs morsel cells over warm caches; counts cross-checked.
+    """Serial vs morsel-parallel cells over warm caches; counts cross-checked.
 
     ``compile`` is passed through to the engine for lftj/plftj cells:
     ``False`` pins the interpreted join loop (so parallel speedups are
@@ -247,21 +247,15 @@ def run_parallel_benchmark(
     engine default.
 
     For every (dataset, query) cell the harness warms the shared index cache
-    with one serial run, then measures best-of-``rounds`` wall times for
-    three executions on a **persistent worker pool** (the first parallel
-    round also pays the pool's one-time worker spawn, which best-of absorbs):
+    with one serial run, then measures best-of-``rounds`` wall times for the
+    serial executor and for the morsel scheduler on a **persistent worker
+    pool** (the first parallel round also pays the pool's one-time worker
+    spawn, which best-of absorbs).
 
-    * the serial executor;
-    * ``parallel_mode="static"`` — one range per worker, no stealing
-      (PR 5's scheduling discipline, the skew baseline);
-    * ``parallel_mode="morsel"`` — over-partitioned ranges with work
-      stealing and adaptive splitting (this PR's scheduler).
-
-    All three counts are asserted identical — a performance run doubles as
-    a correctness run.  Each cell records the static and morsel
-    ``partition_skew`` (max/mean per-worker work) side by side — the
-    skew-reduction evidence — plus per-morsel p50/p95 task seconds,
-    utilization, worker-busy max/mean, steal and split counts.
+    Both counts are asserted identical — a performance run doubles as a
+    correctness run.  Each cell records ``partition_skew_morsel`` (max/mean
+    per-worker work), per-morsel p50/p95 task seconds, utilization,
+    worker-busy max/mean, steal and split counts.
 
     ``assert_speedup`` (e.g. ``1.5``) raises when any cell's morsel speedup
     falls below the bar; callers gate it on ``cores >= 2`` — fork workers
@@ -280,10 +274,9 @@ def run_parallel_benchmark(
         engine = QueryEngine(database)
         for query in queries:
             warmup = engine.count(query, algorithm=algorithm, compile=compile)
-            times = {"serial": float("inf"), "static": float("inf"),
-                     "morsel": float("inf")}
+            times = {"serial": float("inf"), "morsel": float("inf")}
             counts: Dict[str, Optional[int]] = {}
-            metas: Dict[str, Dict[str, object]] = {"static": {}, "morsel": {}}
+            morsel_meta: Dict[str, object] = {}
             for _ in range(max(rounds, 1)):
                 started = time.perf_counter()
                 counts["serial"] = engine.count(
@@ -292,31 +285,26 @@ def run_parallel_benchmark(
                 times["serial"] = min(
                     times["serial"], time.perf_counter() - started
                 )
-                for mode in ("static", "morsel"):
-                    started = time.perf_counter()
-                    result = engine.count(
-                        query,
-                        algorithm=algorithm,
-                        parallel=effective_workers,
-                        parallel_backend=backend,
-                        parallel_mode=mode,
-                        compile=compile,
-                    )
-                    times[mode] = min(times[mode], time.perf_counter() - started)
-                    counts[mode] = result.count
-                    metas[mode] = result.metadata
-            if not (
-                warmup.count == counts["serial"] == counts["static"]
-                == counts["morsel"]
-            ):
+                started = time.perf_counter()
+                result = engine.count(
+                    query,
+                    algorithm=algorithm,
+                    parallel=effective_workers,
+                    parallel_backend=backend,
+                    compile=compile,
+                )
+                times["morsel"] = min(
+                    times["morsel"], time.perf_counter() - started
+                )
+                counts["morsel"] = result.count
+                morsel_meta = result.metadata
+            if not warmup.count == counts["serial"] == counts["morsel"]:
                 raise AssertionError(
                     f"serial/parallel counts disagree on {query.name!r} over "
                     f"{dataset_name!r}: warmup={warmup.count} "
-                    f"serial={counts['serial']} static={counts['static']} "
-                    f"morsel={counts['morsel']}"
+                    f"serial={counts['serial']} morsel={counts['morsel']}"
                 )
             speedup = times["serial"] / max(times["morsel"], 1e-9)
-            morsel_meta = metas["morsel"]
             task_seconds = list(morsel_meta.get("task_seconds") or [])
             busy = list(morsel_meta.get("worker_busy_seconds") or [])
             cells.append(
@@ -325,10 +313,8 @@ def run_parallel_benchmark(
                     "query": query.name,
                     "count": counts["serial"],
                     "serial_seconds": times["serial"],
-                    "static_seconds": times["static"],
                     "parallel_seconds": times["morsel"],
                     "speedup": speedup,
-                    "static_speedup": times["serial"] / max(times["static"], 1e-9),
                     "workers": morsel_meta.get("workers"),
                     "morsels": morsel_meta.get("morsels"),
                     "tasks_executed": morsel_meta.get("tasks_executed"),
@@ -345,9 +331,6 @@ def run_parallel_benchmark(
                     "worker_busy_mean": (
                         sum(busy) / len(busy) if busy else 0.0
                     ),
-                    # The skew-reduction headline: per-worker imbalance under
-                    # static scheduling vs under the morsel scheduler.
-                    "partition_skew_static": metas["static"].get("partition_skew"),
                     "partition_skew_morsel": morsel_meta.get("partition_skew"),
                     "morsel_skew": morsel_meta.get("morsel_skew"),
                     "encoded": morsel_meta.get("encoded"),

@@ -121,11 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--parallel-backend", choices=("threads", "processes"),
                      default=None,
                      help="parallel execution backend (default: threads)")
-    run.add_argument("--parallel-mode", choices=("morsel", "static"),
-                     default=None,
-                     help="scheduling mode: morsel (over-partitioned ranges "
-                          "with work stealing, default) or static (one range "
-                          "per worker)")
     run.add_argument("--no-compile", action="store_true",
                      help="run the interpreted join loop instead of the "
                           "compiled driver (lftj/clftj/plftj/pclftj; the "
@@ -165,9 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also show the morsel layout for N workers "
                               "(0 = automatic worker count; requires a concrete "
                               "--algorithm such as plftj, pclftj or lftj)")
-    explain.add_argument("--parallel-mode", choices=("morsel", "static"),
-                         default=None,
-                         help="scheduling mode to explain (default: morsel)")
     explain.add_argument("--no-compile", action="store_true",
                          help="explain the interpreted path instead of the "
                               "compiled driver (lftj/clftj/plftj/pclftj)")
@@ -250,9 +242,6 @@ def _parallel_options(args: argparse.Namespace) -> dict:
     backend = getattr(args, "parallel_backend", None)
     if backend is not None:
         options["parallel_backend"] = backend
-    mode = getattr(args, "parallel_mode", None)
-    if mode is not None:
-        options["parallel_mode"] = mode
     # --no-compile is an explicit request, so it is passed through even for
     # algorithms that reject it — the engine's ValueError then exits with 2
     # instead of silently dropping the flag.

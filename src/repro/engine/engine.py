@@ -110,7 +110,6 @@ class QueryEngine:
         cache: Optional[AdhesionCache] = None,
         parallel: Optional[object] = None,
         parallel_backend: Optional[str] = None,
-        parallel_mode: Optional[str] = None,
         compile: Optional[bool] = None,
         timeout: Optional[float] = None,
     ) -> PreparedQuery:
@@ -134,7 +133,6 @@ class QueryEngine:
             "cache": cache,
             "parallel": parallel,
             "parallel_backend": parallel_backend,
-            "parallel_mode": parallel_mode,
             "compile": compile,
             "timeout": _validated_timeout(timeout),
         }
@@ -172,7 +170,6 @@ class QueryEngine:
         cache: Optional[AdhesionCache] = None,
         parallel: Optional[object] = None,
         parallel_backend: Optional[str] = None,
-        parallel_mode: Optional[str] = None,
         compile: Optional[bool] = None,
         timeout: Optional[float] = None,
     ) -> ExecutionResult:
@@ -183,9 +180,7 @@ class QueryEngine:
         ``"pclftj"`` to run the
         execution morsel-parallel over the top join variable on the
         database's persistent worker pool; ``parallel_backend`` selects
-        ``"threads"`` (default) or fork-based ``"processes"``, and
-        ``parallel_mode`` picks ``"morsel"`` (work stealing, default) or
-        ``"static"`` (one range per worker).
+        ``"threads"`` (default) or fork-based ``"processes"``.
 
         ``timeout=`` (seconds) arms a cooperative deadline across every
         backend — interpreted, compiled and pool-parallel executions all
@@ -203,7 +198,6 @@ class QueryEngine:
             cache=cache,
             parallel=parallel,
             parallel_backend=parallel_backend,
-            parallel_mode=parallel_mode,
             compile=compile,
             timeout=timeout,
         )
@@ -219,7 +213,6 @@ class QueryEngine:
         cache: Optional[AdhesionCache] = None,
         parallel: Optional[object] = None,
         parallel_backend: Optional[str] = None,
-        parallel_mode: Optional[str] = None,
         compile: Optional[bool] = None,
         timeout: Optional[float] = None,
     ) -> ExecutionResult:
@@ -242,7 +235,6 @@ class QueryEngine:
             cache=cache,
             parallel=parallel,
             parallel_backend=parallel_backend,
-            parallel_mode=parallel_mode,
             compile=compile,
             timeout=timeout,
         )
@@ -259,7 +251,6 @@ class QueryEngine:
         policy: Optional[CachePolicy] = None,
         parallel: Optional[object] = None,
         parallel_backend: Optional[str] = None,
-        parallel_mode: Optional[str] = None,
         compile: Optional[bool] = None,
     ) -> Dict[str, ExecutionResult]:
         """Run ``query`` with several algorithms and return results keyed by name.
@@ -280,7 +271,6 @@ class QueryEngine:
             "policy": policy,
             "parallel": parallel,
             "parallel_backend": parallel_backend,
-            "parallel_mode": parallel_mode,
             "compile": compile,
         }
         results: Dict[str, ExecutionResult] = {}
@@ -309,7 +299,6 @@ class QueryEngine:
         cache: Optional[AdhesionCache] = None,
         parallel: Optional[object] = None,
         parallel_backend: Optional[str] = None,
-        parallel_mode: Optional[str] = None,
         compile: Optional[bool] = None,
         timeout: Optional[float] = None,
     ) -> str:
@@ -329,7 +318,6 @@ class QueryEngine:
             "cache": cache,
             "parallel": parallel,
             "parallel_backend": parallel_backend,
-            "parallel_mode": parallel_mode,
             "compile": compile,
             "timeout": _validated_timeout(timeout),
         }
@@ -382,7 +370,6 @@ class QueryEngine:
                     else (plan.variable_order if plan is not None else None),
                     parallel,
                     parallel_backend,
-                    parallel_mode,
                     plan if resolved in ("clftj", "pclftj") else None,
                 )
             )
@@ -443,7 +430,6 @@ class QueryEngine:
         variable_order: Optional[Sequence[Variable]],
         parallel: Optional[object],
         parallel_backend: Optional[str],
-        parallel_mode: Optional[str],
         clftj_plan: Optional[ExecutionPlan] = None,
     ) -> str:
         """One explain line describing the morsel/worker layout.
@@ -464,35 +450,30 @@ class QueryEngine:
             if variable_order is not None
             else tuple(query.variables)
         )
-        mode = parallel_mode or "morsel"
         if parallel is None or parallel is True:
             workers = self.selector.recommend_workers(query, order)
         else:
             workers = max(int(parallel), 1)
-        if mode == "static" or workers <= 1:
-            morsels, min_keys = workers, 1
+        morsels = self.selector.recommend_morsels(
+            query, order, workers=workers, plan=clftj_plan
+        )
+        if workers <= 1:
             reason = "one per worker"
+        elif morsels == workers * MORSEL_OVERPARTITION:
+            reason = f"{MORSEL_OVERPARTITION} per worker"
         else:
-            morsels = self.selector.recommend_morsels(
-                query, order, workers=workers, plan=clftj_plan
-            )
-            min_keys = MIN_MORSEL_KEYS
-            if morsels == workers * MORSEL_OVERPARTITION:
-                reason = f"{MORSEL_OVERPARTITION} per worker"
-            else:
-                reason = "work floor: a smaller morsel would not repay its dispatch"
+            reason = "work floor: a smaller morsel would not repay its dispatch"
         plan = cached_partition_plan(
             self.database,
             self.selector.catalog,
             query,
             order,
             morsels,
-            min_keys_per_range=min_keys,
+            min_keys_per_range=MIN_MORSEL_KEYS,
         )
         backend = parallel_backend or "threads"
         return (
-            f"parallel: backend={backend}, mode={mode}, "
-            f"workers={workers}, {plan.describe()}; "
+            f"parallel: backend={backend}, workers={workers}, {plan.describe()}; "
             f"planned morsels: {morsels} ({reason})"
         )
 
@@ -581,7 +562,6 @@ class QueryEngine:
         cache: Optional[AdhesionCache] = None,
         parallel: Optional[object] = None,
         parallel_backend: Optional[str] = None,
-        parallel_mode: Optional[str] = None,
         compile: Optional[bool] = None,
         timeout: Optional[float] = None,
         selection: Optional[AlgorithmChoice] = None,
@@ -600,8 +580,7 @@ class QueryEngine:
                 cache=cache,
                 parallel=parallel,
                 parallel_backend=parallel_backend,
-                parallel_mode=parallel_mode,
-                compile=compile,
+                    compile=compile,
                 timeout=timeout,
                 selection=selection,
             )
@@ -619,7 +598,6 @@ class QueryEngine:
         cache: Optional[AdhesionCache] = None,
         parallel: Optional[object] = None,
         parallel_backend: Optional[str] = None,
-        parallel_mode: Optional[str] = None,
         compile: Optional[bool] = None,
         timeout: Optional[float] = None,
         selection: Optional[AlgorithmChoice] = None,
@@ -642,7 +620,6 @@ class QueryEngine:
             "cache": cache,
             "parallel": parallel,
             "parallel_backend": parallel_backend,
-            "parallel_mode": parallel_mode,
             "compile": compile,
             "timeout": timeout,
         }
@@ -717,8 +694,7 @@ class QueryEngine:
                 cache=cache,
                 parallel=parallel,
                 parallel_backend=parallel_backend,
-                parallel_mode=parallel_mode,
-                selector=self.selector,
+                    selector=self.selector,
                 compile=compile,
                 deadline=deadline,
             )

@@ -57,7 +57,6 @@ PARAMETERS: Tuple[str, ...] = (
     "cache",
     "parallel",
     "parallel_backend",
-    "parallel_mode",
     "compile",
     "timeout",
 )
@@ -99,9 +98,7 @@ class ExecutorRequest:
     automatic count (the cost-based ``selector``, when present, charges a
     per-worker engagement cost so tiny queries stay serial), ``None`` means
     serial execution.  ``parallel_backend`` picks ``"threads"`` (default)
-    or ``"processes"``; ``parallel_mode`` picks ``"morsel"`` (default:
-    over-partitioned ranges with work stealing and adaptive splitting) or
-    ``"static"`` (one range per worker, PR 5's scheduling discipline).
+    or ``"processes"``.
 
     ``deadline`` is this execution's cooperative deadline (or ``None``).
     It travels in the request — not as a post-construction patch — so a
@@ -119,7 +116,6 @@ class ExecutorRequest:
     cache: Optional[AdhesionCache] = None
     parallel: Optional[object] = None
     parallel_backend: Optional[str] = None
-    parallel_mode: Optional[str] = None
     selector: Optional[object] = None
     compile: Optional[bool] = None
     deadline: Optional[Deadline] = None
@@ -198,7 +194,6 @@ def _build_parallel(request: ExecutorRequest, inner: str) -> Executor:
         inner=inner,
         workers=workers,
         backend=request.parallel_backend or "threads",
-        mode=request.parallel_mode or "morsel",
         selector=request.selector,
         compile=request.compile,
         plan=request.plan,
@@ -218,10 +213,6 @@ def _check_parallel_params(request: ExecutorRequest) -> bool:
     if request.parallel_backend is not None:
         raise ValueError(
             "parallel_backend requires parallel= (a worker count or True)"
-        )
-    if request.parallel_mode is not None:
-        raise ValueError(
-            "parallel_mode requires parallel= (a worker count or True)"
         )
     return False
 
@@ -342,8 +333,7 @@ register_algorithm(
                 "variable_order",
                 "parallel",
                 "parallel_backend",
-                "parallel_mode",
-                "compile",
+                            "compile",
                 "timeout",
             }
         ),
@@ -364,8 +354,7 @@ register_algorithm(
                 "cache",
                 "parallel",
                 "parallel_backend",
-                "parallel_mode",
-                "compile",
+                            "compile",
                 "timeout",
             }
         ),
@@ -386,7 +375,7 @@ register_algorithm(
         factory=_build_generic_join,
         description="NPRR-style worst-case-optimal join over hash prefix indexes",
         accepts=frozenset(
-            {"variable_order", "parallel", "parallel_backend", "parallel_mode"}
+            {"variable_order", "parallel", "parallel_backend"}
         ),
     )
 )
@@ -410,8 +399,7 @@ register_algorithm(
                 "variable_order",
                 "parallel",
                 "parallel_backend",
-                "parallel_mode",
-                "compile",
+                            "compile",
                 "timeout",
             }
         ),
@@ -434,8 +422,7 @@ register_algorithm(
                 "policy",
                 "parallel",
                 "parallel_backend",
-                "parallel_mode",
-                "compile",
+                            "compile",
                 "timeout",
             }
         ),

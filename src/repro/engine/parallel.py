@@ -9,47 +9,40 @@ every worker reads the same cached columnar tries and value dictionary
 through range-restricted cursor views
 (:class:`~repro.storage.trie.BoundedTrieIterator`), with no data copies.
 
-Earlier PRs ran a *static* plan — a fixed 2-ranges-per-core tiling executed
-on a fresh thread pool (or fresh forks) per query — which left two costs on
-the table once compiled drivers (PR 6) shrank per-range compute: scheduling
-setup paid per execution, and partition skew (one hot range serialises the
-tail).  This module now runs the classic fix, morsel-driven parallelism:
+A fixed one-range-per-worker tiling leaves partition skew on the table (one
+hot range serialises the tail), so this module runs the classic fix,
+morsel-driven parallelism:
 
 * :class:`PartitionPlanner` — splits the top variable's code-space domain
   into balanced ranges, weighting keys with value frequencies from the
   :class:`~repro.storage.statistics.StatisticsCatalog` and falling back to
-  equal-width code ranges when no statistics apply.  In morsel mode the
-  executor asks for many more ranges than workers (see
-  ``MORSEL_OVERPARTITION``), subject to a per-range key floor
-  (``MIN_MORSEL_KEYS``), so mis-estimated weights average out across the
-  pool instead of deciding the critical path;
+  equal-width code ranges when no statistics apply.  The executor asks for
+  many more ranges than workers (see ``MORSEL_OVERPARTITION``), subject to
+  a per-range key floor (``MIN_MORSEL_KEYS``) and the selector's work floor
+  (a query too small to repay more gets one range per worker), so
+  mis-estimated weights average out across the pool instead of deciding
+  the critical path;
 * range-restricted execution — every inner executor takes the top
   variable's ``[lo, hi)`` as an argument of ``count`` / ``evaluate_coded``,
   so a pool worker builds one executor per job and re-ranges it per morsel;
 * :class:`ParallelExecutor` — submits the ranges as one
   :class:`~repro.engine.pool.MorselJob` to the database's **persistent**
-  :class:`~repro.engine.pool.WorkerPool` (threads or forked processes; see
-  :mod:`repro.engine.pool` for the stealing, adaptive-split and lifecycle
-  machinery) and merges results deterministically: tasks are tagged with
-  their planner index (plus split path) and reassembled in that order, so
-  parallel LFTJ reproduces the serial row stream byte-for-byte under any
-  stealing schedule; counters are summed; scheduling stats (steals, splits,
-  per-worker busy seconds, utilization, skew) are surfaced in metadata.
+  :class:`~repro.engine.pool.WorkerPool` (threads or forked processes; the
+  scheduling policy — the shared queue, adaptive splitting of any morsel
+  that runs past ``MORSEL_SPLIT_THRESHOLD``, retries, cancellation — lives
+  in :mod:`repro.engine.pool` alone) and merges results deterministically:
+  tasks are tagged with their planner index (plus split path) and
+  reassembled in that order, so parallel LFTJ reproduces the serial row
+  stream byte-for-byte under any schedule; counters are summed; scheduling
+  stats (steals, splits, per-worker busy seconds, utilization, skew) are
+  surfaced in metadata.
 
-Scheduling modes (``parallel_mode``):
-
-* ``"morsel"`` (default) — over-partition, steal, adaptively split any
-  morsel whose run exceeds ``MORSEL_SPLIT_THRESHOLD`` seconds.
-* ``"static"`` — exactly one range per worker, stealing and splitting off;
-  this reproduces the PR 5 scheduling discipline (now on a persistent
-  pool) and is kept as the bench baseline that makes skew visible.
-
-Backend choice is unchanged in spirit: ``"threads"`` is safe everywhere and
-wins when numpy block kernels dominate; ``"processes"`` forks workers that
-inherit the whole read-only database (warm index and compiled-driver caches
-included) by copy-on-write and is the backend that scales CPU-bound
-pure-Python joins across cores.  Platforms without ``fork`` fall back to
-threads.  The executor registry exposes all of this as ``algorithm="plftj"``
+Backends: ``"processes"`` forks workers that inherit the whole read-only
+database (warm index and compiled-driver caches included) by copy-on-write
+and is the backend that scales CPU-bound pure-Python joins across cores;
+``"threads"`` is safe everywhere but GIL-bound on those joins — it is the
+fallback on platforms without ``fork`` and the scheduler's in-process test
+bed.  The executor registry exposes all of this as ``algorithm="plftj"``
 and as ``parallel=N`` on ``lftj`` / ``generic_join`` (see
 :mod:`repro.engine.executors`); ``N`` now means **workers**, not ranges.
 """
@@ -96,10 +89,7 @@ PARALLEL_INNER_ALGORITHMS: Tuple[str, ...] = ("lftj", "generic_join", "clftj")
 #: Supported execution backends.
 PARALLEL_BACKENDS: Tuple[str, ...] = ("threads", "processes")
 
-#: Supported scheduling modes.
-PARALLEL_MODES: Tuple[str, ...] = ("morsel", "static")
-
-#: Morsel mode plans this many ranges per worker (before the cost model and
+#: The executor plans this many ranges per worker (before the cost model and
 #: the key floor cap it): enough over-partitioning that one hot range is a
 #: small fraction of the total work, small enough that per-morsel setup
 #: (one executor construction over warm caches) stays negligible.
@@ -168,7 +158,7 @@ class PartitionPlanner:
     to equal-width ranges over the dictionary's code space; with nothing to
     go on at all it degrades to a single unbounded range.
 
-    ``min_keys_per_range`` caps how finely a domain splits: morsel mode
+    ``min_keys_per_range`` caps how finely a domain splits: the executor
     over-partitions aggressively, and the floor keeps tiny domains from
     shattering into per-key (or empty) morsels whose scheduling overhead
     exceeds their work.
@@ -600,7 +590,6 @@ class ParallelExecutor:
         inner: str = "lftj",
         workers: Optional[object] = None,
         backend: str = "threads",
-        mode: str = "morsel",
         selector=None,
         catalog=None,
         compile: Optional[bool] = None,
@@ -617,10 +606,6 @@ class ParallelExecutor:
                 f"unknown parallel backend {backend!r}; choose one of "
                 f"{PARALLEL_BACKENDS}"
             )
-        if mode not in PARALLEL_MODES:
-            raise ValueError(
-                f"unknown parallel mode {mode!r}; choose one of {PARALLEL_MODES}"
-            )
         if workers is not None and workers is not True:
             workers = int(workers)
             if workers < 1:
@@ -630,7 +615,6 @@ class ParallelExecutor:
         self.counter = counter if counter is not None else OperationCounter()
         self.inner_algorithm = inner
         self.backend = backend
-        self.mode = mode
         self.requested_workers = workers
         #: ``False`` pins the interpreted inner executors (the differential
         #: oracle); anything else lets lftj morsels run compiled drivers.
@@ -731,7 +715,7 @@ class ParallelExecutor:
         return requested
 
     def _resolve_morsels(self, workers: int) -> int:
-        if self.mode == "static" or workers <= 1:
+        if workers <= 1:
             return workers
         if self._selector is not None:
             return self._selector.recommend_morsels(
@@ -744,17 +728,16 @@ class ParallelExecutor:
 
     def _partition(self, morsels: int) -> PartitionPlan:
         """The (memoised) partition plan — see :func:`cached_partition_plan`."""
-        min_keys = MIN_MORSEL_KEYS if self.mode == "morsel" else 1
         return cached_partition_plan(
             self.database,
             self._catalog,
             self.query,
             self.variable_order,
             morsels,
-            min_keys_per_range=min_keys,
+            min_keys_per_range=MIN_MORSEL_KEYS,
         )
 
-    def _run_template(self, run_mode: str) -> MorselResult:
+    def _run_template(self, run_mode: str) -> JobReport:
         """Serial fallback: the full-range template IS the single morsel."""
         counter = OperationCounter()
         executor = self._template
@@ -767,7 +750,7 @@ class ParallelExecutor:
             rows = [tuple(row) for row in executor.evaluate_coded(counter=counter)]
             value = len(rows)
         elapsed = time.perf_counter() - started
-        return MorselResult(
+        result = MorselResult(
             index=0,
             path=(),
             lo=None,
@@ -777,7 +760,16 @@ class ParallelExecutor:
             counter=counter,
             elapsed=elapsed,
             worker=0,
-            stolen=False,
+        )
+        worker_stats: Dict[int, dict] = {}
+        if self.inner_algorithm == "clftj":
+            cache = self._template.cache
+            worker_stats[0] = {
+                "entries": len(cache),
+                "memory_bytes": cache.memory_estimate(),
+            }
+        return JobReport(
+            [result], 0, 0, [elapsed], elapsed, 1, worker_stats=worker_stats
         )
 
     def _execute_morsels(self, run_mode: str) -> List[MorselResult]:
@@ -793,19 +785,25 @@ class ParallelExecutor:
             backend = "threads"
         self._backend_used = backend
         if len(ranges) == 1:
-            result = self._run_template(run_mode)
+            report = self._run_template(run_mode)
+        else:
+            report = self._run_on_pool(run_mode, ranges, backend, workers)
+        for result in report.results:
             self.counter.merge(result.counter)
-            self._shard_stats = self._serial_stats(result, plan, backend)
-            return [result]
-        tasks = [
-            MorselTask(index=index, path=(), lo=lo, hi=hi)
-            for index, (lo, hi) in enumerate(ranges)
-        ]
-        morsel_mode = self.mode == "morsel"
+        self._shard_stats = self._collect_stats(report, plan, backend)
+        return report.results
+
+    def _run_on_pool(
+        self,
+        run_mode: str,
+        ranges: Sequence[Tuple[object, object]],
+        backend: str,
+        workers: int,
+    ) -> JobReport:
         split_domain = None
-        if morsel_mode and self.database.encoding_active:
+        if self.database.encoding_active:
             # The splitter needs integer midpoints: the dictionary's code
-            # span.  Raw-value key spaces never split (stealing still works).
+            # span.  Raw-value key spaces never split.
             split_domain = (0, len(self.database.dictionary))
         clftj = self.inner_algorithm == "clftj"
         job = MorselJob(
@@ -824,9 +822,11 @@ class ParallelExecutor:
                 deadline=self.deadline,
             ),
             runner=_run_morsel,
-            tasks=tasks,
-            allow_steal=morsel_mode,
-            split_threshold=MORSEL_SPLIT_THRESHOLD if morsel_mode else None,
+            tasks=[
+                MorselTask(index=index, path=(), lo=lo, hi=hi)
+                for index, (lo, hi) in enumerate(ranges)
+            ],
+            split_threshold=MORSEL_SPLIT_THRESHOLD,
             min_split_span=max(2, MIN_MORSEL_KEYS),
             split_domain=split_domain,
             deadline=self.deadline,
@@ -835,61 +835,13 @@ class ParallelExecutor:
             # worker-side cache hits land in the right result metadata.
             scopes=self.database.active_scopes(),
         )
-        pool = self.database.worker_pool(backend, workers)
-        report = pool.run(job)
-        for result in report.results:
-            self.counter.merge(result.counter)
-        self._shard_stats = self._collect_stats(report, plan, backend, workers)
-        return report.results
-
-    def _serial_stats(
-        self, result: MorselResult, plan: PartitionPlan, backend: str
-    ) -> Dict[str, object]:
-        stats: Dict[str, object] = {}
-        if self.inner_algorithm == "clftj":
-            counter = result.counter
-            cache = self._template.cache
-            stats["worker_caches"] = [
-                {
-                    "worker": 0,
-                    "entries": len(cache),
-                    "memory_bytes": cache.memory_estimate(),
-                    "hits": counter.cache_hits,
-                    "stores": counter.cache_insertions,
-                }
-            ]
-        return {
-            **stats,
-            "parallel": True,
-            "inner_algorithm": self.inner_algorithm,
-            "parallel_backend": backend,
-            "parallel_mode": self.mode,
-            "workers": 1,
-            "morsels": 1,
-            "tasks_executed": 1,
-            "steals": 0,
-            "splits": 0,
-            "worker_restarts": 0,
-            "morsel_retries": 0,
-            "partition_source": plan.source,
-            "partition_bounds": list(plan.bounds),
-            "shard_results": [result.value],
-            "shard_seconds": [round(result.elapsed, 6)],
-            "task_seconds": [round(result.elapsed, 6)],
-            "worker_busy_seconds": [round(result.elapsed, 6)],
-            "dispatch_seconds": 0.0,
-            "utilization": 1.0,
-            "partition_skew": 1.0,
-            "morsel_skew": 1.0,
-        }
+        return self.database.worker_pool(backend, workers).run(job)
 
     def _collect_stats(
-        self,
-        report: JobReport,
-        plan: PartitionPlan,
-        backend: str,
-        workers: int,
+        self, report: JobReport, plan: PartitionPlan, backend: str
     ) -> Dict[str, object]:
+        """The scheduling half of the metadata, for a pool job and for the
+        one-range template run alike."""
         results = report.results
         morsel_values = [0] * plan.num_shards
         morsel_seconds = [0.0] * plan.num_shards
@@ -929,8 +881,7 @@ class ParallelExecutor:
             "parallel": True,
             "inner_algorithm": self.inner_algorithm,
             "parallel_backend": backend,
-            "parallel_mode": self.mode,
-            "workers": workers,
+            "workers": report.workers,
             "morsels": plan.num_shards,
             "tasks_executed": len(results),
             "steals": report.steals,
@@ -966,7 +917,6 @@ class ParallelExecutor:
                     "parallel": True,
                     "inner_algorithm": self.inner_algorithm,
                     "parallel_backend": self._backend_used,
-                    "parallel_mode": self.mode,
                     "workers": 0,
                     "morsels": 0,
                 }
@@ -976,6 +926,5 @@ class ParallelExecutor:
     def __repr__(self) -> str:
         return (
             f"ParallelExecutor({self.query.name!r}, inner={self.inner_algorithm!r}, "
-            f"backend={self.backend!r}, mode={self.mode!r}, "
-            f"workers={self.requested_workers!r})"
+            f"backend={self.backend!r}, workers={self.requested_workers!r})"
         )

@@ -1,61 +1,65 @@
-"""Persistent morsel-driven worker pools (threads and forked processes).
+"""The persistent morsel-driven worker pool: one scheduler, two transports.
 
-PR 5's parallel executor paid scheduling setup on *every* execution: a fresh
-``ThreadPoolExecutor``, or one ``fork`` per shard.  With PR 6's compiled
-drivers making per-shard compute 4-8x cheaper, that per-query setup and the
-static partition skew became the dominant parallel cost.  This module keeps
-the workers alive instead: a :class:`WorkerPool` is owned by the
+A :class:`WorkerPool` is owned by the
 :class:`~repro.storage.database.Database`, survives across queries, and runs
-*morsels* — many fine-grained sub-ranges of the top join variable — with
-work stealing, so a lopsided key space keeps every worker busy anyway
+*morsels* — many fine-grained sub-ranges of the top join variable — off one
+shared task queue, so a lopsided key space keeps every worker busy anyway
 (morsel-driven parallelism in the sense of Leis et al.).
 
-Two backends implement the same :meth:`WorkerPool.run` contract:
+**The scheduler** is this module's policy and exists once.  Parent side,
+:meth:`WorkerPool._run_job` arms the workers, feeds the tasks, and collects
+``("result" | "error" | "split", ...)`` messages into a :class:`_JobTracker`
+until every planner range is tiled by results; it owns the per-morsel retry
+budget, deadline cancellation, error aggregation, the end-of-job handshake
+and the :class:`JobReport`.  Worker side, :func:`_worker_main` /
+:func:`_serve_job` take a task, halve it instead when the worker's previous
+morsel ran hot, run it under :func:`worker_job_state`, and post the outcome.
 
-* :class:`ThreadWorkerPool` — long-lived daemon threads, one deque per
-  worker.  Tasks are dealt round-robin; a worker pops from the *head* of its
-  own deque and, when empty, steals from the *tail* of the fullest other
-  deque.  Threads never go stale across database mutations (shared memory).
-* :class:`ForkWorkerPool` — workers forked **once** and re-armed over a
-  control pipe per job, amortizing fork + copy-on-write page-table setup
-  across queries.  Tasks flow through one shared queue (pulling is
-  self-balancing; a task executed off its round-robin home worker counts as
-  a steal).  A worker blocks on the queue's reader and its control pipe
-  *together*, so the end-of-job handshake — ``("end",)`` down every pipe,
-  one ``("ack", worker, busy seconds, summary)`` back — completes within a
-  pipe round-trip of the last result; the same handshake is the drain after
-  a deadline cancellation, and ``("close",)`` is seen just as promptly.
-  Tasks and results carry the job's sequence number, so a leftover of a
-  cancelled or recovered job can never be mistaken for the next job's.
-  Forked workers snapshot the database at fork time, so the pool
-  records a staleness key (data version, index/compiled builds, dictionary
-  size) and transparently re-forks when the parent built new state — warm
-  repeated queries re-use the same workers with **zero** new spawns (the
-  ``spawns`` counter is the proof, asserted in tests).
+**The transports** only move messages and keep workers alive:
+
+* ``"threads"`` (:class:`_ThreadTransport`) — daemon threads over an
+  in-process queue.  They share the parent's memory, so they are never
+  stale and adopt the submitting execution's accounting scopes around each
+  morsel.  Pure-Python joins gain nothing from them (the GIL); they are the
+  fallback where ``fork`` is missing and the scheduler's in-process test
+  bed.
+* ``"processes"`` (:class:`_ForkTransport`) — workers forked **once** and
+  re-armed over a control pipe per job, amortizing fork + copy-on-write
+  page-table setup across queries.  A worker blocks on the task queue's
+  reader and its control pipe *together*, so the end-of-job handshake —
+  ``("end",)`` down every pipe, one ``("ack", worker, busy seconds,
+  summary)`` back — completes within a pipe round-trip of the last result,
+  and ``("close",)`` is seen just as promptly.  Forked workers snapshot the
+  database at fork time, so the transport records a staleness key (data
+  version, index/compiled builds, dictionary size) and re-forks when the
+  parent built new state — warm repeated queries re-use the same workers
+  with **zero** new spawns (the ``spawns`` counter is the proof, asserted
+  in tests).  Each worker is pinned to one CPU.
+
+Tasks and results carry the job's sequence number, so a leftover of a
+cancelled or recovered job can never be mistaken for the next job's.
 
 **Adaptive splitting**: when a worker's previous morsel ran longer than the
 job's ``split_threshold``, it halves the next task that still spans enough
 dictionary codes and requeues both halves instead of running the original
 — a mis-estimated hot range gets re-fed to the whole pool mid-flight.  One
 slow morsel buys one split: a run of slow morsels keeps splitting, and
-morsels that come out short are left alone (a flag that stayed up turned
-32 planned morsels into 4500 tasks of four keys each).  Split halves carry a binary ``path`` suffix, so sorting results
-by ``(index, path)`` reproduces the exact planner range order no matter
-which worker ran what: the merged row stream is byte-identical to the
-serial one under any stealing/splitting schedule.
+morsels that come out short are left alone.  Split halves carry a binary
+``path`` suffix, so sorting results by ``(index, path)`` reproduces the
+exact planner range order no matter which worker ran what: the merged row
+stream is byte-identical to the serial one under any schedule.
 
 **Locking model** (mirrors the conventions documented in
 :mod:`repro.engine.parallel` and :class:`~repro.storage.database.Database`):
 
-* one ``Condition`` guards all thread-pool scheduling state (deques,
-  pending count, per-worker busy time, steal/split counters); task
-  execution itself runs outside it;
 * ``run()`` serialises on a submit lock — one job at a time per pool;
   concurrent engine calls over one database queue up rather than interleave
   (a job's runner must never submit to the same pool: that would deadlock);
 * lifecycle (``close()``) takes a separate lock, is idempotent, and briefly
   acquires the submit lock so an in-flight job drains before teardown —
   exiting a pool's context manager mid-query therefore finishes the query;
+* the thread transport guards its task queue and control slots with one
+  ``Condition``; task execution runs outside it;
 * forked children replace the inherited ``database._lock`` (a parent thread
   that held it at fork time does not exist in the child and would never
   release it) — see :func:`reinitialise_child_locks`;
@@ -64,39 +68,22 @@ serial one under any stealing/splitting schedule.
   interpreter shutdown, while garbage collection of a database (and its
   pools) stays possible.
 
-The parent collects fork-backend results with a **bounded-timeout
-heartbeat**: every ``HEARTBEAT_SECONDS`` without a result it polls worker
-liveness, so a worker that dies between tasks is detected within a short
-deadline instead of hanging the merge forever.
-
-**Fault tolerance** (PR 9): a detected death no longer fails the job.  The
-parent joins the dead workers, forks replacements armed with the in-flight
-job, and re-enqueues every morsel not yet accounted for — morsel identity
-is ``(index, path)``, so retried results sort back into the deterministic
-merge and duplicates (a morsel that was merely in flight elsewhere) park
-harmlessly as orphans.  A morsel that repeatedly kills its worker is a
-poison pill: per-key retries are bounded by ``MAX_MORSEL_RETRIES`` with
-exponential backoff, and only an exhausted budget raises
-:class:`~repro.engine.faults.WorkerFailureError`.  The thread backend
-applies the same per-morsel retry discipline to runner exceptions.  Jobs
-can also carry a :class:`~repro.engine.faults.Deadline`; the parent checks
-it at every morsel boundary, cancels queued morsels on expiry, drains the
-in-flight ones, and raises
-:class:`~repro.engine.faults.QueryTimeoutError` with the pool left
-immediately reusable.
-
-**Liveness tunables** — ``HEARTBEAT_SECONDS``, ``DEAD_WORKER_GRACE`` and
-``MAX_MORSEL_RETRIES`` can be overridden via the ``REPRO_HEARTBEAT_SECONDS``,
-``REPRO_DEAD_WORKER_GRACE`` and ``REPRO_MAX_MORSEL_RETRIES`` environment
-variables (mirroring ``REPRO_KERNEL_CROSSOVER``; invalid or out-of-range
-values fall back to the defaults).  Calibration: the defaults detect a dead
-worker within ``DEAD_WORKER_GRACE x HEARTBEAT_SECONDS`` = 0.5s, which is
-well under the cheapest re-fork (~5ms) amortised over a typical morsel
-(1-50ms) — lowering the heartbeat below ~0.05s makes the parent burn CPU
-polling, raising it above ~1s lets a crashed worker stall short queries
-noticeably.  ``MAX_MORSEL_RETRIES=3`` tolerates three unlucky co-locations
-of a morsel with a crashing neighbour while a genuine poison pill fails
-within ~4 heartbeat windows; ``0`` disables retries (fail on first death).
+**Fault tolerance**: the parent collects messages with a bounded-timeout
+heartbeat — every ``HEARTBEAT_SECONDS`` without one it asks the transport
+for dead workers, so a worker that dies between tasks is noticed within
+``DEAD_WORKER_GRACE`` heartbeats instead of hanging the merge.  A detected
+death does not fail the job: replacements are forked, armed with the
+in-flight job, and every morsel not yet accounted for is re-enqueued —
+morsel identity is ``(index, path)``, so retried results sort back into the
+deterministic merge and duplicates park harmlessly as orphans.  A morsel
+that repeatedly kills its worker (or keeps raising) is a poison pill:
+per-key retries are bounded by ``MAX_MORSEL_RETRIES`` with exponential
+backoff, and only an exhausted budget raises
+:class:`~repro.engine.faults.WorkerFailureError`.  Jobs can also carry a
+:class:`~repro.engine.faults.Deadline`; the parent checks it at every
+message, cancels queued morsels on expiry, drains the in-flight ones, and
+raises :class:`~repro.engine.faults.QueryTimeoutError` — also when the
+first to notice was a worker — with the pool left immediately reusable.
 """
 
 from __future__ import annotations
@@ -107,10 +94,10 @@ import os
 import threading
 import time
 import weakref
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait
-from queue import Empty
+from queue import Empty, SimpleQueue
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.engine.faults import (
@@ -124,45 +111,20 @@ from repro.engine.faults import (
 #: Supported pool backends (mirrors ``PARALLEL_BACKENDS``).
 POOL_BACKENDS: Tuple[str, ...] = ("threads", "processes")
 
-
-def _env_float(name: str, default: float) -> float:
-    """A positive float override from the environment, else ``default``."""
-    raw = os.environ.get(name, "")
-    if not raw:
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        return default
-    return value if value > 0 else default
-
-
-def _env_int(name: str, default: int, minimum: int = 0) -> int:
-    """An integer override (``>= minimum``) from the environment."""
-    raw = os.environ.get(name, "")
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        return default
-    return value if value >= minimum else default
-
-
-#: Parent-side result-poll timeout; also the worker-liveness heartbeat —
-#: a dead fork worker is noticed within a couple of these.  Overridable
-#: via ``REPRO_HEARTBEAT_SECONDS`` (see the module docstring).
-HEARTBEAT_SECONDS: float = _env_float("REPRO_HEARTBEAT_SECONDS", 0.25)
+#: Parent-side message-poll timeout; also the worker-liveness heartbeat —
+#: a dead fork worker is noticed within a couple of these.  Below ~0.05 s
+#: the parent burns CPU polling; above ~1 s a crashed worker stalls short
+#: queries noticeably.
+HEARTBEAT_SECONDS: float = 0.25
 
 #: Consecutive silent heartbeats with a dead worker before recovery kicks
 #: in (grace for results already in flight from other workers).
-#: Overridable via ``REPRO_DEAD_WORKER_GRACE``.
-DEAD_WORKER_GRACE: int = _env_int("REPRO_DEAD_WORKER_GRACE", 2, minimum=1)
+DEAD_WORKER_GRACE: int = 2
 
 #: Per-morsel retry budget after worker deaths or runner errors; an
 #: exhausted budget raises ``WorkerFailureError`` (poison-pill detection).
-#: Overridable via ``REPRO_MAX_MORSEL_RETRIES``; ``0`` disables retries.
-MAX_MORSEL_RETRIES: int = _env_int("REPRO_MAX_MORSEL_RETRIES", 3, minimum=0)
+#: ``MorselJob.max_retries`` overrides it per job.
+MAX_MORSEL_RETRIES: int = 3
 
 #: Base of the exponential backoff applied before re-feeding a morsel
 #: whose worker died more than once (caps at one second).
@@ -170,6 +132,13 @@ RETRY_BACKOFF_SECONDS: float = 0.05
 
 #: Smallest code span the adaptive splitter will halve.
 MIN_SPLIT_SPAN: int = 2
+
+#: A morsel's identity: planner range index plus split path.
+MorselKey = Tuple[int, Tuple[int, ...]]
+
+
+def _describe(key: MorselKey) -> str:
+    return f"morsel {key[0]}{list(key[1])!r}"
 
 
 def available_workers() -> int:
@@ -204,6 +173,10 @@ class MorselTask:
     lo: object
     hi: object
 
+    @property
+    def key(self) -> MorselKey:
+        return (self.index, self.path)
+
 
 @dataclass
 class TaskOutcome:
@@ -227,7 +200,10 @@ class MorselResult:
     counter: object
     elapsed: float
     worker: int
-    stolen: bool
+
+    @property
+    def key(self) -> MorselKey:
+        return (self.index, self.path)
 
 
 @dataclass
@@ -235,25 +211,22 @@ class MorselJob:
     """Everything one :meth:`WorkerPool.run` call needs.
 
     ``runner`` must be a **module-level** callable ``(database, spec, task)
-    -> TaskOutcome`` (the fork backend pickles it by reference); ``spec`` is
-    an arbitrary picklable object threaded through to every task.  State a
-    runner wants to build once per (job, worker) rather than once per task
+    -> TaskOutcome`` (the fork transport pickles it by reference); ``spec``
+    is an arbitrary picklable object threaded through to every task.  State
+    a runner wants to build once per (job, worker) rather than once per task
     — an executor, say — lives in the dict :func:`worker_job_state`
     returns.  ``summarize``, when set, is a module-level callable
-    ``(database, spec, state) -> dict`` the pool calls once per
-    worker that stored such state, after that worker's last task; the
-    answers come back in :attr:`JobReport.worker_stats`.  A
-    ``split_threshold`` of ``None`` (or a ``split_domain`` of ``None``)
-    disables adaptive splitting; ``allow_steal=False`` pins thread-backend
-    tasks to their round-robin workers (the *static* scheduling mode).
-    ``deadline`` makes the pool cancel the job cooperatively once the
-    instant passes; ``max_retries`` overrides ``MAX_MORSEL_RETRIES``.
+    ``(database, spec, state) -> dict`` a worker that stored such state
+    calls after its last task; the answers come back in
+    :attr:`JobReport.worker_stats`.  A ``split_threshold`` of ``None`` (or a
+    ``split_domain`` of ``None``) disables adaptive splitting.  ``deadline``
+    makes the pool cancel the job cooperatively once the instant passes;
+    ``max_retries`` overrides ``MAX_MORSEL_RETRIES``.
     """
 
     spec: object
     runner: Callable[[object, object, MorselTask], TaskOutcome]
     tasks: Sequence[MorselTask]
-    allow_steal: bool = True
     split_threshold: Optional[float] = None
     min_split_span: int = MIN_SPLIT_SPAN
     split_domain: Optional[Tuple[int, int]] = None
@@ -263,14 +236,8 @@ class MorselJob:
     #: The submitting execution's cache-accounting scopes
     #: (:meth:`repro.storage.database.Database.active_scopes`).  Thread
     #: workers adopt them around each morsel so worker-side index/driver
-    #: cache hits stay attributed to the execution that caused them.  Never
-    #: crosses the fork pipe (fork children bump copy-on-write counters the
-    #: parent never reads).
+    #: cache hits stay attributed to the execution that caused them.
     scopes: Optional[Sequence[object]] = None
-
-
-def _job_max_retries(job: MorselJob) -> int:
-    return MAX_MORSEL_RETRIES if job.max_retries is None else job.max_retries
 
 
 @dataclass
@@ -278,6 +245,8 @@ class JobReport:
     """The merged outcome of one job: ordered results plus scheduling stats."""
 
     results: List[MorselResult]
+    #: Tasks some worker ran beyond an even share of the job's tasks — what
+    #: pulling from one queue moved off the slow workers.
     steals: int
     splits: int
     worker_busy: List[float]
@@ -300,7 +269,7 @@ class JobReport:
 
 @dataclass(frozen=True)
 class _JobPayload:
-    """The per-job message broadcast to every fork worker's control pipe."""
+    """The per-job message every worker is armed with."""
 
     #: The pool's job sequence number; tags every task and result.
     job: int
@@ -310,7 +279,12 @@ class _JobPayload:
     split_threshold: Optional[float]
     min_split_span: int
     split_domain: Optional[Tuple[int, int]]
-    size: int
+    scopes: Optional[Sequence[object]]
+
+    def __getstate__(self) -> dict:
+        # Scopes never cross the fork pipe: a fork child bumps copy-on-write
+        # counters the parent never reads.
+        return {**self.__dict__, "scopes": None}
 
 
 _WORKER_JOB = threading.local()
@@ -366,8 +340,189 @@ def reinitialise_child_locks(database) -> None:
 
 
 # --------------------------------------------------------------------------
-# Lifecycle registry: one atexit hook, weak references only.
+# The worker side of the scheduler (runs in a pool thread or a forked child).
 # --------------------------------------------------------------------------
+
+
+def _worker_main(transport: "_Transport", database, wid: int, conn) -> None:
+    """One worker's life: wait for a job, serve it, until told to close."""
+    fault_point("pool.worker_start")
+    while True:
+        message = transport.take(conn, tasks=False)
+        if message[0] == "close":
+            return
+        if message[0] == "job" and not _serve_job(
+            transport, database, wid, conn, message[1]
+        ):
+            return
+
+
+def _serve_job(
+    transport: "_Transport", database, wid: int, conn, payload: _JobPayload
+) -> bool:
+    """Run tasks off the shared queue until the parent ends the job.
+
+    A control message wins over a queued task: ``("end",)`` is only sent
+    once the parent wants nothing more from this job.  Returns ``False``
+    when the worker was told to close instead.
+    """
+    job = payload.job
+    state: dict = {}
+    busy = 0.0
+    hot = False
+    while True:
+        message = transport.take(conn)
+        if message[0] == "close":
+            return False
+        if message[0] == "end":
+            summary = None
+            if payload.summarize is not None and state:
+                summary = payload.summarize(database, payload.spec, state)
+            transport.ack(conn, wid, busy, summary)
+            return True
+        if message[0] != "task" or message[1] != job:
+            continue  # left over from a cancelled or recovered job
+        task: MorselTask = message[2]
+        if hot and payload.split_threshold is not None:
+            halves = split_task(task, payload.split_domain, payload.min_split_span)
+            if halves is not None:
+                hot = False
+                left, right = halves
+                transport.post(job, ("split", task.key, left.key, right.key))
+                transport.put_task(job, left)
+                transport.put_task(job, right)
+                continue
+        started = time.perf_counter()
+        _WORKER_JOB.state = state
+        try:
+            fault_point("pool.before_morsel")
+            with database.adopt_scopes(payload.scopes):
+                outcome = payload.runner(database, payload.spec, task)
+        except BaseException as error:  # noqa: BLE001 - reported to the submitter
+            transport.post(job, ("error", task.key, f"{type(error).__name__}: {error}"))
+            continue
+        finally:
+            _WORKER_JOB.state = None
+        elapsed = time.perf_counter() - started
+        busy += elapsed
+        if payload.split_threshold is not None and elapsed >= payload.split_threshold:
+            hot = True
+        transport.post(
+            job,
+            (
+                "result",
+                MorselResult(
+                    index=task.index,
+                    path=task.path,
+                    lo=task.lo,
+                    hi=task.hi,
+                    value=outcome.value,
+                    rows=outcome.rows,
+                    counter=outcome.counter,
+                    elapsed=elapsed,
+                    worker=wid,
+                ),
+            ),
+        )
+
+
+# --------------------------------------------------------------------------
+# The parent side of the scheduler.
+# --------------------------------------------------------------------------
+
+
+class _JobTracker:
+    """Order-independent completion bookkeeping for one job.
+
+    Messages from different workers may arrive in any interleaving — a
+    split half's result can land before its split announcement.  The
+    tracker keeps a live ``expected`` key set; early arrivals park as
+    orphans and are absorbed the moment their key becomes live, so the job
+    completes exactly when every planner range is tiled by results.
+
+    It also keeps a ``key -> MorselTask`` map and the per-key retry counts,
+    so any still-expected morsel can be re-enqueued after a worker death or
+    a runner error.  Split messages carry only keys, but the halves are
+    recomputed parent-side with the same deterministic :func:`split_task`
+    the worker used — identical inputs, identical halves.
+    """
+
+    def __init__(self, job: MorselJob, tasks: Sequence[MorselTask]) -> None:
+        self.expected: Set[MorselKey] = set()
+        self.results: List[MorselResult] = []
+        self.errors: List[Tuple[MorselKey, str]] = []
+        self.splits = 0
+        self.tasks: Dict[MorselKey, MorselTask] = {}
+        self.retries: Counter = Counter()
+        self.max_retries = (
+            MAX_MORSEL_RETRIES if job.max_retries is None else job.max_retries
+        )
+        self._domain = job.split_domain
+        self._min_span = job.min_split_span
+        self._orphans: Dict[MorselKey, tuple] = {}
+        self._orphan_splits: Dict[MorselKey, tuple] = {}
+        for task in tasks:
+            self.expected.add(task.key)
+            self.tasks[task.key] = task
+
+    @property
+    def done(self) -> bool:
+        return not self.expected
+
+    def lost(self) -> List[MorselKey]:
+        """Every morsel not yet accounted for that can be fed again."""
+        return sorted(key for key in self.expected if key in self.tasks)
+
+    def can_retry(self, key: MorselKey) -> bool:
+        return (
+            key in self.expected
+            and key in self.tasks
+            and self.retries[key] < self.max_retries
+        )
+
+    def absorb(self, message: tuple) -> None:
+        kind = message[0]
+        if kind == "split":
+            key = message[1]
+            if key in self.expected:
+                self.expected.discard(key)
+                self._apply_split(message)
+            else:
+                self._orphan_splits[key] = message
+            return
+        key = message[1] if kind == "error" else message[1].key
+        if key in self.expected:
+            self.expected.discard(key)
+            self._complete(message)
+        else:
+            self._orphans[key] = message
+
+    def _apply_split(self, message: tuple) -> None:
+        self.splits += 1
+        parent = self.tasks.get(message[1])
+        if parent is not None:
+            halves = split_task(parent, self._domain, self._min_span)
+            if halves is not None:
+                for half in halves:
+                    self.tasks[half.key] = half
+        for half_key in (message[2], message[3]):
+            self._register(half_key)
+
+    def _register(self, key: MorselKey) -> None:
+        if key in self._orphans:
+            self._complete(self._orphans.pop(key))
+            return
+        if key in self._orphan_splits:
+            self._apply_split(self._orphan_splits.pop(key))
+            return
+        self.expected.add(key)
+
+    def _complete(self, message: tuple) -> None:
+        if message[0] == "result":
+            self.results.append(message[1])
+        else:
+            self.errors.append((message[1], message[2]))
+
 
 _ALL_POOLS: "weakref.WeakSet[WorkerPool]" = weakref.WeakSet()
 
@@ -384,36 +539,31 @@ def _close_all_pools() -> None:
 atexit.register(_close_all_pools)
 
 
-# --------------------------------------------------------------------------
-# The pool base class.
-# --------------------------------------------------------------------------
-
-
 class WorkerPool:
     """A persistent worker pool bound to one database.
 
-    Subclasses implement ``_run_job`` and ``_shutdown``; this base owns the
-    uniform lifecycle: lazy spawn, one-job-at-a-time submission, idempotent
+    Owns the scheduler's parent side (:meth:`_run_job`) and the uniform
+    lifecycle — lazy spawn, one-job-at-a-time submission, idempotent
     ``close()`` (also via context manager, ``__del__`` and the module atexit
-    hook), and the observability counters ``spawns`` (workers ever started
-    — the persistence proof), ``jobs_run`` and ``worker_restarts``.
+    hook) — over the ``transport`` that carries its messages, plus the
+    observability counters ``spawns`` (workers ever started — the
+    persistence proof), ``jobs_run`` and ``worker_restarts``.
     """
 
-    backend: str = "none"
-
-    def __init__(self, database, size: int) -> None:
+    def __init__(self, database, size: int, transport: "type[_Transport]") -> None:
         if size < 1:
             raise ValueError("worker pool size must be >= 1")
         self.database = database
         self.size = int(size)
-        #: Workers ever started; flat across warm re-use, the counter the
-        #: persistent-pool tests assert on.
-        self.spawns = 0
+        self.transport = transport(database, self.size)
+        self.backend = transport.backend
         self.jobs_run = 0
         #: Stale/dead re-fork events plus mid-job replacement workers.
         self.worker_restarts = 0
         #: Morsels ever re-enqueued after a death or a runner error.
         self.morsel_retries = 0
+        #: Jobs ever started (completed or not); see ``_JobPayload.job``.
+        self._job_seq = 0
         self._closed = False
         #: Set when close() gave up waiting on an in-flight (failing) job;
         #: the job's collection loop notices and aborts cleanly instead of
@@ -422,6 +572,11 @@ class WorkerPool:
         self._submit_lock = threading.Lock()
         self._lifecycle_lock = threading.Lock()
         _ALL_POOLS.add(self)
+
+    @property
+    def spawns(self) -> int:
+        """Workers ever started; flat across warm re-use."""
+        return self.transport.spawns
 
     # ------------------------------------------------------------- lifecycle
     @property
@@ -444,7 +599,11 @@ class WorkerPool:
             if self._closed:
                 return
             self._closed = True
-            self._shutdown(drain_timeout)
+            if self._submit_lock.acquire(timeout=max(0.0, float(drain_timeout))):
+                self._submit_lock.release()
+            else:
+                self._abandoned = True
+            self.transport.stop()
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -478,306 +637,309 @@ class WorkerPool:
             self.jobs_run += 1
             return report
 
-    # ------------------------------------------------------------ subclasses
     def _run_job(self, job: MorselJob) -> JobReport:
-        raise NotImplementedError
+        tasks = list(job.tasks)
+        if not tasks:
+            return JobReport([], 0, 0, [0.0] * self.size, 0.0, self.size)
+        transport = self.transport
+        if transport.ensure_workers():
+            self.worker_restarts += 1
+        self._job_seq += 1
+        payload = _JobPayload(
+            job=self._job_seq,
+            spec=job.spec,
+            runner=job.runner,
+            summarize=job.summarize,
+            split_threshold=job.split_threshold,
+            min_split_span=job.min_split_span,
+            split_domain=job.split_domain,
+            scopes=job.scopes,
+        )
+        # A worker that died before (or while) receiving the payload — e.g.
+        # killed during startup — is found dead by the heartbeat sweep
+        # below, which forks an armed replacement.
+        transport.broadcast(("job", payload))
+        for task in tasks:
+            transport.put_task(payload.job, task)
+        tracker = _JobTracker(job, tasks)
+        deadline = job.deadline
+        job_restarts = 0
+        silent_with_dead = 0
+        while not tracker.done:
+            if self._abandoned:
+                raise PoolClosedError("worker pool closed while a job was in flight")
+            if deadline is not None and deadline.expired():
+                self._end_job()
+                raise QueryTimeoutError(deadline.timeout)
+            timeout = HEARTBEAT_SECONDS
+            if deadline is not None:
+                timeout = max(0.005, min(timeout, deadline.remaining()))
+            try:
+                message_job, message = transport.get_message(timeout)
+            except Empty:
+                fault_point("pool.heartbeat")
+                dead = transport.dead_workers()
+                if not dead:
+                    continue
+                silent_with_dead += 1
+                if silent_with_dead >= DEAD_WORKER_GRACE:
+                    silent_with_dead = 0
+                    job_restarts += self._recover(dead, tracker, payload)
+                continue
+            except (OSError, ValueError, EOFError, AttributeError) as error:
+                # close() tore the queues down under a job it abandoned.
+                raise WorkerFailureError(f"worker pool torn down mid-job: {error}")
+            silent_with_dead = 0
+            if message_job != payload.job:
+                continue  # a straggler of an earlier cancelled job
+            if (
+                message[0] == "error"
+                # A deadline expiry is never transient.
+                and message[2].partition(":")[0] != "QueryTimeoutError"
+                and tracker.can_retry(message[1])
+                and (deadline is None or not deadline.expired())
+            ):
+                self._refeed([message[1]], tracker, payload)
+                continue
+            tracker.absorb(message)
+        busy, worker_stats = self._end_job()
+        if tracker.errors:
+            if deadline is not None and deadline.expired():
+                # Worker-side deadline checks surface as error messages; the
+                # deadline itself is authoritative.
+                raise QueryTimeoutError(deadline.timeout)
+            diagnostics = [
+                f"{_describe(key)}: {text}" for key, text in sorted(tracker.errors)
+            ]
+            raise WorkerFailureError(
+                f"morsel worker(s) failed: {'; '.join(diagnostics)}",
+                diagnostics=diagnostics,
+            )
+        results = sorted(tracker.results, key=lambda result: result.key)
+        share = -(-len(results) // self.size)
+        ran = Counter(result.worker for result in results)
+        return JobReport(
+            results,
+            sum(max(0, count - share) for count in ran.values()),
+            tracker.splits,
+            busy,
+            0.0,
+            self.size,
+            worker_restarts=job_restarts,
+            morsel_retries=sum(tracker.retries.values()),
+            worker_stats=worker_stats,
+        )
 
-    def _shutdown(self, drain_timeout: float = 5.0) -> None:
-        raise NotImplementedError
+    def _end_job(self) -> Tuple[List[float], Dict[int, dict]]:
+        """Leave the job: per-worker busy seconds and job summaries.
 
-    def _drain_submit_lock(self, timeout: float = 5.0) -> bool:
-        """Wait (bounded) for an in-flight job before teardown."""
-        timeout = max(0.0, float(timeout))
-        acquired = self._submit_lock.acquire(timeout=timeout)
-        if acquired:
-            self._submit_lock.release()
-        return acquired
+        Also the deadline cancellation: queued morsels (and duplicates from
+        a recovery) are dropped, then the handshake is the drain — a worker
+        finishes the morsel it is in (idle ones ack at once) and leaves the
+        job, so the pool is immediately reusable.  Whatever the two sweeps
+        miss carries this job's number and is ignored later.
+        """
+        self.transport.discard_tasks()
+        answer = self.transport.end_job()
+        self.transport.discard_messages()
+        return answer
+
+    def _refeed(
+        self, keys: Sequence[MorselKey], tracker: _JobTracker, payload: _JobPayload
+    ) -> None:
+        """Charge one retry to each of ``keys`` and enqueue them again.
+
+        Duplicates (a morsel merely in flight on a live worker) are safe:
+        the tracker completes a key once and parks later arrivals.
+        """
+        tracker.retries.update(keys)
+        self.morsel_retries += len(keys)
+        for key in keys:
+            self.transport.put_task(payload.job, tracker.tasks[key])
+
+    def _recover(
+        self,
+        dead: List[Tuple[int, Optional[int]]],
+        tracker: _JobTracker,
+        payload: _JobPayload,
+    ) -> int:
+        """Replace ``dead`` workers and re-feed every morsel they may have
+        held; returns the number of replacements."""
+        lost = tracker.lost()
+        diagnostics = [f"worker {wid} exit code {code}" for wid, code in dead]
+        exhausted = [key for key in lost if not tracker.can_retry(key)]
+        if exhausted:
+            # Poison pill: the same morsel keeps killing workers.
+            self.transport.stop()
+            morsels = ", ".join(
+                f"{_describe(key)} ({tracker.retries[key]} retries)"
+                for key in exhausted
+            )
+            raise WorkerFailureError(
+                f"parallel worker(s) died mid-job: {', '.join(diagnostics)}; "
+                f"retry budget exhausted for {morsels}",
+                diagnostics=diagnostics,
+            )
+        try:
+            replaced = self.transport.replace_workers(dead, payload)
+        except (OSError, RuntimeError, ValueError) as error:
+            # Interpreter shutdown (or fd exhaustion): recovery is
+            # impossible, fail the job cleanly.
+            raise WorkerFailureError(
+                f"parallel worker(s) died mid-job ({', '.join(diagnostics)}) "
+                f"and could not be replaced: {error}"
+            )
+        self.worker_restarts += replaced
+        repeat = max((tracker.retries[key] for key in lost), default=0)
+        if repeat >= 1:
+            # The same morsel's worker died again: back off exponentially
+            # before re-feeding it.
+            time.sleep(min(RETRY_BACKOFF_SECONDS * (2 ** (repeat - 1)), 1.0))
+        # Re-enqueue after forking so the task queue's feeder is quiescent
+        # at fork time.
+        self._refeed(lost, tracker, payload)
+        return replaced
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"
         return (
-            f"{type(self).__name__}(size={self.size}, spawns={self.spawns}, "
-            f"jobs={self.jobs_run}, {state})"
+            f"WorkerPool({self.backend!r}, size={self.size}, "
+            f"spawns={self.spawns}, jobs={self.jobs_run}, {state})"
         )
 
 
 # --------------------------------------------------------------------------
-# Thread backend: per-worker deques with real tail-stealing.
+# Transports: how messages move and workers stay alive.  No policy here.
 # --------------------------------------------------------------------------
 
 
-class _ThreadJob:
-    """Mutable scheduling state of one thread-backend job (guarded by the
-    pool condition)."""
-
-    def __init__(self, job: MorselJob, size: int) -> None:
-        self.job = job
-        self.deques: List[deque] = [deque() for _ in range(size)]
-        self.pending = 0
-        self.results: List[MorselResult] = []
-        self.errors: List[Tuple[int, Tuple[int, ...], str]] = []
-        self.busy = [0.0] * size
-        #: One scratch dict per worker (see :func:`worker_job_state`).
-        self.worker_states: List[dict] = [{} for _ in range(size)]
-        self.steals = 0
-        self.splits = 0
-        self.retries: Dict[Tuple[int, Tuple[int, ...]], int] = {}
-        self.morsel_retries = 0
-        #: Set when a task ran past the split threshold; the next wide task
-        #: taken is halved and requeued instead of run, which clears it.
-        self.hot = False
-        #: Set when the job's deadline expired; queued tasks were discarded
-        #: and only in-flight ones drain.
-        self.cancelled = False
-        self.finished = False
+def _drain(queue) -> None:
+    if queue is None:
+        return
+    while True:
+        try:
+            queue.get_nowait()
+        except (Empty, OSError, ValueError, EOFError):
+            return
 
 
-class ThreadWorkerPool(WorkerPool):
-    """Long-lived daemon threads over per-worker deques with tail-stealing."""
+class _Transport:
+    """What the scheduler needs from a backend.
+
+    Parent side: :meth:`ensure_workers`, :meth:`broadcast` of control
+    messages, :meth:`put_task`, :meth:`get_message`, :meth:`dead_workers` /
+    :meth:`replace_workers`, :meth:`discard_tasks` / :meth:`discard_messages`,
+    the :meth:`end_job` handshake and :meth:`stop`.  Worker side:
+    :meth:`take`, :meth:`post`, :meth:`put_task` (split halves) and
+    :meth:`ack`; ``conn`` is whatever the transport handed the worker as its
+    control channel.
+    """
+
+    backend = "none"
+
+    def __init__(self, database, size: int) -> None:
+        self.database = database
+        self.size = size
+        self.spawns = 0
+        self._result_queue = None
+
+    def post(self, job: int, message: tuple) -> None:
+        self._result_queue.put((job, message))
+
+    def get_message(self, timeout: float) -> Tuple[int, tuple]:
+        """The next ``(job, message)`` from any worker; ``Empty`` on timeout."""
+        return self._result_queue.get(timeout=timeout)
+
+    def discard_messages(self) -> None:
+        _drain(self._result_queue)
+
+
+class _ThreadTransport(_Transport):
+    """Daemon threads over an in-process queue.
+
+    Shared memory: the workers are never stale, and none can die under the
+    scheduler (the worker loop reports every runner exception).
+    """
 
     backend = "threads"
 
     def __init__(self, database, size: int) -> None:
         super().__init__(database, size)
+        self._result_queue = SimpleQueue()
+        self._acks: SimpleQueue = SimpleQueue()
+        #: Guards the task queue and the per-worker control slots.
         self._cond = threading.Condition()
-        self._workers: List[threading.Thread] = []
-        self._state: Optional[_ThreadJob] = None
-        self._closing = False
+        self._tasks: deque = deque()
+        self._controls: List[deque] = [deque() for _ in range(size)]
+        self._threads: List[threading.Thread] = []
 
-    # ------------------------------------------------------------- internals
-    def _ensure_workers(self) -> None:
-        if self._workers:
-            return
-        for wid in range(self.size):
-            worker = threading.Thread(
-                target=self._worker_main,
-                args=(wid,),
-                name=f"repro-pool-{wid}",
-                daemon=True,
-            )
-            worker.start()
-            self._workers.append(worker)
-            self.spawns += 1
+    def ensure_workers(self) -> bool:
+        if not self._threads:
+            for wid in range(self.size):
+                thread = threading.Thread(
+                    target=_worker_main,
+                    args=(self, self.database, wid, wid),
+                    name=f"repro-pool-{wid}",
+                    daemon=True,
+                )
+                thread.start()
+                self._threads.append(thread)
+                self.spawns += 1
+        return False
 
-    def _run_job(self, job: MorselJob) -> JobReport:
-        tasks = list(job.tasks)
-        state = _ThreadJob(job, self.size)
-        if not tasks:
-            return JobReport([], 0, 0, list(state.busy), 0.0, self.size)
-        self._ensure_workers()
-        try:
-            with self._cond:
-                for position, task in enumerate(tasks):
-                    state.deques[position % self.size].append(task)
-                state.pending = len(tasks)
-                self._state = state
-                self._cond.notify_all()
-                while not state.finished:
-                    if self._abandoned:
-                        break
-                    wait_for = 0.5
-                    if job.deadline is not None and not state.cancelled:
-                        wait_for = max(
-                            0.005, min(wait_for, job.deadline.remaining())
-                        )
-                    self._cond.wait(timeout=wait_for)
-                    if (
-                        job.deadline is not None
-                        and not state.cancelled
-                        and not state.finished
-                        and job.deadline.expired()
-                    ):
-                        # Cancel: discard queued morsels, drain in-flight
-                        # ones (they decrement pending on completion).
-                        state.cancelled = True
-                        cleared = sum(len(dq) for dq in state.deques)
-                        for dq in state.deques:
-                            dq.clear()
-                        state.pending -= cleared
-                        if state.pending <= 0:
-                            state.finished = True
-                            self._cond.notify_all()
-        finally:
-            with self._cond:
-                self._state = None
-                self._cond.notify_all()
-        if self._abandoned and not state.finished:
-            raise PoolClosedError(
-                "worker pool closed while a job was in flight"
-            )
-        if state.cancelled:
-            raise QueryTimeoutError(job.deadline.timeout)
-        if state.errors:
-            state.errors.sort()
-            details = "; ".join(
-                f"morsel {index}{list(path)!r}: {text}"
-                for index, path, text in state.errors
-            )
-            raise WorkerFailureError(
-                f"morsel worker(s) failed: {details}",
-                diagnostics=[
-                    f"morsel {index}{list(path)!r}: {text}"
-                    for index, path, text in state.errors
-                ],
-            )
-        results = sorted(state.results, key=lambda r: (r.index, r.path))
+    def broadcast(self, message: tuple) -> None:
+        with self._cond:
+            for control in self._controls:
+                control.append(message)
+            self._cond.notify_all()
+
+    def put_task(self, job: int, task: MorselTask) -> None:
+        with self._cond:
+            self._tasks.append((job, task))
+            self._cond.notify_all()
+
+    def take(self, wid: int, tasks: bool = True) -> tuple:
+        control = self._controls[wid]
+        with self._cond:
+            while True:
+                if control:
+                    return control.popleft()
+                if tasks and self._tasks:
+                    return ("task", *self._tasks.popleft())
+                self._cond.wait()
+
+    def ack(self, conn: int, wid: int, busy: float, summary: Optional[dict]) -> None:
+        self._acks.put((wid, busy, summary))
+
+    def dead_workers(self) -> List[Tuple[int, Optional[int]]]:
+        return []
+
+    def discard_tasks(self) -> None:
+        with self._cond:
+            self._tasks.clear()
+
+    def end_job(self) -> Tuple[List[float], Dict[int, dict]]:
+        self.broadcast(("end",))
+        busy = [0.0] * self.size
         worker_stats: Dict[int, dict] = {}
-        if job.summarize is not None:
-            # The job is finished, so the workers' states are quiescent and
-            # safe to read from this (the submitting) thread.
-            worker_stats = {
-                wid: job.summarize(self.database, job.spec, worker_state)
-                for wid, worker_state in enumerate(state.worker_states)
-                if worker_state
-            }
-        return JobReport(
-            results,
-            state.steals,
-            state.splits,
-            list(state.busy),
-            0.0,
-            self.size,
-            worker_restarts=0,
-            morsel_retries=state.morsel_retries,
-            worker_stats=worker_stats,
-        )
+        waiting = dict(enumerate(self._threads))
+        while waiting:
+            try:
+                wid, seconds, summary = self._acks.get(timeout=HEARTBEAT_SECONDS)
+            except Empty:  # stop() reached a worker before its "end" did
+                waiting = {w: t for w, t in waiting.items() if t.is_alive()}
+                continue
+            waiting.pop(wid, None)
+            busy[wid] = seconds
+            if summary is not None:
+                worker_stats[wid] = summary
+        return busy, worker_stats
 
-    def _worker_main(self, wid: int) -> None:
-        fault_point("pool.worker_start")
-        cond = self._cond
-        while True:
-            with cond:
-                state = self._state
-                task: Optional[MorselTask] = None
-                stolen = False
-                if state is not None and not state.finished:
-                    task, stolen = self._take(state, wid)
-                if task is None:
-                    if self._closing and (state is None or state.finished):
-                        return
-                    cond.wait(timeout=0.5)
-                    continue
-            self._handle(state, task, stolen, wid)
-
-    def _take(
-        self, state: _ThreadJob, wid: int
-    ) -> Tuple[Optional[MorselTask], bool]:
-        """Pop from the own deque head, else steal from the fullest tail.
-
-        Caller holds the pool condition.
-        """
-        own = state.deques[wid]
-        if own:
-            return own.popleft(), False
-        if state.job.allow_steal:
-            victim = max(
-                (dq for dq in state.deques if dq), key=len, default=None
-            )
-            if victim is not None:
-                return victim.pop(), True
-        return None, False
-
-    def _handle(
-        self, state: _ThreadJob, task: MorselTask, stolen: bool, wid: int
-    ) -> None:
-        job = state.job
-        if state.hot and job.split_threshold is not None:
-            halves = split_task(task, job.split_domain, job.min_split_span)
-            if halves is not None:
-                left, right = halves
-                with self._cond:
-                    state.hot = False
-                    state.pending += 1
-                    state.splits += 1
-                    own = state.deques[wid]
-                    # Head of the own deque: the owner continues depth-first
-                    # on the left half while the right half sits stealable.
-                    own.appendleft(right)
-                    own.appendleft(left)
-                    self._cond.notify_all()
-                return
-        started = time.perf_counter()
-        _WORKER_JOB.state = state.worker_states[wid]
-        try:
-            fault_point("pool.before_morsel")
-            with self.database.adopt_scopes(job.scopes):
-                outcome = job.runner(self.database, job.spec, task)
-        except BaseException as error:  # noqa: BLE001 - reported to submitter
-            key = (task.index, task.path)
-            with self._cond:
-                # Per-morsel retry discipline for transient errors; a
-                # deadline expiry is never transient and a cancelled job
-                # must drain, not grow.
-                retriable = (
-                    not isinstance(error, QueryTimeoutError)
-                    and not state.cancelled
-                    and state.retries.get(key, 0) < _job_max_retries(job)
-                )
-                if retriable:
-                    state.retries[key] = state.retries.get(key, 0) + 1
-                    state.morsel_retries += 1
-                    self.morsel_retries += 1
-                    state.deques[wid].append(task)
-                    self._cond.notify_all()
-                else:
-                    state.errors.append(
-                        (task.index, task.path, f"{type(error).__name__}: {error}")
-                    )
-                    self._finish_one(state)
-            return
-        finally:
-            _WORKER_JOB.state = None
-        elapsed = time.perf_counter() - started
-        with self._cond:
-            state.busy[wid] += elapsed
-            if (
-                job.split_threshold is not None
-                and elapsed >= job.split_threshold
-            ):
-                state.hot = True
-            if stolen:
-                state.steals += 1
-            state.results.append(
-                MorselResult(
-                    index=task.index,
-                    path=task.path,
-                    lo=task.lo,
-                    hi=task.hi,
-                    value=outcome.value,
-                    rows=outcome.rows,
-                    counter=outcome.counter,
-                    elapsed=elapsed,
-                    worker=wid,
-                    stolen=stolen,
-                )
-            )
-            self._finish_one(state)
-
-    def _finish_one(self, state: _ThreadJob) -> None:
-        """Decrement pending under the condition; wake everyone on zero."""
-        state.pending -= 1
-        if state.pending == 0:
-            state.finished = True
-            self._cond.notify_all()
-
-    def _shutdown(self, drain_timeout: float = 5.0) -> None:
-        if not self._drain_submit_lock(timeout=drain_timeout):
-            self._abandoned = True
-        with self._cond:
-            self._closing = True
-            self._cond.notify_all()
-        for worker in self._workers:
-            worker.join(timeout=2.0)
-        self._workers = []
-
-
-# --------------------------------------------------------------------------
-# Fork backend: workers survive across queries, re-armed via a task pipe.
-# --------------------------------------------------------------------------
-
-
-class _CloseWorker(Exception):
-    """Raised inside a fork worker to unwind out of an active job."""
+    def stop(self) -> None:
+        self.broadcast(("close",))
+        for thread in self._threads:
+            thread.join(timeout=2.0)
+        self._threads = []
 
 
 def _pin_to_cpu(wid: int) -> None:
@@ -797,29 +959,17 @@ def _pin_to_cpu(wid: int) -> None:
         pass
 
 
-def _fork_worker_main(pool: "ForkWorkerPool", wid: int, conn) -> None:
-    """Entry point of one forked worker; loops over jobs until closed.
+def _fork_worker_main(transport: "_ForkTransport", wid: int, conn) -> None:
+    """Entry point of one forked worker.
 
     Runs with the whole parent state inherited by copy-on-write — the
-    database, its warm index and compiled-driver caches, and the pool's
-    queues; only control messages and results ever cross a pipe.
+    database, its warm index and compiled-driver caches, and the
+    transport's queues; only control messages and results ever cross a pipe.
     """
-    reinitialise_child_locks(pool.database)
+    reinitialise_child_locks(transport.database)
     _pin_to_cpu(wid)
-    fault_point("pool.worker_start")
     try:
-        while True:
-            try:
-                message = conn.recv()
-            except (EOFError, OSError):
-                return
-            if message[0] == "close":
-                return
-            if message[0] == "job":
-                try:
-                    _serve_job(pool, wid, conn, message[1])
-                except _CloseWorker:
-                    return
+        _worker_main(transport, transport.database, wid, conn)
     finally:
         try:
             conn.close()
@@ -827,177 +977,7 @@ def _fork_worker_main(pool: "ForkWorkerPool", wid: int, conn) -> None:
             pass
 
 
-def _serve_job(pool: "ForkWorkerPool", wid: int, conn, payload: _JobPayload) -> None:
-    """Run tasks off the shared queue until the parent ends the job.
-
-    The worker sleeps on the queue's reader *and* its control pipe, holding
-    no lock while it waits (a worker SIGKILLed here cannot wedge the
-    others), and a control message wins over a queued task: ``("end",)``
-    is only sent once the parent wants nothing more from this job.
-    """
-    task_queue = pool._task_queue
-    job = payload.job
-    waitables = [conn, task_queue._reader]
-
-    def post(*message) -> None:
-        pool._result_queue.put((job, message))
-
-    state: dict = {}
-    busy = 0.0
-    hot = False
-    while True:
-        if conn in wait(waitables):
-            try:
-                message = conn.recv()
-            except (EOFError, OSError):  # the parent is gone
-                raise _CloseWorker()
-            if message[0] == "end":
-                summary = None
-                if payload.summarize is not None and state:
-                    summary = payload.summarize(pool.database, payload.spec, state)
-                conn.send(("ack", wid, busy, summary))
-                return
-            if message[0] == "close":
-                raise _CloseWorker()
-            continue
-        try:
-            task_job, task = task_queue.get_nowait()
-        except Empty:  # another worker was quicker
-            continue
-        if task_job != job:  # left over from a cancelled or recovered job
-            continue
-        if hot and payload.split_threshold is not None:
-            halves = split_task(task, payload.split_domain, payload.min_split_span)
-            if halves is not None:
-                hot = False
-                left, right = halves
-                post(
-                    "split",
-                    (task.index, task.path),
-                    (left.index, left.path),
-                    (right.index, right.path),
-                )
-                task_queue.put((job, left))
-                task_queue.put((job, right))
-                continue
-        started = time.perf_counter()
-        _WORKER_JOB.state = state
-        try:
-            fault_point("pool.before_morsel")
-            outcome = payload.runner(pool.database, payload.spec, task)
-        except BaseException as error:  # noqa: BLE001 - crosses the process boundary
-            post("error", (task.index, task.path), f"{type(error).__name__}: {error}")
-            continue
-        finally:
-            _WORKER_JOB.state = None
-        elapsed = time.perf_counter() - started
-        busy += elapsed
-        if payload.split_threshold is not None and elapsed >= payload.split_threshold:
-            hot = True
-        post(
-            "result",
-            MorselResult(
-                index=task.index,
-                path=task.path,
-                lo=task.lo,
-                hi=task.hi,
-                value=outcome.value,
-                rows=outcome.rows,
-                counter=outcome.counter,
-                elapsed=elapsed,
-                worker=wid,
-                stolen=wid != task.index % payload.size,
-            ),
-        )
-
-
-class _ForkJobTracker:
-    """Order-independent completion bookkeeping for one fork-backend job.
-
-    Messages from different workers may arrive in any interleaving — a
-    split half's result can land before its split announcement.  The
-    tracker keeps a live ``expected`` key set; early arrivals park as
-    orphans and are absorbed the moment their key becomes live, so the job
-    completes exactly when every planner range is tiled by results.
-
-    It also keeps a ``key -> MorselTask`` map so worker-failure recovery
-    can re-enqueue any still-expected morsel.  Split messages carry only
-    keys, but the halves are recomputed parent-side with the same
-    deterministic :func:`split_task` the child used — identical inputs,
-    identical halves.
-    """
-
-    def __init__(
-        self,
-        tasks: Sequence[MorselTask],
-        split_domain: Optional[Tuple[int, int]] = None,
-        min_split_span: int = MIN_SPLIT_SPAN,
-    ) -> None:
-        self.expected: Set[Tuple[int, Tuple[int, ...]]] = set()
-        self.results: List[MorselResult] = []
-        self.errors: List[Tuple[Tuple[int, Tuple[int, ...]], str]] = []
-        self.splits = 0
-        self.tasks: Dict[Tuple[int, Tuple[int, ...]], MorselTask] = {}
-        self._domain = split_domain
-        self._min_span = min_split_span
-        self._orphans: Dict[Tuple[int, Tuple[int, ...]], tuple] = {}
-        self._orphan_splits: Dict[Tuple[int, Tuple[int, ...]], tuple] = {}
-        for task in tasks:
-            self.expected.add((task.index, task.path))
-            self.tasks[(task.index, task.path)] = task
-
-    @property
-    def done(self) -> bool:
-        return not self.expected
-
-    def absorb(self, message: tuple) -> None:
-        kind = message[0]
-        if kind == "split":
-            key = message[1]
-            if key in self.expected:
-                self.expected.discard(key)
-                self._apply_split(message)
-            else:
-                self._orphan_splits[key] = message
-            return
-        key = message[1] if kind == "error" else (
-            message[1].index,
-            message[1].path,
-        )
-        if key in self.expected:
-            self.expected.discard(key)
-            self._complete(message)
-        else:
-            self._orphans[key] = message
-
-    def _apply_split(self, message: tuple) -> None:
-        self.splits += 1
-        parent = self.tasks.get(message[1])
-        if parent is not None:
-            halves = split_task(parent, self._domain, self._min_span)
-            if halves is not None:
-                for half in halves:
-                    self.tasks[(half.index, half.path)] = half
-        for half_key in (message[2], message[3]):
-            self._register(half_key)
-
-    def _register(self, key: Tuple[int, Tuple[int, ...]]) -> None:
-        if key in self._orphans:
-            self._complete(self._orphans.pop(key))
-            return
-        if key in self._orphan_splits:
-            self._apply_split(self._orphan_splits.pop(key))
-            return
-        self.expected.add(key)
-
-    def _complete(self, message: tuple) -> None:
-        if message[0] == "result":
-            self.results.append(message[1])
-        else:
-            self.errors.append((message[1], message[2]))
-
-
-class ForkWorkerPool(WorkerPool):
+class _ForkTransport(_Transport):
     """Forked workers that survive across queries, re-armed per job.
 
     Fork happens lazily on the first job — *after* the parent built the
@@ -1014,12 +994,8 @@ class ForkWorkerPool(WorkerPool):
         self._processes: List = []
         self._pipes: List = []
         self._task_queue = None
-        self._result_queue = None
         self._fork_key: Optional[tuple] = None
-        #: Jobs ever started (completed or not); see ``_JobPayload.job``.
-        self._job_seq = 0
 
-    # ------------------------------------------------------------- internals
     def _state_key(self) -> tuple:
         """Everything whose parent-side growth a forked child cannot see.
 
@@ -1035,283 +1011,105 @@ class ForkWorkerPool(WorkerPool):
             database.encoding_active,
         )
 
-    def _ensure_workers(self) -> None:
-        if self._processes:
-            stale = self._state_key() != self._fork_key
-            dead = any(not process.is_alive() for process in self._processes)
-            if stale or dead:
-                self._stop_workers()
-                self.worker_restarts += 1
-        if self._processes:
-            return
-        self._task_queue = self._context.Queue()
-        self._result_queue = self._context.Queue()
-        self._fork_key = self._state_key()
-        for wid in range(self.size):
-            parent_conn, child_conn = self._context.Pipe()
-            process = self._context.Process(
-                target=_fork_worker_main,
-                args=(self, wid, child_conn),
-                daemon=True,
-            )
-            process.start()
-            child_conn.close()
-            self._processes.append(process)
-            self._pipes.append(parent_conn)
-            self.spawns += 1
-
-    def _run_job(self, job: MorselJob) -> JobReport:
-        tasks = list(job.tasks)
-        if not tasks:
-            return JobReport([], 0, 0, [0.0] * self.size, 0.0, self.size)
-        self._ensure_workers()
-        self._job_seq += 1
-        payload = _JobPayload(
-            job=self._job_seq,
-            spec=job.spec,
-            runner=job.runner,
-            summarize=job.summarize,
-            split_threshold=job.split_threshold,
-            min_split_span=job.min_split_span,
-            split_domain=job.split_domain,
-            size=self.size,
+    def _fork(self, wid: int):
+        parent_conn, child_conn = self._context.Pipe()
+        process = self._context.Process(
+            target=_fork_worker_main, args=(self, wid, child_conn), daemon=True
         )
+        process.start()
+        child_conn.close()
+        self.spawns += 1
+        return process, parent_conn
+
+    def ensure_workers(self) -> bool:
+        """Fork the set if there is none; ``True`` when a stale or partly
+        dead set had to be replaced first."""
+        restarted = bool(self._processes) and (
+            self._state_key() != self._fork_key
+            or any(not process.is_alive() for process in self._processes)
+        )
+        if restarted:
+            self.stop()
+        if not self._processes:
+            self._task_queue = self._context.Queue()
+            self._result_queue = self._context.Queue()
+            self._fork_key = self._state_key()
+            for wid in range(self.size):
+                process, pipe = self._fork(wid)
+                self._processes.append(process)
+                self._pipes.append(pipe)
+        return restarted
+
+    def broadcast(self, message: tuple) -> None:
         for pipe in self._pipes:
             try:
-                pipe.send(("job", payload))
-            except (OSError, BrokenPipeError):
-                # The worker died before (or while) receiving the payload —
-                # e.g. killed during startup.  The heartbeat sweep below
-                # detects the death and forks an armed replacement.
+                pipe.send(message)
+            except OSError:  # that worker is gone; liveness checks find it
                 pass
-        for task in tasks:
-            self._task_queue.put((payload.job, task))
-        tracker = _ForkJobTracker(tasks, job.split_domain, job.min_split_span)
-        retries: Dict[Tuple[int, Tuple[int, ...]], int] = {}
-        max_retries = _job_max_retries(job)
-        job_restarts = 0
-        job_retries = 0
-        # Bounded-timeout heartbeat: a silent interval triggers a liveness
-        # sweep, so a worker that died between tasks surfaces within
-        # ~DEAD_WORKER_GRACE * HEARTBEAT_SECONDS.  Detected deaths are
-        # *recovered from*: replacements are forked, lost morsels re-fed.
-        silent_with_dead = 0
-        while not tracker.done:
-            if self._abandoned:
-                raise PoolClosedError(
-                    "worker pool closed while a job was in flight"
-                )
-            if job.deadline is not None and job.deadline.expired():
-                self._cancel_job()
-                raise QueryTimeoutError(job.deadline.timeout)
-            timeout = HEARTBEAT_SECONDS
-            if job.deadline is not None:
-                timeout = max(0.005, min(timeout, job.deadline.remaining()))
-            try:
-                message_job, message = self._result_queue.get(timeout=timeout)
-            except Empty:
-                fault_point("pool.heartbeat")
-                dead = [
-                    (wid, process.exitcode)
-                    for wid, process in enumerate(self._processes)
-                    if not process.is_alive()
-                ]
-                if not dead:
-                    continue
-                silent_with_dead += 1
-                if silent_with_dead < DEAD_WORKER_GRACE:
-                    continue
-                silent_with_dead = 0
-                lost = sorted(
-                    key for key in tracker.expected if key in tracker.tasks
-                )
-                exhausted = [
-                    key for key in lost if retries.get(key, 0) >= max_retries
-                ]
-                if exhausted:
-                    # Poison pill: the same morsel keeps killing workers.
-                    self._stop_workers()
-                    worker_details = ", ".join(
-                        f"worker {wid} exit code {code}" for wid, code in dead
-                    )
-                    morsel_details = ", ".join(
-                        f"morsel {key[0]}{list(key[1])!r} "
-                        f"({retries.get(key, 0)} retries)"
-                        for key in exhausted
-                    )
-                    raise WorkerFailureError(
-                        f"parallel worker(s) died mid-job: {worker_details}; "
-                        f"retry budget exhausted for {morsel_details}",
-                        diagnostics=[
-                            f"worker {wid} exit code {code}"
-                            for wid, code in dead
-                        ],
-                    )
-                job_restarts += self._replace_workers(dead, payload)
-                repeat = max((retries.get(key, 0) for key in lost), default=0)
-                for key in lost:
-                    retries[key] = retries.get(key, 0) + 1
-                job_retries += len(lost)
-                self.morsel_retries += len(lost)
-                if repeat >= 1:
-                    # The same morsel's worker died again: back off
-                    # exponentially before re-feeding it.
-                    time.sleep(
-                        min(RETRY_BACKOFF_SECONDS * (2 ** (repeat - 1)), 1.0)
-                    )
-                # Re-enqueue after forking so the queue feeder is quiescent
-                # at fork time.  Duplicates (morsels merely in flight on a
-                # live worker) are safe: the tracker completes a key once
-                # and parks later arrivals as orphans.
-                for key in lost:
-                    self._task_queue.put((payload.job, tracker.tasks[key]))
-                continue
-            except (OSError, ValueError, EOFError, AttributeError) as error:
-                # close() tore the queues down under a job it abandoned.
-                raise WorkerFailureError(
-                    f"worker pool torn down mid-job: {error}"
-                )
-            silent_with_dead = 0
-            if message_job != payload.job:
-                continue  # a straggler of an earlier cancelled job
-            if message[0] == "error":
-                key = message[1]
-                text = message[2]
-                timed_out = text.partition(":")[0] == "QueryTimeoutError"
-                retriable = (
-                    not timed_out
-                    and key in tracker.expected
-                    and key in tracker.tasks
-                    and retries.get(key, 0) < max_retries
-                    and (job.deadline is None or not job.deadline.expired())
-                )
-                if retriable:
-                    retries[key] = retries.get(key, 0) + 1
-                    job_retries += 1
-                    self.morsel_retries += 1
-                    self._task_queue.put((payload.job, tracker.tasks[key]))
-                    continue
-            tracker.absorb(message)
-        self._drain_queue(self._task_queue)  # duplicates from recovery
-        busy, worker_stats = self._end_job()
-        self._drain_queue(self._result_queue)  # orphan duplicate results
-        if (
-            job.deadline is not None
-            and job.deadline.expired()
-            and tracker.errors
-        ):
-            # Worker-side deadline checks surface as error messages; the
-            # deadline itself is authoritative.
-            raise QueryTimeoutError(job.deadline.timeout)
-        if tracker.errors:
-            tracker.errors.sort()
-            details = "; ".join(
-                f"morsel {key[0]}{list(key[1])!r}: {text}"
-                for key, text in tracker.errors
-            )
-            raise WorkerFailureError(
-                f"morsel worker(s) failed: {details}",
-                diagnostics=[
-                    f"morsel {key[0]}{list(key[1])!r}: {text}"
-                    for key, text in tracker.errors
-                ],
-            )
-        steals = sum(1 for result in tracker.results if result.stolen)
-        results = sorted(tracker.results, key=lambda r: (r.index, r.path))
-        return JobReport(
-            results,
-            steals,
-            tracker.splits,
-            busy,
-            0.0,
-            self.size,
-            worker_restarts=job_restarts,
-            morsel_retries=job_retries,
-            worker_stats=worker_stats,
-        )
 
-    def _replace_workers(
+    def put_task(self, job: int, task: MorselTask) -> None:
+        self._task_queue.put((job, task))
+
+    def take(self, conn, tasks: bool = True) -> tuple:
+        """The worker sleeps on the queue's reader *and* its control pipe,
+        holding no lock while it waits (a worker SIGKILLed here cannot
+        wedge the others)."""
+        waitables = [conn, self._task_queue._reader] if tasks else [conn]
+        while True:
+            if conn in wait(waitables):
+                try:
+                    return conn.recv()
+                except (EOFError, OSError):  # the parent is gone
+                    return ("close",)
+            try:
+                return ("task", *self._task_queue.get_nowait())
+            except Empty:  # another worker was quicker
+                continue
+
+    def ack(self, conn, wid: int, busy: float, summary: Optional[dict]) -> None:
+        conn.send(("ack", wid, busy, summary))
+
+    def dead_workers(self) -> List[Tuple[int, Optional[int]]]:
+        return [
+            (wid, process.exitcode)
+            for wid, process in enumerate(self._processes)
+            if not process.is_alive()
+        ]
+
+    def replace_workers(
         self, dead: List[Tuple[int, Optional[int]]], payload: _JobPayload
     ) -> int:
         """Join dead workers and fork replacements armed with the job.
 
         Replacements inherit the *current* parent state by copy-on-write
         (the parent has built nothing new mid-job: submissions serialise)
-        and receive the in-flight job payload over their fresh pipe.  Lost
-        morsels are re-enqueued by the caller *after* this returns, so the
-        task queue's feeder thread is quiescent while forking.
+        and receive the in-flight job payload over their fresh pipe.
         """
-        replaced = 0
         for wid, _code in dead:
             self._processes[wid].join(timeout=0.2)
             try:
                 self._pipes[wid].close()
             except OSError:  # pragma: no cover - already broken
                 pass
+            self._processes[wid], self._pipes[wid] = self._fork(wid)
             try:
-                parent_conn, child_conn = self._context.Pipe()
-                replacement = self._context.Process(
-                    target=_fork_worker_main,
-                    args=(self, wid, child_conn),
-                    daemon=True,
-                )
-                replacement.start()
-            except (OSError, RuntimeError, ValueError) as error:
-                # Interpreter shutdown (or fd exhaustion): recovery is
-                # impossible, fail the job cleanly.
-                raise WorkerFailureError(
-                    f"parallel worker(s) died mid-job and worker {wid} "
-                    f"could not be replaced: {error}"
-                )
-            child_conn.close()
-            self._processes[wid] = replacement
-            self._pipes[wid] = parent_conn
-            self.spawns += 1
-            replaced += 1
-            try:
-                parent_conn.send(("job", payload))
-            except (OSError, BrokenPipeError):
+                self._pipes[wid].send(("job", payload))
+            except OSError:
                 # The replacement died immediately (repeat fault); the next
                 # sweep sees it dead and the retry budget bounds the loop.
                 pass
-        self.worker_restarts += replaced
-        return replaced
+        return len(dead)
 
-    def _cancel_job(self) -> None:
-        """Deadline cancellation: drop queued morsels, drain in-flight ones.
+    def discard_tasks(self) -> None:
+        _drain(self._task_queue)
 
-        The end-of-job handshake doubles as the drain — a worker finishes
-        the morsel it is in (idle ones ack at once) and leaves the job, so
-        the pool is immediately reusable for the next query.  Whatever the
-        two sweeps miss carries this job's number and is ignored later.
-        """
-        self._drain_queue(self._task_queue)
-        self._end_job()
-        self._drain_queue(self._result_queue)
-
-    def _drain_queue(self, queue) -> None:
-        if queue is None:
-            return
-        while True:
-            try:
-                queue.get_nowait()
-            except (Empty, OSError, ValueError, EOFError):
-                return
-
-    def _end_job(self) -> Tuple[List[float], Dict[int, dict]]:
-        """End-of-job handshake: per-worker busy seconds and job summaries.
-
-        Every worker answers ``("end",)`` the moment it is idle, so with the
-        results already in this returns within a pipe round-trip (bounded
-        by ten seconds whatever happens).  A worker that dies after its
-        last task (before acking) is dropped and the set is marked stale so
-        the next job re-forks.
-        """
-        for pipe in self._pipes:
-            try:
-                pipe.send(("end",))
-            except (OSError, BrokenPipeError):
-                pass
+    def end_job(self) -> Tuple[List[float], Dict[int, dict]]:
+        """Every worker answers ``("end",)`` the moment it is idle, so with
+        the results already in this returns within a pipe round-trip
+        (bounded by ten seconds whatever happens).  A worker that dies
+        after its last task (before acking) is dropped and the set is
+        marked stale so the next job re-forks."""
+        self.broadcast(("end",))
         busy = [0.0] * self.size
         worker_stats: Dict[int, dict] = {}
         waiting = {pipe: wid for wid, pipe in enumerate(self._pipes)}
@@ -1340,12 +1138,8 @@ class ForkWorkerPool(WorkerPool):
             self._fork_key = None  # force a re-fork on the next job
         return busy, worker_stats
 
-    def _stop_workers(self) -> None:
-        for pipe in self._pipes:
-            try:
-                pipe.send(("close",))
-            except (OSError, BrokenPipeError):
-                pass
+    def stop(self) -> None:
+        self.broadcast(("close",))
         for process in self._processes:
             process.join(timeout=1.0)
         for process in self._processes:
@@ -1366,18 +1160,8 @@ class ForkWorkerPool(WorkerPool):
         self._task_queue = None
         self._result_queue = None
 
-    def _shutdown(self, drain_timeout: float = 5.0) -> None:
-        if not self._drain_submit_lock(timeout=drain_timeout):
-            # A failing job is still retrying; abandon it so close() (and
-            # the atexit sweep) can never deadlock.  The job's collection
-            # loop notices the flag and raises PoolClosedError cleanly.
-            self._abandoned = True
-        self._stop_workers()
 
-
-# --------------------------------------------------------------------------
-# Factory.
-# --------------------------------------------------------------------------
+_TRANSPORTS = {"threads": _ThreadTransport, "processes": _ForkTransport}
 
 
 def create_worker_pool(database, backend: str, size: int) -> WorkerPool:
@@ -1387,14 +1171,15 @@ def create_worker_pool(database, backend: str, size: int) -> WorkerPool:
     fall back to threads *before* calling (as the parallel executor does);
     asking for it anyway raises.
     """
-    if backend == "threads":
-        return ThreadWorkerPool(database, size)
-    if backend == "processes":
-        if "fork" not in multiprocessing.get_all_start_methods():
-            raise ValueError(
-                "the 'processes' pool backend requires the fork start method"
-            )
-        return ForkWorkerPool(database, size)
-    raise ValueError(
-        f"unknown pool backend {backend!r}; choose one of {POOL_BACKENDS}"
-    )
+    if backend not in _TRANSPORTS:
+        raise ValueError(
+            f"unknown pool backend {backend!r}; choose one of {POOL_BACKENDS}"
+        )
+    if (
+        backend == "processes"
+        and "fork" not in multiprocessing.get_all_start_methods()
+    ):
+        raise ValueError(
+            "the 'processes' pool backend requires the fork start method"
+        )
+    return WorkerPool(database, size, _TRANSPORTS[backend])

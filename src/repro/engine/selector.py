@@ -61,16 +61,9 @@ _ENCODED_SEEK_UNIT = 0.5
 #: algorithm, but can never overturn clftj's 1.05x probe-overhead margin.
 _COMPILE_CHARGE_CAP = 64.0
 
-#: Estimated cost units one pool *worker* must be kept busy for to be worth
-#: engaging: partition planning amortised, per-morsel executor construction
-#: (cache-hit index lookups), and the (amortised, pool-persistent) share of
-#: worker spin-up.  Auto worker counts only add a worker per this many units
-#: of estimated serial work, so tiny queries stay serial instead of drowning
-#: in scheduling overhead.
-_WORKER_ENGAGE_COST = 400.0
-
-#: The work floor of a *morsel*, in estimated cost units: what dispatching a
-#: job on the persistent fork pool costs whatever it computes.  Measured on
+#: The work floor of a *morsel* — and of engaging a worker — in estimated
+#: cost units: what dispatching a job on the persistent fork pool costs
+#: whatever it computes.  Measured on
 #: the 2-core reference box: a warm no-op job takes 0.4 ms for 2 morsels plus
 #: 0.06 ms per further morsel, and a real one 1-1.5 ms once the plan is
 #: pickled to each worker, each worker builds its executor and CLFTJ workers
@@ -135,15 +128,15 @@ class CostBasedSelector:
     ) -> int:
         """Auto worker count for ``parallel=True``: scale with estimated work.
 
-        Every worker is charged :data:`_WORKER_ENGAGE_COST` units, so a
-        query whose whole estimated LFTJ cost is below two of those runs
-        serial (1 worker); larger queries get one worker per cost multiple,
-        capped at the **actually usable** cores
+        A worker has to be worth one morsel, so every worker is charged
+        the work floor (:data:`_MORSEL_DISPATCH_COST`): a query whose whole
+        estimated LFTJ cost is below two floors — under the pool's measured
+        break-even — runs serial (1 worker); larger queries get one worker
+        per floor, capped at the **actually usable** cores
         (:func:`~repro.engine.pool.available_workers` respects container
-        CPU affinity, unlike a bare ``os.cpu_count()``).  The old 2x
-        over-subscription is gone: skew smoothing is now the morsel
-        scheduler's job (see :meth:`recommend_morsels`), and extra workers
-        on a persistent pool would just thrash the ones doing work.
+        CPU affinity, unlike a bare ``os.cpu_count()``).  Skew smoothing is
+        the morsel scheduler's job (see :meth:`recommend_morsels`); extra
+        workers on a persistent pool would just thrash the ones doing work.
         """
         if available is None:
             available = available_workers()
@@ -158,8 +151,7 @@ class CostBasedSelector:
             # back under (see Database.memory_budget_bytes).
             return 1
         cost = self._order_cost(query, variable_order)
-        affordable = int(cost // _WORKER_ENGAGE_COST)
-        return max(1, min(available, affordable))
+        return max(1, min(available, int(cost // _MORSEL_DISPATCH_COST)))
 
     def recommend_morsels(
         self,
@@ -172,8 +164,10 @@ class CostBasedSelector:
 
         Targets ``MORSEL_OVERPARTITION`` (16) ranges per worker so stealing
         can level skew, but never plans a morsel worth less than
-        :data:`_MORSEL_DISPATCH_COST` units of estimated work, and never
-        fewer than one range per worker.  (The partition planner separately
+        :data:`_MORSEL_DISPATCH_COST` units of estimated work, never fewer
+        than one range per worker, and always a whole number of ranges per
+        worker: a query worth three morsels on two workers gets two, because
+        the third would run alone.  (The partition planner separately
         floors the *keys* per morsel; this floors the work.)  ``plan`` is
         the CLFTJ plan when the morsels run cached: the work is then the
         cached estimate, an order of magnitude below LFTJ's on paths.
@@ -191,6 +185,7 @@ class CostBasedSelector:
         else:
             cost = self._order_cost(query, variable_order)
         affordable = int(cost // _MORSEL_DISPATCH_COST)
+        affordable -= affordable % workers
         return max(workers, min(workers * MORSEL_OVERPARTITION, affordable))
 
     def _order_cost(self, query: ConjunctiveQuery, variable_order: Sequence) -> float:

@@ -55,7 +55,6 @@ _ALLOWED_PARAMETERS = (
     "timeout",
     "parallel",
     "parallel_backend",
-    "parallel_mode",
     "compile",
     "cache_capacity",
 )
@@ -331,9 +330,9 @@ class QueryService:
                 parameters[name] = min(timeout, self.max_timeout)
             elif name == "parallel":
                 parameters[name] = _coerce_parallel(value)
-            elif name in ("parallel_backend", "parallel_mode"):
+            elif name == "parallel_backend":
                 if not isinstance(value, str):
-                    raise RequestError(f"parameter {name!r} must be a string")
+                    raise RequestError("parameter 'parallel_backend' must be a string")
                 parameters[name] = value
             elif name == "compile":
                 parameters[name] = _coerce_bool(name, value)

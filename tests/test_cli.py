@@ -130,6 +130,13 @@ class TestCommands:
         assert code == 2
         assert "does not use" in capsys.readouterr().err
 
+    def test_removed_parallel_mode_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["run", "--dataset", "wiki-Vote", "--query", "3-cycle",
+                  "--algorithm", "lftj", "--parallel", "2", "--parallel-mode", "static"])
+        assert info.value.code == 2
+        assert "--parallel-mode" in capsys.readouterr().err
+
     def test_datasets_listing(self, capsys):
         code = main(["datasets"])
         assert code == 0

@@ -37,7 +37,7 @@ from repro.engine.faults import (
     fault_point,
     inject_faults,
 )
-from repro.engine.pool import ForkWorkerPool, MorselJob, MorselTask, TaskOutcome
+from repro.engine.pool import MorselJob, MorselTask, TaskOutcome, create_worker_pool
 from repro.query.patterns import cycle_query, path_query
 from repro.storage.database import Database
 from repro.storage.relation import Relation
@@ -98,7 +98,7 @@ class TestWorkerRecovery:
         """A morsel that kills every worker it lands on must stop after the
         bounded retry budget, not re-fork forever."""
         database = _edge_database(name="faults-poison", nodes=12, edges=30)
-        pool = ForkWorkerPool(database, 2)
+        pool = create_worker_pool(database, "processes", 2)
         with inject_faults(
             {"pool.before_morsel": {"action": "kill", "times": 1_000_000}}
         ):
@@ -186,6 +186,32 @@ class TestDeadlines:
         result = engine.count(query, algorithm="plftj", parallel=2,
                               parallel_backend=backend)
         assert result.count == serial
+
+    @pytest.mark.parametrize("backend", ("threads", "processes"))
+    def test_mid_query_timeouts_are_typed_on_both_backends(self, backend):
+        """Timeouts from a few ms up to about the query's run time, so that
+        some expire in the parent's wait and some inside a worker's morsel:
+        every run that does not complete raises ``QueryTimeoutError`` (a
+        worker-side expiry used to surface as ``WorkerFailureError`` on
+        threads), and the pool serves the next query."""
+        base = random_edge_database(num_nodes=350, num_edges=1250, seed=1)
+        with Database(list(base), name=f"faults-typed-{backend}") as database:
+            engine = QueryEngine(database)
+            query = cycle_query(5)
+            options = {"algorithm": "lftj", "parallel": 2, "parallel_backend": backend}
+            started = time.perf_counter()
+            expected = engine.count(query, **options).count
+            run_time = time.perf_counter() - started
+            timed_out = 0
+            for step in range(40):
+                timeout = 0.005 + step * (run_time - 0.005) / 40
+                try:
+                    assert engine.count(query, timeout=timeout, **options).count == expected
+                except QueryTimeoutError as error:
+                    assert error.timeout == timeout
+                    timed_out += 1
+            assert timed_out > 0
+            assert engine.count(query, **options).count == expected
 
     def test_generous_timeout_completes_and_is_recorded(self, database):
         engine = QueryEngine(database)

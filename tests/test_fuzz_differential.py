@@ -54,16 +54,16 @@ COMPILED_CONFIGS = (
 )
 
 #: Pool-backed parallel configurations exercised per instance:
-#: (algorithm, workers, backend, scheduling mode).
+#: (algorithm, workers, backend).
 PARALLEL_CONFIGS = (
-    ("lftj", 2, "threads", "morsel"),
-    ("lftj", 5, "threads", "static"),
-    ("generic_join", 3, "threads", "morsel"),
-    ("plftj", 4, "processes", "morsel"),
-    ("plftj", 2, "processes", "static"),
-    ("pclftj", 1, "threads", "morsel"),
-    ("pclftj", 2, "processes", "morsel"),
-    ("pclftj", 4, "threads", "static"),
+    ("lftj", 2, "threads"),
+    ("lftj", 5, "threads"),
+    ("generic_join", 3, "threads"),
+    ("plftj", 4, "processes"),
+    ("plftj", 2, "processes"),
+    ("pclftj", 1, "threads"),
+    ("pclftj", 2, "processes"),
+    ("pclftj", 4, "threads"),
 )
 
 #: Fault-injected parallel configurations: (algorithm, serial oracle
@@ -183,27 +183,18 @@ def _check_all_agree(query, database, expected):
             f"over {database.name!r}: {len(rows)} vs {len(expected)} rows"
         )
         assert result.count == len(result.rows)
-    for algorithm, workers, backend, mode in PARALLEL_CONFIGS:
+    for algorithm, workers, backend in PARALLEL_CONFIGS:
         result = engine.evaluate(
-            query,
-            algorithm=algorithm,
-            parallel=workers,
-            parallel_backend=backend,
-            parallel_mode=mode,
+            query, algorithm=algorithm, parallel=workers, parallel_backend=backend
         )
         rows = _rows_in_query_order(result, query)
         assert rows == expected, (
-            f"parallel {algorithm} x{workers} ({backend}/{mode}) disagrees on "
+            f"parallel {algorithm} x{workers} ({backend}) disagrees on "
             f"{query.name!r} over {database.name!r}"
         )
-        assert result.metadata["parallel_mode"] == mode
         if result.metadata["partition_source"] != "single":
             assert result.metadata["workers"] == workers
-            assert (
-                result.metadata["morsels"] == workers
-                if mode == "static"
-                else result.metadata["morsels"] >= 1
-            )
+            assert result.metadata["morsels"] >= 1
 
 
 def _check_compiled_agrees(query, database, expected):

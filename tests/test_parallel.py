@@ -88,7 +88,7 @@ class TestDifferential:
         assert sorted(result.rows) == sorted(serial.rows)
         assert result.metadata["parallel"] is True
         assert result.metadata["workers"] == (1 if workers == 1 else workers)
-        assert result.metadata["parallel_mode"] == "morsel"
+        assert "parallel_mode" not in result.metadata  # one discipline, no label
         assert result.metadata["inner_algorithm"] == algorithm
         assert sum(result.metadata["shard_results"]) == result.count
         assert "shards" not in result.metadata  # the PR 5 alias is gone
@@ -97,35 +97,30 @@ class TestDifferential:
             == result.metadata["morsels"] - 1
         )
 
-    @pytest.mark.parametrize("mode", ["morsel", "static"])
-    def test_lftj_merge_preserves_serial_row_order(self, engine_and_serial, mode):
+    def test_lftj_merge_preserves_serial_row_order(self, engine_and_serial):
         """Deterministic merge: range concatenation == the serial row stream."""
         engine, query, serial_results = engine_and_serial
         serial = serial_results["lftj"]
-        result = engine.evaluate(
-            query, algorithm="lftj", parallel=4, parallel_mode=mode
-        )
+        result = engine.evaluate(query, algorithm="lftj", parallel=4)
         assert result.rows == serial.rows
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_empty_ranges_are_harmless(self, backend):
-        """Static mode: more ranges than distinct top-level keys -> some
-        ranges are deliberately empty (morsel mode's key floor would simply
-        plan fewer morsels instead)."""
+    def test_empty_ranges_are_harmless(self, monkeypatch, backend):
+        """More ranges than distinct top-level keys -> some ranges are
+        deliberately empty.  (The key floor and the work floor, lifted
+        here, would simply plan fewer morsels instead.)"""
+        monkeypatch.setattr(parallel_module, "MIN_MORSEL_KEYS", 1)
+        monkeypatch.setattr(selector_module, "_MORSEL_DISPATCH_COST", 1e-9)
         rows = [(1, 2), (2, 3), (3, 1)]
         database = Database([Relation("E", ("s", "t"), rows)], name="tiny")
         engine = QueryEngine(database)
         query = cycle_query(3)
         serial = engine.count(query, algorithm="lftj")
         result = engine.count(
-            query,
-            algorithm="lftj",
-            parallel=7,
-            parallel_backend=backend,
-            parallel_mode="static",
+            query, algorithm="lftj", parallel=7, parallel_backend=backend
         )
         assert result.count == serial.count == 3  # one triangle, 3 rotations
-        assert result.metadata["morsels"] == 7
+        assert result.metadata["morsels"] == 7 * parallel_module.MORSEL_OVERPARTITION
         assert 0 in result.metadata["shard_results"]
         database.close_pools()
 
@@ -223,17 +218,11 @@ class TestParameterSurface:
         with pytest.raises(ValueError, match="parallel_backend requires parallel"):
             engine.count(query, algorithm="lftj", parallel_backend="threads")
 
-    def test_parallel_mode_requires_parallel(self, engine_and_serial):
+    def test_parallel_mode_is_not_an_option(self, engine_and_serial):
+        """The static discipline is gone; asking for it fails loudly."""
         engine, query, _serial = engine_and_serial
-        with pytest.raises(ValueError, match="parallel_mode requires parallel"):
-            engine.count(query, algorithm="lftj", parallel_mode="static")
-
-    def test_unknown_parallel_mode_rejected(self, engine_and_serial):
-        engine, query, _serial = engine_and_serial
-        with pytest.raises(ValueError, match="unknown parallel mode"):
-            engine.count(
-                query, algorithm="lftj", parallel=2, parallel_mode="chaotic"
-            )
+        with pytest.raises(TypeError, match="parallel_mode"):
+            engine.count(query, algorithm="lftj", parallel=2, parallel_mode="static")
 
     def test_parallel_false_means_serial(self, engine_and_serial):
         engine, query, serial_results = engine_and_serial
@@ -264,7 +253,7 @@ class TestParameterSurface:
             ParallelExecutor(query, engine.database, inner="clftj")
 
     def test_auto_worker_count_keeps_tiny_queries_serial(self):
-        """The selector charges a per-worker engagement cost."""
+        """The selector charges every worker one morsel's work floor."""
         rows = [(1, 2), (2, 3), (3, 1)]
         database = Database([Relation("E", ("s", "t"), rows)], name="tiny")
         engine = QueryEngine(database)
@@ -277,13 +266,17 @@ class TestParameterSurface:
         database.close_pools()
 
     def test_auto_worker_count_scales_with_work(self):
-        database = _edge_database(encode=True)
-        engine = QueryEngine(database)
+        """Under two work floors of estimated work ``parallel=True`` declines
+        to serial; well above, it takes every usable core."""
+        small = QueryEngine(_edge_database(encode=True))
         query = path_query(5)
+        assert small.selector.recommend_workers(query, query.variables, available=4) == 1
+        base = random_edge_database(num_nodes=60, num_edges=420, seed=23)
+        engine = QueryEngine(Database(list(base), name="par-large"))
         workers = engine.selector.recommend_workers(
             query, query.variables, available=4
         )
-        assert workers > 1
+        assert workers == 4
         morsels = engine.selector.recommend_morsels(
             query, query.variables, workers=workers
         )
@@ -301,16 +294,10 @@ class TestParameterSurface:
     def test_explain_shows_partition_bounds(self, engine_and_serial):
         engine, query, _serial = engine_and_serial
         text = engine.explain(query, algorithm="plftj", parallel=3)
-        assert "parallel: backend=threads, mode=morsel, workers=3" in text
+        assert "parallel: backend=threads, workers=3" in text
+        assert "mode=" not in text
         assert "range(s) on variable" in text
         assert "bounds:" in text
-
-    def test_explain_shows_static_mode(self, engine_and_serial):
-        engine, query, _serial = engine_and_serial
-        text = engine.explain(
-            query, algorithm="plftj", parallel=3, parallel_mode="static"
-        )
-        assert "mode=static, workers=3, 3 range(s)" in text
 
     def test_cold_explain_neither_mutates_nor_poisons(self):
         """explain() on a cold database must not grow the dictionary, and

@@ -11,9 +11,10 @@ Four suites:
   on context-manager exit, and a close racing an in-flight job draining
   the job first.
 * **Scheduling** — deterministic ``(index, path)`` merge under forced
-  adaptive splitting on both backends, static mode never stealing or
-  splitting, and dead fork workers surfacing as a bounded-time error
-  instead of a hang.
+  adaptive splitting on both backends, a query under the work floor
+  getting one morsel per worker with nothing stolen or split, worker-side
+  deadline expiries surfacing as the typed timeout, and dead fork workers
+  surfacing as a bounded-time error instead of a hang.
 * **Handshake** — the fork pool's event-driven job end: a warm job costs
   about a millisecond, idle workers see a cancellation or a close at once,
   a worker killed while it waits is replaced, and leftovers of an earlier
@@ -24,6 +25,7 @@ Four suites:
 import os
 import signal
 import statistics
+import sys
 import threading
 import time
 from multiprocessing.connection import wait
@@ -37,11 +39,9 @@ from repro.core.instrumentation import OperationCounter
 from repro.engine import QueryEngine
 from repro.engine.faults import Deadline, PoolClosedError, QueryTimeoutError
 from repro.engine.pool import (
-    ForkWorkerPool,
     MorselJob,
     MorselTask,
     TaskOutcome,
-    ThreadWorkerPool,
     available_workers,
     create_worker_pool,
     split_task,
@@ -80,6 +80,13 @@ def _noop_runner(database, spec, task):
     return TaskOutcome(value=1, rows=None, counter=OperationCounter())
 
 
+def _spin_until_expired_runner(database, spec, task):
+    """``spec`` is the job's deadline: spin it out, then trip over it."""
+    while not spec.expired():
+        pass
+    spec.check()
+
+
 def _range_runner(database, spec, task):
     return TaskOutcome(value=task.lo, rows=None, counter=OperationCounter())
 
@@ -105,8 +112,8 @@ def _busy_and_idle(pool, pid_file):
             time.sleep(0.005)
     else:
         raise AssertionError("the task never started")
-    busy = next(p for p in pool._processes if p.pid == busy_pid)
-    idle = next(p for p in pool._processes if p.pid != busy_pid)
+    busy = next(p for p in pool.transport._processes if p.pid == busy_pid)
+    idle = next(p for p in pool.transport._processes if p.pid != busy_pid)
     return busy, idle
 
 
@@ -239,7 +246,7 @@ class TestLifecycle:
     def test_close_mid_job_drains_the_job_first(self):
         """Exiting the context manager mid-query finishes the query."""
         database = _edge_database(name="pool-drain")
-        pool = ThreadWorkerPool(database, 2)
+        pool = create_worker_pool(database, "threads", 2)
         job = MorselJob(spec=0.1, runner=_sleepy_runner, tasks=_tasks(4))
         reports = []
         runner = threading.Thread(target=lambda: reports.append(pool.run(job)))
@@ -257,7 +264,7 @@ class TestLifecycle:
         nor raise from close(); the run() call itself reports the failure
         (or drains clean) and the pool ends closed."""
         database = _edge_database(name="pool-close-race")
-        pool = ForkWorkerPool(database, 2)
+        pool = create_worker_pool(database, "processes", 2)
         outcomes = []
 
         def _run():
@@ -332,7 +339,7 @@ class TestLifecycle:
         """A job that outlives ``drain_timeout`` is abandoned with the typed
         error (not a hang, not a bare RuntimeError)."""
         database = _edge_database(name="pool-abandon")
-        pool = ThreadWorkerPool(database, 2)
+        pool = create_worker_pool(database, "threads", 2)
         failures = []
 
         def _run():
@@ -404,11 +411,11 @@ class TestLifecycle:
         with pytest.raises(ValueError, match="unknown pool backend"):
             create_worker_pool(database, "mpi", 2)
         with pytest.raises(ValueError, match="size must be >= 1"):
-            ThreadWorkerPool(database, 0)
+            create_worker_pool(database, "threads", 0)
 
     def test_empty_job_completes_without_workers(self):
         database = _edge_database(name="pool-empty")
-        pool = ThreadWorkerPool(database, 2)
+        pool = create_worker_pool(database, "threads", 2)
         report = pool.run(MorselJob(spec=0.0, runner=_sleepy_runner, tasks=[]))
         assert report.results == [] and pool.spawns == 0
         pool.close()
@@ -469,7 +476,7 @@ class TestScheduling:
         down: fast morsels are left whole (a flag that stayed up used to
         shatter every later task down to the minimum span)."""
         database = _edge_database(name="pool-one-split")
-        with ThreadWorkerPool(database, 1) as pool:
+        with create_worker_pool(database, "threads", 1) as pool:
             report = pool.run(
                 MorselJob(
                     spec=0.03,
@@ -484,6 +491,45 @@ class TestScheduling:
             (0, ()), (1, (0,)), (1, (1,)), (2, ()), (3, ()),
         ]
 
+    def test_thread_transport_loses_no_task_under_contention(self):
+        """Eight threads on two cores, a switch interval of 10 us, every
+        morsel splitting the next: each job's results must tile its key
+        space exactly once, and nothing may hang."""
+        database = _edge_database(name="pool-stress")
+        failures = []
+
+        def _jobs():
+            with create_worker_pool(database, "threads", 8) as pool:
+                for _ in range(20):
+                    report = pool.run(
+                        MorselJob(
+                            spec=None,
+                            runner=_range_runner,
+                            tasks=[MorselTask(i, (), 16 * i, 16 * (i + 1)) for i in range(64)],
+                            split_threshold=0.0,
+                            split_domain=(0, 1024),
+                        )
+                    )
+                    spans = [(r.lo, r.hi) for r in report.results]  # merge order
+                    if not (
+                        spans[0][0] == 0
+                        and spans[-1][1] == 1024
+                        and all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+                        and len(spans) == 64 + report.splits
+                    ):
+                        failures.append(spans)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runner = threading.Thread(target=_jobs, daemon=True)
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive(), "the thread pool hung"
+        assert not failures
+
     def test_steals_are_deterministic_for_results(self):
         """Whatever the stealing schedule, repeated runs merge identically."""
         database = _edge_database(name="pool-steal", nodes=40, edges=220, seed=3)
@@ -496,16 +542,42 @@ class TestScheduling:
         assert streams[0] == streams[1] == streams[2]
         database.close_pools()
 
-    def test_static_mode_never_steals_or_splits(self):
-        database = _edge_database(name="pool-static")
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_query_under_the_work_floor_gets_one_morsel_per_worker(self, backend):
+        """Too little work to repay a third morsel: the plan is one range
+        per worker, nothing is stolen, nothing is split, rows equal serial."""
+        database = _edge_database(name=f"pool-floor-{backend}", nodes=300, edges=900, seed=5)
         engine = QueryEngine(database)
-        result = engine.count(
-            cycle_query(3), algorithm="lftj", parallel=3, parallel_mode="static"
+        query = path_query(3)
+        # Interpreted, so that each morsel outlasts the other worker's wake-up.
+        serial = engine.evaluate(query, algorithm="lftj", compile=False)
+        assert engine.selector.recommend_morsels(query, query.variables, workers=2) == 2
+        result = engine.evaluate(
+            query, algorithm="lftj", compile=False, parallel=2, parallel_backend=backend
         )
+        assert result.rows == serial.rows
+        assert result.metadata["morsels"] == result.metadata["workers"] == 2
+        assert result.metadata["tasks_executed"] == 2
         assert result.metadata["steals"] == 0
         assert result.metadata["splits"] == 0
-        assert result.metadata["morsels"] == 3
         database.close_pools()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_worker_side_deadline_expiry_is_a_timeout(self, backend):
+        """The runner notices the expired deadline itself; the parent may or
+        may not have noticed first.  Either way the typed timeout surfaces
+        and the pool stays usable."""
+        database = _edge_database(name=f"pool-worker-timeout-{backend}")
+        with create_worker_pool(database, backend, 2) as pool:
+            for _ in range(5):
+                deadline = Deadline.start(0.02)
+                with pytest.raises(QueryTimeoutError):
+                    pool.run(
+                        MorselJob(spec=deadline, runner=_spin_until_expired_runner,
+                                  tasks=_tasks(4), deadline=deadline)
+                    )
+            report = pool.run(MorselJob(spec=None, runner=_noop_runner, tasks=_tasks(4)))
+            assert len(report.results) == 4
 
     def test_dead_fork_worker_is_detected_not_hung(self):
         """With the retry budget pinned to zero a worker killed mid-job
@@ -513,7 +585,7 @@ class TestScheduling:
         re-forks for the next job.  (Recovery under the default budget is
         covered in tests/test_faults.py.)"""
         database = _edge_database(name="pool-dead")
-        pool = ForkWorkerPool(database, 2)
+        pool = create_worker_pool(database, "processes", 2)
         with pytest.raises(RuntimeError, match="died mid-job"):
             pool.run(MorselJob(spec=None, runner=_suicide_runner, tasks=_tasks(2),
                                max_retries=0))
@@ -530,7 +602,7 @@ class TestScheduling:
         def _boom(database, spec, task):
             raise ValueError("morsel exploded")
 
-        pool = ThreadWorkerPool(database, 2)
+        pool = create_worker_pool(database, "threads", 2)
         with pytest.raises(RuntimeError, match="morsel worker"):
             pool.run(MorselJob(spec=None, runner=_boom, tasks=_tasks(2)))
         # The pool survives a failed job.
@@ -549,7 +621,7 @@ class TestForkHandshake:
         """Eight no-op morsels on two warm workers: about a millisecond.
         (A worker that polls its control pipe every 50 ms makes this >= 50.)"""
         database = _edge_database(name="pool-handshake")
-        with ForkWorkerPool(database, 2) as pool:
+        with create_worker_pool(database, "processes", 2) as pool:
             job = MorselJob(spec=None, runner=_noop_runner, tasks=_tasks(8))
             pool.run(job)  # forks the workers
             walls = []
@@ -566,7 +638,7 @@ class TestForkHandshake:
         timeout surfaces within 10 ms of the sleeper finishing (best of
         three; a 50 ms poll would put every attempt past that)."""
         database = _edge_database(name="pool-cancel")
-        with ForkWorkerPool(database, 2) as pool:
+        with create_worker_pool(database, "processes", 2) as pool:
             pool.run(MorselJob(spec=0.0, runner=_sleepy_runner, tasks=_tasks(2)))
             overshoots = []
             for _ in range(3):
@@ -591,7 +663,7 @@ class TestForkHandshake:
         latencies = []
         for attempt in range(3):
             database = _edge_database(name=f"pool-close-idle-{attempt}")
-            pool = ForkWorkerPool(database, 2)
+            pool = create_worker_pool(database, "processes", 2)
             pid_file = tmp_path / f"busy-{attempt}.pid"
             job = MorselJob(spec=(str(pid_file), 0.3), runner=_pid_logging_runner,
                             tasks=_tasks(1))
@@ -629,7 +701,7 @@ class TestForkHandshake:
         unfinished morsel is re-fed, and the next job runs normally."""
         monkeypatch.setattr(pool_module, "HEARTBEAT_SECONDS", 0.05)
         database = _edge_database(name="pool-kill-idle")
-        with ForkWorkerPool(database, 2) as pool:
+        with create_worker_pool(database, "processes", 2) as pool:
             pool.run(MorselJob(spec=None, runner=_noop_runner, tasks=_tasks(2)))
             pid_file = tmp_path / "busy.pid"
             reports = []
@@ -658,11 +730,11 @@ class TestForkHandshake:
         """A task or result still in a queue when its job ended carries that
         job's number and must not leak into the next one."""
         database = _edge_database(name="pool-leftovers")
-        with ForkWorkerPool(database, 2) as pool:
+        with create_worker_pool(database, "processes", 2) as pool:
             pool.run(MorselJob(spec=None, runner=_noop_runner, tasks=_tasks(2)))
             stale = pool._job_seq
-            pool._task_queue.put((stale, MorselTask(0, (), 100, 200)))
-            pool._result_queue.put((stale, ("error", (0, ()), "ValueError: stale")))
+            pool.transport._task_queue.put((stale, MorselTask(0, (), 100, 200)))
+            pool.transport._result_queue.put((stale, ("error", (0, ()), "ValueError: stale")))
             report = pool.run(
                 MorselJob(spec=None, runner=_range_runner,
                           tasks=[MorselTask(0, (), 7, 9), MorselTask(1, (), 9, 11)])

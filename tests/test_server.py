@@ -399,6 +399,10 @@ class TestHTTP:
         _, base, _ = http_server
         status, body, _ = _post(base, "/count", {"query": ""})
         assert status == 400 and "query" in body["error"]
+        status, body, _ = _post(
+            base, "/count", {"query": "3-cycle", "parallel": 2, "parallel_mode": "static"}
+        )
+        assert status == 400 and "parallel_mode" in body["error"]  # removed option
         status, body, _ = _post(base, "/count", {"query": "3-cycle", "timeout": 1e-9})
         assert status == 408 and "timeout" in body["error"]
         status, body, _ = _post(
