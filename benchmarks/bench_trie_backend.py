@@ -1,15 +1,15 @@
-"""Trie backend comparison — columnar vs. the seed node backend, cold vs. warm.
+"""Trie index cache, compiled-driver and parallel cells — cold vs. warm.
 
-The seed implementation rebuilt a pointer-chasing object-graph trie for every
-atom on every executor construction.  The columnar backend stores each level
-as flat parallel arrays and is routed through the database's shared index
-cache, so repeated executions of the same (or overlapping) queries pay no
-rebuild at all.  This benchmark measures triangle counting end to end
-(executor construction + count):
+Tries are routed through the database's shared index cache, so repeated
+executions of the same (or overlapping) queries pay no rebuild at all.  The
+triangle cells measure counting end to end (executor construction + count):
 
-* ``seed``  — node backend, per-construction rebuild (the seed behaviour);
-* ``cold``  — columnar backend with an empty index cache;
-* ``warm``  — columnar backend with the shared cache already populated.
+* ``cold``  — an empty index cache;
+* ``warm``  — the shared cache already populated.
+
+(The node-trie ``seed`` cells and the encoded-vs-raw cells this file used to
+carry went with the storage axes they measured; ``BENCH_4.json`` keeps the
+last ``triangle_warm_encoding`` record, frozen.)
 
 Run with::
 
@@ -34,19 +34,13 @@ if __name__ == "__main__":  # standalone: make repro/ and benchmarks/ importable
 import pytest
 
 from repro.bench.reporting import write_bench_json
-from repro.core.instrumentation import OperationCounter
 from repro.core.lftj import LeapfrogTrieJoin
 from repro.query.patterns import cycle_query
-from repro.storage.database import Database
-from repro.storage.trie import NodeTrieIndex, TrieIndex
 
 from benchmarks.conftest import report_row
 
 DATASETS = ("wiki-Vote", "ego-Facebook")
 ROUNDS = 3
-
-#: Machine-readable benchmark trajectory (perf baseline for future PRs).
-BENCH_JSON = str(Path(__file__).resolve().parent.parent / "BENCH_4.json")
 
 #: PR 5's trajectory file: serial-vs-parallel join cells (frozen artifact).
 BENCH5_JSON = str(Path(__file__).resolve().parent.parent / "BENCH_5.json")
@@ -62,7 +56,7 @@ BENCH7_JSON = str(Path(__file__).resolve().parent.parent / "BENCH_7.json")
 #: trie join vs the interpreted CLFTJ oracle, plus the pclftj identity cell).
 BENCH8_JSON = str(Path(__file__).resolve().parent.parent / "BENCH_8.json")
 
-#: Scale of the dictionary-encoding cells: large enough for stable timing.
+#: Scale of the compiled-driver cells: large enough for stable timing.
 ENCODING_SCALE = 2.0
 ENCODING_ROUNDS = 7
 
@@ -95,9 +89,6 @@ def _triangle_cells(snap_dbs):
     for dataset in DATASETS:
         database = snap_dbs[dataset]
 
-        def seed_run():
-            return LeapfrogTrieJoin(query, database, trie_backend="nodes").count()
-
         def cold_run():
             database.clear_index_cache()
             return LeapfrogTrieJoin(query, database).count()
@@ -105,99 +96,15 @@ def _triangle_cells(snap_dbs):
         def warm_run():
             return LeapfrogTrieJoin(query, database).count()
 
-        seed_time, seed_count = _best_of(seed_run)
         cold_time, cold_count = _best_of(cold_run)
         warm_run()  # populate the shared cache
         builds_before = database.index_builds
         warm_time, warm_count = _best_of(warm_run)
         builds_during_warm = database.index_builds - builds_before
         yield (
-            dataset, seed_time, cold_time, warm_time,
-            (seed_count, cold_count, warm_count), builds_during_warm,
+            dataset, cold_time, warm_time,
+            (cold_count, warm_count), builds_during_warm,
         )
-
-
-def _encoding_cells(scale=ENCODING_SCALE, rounds=ENCODING_ROUNDS):
-    """Warm triangle counting: dictionary-encoded vs raw-object path.
-
-    The raw path (``encode=False``) is the pre-encoding configuration of the
-    join stack — the PR-4 acceptance baseline.  Runs are interleaved so CPU
-    frequency drift hits both sides equally; cells report best-of wall
-    times, trie seeks and the decode counter (which must stay 0: counting
-    never materialises a value).
-    """
-    from repro.bench.workloads import snap_databases
-
-    query = cycle_query(3)
-    for dataset in DATASETS:
-        encoded_db = snap_databases((dataset,), scale=scale)[dataset]
-        raw_db = Database(
-            list(encoded_db), name=f"{dataset}-raw", encode=False
-        )
-        for database in (encoded_db, raw_db):  # build tries, warm caches
-            LeapfrogTrieJoin(query, database).count()
-        encoded_time = raw_time = float("inf")
-        encoded_count = raw_count = None
-        for _ in range(rounds):
-            started = time.perf_counter()
-            encoded_count = LeapfrogTrieJoin(query, encoded_db).count()
-            encoded_time = min(encoded_time, time.perf_counter() - started)
-            started = time.perf_counter()
-            raw_count = LeapfrogTrieJoin(query, raw_db).count()
-            raw_time = min(raw_time, time.perf_counter() - started)
-        encoded_counter, raw_counter = OperationCounter(), OperationCounter()
-        LeapfrogTrieJoin(query, encoded_db, counter=encoded_counter).count()
-        LeapfrogTrieJoin(query, raw_db, counter=raw_counter).count()
-        yield {
-            "dataset": dataset,
-            "scale": scale,
-            "count_encoded": encoded_count,
-            "count_raw": raw_count,
-            "encoded_seconds": encoded_time,
-            "raw_seconds": raw_time,
-            "speedup": raw_time / encoded_time,
-            "trie_seeks_encoded": encoded_counter.trie_seeks,
-            "trie_seeks_raw": raw_counter.trie_seeks,
-            "decodes": encoded_db.dictionary.decodes,
-            "dictionary_entries": len(encoded_db.dictionary),
-            "index_builds": encoded_db.index_builds,
-            "index_cache_hits": encoded_db.index_cache_hits,
-        }
-
-
-def _record_encoding_cells(cells, quick=False):
-    """Write the encoding cells into BENCH_4.json (keyed by dataset)."""
-    payload = {
-        "query": "3-cycle",
-        "mode": "count",
-        "quick": quick,
-        "cells": {cell["dataset"]: cell for cell in cells},
-    }
-    write_bench_json(BENCH_JSON, "triangle_warm_encoding", payload)
-
-
-def test_triangle_encoding_speedup():
-    """Warm encoded triangle counting >= 2x the raw path, with 0 decodes."""
-    cells = list(_encoding_cells())
-    _record_encoding_cells(cells)
-    for cell in cells:
-        report_row(
-            "Dictionary encoding",
-            dataset=cell["dataset"],
-            query="3-cycle",
-            count=cell["count_encoded"],
-            raw_seconds=round(cell["raw_seconds"], 5),
-            encoded_seconds=round(cell["encoded_seconds"], 5),
-            speedup=round(cell["speedup"], 2),
-            decodes=cell["decodes"],
-        )
-        assert cell["count_encoded"] == cell["count_raw"]
-        assert cell["decodes"] == 0, "count-only queries must never decode"
-        assert cell["speedup"] >= 2.0, (
-            f"warm encoded triangle counting on {cell['dataset']} should be "
-            f">= 2x the raw-object path, got {cell['speedup']:.2f}x"
-        )
-
 
 
 def _compiled_cells(scale=ENCODING_SCALE, rounds=ENCODING_ROUNDS):
@@ -539,32 +446,6 @@ def test_parallel_triangle_and_clique_speedup():
             )
 
 
-def test_triangle_counting_backend_speedup(snap_dbs):
-    """Columnar + shared cache beats the seed trie on triangle counting."""
-    for dataset, seed_time, cold_time, warm_time, counts, warm_builds in _triangle_cells(snap_dbs):
-        seed_count, cold_count, warm_count = counts
-        assert seed_count == cold_count == warm_count
-        assert warm_builds == 0, "warm runs must not rebuild any trie"
-        report_row(
-            "Trie backend",
-            dataset=dataset,
-            query="3-cycle",
-            count=seed_count,
-            seed_seconds=round(seed_time, 5),
-            cold_seconds=round(cold_time, 5),
-            warm_seconds=round(warm_time, 5),
-            cold_speedup=round(seed_time / cold_time, 2),
-            warm_speedup=round(seed_time / warm_time, 2),
-        )
-        assert seed_time / warm_time >= 1.5, (
-            f"warm columnar triangle counting on {dataset} should be >= 1.5x "
-            f"the seed backend, got {seed_time / warm_time:.2f}x"
-        )
-        # Cold runs still win (fewer physical tries + cheaper construction),
-        # asserted with slack against timer noise.
-        assert seed_time / cold_time >= 1.1
-
-
 def test_warm_construction_cost_is_near_zero(snap_dbs):
     """With a warm shared cache, executor construction does no index work."""
     query = cycle_query(3)
@@ -581,23 +462,6 @@ def test_warm_construction_cost_is_near_zero(snap_dbs):
         ratio=round(cold_time / warm_time, 1),
     )
     assert warm_time < cold_time
-
-
-def test_columnar_build_not_slower_than_node_build(snap_dbs):
-    """Flat columnar construction keeps up with the recursive node builder."""
-    relation = snap_dbs["ego-Facebook"].relation("E")
-    node_time, _ = _best_of(lambda: NodeTrieIndex.build(relation, (0, 1)))
-    columnar_time, _ = _best_of(lambda: TrieIndex.build(relation, (0, 1)))
-    report_row(
-        "Trie backend",
-        dataset="ego-Facebook",
-        phase="build",
-        node_seconds=round(node_time, 6),
-        columnar_seconds=round(columnar_time, 6),
-        speedup=round(node_time / columnar_time, 2),
-    )
-    # Flat construction beats per-node allocation; allow slack for timer noise.
-    assert columnar_time <= node_time * 1.1
 
 
 @pytest.mark.parametrize("algorithm", ("lftj", "clftj"))
@@ -624,8 +488,9 @@ def main(argv=None):
     """Standalone entry point (CI smoke): run the triangle cells directly.
 
     ``--quick`` shrinks the datasets and skips the timing assertions — the
-    point is that the bench entry point still runs end to end and that the
-    three backends agree, not that a loaded CI runner hits speedup targets.
+    point is that the bench entry point still runs end to end and that cold,
+    warm, compiled and interpreted runs agree, not that a loaded CI runner
+    hits speedup targets.
     """
     import argparse
 
@@ -649,53 +514,22 @@ def main(argv=None):
     if args.quick:
         ROUNDS = 1
     databases = snap_databases(DATASETS, scale=scale)
-    for dataset, seed_time, cold_time, warm_time, counts, warm_builds in _triangle_cells(databases):
-        seed_count, cold_count, warm_count = counts
-        if not (seed_count == cold_count == warm_count):
-            print(f"FAIL: backends disagree on {dataset}: {counts}", file=sys.stderr)
+    for dataset, cold_time, warm_time, counts, warm_builds in _triangle_cells(databases):
+        cold_count, warm_count = counts
+        if cold_count != warm_count:
+            print(f"FAIL: cold and warm runs disagree on {dataset}: {counts}", file=sys.stderr)
             return 1
         if warm_builds != 0:
             print(f"FAIL: warm runs rebuilt {warm_builds} tries on {dataset}", file=sys.stderr)
             return 1
         report_row(
-            "Trie backend (standalone)",
+            "Trie index cache (standalone)",
             dataset=dataset,
             query="3-cycle",
-            count=seed_count,
-            seed_seconds=round(seed_time, 5),
+            count=warm_count,
             cold_seconds=round(cold_time, 5),
             warm_seconds=round(warm_time, 5),
-            warm_speedup=round(seed_time / warm_time, 2),
         )
-        if not args.quick and seed_time / warm_time < 1.5:
-            print(f"FAIL: warm speedup below 1.5x on {dataset}", file=sys.stderr)
-            return 1
-    encoding_scale = 0.5 if args.quick else ENCODING_SCALE
-    encoding_rounds = 2 if args.quick else ENCODING_ROUNDS
-    cells = list(_encoding_cells(scale=encoding_scale, rounds=encoding_rounds))
-    _record_encoding_cells(cells, quick=args.quick)
-    for cell in cells:
-        report_row(
-            "Dictionary encoding (standalone)",
-            dataset=cell["dataset"],
-            count=cell["count_encoded"],
-            raw_seconds=round(cell["raw_seconds"], 5),
-            encoded_seconds=round(cell["encoded_seconds"], 5),
-            speedup=round(cell["speedup"], 2),
-            decodes=cell["decodes"],
-        )
-        if cell["count_encoded"] != cell["count_raw"]:
-            print(f"FAIL: encoded/raw counts disagree on {cell['dataset']}",
-                  file=sys.stderr)
-            return 1
-        if cell["decodes"] != 0:
-            print(f"FAIL: count-only run decoded {cell['decodes']} values",
-                  file=sys.stderr)
-            return 1
-        if not args.quick and cell["speedup"] < 2.0:
-            print(f"FAIL: encoding speedup below 2x on {cell['dataset']}",
-                  file=sys.stderr)
-            return 1
     compiled_scale = 0.5 if args.quick else ENCODING_SCALE
     compiled_rounds = 2 if args.quick else ENCODING_ROUNDS
     compiled_cells = list(

@@ -18,7 +18,7 @@ from repro.core.instrumentation import OperationCounter
 from repro.query.atoms import Atom, ConjunctiveQuery
 from repro.query.terms import Variable
 from repro.storage.database import Database
-from repro.storage.dictionary import ValueDictionary, ValueEncodingError
+from repro.storage.dictionary import ValueDictionary
 from repro.storage.relation import Relation
 from repro.storage.views import atom_column_order, shared_atom_index
 
@@ -27,8 +27,9 @@ class _PrefixIndex:
     """Hash index over one atom view: prefix tuple -> sorted candidate values.
 
     Level ``i`` maps an assignment of the first ``i`` variables (in global
-    order) to the sorted list of values the ``i+1``-th variable can take.
-    The index carries no counter so it can be shared between executions (the
+    order) to the sorted list of values the ``i+1``-th variable can take —
+    all in the code space of the database's ``dictionary``.  The index
+    carries no counter so it can be shared between executions (the
     caller records probes); ``column_order`` gives the view columns in global
     variable order.
 
@@ -42,13 +43,10 @@ class _PrefixIndex:
         self,
         relation: Relation,
         column_order: Sequence[int],
-        dictionary: Optional[ValueDictionary] = None,
+        dictionary: ValueDictionary,
     ) -> None:
         self.column_order = tuple(column_order)
-        #: The database's value dictionary when buckets are keyed by int
-        #: codes (candidates then sort by code); ``None`` on the raw path.
         self.dictionary = dictionary
-        self.encoded = dictionary is not None
         self._levels: List[Dict[Tuple[object, ...], List[object]]] = [
             {} for _ in self.column_order
         ]
@@ -56,8 +54,7 @@ class _PrefixIndex:
             {} for _ in self.column_order
         ]
         for row in relation.tuples:
-            if dictionary is not None:
-                row = dictionary.encode_row(row)
+            row = dictionary.encode_row(row)
             ordered = tuple(row[index] for index in self.column_order)
             for level in range(len(ordered)):
                 prefix = ordered[:level]
@@ -90,19 +87,18 @@ class _PrefixIndex:
         Called by :meth:`repro.storage.database.Database.insert` / ``delete``
         through the shared index cache, mirroring
         :meth:`repro.storage.trie.LsmTrieIndex.apply_delta`; rows arrive in
-        view column layout (value space) and are permuted — and, on the
-        encoded path, dictionary-encoded — here.  Deletes naming never-seen
-        values cannot match and are skipped without growing the dictionary.
+        view column layout (value space) and are dictionary-encoded and
+        permuted here.  Deletes naming never-seen values cannot match and
+        are skipped without growing the dictionary.
         """
         dictionary = self.dictionary
-        if dictionary is not None:
-            coded_deletes = []
-            for row in deleted:
-                coded = dictionary.try_encode_row(row)
-                if coded is not None:
-                    coded_deletes.append(coded)
-            deleted = coded_deletes
-            inserted = [dictionary.encode_row(row) for row in inserted]
+        coded_deletes = []
+        for row in deleted:
+            coded = dictionary.try_encode_row(row)
+            if coded is not None:
+                coded_deletes.append(coded)
+        deleted = coded_deletes
+        inserted = [dictionary.encode_row(row) for row in inserted]
         for row in deleted:
             ordered = tuple(row[index] for index in self.column_order)
             for level in range(len(ordered)):
@@ -147,6 +143,10 @@ def atom_prefix_index(
 class GenericJoin:
     """Worst-case-optimal variable-at-a-time join over hash prefix indexes."""
 
+    #: Executor-protocol marker: the join runs in dictionary-code space and
+    #: ``evaluate_coded()`` yields code tuples.
+    encoded = True
+
     def __init__(
         self,
         query: ConjunctiveQuery,
@@ -166,19 +166,10 @@ class GenericJoin:
 
         self._indexes: List[_PrefixIndex] = []
         self._atom_order: List[Tuple[Variable, ...]] = []
-        try:
-            self._build_indexes()
-        except ValueEncodingError:
-            # Un-encodable inputs: fall back to the raw-object path (the
-            # database drops any half-encoded cached indexes) and rebuild.
-            database.disable_encoding()
-            self._build_indexes()
-        #: True when every prefix index is keyed by dictionary codes — the
-        #: join then runs entirely in code space.
-        self.encoded = bool(self._indexes) and all(
-            index.encoded for index in self._indexes
-        )
-        self._dictionary = database.dictionary if self.encoded else None
+        for atom in query.atoms:
+            ordered, column_order = atom_column_order(atom, self._depth_of)
+            self._indexes.append(atom_prefix_index(database, atom, column_order))
+            self._atom_order.append(ordered)
 
         self._atoms_at_depth: List[Tuple[int, ...]] = [
             tuple(
@@ -190,15 +181,6 @@ class GenericJoin:
         ]
         #: ``[lo, hi)`` bound on the top variable for the running execution.
         self._range: Tuple[object, object] = (None, None)
-
-    def _build_indexes(self) -> None:
-        """(Re)build the shared prefix indexes under the current mode."""
-        self._indexes = []
-        self._atom_order = []
-        for atom in self.query.atoms:
-            ordered, column_order = atom_column_order(atom, self._depth_of)
-            self._indexes.append(atom_prefix_index(self.database, atom, column_order))
-            self._atom_order.append(ordered)
 
     # ------------------------------------------------------------- execution
     def _bound_prefix(self, atom_index: int, assignment: List[object], depth_limit: int) -> Tuple[object, ...]:
@@ -253,21 +235,18 @@ class GenericJoin:
     def evaluate(self) -> Iterator[Tuple[object, ...]]:
         """Yield every result tuple in variable-order positions.
 
-        Encoded executions decode each row here for direct callers; the
-        engine consumes :meth:`evaluate_coded` and decodes lazily at the
-        result boundary instead.
+        Each row is decoded here for direct callers; the engine consumes
+        :meth:`evaluate_coded` and decodes lazily at the result boundary
+        instead.
         """
-        if self._dictionary is not None:
-            decode_row = self._dictionary.decode_row
-            for row in self.evaluate_coded():
-                yield decode_row(row)
-        else:
-            yield from self.evaluate_coded()
+        decode_row = self.database.dictionary.decode_row
+        for row in self.evaluate_coded():
+            yield decode_row(row)
 
     def evaluate_coded(
         self, lo=None, hi=None, counter=None
     ) -> Iterator[Tuple[object, ...]]:
-        """Yield result tuples in storage space (codes when encoded)."""
+        """Yield result tuples in storage space (dictionary codes)."""
         yield from self._evaluate_recursive(0, self._prepare(lo, hi, counter))
 
     def _evaluate_recursive(self, depth: int, assignment: List[object]) -> Iterator[Tuple[object, ...]]:
@@ -288,7 +267,7 @@ class GenericJoin:
 
     def execution_metadata(self) -> Dict[str, object]:
         """Executor-protocol hook: per-algorithm facts worth reporting."""
-        return {"prefix_indexes": len(self._indexes), "encoded": self.encoded}
+        return {"prefix_indexes": len(self._indexes)}
 
     def _split_atoms(
         self, depth: int, assignment: List[object]
@@ -314,7 +293,7 @@ class GenericJoin:
         candidates = best_candidates or []
         if depth == 0 and self._range != (None, None):
             lo, hi = self._range
-            # Candidate lists are sorted (by code or value), so the range
+            # Candidate lists are sorted by code, so the range
             # restriction is a binary-searched slice; probed values already
             # lie in range, so the membership probes need no change.
             lo_pos = 0 if lo is None else bisect_left(candidates, lo)

@@ -7,7 +7,7 @@ iterators and seeking each to the current maximum (Veldhuizen's "leapfrog
 join").  The amortised cost is within a log factor of the smallest list,
 which is what gives LFTJ its worst-case-optimality.
 
-On the dictionary-encoded path the sibling lists are contiguous sorted *int*
+Over dictionary-encoded tries the sibling lists are contiguous sorted *int*
 runs inside flat columns, which admits a second execution strategy:
 :func:`intersect_count` intersects whole runs block-at-a-time (numpy set
 ops when available, a galloping two-pointer merge otherwise) instead of
@@ -216,7 +216,7 @@ def _fast_child_run(iterator):
     :meth:`~repro.storage.trie.TrieIterator.child_run` flattened into plain
     attribute loads (keep the two in sync); every other iterator goes
     through its own ``child_run`` method (merged LSM cursors delegate at
-    pure levels).  Returns ``None`` when no encoded child run exists.
+    pure levels).  Returns ``None`` when no int child run exists.
     """
     if type(iterator) is _COLUMNAR_ITERATOR:
         depth = iterator._depth
@@ -234,21 +234,17 @@ def _fast_child_run(iterator):
             iterator._child_begin[level][position],
             iterator._child_end[level][position],
         )
-    child_run = getattr(iterator, "child_run", None)
-    return child_run() if child_run is not None else None
+    return iterator.child_run()
 
 
 def _gather_runs(iterators: Sequence[object]):
     """Collect ``(keys, np_view, lo, hi)`` runs, or ``None`` if any iterator
-    cannot expose an encoded int run (the caller then takes the generic
-    per-key leapfrog path)."""
+    exposes no int run here — an impure level of a merged LSM cursor — and
+    the caller takes the generic per-key leapfrog path."""
     runs = []
     span_total = 0
     for iterator in iterators:
-        current_run = getattr(iterator, "current_run", None)
-        if current_run is None:
-            return None
-        run = current_run()
+        run = iterator.current_run()
         if run is None:
             return None
         runs.append(run)
@@ -327,7 +323,7 @@ def _count_common(runs, span_total: int) -> int:
 def intersect_count(iterators: Sequence[object], counter: Optional[object] = None) -> Optional[int]:
     """Count the keys common to every iterator's remaining run, batched.
 
-    Applicable when every iterator exposes an encoded int run through
+    Applicable when every iterator exposes an int run through
     ``current_run()`` (columnar iterators over dictionary-encoded tries, and
     merged LSM iterators at *pure* levels); returns ``None`` otherwise, and
     the caller falls back to the generic per-key :class:`LeapfrogJoin` loop.
@@ -403,10 +399,7 @@ def intersect_child_count(iterators: Sequence[object], counter: Optional[object]
     runs = []
     span_total = 0
     for iterator in iterators:
-        child_run = getattr(iterator, "child_run", None)
-        if child_run is None:
-            return None
-        run = child_run()
+        run = iterator.child_run()
         if run is None:
             return None
         runs.append(run)
@@ -424,7 +417,7 @@ def intersect_positions(iterators: Sequence[object], counter: Optional[object] =
 
     Returns ``(keys, positions)`` — ``positions[i][j]`` being the absolute
     index of ``keys[j]`` inside iterator ``i``'s current level — or ``None``
-    when any iterator lacks an encoded run.  The interior-depth walkers use
+    when any iterator lacks an int run.  The interior-depth walkers use
     this to land every cursor with a trusted ``advance_to`` instead of a
     probing seek per key: the whole repositioning cost is paid once here, at
     block speed (vectorised ``searchsorted`` under numpy).
@@ -447,7 +440,7 @@ def intersect_keys(iterators: Sequence[object], counter: Optional[object] = None
     iterator with a (monotone, galloping) ``seek`` before descending — all
     the non-matching keys in between are skipped at block speed without a
     single leapfrog rotation.  Returns ``None`` when any iterator lacks an
-    encoded run; the iterators themselves are never moved here.
+    int run; the iterators themselves are never moved here.
     """
     gathered = _gather_runs(iterators)
     if gathered is None:

@@ -28,20 +28,8 @@ from repro.core.leapfrog import (
 from repro.query.atoms import ConjunctiveQuery
 from repro.query.terms import Variable
 from repro.storage.database import Database
-from repro.storage.dictionary import ValueDictionary, ValueEncodingError
-from repro.storage.trie import (
-    BoundedTrieIterator,
-    NodeTrieIndex,
-    TrieIndex,
-    TrieIterator,
-)
-from repro.storage.views import atom_column_order, atom_trie, materialize_atom
-
-#: Trie backends accepted by :class:`TrieJoinBase`.  "columnar" (the default)
-#: routes through the database's shared index cache so repeated executor
-#: constructions reuse tries; "nodes" rebuilds the reference object-graph trie
-#: per construction (the seed behaviour, kept for benchmark comparisons).
-TRIE_BACKENDS: Tuple[str, ...] = ("columnar", "nodes")
+from repro.storage.trie import BoundedTrieIterator, LsmTrieIndex, TrieIterator
+from repro.storage.views import atom_column_order, atom_trie
 
 
 class TrieJoinBase:
@@ -58,7 +46,15 @@ class TrieJoinBase:
     * restrict one execution to top-variable keys in ``[lo, hi)`` — an
       argument of ``count`` / ``evaluate_coded``, like the counter, so a
       morsel-parallel worker runs one executor over many ranges.
+
+    The whole join runs in dictionary-code space: the tries hold int codes,
+    assignments (and adhesion-cache keys) hold codes, and values only
+    materialise at the result boundary.
     """
+
+    #: Executor-protocol marker: ``evaluate_coded()`` yields code tuples
+    #: the engine decodes lazily (the value-space baselines lack it).
+    encoded = True
 
     #: Cooperative deadline, set post-construction by the engine when a
     #: ``timeout=`` was given (any object with ``check()`` — see
@@ -80,16 +76,9 @@ class TrieJoinBase:
         database: Database,
         variable_order: Optional[Sequence[Variable]] = None,
         counter: Optional[OperationCounter] = None,
-        *,
-        trie_backend: str = "columnar",
     ) -> None:
-        if trie_backend not in TRIE_BACKENDS:
-            raise ValueError(
-                f"unknown trie backend {trie_backend!r}; choose one of {TRIE_BACKENDS}"
-            )
         self.query = query
         self.database = database
-        self.trie_backend = trie_backend
         self.counter = counter if counter is not None else OperationCounter()
         order = tuple(variable_order) if variable_order is not None else tuple(query.variables)
         self._validate_order(order)
@@ -99,24 +88,12 @@ class TrieJoinBase:
         }
         self.num_variables = len(order)
 
-        self._atom_tries: List[TrieIndex] = []
+        self._atom_tries: List[LsmTrieIndex] = []
         self._atom_variables: List[Tuple[Variable, ...]] = []
-        try:
-            self._build_atom_tries()
-        except ValueEncodingError:
-            # Un-encodable input values: flip the database to the raw-object
-            # path (dropping any half-encoded cached indexes) and rebuild.
-            database.disable_encoding()
-            self._build_atom_tries()
-        #: True when every atom trie runs in dictionary-code space — the
-        #: whole join then executes over int codes, assignments hold codes,
-        #: and values only materialise at the result boundary.
-        self.encoded = bool(self._atom_tries) and all(
-            getattr(trie, "encoded", False) for trie in self._atom_tries
-        )
-        self._dictionary: Optional[ValueDictionary] = (
-            database.dictionary if self.encoded else None
-        )
+        for atom in query.atoms:
+            ordered, column_order = atom_column_order(atom, self._depth_of)
+            self._atom_tries.append(atom_trie(database, atom, column_order))
+            self._atom_variables.append(ordered)
 
         self._atoms_at_depth: List[Tuple[int, ...]] = []
         for depth, variable in enumerate(order):
@@ -130,21 +107,6 @@ class TrieJoinBase:
         self._iterators: List[TrieIterator] = []
         self._assignment: List[Optional[object]] = []
         self._deadline_ticks = 0
-
-    def _build_atom_tries(self) -> None:
-        """(Re)build the per-atom tries under the database's current mode."""
-        self._atom_tries = []
-        self._atom_variables = []
-        for atom in self.query.atoms:
-            ordered, column_order = atom_column_order(atom, self._depth_of)
-            if self.trie_backend == "columnar":
-                trie = atom_trie(self.database, atom, column_order)
-            else:
-                trie = NodeTrieIndex.build(
-                    materialize_atom(self.database, atom), column_order
-                )
-            self._atom_tries.append(trie)
-            self._atom_variables.append(ordered)
 
     # -------------------------------------------------------------- validation
     def _validate_order(self, order: Sequence[Variable]) -> None:
@@ -232,17 +194,8 @@ class TrieJoinBase:
         The engine merges this into ``ExecutionResult.metadata`` after every
         run; subclasses extend it (CLFTJ adds its adhesion-cache state).
         """
-        metadata: Dict[str, object] = {
-            "trie_backend": self.trie_backend,
-            # Whether this execution ran in dictionary-code space (int-array
-            # kernels, zero decodes until the result boundary).
-            "encoded": self.encoded,
-        }
-        if self.encoded:
-            metadata["dictionary_size"] = len(self._dictionary)
-        delta_tries = sum(
-            1 for trie in self._atom_tries if getattr(trie, "has_deltas", False)
-        )
+        metadata: Dict[str, object] = {"dictionary_size": len(self.database.dictionary)}
+        delta_tries = sum(1 for trie in self._atom_tries if trie.has_deltas)
         if delta_tries:
             # Tries currently carrying an unmerged LSM delta level: reads go
             # through the merging iterator until the next compaction.
@@ -252,7 +205,7 @@ class TrieJoinBase:
     # ------------------------------------------------------------- decoding
     def _decoded(self, rows: Iterator[Tuple[object, ...]]) -> Iterator[Tuple[object, ...]]:
         """Decode a stream of code-space rows back to value tuples."""
-        decode_row = self._dictionary.decode_row
+        decode_row = self.database.dictionary.decode_row
         for row in rows:
             yield decode_row(row)
 
@@ -282,7 +235,7 @@ class LeapfrogTrieJoin(TrieJoinBase):
             self.counter.results_emitted += 1
             return 1
         participants = self._participants(depth)
-        if self.encoded and depth + 1 == self.num_variables:
+        if depth + 1 == self.num_variables:
             # Deepest variable of a count: nothing recurses off the matched
             # keys, so the per-parent open/intersect/up cycle fuses into one
             # stateless block intersection of the child runs — the hottest
@@ -295,58 +248,59 @@ class LeapfrogTrieJoin(TrieJoinBase):
                 return matches
         for iterator in participants:
             iterator.open()
-        if self.encoded:
-            if depth + 1 == self.num_variables:
-                # Fusion unavailable (e.g. an impure merged level): intersect
-                # the opened runs block-at-a-time where possible.
-                matches = intersect_count(participants, self.counter)
-                if matches is not None:
-                    counter = self.counter
-                    counter.recursive_calls += matches
-                    counter.results_emitted += matches
-                    for iterator in participants:
-                        iterator.up()
-                    return matches
-            else:
-                # Interior variable: batch-intersect the runs, then walk the
-                # matched keys, landing every cursor with a trusted
-                # ``advance_to`` — non-matching keys are skipped at block
-                # speed and no per-key probing remains.
-                batch = intersect_positions(participants, self.counter)
-                if batch is not None:
-                    keys, positions = batch
-                    total = 0
-                    assignment = self._assignment
-                    counter = self.counter
-                    walkers = list(zip(participants, positions))
-                    # One level above the leaf the recursion body is just the
-                    # fused child intersection; inline it to drop a Python
-                    # call (and its bookkeeping) per matched key.  Counter
-                    # semantics replicate the elided recursive call exactly.
-                    leaf_participants = (
-                        self._participants(depth + 1)
-                        if depth + 2 == self.num_variables
-                        else None
-                    )
-                    for index, key in enumerate(keys):
-                        for iterator, run_positions in walkers:
-                            iterator.advance_to(run_positions[index])
-                        assignment[depth] = key
-                        if leaf_participants is not None:
-                            matches = intersect_child_count(leaf_participants, counter)
-                            if matches is None:
-                                # The real recursion records its own call.
-                                total += self._count_recursive(depth + 1)
-                            else:
-                                counter.recursive_calls += 1 + matches
-                                counter.results_emitted += matches
-                                total += matches
-                        else:
+        if depth + 1 == self.num_variables:
+            # Fusion unavailable (e.g. an impure merged level): intersect
+            # the opened runs block-at-a-time where possible.
+            matches = intersect_count(participants, self.counter)
+            if matches is not None:
+                counter = self.counter
+                counter.recursive_calls += matches
+                counter.results_emitted += matches
+                for iterator in participants:
+                    iterator.up()
+                return matches
+        else:
+            # Interior variable: batch-intersect the runs, then walk the
+            # matched keys, landing every cursor with a trusted
+            # ``advance_to`` — non-matching keys are skipped at block
+            # speed and no per-key probing remains.
+            batch = intersect_positions(participants, self.counter)
+            if batch is not None:
+                keys, positions = batch
+                total = 0
+                assignment = self._assignment
+                counter = self.counter
+                walkers = list(zip(participants, positions))
+                # One level above the leaf the recursion body is just the
+                # fused child intersection; inline it to drop a Python
+                # call (and its bookkeeping) per matched key.  Counter
+                # semantics replicate the elided recursive call exactly.
+                leaf_participants = (
+                    self._participants(depth + 1)
+                    if depth + 2 == self.num_variables
+                    else None
+                )
+                for index, key in enumerate(keys):
+                    for iterator, run_positions in walkers:
+                        iterator.advance_to(run_positions[index])
+                    assignment[depth] = key
+                    if leaf_participants is not None:
+                        matches = intersect_child_count(leaf_participants, counter)
+                        if matches is None:
+                            # The real recursion records its own call.
                             total += self._count_recursive(depth + 1)
-                    assignment[depth] = None
-                    for iterator in participants:
-                        iterator.up()
-                    return total
+                        else:
+                            counter.recursive_calls += 1 + matches
+                            counter.results_emitted += matches
+                            total += matches
+                    else:
+                        total += self._count_recursive(depth + 1)
+                assignment[depth] = None
+                for iterator in participants:
+                    iterator.up()
+                return total
+        # A cursor exposed no run (an impure level of a merged LSM cursor):
+        # the generic per-key leapfrog.
         total = 0
         join = LeapfrogJoin(participants)
         while not join.at_end:
@@ -361,20 +315,17 @@ class LeapfrogTrieJoin(TrieJoinBase):
     def evaluate(self) -> Iterator[Tuple[object, ...]]:
         """Yield every result tuple, as values in variable-order positions.
 
-        On the encoded path the join runs in code space and each emitted row
-        is decoded here — the convenience boundary for direct callers.  The
-        engine instead consumes :meth:`evaluate_coded` and defers decoding
-        to the result object, so untouched result sets never decode.
+        The join runs in code space and each emitted row is decoded here —
+        the convenience boundary for direct callers.  The engine instead
+        consumes :meth:`evaluate_coded` and defers decoding to the result
+        object, so untouched result sets never decode.
         """
-        if self.encoded:
-            yield from self._decoded(self.evaluate_coded())
-        else:
-            yield from self.evaluate_coded()
+        yield from self._decoded(self.evaluate_coded())
 
     def evaluate_coded(
         self, lo=None, hi=None, counter=None
     ) -> Iterator[Tuple[object, ...]]:
-        """Yield result tuples in storage space (codes when encoded).
+        """Yield result tuples in storage space (dictionary codes).
 
         ``lo``/``hi``/``counter`` as for :meth:`count`.
         """
@@ -394,34 +345,33 @@ class LeapfrogTrieJoin(TrieJoinBase):
         participants = self._participants(depth)
         for iterator in participants:
             iterator.open()
-        if self.encoded:
-            if depth + 1 == self.num_variables:
-                # At the deepest variable nothing descends further, so the
-                # iterators need no repositioning — the matched keys alone
-                # complete the rows.
-                keys = intersect_keys(participants, self.counter)
-                if keys is not None:
-                    for key in keys:
-                        self._assignment[depth] = key
-                        yield from self._evaluate_recursive(depth + 1)
-                    self._assignment[depth] = None
-                    for iterator in participants:
-                        iterator.up()
-                    return
-            else:
-                batch = intersect_positions(participants, self.counter)
-                if batch is not None:
-                    keys, positions = batch
-                    walkers = list(zip(participants, positions))
-                    for index, key in enumerate(keys):
-                        for iterator, run_positions in walkers:
-                            iterator.advance_to(run_positions[index])
-                        self._assignment[depth] = key
-                        yield from self._evaluate_recursive(depth + 1)
-                    self._assignment[depth] = None
-                    for iterator in participants:
-                        iterator.up()
-                    return
+        if depth + 1 == self.num_variables:
+            # At the deepest variable nothing descends further, so the
+            # iterators need no repositioning — the matched keys alone
+            # complete the rows.
+            keys = intersect_keys(participants, self.counter)
+            if keys is not None:
+                for key in keys:
+                    self._assignment[depth] = key
+                    yield from self._evaluate_recursive(depth + 1)
+                self._assignment[depth] = None
+                for iterator in participants:
+                    iterator.up()
+                return
+        else:
+            batch = intersect_positions(participants, self.counter)
+            if batch is not None:
+                keys, positions = batch
+                walkers = list(zip(participants, positions))
+                for index, key in enumerate(keys):
+                    for iterator, run_positions in walkers:
+                        iterator.advance_to(run_positions[index])
+                    self._assignment[depth] = key
+                    yield from self._evaluate_recursive(depth + 1)
+                self._assignment[depth] = None
+                for iterator in participants:
+                    iterator.up()
+                return
         join = LeapfrogJoin(participants)
         while not join.at_end:
             self._assignment[depth] = join.key()

@@ -4,7 +4,7 @@ The interpreted :class:`~repro.core.lftj.LeapfrogTrieJoin` dispatches every
 join level through generic per-variable Python — iterator method calls,
 participant-list indirection, per-key counter bookkeeping.  This module
 closes the plan -> compile -> execute split: from a planned (query,
-variable order) over an encoded database it *generates Python source* with
+variable order) it *generates Python source* with
 the variable order unrolled into straight-line nested loops, compiles it
 once via ``exec`` (pure stdlib), and caches the result in the database's
 compiled-driver cache under the name-erased query signature.
@@ -36,9 +36,9 @@ Because the driver holds direct references to trie columns, it is only
 valid while those columns are current: the database drops cached drivers on
 relation replacement, inserts/deletes *and* delta compaction (compaction
 swaps the backing arrays without a version bump).  Queries whose tries
-carry unmerged deltas, or raw (non-encoded) databases, fall back to the
-interpreted path — which is also kept, behind ``compile=False``, as the
-differential oracle for the compiled results.
+carry unmerged deltas fall back to the interpreted path — which is also
+kept, behind ``compile=False``, as the differential oracle for the compiled
+results.
 
 The generated source is inspectable: ``CompiledTrieJoin.debug_source()``
 (or ``CompiledDriver.debug_source``) returns it verbatim.
@@ -144,23 +144,6 @@ def driver_cache_key(
     return key
 
 
-def _pure_main(trie) -> Optional[TrieIndex]:
-    """The delta-free encoded columnar index behind ``trie``, or ``None``.
-
-    Compiled drivers read raw columns, so an LSM trie qualifies only when
-    its delta level is empty (reads then bypass the merging iterator
-    entirely); its ``main`` is the capturable index.
-    """
-    if getattr(trie, "has_deltas", False):
-        return None
-    base = getattr(trie, "main", None)
-    if base is None:
-        base = trie
-    if isinstance(base, TrieIndex) and base.encoded:
-        return base
-    return None
-
-
 def _atom_bundle(base: TrieIndex) -> Tuple[object, ...]:
     """Flatten one trie's columns into the tuple the generated code unpacks.
 
@@ -218,8 +201,6 @@ class CompiledDriver:
         cached entry — this check lets long-lived holders (prepared
         queries) notice without consulting the cache.
         """
-        if not database.encoding_active:
-            return False
         return all(
             database.relation_version(name) == version
             for name, version in self.relation_versions.items()
@@ -1102,8 +1083,6 @@ class CompiledClftjDriver:
 
     def matches(self, database: Database) -> bool:
         """Is this driver still current for ``database``? (see CompiledDriver)"""
-        if not database.encoding_active:
-            return False
         return all(
             database.relation_version(name) == version
             for name, version in self.relation_versions.items()
@@ -1163,8 +1142,8 @@ class CompiledCachedTrieJoin(CachedLeapfrogTrieJoin):
     """CLFTJ executor that runs counts through a compiled driver when it can.
 
     Same two-phase protocol and fallback discipline as
-    :class:`CompiledTrieJoin` — raw storage and pending deltas run the
-    inherited interpreted execution — plus two CLFTJ-specific rules:
+    :class:`CompiledTrieJoin` — pending deltas run the inherited
+    interpreted execution — plus two CLFTJ-specific rules:
     decompositions with more probed nodes than
     :data:`MAX_UNROLLED_CACHE_NODES` stay interpreted, and *evaluation*
     always runs interpreted (factorized-representation grafting is control
@@ -1204,13 +1183,10 @@ class CompiledCachedTrieJoin(CachedLeapfrogTrieJoin):
         if self._built:
             return self._driver
         self._built = True
-        if not self.encoded:
-            self._compiled_reason = "raw storage (dictionary encoding inactive)"
-            return None
-        pure_tries = [_pure_main(trie) for trie in self._atom_tries]
-        if any(base is None for base in pure_tries):
+        if any(trie.has_deltas for trie in self._atom_tries):
             self._compiled_reason = "unmerged deltas pending on an atom trie"
             return None
+        pure_tries = [trie.main for trie in self._atom_tries]
         probed = len(
             {self.decomposition.owner(variable) for variable in self.variable_order}
         ) - 1
@@ -1264,7 +1240,7 @@ class CompiledCachedTrieJoin(CachedLeapfrogTrieJoin):
         self.cache.bind_mode("count")
         self.cache.counter = self.counter
         self.policy.reset()
-        self.policy.bind_space(self.database, self.encoded)
+        self.policy.bind_space(self.database)
         return driver.count(
             self.counter, self.cache, self.policy, lo, hi, self.deadline
         )
@@ -1293,12 +1269,11 @@ class CompiledTrieJoin(LeapfrogTrieJoin):
     """LFTJ executor that runs through a compiled driver when it can.
 
     The two-phase protocol: construction resolves tries exactly like the
-    interpreted executor (so index caching, encoding fallback and metadata
-    behave identically); :meth:`build` then fetches-or-compiles the driver
-    from the database's compiled cache.  Raw databases and tries with
-    pending deltas fall back to the inherited interpreted execution — the
-    executor is then byte-for-byte the interpreted ``lftj``, range arguments
-    included.
+    interpreted executor (so index caching and metadata behave
+    identically); :meth:`build` then fetches-or-compiles the driver from
+    the database's compiled cache.  Tries with pending deltas fall back to
+    the inherited interpreted execution — the executor is then byte-for-byte
+    the interpreted ``lftj``, range arguments included.
 
     **Shared-driver handoff to morsel-parallel execution**: the cache key
     carries no range, so every morsel of a parallel query resolves to the
@@ -1335,13 +1310,12 @@ class CompiledTrieJoin(LeapfrogTrieJoin):
         if self._built:
             return self._driver
         self._built = True
-        if not self.encoded:
-            self._compiled_reason = "raw storage (dictionary encoding inactive)"
-            return None
-        pure_tries = [_pure_main(trie) for trie in self._atom_tries]
-        if any(base is None for base in pure_tries):
+        if any(trie.has_deltas for trie in self._atom_tries):
+            # Drivers read the trie columns directly, so only delta-free
+            # LSM tries qualify: their ``main`` is the capturable index.
             self._compiled_reason = "unmerged deltas pending on an atom trie"
             return None
+        pure_tries = [trie.main for trie in self._atom_tries]
         key = driver_cache_key(self.query, self.variable_order)
         try:
             self._driver = self.database.compiled_driver(

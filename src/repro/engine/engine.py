@@ -496,8 +496,6 @@ class QueryEngine:
             return f"not applicable (algorithm {algorithm!r} runs interpreted)"
         if compile is False:
             return "disabled (compile=False; interpreted oracle path)"
-        if not self.database.encoding_active:
-            return "unavailable (raw storage; falls back to interpreted)"
         if algorithm in ("clftj", "pclftj"):
             if plan is None:
                 return "will compile on first execution (count mode)"
@@ -725,12 +723,11 @@ class QueryEngine:
         if mode == "count":
             value = executor.count()
         elif mode == "evaluate":
-            evaluate_coded = getattr(executor, "evaluate_coded", None)
-            if evaluate_coded is not None and getattr(executor, "encoded", False):
-                # Encoded executors stream code tuples; materialise them
+            if getattr(executor, "encoded", False):
+                # Code-space executors stream code tuples; materialise them
                 # as-is and let the result decode lazily on first access —
                 # a result whose rows are never read costs zero decodes.
-                coded_rows = [tuple(row) for row in evaluate_coded()]
+                coded_rows = [tuple(row) for row in executor.evaluate_coded()]
                 value = len(coded_rows)
             else:
                 rows = [tuple(row) for row in executor.evaluate()]

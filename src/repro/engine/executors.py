@@ -70,13 +70,15 @@ class Executor(Protocol):
     ``variable_order``; ``execution_metadata()`` reports per-algorithm facts
     that the engine merges into the result metadata.
 
-    Executors running over dictionary-encoded indexes additionally expose
+    Every index is keyed by dictionary codes, so the executors that join
+    over indexes (the trie-join family, ``generic_join``, the parallel
+    executor) run in code space: they carry the class constant
     ``encoded = True`` plus an ``evaluate_coded()`` generator yielding rows
-    of int codes; the engine then collects codes and defers decoding to the
+    of int codes, and the engine collects codes and defers decoding to the
     result boundary (:class:`repro.engine.results.ExecutionResult.rows`),
-    so count-only executions and untouched result sets never decode.  Both
-    members are optional — the engine duck-types them and falls back to
-    plain ``evaluate()``.
+    so count-only executions and untouched result sets never decode.  The
+    value-space baselines (``ytd``, ``pairwise``) have neither member; the
+    engine duck-types them and takes plain ``evaluate()``.
     """
 
     counter: OperationCounter

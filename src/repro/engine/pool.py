@@ -1008,7 +1008,6 @@ class _ForkTransport(_Transport):
             database.index_builds,
             database.compiled_builds,
             len(database.dictionary),
-            database.encoding_active,
         )
 
     def _fork(self, wid: int):

@@ -45,13 +45,11 @@ _CLFTJ_PROBE_OVERHEAD = 1.05
 #: semi-join reduction passes.
 _YTD_MATERIALIZE_FACTOR = 3.0
 
-#: Relative cost of one trie-seek unit when integer dictionary encoding is
-#: active: seeks then gallop over dense int arrays (with batched block
-#: kernels at the deepest level) instead of rich-comparing Python objects,
-#: while YTD's per-tuple materialisation work is value-shaped either way.
-#: Calibrated against the BENCH_4 triangle workload, where encoded trie
-#: executions run >= 2x faster than raw ones.
-_ENCODED_SEEK_UNIT = 0.5
+#: Cost of one trie-seek unit relative to YTD's per-tuple materialisation
+#: work: seeks gallop over dense int-code arrays (with batched block kernels
+#: at the deepest level), while YTD's work is value-shaped.  Calibrated
+#: against the BENCH_4 triangle workload.
+_SEEK_UNIT = 0.5
 
 #: Ceiling on the one-time codegen cost charged to lftj when its specialized
 #: driver is not yet in the database's compiled-driver cache.  Compilation is
@@ -190,17 +188,13 @@ class CostBasedSelector:
 
     def _order_cost(self, query: ConjunctiveQuery, variable_order: Sequence) -> float:
         model = ChuCostModel(self.database, query, catalog=self.catalog)
-        return model.order_cost(tuple(variable_order)) * self._seek_unit()
+        return model.order_cost(tuple(variable_order)) * _SEEK_UNIT
 
     # ----------------------------------------------------------- cost models
-    def _seek_unit(self) -> float:
-        """Cost of one trie-seek unit under the database's current mode."""
-        return _ENCODED_SEEK_UNIT if self.database.encoding_active else 1.0
-
     def _lftj_cost(
         self, model: ChuCostModel, query: ConjunctiveQuery, plan: ExecutionPlan
     ) -> float:
-        base = model.order_cost(plan.variable_order) * self._seek_unit()
+        base = model.order_cost(plan.variable_order) * _SEEK_UNIT
         return base + self._compile_charge(query, plan, base)
 
     def _compile_charge(
@@ -213,15 +207,11 @@ class CostBasedSelector:
         """One-time codegen cost for a compiled driver, if still cold.
 
         Zero when the driver is already cached (warm re-executions compile
-        nothing) and on raw storage (the compiler requires dictionary
-        encoding, so execution falls back to the interpreted path for free).
-        With ``decomposition`` the charge prices the *CLFTJ* driver — keyed
-        by the contracted decomposition's fingerprint, and zero when the
-        decomposition exceeds the unroll ceiling (clftj then runs
-        interpreted and compiles nothing).
+        nothing).  With ``decomposition`` the charge prices the *CLFTJ*
+        driver — keyed by the contracted decomposition's fingerprint, and
+        zero when the decomposition exceeds the unroll ceiling (clftj then
+        runs interpreted and compiles nothing).
         """
-        if not self.database.encoding_active:
-            return 0.0
         from repro.engine.compiler import (
             MAX_UNROLLED_CACHE_NODES,
             driver_cache_key,
@@ -279,7 +269,7 @@ class CostBasedSelector:
             )
             partial *= max(matches, 0.05)
             bound.append(variable)
-        charged = total * _CLFTJ_PROBE_OVERHEAD * self._seek_unit()
+        charged = total * _CLFTJ_PROBE_OVERHEAD * _SEEK_UNIT
         # clftj compiles its own specialized count driver (keyed by the
         # decomposition fingerprint), so it pays the same style of one-time
         # codegen charge as lftj — the comparison stays compiled-vs-compiled.
@@ -344,30 +334,25 @@ class CostBasedSelector:
                 f"adhesion caching caps subtree work at the estimated distinct "
                 f"adhesion keys across {decomposition.num_nodes - 1} cached node(s)"
             )
-        if not self.database.encoding_active:
+        from repro.engine.compiler import driver_cache_key
+
+        key = driver_cache_key(query, tuple(plan.variable_order))
+        if self.database.has_compiled_driver(key):
             reasons.append(
-                "raw storage: lftj would run interpreted (no codegen charge)"
+                "lftj's specialized driver is already compiled and cached"
             )
         else:
-            from repro.engine.compiler import driver_cache_key
-
-            key = driver_cache_key(query, tuple(plan.variable_order))
-            if self.database.has_compiled_driver(key):
-                reasons.append(
-                    "lftj's specialized driver is already compiled and cached"
-                )
+            # Recover the charge from the charged total: below the cap
+            # boundary (base >= 50x cap) the charge was 2% of the base.
+            total = costs["lftj"]
+            if total >= _COMPILE_CHARGE_CAP * 51.0:
+                charge = _COMPILE_CHARGE_CAP
             else:
-                # Recover the charge from the charged total: below the cap
-                # boundary (base >= 50x cap) the charge was 2% of the base.
-                total = costs["lftj"]
-                if total >= _COMPILE_CHARGE_CAP * 51.0:
-                    charge = _COMPILE_CHARGE_CAP
-                else:
-                    charge = total - total / 1.02
-                reasons.append(
-                    f"lftj is charged {charge:.1f} unit(s) of one-time driver "
-                    f"compilation (driver not cached yet)"
-                )
+                charge = total - total / 1.02
+            reasons.append(
+                f"lftj is charged {charge:.1f} unit(s) of one-time driver "
+                f"compilation (driver not cached yet)"
+            )
         if algorithm == "clftj" and decomposition.num_nodes > 1:
             workers = self.recommend_workers(query, plan.variable_order)
             if workers > 1:

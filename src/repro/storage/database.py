@@ -167,10 +167,10 @@ class Database:
 
     **Locking model**: one re-entrant lock serialises every cache fill
     (:meth:`view_index`, :meth:`cached_plan`) and every mutation
-    (:meth:`add_relation`, :meth:`insert`, :meth:`delete`, :meth:`compact`,
-    :meth:`disable_encoding`).  Concurrent executors — thread shards of the
-    parallel executor, or independent engine calls from request threads —
-    may therefore share one database: a cold index is built exactly once
+    (:meth:`add_relation`, :meth:`insert`, :meth:`delete`, :meth:`compact`).
+    Concurrent executors — thread shards of the parallel executor, or
+    independent engine calls from request threads — may therefore share one
+    database: a cold index is built exactly once
     (the losing threads block on the lock and then take the cache hit, so
     ``index_builds`` never double-counts), and readers of an already-cached
     index only pay an uncontended lock acquisition.  Join execution itself
@@ -191,7 +191,6 @@ class Database:
         name: str = "db",
         compaction_threshold: float = 0.25,
         compaction_floor: int = 4096,
-        encode: bool = True,
         memory_budget_bytes: Optional[int] = None,
     ) -> None:
         if compaction_threshold <= 0:
@@ -219,17 +218,10 @@ class Database:
         #: bumps; pool worker threads adopt the submitting execution's
         #: scopes for the duration of a morsel (see ``adopt_scopes``).
         self._scope_stacks = threading.local()
-        #: The shared, append-only value <-> int-code table all encoded
-        #: indexes of this database draw from.  Shared across relations, so
-        #: code equality means value equality across atoms.
+        #: The shared, append-only value <-> int-code table every index of
+        #: this database is keyed by.  Shared across relations, so code
+        #: equality means value equality across atoms.
         self.dictionary = ValueDictionary()
-        #: Whether new indexes are built in dictionary-code space.  ``False``
-        #: gives the raw-object path — the differential-testing oracle and
-        #: the fallback for un-encodable inputs (see :meth:`disable_encoding`).
-        self._encode = bool(encode)
-        #: How many times encoding was abandoned mid-build (un-encodable
-        #: values); observability for the graceful-degradation path.
-        self.encoding_fallbacks: int = 0
         self._relations: Dict[str, VersionedRelation] = {}
         self._versions: Dict[str, int] = {}
         self._index_cache: Dict[IndexKey, object] = {}
@@ -405,7 +397,10 @@ class Database:
         Appends a delta batch to the relation's versioned wrapper and patches
         the cached indexes in place — no index is rebuilt and no plan is
         dropped.  Already-present rows are no-ops; an all-no-op batch leaves
-        the version untouched (so downstream caches stay warm).
+        the version untouched (so downstream caches stay warm).  A batch
+        with an unhashable value, or one that does not sort beside the
+        stored rows, raises :class:`~repro.storage.dictionary.ValueEncodingError`
+        before anything changed (see :meth:`VersionedRelation.apply`).
         """
         with self._lock:
             versioned = self._versioned(name)
@@ -418,8 +413,9 @@ class Database:
     def delete(self, name: str, rows: Iterable[Sequence[object]]) -> int:
         """Delete ``rows`` from relation ``name``; returns how many existed.
 
-        The delta/patching behaviour mirrors :meth:`insert`; deletes reach
-        cached tries as tombstones.
+        The delta/patching behaviour (and the typed, atomic rejection of
+        unhashable values) mirrors :meth:`insert`; deletes reach cached
+        tries as tombstones.
         """
         with self._lock:
             versioned = self._versioned(name)
@@ -503,44 +499,6 @@ class Database:
                         self._bump("index_compactions")
             return folded
 
-    # -------------------------------------------------------------- encoding
-    @property
-    def encoding_active(self) -> bool:
-        """True when indexes are built (and joins run) in int-code space."""
-        return self._encode
-
-    def index_dictionary(self) -> Optional[ValueDictionary]:
-        """The dictionary index builds should encode with (``None`` = raw)."""
-        return self.dictionary if self._encode else None
-
-    def disable_encoding(self) -> int:
-        """Fall back to the raw-object path; returns dropped cached indexes.
-
-        Called when an index build hits an un-encodable value.  Every cached
-        index is dropped — a query must never intersect encoded and raw
-        indexes — and all subsequent builds stay raw.  The transition is
-        one-way: re-enabling would strand raw indexes in the cache.
-
-        Derived state keyed in code space must not survive the flip either:
-        prepared queries hold warm adhesion caches whose keys are dictionary
-        codes, and a raw value-space probe against them would collide with
-        stale entries.  Bumping every relation version makes all version
-        holders (prepared queries, the statistics catalog) notice a change
-        and invalidate on their next run.  Long-lived ``AdhesionCache``
-        objects threaded by hand outside the engine must be invalidated by
-        their owners.
-        """
-        with self._lock:
-            if not self._encode:
-                return 0
-            self._encode = False
-            self.encoding_fallbacks += 1
-            for name in self._relations:
-                self._versions[name] = self._versions.get(name, 0) + 1
-            self.data_version += 1
-            self.clear_compiled_cache()
-            return self.clear_index_cache()
-
     # --------------------------------------------------------------- indexes
     def view_index(
         self,
@@ -582,10 +540,9 @@ class Database:
         relation = self.relation(relation_name)
         order = tuple(attribute_order)
         signature = tuple(range(relation.arity))
-        dictionary = self.index_dictionary()
         return self.view_index(
             "trie", relation_name, signature, order,
-            lambda: LsmTrieIndex.build(relation, order, dictionary),
+            lambda: LsmTrieIndex.build(relation, order, self.dictionary),
         )
 
     def clear_index_cache(self) -> int:

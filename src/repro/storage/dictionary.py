@@ -43,11 +43,13 @@ HAVE_NUMPY = numpy is not None
 
 
 class ValueEncodingError(TypeError):
-    """A value cannot be dictionary-encoded (e.g. it is unhashable).
+    """A value breaks the storage layer's value contract.
 
-    Raised by :meth:`ValueDictionary.encode`; executor construction catches
-    it, flips the database to the raw-object path and retries, so exotic
-    inputs degrade gracefully instead of failing the query.
+    Stored values must be hashable (the dictionary keys on them) and must
+    sort beside the other tuples of their relation.  The contract is checked
+    where values enter — ``Relation(...)``, ``Database.insert`` /
+    ``delete`` — so no index build or query ever meets such a value;
+    :meth:`ValueDictionary.encode` raises it too for direct callers.
     """
 
 

@@ -16,13 +16,64 @@ themselves incrementally instead of rescanning the relation.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from functools import cmp_to_key
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+
+from repro.storage.dictionary import ValueEncodingError
+
+
+def _value_error(
+    name: str, attributes: Sequence[str], rows: Iterable[Tuple[object, ...]]
+) -> ValueEncodingError:
+    """The typed error for ``rows`` that failed to hash or to sort.
+
+    Names the first unhashable value, else the pair of values a second,
+    watched sort of ``rows`` trips over (error path only, so the cost of
+    that sort does not matter).
+    """
+
+    def error(column: int, value: object, problem: str) -> ValueEncodingError:
+        return ValueEncodingError(
+            f"relation {name!r}, column {attributes[column]!r}: value "
+            f"{value!r} of type {type(value).__name__} {problem}"
+        )
+
+    rows = list(rows)
+    for row in rows:
+        for column, value in enumerate(row):
+            try:
+                hash(value)
+            except TypeError:
+                return error(column, value, "is not hashable")
+    compared: List[Tuple[object, ...]] = []
+
+    def watch(left: Tuple[object, ...], right: Tuple[object, ...]) -> int:
+        compared[:] = (left, right)
+        return -1 if left < right else 1
+
+    try:
+        sorted(rows, key=cmp_to_key(watch))
+    except TypeError:
+        left, right = compared
+        column = next(i for i, pair in enumerate(zip(left, right)) if pair[0] != pair[1])
+        other = right[column]
+        return error(
+            column, left[column],
+            f"cannot be ordered against {other!r} of type {type(other).__name__}",
+        )
+    return ValueEncodingError(f"relation {name!r}: its tuples do not sort")
 
 
 class Relation:
-    """A named relation with a fixed attribute schema and a set of tuples."""
+    """A named relation with a fixed attribute schema and a set of tuples.
+
+    The storage layer's value contract is checked here, where values enter:
+    every value must be hashable and the tuples must sort, else
+    :class:`~repro.storage.dictionary.ValueEncodingError` names the value.
+    """
 
     def __init__(
         self,
@@ -47,8 +98,14 @@ class Relation:
                     f"tuple {row_tuple!r} does not match arity {arity} "
                     f"of relation {name!r}"
                 )
-            deduplicated.add(row_tuple)
-        self._tuples: Tuple[Tuple[object, ...], ...] = tuple(sorted(deduplicated))
+            try:
+                deduplicated.add(row_tuple)
+            except TypeError:
+                raise _value_error(name, self.attributes, [row_tuple]) from None
+        try:
+            self._tuples: Tuple[Tuple[object, ...], ...] = tuple(sorted(deduplicated))
+        except TypeError:
+            raise _value_error(name, self.attributes, deduplicated) from None
 
     @classmethod
     def _from_sorted(
@@ -302,20 +359,32 @@ class VersionedRelation:
         the database).  The returned batch lists only genuinely new inserts
         and genuinely present deletes; an all-no-op batch comes back empty
         and leaves the wrapper untouched (callers then skip the version bump
-        and every cache notification).
+        and every cache notification).  An unhashable value, or an insert
+        that does not order against the base (rows pending deletion
+        included: they stay there until compaction) and the pending inserts,
+        raises :class:`~repro.storage.dictionary.ValueEncodingError` and
+        changes nothing.
         """
+        deletes = self._check_rows(deletes)
+        inserts = self._check_rows(inserts)
         current = self._current_set()
-        effective_deletes: Dict[Tuple[object, ...], None] = {}
-        for row in self._check_rows(deletes):
-            if row in current and row not in effective_deletes:
-                effective_deletes[row] = None
-        effective_inserts: Dict[Tuple[object, ...], None] = {}
-        for row in self._check_rows(inserts):
-            if row in effective_deletes:
-                # Deleted and re-inserted within one batch: a net no-op.
-                del effective_deletes[row]
-            elif row not in current and row not in effective_inserts:
-                effective_inserts[row] = None
+        # Everything that can raise on the values — hashing them, ordering
+        # the batch against the rows it will be merged with — happens before
+        # the first state change, so a rejected batch leaves no trace.
+        try:
+            effective_deletes: Dict[Tuple[object, ...], None] = {}
+            for row in deletes:
+                if row in current and row not in effective_deletes:
+                    effective_deletes[row] = None
+            effective_inserts: Dict[Tuple[object, ...], None] = {}
+            for row in inserts:
+                if row in effective_deletes:
+                    # Deleted and re-inserted within one batch: a net no-op.
+                    del effective_deletes[row]
+                elif row not in current and row not in effective_inserts:
+                    effective_inserts[row] = None
+        except TypeError:
+            raise _value_error(self.name, self.attributes, deletes + inserts) from None
         batch = DeltaBatch(
             version=version,
             inserted=tuple(effective_inserts),
@@ -323,18 +392,27 @@ class VersionedRelation:
         )
         if batch.is_empty:
             return batch
-        for row in batch.deleted:
-            if row in self._pending_inserts:
-                self._pending_inserts.discard(row)
-            else:
-                self._pending_deletes.add(row)
-            current.discard(row)
-        for row in batch.inserted:
-            if row in self._pending_deletes:
-                self._pending_deletes.discard(row)
-            else:
-                self._pending_inserts.add(row)
-            current.add(row)
+        # An inserted row is a base row pending deletion (resurrected) or
+        # brand new; only brand-new rows can fail to order.
+        fresh = effective_inserts.keys() - self._pending_deletes
+        if fresh:
+            pending = self._pending_inserts.difference(effective_deletes).union(fresh)
+            try:
+                sorted(pending)  # what snapshot() will merge into the base
+                for row in fresh:
+                    # Both neighbours of the row's slot in the base get compared.
+                    bisect_left(self.base.tuples, row)
+            except TypeError:
+                raise _value_error(
+                    self.name, self.attributes, [*self.base.tuples, *pending]
+                ) from None
+        # A deleted row is a pending insert (retracted) or a live base row.
+        self._pending_deletes.update(effective_deletes.keys() - self._pending_inserts)
+        self._pending_inserts.difference_update(effective_deletes)
+        self._pending_deletes.difference_update(effective_inserts)
+        self._pending_inserts.update(fresh)
+        current.difference_update(effective_deletes)
+        current.update(effective_inserts)
         self._snapshot = None
         self._log.append(batch)
         while len(self._log) > DELTA_LOG_LIMIT:

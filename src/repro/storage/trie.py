@@ -6,18 +6,15 @@ a root-to-leaf path; sibling values at every node are kept sorted, so a
 collections are balanced trees / cascading sorted vectors, giving the
 amortised complexity required for worst-case optimality).
 
-Two backends implement the same index/iterator contract:
-
-* :class:`TrieIndex` / :class:`TrieIterator` — the default **columnar**
-  backend.  Each trie level is a set of parallel flat arrays (``keys``,
-  ``child_begin``, ``child_end``), the literal "cascading sorted vectors" of
-  the paper.  Iterator state is just integer ranges per level, ``seek`` is a
-  ``bisect`` over a contiguous slice, and construction is a single linear
-  scan over the sorted tuples — no per-node object allocation.
-* :class:`NodeTrieIndex` / :class:`NodeTrieIterator` — the original
-  pointer-chasing object-graph backend, kept as a reference implementation
-  for differential tests and the backend benchmark
-  (``benchmarks/bench_trie_backend.py``).
+One layout implements it: :class:`TrieIndex` / :class:`TrieIterator`, the
+**columnar** trie.  Each level is a set of parallel flat arrays (``keys``,
+``child_begin``, ``child_end``), the literal "cascading sorted vectors" of
+the paper.  Iterator state is just integer ranges per level, ``seek`` is a
+``bisect`` over a contiguous slice, and construction is a single linear
+scan over the sorted tuples — no per-node object allocation.
+(The pointer-chasing object-graph trie it replaced survives as
+``tests/node_trie.py``, the reference the iterator contract is tested
+against.)
 
 The iterator interface follows Veldhuizen's LFTJ:
 
@@ -28,23 +25,27 @@ The iterator interface follows Veldhuizen's LFTJ:
 * ``key``   -- the sibling value currently pointed at.
 * ``at_end``-- True when the sibling list is exhausted.
 
-The columnar backend additionally supports **integer dictionary encoding**:
-built with the database's shared :class:`~repro.storage.dictionary.ValueDictionary`,
-a trie stores ``array('q')`` int-code columns (plus zero-copy numpy views
-when numpy is importable) instead of object lists.  Levels then sort by
-code — an arbitrary but consistent total order, sufficient for equi-joins —
-and the iterators expose contiguous *runs* (``current_run``/``child_run``)
-that the batched kernels in :mod:`repro.core.leapfrog` intersect
-block-at-a-time.  Values only reappear at explicit decode boundaries
-(``LsmTrieIndex.iter_rows``/``contains``, the engine's result objects).
+Every trie a :class:`~repro.storage.database.Database` builds is
+**dictionary-encoded**: built with the database's shared
+:class:`~repro.storage.dictionary.ValueDictionary`, it stores ``array('q')``
+int-code columns (plus zero-copy numpy views when numpy is importable).
+Levels sort by code — an arbitrary but consistent total order, sufficient
+for equi-joins — and the iterators expose contiguous *runs*
+(``current_run``/``child_run``) that the batched kernels in
+:mod:`repro.core.leapfrog` intersect block-at-a-time.  Values only reappear
+at explicit decode boundaries (``LsmTrieIndex.iter_rows``/``contains``, the
+engine's result objects).  A trie built without a dictionary
+(``TrieIndex.from_tuples``) holds its keys as given and exposes no runs; it
+is the fixture of the iterator-contract tests, not something a database
+hands out.
 
 Every operation reports an abstract *memory access* count to an optional
 :class:`~repro.core.instrumentation.OperationCounter`, which is how the
 reproduction measures the memory-traffic reductions claimed in the paper's
-introduction.  Both backends report identical counts for identical operation
-sequences, so instrumented experiments are backend-independent.  (The
-*encoded* columnar path intentionally diverges: its batched kernels record
-block-scan costs in place of per-key rotations.)
+introduction.  There is one counter model: ``open``/``up``/``next`` cost one
+access, a ``seek`` costs ``~log2`` of the remaining sibling span, and a
+batched kernel records one seek per run plus the elements it spanned in
+place of the per-key rotations it replaces.
 """
 
 from __future__ import annotations
@@ -137,12 +138,12 @@ class TrieIndex:
         self.depth = depth
         self.relation_name = relation_name
         self.attribute_order = attribute_order
-        #: The database's value dictionary when the trie stores int codes
-        #: instead of raw values; ``None`` on the raw-object path.
+        #: The database's value dictionary, whose int codes the trie stores;
+        #: ``None`` for a trie built without one (keys held as given).
         self.dictionary = dictionary
         self.encoded = dictionary is not None
         self._np_keys: Optional[List[object]] = None
-        if self.encoded:
+        if dictionary is not None:
             self._keys = _int_columns(keys)
             self._np_keys = _np_views(self._keys)
 
@@ -478,8 +479,8 @@ class TrieIterator:
         Returns ``(keys, np_view_or_None, lo, hi)`` when this trie is
         encoded (int key columns) — the contiguous slice ``keys[lo:hi]`` of
         siblings from the current position to the end of the group — or
-        ``None`` on the raw-object path, which tells the caller to fall back
-        to the generic per-key leapfrog loop.
+        ``None`` for a trie without int columns, which tells the caller to
+        take the generic per-key leapfrog loop.
         """
         if not self._index.encoded or self._depth == 0:
             return None
@@ -510,9 +511,9 @@ class TrieIterator:
         Same shape as :meth:`current_run`, but for the *next* level: the
         child slice of the current key, read without opening (and so without
         needing a closing ``up()``).  The deepest-level count kernel fuses
-        its open/intersect/up cycle through this.  ``None`` when the trie is
-        raw, nothing is open, the current level is ended, or there is no
-        deeper level.
+        its open/intersect/up cycle through this.  ``None`` when the trie has
+        no int columns, nothing is open, the current level is ended, or
+        there is no deeper level.
 
         NOTE: ``repro.core.leapfrog._fast_child_run`` flattens this body
         into plain attribute loads for the hot 2-iterator kernel — keep the
@@ -596,9 +597,8 @@ class LsmTrieIndex:
 
     def __init__(self, main: TrieIndex) -> None:
         self.main = main
-        #: Inherited from the main trie: the database's value dictionary on
-        #: the encoded path (all internal state is then held in code space),
-        #: ``None`` on the raw-object path.
+        #: Inherited from the main trie: the database's value dictionary
+        #: (all internal state is then held in code space), or ``None``.
         self.dictionary = main.dictionary
         self._delta_rows: Set[Tuple[object, ...]] = set()
         self._delta_trie: Optional[TrieIndex] = None
@@ -635,11 +635,6 @@ class LsmTrieIndex:
     def attribute_order(self) -> Tuple[int, ...]:
         """The column permutation the trie levels follow."""
         return self.main.attribute_order
-
-    @property
-    def encoded(self) -> bool:
-        """True when the index runs in dictionary-code space."""
-        return self.main.encoded
 
     @property
     def has_deltas(self) -> bool:
@@ -1168,13 +1163,13 @@ class MergedTrieIterator:
 class BoundedTrieIterator:
     """A range-restricted view over any trie cursor, without copying data.
 
-    Wraps a :class:`TrieIterator`, :class:`NodeTrieIterator` or
-    :class:`MergedTrieIterator` and restricts the keys visible at **one**
+    Wraps a :class:`TrieIterator` or :class:`MergedTrieIterator`
+    and restricts the keys visible at **one**
     trie level (``level``, default the first) to the half-open interval
     ``[lo, hi)``; every other level behaves exactly like the wrapped cursor.
     ``lo=None`` means unbounded below, ``hi=None`` unbounded above.  Bounds
-    live in the wrapped trie's key space — dictionary codes for encoded
-    tries, raw values otherwise.
+    live in the wrapped trie's key space (dictionary codes, for every trie
+    a database builds).
 
     This is how the partition-parallel executor
     (:mod:`repro.engine.parallel`) shards a join on its top variable: each
@@ -1289,10 +1284,7 @@ class BoundedTrieIterator:
     # -------------------------------------------------------------- utilities
     def current_run(self) -> Optional[Tuple[object, object, int, int]]:
         """The remaining sibling run, clamped to ``hi`` at the bound level."""
-        current_run = getattr(self._inner, "current_run", None)
-        if current_run is None:
-            return None
-        run = current_run()
+        run = self._inner.current_run()
         if run is None or self._inner.depth != self._level:
             return run
         keys, view, lo_pos, hi_pos = run
@@ -1307,8 +1299,7 @@ class BoundedTrieIterator:
         level past the bound, and the current key is in range by contract)."""
         if self._bound_ended and self._inner.depth == self._level:
             return None
-        child_run = getattr(self._inner, "child_run", None)
-        return child_run() if child_run is not None else None
+        return self._inner.child_run()
 
     def advance_to(self, position: int) -> None:
         """Trusted batched repositioning (kernel positions are in-bounds by
@@ -1332,231 +1323,4 @@ class BoundedTrieIterator:
         return (
             f"BoundedTrieIterator({self._inner!r}, lo={self._lo!r}, "
             f"hi={self._hi!r}, level={self._level})"
-        )
-
-
-# --------------------------------------------------------------------------
-# Reference backend: the original pointer-chasing object graph.
-# --------------------------------------------------------------------------
-
-
-class _TrieNode:
-    """One internal node: sorted child keys and the corresponding subtries."""
-
-    __slots__ = ("keys", "children")
-
-    def __init__(self, keys: List[object], children: Optional[List["_TrieNode"]]) -> None:
-        self.keys = keys
-        self.children = children
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-
-def _build_node(rows: Sequence[Tuple[object, ...]], level: int, depth: int) -> _TrieNode:
-    """Recursively build a trie node from sorted rows, grouping on ``level``."""
-    keys: List[object] = []
-    children: Optional[List[_TrieNode]] = [] if level + 1 < depth else None
-    start = 0
-    total = len(rows)
-    while start < total:
-        value = rows[start][level]
-        end = start
-        while end < total and rows[end][level] == value:
-            end += 1
-        keys.append(value)
-        if children is not None:
-            children.append(_build_node(rows[start:end], level + 1, depth))
-        start = end
-    return _TrieNode(keys, children)
-
-
-class NodeTrieIndex:
-    """The original node-per-prefix trie backend (reference implementation)."""
-
-    def __init__(self, root: _TrieNode, depth: int, relation_name: str,
-                 attribute_order: Tuple[int, ...]) -> None:
-        self._root = root
-        self.depth = depth
-        self.relation_name = relation_name
-        self.attribute_order = attribute_order
-
-    @classmethod
-    def build(cls, relation: Relation, attribute_order: Sequence[int]) -> "NodeTrieIndex":
-        """Build a node trie for ``relation`` in the given column order."""
-        order, permuted = _sorted_rows(relation, attribute_order)
-        root = _build_node(permuted, 0, relation.arity) if permuted else _TrieNode([], [] if relation.arity > 1 else None)
-        return cls(root, relation.arity, relation.name, order)
-
-    @classmethod
-    def from_tuples(cls, rows: Sequence[Sequence[object]], name: str = "anon") -> "NodeTrieIndex":
-        """Build a node trie directly from already-ordered tuples."""
-        rows = [tuple(row) for row in rows]
-        if not rows:
-            raise ValueError("cannot build a trie from an empty tuple list")
-        depth = len(rows[0])
-        if any(len(row) != depth for row in rows):
-            raise ValueError("all tuples must have the same arity")
-        root = _build_node(sorted(set(rows)), 0, depth)
-        return cls(root, depth, name, tuple(range(depth)))
-
-    def iterator(self, counter: Optional[object] = None) -> "NodeTrieIterator":
-        """Create a fresh linear iterator over this trie."""
-        return NodeTrieIterator(self, counter)
-
-    def __len__(self) -> int:
-        """Number of root-level keys (distinct values of the first column)."""
-        return len(self._root.keys)
-
-    def tuple_count(self) -> int:
-        """Total number of tuples stored (root-to-leaf paths)."""
-
-        def count(node: _TrieNode) -> int:
-            if node.children is None:
-                return len(node.keys)
-            return sum(count(child) for child in node.children)
-
-        return count(self._root)
-
-    def __repr__(self) -> str:
-        return (
-            f"NodeTrieIndex({self.relation_name!r}, depth={self.depth}, "
-            f"order={self.attribute_order!r})"
-        )
-
-
-class NodeTrieIterator:
-    """A stateful cursor over a :class:`NodeTrieIndex` (reference backend)."""
-
-    __slots__ = ("_index", "_counter", "_nodes", "_positions", "_ended")
-
-    def __init__(self, index: NodeTrieIndex, counter: Optional[object] = None) -> None:
-        self._index = index
-        self._counter = counter
-        self._nodes: List[_TrieNode] = []
-        self._positions: List[int] = []
-        self._ended: List[bool] = []
-
-    # ---------------------------------------------------------------- depth
-    @property
-    def depth(self) -> int:
-        """Number of currently open levels."""
-        return len(self._nodes)
-
-    @property
-    def max_depth(self) -> int:
-        """Depth of the underlying trie."""
-        return self._index.depth
-
-    def _current_node(self) -> _TrieNode:
-        if not self._nodes:
-            raise RuntimeError("iterator is not positioned at any level; call open() first")
-        return self._nodes[-1]
-
-    def _record(self, accesses: int, seeks: int = 0, nexts: int = 0, opens: int = 0) -> None:
-        if self._counter is not None:
-            self._counter.record_trie(accesses=accesses, seeks=seeks, nexts=nexts, opens=opens)
-
-    # ------------------------------------------------------------ navigation
-    def open(self) -> None:
-        """Descend to the first key of the child collection of the current key."""
-        if not self._nodes:
-            child = self._index._root
-        else:
-            node = self._current_node()
-            if self._ended[-1]:
-                raise RuntimeError("cannot open: current level is at end")
-            if node.children is None:
-                raise RuntimeError("cannot open past the last trie level")
-            child = node.children[self._positions[-1]]
-        self._nodes.append(child)
-        self._positions.append(0)
-        self._ended.append(len(child.keys) == 0)
-        self._record(accesses=1, opens=1)
-
-    def up(self) -> None:
-        """Return to the parent level."""
-        if not self._nodes:
-            raise RuntimeError("cannot go up: iterator is at the root")
-        self._nodes.pop()
-        self._positions.pop()
-        self._ended.pop()
-        self._record(accesses=1)
-
-    def key(self) -> object:
-        """The key currently pointed at in the open level."""
-        if self.at_end():
-            raise RuntimeError("iterator is at end; no current key")
-        return self._current_node().keys[self._positions[-1]]
-
-    def at_end(self) -> bool:
-        """True when the current sibling list is exhausted."""
-        if not self._nodes:
-            raise RuntimeError("iterator is not positioned at any level")
-        return self._ended[-1]
-
-    def next(self) -> None:
-        """Advance to the next sibling key (possibly reaching the end)."""
-        node = self._current_node()
-        if self._ended[-1]:
-            raise RuntimeError("cannot advance: iterator already at end")
-        self._positions[-1] += 1
-        if self._positions[-1] >= len(node.keys):
-            self._ended[-1] = True
-        self._record(accesses=1, nexts=1)
-
-    def seek(self, value: object) -> None:
-        """Advance to the least sibling key ``>= value`` (never moves backwards).
-
-        Gallops exactly like the columnar iterator (exponential probe from
-        the current position, then a bisect inside the bracketing window),
-        so reference-vs-columnar performance comparisons measure the storage
-        layout, not a seek-strategy gap.  The recorded cost keeps the
-        abstract ``~log2(span)`` model shared by both backends.
-        """
-        node = self._current_node()
-        if self._ended[-1]:
-            raise RuntimeError("cannot seek: iterator already at end")
-        position = self._positions[-1]
-        keys = node.keys
-        hi = len(keys)
-        if keys[position] >= value:
-            new_position = position
-        else:
-            low = position
-            step = 1
-            high = position + 1
-            while high < hi and keys[high] < value:
-                low = high
-                step <<= 1
-                high = low + step
-            if high > hi:
-                high = hi
-            new_position = bisect_left(keys, value, low + 1, high)
-        self._positions[-1] = new_position
-        if new_position >= hi:
-            self._ended[-1] = True
-        # A binary search over the remaining siblings costs ~log2(n) probes.
-        span = max(hi - position, 1)
-        self._record(accesses=max(span.bit_length(), 1), seeks=1)
-
-    # -------------------------------------------------------------- utilities
-    def current_prefix(self) -> Tuple[object, ...]:
-        """The sequence of keys selected on the path from the root."""
-        return tuple(
-            node.keys[pos]
-            for node, pos, ended in zip(self._nodes, self._positions, self._ended)
-            if not ended
-        )
-
-    def reset(self) -> None:
-        """Close all levels, returning the iterator to the root."""
-        self._nodes.clear()
-        self._positions.clear()
-        self._ended.clear()
-
-    def __repr__(self) -> str:
-        return (
-            f"NodeTrieIterator({self._index.relation_name!r}, depth={self.depth}, "
-            f"prefix={self.current_prefix()!r})"
         )

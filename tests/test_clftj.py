@@ -66,8 +66,8 @@ class TestPaperExample:
         cache = AdhesionCache()
         CachedLeapfrogTrieJoin(query, tiny_db, decomposition, order, cache=cache).count()
         subtree_node = 1  # the child bag {x2, x3, x4}
-        # Adhesion keys live in dictionary-code space on the encoded path.
-        code = tiny_db.dictionary.code_of if tiny_db.encoding_active else (lambda v: v)
+        # Adhesion keys live in dictionary-code space.
+        code = tiny_db.dictionary.code_of
         assert cache.get(subtree_node, (code(1),)) == 16
         assert cache.get(subtree_node, (code(2),)) == 16
 

@@ -1,11 +1,11 @@
 """Integer dictionary encoding: unit, differential and zero-decode tests.
 
-The encoded execution path (PR 4) must be observationally equivalent to the
-raw-object path — same counts, same decoded row sets — across every
-algorithm, every backend regime (fresh builds, shared caches, the PR-3
-delta/LSM path) and both kernel flavours (numpy and pure Python).  The raw
-path (``Database(..., encode=False)``) is the differential-testing oracle
-throughout.
+Joins run in dictionary-code space and must be observationally equivalent
+to a join over the values — same counts, same decoded row sets — across
+every algorithm, every storage regime (fresh builds, shared caches, the
+delta/LSM path) and both kernel flavours (numpy and pure Python).  The
+oracle throughout is ``conftest.brute_force_evaluate``, a nested loop over
+the relations' value tuples that shares no code with the engine.
 """
 
 import random
@@ -23,6 +23,8 @@ from repro.storage.database import Database
 from repro.storage.dictionary import ValueDictionary, ValueEncodingError
 from repro.storage.relation import Relation
 from repro.storage.trie import TrieIndex
+
+from tests.conftest import brute_force_count, brute_force_evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -81,17 +83,22 @@ class TestValueDictionary:
 # ---------------------------------------------------------------------------
 
 
-def _edge_db(edges, encode=True, name="g"):
-    return Database(
-        [Relation("E", ("src", "dst"), edges)], name=name, encode=encode
-    )
+def _edge_db(edges, name="g"):
+    return Database([Relation("E", ("src", "dst"), edges)], name=name)
+
+
+def _value_rows(result, query):
+    """Decoded result rows re-projected into ``query.variables`` order."""
+    position = {variable: index for index, variable in enumerate(result.variable_order)}
+    columns = [position[variable] for variable in query.variables]
+    return {tuple(row[column] for column in columns) for row in result.rows}
 
 
 class TestEncodedStorage:
     def test_database_tries_are_encoded_by_default(self):
         db = _edge_db([("a", "b"), ("b", "c")])
         trie = db.trie_index("E", (0, 1))
-        assert trie.encoded
+        assert trie.dictionary is db.dictionary
         assert trie.main.encoded
         # The public row/membership surface stays in value space.
         assert sorted(trie.iter_rows()) == [("a", "b"), ("b", "c")]
@@ -104,63 +111,19 @@ class TestEncodedStorage:
         for level in trie.main._keys:
             assert level.typecode == "q"
 
-    def test_encode_false_gives_raw_tries(self):
-        db = _edge_db([("a", "b")], encode=False)
-        trie = db.trie_index("E", (0, 1))
-        assert not trie.encoded
-        assert db.index_dictionary() is None
-
-    def test_disable_encoding_drops_indexes_and_goes_raw(self):
-        db = _edge_db([(1, 2), (2, 3), (3, 1)])
-        query = cycle_query(3)
-        before = LeapfrogTrieJoin(query, db).count()
-        assert db.encoding_active
-        dropped = db.disable_encoding()
-        assert dropped > 0
-        assert not db.encoding_active
-        joiner = LeapfrogTrieJoin(query, db)
-        assert not joiner.encoded
-        assert joiner.count() == before
-
-    def test_unencodable_input_falls_back_to_raw_path(self):
-        db = _edge_db([(1, 2), (2, 3), (3, 1)])
-
-        class _Poisoned(ValueDictionary):
-            def encode(self, value):
-                raise ValueEncodingError("synthetic un-encodable value")
-
-        db.dictionary = _Poisoned()
-        joiner = LeapfrogTrieJoin(cycle_query(3), db)
-        assert not joiner.encoded
-        # The directed cycle 1->2->3->1 under all three rotations.
-        assert joiner.count() == 3
-        assert not db.encoding_active
-        assert db.encoding_fallbacks == 1
-
-    def test_disable_encoding_invalidates_prepared_warm_caches(self):
-        """Code-space adhesion-cache keys must not survive the raw flip.
-
-        Regression: a prepared CLFTJ handle's warm cache holds keys in
-        dictionary-code space; after ``disable_encoding()`` raw value-space
-        probes collided with stale code keys and returned wrong counts.
-        """
-        rng = random.Random(13)
-        edges = _random_graph_edges(rng, list(range(12)), 40)
-        db = _edge_db(edges)
-        engine = QueryEngine(db)
-        prepared = engine.prepare(path_query(3), algorithm="clftj")
-        first = prepared.count()
-        warm = prepared.count()
-        assert warm.count == first.count
-        db.disable_encoding()
-        after = prepared.count()
-        assert after.count == first.count
-        assert after.metadata["encoded"] is False
+    def test_encode_is_not_an_option(self):
+        """One storage representation: there is no raw mode to ask for."""
+        with pytest.raises(TypeError, match="encode"):
+            Database([Relation("E", ("src", "dst"), [(1, 2)])], encode=False)
 
     def test_lftj_clftj_recursion_counters_agree_with_unary_leaf_atom(self):
         """Regression: the inlined leaf fusion double-counted recursive calls
         when a participant (here a unary atom on the last variable) cannot
-        expose a child run and the real recursion has to run instead."""
+        expose a child run and the real recursion has to run instead.
+
+        The fused kernels are held against the generic per-key
+        ``LeapfrogJoin`` loop, which the same query takes over a resident
+        LSM delta level: impure merged levels expose no run."""
         from repro.core.instrumentation import OperationCounter
 
         rng = random.Random(23)
@@ -170,17 +133,22 @@ class TestEncodedStorage:
             Relation("U", ("c",), [(value,) for value in range(0, 10, 2)]),
         ]
         query = parse_query("R(x, y), S(y, z), U(z)", name="unary-leaf")
-        encoded_db = Database(relations, name="enc")
-        raw_db = Database(
-            [Relation(r.name, r.attributes, r.tuples) for r in relations],
-            name="raw", encode=False,
+        fused_db = Database(relations, name="fused")
+        # Same contents, but two rows in three arrive as an unmerged delta.
+        delta_db = Database(
+            [Relation(r.name, r.attributes, r.tuples[::3]) for r in relations],
+            name="delta", compaction_floor=0, compaction_threshold=100.0,
         )
-        encoded_counter, raw_counter = OperationCounter(), OperationCounter()
-        encoded = LeapfrogTrieJoin(query, encoded_db, counter=encoded_counter).count()
-        raw = LeapfrogTrieJoin(query, raw_db, counter=raw_counter).count()
-        assert encoded == raw
-        assert encoded_counter.recursive_calls == raw_counter.recursive_calls
-        assert encoded_counter.results_emitted == raw_counter.results_emitted
+        LeapfrogTrieJoin(query, delta_db)  # build the tries the inserts patch
+        for relation in relations:
+            delta_db.insert(relation.name, relation.tuples)
+        fused_counter, delta_counter = OperationCounter(), OperationCounter()
+        fused = LeapfrogTrieJoin(query, fused_db, counter=fused_counter).count()
+        joiner = LeapfrogTrieJoin(query, delta_db, counter=delta_counter)
+        assert joiner.execution_metadata()["delta_tries"] == 3
+        assert fused == joiner.count() == brute_force_count(query, fused_db)
+        assert fused_counter.recursive_calls == delta_counter.recursive_calls
+        assert fused_counter.results_emitted == delta_counter.results_emitted
 
     def test_delta_updates_append_codes_never_recode(self):
         db = _edge_db([("a", "b"), ("b", "c")])
@@ -222,7 +190,8 @@ class TestGallopingSeek:
 
 
 # ---------------------------------------------------------------------------
-# Differential: encoded vs raw across algorithms, domains and updates
+# Differential: code-space joins vs the value-space brute force, across
+# algorithms, domains and updates
 # ---------------------------------------------------------------------------
 
 ALGORITHMS = ("lftj", "clftj", "generic_join", "ytd", "pairwise")
@@ -237,8 +206,8 @@ def _random_graph_edges(rng, nodes, num_edges):
     return sorted(edges)
 
 
-def _mixed_databases(seed):
-    """Identical encoded/raw database pairs over mixed str/int domains.
+def _mixed_database(seed):
+    """A database over mixed str/int domains.
 
     ``E`` is a graph over string node ids (so its trie level order by code
     differs wildly from value order); ``R``/``S`` join a string column
@@ -254,20 +223,14 @@ def _mixed_databases(seed):
     s_rows = [
         (rng.choice(str_nodes), rng.randrange(0, 9)) for _ in range(40)
     ]
-    relations = [
-        Relation("E", ("src", "dst"), edges),
-        Relation("R", ("a", "b"), r_rows),
-        Relation("S", ("b", "c"), s_rows),
-    ]
-
-    def build(encode):
-        return Database(
-            [Relation(rel.name, rel.attributes, rel.tuples) for rel in relations],
-            name=f"mixed-{seed}-{'enc' if encode else 'raw'}",
-            encode=encode,
-        )
-
-    return build(True), build(False)
+    return Database(
+        [
+            Relation("E", ("src", "dst"), edges),
+            Relation("R", ("a", "b"), r_rows),
+            Relation("S", ("b", "c"), s_rows),
+        ],
+        name=f"mixed-{seed}",
+    )
 
 
 def _queries():
@@ -281,72 +244,54 @@ def _queries():
 
 
 class TestDifferentialEncodedVsRaw:
+    """Code-space execution against the brute-force oracle over the values
+    (the class name dates from when a raw-storage twin was the oracle)."""
+
     @pytest.mark.parametrize("seed", [0, 1, 2026])
     def test_counts_and_rows_agree_for_every_algorithm(self, seed):
-        encoded_db, raw_db = _mixed_databases(seed)
-        encoded_engine, raw_engine = QueryEngine(encoded_db), QueryEngine(raw_db)
+        database = _mixed_database(seed)
+        engine = QueryEngine(database)
         for query in _queries():
+            expected = brute_force_evaluate(query, database)
             for algorithm in ALGORITHMS:
-                encoded = encoded_engine.evaluate(query, algorithm=algorithm)
-                raw = raw_engine.evaluate(query, algorithm=algorithm)
-                assert encoded.count == raw.count, (query.name, algorithm)
+                result = engine.evaluate(query, algorithm=algorithm)
+                assert result.count == len(expected), (query.name, algorithm)
                 # Decoded tuple sets must match exactly (order may differ:
-                # the encoded path streams in code order).
-                key_enc = {
-                    tuple(row) for row in encoded.rows
-                }
-                key_raw = {tuple(row) for row in raw.rows}
-                assert key_enc == key_raw, (query.name, algorithm)
+                # the join streams in code order).
+                assert _value_rows(result, query) == expected, (query.name, algorithm)
 
     @pytest.mark.parametrize("seed", [5, 17])
     def test_agreement_survives_seeded_update_streams(self, seed):
-        encoded_db, raw_db = _mixed_databases(seed)
-        encoded_engine, raw_engine = QueryEngine(encoded_db), QueryEngine(raw_db)
+        database = _mixed_database(seed)
+        engine = QueryEngine(database)
         query = cycle_query(3)
-        for engine in (encoded_engine, raw_engine):  # warm every cache
-            engine.count(query)
+        engine.count(query)  # warm every cache
         rng = random.Random(seed * 31)
         nodes = [f"v{index:02d}" for index in range(14)] + [f"w{index}" for index in range(4)]
         for _ in range(6):
             inserts = _random_graph_edges(rng, nodes, 5)
-            existing = list(encoded_db.relation("E").tuples)
+            existing = list(database.relation("E").tuples)
             deletes = [rng.choice(existing)] if existing else []
-            for db in (encoded_db, raw_db):
-                db.insert("E", inserts)
-                db.delete("E", deletes)
-            assert (
-                encoded_db.relation("E").tuples == raw_db.relation("E").tuples
+            database.insert("E", inserts)
+            database.delete("E", deletes)
+            expected = brute_force_count(query, database)
+            for algorithm in ("lftj", "clftj", "generic_join"):
+                assert engine.count(query, algorithm=algorithm).count == expected, algorithm
+            # A freshly built database over the mutated contents agrees too.
+            rebuilt = Database(
+                [Relation("E", ("src", "dst"), database.relation("E").tuples)],
+                name="rebuilt",
             )
-            counts = {
-                algorithm: (
-                    encoded_engine.count(query, algorithm=algorithm).count,
-                    raw_engine.count(query, algorithm=algorithm).count,
-                )
-                for algorithm in ("lftj", "clftj", "generic_join")
-            }
-            for algorithm, (encoded_count, raw_count) in counts.items():
-                assert encoded_count == raw_count, algorithm
-            # Oracle: a freshly built database over the mutated contents.
-            oracle = Database(
-                [Relation("E", ("src", "dst"), encoded_db.relation("E").tuples)],
-                name="oracle",
-            )
-            expected = LeapfrogTrieJoin(query, oracle).count()
-            assert counts["lftj"][0] == expected
+            assert LeapfrogTrieJoin(query, rebuilt).count() == expected
 
     def test_pure_python_kernels_agree_without_numpy(self, monkeypatch):
         monkeypatch.setattr(leapfrog_module, "numpy", None)
-        encoded_db, raw_db = _mixed_databases(9)
+        database = _mixed_database(9)
         query = cycle_query(3)
-        assert (
-            LeapfrogTrieJoin(query, encoded_db).count()
-            == LeapfrogTrieJoin(query, raw_db).count()
-        )
+        expected = brute_force_count(query, database)
+        assert LeapfrogTrieJoin(query, database).count() == expected
         decomposition = generic_decompose(query)
-        assert (
-            CachedLeapfrogTrieJoin(query, encoded_db, decomposition).count()
-            == LeapfrogTrieJoin(query, raw_db).count()
-        )
+        assert CachedLeapfrogTrieJoin(query, database, decomposition).count() == expected
 
 
 # ---------------------------------------------------------------------------
@@ -356,42 +301,43 @@ class TestDifferentialEncodedVsRaw:
 
 class TestZeroDecodeGuarantee:
     def test_count_queries_never_decode(self):
-        encoded_db, _ = _mixed_databases(3)
-        engine = QueryEngine(encoded_db)
+        database = _mixed_database(3)
+        engine = QueryEngine(database)
         query = cycle_query(3)
         for algorithm in ("lftj", "clftj", "generic_join"):
             result = engine.count(query, algorithm=algorithm)
-            assert result.metadata["encoded"] is True
+            assert "encoded" not in result.metadata  # a key that could only say True
             assert result.metadata["decodes"] == 0
         prepared = engine.prepare(query, algorithm="clftj")
         for _ in range(3):
             assert prepared.count().metadata["decodes"] == 0
-        assert encoded_db.dictionary.decodes == 0
+        assert database.dictionary.decodes == 0
 
     def test_evaluation_decodes_lazily_at_the_result_boundary(self):
-        encoded_db, _ = _mixed_databases(4)
-        engine = QueryEngine(encoded_db)
+        database = _mixed_database(4)
+        engine = QueryEngine(database)
         query = parse_query("R(x, y), S(y, z)", name="mixed-join")
         result = engine.evaluate(query, algorithm="lftj")
         # Rows not touched yet: nothing has been decoded.
-        assert encoded_db.dictionary.decodes == 0
+        assert database.dictionary.decodes == 0
         assert result.metadata["decodes"] == 0
         rows = result.rows
         assert len(rows) == result.count
         expected_decodes = result.count * 3  # arity = |variables|
-        assert encoded_db.dictionary.decodes == expected_decodes
+        assert database.dictionary.decodes == expected_decodes
         assert result.metadata["decodes"] == expected_decodes
         # Second access reuses the decoded list.
         assert result.rows is rows
-        assert encoded_db.dictionary.decodes == expected_decodes
+        assert database.dictionary.decodes == expected_decodes
 
     def test_direct_executor_evaluate_returns_values(self):
-        encoded_db, raw_db = _mixed_databases(6)
+        database = _mixed_database(6)
         query = cycle_query(3)
-        encoded_rows = set(LeapfrogTrieJoin(query, encoded_db).evaluate())
-        raw_rows = set(LeapfrogTrieJoin(query, raw_db).evaluate())
-        assert encoded_rows == raw_rows
-        for row in encoded_rows:
+        joiner = LeapfrogTrieJoin(query, database)
+        assert joiner.variable_order == query.variables
+        rows = set(joiner.evaluate())
+        assert rows == brute_force_evaluate(query, database)
+        for row in rows:
             assert all(isinstance(value, str) for value in row)
 
 
@@ -403,30 +349,34 @@ class TestEncodedAggregates:
             relation_weight_function,
         )
 
-        encoded_db, raw_db = _mixed_databases(8)
+        database = _mixed_database(8)
         query = cycle_query(3)
         decomposition = generic_decompose(query)
-        weights = {
-            "E": {
-                row: 1.0 + (index % 3)
-                for index, row in enumerate(encoded_db.relation("E").tuples)
-            }
+        table = {
+            row: 1.0 + (index % 3)
+            for index, row in enumerate(database.relation("E").tuples)
         }
-
-        def run(db):
-            return CachedAggregateTrieJoin(
-                query, db, decomposition, SumProductSemiring(),
-                weight=relation_weight_function(db, weights),
-            ).aggregate()
-
-        assert run(encoded_db) == pytest.approx(run(raw_db))
+        aggregate = CachedAggregateTrieJoin(
+            query, database, decomposition, SumProductSemiring(),
+            weight=relation_weight_function(database, {"E": table}),
+        ).aggregate()
+        # Sum over the brute-force results of the product of atom weights.
+        expected = 0.0
+        for row in brute_force_evaluate(query, database):
+            assignment = dict(zip(query.variables, row))
+            product = 1.0
+            for atom in query.atoms:
+                product *= table[tuple(assignment[term] for term in atom.terms)]
+            expected += product
+        assert aggregate == pytest.approx(expected)
+        assert database.dictionary.decodes > 0  # weights are looked up by value
 
     def test_uniform_counting_aggregate_stays_zero_decode(self):
         from repro.core.aggregates import aggregate_count
 
-        encoded_db, _ = _mixed_databases(8)
+        database = _mixed_database(8)
         query = cycle_query(3)
         decomposition = generic_decompose(query)
-        expected = LeapfrogTrieJoin(query, encoded_db).count()
-        assert aggregate_count(query, encoded_db, decomposition) == expected
-        assert encoded_db.dictionary.decodes == 0
+        expected = LeapfrogTrieJoin(query, database).count()
+        assert aggregate_count(query, database, decomposition) == expected
+        assert database.dictionary.decodes == 0

@@ -3,13 +3,11 @@
 A seeded generator produces random conjunctive queries over random small
 relations with mixed str/int column domains, then asserts that all five
 registered serial algorithms *and* the pool-backed parallel configurations
-(morsel and static scheduling, thread and fork backends) produce exactly the
-brute-force oracle's result set — on the encoded and the raw storage path,
-and optionally after a random insert/delete stream.
+(thread and fork backends) produce exactly the brute-force oracle's result
+set, and optionally again after a random insert/delete stream.
 
 The compiled-driver configurations (lftj/clftj/plftj/pclftj with
-``compile=True``, serial
-and parallel, over both storage paths) are additionally checked *ordered and
+``compile=True``, serial and parallel) are additionally checked *ordered and
 byte-identical* against their interpreted twins (``compile=False``), and the
 serial pair must report identical instrumentation counters.
 
@@ -18,7 +16,10 @@ deterministic fault injection (SIGKILLed fork workers, injected morsel
 exceptions) and asserts the recovered runs still match their serial twins
 *ordered and byte-identical* — worker failure must be invisible to results.
 
-Tier-1 runs a small deterministic corpus (seeds ``0..7``); set the
+One fixed case rides beside the random corpus: a join between an int column
+and a str column, which every algorithm must answer with zero rows.
+
+Tier-1 runs a small deterministic corpus (seeds ``0..15``); set the
 ``REPRO_FUZZ_ITERS`` environment variable to fuzz deeper locally::
 
     REPRO_FUZZ_ITERS=200 PYTHONPATH=src python -m pytest tests/test_fuzz_differential.py -q
@@ -30,6 +31,7 @@ import random
 import pytest
 
 from repro.engine import QueryEngine, inject_faults
+from repro.engine.compiler import COMPILED_ALGORITHMS
 from repro.query.atoms import Atom, ConjunctiveQuery
 from repro.query.terms import Constant, Variable
 from repro.storage.database import Database
@@ -42,8 +44,8 @@ SERIAL_ALGORITHMS = ("lftj", "clftj", "ytd", "generic_join", "pairwise")
 
 #: Compiled configurations per instance: (algorithm, extra engine kwargs).
 #: Each runs twice — compiled and interpreted — and must agree byte for
-#: byte; on raw storage the compiled executor falls back to the interpreted
-#: loop, which keeps the comparison meaningful on both paths.
+#: byte (after an update stream the compiled executor may itself fall back
+#: to the interpreted loop over unmerged deltas; the comparison still holds).
 COMPILED_CONFIGS = (
     ("lftj", {}),
     ("lftj", {"parallel": 3, "parallel_backend": "threads"}),
@@ -86,12 +88,11 @@ FAULT_CONFIGS = (
 FAULT_SEEDS = tuple(range(4))
 
 #: Deterministic tier-1 corpus size; REPRO_FUZZ_ITERS extends it locally.
-BASE_ITERATIONS = 8
+BASE_ITERATIONS = 16
 FUZZ_ITERATIONS = max(int(os.environ.get("REPRO_FUZZ_ITERS", "0")), BASE_ITERATIONS)
 
-#: Column domain classes.  Per-column domains stay homogeneous (a single
-#: mixed column would not even sort on the raw path); the *query* still
-#: joins across classes because different relations mix them per column.
+#: Column domain classes.  Per-column domains stay homogeneous (the tuples
+#: of a relation have to sort); different relations mix them per column.
 INT_DOMAIN = tuple(range(9))
 STR_DOMAIN = tuple(f"v{index:02d}" for index in range(11))
 DOMAINS = {"int": INT_DOMAIN, "str": STR_DOMAIN}
@@ -118,8 +119,9 @@ def _random_relations(rng):
 def _random_query(rng, schemas):
     """A connected random conjunctive query over the generated schemas.
 
-    Variables are typed by domain class so a join never compares int against
-    str (which the raw-object path could not even order).  Each atom after
+    Variables are typed by domain class, so a random join never pairs an int
+    column with a str column (``test_cross_type_join_is_empty_everywhere``
+    pins that case).  Each atom after
     the first reuses at least one existing variable of a matching class when
     any column admits one, keeping the query connected.  Constants and
     repeated variables appear with small probability.
@@ -242,32 +244,50 @@ def _fuzz_one(seed):
     rng = random.Random(seed)
     relations, schemas = _random_relations(rng)
     query = _random_query(rng, schemas)
-
-    def build(encode):
-        return Database(
-            [Relation(rel.name, rel.attributes, rel.tuples) for rel in relations],
-            name=f"fuzz-{seed}-{'enc' if encode else 'raw'}",
-            encode=encode,
-        )
-
-    for encode in (True, False):
-        database = build(encode)
-        try:
-            expected = brute_force_evaluate(query, database)
-            _check_all_agree(query, database, expected)
-            _check_compiled_agrees(query, database, expected)
-            if rng.random() < 0.5:
-                _random_update_stream(rng, database, schemas)
-                updated = brute_force_evaluate(query, database)
-                _check_all_agree(query, database, updated)
-                _check_compiled_agrees(query, database, updated)
-        finally:
-            database.close_pools()
+    database = Database(relations, name=f"fuzz-{seed}")
+    try:
+        expected = brute_force_evaluate(query, database)
+        _check_all_agree(query, database, expected)
+        _check_compiled_agrees(query, database, expected)
+        if rng.random() < 0.5:
+            _random_update_stream(rng, database, schemas)
+            updated = brute_force_evaluate(query, database)
+            _check_all_agree(query, database, updated)
+            _check_compiled_agrees(query, database, updated)
+    finally:
+        database.close_pools()
 
 
 @pytest.mark.parametrize("seed", range(FUZZ_ITERATIONS))
 def test_random_queries_all_algorithms_agree(seed):
     _fuzz_one(seed)
+
+
+def test_cross_type_join_is_empty_everywhere():
+    """``E`` over ints joined to ``F`` over strs on ``y``: no int equals a
+    str, so the answer is empty — and no algorithm may try to *order* the
+    two (codes of one shared dictionary always compare)."""
+    database = Database(
+        [
+            Relation("E", ("a", "b"), [(1, 2), (2, 3), (3, 1)]),
+            Relation("F", ("b", "c"), [("2", "p"), ("3", "q"), ("x", "r")]),
+        ],
+        name="cross-type",
+    )
+    y, x, z = Variable("y"), Variable("x"), Variable("z")
+    query = ConjunctiveQuery([Atom("E", [x, y]), Atom("F", [y, z])], name="cross")
+    assert brute_force_evaluate(query, database) == set()
+    engine = QueryEngine(database)
+    try:
+        for algorithm in SERIAL_ALGORITHMS + ("plftj", "pclftj", "auto"):
+            compiles = (None, False) if algorithm in COMPILED_ALGORITHMS else (None,)
+            for compile in compiles:
+                options = {} if compile is None else {"compile": compile}
+                assert engine.count(query, algorithm=algorithm, **options).count == 0
+                result = engine.evaluate(query, algorithm=algorithm, **options)
+                assert result.rows == [] and result.count == 0, (algorithm, compile)
+    finally:
+        database.close_pools()
 
 
 @pytest.mark.parametrize("seed", FAULT_SEEDS)

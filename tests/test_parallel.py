@@ -4,8 +4,8 @@ contract + thread-safety audits.
 Four suites:
 
 * **Differential** — every parallel configuration (backend x inner algorithm
-  x encoded/raw x worker count, prime counts and empty ranges included) must
-  produce exactly the serial executor's count and row set.
+  x worker count, prime counts and empty ranges included) must produce
+  exactly the serial executor's count and row set.
 * **Bounded cursors** — regression tests pinning the
   :class:`~repro.storage.trie.BoundedTrieIterator` contract on all three
   cursor classes: a range-bounded seek at the top trie level must never leak
@@ -34,23 +34,19 @@ from repro.query.parser import parse_query
 from repro.query.patterns import cycle_query, path_query
 from repro.storage.database import Database
 from repro.storage.relation import Relation
-from repro.storage.trie import (
-    BoundedTrieIterator,
-    LsmTrieIndex,
-    NodeTrieIndex,
-    TrieIndex,
-)
+from repro.storage.trie import BoundedTrieIterator, LsmTrieIndex, TrieIndex
 
 from tests.conftest import brute_force_evaluate, random_edge_database
+from tests.node_trie import NodeTrieIndex
 
 BACKENDS = ("threads", "processes")
 INNER_ALGORITHMS = ("lftj", "generic_join")
 WORKER_COUNTS = (1, 2, 4, 7)
 
 
-def _edge_database(encode: bool) -> Database:
+def _edge_database() -> Database:
     base = random_edge_database(num_nodes=18, num_edges=55, seed=23)
-    return Database(list(base), name=f"par-{'enc' if encode else 'raw'}", encode=encode)
+    return Database(list(base), name="par")
 
 
 def _query_order_rows(result, query):
@@ -60,10 +56,12 @@ def _query_order_rows(result, query):
     return [tuple(row[p] for p in positions) for row in result.rows]
 
 
-@pytest.fixture(scope="module", params=[True, False], ids=["encoded", "raw"])
-def engine_and_serial(request):
-    """One engine per encoding mode plus the serial triangle baseline."""
-    database = _edge_database(request.param)
+# One param: the id keeps these tests' names what they were while a second,
+# "raw" storage representation existed beside this one.
+@pytest.fixture(scope="module", params=["encoded"])
+def engine_and_serial():
+    """One engine plus the serial triangle baseline."""
+    database = _edge_database()
     engine = QueryEngine(database)
     query = cycle_query(3)
     serial = {
@@ -143,7 +141,7 @@ class TestDifferential:
             assert result.count == serial.count
 
     def test_parallel_agrees_with_brute_force(self):
-        database = _edge_database(encode=True)
+        database = _edge_database()
         engine = QueryEngine(database)
         query = parse_query("E(x, y), E(y, z), E(x, z)", name="tri-dag")
         expected = brute_force_evaluate(query, database)
@@ -152,10 +150,10 @@ class TestDifferential:
             assert set(_query_order_rows(result, query)) == expected
 
     def test_count_only_parallel_runs_never_decode(self):
-        database = _edge_database(encode=True)
+        database = _edge_database()
         engine = QueryEngine(database)
         result = engine.count(cycle_query(3), algorithm="plftj", parallel=4)
-        assert result.metadata["encoded"] is True
+        assert "encoded" not in result.metadata  # a key that could only say True
         assert database.dictionary.decodes == 0
 
     def test_plftj_registered_and_runs(self, engine_and_serial):
@@ -268,7 +266,7 @@ class TestParameterSurface:
     def test_auto_worker_count_scales_with_work(self):
         """Under two work floors of estimated work ``parallel=True`` declines
         to serial; well above, it takes every usable core."""
-        small = QueryEngine(_edge_database(encode=True))
+        small = QueryEngine(_edge_database())
         query = path_query(5)
         assert small.selector.recommend_workers(query, query.variables, available=4) == 1
         base = random_edge_database(num_nodes=60, num_edges=420, seed=23)
@@ -283,7 +281,7 @@ class TestParameterSurface:
         assert morsels >= workers
 
     def test_recommended_workers_never_exceed_available(self):
-        database = _edge_database(encode=True)
+        database = _edge_database()
         engine = QueryEngine(database)
         query = path_query(5)
         assert (
@@ -303,7 +301,7 @@ class TestParameterSurface:
         """explain() on a cold database must not grow the dictionary, and
         its degenerate no-index partition plan must not be memoised — the
         next execution re-plans with real bounds and explain then agrees."""
-        database = _edge_database(encode=True)
+        database = _edge_database()
         engine = QueryEngine(database)
         query = cycle_query(3)
         assert len(database.dictionary) == 0
@@ -322,7 +320,7 @@ class TestParameterSurface:
 
 class TestPartitionPlanner:
     def _database(self):
-        return _edge_database(encode=True)
+        return _edge_database()
 
     def test_ranges_tile_the_key_space(self):
         database = self._database()
@@ -353,7 +351,8 @@ class TestPartitionPlanner:
         """A hub carrying most of the mass gets a shard of its own."""
         rows = [(0, target) for target in range(1, 60)]  # hub node 0
         rows += [(source, source + 1) for source in range(1, 6)]
-        database = Database([Relation("E", ("s", "t"), rows)], name="skew", encode=False)
+        database = Database([Relation("E", ("s", "t"), rows)], name="skew")
+        database.trie_index("E", (0, 1))  # codes follow the sorted rows: code == node
         query = cycle_query(3)
         plan = PartitionPlanner(database).plan(query, query.variables, 2)
         assert plan.source == "statistics"
@@ -393,7 +392,8 @@ class TestPartitionPlanner:
 
     def test_small_domains_pad_with_empty_shards(self):
         rows = [(1, 2), (2, 3), (3, 1)]
-        database = Database([Relation("E", ("s", "t"), rows)], name="tiny", encode=False)
+        database = Database([Relation("E", ("s", "t"), rows)], name="tiny")
+        database.trie_index("E", (0, 1))  # planning cuts in code space
         query = cycle_query(3)
         plan = PartitionPlanner(database).plan(query, query.variables, 7)
         assert plan.num_shards == 7
@@ -586,7 +586,7 @@ def _run_threads(worker, count):
 class TestThreadSafety:
     def test_concurrent_index_cache_fills_build_once(self):
         """The database lock makes the duplicate-build race window zero."""
-        database = _edge_database(encode=True)
+        database = _edge_database()
         built = []
 
         def worker(_index):
@@ -598,7 +598,7 @@ class TestThreadSafety:
         assert all(index is built[0] for index in built)
 
     def test_concurrent_view_index_fills_across_kinds(self):
-        database = _edge_database(encode=True)
+        database = _edge_database()
         engine = QueryEngine(database)
         query = cycle_query(3)
 
@@ -615,7 +615,7 @@ class TestThreadSafety:
 
     @pytest.mark.parametrize("algorithm", ["lftj", "generic_join", "clftj"])
     def test_concurrent_prepared_executions(self, algorithm):
-        database = _edge_database(encode=True)
+        database = _edge_database()
         engine = QueryEngine(database)
         query = cycle_query(3)
         serial = engine.count(query, algorithm=algorithm).count
@@ -631,7 +631,7 @@ class TestThreadSafety:
         assert prepared.executions == 18
 
     def test_concurrent_parallel_executions_of_one_prepared_handle(self):
-        database = _edge_database(encode=True)
+        database = _edge_database()
         engine = QueryEngine(database)
         query = cycle_query(3)
         serial = engine.count(query, algorithm="lftj").count
@@ -744,7 +744,7 @@ class TestForkSafety:
         from repro.engine.parallel import MorselSpec, _run_morsel
         from repro.engine.pool import MorselTask, reinitialise_child_locks
 
-        database = _edge_database(encode=True)
+        database = _edge_database()
         engine = QueryEngine(database)
         query = cycle_query(3)
         serial = engine.count(query, algorithm="lftj").count
@@ -779,7 +779,7 @@ class TestForkSafety:
 
 class TestPreparedParallel:
     def test_prepared_parallel_reexecutes_warm(self):
-        database = _edge_database(encode=True)
+        database = _edge_database()
         engine = QueryEngine(database)
         query = cycle_query(3)
         serial = engine.count(query, algorithm="lftj").count
@@ -795,7 +795,7 @@ class TestPreparedParallel:
 
     def test_parallel_runs_leave_clftj_warm_caches_alone(self):
         """Parallel traffic must not disturb a clftj handle's adhesion cache."""
-        database = _edge_database(encode=True)
+        database = _edge_database()
         engine = QueryEngine(database)
         query = path_query(4)
         cached = engine.prepare(query, algorithm="clftj")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.storage.dictionary import ValueEncodingError
 from repro.storage.relation import Relation
 
 
@@ -38,6 +39,26 @@ class TestConstruction:
 
     def test_empty_relation_allowed(self):
         assert len(Relation("E", ("a", "b"), [])) == 0
+
+    def test_unhashable_value_is_a_typed_error(self):
+        with pytest.raises(ValueEncodingError) as error:
+            Relation("E", ("src", "dst"), [(1, 2), (3, [4])])
+        assert isinstance(error.value, TypeError)  # existing handlers hold
+        message = str(error.value)
+        assert "'E'" in message and "'dst'" in message and "[4]" in message
+        assert "not hashable" in message
+
+    def test_unorderable_value_is_a_typed_error(self):
+        with pytest.raises(ValueEncodingError) as error:
+            Relation("E", ("src", "dst"), [(1, 2), (1, "x"), (2, 3)])
+        message = str(error.value)
+        assert "'E'" in message and "'dst'" in message and "'x'" in message
+        assert "cannot be ordered" in message
+
+    def test_columns_may_mix_types_the_sort_never_compares(self):
+        """Only what the tuple sort has to order is part of the contract."""
+        relation = Relation("E", ("src", "dst"), [(1, "x"), (2, 3)])
+        assert relation.tuples == ((1, "x"), (2, 3))
 
 
 class TestAccess:

@@ -1,5 +1,6 @@
-"""Columnar trie backend: differential tests against the reference node
-backend, shared-index-cache semantics, and cross-algorithm agreement."""
+"""The columnar trie: differential tests against the reference node trie
+(``tests/node_trie.py``), shared-index-cache semantics, and cross-algorithm
+agreement."""
 
 import random
 
@@ -15,10 +16,11 @@ from repro.query.parser import parse_query
 from repro.query.patterns import cycle_query, path_query, star_query
 from repro.storage.database import Database
 from repro.storage.relation import Relation
-from repro.storage.trie import NodeTrieIndex, TrieIndex
+from repro.storage.trie import TrieIndex
 from repro.storage.views import atom_signature, atom_trie
 
 from tests.conftest import brute_force_count, brute_force_evaluate, random_edge_database
+from tests.node_trie import NodeTrieIndex
 
 
 def _random_relation(rng: random.Random, arity: int, rows: int, domain: int) -> Relation:
@@ -209,14 +211,10 @@ class TestSharedIndexCache:
         for left, right in zip(first._indexes, second._indexes):
             assert left is right
 
-    def test_node_backend_bypasses_the_cache(self, small_graph_db):
-        small_graph_db.clear_index_cache()
-        LeapfrogTrieJoin(cycle_query(3), small_graph_db, trie_backend="nodes")
-        assert small_graph_db.index_cache_size() == 0
-
-    def test_unknown_backend_rejected(self, small_graph_db):
-        with pytest.raises(ValueError):
-            LeapfrogTrieJoin(cycle_query(3), small_graph_db, trie_backend="mmap")
+    def test_trie_backend_is_not_an_option(self, small_graph_db):
+        """One trie layout: asking an executor for another fails loudly."""
+        with pytest.raises(TypeError, match="trie_backend"):
+            LeapfrogTrieJoin(cycle_query(3), small_graph_db, trie_backend="nodes")
 
 
 class TestBackendAgreement:
@@ -260,22 +258,3 @@ class TestBackendAgreement:
         assert rows(GenericJoin(query, database)) == expected
         decomposition = generic_decompose(query)
         assert rows(CachedLeapfrogTrieJoin(query, database, decomposition)) == expected
-
-    def test_node_and_columnar_backends_agree_operation_for_operation(self, small_graph_db):
-        """On the raw-object path both backends report identical op counts.
-
-        (The encoded columnar path intentionally diverges: its batched
-        deepest-level kernel records block-scan accesses instead of per-key
-        rotations, so the comparison is made in raw mode — the reference
-        regime the nodes backend lives in.)
-        """
-        query = cycle_query(4)
-        raw_db = Database(list(small_graph_db), name="raw", encode=False)
-        col_counter, node_counter = OperationCounter(), OperationCounter()
-        col = LeapfrogTrieJoin(query, raw_db, counter=col_counter).count()
-        node = LeapfrogTrieJoin(
-            query, raw_db, counter=node_counter, trie_backend="nodes"
-        ).count()
-        assert col == node
-        assert col == LeapfrogTrieJoin(query, small_graph_db).count()
-        assert col_counter.as_dict() == node_counter.as_dict()

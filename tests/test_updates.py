@@ -24,6 +24,7 @@ from repro.engine.engine import QueryEngine
 from repro.query.parser import parse_query
 from repro.query.patterns import cycle_query
 from repro.storage.database import Database
+from repro.storage.dictionary import ValueEncodingError
 from repro.storage.relation import DeltaBatch, Relation, VersionedRelation
 from repro.storage.statistics import StatisticsCatalog
 from repro.storage.trie import LsmTrieIndex, MergedTrieIterator, TrieIndex
@@ -95,6 +96,41 @@ class TestDatabaseUpdates:
         db = lazy_database(Relation("E", ("a", "b"), [(1, 2)]))
         with pytest.raises(KeyError):
             db.insert("missing", [(1, 2)])
+
+    @pytest.mark.parametrize(
+        "make", [lambda *rels: Database(rels), lazy_database], ids=["eager", "lazy"]
+    )
+    def test_rejected_batch_is_typed_and_atomic(self, make):
+        """A batch breaking the value contract changes nothing: at the
+        parent the version was bumped and the indexes patched before
+        ``snapshot()`` raised — and kept raising on every later read."""
+        db = make(Relation("E", ("a", "b"), [(1, 2), (2, 3), (3, 1)]))
+        engine = QueryEngine(db)
+        query = parse_query("E(x, y), E(y, z)")
+        assert engine.count(query).count == 3
+
+        def state():
+            return (
+                db.relation_version("E"), db.data_version, db.relation("E").tuples,
+                db.index_builds, db.index_patches, engine.count(query).count,
+            )
+
+        before = state()
+        with pytest.raises(ValueEncodingError, match="'E'.*'a'.*cannot be ordered") as error:
+            db.insert("E", [(5, 6), ("x", 2)])
+        assert "'x'" in str(error.value)
+        with pytest.raises(ValueEncodingError, match="'E'.*'b'.*not hashable"):
+            db.insert("E", [(5, 6), (7, [8])])
+        with pytest.raises(ValueEncodingError, match="'E'.*'b'.*not hashable"):
+            db.delete("E", [(1, 2), (7, {8})])
+        assert state() == before
+        # A pending (unmerged) insert is ordered against as well.
+        assert db.insert("E", [(4, 1)]) == 1
+        with pytest.raises(ValueEncodingError, match="cannot be ordered"):
+            db.insert("E", [(4, "one")])
+        assert db.insert("E", [(3, 4)]) == 1
+        assert db.relation("E").tuples == ((1, 2), (2, 3), (3, 1), (3, 4), (4, 1))
+        assert engine.count(query).count == brute_force_count(query, db)
 
     def test_updates_patch_cached_tries_in_place(self):
         db = lazy_database(Relation("E", ("a", "b"), [(1, 2), (2, 3)]))
