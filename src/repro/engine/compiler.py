@@ -24,10 +24,15 @@ What the generated driver does differently from the interpreter:
 * loop-invariant runs are hoisted: a run whose parent key was bound at an
   earlier depth is computed right after that binding, not once per
   iteration of intermediate loops (the interpreter re-gathers it each time);
-* operation counters accumulate in local integers and flush once at the
-  end — the arithmetic replicates the interpreted cost model *exactly*, so
-  instrumented comparisons (e.g. CLFTJ-vs-LFTJ memory traffic) are
-  unaffected by compilation;
+* operation counters are *derived*, not kept: the interpreter charges a
+  fixed amount per visit of an intersection — one access and one open per
+  participant going in, one seek, one access coming out, one recursive-call
+  record — so a loop body only bumps one local trip counter
+  (``n<site> += 1``), adds the data-dependent span to ``c_acc`` and the
+  matches to ``total``, and the epilogue multiplies every constant out
+  (see "The counter model" below).  The sums equal the interpreted cost
+  model *exactly*, so instrumented comparisons (e.g. CLFTJ-vs-LFTJ memory
+  traffic) are unaffected by compilation;
 * count and evaluate variants are generated separately, and both take a
   ``[lo, hi)`` code range over the top variable, so every ``plftj`` shard
   reuses one compiled driver parameterized by its range.
@@ -42,14 +47,62 @@ results.
 
 The generated source is inspectable: ``CompiledTrieJoin.debug_source()``
 (or ``CompiledDriver.debug_source``) returns it verbatim.
+
+The counter model
+-----------------
+
+Every straight-line region of a driver — the function body, each loop body
+past its filters, each branch of a CLFTJ cache probe, the lower-bound seek
+of a ``[lo, hi)`` range — is a *site* (:class:`_Site`).  What the
+interpreter charges per visit of a site is known at codegen time, so the
+site carries it as coefficients and the generated code only counts visits.
+The innermost loop of the 4-path LFTJ count is the whole of it::
+
+    for i3 in range(lo2_1, hi2_1):
+        k3 = K2_1[i3]
+        p3_0 = fd3_0.get(k3)
+        if p3_0 is None:
+            continue
+        lo3_1 = B3_0[p3_0]; hi3_1 = E3_0[p3_0]
+        n5 += 1
+        # depth 4: fused leaf count
+        st = (hi3_1 - lo3_1)
+        c_acc += st if st > 1 else 1
+        m = hi3_1 - lo3_1
+        total += m
+    ...
+    counter.trie_accesses += c_acc + 2 + ... + 204 * n4 + 2 * n5
+    counter.trie_seeks += 1 + ... + 2 * n4 + n5
+    counter.trie_opens += 1 + ... + 2 * n4 + n5
+    counter.recursive_calls += total + 1 + ... + n4 + n5
+    counter.results_emitted += total
+
+What a loop still measures is what no trip count determines: ``total``;
+the span charge ``max(1, summed run spans)`` (minus the spans of root runs
+first met below depth 0 — constants of the captured columns, and one such
+unit makes the ``max`` static — which move to the site: the ``204`` above
+is 2 opens + 2 ups + a 200-key root run); CLFTJ's per-node intermediates
+``im<node>``; and CLFTJ's per-match recursive calls ``c_rec += m``, which
+under a cache hit differ from ``total``'s ``factor * m``.  Everything else
+is derived: count mode adds each match to ``total`` and to nothing else,
+so emitted results *are* ``total`` and so is LFTJ's per-match share of the
+recursive calls.  Parity with the interpreter is exact because the
+derivation is algebra over the same charges, not an approximation of them:
+``tests/test_compiler.py`` holds one query per kind of site to the
+interpreted ``counter.as_dict()`` over the whole key space, over summed
+``[lo, hi)`` ranges, over empty relations and under a deadline, and fails
+if a loop body starts keeping a derivable counter again.  Evaluate mode
+derives the same interior charges and keeps its per-row ``c_rec``/``c_res``
+(a generator abandoned midway flushes nothing, as before).
 """
 
 from __future__ import annotations
 
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core import leapfrog
 from repro.core.cache import AdhesionCache, CachePolicy
@@ -170,7 +223,6 @@ class CompiledDriver:
     query_name: str
     variable_names: Tuple[str, ...]
     relation_versions: Dict[str, int]
-    crossover: int
     _columns: Tuple[Tuple[object, ...], ...]
     _sources: Dict[str, str]
     _functions: Dict[str, Callable]
@@ -210,6 +262,23 @@ class CompiledDriver:
 # --------------------------------------------------------------------------
 # Code generation.
 # --------------------------------------------------------------------------
+
+
+@dataclass
+class _Site:
+    """One straight-line region of a generated driver and what a visit costs.
+
+    ``visits`` is the source expression for how often the region ran: ``"1"``
+    for the function body, else the local trip counter the region bumps on
+    entry.  The other fields are what the interpreter charges per visit;
+    the epilogue multiplies them out (module docstring, "The counter model").
+    """
+
+    visits: str
+    acc: int = 0
+    seek: int = 0
+    opens: int = 0
+    rec: int = 0
 
 
 class _Codegen:
@@ -259,6 +328,11 @@ class _Codegen:
         #: cache-probe preamble (the interpreter records the recursive call
         #: *before* consulting the cache, so the probe owns that record).
         self._skip_entry_record = False
+        #: Every site opened so far, root first; ``self.site`` is the one
+        #: the code being emitted runs in.  The root starts with the
+        #: top-level call the interpreter records on entry.
+        self.site = _Site("1", rec=1)
+        self.sites: List[_Site] = [self.site]
         self._plan_leaf_sets()
         self._plan_interior()
 
@@ -387,6 +461,66 @@ class _Codegen:
         """Does the walk descend through this participant (deeper level exists)?"""
         return level + 1 < len(self.atom_depths[atom])
 
+    @contextmanager
+    def visit_site(self, indent: int) -> Iterator[None]:
+        """Open the site of a loop body or branch and count its visits."""
+        outer = self.site
+        self.site = _Site(f"n{len(self.sites)}")
+        self.sites.append(self.site)
+        self.emit(indent, f"{self.site.visits} += 1")
+        yield
+        self.site = outer
+
+    def emit_level_charges(
+        self, indent: int, depth: int, participants: Sequence[Tuple[int, int]]
+    ) -> None:
+        """What the interpreter charges one visit of a depth's intersection.
+
+        Per participant: one access and one open on the way in, one seek,
+        one access on the way out — whether the level is walked, merged or
+        answered by the fused leaf kernel (which is charged for the
+        open/seek/up cycle it elides) — plus the recursive-call record.  All
+        constants of the visit, so they go to the site; only the span is
+        data and stays in the loop.
+        """
+        count = len(participants)
+        site = self.site
+        site.acc += 2 * count
+        site.seek += count
+        site.opens += count
+        if depth > 0 and not self._skip_entry_record:
+            site.rec += 1
+        # A probe preamble that already recorded the call (the interpreter
+        # records *before* consulting the cache) owns this visit's record.
+        self._skip_entry_record = False
+        self.emit_span_charge(indent, participants)
+
+    def emit_span_charge(
+        self, indent: int, participants: Sequence[Tuple[int, int]]
+    ) -> None:
+        """Charge ``max(1, summed run spans)`` accesses for one intersection.
+
+        The root run of an atom first met below depth 0 is never clamped by
+        the shard range, so its span is a constant of the captured columns.
+        One such unit makes the sum >= 1 and the interpreter's ``max``
+        static: the constant part goes to the site and the loop adds only
+        the spans that vary.
+        """
+        fixed = 0
+        varying: List[Tuple[int, int]] = []
+        for atom, level in participants:
+            if level == 0 and self.atom_depths[atom][0] > 0:
+                fixed += len(self.bundles[atom][0])
+            else:
+                varying.append((atom, level))
+        if not fixed:
+            self.emit(indent, f"st = {self.span_expr(participants)}")
+            self.emit(indent, "c_acc += st if st > 1 else 1")
+            return
+        self.site.acc += fixed
+        if varying:
+            self.emit(indent, f"c_acc += {self.span_expr(varying)}")
+
     def emit_deadline_check(self, indent: int) -> None:
         """One counter-gated deadline check inside a loop body."""
         self.emit(indent, "if _dl_at is not None:")
@@ -397,9 +531,16 @@ class _Codegen:
         self.emit(indent + 3, "raise _TimeoutError(deadline.timeout)")
 
     # ------------------------------------------------------------ generation
+    #: Parameters a driver takes between ``counter`` and the code range.
+    runtime_parameters = ""
+
     def generate(self) -> str:
         name = "_count" if self.mode == "count" else "_evaluate"
-        self.emit(0, f"def {name}(columns, counter, lo=None, hi=None, deadline=None,")
+        self.emit(
+            0,
+            f"def {name}(columns, counter, {self.runtime_parameters}"
+            "lo=None, hi=None, deadline=None,",
+        )
         self.emit(
             0,
             "           _run_intersect=_run_intersect, _run_count=_run_count,",
@@ -411,6 +552,11 @@ class _Codegen:
         )
         self.prologue()
         self.emit_depth(0, 1)
+        # The trip counters are only known once the loops are emitted, so
+        # their zeroing is spliced into the prologue afterwards.
+        counters = [site.visits for site in self.sites[1:]]
+        if counters:
+            self.lines.insert(self._zeroing_line, "    " + " = ".join(counters) + " = 0")
         self.epilogue()
         return "\n".join(self.lines) + "\n"
 
@@ -427,7 +573,9 @@ class _Codegen:
             if len(names) == 1:
                 target += ","
             self.emit(1, f"({target}) = columns[{atom}]")
-        self.emit(1, "c_acc = 0; c_seek = 0; c_open = 0; c_rec = 1; c_res = 0")
+        self.emit(1, "c_acc = 0")
+        if self.mode == "evaluate":
+            self.emit(1, "c_rec = 0; c_res = 0")
         # Cooperative deadline: resolve the instant once, check already
         # expired deadlines immediately (so tiny inputs still time out),
         # then re-check once per stride of outer-loop iterations.  The
@@ -446,11 +594,20 @@ class _Codegen:
                 1,
                 f"lo{atom}_0 = 0; hi{atom}_0 = {len(self.bundles[atom][0])}",
             )
+        self._zeroing_line = len(self.lines)
         # The shard range restricts exactly the depth-0 intersection, like
-        # BoundedTrieIterator does on the interpreted parallel path.
+        # BoundedTrieIterator does on the interpreted parallel path — whose
+        # cursor opens on the run's first key and, finding it below ``lo``,
+        # seeks there: one seek at the balanced-tree cost of the root run.
         clamped = self.participants[0]
         self.emit(1, "if lo is not None:")
         for atom, _level in clamped:
+            size = len(self.bundles[atom][0])
+            if size:
+                self.emit(2, f"if K{atom}_0[0] < lo:")
+                with self.visit_site(3):
+                    self.site.seek += 1
+                    self.site.acc += size.bit_length()
             self.emit(2, f"lo{atom}_0 = _bisect(K{atom}_0, lo, lo{atom}_0, hi{atom}_0)")
         self.emit(1, "if hi is not None:")
         for atom, _level in clamped:
@@ -464,12 +621,28 @@ class _Codegen:
             self.emit(2, f"{name} = {expression}")
             self.emit(2, f"_hoist[{name!r}] = {name}")
 
+    def derived(self, field: str, *measured: str) -> str:
+        """``measured`` locals plus every site's ``field`` charge x visits."""
+        terms = list(measured)
+        for site in self.sites:
+            charge = getattr(site, field)
+            if site.visits == "1":
+                terms.append(str(charge))
+            elif charge:
+                terms.append(site.visits if charge == 1 else f"{charge} * {site.visits}")
+        return " + ".join(terms)
+
     def epilogue(self) -> None:
-        self.emit(1, "counter.trie_accesses += c_acc")
-        self.emit(1, "counter.trie_seeks += c_seek")
-        self.emit(1, "counter.trie_opens += c_open")
-        self.emit(1, "counter.recursive_calls += c_rec")
-        self.emit(1, "counter.results_emitted += c_res")
+        # Count mode adds every match to ``total`` and to nothing else:
+        # emitted results are ``total``, and so is LFTJ's per-match share
+        # of the recursive calls.  Evaluate mode charges both per row.
+        per_match = self.per_match_calls if self.mode == "count" else "c_rec"
+        results = "total" if self.mode == "count" else "c_res"
+        self.emit(1, f"counter.trie_accesses += {self.derived('acc', 'c_acc')}")
+        self.emit(1, f"counter.trie_seeks += {self.derived('seek')}")
+        self.emit(1, f"counter.trie_opens += {self.derived('opens')}")
+        self.emit(1, f"counter.recursive_calls += {self.derived('rec', per_match)}")
+        self.emit(1, f"counter.results_emitted += {results}")
         if self.mode == "count":
             self.emit(1, "return total")
 
@@ -486,14 +659,10 @@ class _Codegen:
         participants = self.participants[depth]
         count = len(participants)
         self.emit(indent, f"# depth {depth}: interior intersection")
-        self.emit_entry_record(indent, depth)
-        self.emit(indent, f"c_acc += {count}; c_open += {count}")
-        self.emit(indent, f"st = {self.span_expr(participants)}")
-        self.emit(indent, f"c_acc += st if st > 1 else 1; c_seek += {count}")
+        self.emit_level_charges(indent, depth, participants)
         plan = self.interior_plan.get(depth)
         if plan is not None:
             self.emit_interior_walk(depth, indent, plan)
-            self.emit(indent, f"c_acc += {count}")
             return
         need = tuple(
             self.needs_positions(atom, level) for atom, level in participants
@@ -521,10 +690,14 @@ class _Codegen:
         for atom, level in participants:
             if self.needs_positions(atom, level):
                 self.emit(body, f"p{atom}_{level} = ps{depth}_{atom}[i{depth}]")
+        self.emit_descent(depth, body)
+
+    def emit_descent(self, depth: int, body: int) -> None:
+        """The rest of a loop body once ``depth``'s key survived: a site."""
         self.emit_body_hoists(depth, body)
-        self.emit_depth(depth + 1, body)
+        with self.visit_site(body):
+            self.emit_depth(depth + 1, body)
         self.emit_post_recursion(depth, body)
-        self.emit(indent, f"c_acc += {count}")
 
     def emit_body_hoists(self, depth: int, body: int) -> None:
         # Hoisted child runs: every run whose parent key was just bound here
@@ -574,9 +747,7 @@ class _Codegen:
                 self.emit(body + 1, "continue")
         if self.needs_positions(atom, level):
             self.emit(body, f"p{atom}_{level} = i{depth}")
-        self.emit_body_hoists(depth, body)
-        self.emit_depth(depth + 1, body)
-        self.emit_post_recursion(depth, body)
+        self.emit_descent(depth, body)
 
     def emit_leaf_count(
         self, participants: Sequence[Tuple[int, int]], indent: int
@@ -653,73 +824,35 @@ class _Codegen:
 
     def emit_deepest_count(self, depth: int, indent: int) -> None:
         participants = self.participants[depth]
-        count = len(participants)
-        fused = all(level >= 1 for _atom, level in participants)
-        if fused:
+        if all(level >= 1 for _atom, level in participants):
             # The interpreter's fused leaf: one stateless child intersection
-            # replaces the whole open/intersect/up cycle, charged with the
-            # costs of the operations it elides (and the recursive call the
-            # interior inline would have made).
+            # replaces the whole open/intersect/up cycle and is charged with
+            # the operations it elides, so a visit costs what an unfused
+            # one does.
             self.emit(indent, f"# depth {depth}: fused leaf count")
-            self.emit(indent, f"st = {self.span_expr(participants)}")
-            if count == 2:
-                self.emit(indent, "c_acc += (st if st > 1 else 1) + 4")
-            else:
-                self.emit(indent, f"c_acc += (st if st > 1 else 1) + {2 * count}")
-            self.emit(indent, f"c_seek += {count}; c_open += {count}")
-            self.emit_leaf_count(participants, indent)
-            self.emit_leaf_tally(indent, fused=True)
-            return
-        # Some participant first appears at the deepest depth: the fused
-        # child read is unavailable and the interpreter recurses for real.
-        self.emit(indent, f"# depth {depth}: leaf count (unfused)")
-        self.emit_entry_record(indent, depth)
-        self.emit(indent, f"c_acc += {count}; c_open += {count}")
-        self.emit(indent, f"st = {self.span_expr(participants)}")
-        self.emit(indent, f"c_acc += st if st > 1 else 1; c_seek += {count}")
+        else:
+            # Some participant first appears at the deepest depth: the fused
+            # child read is unavailable and the interpreter recurses for real.
+            self.emit(indent, f"# depth {depth}: leaf count (unfused)")
+        self.emit_level_charges(indent, depth, participants)
         self.emit_leaf_count(participants, indent)
-        self.emit_leaf_tally(indent, fused=False)
-        self.emit(indent, f"c_acc += {count}")
+        self.emit_leaf_tally(indent)
 
     # ------------------------------------------------- subclass hook points
-    def emit_entry_record(self, indent: int, depth: int) -> None:
-        """The recursive-call record at a depth's entry (elided at depth 0).
+    #: The local holding the recursive calls made once per match.
+    per_match_calls = "total"
 
-        A probe preamble that already recorded the call (the interpreter
-        records *before* consulting the cache) sets ``_skip_entry_record``
-        so the record is not double-counted.
-        """
-        if depth <= 0:
-            return
-        if self._skip_entry_record:
-            self._skip_entry_record = False
-            return
-        self.emit(indent, "c_rec += 1")
-
-    def emit_leaf_tally(self, indent: int, fused: bool) -> None:
-        """The deepest level's counter/total arithmetic for ``m`` matches.
-
-        The fused variant also charges the recursive call the interior
-        inline elided (``1 + m`` vs ``m``) — exactly the interpreter's
-        fused-kernel bookkeeping.
-        """
-        if fused:
-            self.emit(indent, "c_rec += 1 + m; c_res += m; total += m")
-        else:
-            self.emit(indent, "c_rec += m; c_res += m; total += m")
+    def emit_leaf_tally(self, indent: int) -> None:
+        """The deepest level's arithmetic for ``m`` matches."""
+        self.emit(indent, "total += m")
 
     def emit_post_recursion(self, depth: int, body: int) -> None:
         """Hook after each interior iteration's recursion (no-op for LFTJ)."""
 
     def emit_deepest_evaluate(self, depth: int, indent: int) -> None:
         participants = self.participants[depth]
-        count = len(participants)
         self.emit(indent, f"# depth {depth}: deepest keys, one row per match")
-        if depth > 0:
-            self.emit(indent, "c_rec += 1")
-        self.emit(indent, f"c_acc += {count}; c_open += {count}")
-        self.emit(indent, f"st = {self.span_expr(participants)}")
-        self.emit(indent, f"c_acc += st if st > 1 else 1; c_seek += {count}")
+        self.emit_level_charges(indent, depth, participants)
         self.emit(
             indent, f"ks{depth} = _run_keys({self.runs_expr(participants)})"
         )
@@ -730,7 +863,6 @@ class _Codegen:
             row += ","
         self.emit(indent + 1, "c_rec += 1; c_res += 1")
         self.emit(indent + 1, f"yield ({row})")
-        self.emit(indent, f"c_acc += {count}")
 
 
 def generate_source(
@@ -795,7 +927,6 @@ def compile_driver(
         query_name=query.name,
         variable_names=tuple(variable.name for variable in variable_order),
         relation_versions=database.relation_versions(query.relation_names),
-        crossover=leapfrog.KERNEL_CROSSOVER,
         _columns=bundles,
         _sources=sources,
         _functions=functions,
@@ -906,32 +1037,14 @@ class _ClftjCodegen(_Codegen):
         self._factor_serial = 0
 
     # ------------------------------------------------------------ generation
-    def generate(self) -> str:
-        self.emit(
-            0,
-            "def _count(columns, counter, cache, policy, "
-            "lo=None, hi=None, deadline=None,",
-        )
-        self.emit(
-            0,
-            "           _run_intersect=_run_intersect, _run_count=_run_count,",
-        )
-        self.emit(
-            0,
-            "           _run_keys=_run_keys, _pair_count=_pair_count, "
-            "_np=_np, _bisect=_bisect, _hoist={}):",
-        )
-        self.prologue()
-        self.emit_depth(0, 1)
-        self.epilogue()
-        return "\n".join(self.lines) + "\n"
+    runtime_parameters = "cache, policy, "
 
     def prologue(self) -> None:
         super().prologue()
         self.emit(
             1, "_cget = cache.get; _cput = cache.put; _should = policy.should_cache"
         )
-        self.emit(1, "c_mat = 0")
+        self.emit(1, "c_mat = 0; c_rec = 0")
         if self.probed:
             self.emit(
                 1, "; ".join(f"im{shape.node} = 0" for shape in self.probed)
@@ -945,14 +1058,8 @@ class _ClftjCodegen(_Codegen):
         if depth == self.num_variables:
             # The base case a cache hit's continuation can land on: one
             # recursive call, ``factor`` result units.
-            if self.factor == "1":
-                self.emit(indent, "c_rec += 1; c_res += 1; total += 1")
-            else:
-                self.emit(
-                    indent,
-                    f"c_rec += 1; c_res += {self.factor}; "
-                    f"total += {self.factor}",
-                )
+            self.site.rec += 1
+            self.emit(indent, f"total += {self.factor}")
             return
         shape = self.shape_at_entry.get(depth)
         if shape is not None:
@@ -973,15 +1080,15 @@ class _ClftjCodegen(_Codegen):
             key = "(" + ", ".join(f"k{d}" for d in shape.adhesion_depths) + ")"
         self.emit(indent, f"# node {node}: adhesion-cache probe")
         # The interpreter records the recursive call before consulting.
-        self.emit(indent, "c_rec += 1")
+        self.site.rec += 1
         self.emit(indent, f"ak{pid} = {key}")
         self.emit(indent, f"cv{pid} = _cget({node}, ak{pid})")
         self.emit(indent, f"if cv{pid} is None:")
         body = indent + 1
         self.emit(body, f"im{node} = 0")
         self._skip_entry_record = True
-        super().emit_depth(depth, body)
-        self._skip_entry_record = False
+        with self.visit_site(body):
+            super().emit_depth(depth, body)
         self.emit(body, f"if _should({node}, _AV{node}, ak{pid}, im{node}):")
         self.emit(body + 1, f"if _cput({node}, ak{pid}, im{node}):")
         self.emit(body + 2, "c_mat += 1")
@@ -995,22 +1102,20 @@ class _ClftjCodegen(_Codegen):
             self.emit(body, f"f{fid} = {self.factor} * cv{pid}")
         saved = self.factor
         self.factor = f"f{fid}"
-        self.emit_depth(shape.subtree_last + 1, body)
+        with self.visit_site(body):
+            self.emit_depth(shape.subtree_last + 1, body)
         self.factor = saved
 
     # ------------------------------------------------------------ hook impls
-    def emit_leaf_tally(self, indent: int, fused: bool) -> None:
-        if fused and self._skip_entry_record:
-            # The probe preamble already recorded the entry call the fused
-            # kernel folds into its ``1 + m``.
-            self._skip_entry_record = False
-            fused = False
-        rec = "c_rec += 1 + m" if fused else "c_rec += m"
+    #: Under a cache hit ``total`` grows by ``factor * m`` while the
+    #: interpreter still recurses ``m`` times: the calls keep their own local.
+    per_match_calls = "c_rec"
+
+    def emit_leaf_tally(self, indent: int) -> None:
         if self.factor == "1":
-            self.emit(indent, f"{rec}; c_res += m; total += m")
+            self.emit(indent, "c_rec += m; total += m")
         else:
-            self.emit(indent, f"fm = {self.factor} * m")
-            self.emit(indent, f"{rec}; c_res += fm; total += fm")
+            self.emit(indent, f"c_rec += m; total += {self.factor} * m")
         node = self.owner_at_depth[self.num_variables - 1]
         if node in self.tracked_nodes:
             # The deepest owner is always a decomposition leaf, so the
@@ -1052,7 +1157,6 @@ class CompiledClftjDriver:
     query_name: str
     variable_names: Tuple[str, ...]
     relation_versions: Dict[str, int]
-    crossover: int
     probed_nodes: Tuple[int, ...]
     _columns: Tuple[Tuple[object, ...], ...]
     _sources: Dict[str, str]
@@ -1130,7 +1234,6 @@ def compile_clftj_driver(
         query_name=query.name,
         variable_names=tuple(variable.name for variable in variable_order),
         relation_versions=database.relation_versions(query.relation_names),
-        crossover=leapfrog.KERNEL_CROSSOVER,
         probed_nodes=tuple(shape.node for shape in codegen.probed),
         _columns=bundles,
         _sources={"count": source},

@@ -435,10 +435,6 @@ class _WorkerCache:
 
     versions: Tuple[int, ...]
     cache: AdhesionCache
-    #: ``cache.memory_estimate()`` as of the last morsel that stored
-    #: anything; the walk is O(entries), and a warm job, which stores
-    #: nothing, reports the figure it already has.
-    memory_bytes: Optional[int] = None
 
 
 def _worker_adhesion_cache(database: Database, spec: MorselSpec) -> _WorkerCache:
@@ -528,17 +524,13 @@ def _run_morsel(database: Database, spec: MorselSpec, task: MorselTask) -> TaskO
     else:
         rows = [tuple(row) for row in executor.evaluate_coded(task.lo, task.hi, counter)]
         value = len(rows)
-    if counter.cache_insertions:
-        state["cache"].memory_bytes = None
     return TaskOutcome(value=value, rows=rows, counter=counter)
 
 
 def _summarize_worker(database: Database, spec: MorselSpec, state: dict) -> dict:
     """A CLFTJ worker's adhesion-cache footprint after its last morsel."""
-    held: _WorkerCache = state["cache"]
-    if held.memory_bytes is None:
-        held.memory_bytes = held.cache.memory_estimate()
-    return {"entries": len(held.cache), "memory_bytes": held.memory_bytes}
+    cache: AdhesionCache = state["cache"].cache
+    return {"entries": len(cache), "memory_bytes": cache.memory_estimate()}
 
 
 def _skew(work: Sequence[float]) -> float:

@@ -65,11 +65,15 @@ _COMPILE_CHARGE_CAP = 64.0
 #: the 2-core reference box: a warm no-op job takes 0.4 ms for 2 morsels plus
 #: 0.06 ms per further morsel, and a real one 1-1.5 ms once the plan is
 #: pickled to each worker, each worker builds its executor and CLFTJ workers
-#: size their caches; compiled count loops retire 2.5k-8k units per ms, and
-#: the floor is taken at the fast end, because queries that cheap are the
-#: ones it exists for.  A range worth less than this is not cut off: a 3 ms
-#: query becomes one range per worker, while 100 ms of work still gets its
-#: 16 per worker.
+#: size their caches; compiled count loops retire 3k-12k units per ms
+#: (re-measured on the benchmark graphs once the drivers derived their
+#: counters: ``p4.lftj`` 3.0k, ``c4.lftj`` 3.5k, ``p4.clftj`` 6k,
+#: ``tri.lftj`` 10k, ``lol.clftj`` 12k; ``c5.lftj``, bound by C-level set
+#: intersections, stays at 1.4k), and the floor is taken at the fast end,
+#: because queries that cheap are the ones it exists for: 12k units are
+#: still the 1-1.2 ms a dispatch costs.  A range worth less than this is
+#: not cut off: a 3 ms query becomes one range per worker, while 100 ms of
+#: work still gets its 16 per worker.
 _MORSEL_DISPATCH_COST = 12000.0
 
 

@@ -1,5 +1,8 @@
 """Tests for the adhesion cache and the caching policies."""
 
+import random
+import sys
+
 import pytest
 
 from repro.core.cache import (
@@ -10,7 +13,9 @@ from repro.core.cache import (
     NeverCachePolicy,
     SupportThresholdPolicy,
 )
+from repro.core.factorized import FactorizedNode
 from repro.core.instrumentation import OperationCounter
+from repro.engine.engine import QueryEngine
 from repro.query.parser import parse_query
 from repro.query.terms import Variable
 from repro.storage.database import Database
@@ -104,6 +109,109 @@ class TestAdhesionCache:
             AdhesionCache(capacity=-1)
         with pytest.raises(ValueError):
             AdhesionCache(eviction="random")
+
+
+def walked_memory_estimate(cache: AdhesionCache) -> int:
+    """The estimate as the cache computed it before it kept a running sum:
+    a ``sys.getsizeof`` walk over every entry.  Test-only reference."""
+    total = sys.getsizeof(cache._entries)
+    for (node, values), value in cache._entries.items():
+        total += sys.getsizeof((node, values)) + sum(
+            sys.getsizeof(component) for component in values
+        )
+        memory_entries = getattr(value, "memory_entries", None)
+        if memory_entries is not None:
+            total += 32 * memory_entries()
+        else:
+            total += sys.getsizeof(value)
+    return total
+
+
+def _count_value(rng: random.Random) -> int:
+    # small, machine-word and multi-digit ints are three different sizes
+    return rng.choice((0, 7, 2**31, 2**70)) + rng.randrange(100)
+
+
+def _factorized_value(rng: random.Random) -> FactorizedNode:
+    leaf = FactorizedNode((Variable("z"),))
+    for value in range(rng.randrange(4)):
+        leaf.add_entry((value,))
+    root = FactorizedNode((Variable("y"),))
+    for value in range(rng.randrange(1, 5)):
+        root.add_entry((value,), (leaf,))
+    return root
+
+
+class TestRunningMemoryEstimate:
+    """``memory_estimate()`` is a running sum; the walk is the reference."""
+
+    @pytest.mark.parametrize("make_value", [_count_value, _factorized_value],
+                             ids=["count", "evaluate"])
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"capacity": 12}, {"capacity": 12, "eviction": "lru"}],
+        ids=["unbounded", "reject", "lru"],
+    )
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_the_walk_after_random_operations(self, make_value, options, seed):
+        rng = random.Random(seed)
+        cache = AdhesionCache(**options)
+        assert cache.memory_estimate() == walked_memory_estimate(cache)
+        for _step in range(400):
+            roll = rng.random()
+            node = rng.randrange(1, 4)
+            # keys of one and two components; few enough to collide, so a
+            # put overwrites about as often as it inserts
+            values = tuple(
+                rng.choice((3, 4, 2**40, "a", "bc"))
+                for _ in range(rng.randrange(1, 3))
+            )
+            if roll < 0.70:
+                cache.put(node, values, make_value(rng))
+            elif roll < 0.85:
+                cache.get(node, values)  # reorders an LRU cache
+            elif roll < 0.92:
+                cache.invalidate(node)
+            elif roll < 0.97:
+                cache.invalidate_nodes(rng.sample((1, 2, 3), 2))
+            else:
+                cache.invalidate()
+            # asking rebuilds the sum after an eviction, so ask only now and
+            # then: the running sum has to survive the steps in between
+            if rng.random() < 0.3:
+                assert cache.memory_estimate() == walked_memory_estimate(cache)
+        assert cache.memory_estimate() == walked_memory_estimate(cache)
+
+    def test_an_unbounded_cache_never_walks(self):
+        """Fill, overwrite and invalidate keep the sum; only an LRU eviction
+        drops it until the next ``memory_estimate()``."""
+        cache = AdhesionCache()
+        for key in range(50):
+            cache.put(1 + key % 2, (key,), key)
+        cache.put(1, (0,), 2**70)
+        cache.invalidate(2)
+        assert cache._held_bytes is not None
+        assert cache.memory_estimate() == walked_memory_estimate(cache)
+        evicting = AdhesionCache(capacity=2, eviction="lru")
+        for key in range(3):
+            evicting.put(1, (key,), key)
+        assert evicting._held_bytes is None
+        assert evicting.memory_estimate() == walked_memory_estimate(evicting)
+        assert evicting._held_bytes is not None
+
+    @pytest.mark.parametrize("compile_flag", [None, False], ids=["compiled", "interpreted"])
+    def test_execution_metadata_reports_the_walked_figure(self, compile_flag):
+        rows = [(i, (i * 7 + 3) % 40) for i in range(120)]
+        rows += [(i, (i * 3 + 1) % 40) for i in range(40)]
+        engine = QueryEngine(Database([Relation("E", ("a", "b"), rows)]))
+        query = parse_query("E(a,b), E(b,c), E(c,d), E(d,e)")
+        cache = AdhesionCache()
+        for _run in range(2):  # the run that fills the cache, then a warm one
+            result = engine.count(
+                query, algorithm="clftj", cache=cache, compile=compile_flag
+            )
+            assert result.metadata["cache_entries"] == len(cache) > 0
+            assert result.metadata["cache_memory_bytes"] == walked_memory_estimate(cache)
 
 
 class TestSimplePolicies:

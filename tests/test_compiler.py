@@ -8,7 +8,9 @@ the metadata/explain reporting, the interpreted escape hatch and the CLI
 surface.
 """
 
+import ast
 import random
+import re
 import subprocess
 import sys
 
@@ -23,6 +25,7 @@ from repro.engine.compiler import (
     CompiledTrieJoin,
     driver_cache_key,
 )
+from repro.engine.parallel import make_range_executor
 from repro.query.parser import parse_query
 from repro.query.patterns import clique_query, cycle_query, path_query
 from repro.storage.database import Database
@@ -284,6 +287,155 @@ class TestValidation:
         assert "disabled (compile=False" in capsys.readouterr().out
 
 
+# --------------------------------------------------------------------------
+# The counter model: loops count visits, the epilogue derives the rest.
+# --------------------------------------------------------------------------
+
+P4 = "E(a,b), E(b,c), E(c,d), E(d,e)"
+C4 = "E(a,b), E(b,c), E(c,d), E(d,a)"
+LOLLIPOP = "E(a,b), E(a,c), E(b,c), E(c,d), E(d,e)"
+
+#: One query per kind of emission site: (id, text, algorithm, patterns the
+#: generated count source must match for the case to be the kind it claims).
+SITE_CASES = [
+    ("interior-merge", "E(a,b), F(a,b), E(b,c)", "lftj", [r"ks1, \(.*_run_intersect"]),
+    ("interior-walk-leaf-of-1", P4, "lftj", [r"fd3_0\.get\(k3\)", r"m = hi3_1 - lo3_1"]),
+    ("leaf-of-2", "E(a,b), F(a,b)", "lftj", [r"fused leaf", r"m = _pair_count\("]),
+    ("leaf-of-3", "E(a,b), F(a,b), G(a,b)", "lftj", [r"fused leaf", r"m = _run_count\("]),
+    ("leaf-invariant-set", "E(a,b), E(b,c), E(c,a)", "lftj", [r"m = len\(sl0\.intersection"]),
+    ("leaf-unfused", "E(a,b), U(b)", "lftj", [r"leaf count \(unfused\)"]),
+    # hit and miss continuations, and a hit that lands on the base case
+    ("probe-path", P4, "clftj", [r"adhesion-cache probe", r"else:\n.*\n.*\n +n\d+ \+= 1\n +total \+= f\d+\n"]),
+    ("probe-two-variable-adhesion", C4, "clftj", [r"ak\d+ = \(k\d, k\d\)"]),
+    ("probe-under-walk", LOLLIPOP, "clftj", [r"adhesion-cache probe", r"fs2_1"]),
+]
+SITE_IDS = [case[0] for case in SITE_CASES]
+
+
+def _site_database(empty=False):
+    def rows(seed):
+        return [] if empty else _edges(seed=seed, nodes=30, count=160)
+
+    unary = [] if empty else [(value,) for value in range(0, 30, 2)]
+    return Database([
+        Relation("E", ("a", "b"), rows(1)),
+        Relation("F", ("a", "b"), rows(2)),
+        Relation("G", ("a", "b"), rows(3)),
+        Relation("U", ("a",), unary),
+    ])
+
+
+def _capacities(algorithm):
+    return (None, 0, 100) if algorithm == "clftj" else (None,)
+
+
+def _sharded(database, query, algorithm, capacity, compile, rows=False):
+    """Run three ``[lo, hi)`` code ranges through one executor (and one
+    adhesion cache), the way a pool worker runs its morsels: the summed
+    count — or, with ``rows``, the concatenated coded rows — and counters."""
+    plan = QueryEngine(database).plan(query, cache_capacity=capacity)
+    executor = make_range_executor(
+        query, database, plan.variable_order, algorithm, compile,
+        decomposition=plan.decomposition, policy=plan.policy, cache=plan.make_cache(),
+    )
+    codes = len(database.dictionary)
+    cuts = (None, codes // 3, 2 * codes // 3, None)
+    values, merged = [], OperationCounter()
+    for lo, hi in zip(cuts, cuts[1:]):
+        counter = OperationCounter()
+        if rows:
+            values.extend(executor.evaluate_coded(lo, hi, counter))
+        else:
+            values.append(executor.count(lo, hi, counter))
+        merged.merge(counter)
+    return (values if rows else sum(values)), merged.as_dict()
+
+
+class TestCounterModel:
+    @pytest.mark.parametrize("name,text,algorithm,patterns", SITE_CASES, ids=SITE_IDS)
+    def test_every_site_kind_charges_what_the_interpreter_charges(
+        self, name, text, algorithm, patterns
+    ):
+        query = parse_query(text)
+        database = _site_database()
+        engine = QueryEngine(database)
+        engine.count(query, algorithm=algorithm)
+        source = engine.prepare(query, algorithm=algorithm).compiled_driver().debug_source("count")
+        for pattern in patterns:
+            assert re.search(pattern, source), f"{name}: no {pattern!r} in\n{source}"
+        for capacity in _capacities(algorithm):
+            options = {} if capacity is None else {"cache_capacity": capacity}
+
+            def run(compile, **extra):
+                result = engine.count(
+                    query, algorithm=algorithm, compile=compile, **options, **extra
+                )
+                assert result.metadata.get("compiled", False) is (compile is None)
+                return result.count, result.counter.as_dict()
+
+            whole = run(None)
+            assert whole == run(False), (name, capacity)
+            assert whole[0] > 0 and whole[1]["recursive_calls"] > 1
+            # a deadline that never fires changes no counter
+            assert run(None, timeout=3600.0) == whole == run(False, timeout=3600.0)
+            # three shards, summed: a worker's morsels over one executor
+            sharded = _sharded(database, query, algorithm, capacity, None)
+            assert sharded == _sharded(database, query, algorithm, capacity, False)
+            assert sharded[0] == whole[0]
+        if algorithm == "lftj":
+            # evaluate mode derives the same interior charges per range
+            coded = _sharded(database, query, algorithm, None, None, rows=True)
+            assert coded == _sharded(database, query, algorithm, None, False, rows=True)
+            assert len(coded[0]) == whole[0]
+
+    @pytest.mark.parametrize("name,text,algorithm,patterns", SITE_CASES, ids=SITE_IDS)
+    def test_parity_over_empty_relations(self, name, text, algorithm, patterns):
+        query = parse_query(text)
+        engine = QueryEngine(_site_database(empty=True))
+        compiled = engine.count(query, algorithm=algorithm)
+        interpreted = engine.count(query, algorithm=algorithm, compile=False)
+        assert compiled.metadata["compiled"] is True
+        assert compiled.count == interpreted.count == 0
+        assert compiled.counter.as_dict() == interpreted.counter.as_dict()
+
+    @pytest.mark.parametrize("name,text,algorithm,patterns", SITE_CASES, ids=SITE_IDS)
+    def test_no_loop_keeps_derivable_counters(self, name, text, algorithm, patterns):
+        """Seeks, opens and emitted results are functions of the trip counts
+        and ``total``: no ``for`` body may keep them by hand again."""
+        query = parse_query(text)
+        engine = QueryEngine(_site_database())
+        engine.count(query, algorithm=algorithm)
+        source = engine.prepare(query, algorithm=algorithm).compiled_driver().debug_source("count")
+        loops = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.For)]
+        assert loops
+        for loop in loops:
+            targets = {
+                node.target.id
+                for node in ast.walk(loop)
+                if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name)
+            }
+            assert not targets & {"c_seek", "c_open", "c_res"}, (name, targets)
+
+    def test_path_inner_loop_keeps_three_accumulators(self):
+        """README's example: the innermost body of the 4-path LFTJ count."""
+        query = parse_query(P4)
+        engine = QueryEngine(_site_database())
+        engine.count(query, algorithm="lftj")
+        source = engine.prepare(query, algorithm="lftj").compiled_driver().debug_source("count")
+        innermost = [
+            loop for loop in ast.walk(ast.parse(source))
+            if isinstance(loop, ast.For)
+            and not any(isinstance(node, ast.For) for node in ast.walk(loop) if node is not loop)
+        ]
+        assert len(innermost) == 1
+        targets = [
+            re.sub(r"^n\d+$", "n<site>", node.target.id)
+            for node in ast.walk(innermost[0])
+            if isinstance(node, ast.AugAssign) and node.target.id != "_dlt"
+        ]
+        assert sorted(targets) == ["c_acc", "n<site>", "total"]
+
+
 class TestKernelCrossover:
     def test_env_override_changes_crossover_and_driver_records_it(self):
         script = (
@@ -292,15 +444,20 @@ class TestKernelCrossover:
             "assert leapfrog.KERNEL_CROSSOVER == 7, leapfrog.KERNEL_CROSSOVER\n"
             "import random\n"
             "from repro.engine.compiler import CompiledTrieJoin\n"
-            "from repro.query.patterns import cycle_query\n"
+            "from repro.query.parser import parse_query\n"
             "from repro.storage.database import Database\n"
+            "from repro.storage.dictionary import numpy\n"
             "from repro.storage.relation import Relation\n"
             "rng = random.Random(3)\n"
             "rows = sorted({(rng.randrange(40), rng.randrange(40))"
             " for _ in range(260)})\n"
-            "db = Database([Relation('E', ('a', 'b'), rows)])\n"
-            "executor = CompiledTrieJoin(cycle_query(3), db)\n"
-            "assert executor.build().crossover == 7\n"
+            "db = Database([Relation('E', ('a', 'b'), rows),"
+            " Relation('F', ('a', 'b'), rows[::2])])\n"
+            # two runs bound by the same loop meet at the leaf: the inlined
+            # pair kernel, whose crossover is a literal of the source
+            "executor = CompiledTrieJoin(parse_query('E(a,b), F(a,b)'), db)\n"
+            "source = executor.debug_source('count')\n"
+            "assert numpy is None or 'if sa + sb >= 7:' in source, source\n"
             "print(executor.count())\n"
         )
         proc = subprocess.run(
