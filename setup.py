@@ -1,10 +1,16 @@
-"""Setuptools shim.
+"""Setuptools metadata for the ``repro`` package (sources under ``src/``).
 
-The canonical project metadata lives in ``pyproject.toml``; this file exists
-so that ``pip install -e .`` also works in fully offline environments where
-the ``wheel`` package is unavailable (legacy ``setup.py develop`` path).
+There is no ``pyproject.toml``; this file is the project's only packaging
+metadata.  Nothing in the repository needs an install: tests, benchmarks
+and the CLI run with ``PYTHONPATH=src``.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    version="1.0.0",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.10",
+)

@@ -223,9 +223,7 @@ class LeapfrogTrieJoin(TrieJoinBase):
         self._prepare(lo, hi, counter)
         if self.deadline is not None:
             self.deadline.check()
-        total = self._count_recursive(0)
-        self.counter.record_result(0)
-        return total
+        return self._count_recursive(0)
 
     def _count_recursive(self, depth: int) -> int:
         self.counter.record_recursive_call()

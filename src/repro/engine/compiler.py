@@ -33,19 +33,28 @@ What the generated driver does differently from the interpreter:
   (see "The counter model" below).  The sums equal the interpreted cost
   model *exactly*, so instrumented comparisons (e.g. CLFTJ-vs-LFTJ memory
   traffic) are unaffected by compilation;
-* count and evaluate variants are generated separately, and both take a
-  ``[lo, hi)`` code range over the top variable, so every ``plftj`` shard
-  reuses one compiled driver parameterized by its range.
+* every generated loop takes a ``[lo, hi)`` code range over the top
+  variable, so every morsel of a parallel query reuses one compiled driver
+  parameterized by its range.
+
+There is one generator, one driver class and one executor tier, because
+CLFTJ is LFTJ plus adhesion-cache probes (the paper's Section 3.2: the two
+coincide when no caching takes place): a decomposition only adds a cache
+consult at every node entered below depth 0 (:class:`_Codegen`), and a plan
+with no such node is LFTJ's driver under LFTJ's key (:func:`resolve_driver`).
 
 Because the driver holds direct references to trie columns, it is only
 valid while those columns are current: the database drops cached drivers on
 relation replacement, inserts/deletes *and* delta compaction (compaction
-swaps the backing arrays without a version bump).  Queries whose tries
-carry unmerged deltas fall back to the interpreted path — which is also
-kept, behind ``compile=False``, as the differential oracle for the compiled
-results.
+swaps the backing arrays without a version bump).  An execution falls back
+to the interpreted path — also kept, behind ``compile=False``, as the
+differential oracle — for one of four reasons, named alike by
+``metadata["compiled_reason"]`` and ``engine.explain()``: unmerged deltas
+on an atom trie, more probed nodes than :data:`MAX_UNROLLED_CACHE_NODES`, a
+failed compilation, or an *evaluation* over probed nodes (grafting a cached
+factorized subtree is control flow the driver does not unroll yet).
 
-The generated source is inspectable: ``CompiledTrieJoin.debug_source()``
+The generated source is inspectable: ``debug_source()`` on the executors
 (or ``CompiledDriver.debug_source``) returns it verbatim.
 
 The counter model
@@ -101,7 +110,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core import leapfrog
@@ -122,7 +131,7 @@ from repro.query.terms import Variable
 from repro.storage.database import Database
 from repro.storage.dictionary import numpy
 from repro.storage.trie import TrieIndex
-from repro.storage.views import query_signature
+from repro.storage.views import atom_column_order, peek_atom_trie, query_signature
 
 #: Algorithms that execute through compiled drivers (``compile`` parameter).
 COMPILED_ALGORITHMS: Tuple[str, ...] = ("lftj", "plftj", "clftj", "pclftj")
@@ -132,6 +141,10 @@ COMPILED_ALGORITHMS: Tuple[str, ...] = ("lftj", "plftj", "clftj", "pclftj")
 #: fall back to the interpreted executor (generated source growth is linear
 #: in probe sites but each site nests, and real plans stay far below this).
 MAX_UNROLLED_CACHE_NODES: int = 6
+
+#: Drivers read the trie columns directly, so only delta-free tries (whose
+#: ``main`` is the capturable index) qualify; otherwise this is the reason.
+DELTAS_PENDING: str = "unmerged deltas pending on an atom trie"
 
 #: Interior-loop iterations between deadline clock reads in generated
 #: drivers.  The check is counter-gated so the no-deadline path costs one
@@ -197,6 +210,53 @@ def driver_cache_key(
     return key
 
 
+def resolve_driver(
+    query: ConjunctiveQuery,
+    variable_order: Sequence[Variable],
+    decomposition: Optional[TreeDecomposition] = None,
+) -> Tuple[Tuple[object, ...], Optional[TreeDecomposition], Optional[str]]:
+    """What a plan compiles to: ``(key, decomposition, reason)``.
+
+    Read by the executors' ``build()``, ``engine.explain()``,
+    ``PreparedQuery.compiled_driver()`` and the parallel worker-cache
+    identity; pass a decomposition for CLFTJ plans only.  The one returned
+    is the contracted one whose nodes the count loop probes, or ``None``
+    when the root owns every variable: that plan is LFTJ, gets LFTJ's key
+    and shares its driver.  ``reason`` says why the plan cannot compile
+    (``None`` when it can); the key is returned either way.
+    """
+    order = tuple(variable_order)
+    probed = 0
+    if decomposition is not None:
+        decomposition = decomposition.contract_ownerless_bags()
+        probed = len({decomposition.owner(variable) for variable in order}) - 1
+        if not probed:
+            decomposition = None
+    reason = None
+    if probed > MAX_UNROLLED_CACHE_NODES:
+        reason = (
+            f"decomposition has {probed} probed nodes "
+            f"(unroll ceiling is {MAX_UNROLLED_CACHE_NODES})"
+        )
+    return driver_cache_key(query, order, decomposition), decomposition, reason
+
+
+def pending_deltas(
+    query: ConjunctiveQuery, database: Database, variable_order: Sequence[Variable]
+) -> bool:
+    """Would an executor of this plan meet an unmerged delta level right now?
+
+    ``explain()``'s read-only peek: a trie that is not cached yet would be
+    built from the merged relation, without a delta.
+    """
+    depth_of = {variable: depth for depth, variable in enumerate(variable_order)}
+    tries = (
+        peek_atom_trie(database, atom, atom_column_order(atom, depth_of)[1])
+        for atom in query.atoms
+    )
+    return any(trie is not None and trie.has_deltas for trie in tries)
+
+
 def _atom_bundle(base: TrieIndex) -> Tuple[object, ...]:
     """Flatten one trie's columns into the tuple the generated code unpacks.
 
@@ -217,19 +277,30 @@ def _atom_bundle(base: TrieIndex) -> Tuple[object, ...]:
 
 @dataclass
 class CompiledDriver:
-    """One compiled (count + evaluate) driver over captured trie columns."""
+    """One compiled driver over captured trie columns.
+
+    ``probed_nodes`` are the decomposition nodes whose adhesion-cache probe
+    the count loop inlines.  With none, there is an evaluate loop too; with
+    some, the count loop takes the cache and the policy at *run time*, so
+    one driver serves every cache (serial, prepared, per-worker) of its key.
+    """
 
     key: Tuple[object, ...]
     query_name: str
     variable_names: Tuple[str, ...]
     relation_versions: Dict[str, int]
-    _columns: Tuple[Tuple[object, ...], ...]
-    _sources: Dict[str, str]
-    _functions: Dict[str, Callable]
+    probed_nodes: Tuple[int, ...]
+    _columns: Tuple[Tuple[object, ...], ...] = field(repr=False)
+    _sources: Dict[str, str] = field(repr=False)
+    _functions: Dict[str, Callable] = field(repr=False)
 
-    def count(self, counter: OperationCounter, lo=None, hi=None, deadline=None) -> int:
+    def count(
+        self, counter: OperationCounter, lo=None, hi=None, deadline=None,
+        cache: Optional[AdhesionCache] = None, policy: Optional[CachePolicy] = None,
+    ) -> int:
         """Run the generated count loop over codes in ``[lo, hi)``."""
-        return self._functions["count"](self._columns, counter, lo, hi, deadline)
+        probe = (cache, policy) if self.probed_nodes else ()
+        return self._functions["count"](self._columns, counter, *probe, lo, hi, deadline)
 
     def evaluate(self, counter: OperationCounter, lo=None, hi=None, deadline=None):
         """Yield coded result rows (variable-order positions) in ``[lo, hi)``."""
@@ -281,6 +352,60 @@ class _Site:
     rec: int = 0
 
 
+@dataclass(frozen=True)
+class _ClftjNodeShape:
+    """One decomposition node's depth geometry under a compatible order."""
+
+    node: int
+    entry_depth: int
+    last_own: int
+    subtree_last: int
+    adhesion_depths: Tuple[int, ...]
+    children: Tuple[int, ...]
+
+
+def _clftj_shapes(
+    decomposition: Optional[TreeDecomposition], variable_order: Sequence[Variable]
+) -> Tuple[Dict[int, _ClftjNodeShape], Tuple[int, ...]]:
+    """Depth-space shapes per node, plus the owner of every depth (nothing
+    of either without a decomposition).
+
+    Strong compatibility makes every field well-defined straight-line data:
+    each node's own depths are contiguous, its subtree occupies the
+    contiguous block ``[entry_depth, subtree_last]``, and its adhesion
+    depths (sorted by depth, the interpreter's key order) all precede its
+    entry depth.
+    """
+    if decomposition is None:
+        return {}, ()
+    depth_of = {variable: depth for depth, variable in enumerate(variable_order)}
+    shapes: Dict[int, _ClftjNodeShape] = {}
+    owner_at_depth = tuple(
+        decomposition.owner(variable) for variable in variable_order
+    )
+    for node in decomposition.preorder():
+        own_depths = sorted(
+            depth_of[variable]
+            for variable in decomposition.owned_variables(node)
+        )
+        subtree_last = max(
+            depth_of[variable]
+            for variable in decomposition.subtree_variables(node)
+        )
+        adhesion = sorted(
+            depth_of[variable] for variable in decomposition.adhesion(node)
+        )
+        shapes[node] = _ClftjNodeShape(
+            node=node,
+            entry_depth=own_depths[0] if own_depths else -1,
+            last_own=own_depths[-1] if own_depths else -1,
+            subtree_last=subtree_last,
+            adhesion_depths=tuple(adhesion),
+            children=tuple(decomposition.children(node)),
+        )
+    return shapes, owner_at_depth
+
+
 class _Codegen:
     """Emit one specialized driver function for a join structure.
 
@@ -288,6 +413,21 @@ class _Codegen:
     entry per level, strictly increasing); the generated function nests one
     loop per depth, intersecting the participating runs with the same
     kernels — and the same recorded cost arithmetic — as the interpreter.
+
+    ``shapes`` / ``owner_at_depth`` (:func:`_clftj_shapes`; empty for LFTJ)
+    are what a decomposition adds.  Per *probed* node (entered at depth > 0
+    — entered-at-0 nodes are never consulted, Figure 2's ``depth > 0``
+    guard), the node's entry depth gets a straight-line preamble: build the
+    adhesion key tuple from the already bound ``k<depth>`` locals, probe
+    the cache; on a hit multiply the running factor by the cached count and
+    jump the emission to the continuation depth ``subtree_last + 1``
+    (always another node's entry depth, or the base case); on a miss run
+    the ordinary loops with a per-node intermediate accumulator
+    ``im<node>`` and offer it to the policy/cache on the way out.  The
+    accumulators replicate the interpreter's ``_intrmd`` dict exactly —
+    including its persist-across-iterations staleness, since locals behave
+    the same way — and every counter charge lands where the interpreter
+    lands it.  With no probed node none of this is emitted: LFTJ's source.
     """
 
     def __init__(
@@ -295,6 +435,8 @@ class _Codegen:
         atom_depths: Sequence[Tuple[int, ...]],
         bundles: Sequence[Tuple[object, ...]],
         mode: str,
+        shapes: Dict[int, _ClftjNodeShape],
+        owner_at_depth: Tuple[int, ...],
     ) -> None:
         self.atom_depths = tuple(atom_depths)
         self.num_variables = 1 + max(
@@ -321,9 +463,25 @@ class _Codegen:
         #: Hoisted structures keyed by the depth whose loop body builds
         #: them (``-1`` = prologue, cached across calls on the driver).
         self.hoist_builds: Dict[int, List[Tuple[str, str]]] = {}
+        self.shapes = shapes
+        self.owner_at_depth = owner_at_depth
+        self.probed: Tuple[_ClftjNodeShape, ...] = tuple(
+            shapes[node]
+            for node in dict.fromkeys(owner_at_depth)
+            if shapes[node].entry_depth > 0
+        )
+        self.tracked_nodes = {shape.node for shape in self.probed}
+        self.shape_at_entry = {shape.entry_depth: shape for shape in self.probed}
         #: Depths whose key must be bound to a local even in count mode
-        #: (CLFTJ adhesion keys are built from them); empty for plain LFTJ.
-        self.key_depths: frozenset = frozenset()
+        #: (adhesion keys are built from them).
+        self.key_depths = frozenset(
+            depth for shape in self.probed for depth in shape.adhesion_depths
+        )
+        #: The running multiplication factor as a source expression;
+        #: rebound to a hit-branch local while emitting continuations.
+        self.factor = "1"
+        self._probe_serial = 0
+        self._factor_serial = 0
         #: One-shot flag: the next entry record was already emitted by a
         #: cache-probe preamble (the interpreter records the recursive call
         #: *before* consulting the cache, so the probe owns that record).
@@ -531,15 +689,11 @@ class _Codegen:
         self.emit(indent + 3, "raise _TimeoutError(deadline.timeout)")
 
     # ------------------------------------------------------------ generation
-    #: Parameters a driver takes between ``counter`` and the code range.
-    runtime_parameters = ""
-
     def generate(self) -> str:
-        name = "_count" if self.mode == "count" else "_evaluate"
+        probe = "cache, policy, " if self.probed else ""
         self.emit(
             0,
-            f"def {name}(columns, counter, {self.runtime_parameters}"
-            "lo=None, hi=None, deadline=None,",
+            f"def _{self.mode}(columns, counter, {probe}lo=None, hi=None, deadline=None,",
         )
         self.emit(
             0,
@@ -620,6 +774,14 @@ class _Codegen:
             self.emit(1, f"if {name} is None:")
             self.emit(2, f"{name} = {expression}")
             self.emit(2, f"_hoist[{name!r}] = {name}")
+        if self.probed:
+            self.emit(
+                1, "_cget = cache.get; _cput = cache.put; _should = policy.should_cache"
+            )
+            self.emit(1, "c_mat = 0; c_rec = 0")
+            self.emit(
+                1, "; ".join(f"im{shape.node} = 0" for shape in self.probed)
+            )
 
     def derived(self, field: str, *measured: str) -> str:
         """``measured`` locals plus every site's ``field`` charge x visits."""
@@ -634,10 +796,15 @@ class _Codegen:
 
     def epilogue(self) -> None:
         # Count mode adds every match to ``total`` and to nothing else:
-        # emitted results are ``total``, and so is LFTJ's per-match share
-        # of the recursive calls.  Evaluate mode charges both per row.
-        per_match = self.per_match_calls if self.mode == "count" else "c_rec"
+        # emitted results are ``total``, and so is the per-match share of
+        # the recursive calls — unless there are probes: under a cache hit
+        # ``total`` grows by ``factor * m`` while the interpreter still
+        # recurses ``m`` times, so the calls keep their own local.  Evaluate
+        # mode charges both per row.
+        per_match = "c_rec" if self.probed or self.mode == "evaluate" else "total"
         results = "total" if self.mode == "count" else "c_res"
+        if self.probed:
+            self.emit(1, "counter.tuples_materialized += c_mat")
         self.emit(1, f"counter.trie_accesses += {self.derived('acc', 'c_acc')}")
         self.emit(1, f"counter.trie_seeks += {self.derived('seek')}")
         self.emit(1, f"counter.trie_opens += {self.derived('opens')}")
@@ -647,6 +814,20 @@ class _Codegen:
             self.emit(1, "return total")
 
     def emit_depth(self, depth: int, indent: int) -> None:
+        if depth == self.num_variables:
+            # The base case a cache hit's continuation can land on: one
+            # recursive call, ``factor`` result units.
+            self.site.rec += 1
+            self.emit(indent, f"total += {self.factor}")
+            return
+        shape = self.shape_at_entry.get(depth)
+        if shape is not None:
+            self.emit_probe(depth, indent, shape)
+            return
+        self.emit_loops(depth, indent)
+
+    def emit_loops(self, depth: int, indent: int) -> None:
+        """The depth's intersection and everything nested below it."""
         if depth + 1 == self.num_variables:
             if self.mode == "count":
                 self.emit_deepest_count(depth, indent)
@@ -654,6 +835,45 @@ class _Codegen:
                 self.emit_deepest_evaluate(depth, indent)
             return
         self.emit_interior(depth, indent)
+
+    def emit_probe(self, depth: int, indent: int, shape: _ClftjNodeShape) -> None:
+        """The inlined cache consult at one probed node's entry depth."""
+        pid = self._probe_serial
+        self._probe_serial += 1
+        node = shape.node
+        if not shape.adhesion_depths:
+            key = "()"
+        elif len(shape.adhesion_depths) == 1:
+            key = f"(k{shape.adhesion_depths[0]},)"
+        else:
+            key = "(" + ", ".join(f"k{d}" for d in shape.adhesion_depths) + ")"
+        self.emit(indent, f"# node {node}: adhesion-cache probe")
+        # The interpreter records the recursive call before consulting.
+        self.site.rec += 1
+        self.emit(indent, f"ak{pid} = {key}")
+        self.emit(indent, f"cv{pid} = _cget({node}, ak{pid})")
+        self.emit(indent, f"if cv{pid} is None:")
+        body = indent + 1
+        self.emit(body, f"im{node} = 0")
+        self._skip_entry_record = True
+        with self.visit_site(body):
+            self.emit_loops(depth, body)
+        self.emit(body, f"if _should({node}, _AV{node}, ak{pid}, im{node}):")
+        self.emit(body + 1, f"if _cput({node}, ak{pid}, im{node}):")
+        self.emit(body + 2, "c_mat += 1")
+        self.emit(indent, "else:")
+        self.emit(body, f"im{node} = cv{pid}")
+        fid = self._factor_serial
+        self._factor_serial += 1
+        if self.factor == "1":
+            self.emit(body, f"f{fid} = cv{pid}")
+        else:
+            self.emit(body, f"f{fid} = {self.factor} * cv{pid}")
+        saved = self.factor
+        self.factor = f"f{fid}"
+        with self.visit_site(body):
+            self.emit_depth(shape.subtree_last + 1, body)
+        self.factor = saved
 
     def emit_interior(self, depth: int, indent: int) -> None:
         participants = self.participants[depth]
@@ -697,7 +917,15 @@ class _Codegen:
         self.emit_body_hoists(depth, body)
         with self.visit_site(body):
             self.emit_depth(depth + 1, body)
-        self.emit_post_recursion(depth, body)
+        if not self.probed:
+            return
+        # A tracked node's intermediate grows once per binding of its last
+        # own variable, by the product of its children's intermediates.
+        node = self.owner_at_depth[depth]
+        shape = self.shapes[node]
+        if node in self.tracked_nodes and depth == shape.last_own:
+            product = " * ".join(f"im{child}" for child in shape.children)
+            self.emit(body, f"im{node} += {product or 1}")
 
     def emit_body_hoists(self, depth: int, body: int) -> None:
         # Hoisted child runs: every run whose parent key was just bound here
@@ -838,16 +1066,20 @@ class _Codegen:
         self.emit_leaf_count(participants, indent)
         self.emit_leaf_tally(indent)
 
-    # ------------------------------------------------- subclass hook points
-    #: The local holding the recursive calls made once per match.
-    per_match_calls = "total"
-
     def emit_leaf_tally(self, indent: int) -> None:
         """The deepest level's arithmetic for ``m`` matches."""
-        self.emit(indent, "total += m")
-
-    def emit_post_recursion(self, depth: int, body: int) -> None:
-        """Hook after each interior iteration's recursion (no-op for LFTJ)."""
+        if not self.probed:
+            self.emit(indent, "total += m")
+            return
+        if self.factor == "1":
+            self.emit(indent, "c_rec += m; total += m")
+        else:
+            self.emit(indent, f"c_rec += m; total += {self.factor} * m")
+        node = self.owner_at_depth[self.num_variables - 1]
+        if node in self.tracked_nodes:
+            # The deepest owner is always a decomposition leaf, so the
+            # interpreter's ``matches * children_product`` is just ``m``.
+            self.emit(indent, f"im{node} += m")
 
     def emit_deepest_evaluate(self, depth: int, indent: int) -> None:
         participants = self.participants[depth]
@@ -865,17 +1097,8 @@ class _Codegen:
         self.emit(indent + 1, f"yield ({row})")
 
 
-def generate_source(
-    atom_depths: Sequence[Tuple[int, ...]],
-    bundles: Sequence[Tuple[object, ...]],
-    mode: str,
-) -> str:
-    """Generate the specialized driver source for one mode."""
-    return _Codegen(atom_depths, bundles, mode).generate()
-
-
 def _compile_function(
-    source: str, name: str, label: str, extra: Optional[Dict[str, object]] = None
+    source: str, name: str, label: str, extra: Dict[str, object]
 ) -> Callable:
     namespace = {
         "_run_intersect": run_intersect,
@@ -886,9 +1109,8 @@ def _compile_function(
         "_bisect": bisect_left,
         "_monotonic": time.monotonic,
         "_TimeoutError": QueryTimeoutError,
+        **extra,
     }
-    if extra:
-        namespace.update(extra)
     fault_point("compiler.exec")
     code = compile(source, f"<compiled-driver:{label}>", "exec")
     exec(code, namespace)
@@ -902,310 +1124,14 @@ def compile_driver(
     atom_variables: Sequence[Tuple[Variable, ...]],
     pure_tries: Sequence[TrieIndex],
     key: Tuple[object, ...],
+    decomposition: Optional[TreeDecomposition] = None,
 ) -> CompiledDriver:
-    """Generate, ``exec``-compile and wrap both driver variants."""
-    depth_of = {variable: depth for depth, variable in enumerate(variable_order)}
-    atom_depths = tuple(
-        tuple(depth_of[variable] for variable in ordered)
-        for ordered in atom_variables
-    )
-    bundles = tuple(_atom_bundle(base) for base in pure_tries)
-    sources = {
-        mode: generate_source(atom_depths, bundles, mode)
-        for mode in ("count", "evaluate")
-    }
-    functions = {
-        "count": _compile_function(
-            sources["count"], "_count", f"{query.name}:count"
-        ),
-        "evaluate": _compile_function(
-            sources["evaluate"], "_evaluate", f"{query.name}:evaluate"
-        ),
-    }
-    return CompiledDriver(
-        key=key,
-        query_name=query.name,
-        variable_names=tuple(variable.name for variable in variable_order),
-        relation_versions=database.relation_versions(query.relation_names),
-        _columns=bundles,
-        _sources=sources,
-        _functions=functions,
-    )
+    """Generate, ``exec``-compile and wrap the driver of one plan.
 
-
-# --------------------------------------------------------------------------
-# CLFTJ code generation: the cached trie join, unrolled per decomposition.
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _ClftjNodeShape:
-    """One decomposition node's depth geometry under a compatible order."""
-
-    node: int
-    root: bool
-    entry_depth: int
-    last_own: int
-    subtree_last: int
-    adhesion_depths: Tuple[int, ...]
-    children: Tuple[int, ...]
-
-
-def _clftj_shapes(
-    decomposition: TreeDecomposition, variable_order: Sequence[Variable]
-) -> Tuple[Dict[int, _ClftjNodeShape], Tuple[int, ...]]:
-    """Depth-space shapes per node, plus the owner of every depth.
-
-    Strong compatibility makes every field well-defined straight-line data:
-    each node's own depths are contiguous, its subtree occupies the
-    contiguous block ``[entry_depth, subtree_last]``, and its adhesion
-    depths (sorted by depth, the interpreter's key order) all precede its
-    entry depth.
-    """
-    depth_of = {variable: depth for depth, variable in enumerate(variable_order)}
-    shapes: Dict[int, _ClftjNodeShape] = {}
-    owner_at_depth = tuple(
-        decomposition.owner(variable) for variable in variable_order
-    )
-    for node in decomposition.preorder():
-        own_depths = sorted(
-            depth_of[variable]
-            for variable in decomposition.owned_variables(node)
-        )
-        subtree_last = max(
-            depth_of[variable]
-            for variable in decomposition.subtree_variables(node)
-        )
-        adhesion = sorted(
-            depth_of[variable] for variable in decomposition.adhesion(node)
-        )
-        shapes[node] = _ClftjNodeShape(
-            node=node,
-            root=decomposition.parent(node) is None,
-            entry_depth=own_depths[0] if own_depths else -1,
-            last_own=own_depths[-1] if own_depths else -1,
-            subtree_last=subtree_last,
-            adhesion_depths=tuple(adhesion),
-            children=tuple(decomposition.children(node)),
-        )
-    return shapes, owner_at_depth
-
-
-class _ClftjCodegen(_Codegen):
-    """Emit the CLFTJ count driver: LFTJ loops + inlined probe/store sites.
-
-    Per probed node (entered at depth > 0 — entered-at-0 nodes are never
-    consulted, Figure 2's ``depth > 0`` guard), the node's entry depth gets
-    a straight-line preamble: build the adhesion key tuple from the already
-    bound ``k<depth>`` locals, probe the cache; on a hit multiply the
-    running factor by the cached count and jump the emission to the
-    continuation depth ``subtree_last + 1`` (always another node's entry
-    depth, or the base case); on a miss run the ordinary loops with a
-    per-node intermediate accumulator ``im<node>`` and offer it to the
-    policy/cache on the way out.  The accumulator arithmetic replicates the
-    interpreter's ``_intrmd`` dict exactly — including its
-    persist-across-iterations staleness, since locals behave the same way —
-    and every counter charge lands where the interpreter lands it, so
-    compiled and interpreted CLFTJ agree on totals *and* on the full
-    operation-counter vector.
-    """
-
-    def __init__(
-        self,
-        atom_depths: Sequence[Tuple[int, ...]],
-        bundles: Sequence[Tuple[object, ...]],
-        shapes: Dict[int, _ClftjNodeShape],
-        owner_at_depth: Tuple[int, ...],
-    ) -> None:
-        self.shapes = shapes
-        self.owner_at_depth = owner_at_depth
-        super().__init__(atom_depths, bundles, "count")
-        self.probed: Tuple[_ClftjNodeShape, ...] = tuple(
-            shapes[node]
-            for node in dict.fromkeys(owner_at_depth)
-            if shapes[node].entry_depth > 0
-        )
-        self.tracked_nodes = {shape.node for shape in self.probed}
-        self.shape_at_entry = {shape.entry_depth: shape for shape in self.probed}
-        self.key_depths = frozenset(
-            depth for shape in self.probed for depth in shape.adhesion_depths
-        )
-        #: The running multiplication factor as a source expression;
-        #: rebound to a hit-branch local while emitting continuations.
-        self.factor = "1"
-        self._probe_serial = 0
-        self._factor_serial = 0
-
-    # ------------------------------------------------------------ generation
-    runtime_parameters = "cache, policy, "
-
-    def prologue(self) -> None:
-        super().prologue()
-        self.emit(
-            1, "_cget = cache.get; _cput = cache.put; _should = policy.should_cache"
-        )
-        self.emit(1, "c_mat = 0; c_rec = 0")
-        if self.probed:
-            self.emit(
-                1, "; ".join(f"im{shape.node} = 0" for shape in self.probed)
-            )
-
-    def epilogue(self) -> None:
-        self.emit(1, "counter.tuples_materialized += c_mat")
-        super().epilogue()
-
-    def emit_depth(self, depth: int, indent: int) -> None:
-        if depth == self.num_variables:
-            # The base case a cache hit's continuation can land on: one
-            # recursive call, ``factor`` result units.
-            self.site.rec += 1
-            self.emit(indent, f"total += {self.factor}")
-            return
-        shape = self.shape_at_entry.get(depth)
-        if shape is not None:
-            self.emit_probe(depth, indent, shape)
-            return
-        super().emit_depth(depth, indent)
-
-    def emit_probe(self, depth: int, indent: int, shape: _ClftjNodeShape) -> None:
-        """The inlined cache consult at one probed node's entry depth."""
-        pid = self._probe_serial
-        self._probe_serial += 1
-        node = shape.node
-        if not shape.adhesion_depths:
-            key = "()"
-        elif len(shape.adhesion_depths) == 1:
-            key = f"(k{shape.adhesion_depths[0]},)"
-        else:
-            key = "(" + ", ".join(f"k{d}" for d in shape.adhesion_depths) + ")"
-        self.emit(indent, f"# node {node}: adhesion-cache probe")
-        # The interpreter records the recursive call before consulting.
-        self.site.rec += 1
-        self.emit(indent, f"ak{pid} = {key}")
-        self.emit(indent, f"cv{pid} = _cget({node}, ak{pid})")
-        self.emit(indent, f"if cv{pid} is None:")
-        body = indent + 1
-        self.emit(body, f"im{node} = 0")
-        self._skip_entry_record = True
-        with self.visit_site(body):
-            super().emit_depth(depth, body)
-        self.emit(body, f"if _should({node}, _AV{node}, ak{pid}, im{node}):")
-        self.emit(body + 1, f"if _cput({node}, ak{pid}, im{node}):")
-        self.emit(body + 2, "c_mat += 1")
-        self.emit(indent, "else:")
-        self.emit(body, f"im{node} = cv{pid}")
-        fid = self._factor_serial
-        self._factor_serial += 1
-        if self.factor == "1":
-            self.emit(body, f"f{fid} = cv{pid}")
-        else:
-            self.emit(body, f"f{fid} = {self.factor} * cv{pid}")
-        saved = self.factor
-        self.factor = f"f{fid}"
-        with self.visit_site(body):
-            self.emit_depth(shape.subtree_last + 1, body)
-        self.factor = saved
-
-    # ------------------------------------------------------------ hook impls
-    #: Under a cache hit ``total`` grows by ``factor * m`` while the
-    #: interpreter still recurses ``m`` times: the calls keep their own local.
-    per_match_calls = "c_rec"
-
-    def emit_leaf_tally(self, indent: int) -> None:
-        if self.factor == "1":
-            self.emit(indent, "c_rec += m; total += m")
-        else:
-            self.emit(indent, f"c_rec += m; total += {self.factor} * m")
-        node = self.owner_at_depth[self.num_variables - 1]
-        if node in self.tracked_nodes:
-            # The deepest owner is always a decomposition leaf, so the
-            # interpreter's ``matches * children_product`` is just ``m``.
-            self.emit(indent, f"im{node} += m")
-
-    def emit_post_recursion(self, depth: int, body: int) -> None:
-        node = self.owner_at_depth[depth]
-        shape = self.shapes[node]
-        if node not in self.tracked_nodes or depth != shape.last_own:
-            return
-        if shape.children:
-            product = " * ".join(f"im{child}" for child in shape.children)
-            self.emit(body, f"im{node} += {product}")
-        else:
-            self.emit(body, f"im{node} += 1")
-
-
-def generate_clftj_source(
-    atom_depths: Sequence[Tuple[int, ...]],
-    bundles: Sequence[Tuple[object, ...]],
-    shapes: Dict[int, _ClftjNodeShape],
-    owner_at_depth: Tuple[int, ...],
-) -> str:
-    """Generate the specialized CLFTJ count-driver source."""
-    return _ClftjCodegen(atom_depths, bundles, shapes, owner_at_depth).generate()
-
-
-@dataclass
-class CompiledClftjDriver:
-    """One compiled CLFTJ count driver over captured trie columns.
-
-    Unlike :class:`CompiledDriver` the cache and policy stay *runtime*
-    parameters: one driver serves every adhesion cache (serial, prepared,
-    per-worker) of its (query shape, decomposition, order) key.
-    """
-
-    key: Tuple[object, ...]
-    query_name: str
-    variable_names: Tuple[str, ...]
-    relation_versions: Dict[str, int]
-    probed_nodes: Tuple[int, ...]
-    _columns: Tuple[Tuple[object, ...], ...]
-    _sources: Dict[str, str]
-    _functions: Dict[str, Callable]
-
-    def count(
-        self,
-        counter: OperationCounter,
-        cache: AdhesionCache,
-        policy: CachePolicy,
-        lo=None,
-        hi=None,
-        deadline=None,
-    ) -> int:
-        """Run the generated cached count loop over codes in ``[lo, hi)``."""
-        return self._functions["count"](
-            self._columns, counter, cache, policy, lo, hi, deadline
-        )
-
-    def debug_source(self, mode: str = "count") -> str:
-        """The generated Python source (CLFTJ compiles the count mode only)."""
-        if mode not in self._sources:
-            raise ValueError(
-                f"unknown driver mode {mode!r}; choose one of "
-                f"{tuple(self._sources)}"
-            )
-        return self._sources[mode]
-
-    def matches(self, database: Database) -> bool:
-        """Is this driver still current for ``database``? (see CompiledDriver)"""
-        return all(
-            database.relation_version(name) == version
-            for name, version in self.relation_versions.items()
-        )
-
-
-def compile_clftj_driver(
-    query: ConjunctiveQuery,
-    database: Database,
-    decomposition: TreeDecomposition,
-    variable_order: Sequence[Variable],
-    atom_variables: Sequence[Tuple[Variable, ...]],
-    pure_tries: Sequence[TrieIndex],
-    key: Tuple[object, ...],
-) -> CompiledClftjDriver:
-    """Generate, ``exec``-compile and wrap the CLFTJ count driver.
-
-    ``decomposition`` must already be contracted (the executor's) so the
-    baked node ids line up with interpreted executors sharing the caches.
+    ``key`` and ``decomposition`` are :func:`resolve_driver`'s: the
+    contracted decomposition (so the baked node ids line up with interpreted
+    executors sharing the caches), or ``None`` when the plan probes nothing
+    — only then is the evaluate loop generated too.
     """
     depth_of = {variable: depth for depth, variable in enumerate(variable_order)}
     atom_depths = tuple(
@@ -1214,109 +1140,105 @@ def compile_clftj_driver(
     )
     bundles = tuple(_atom_bundle(base) for base in pure_tries)
     shapes, owner_at_depth = _clftj_shapes(decomposition, variable_order)
-    codegen = _ClftjCodegen(atom_depths, bundles, shapes, owner_at_depth)
-    source = codegen.generate()
+    codegens = {
+        mode: _Codegen(atom_depths, bundles, mode, shapes, owner_at_depth)
+        for mode in (("count", "evaluate") if decomposition is None else ("count",))
+    }
+    probed = codegens["count"].probed
+    sources = {mode: codegen.generate() for mode, codegen in codegens.items()}
     # The policy protocol receives the adhesion *variables*; they are
     # compile-time constants of the plan, pre-bound per probed node.
-    extra = {
+    adhesion_variables = {
         f"_AV{shape.node}": tuple(
             variable_order[depth] for depth in shape.adhesion_depths
         )
-        for shape in codegen.probed
+        for shape in probed
     }
     functions = {
-        "count": _compile_function(
-            source, "_count", f"{query.name}:clftj-count", extra
+        mode: _compile_function(
+            source, f"_{mode}", f"{query.name}:{mode}", adhesion_variables
         )
+        for mode, source in sources.items()
     }
-    return CompiledClftjDriver(
+    return CompiledDriver(
         key=key,
         query_name=query.name,
         variable_names=tuple(variable.name for variable in variable_order),
         relation_versions=database.relation_versions(query.relation_names),
-        probed_nodes=tuple(shape.node for shape in codegen.probed),
+        probed_nodes=tuple(shape.node for shape in probed),
         _columns=bundles,
-        _sources={"count": source},
+        _sources=sources,
         _functions=functions,
     )
 
 
-class CompiledCachedTrieJoin(CachedLeapfrogTrieJoin):
-    """CLFTJ executor that runs counts through a compiled driver when it can.
+# --------------------------------------------------------------------------
+# The executor tier.
+# --------------------------------------------------------------------------
 
-    Same two-phase protocol and fallback discipline as
-    :class:`CompiledTrieJoin` — pending deltas run the inherited
-    interpreted execution — plus two CLFTJ-specific rules:
-    decompositions with more probed nodes than
-    :data:`MAX_UNROLLED_CACHE_NODES` stay interpreted, and *evaluation*
-    always runs interpreted (factorized-representation grafting is control
-    flow the straight-line driver does not unroll; counting is where the
-    paper's experiments live).  The driver is shared through the database's
-    compiled cache under the decomposition-aware key, so serial runs,
-    prepared queries and every pclftj morsel resolve to one compilation.
+
+class _CompiledTier:
+    """The compiled tier of a trie-join executor, mixed in over the
+    interpreted class it falls back to.
+
+    The two-phase protocol: construction resolves tries exactly like the
+    interpreted executor (so index caching and metadata behave
+    identically); :meth:`build` then fetches-or-compiles the driver from
+    the database's compiled cache.  Without a driver the executor is
+    byte-for-byte its interpreted base class, range arguments included.
+
+    The cache key carries no range, so every morsel of a parallel query
+    resolves to the *same* driver: the parallel executor's ``build()`` runs
+    before the pool forks or re-arms, ``count()``/``evaluate_coded()`` call
+    :meth:`build` lazily, and a pool worker's once-per-job executor only
+    ever cache-hits, then calls the driver with each morsel's ``[lo, hi)``.
     """
 
-    def __init__(
-        self,
-        query: ConjunctiveQuery,
-        database: Database,
-        decomposition: TreeDecomposition,
-        variable_order: Optional[Sequence[Variable]] = None,
-        policy: Optional[CachePolicy] = None,
-        cache: Optional[AdhesionCache] = None,
-        counter: Optional[OperationCounter] = None,
-    ) -> None:
-        super().__init__(
-            query,
-            database,
-            decomposition,
-            variable_order,
-            policy=policy,
-            cache=cache,
-            counter=counter,
-        )
-        self._driver: Optional[CompiledClftjDriver] = None
-        self._built = False
-        self._compiled_reason: Optional[str] = None
-        self._mode_reason: Optional[str] = None
+    #: The plan's decomposition; the CLFTJ base class binds its own.
+    decomposition: Optional[TreeDecomposition] = None
+
+    _driver: Optional[CompiledDriver] = None
+    _built = False
+    #: Why the last execution ran interpreted: for good when :meth:`build`
+    #: found no driver, else per execution.
+    _reason: Optional[str] = None
 
     # -------------------------------------------------------------- compile
-    def build(self) -> Optional[CompiledClftjDriver]:
-        """Ensure a driver (or a fallback reason); idempotent."""
+    def build(self) -> Optional[CompiledDriver]:
+        """Phase one of build/execute: ensure a driver (or a fallback reason).
+
+        Idempotent; the engine calls it before the timed execute phase so
+        compilation cost never pollutes measured runtimes (it is reported
+        separately).  Returns the driver, or ``None`` with ``self._reason``
+        set when this executor runs interpreted.
+        """
         if self._built:
             return self._driver
         self._built = True
+        key, decomposition, reason = resolve_driver(
+            self.query, self.variable_order, self.decomposition
+        )
         if any(trie.has_deltas for trie in self._atom_tries):
-            self._compiled_reason = "unmerged deltas pending on an atom trie"
+            reason = DELTAS_PENDING
+        if reason is not None:
+            self._reason = reason
             return None
-        pure_tries = [trie.main for trie in self._atom_tries]
-        probed = len(
-            {self.decomposition.owner(variable) for variable in self.variable_order}
-        ) - 1
-        if probed > MAX_UNROLLED_CACHE_NODES:
-            self._compiled_reason = (
-                f"decomposition has {probed} probed nodes "
-                f"(unroll ceiling is {MAX_UNROLLED_CACHE_NODES})"
-            )
-            return None
-        key = driver_cache_key(self.query, self.variable_order, self.decomposition)
         try:
             self._driver = self.database.compiled_driver(
                 key,
                 self.query.relation_names,
-                lambda: compile_clftj_driver(
+                lambda: compile_driver(
                     self.query,
                     self.database,
-                    self.decomposition,
                     self.variable_order,
                     self._atom_variables,
-                    pure_tries,
+                    [trie.main for trie in self._atom_tries],
                     key,
+                    decomposition,
                 ),
             )
         except Exception as error:  # degrade, never fail the query
-            self._driver = None
-            self._compiled_reason = f"compile failed: {error}"
+            self._reason = f"compile failed: {error}"
         return self._driver
 
     @property
@@ -1330,148 +1252,88 @@ class CompiledCachedTrieJoin(CachedLeapfrogTrieJoin):
         return driver.debug_source(mode) if driver is not None else None
 
     # -------------------------------------------------------------- execute
+    def _bind(self, mode: str) -> Tuple[object, ...]:
+        """Per-execution state the count loop takes at run time (LFTJ: none)."""
+        return ()
+
     def count(self, lo=None, hi=None, counter=None) -> int:
         driver = self.build()
         if driver is None:
             return super().count(lo, hi, counter)
         if counter is not None:
             self.counter = counter
-        self._mode_reason = None
-        # The same per-execution cache/policy discipline as the interpreted
-        # _prepare(): counts on the current counter, fresh policy state,
-        # policy probes in the execution's key space.
-        self.cache.bind_mode("count")
-        self.cache.counter = self.counter
-        self.policy.reset()
-        self.policy.bind_space(self.database)
-        return driver.count(
-            self.counter, self.cache, self.policy, lo, hi, self.deadline
-        )
+        self._reason = None
+        return driver.count(self.counter, lo, hi, self.deadline, *self._bind("count"))
 
     def evaluate_coded(self, lo=None, hi=None, counter=None):
-        if self.build() is not None:
-            self._mode_reason = (
+        driver = self.build()
+        if driver is not None and driver.probed_nodes:
+            self._reason = (
                 "evaluation runs interpreted (factorized-representation grafting)"
             )
-        yield from super().evaluate_coded(lo, hi, counter)
-
-    # ------------------------------------------------------------- metadata
-    def execution_metadata(self) -> Dict[str, object]:
-        metadata = super().execution_metadata()
-        compiled = (
-            self._built and self._driver is not None and self._mode_reason is None
-        )
-        metadata["compiled"] = compiled
-        reason = self._mode_reason or self._compiled_reason
-        if self._built and not compiled and reason:
-            metadata["compiled_reason"] = reason
-        return metadata
-
-
-class CompiledTrieJoin(LeapfrogTrieJoin):
-    """LFTJ executor that runs through a compiled driver when it can.
-
-    The two-phase protocol: construction resolves tries exactly like the
-    interpreted executor (so index caching and metadata behave
-    identically); :meth:`build` then fetches-or-compiles the driver from
-    the database's compiled cache.  Tries with pending deltas fall back to
-    the inherited interpreted execution — the executor is then byte-for-byte
-    the interpreted ``lftj``, range arguments included.
-
-    **Shared-driver handoff to morsel-parallel execution**: the cache key
-    carries no range, so every morsel of a parallel query resolves to the
-    *same* driver — one compilation per (query, order, physical state)
-    regardless of how many ranges the scheduler runs, and fork-backend
-    workers inherit the parent's already-built driver by copy-on-write
-    (the parallel executor's ``build()`` runs before the pool forks or
-    re-arms).  ``count()``/``evaluate_coded()`` also call :meth:`build`
-    lazily, so a pool worker's once-per-job executor only ever cache-hits,
-    and each morsel just calls the driver with its own ``[lo, hi)``.
-    """
-
-    def __init__(
-        self,
-        query: ConjunctiveQuery,
-        database: Database,
-        variable_order: Optional[Sequence[Variable]] = None,
-        counter: Optional[OperationCounter] = None,
-    ) -> None:
-        super().__init__(query, database, variable_order, counter)
-        self._driver: Optional[CompiledDriver] = None
-        self._built = False
-        self._compiled_reason: Optional[str] = None
-
-    # -------------------------------------------------------------- compile
-    def build(self) -> Optional[CompiledDriver]:
-        """Phase one of build/execute: ensure a driver (or a fallback reason).
-
-        Idempotent; the engine calls it before the timed execute phase so
-        compilation cost never pollutes measured runtimes (it is reported
-        separately).  Returns the driver, or ``None`` with
-        ``self._compiled_reason`` set when this execution runs interpreted.
-        """
-        if self._built:
-            return self._driver
-        self._built = True
-        if any(trie.has_deltas for trie in self._atom_tries):
-            # Drivers read the trie columns directly, so only delta-free
-            # LSM tries qualify: their ``main`` is the capturable index.
-            self._compiled_reason = "unmerged deltas pending on an atom trie"
-            return None
-        pure_tries = [trie.main for trie in self._atom_tries]
-        key = driver_cache_key(self.query, self.variable_order)
-        try:
-            self._driver = self.database.compiled_driver(
-                key,
-                self.query.relation_names,
-                lambda: compile_driver(
-                    self.query,
-                    self.database,
-                    self.variable_order,
-                    self._atom_variables,
-                    pure_tries,
-                    key,
-                ),
-            )
-        except Exception as error:  # degrade, never fail the query
-            self._driver = None
-            self._compiled_reason = f"compile failed: {error}"
-        return self._driver
-
-    @property
-    def compiled(self) -> bool:
-        """True when execution goes through a compiled driver."""
-        return self.build() is not None
-
-    def debug_source(self, mode: str = "count") -> Optional[str]:
-        """Generated source for this query's driver (``None`` if interpreted)."""
-        driver = self.build()
-        return driver.debug_source(mode) if driver is not None else None
-
-    # -------------------------------------------------------------- execute
-    def count(self, lo=None, hi=None, counter=None) -> int:
-        driver = self.build()
-        if driver is None:
-            return super().count(lo, hi, counter)
-        if counter is not None:
-            self.counter = counter
-        total = driver.count(self.counter, lo, hi, self.deadline)
-        self.counter.record_result(0)
-        return total
-
-    def evaluate_coded(self, lo=None, hi=None, counter=None):
-        driver = self.build()
+            driver = None
         if driver is None:
             yield from super().evaluate_coded(lo, hi, counter)
             return
         if counter is not None:
             self.counter = counter
+        self._reason = None
+        self._bind("evaluate")
         yield from driver.evaluate(self.counter, lo, hi, self.deadline)
 
     # ------------------------------------------------------------- metadata
     def execution_metadata(self) -> Dict[str, object]:
         metadata = super().execution_metadata()
-        metadata["compiled"] = self._built and self._driver is not None
-        if self._built and self._driver is None and self._compiled_reason:
-            metadata["compiled_reason"] = self._compiled_reason
+        metadata["compiled"] = self._built and self._reason is None
+        if self._reason is not None:
+            metadata["compiled_reason"] = self._reason
         return metadata
+
+
+class CompiledTrieJoin(_CompiledTier, LeapfrogTrieJoin):
+    """LFTJ executor that runs through a compiled driver when it can."""
+
+
+class CompiledCachedTrieJoin(_CompiledTier, CachedLeapfrogTrieJoin):
+    """CLFTJ executor that runs through a compiled driver when it can."""
+
+    def _bind(self, mode: str) -> Tuple[object, ...]:
+        # The same per-execution cache/policy discipline as the interpreted
+        # _prepare(): counts on the current counter, fresh policy state,
+        # policy probes in the execution's key space.
+        self.cache.bind_mode(mode)
+        self.cache.counter = self.counter
+        self.policy.reset()
+        self.policy.bind_space(self.database)
+        return self.cache, self.policy
+
+
+def trie_join_executor(
+    query: ConjunctiveQuery,
+    database: Database,
+    variable_order: Optional[Sequence[Variable]],
+    compile: Optional[bool],
+    decomposition: Optional[TreeDecomposition] = None,
+    policy: Optional[CachePolicy] = None,
+    cache: Optional[AdhesionCache] = None,
+    counter: Optional[OperationCounter] = None,
+):
+    """Build the LFTJ executor, or with a ``decomposition`` the CLFTJ one.
+
+    The one place that turns ``compile`` into a class: ``False`` picks the
+    interpreted executors (the Figure 1 / Figure 2 oracles), anything else
+    the compiled tier over them.
+    """
+    if decomposition is None:
+        cls = LeapfrogTrieJoin if compile is False else CompiledTrieJoin
+        return cls(query, database, variable_order, counter)
+    cls = CachedLeapfrogTrieJoin if compile is False else CompiledCachedTrieJoin
+    return cls(
+        query,
+        database,
+        decomposition,
+        variable_order,
+        policy=policy,
+        cache=cache,
+        counter=counter,
+    )

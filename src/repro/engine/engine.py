@@ -24,8 +24,13 @@ from typing import Dict, Optional, Sequence, Tuple
 from repro.core.cache import AdhesionCache, CachePolicy
 from repro.core.instrumentation import OperationCounter
 from repro.decomposition.tree_decomposition import TreeDecomposition
+from repro.engine.compiler import (
+    COMPILED_ALGORITHMS,
+    DELTAS_PENDING,
+    pending_deltas,
+    resolve_driver,
+)
 from repro.engine.executors import (
-    AlgorithmSpec,
     Executor,
     ExecutorRequest,
     algorithm_spec,
@@ -477,6 +482,24 @@ class QueryEngine:
             f"planned morsels: {morsels} ({reason})"
         )
 
+    def _driver(
+        self,
+        query: ConjunctiveQuery,
+        algorithm: str,
+        variable_order: Optional[Sequence[Variable]],
+        plan: Optional[ExecutionPlan],
+    ) -> tuple:
+        """The order ``algorithm``'s trie join would run, then what
+        :func:`resolve_driver` makes of it: ``(order, key, decomposition,
+        reason)``.  ``plan`` is the execution plan where one applies:
+        clftj/pclftj's, or the selector's when ``auto`` resolved to lftj.
+        """
+        if plan is not None:
+            variable_order = plan.variable_order
+        order = tuple(variable_order or query.variables)
+        decomposition = plan.decomposition if algorithm in ("clftj", "pclftj") else None
+        return (order, *resolve_driver(query, order, decomposition))
+
     def _compiled_state(
         self,
         query: ConjunctiveQuery,
@@ -485,41 +508,23 @@ class QueryEngine:
         compile: Optional[bool],
         plan: Optional[ExecutionPlan] = None,
     ) -> str:
-        """The explain() account of this query's compiled-driver state."""
-        from repro.engine.compiler import (
-            COMPILED_ALGORITHMS,
-            MAX_UNROLLED_CACHE_NODES,
-            driver_cache_key,
-        )
-
+        """The explain() account of this query's compiled-driver state: what
+        the executor's ``build()`` would find, but only peeking — it builds
+        no index, compiles nothing and bumps no counter."""
         if algorithm not in COMPILED_ALGORITHMS:
             return f"not applicable (algorithm {algorithm!r} runs interpreted)"
         if compile is False:
             return "disabled (compile=False; interpreted oracle path)"
-        if algorithm in ("clftj", "pclftj"):
-            if plan is None:
-                return "will compile on first execution (count mode)"
-            contracted = plan.decomposition.contract_ownerless_bags()
-            order = tuple(plan.variable_order)
-            probed = len({contracted.owner(v) for v in order}) - 1
-            if probed > MAX_UNROLLED_CACHE_NODES:
-                return (
-                    f"unavailable (decomposition has {probed} probed nodes; "
-                    f"unroll ceiling is {MAX_UNROLLED_CACHE_NODES})"
-                )
-            key = driver_cache_key(query, order, contracted)
-            if self.database.has_compiled_driver(key):
-                return "cached (count mode; evaluation runs interpreted)"
-            return "will compile on first execution (count mode)"
-        order = (
-            tuple(variable_order)
-            if variable_order is not None
-            else tuple(query.variables)
-        )
-        key = driver_cache_key(query, order)
-        if self.database.has_compiled_driver(key):
-            return "cached"
-        return "will compile on first execution"
+        order, key, probing, reason = self._driver(query, algorithm, variable_order, plan)
+        if pending_deltas(query, self.database, order):
+            return f"unavailable ({DELTAS_PENDING}; interpreted until the next compaction)"
+        if reason is not None:
+            return f"unavailable ({reason})"
+        if self.database.peek_compiled_driver(key) is not None:
+            state, note = "cached", "count mode; evaluation runs interpreted"
+        else:
+            state, note = "will compile on first execution", "count mode"
+        return f"{state} ({note})" if probing is not None else state
 
     def _resolve_algorithm(
         self,
@@ -628,6 +633,10 @@ class QueryEngine:
             algorithm, selection = self._resolve_algorithm(query, algorithm, parameters)
         spec = algorithm_spec(algorithm)
         spec.reject_unused(**parameters)
+        if selection is not None and algorithm == "lftj":
+            # The selector priced lftj and clftj under the plan's one shared
+            # order (as the paper compares them); run the order it priced.
+            variable_order = self.plan(query).variable_order
 
         # The deadline starts here so planning/compilation count against it
         # too — a query cannot blow its budget inside build().

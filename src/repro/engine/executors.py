@@ -22,25 +22,18 @@ from typing import (
     FrozenSet,
     Iterator,
     Optional,
+    Protocol,
     Sequence,
     Tuple,
+    runtime_checkable,
 )
-
-try:  # pragma: no cover - Protocol is standard from 3.8 on
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[misc]
-        return cls
 
 from repro.baselines.binary_join import PairwiseHashJoin
 from repro.baselines.generic_join import GenericJoin
 from repro.baselines.yannakakis import YannakakisTreeJoin
 from repro.core.cache import AdhesionCache
-from repro.core.clftj import CachedLeapfrogTrieJoin
 from repro.core.instrumentation import OperationCounter
-from repro.core.lftj import LeapfrogTrieJoin
+from repro.engine.compiler import trie_join_executor
 from repro.engine.faults import Deadline
 from repro.engine.planner import ExecutionPlan
 from repro.query.atoms import ConjunctiveQuery
@@ -222,15 +215,12 @@ def _check_parallel_params(request: ExecutorRequest) -> bool:
 def _build_lftj(request: ExecutorRequest) -> Executor:
     if _check_parallel_params(request):
         return _build_parallel(request, "lftj")
-    if request.compile is False:
-        # The interpreted path, retained as the differential oracle.
-        return LeapfrogTrieJoin(
-            request.query, request.database, request.variable_order, request.counter
-        )
-    from repro.engine.compiler import CompiledTrieJoin
-
-    return CompiledTrieJoin(
-        request.query, request.database, request.variable_order, request.counter
+    return trie_join_executor(
+        request.query,
+        request.database,
+        request.variable_order,
+        request.compile,
+        counter=request.counter,
     )
 
 
@@ -243,24 +233,12 @@ def _build_clftj(request: ExecutorRequest) -> Executor:
                 "workers keep their own persistent adhesion caches"
             )
         return _build_parallel(request, "clftj")
-    if request.compile is False:
-        # The interpreted path, retained as the differential oracle.
-        return CachedLeapfrogTrieJoin(
-            request.query,
-            request.database,
-            plan.decomposition,
-            plan.variable_order,
-            policy=plan.policy,
-            cache=request.cache if request.cache is not None else plan.make_cache(),
-            counter=request.counter,
-        )
-    from repro.engine.compiler import CompiledCachedTrieJoin
-
-    return CompiledCachedTrieJoin(
+    return trie_join_executor(
         request.query,
         request.database,
-        plan.decomposition,
         plan.variable_order,
+        request.compile,
+        decomposition=plan.decomposition,
         policy=plan.policy,
         cache=request.cache if request.cache is not None else plan.make_cache(),
         counter=request.counter,

@@ -59,10 +59,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.baselines.generic_join import GenericJoin
 from repro.core.cache import AdhesionCache, CachePolicy
-from repro.core.clftj import CachedLeapfrogTrieJoin
 from repro.core.instrumentation import OperationCounter
-from repro.core.lftj import LeapfrogTrieJoin
 from repro.decomposition.tree_decomposition import TreeDecomposition
+from repro.engine.compiler import resolve_driver, trie_join_executor
 from repro.engine.faults import Deadline
 from repro.engine.pool import (
     JobReport,
@@ -399,25 +398,17 @@ def make_range_executor(
     key has no range in it), so a parallel query costs one compilation
     total, and forked workers inherit the parent's already-built driver.
     """
-    if inner == "lftj":
-        if compile is False:
-            return LeapfrogTrieJoin(query, database, variable_order)
-        from repro.engine.compiler import CompiledTrieJoin
-
-        return CompiledTrieJoin(query, database, variable_order)
-    if inner == "clftj":
-        if compile is False:
-            return CachedLeapfrogTrieJoin(
-                query, database, decomposition, variable_order,
-                policy=policy, cache=cache,
-            )
-        from repro.engine.compiler import CompiledCachedTrieJoin
-
-        return CompiledCachedTrieJoin(
-            query, database, decomposition, variable_order,
-            policy=policy, cache=cache,
-        )
-    return GenericJoin(query, database, variable_order)
+    if inner == "generic_join":
+        return GenericJoin(query, database, variable_order)
+    return trie_join_executor(
+        query,
+        database,
+        variable_order,
+        compile,
+        decomposition=decomposition if inner == "clftj" else None,
+        policy=policy,
+        cache=cache,
+    )
 
 
 #: Per-thread adhesion-cache store.  Pool worker threads are long-lived, so
@@ -640,21 +631,15 @@ class ParallelExecutor:
         self.variable_order: Tuple[Variable, ...] = self._template.variable_order
         self._cache_key: Optional[Tuple[object, ...]] = None
         if inner == "clftj":
-            from repro.engine.compiler import driver_cache_key
-
             # Worker caches share the compiled-driver identity (signature,
             # order positions, decomposition fingerprint) so two queries
             # with the same erased shape warm each other's caches, plus the
             # sizing (a bounded and an unbounded cache are different
-            # objects).  The template holds the *contracted* decomposition
-            # — the same node ids the compiled probes bake in.
-            self._cache_key = (
-                "adhesion",
-                driver_cache_key(
-                    query, self.variable_order, self._template.decomposition
-                ),
-                plan.cache_capacity,
+            # objects).
+            driver_key, _decomposition, _reason = resolve_driver(
+                query, self.variable_order, plan.decomposition
             )
+            self._cache_key = ("adhesion", driver_key, plan.cache_capacity)
         self._partition_plan: Optional[PartitionPlan] = None
         self._backend_used = backend
         self._shard_stats: Optional[Dict[str, object]] = None

@@ -33,6 +33,7 @@ import threading
 from typing import Dict, List, Optional
 
 from repro.core.cache import AdhesionCache, affected_cache_nodes
+from repro.engine.compiler import COMPILED_ALGORITHMS
 from repro.engine.results import ExecutionResult
 from repro.engine.selector import AlgorithmChoice
 
@@ -183,13 +184,7 @@ class PreparedQuery:
         if decomposition is None and self.algorithm == "clftj":
             # An explicit cache= bypasses _persistent_cache, so the cached
             # decomposition may not be bound yet; planning is memoised.
-            plan = self.engine.plan(
-                self.query,
-                decomposition=self._parameters.get("decomposition"),
-                variable_order=self._parameters.get("variable_order"),
-                cache_capacity=self._parameters.get("cache_capacity"),
-                policy=self._parameters.get("policy"),
-            )
+            plan = self._plan()
             decomposition = plan.decomposition.contract_ownerless_bags()
             self._cache_decomposition = decomposition
         if decomposition is None:
@@ -200,17 +195,21 @@ class PreparedQuery:
         self.cache_invalidations += dropped
         return dropped
 
+    def _plan(self):
+        """This handle's execution plan (memoised in the plan cache)."""
+        return self.engine.plan(
+            self.query,
+            decomposition=self._parameters.get("decomposition"),
+            variable_order=self._parameters.get("variable_order"),
+            cache_capacity=self._parameters.get("cache_capacity"),
+            policy=self._parameters.get("policy"),
+        )
+
     def _persistent_cache(self, mode: str) -> AdhesionCache:
         """The handle's warm adhesion cache for ``mode`` (created lazily)."""
         cache = self._mode_caches.get(mode)
         if cache is None:
-            plan = self.engine.plan(
-                self.query,
-                decomposition=self._parameters.get("decomposition"),
-                variable_order=self._parameters.get("variable_order"),
-                cache_capacity=self._parameters.get("cache_capacity"),
-                policy=self._parameters.get("policy"),
-            )
+            plan = self._plan()
             cache = plan.make_cache()
             self._mode_caches[mode] = cache
             if self._cache_decomposition is None:
@@ -232,31 +231,16 @@ class PreparedQuery:
         returned :class:`~repro.engine.compiler.CompiledDriver` exposes
         ``debug_source(mode)`` for inspection.
         """
-        from repro.engine.compiler import COMPILED_ALGORITHMS, driver_cache_key
-
         if self.algorithm not in COMPILED_ALGORITHMS:
             return None
         if self._parameters.get("compile") is False:
             return None
-        if self.algorithm in ("clftj", "pclftj"):
-            # The CLFTJ driver key bakes in the (contracted) decomposition
-            # fingerprint and the plan's strongly-compatible order.
-            plan = self.engine.plan(
-                self.query,
-                decomposition=self._parameters.get("decomposition"),
-                variable_order=self._parameters.get("variable_order"),
-                cache_capacity=self._parameters.get("cache_capacity"),
-                policy=self._parameters.get("policy"),
-            )
-            key = driver_cache_key(
-                self.query,
-                tuple(plan.variable_order),
-                plan.decomposition.contract_ownerless_bags(),
-            )
-            return self.engine.database.peek_compiled_driver(key)
-        order = self._parameters.get("variable_order")
-        order = tuple(order) if order is not None else tuple(self.query.variables)
-        key = driver_cache_key(self.query, order)
+        plan = None
+        if self.algorithm in ("clftj", "pclftj") or self.selection is not None:
+            plan = self._plan()
+        _order, key, _probing, _reason = self.engine._driver(
+            self.query, self.algorithm, self._parameters.get("variable_order"), plan
+        )
         return self.engine.database.peek_compiled_driver(key)
 
     # -------------------------------------------------------------- reporting

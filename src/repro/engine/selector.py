@@ -51,14 +51,6 @@ _YTD_MATERIALIZE_FACTOR = 3.0
 #: against the BENCH_4 triangle workload.
 _SEEK_UNIT = 0.5
 
-#: Ceiling on the one-time codegen cost charged to lftj when its specialized
-#: driver is not yet in the database's compiled-driver cache.  Compilation is
-#: a few milliseconds of pure-Python source emission + ``exec``, independent
-#: of data size, so the charge is the *smaller* of this cap and 2% of the
-#: interpreted estimate — it can break near-ties toward an already-warm
-#: algorithm, but can never overturn clftj's 1.05x probe-overhead margin.
-_COMPILE_CHARGE_CAP = 64.0
-
 #: The work floor of a *morsel* — and of engaging a worker — in estimated
 #: cost units: what dispatching a job on the persistent fork pool costs
 #: whatever it computes.  Measured on
@@ -198,41 +190,7 @@ class CostBasedSelector:
     def _lftj_cost(
         self, model: ChuCostModel, query: ConjunctiveQuery, plan: ExecutionPlan
     ) -> float:
-        base = model.order_cost(plan.variable_order) * _SEEK_UNIT
-        return base + self._compile_charge(query, plan, base)
-
-    def _compile_charge(
-        self,
-        query: ConjunctiveQuery,
-        plan: ExecutionPlan,
-        base: float,
-        decomposition=None,
-    ) -> float:
-        """One-time codegen cost for a compiled driver, if still cold.
-
-        Zero when the driver is already cached (warm re-executions compile
-        nothing).  With ``decomposition`` the charge prices the *CLFTJ*
-        driver — keyed by the contracted decomposition's fingerprint, and
-        zero when the decomposition exceeds the unroll ceiling (clftj then
-        runs interpreted and compiles nothing).
-        """
-        from repro.engine.compiler import (
-            MAX_UNROLLED_CACHE_NODES,
-            driver_cache_key,
-        )
-
-        order = tuple(plan.variable_order)
-        if decomposition is not None:
-            contracted = decomposition.contract_ownerless_bags()
-            probed = len({contracted.owner(v) for v in order}) - 1
-            if probed > MAX_UNROLLED_CACHE_NODES:
-                return 0.0
-            key = driver_cache_key(query, order, contracted)
-        else:
-            key = driver_cache_key(query, order)
-        if self.database.has_compiled_driver(key):
-            return 0.0
-        return min(_COMPILE_CHARGE_CAP, 0.02 * base)
+        return model.order_cost(plan.variable_order) * _SEEK_UNIT
 
     def _clftj_cost(
         self, model: ChuCostModel, query: ConjunctiveQuery, plan: ExecutionPlan
@@ -273,13 +231,7 @@ class CostBasedSelector:
             )
             partial *= max(matches, 0.05)
             bound.append(variable)
-        charged = total * _CLFTJ_PROBE_OVERHEAD * _SEEK_UNIT
-        # clftj compiles its own specialized count driver (keyed by the
-        # decomposition fingerprint), so it pays the same style of one-time
-        # codegen charge as lftj — the comparison stays compiled-vs-compiled.
-        return charged + self._compile_charge(
-            query, plan, charged, decomposition=decomposition
-        )
+        return total * _CLFTJ_PROBE_OVERHEAD * _SEEK_UNIT
 
     def _ytd_cost(
         self, model: ChuCostModel, query: ConjunctiveQuery, plan: ExecutionPlan
@@ -337,25 +289,6 @@ class CostBasedSelector:
             reasons.append(
                 f"adhesion caching caps subtree work at the estimated distinct "
                 f"adhesion keys across {decomposition.num_nodes - 1} cached node(s)"
-            )
-        from repro.engine.compiler import driver_cache_key
-
-        key = driver_cache_key(query, tuple(plan.variable_order))
-        if self.database.has_compiled_driver(key):
-            reasons.append(
-                "lftj's specialized driver is already compiled and cached"
-            )
-        else:
-            # Recover the charge from the charged total: below the cap
-            # boundary (base >= 50x cap) the charge was 2% of the base.
-            total = costs["lftj"]
-            if total >= _COMPILE_CHARGE_CAP * 51.0:
-                charge = _COMPILE_CHARGE_CAP
-            else:
-                charge = total - total / 1.02
-            reasons.append(
-                f"lftj is charged {charge:.1f} unit(s) of one-time driver "
-                f"compilation (driver not cached yet)"
             )
         if algorithm == "clftj" and decomposition.num_nodes > 1:
             workers = self.recommend_workers(query, plan.variable_order)

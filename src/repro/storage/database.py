@@ -526,6 +526,19 @@ class Database:
                 self._bump("index_cache_hits")
             return index
 
+    def peek_view_index(
+        self,
+        kind: str,
+        relation_name: str,
+        signature: Tuple[object, ...],
+        column_order: Sequence[int],
+    ) -> Optional[object]:
+        """The cached index :meth:`view_index` would return, or ``None`` — a
+        pure read: never builds, never counts as a cache hit."""
+        return self._index_cache.get(
+            (kind, relation_name, signature, tuple(column_order))
+        )
+
     def trie_index(self, relation_name: str, attribute_order: Sequence[int]) -> LsmTrieIndex:
         """Return (and memoise) a trie over ``relation_name`` in the given column order.
 
@@ -635,10 +648,6 @@ class Database:
             else:
                 self._bump("compiled_cache_hits")
             return entry
-
-    def has_compiled_driver(self, key: Hashable) -> bool:
-        """Whether a compiled driver is currently cached under ``key``."""
-        return key in self._compiled_cache
 
     def peek_compiled_driver(self, key: Hashable) -> Optional[object]:
         """The cached compiled driver under ``key``, or ``None`` — a pure

@@ -203,6 +203,18 @@ def atom_trie(database: Database, atom: Atom, column_order: Sequence[int]) -> Ls
     return shared_atom_index(database, atom, column_order, "trie", LsmTrieIndex.build)
 
 
+def peek_atom_trie(
+    database: Database, atom: Atom, column_order: Sequence[int]
+) -> Optional[LsmTrieIndex]:
+    """The cached trie :func:`atom_trie` would return, or ``None`` when it
+    would build one (atoms with constants always do) — a pure read."""
+    if atom_has_constants(atom):
+        return None
+    return database.peek_view_index(
+        "trie", atom.relation, atom_signature(atom), column_order
+    )
+
+
 def atom_column_order(atom: Atom, depth_of: Dict[Variable, int]) -> Tuple[Tuple[Variable, ...], Tuple[int, ...]]:
     """The atom's distinct variables sorted by global depth, plus the matching
     permutation of its view columns.

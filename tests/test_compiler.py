@@ -16,14 +16,16 @@ import sys
 
 import pytest
 
+import repro.engine.compiler as compiler_module
 from repro.cli import main
 from repro.core.instrumentation import OperationCounter
 from repro.core.lftj import LeapfrogTrieJoin
-from repro.engine import QueryEngine
+from repro.engine import QueryEngine, inject_faults
 from repro.engine.compiler import (
     COMPILED_ALGORITHMS,
     CompiledTrieJoin,
     driver_cache_key,
+    trie_join_executor,
 )
 from repro.engine.parallel import make_range_executor
 from repro.query.parser import parse_query
@@ -45,6 +47,14 @@ def database():
 @pytest.fixture
 def engine(database):
     return QueryEngine(database)
+
+
+def _this_query(explanation):
+    """The ``this query:`` state of explain()'s compiled-drivers line."""
+    (line,) = [
+        line for line in explanation.splitlines() if line.startswith("compiled drivers:")
+    ]
+    return line.split("this query: ", 1)[1]
 
 
 QUERIES = [
@@ -201,6 +211,20 @@ class TestPrepared:
             query, algorithm="lftj", compile=False
         ).count
 
+    @pytest.mark.parametrize("algorithm", ["lftj", "clftj"])
+    def test_driver_repr_stays_a_log_line(self, engine, algorithm):
+        """The captured trie columns and the generated source stay out of
+        ``repr`` (a log line, a debugger, a pytest assertion message)."""
+        prepared = engine.prepare(path_query(4), algorithm=algorithm)
+        prepared.count()
+        driver = prepared.compiled_driver()
+        text = repr(driver)
+        assert len(text) < 1000, len(text)
+        for shown in ("key=", "query_name=", "variable_names=", "relation_versions=",
+                      f"probed_nodes={driver.probed_nodes!r}"):
+            assert shown in text
+        assert "def _count" not in text and "array(" not in text
+
     def test_prepared_compile_false_never_compiles(self, engine, database):
         prepared = engine.prepare(cycle_query(3), algorithm="lftj", compile=False)
         prepared.count()
@@ -230,10 +254,14 @@ class TestReporting:
         assert "this query: cached" in warm
         disabled = engine.explain(query, algorithm="lftj", compile=False)
         assert "disabled (compile=False" in disabled
-        other = engine.explain(query, algorithm="clftj")
+        # A single bag probes nothing: clftj resolves to the driver the
+        # lftj run above compiled (same order), evaluation included.
+        assert _this_query(engine.explain(query, algorithm="clftj")) == "cached"
+        multi_bag = path_query(4)
+        other = engine.explain(multi_bag, algorithm="clftj")
         assert "will compile on first execution (count mode)" in other
-        engine.count(query, algorithm="clftj")
-        other_warm = engine.explain(query, algorithm="clftj")
+        engine.count(multi_bag, algorithm="clftj")
+        other_warm = engine.explain(multi_bag, algorithm="clftj")
         assert "cached (count mode; evaluation runs interpreted)" in other_warm
         interpreted = engine.explain(query, algorithm="ytd")
         assert "not applicable" in interpreted
@@ -243,13 +271,32 @@ class TestReporting:
         assert result.metadata["compiled_builds"] == 0
         assert result.metadata["compiled_cache_hits"] == 0
 
-    def test_selector_reasons_mention_compiled_state(self, engine):
-        query = cycle_query(3)
-        cold = engine.explain(query, algorithm="auto")
-        assert "driver compilation" in cold or "already compiled" in cold
-        engine.count(query, algorithm="lftj")
-        warm = engine.explain(query, algorithm="auto")
-        assert "already compiled and cached" in warm
+    def test_auto_ignores_the_compile_cache_and_runs_the_order_it_priced(
+        self, engine, database
+    ):
+        query = cycle_query(4)
+        plan = engine.plan(query)
+        assert plan.variable_order != query.variables  # the case under test
+        cold = engine.selector.choose(query, plan)
+        assert cold.algorithm == "lftj"
+        assert "will compile" in _this_query(engine.explain(query, algorithm="auto"))
+        for warmed in ("clftj", "lftj"):
+            engine.count(query, algorithm=warmed)
+            again = engine.selector.choose(query, plan)
+            assert (again.algorithm, again.costs) == (cold.algorithm, cold.costs)
+        # auto -> lftj runs (and explain reports) the plan's order, a key
+        # neither run above populated; the second auto count finds it.
+        first = engine.count(query, algorithm="auto")
+        assert first.variable_order == plan.variable_order
+        assert first.metadata["compiled_builds"] == 1
+        assert _this_query(engine.explain(query, algorithm="auto")) == "cached"
+        prepared = engine.prepare(query, algorithm="auto")
+        for second in (engine.count(query, algorithm="auto"), prepared.count()):
+            assert second.variable_order == plan.variable_order
+            assert second.metadata["compiled_builds"] == 0
+            assert second.count == first.count
+        assert prepared.compiled_driver() is not None
+        assert first.count == engine.count(query, algorithm="lftj", compile=False).count
 
 
 class TestValidation:
@@ -415,6 +462,13 @@ class TestCounterModel:
                 if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name)
             }
             assert not targets & {"c_seek", "c_open", "c_res"}, (name, targets)
+        if algorithm == "lftj":
+            # One generator serves LFTJ and CLFTJ; nothing of a probe may
+            # leak into a plan that has none.
+            assert source.startswith(
+                "def _count(columns, counter, lo=None, hi=None, deadline=None,\n"
+            )
+            assert not re.search(r"cache|policy|c_rec|c_mat|_cget|\bim\d", source), source
 
     def test_path_inner_loop_keeps_three_accumulators(self):
         """README's example: the innermost body of the 4-path LFTJ count."""
@@ -552,3 +606,104 @@ class TestClftjCompiled:
         assert "factorized" in result.metadata["compiled_reason"]
         oracle = engine.evaluate(query, algorithm="clftj", compile=False)
         assert result.rows == oracle.rows
+
+
+#: Every way an execution ends up interpreted, per algorithm it applies to.
+FALLBACKS = [
+    ("pending-deltas", "lftj"),
+    ("pending-deltas", "clftj"),
+    ("unroll-ceiling", "clftj"),
+    ("compile-fault", "lftj"),
+    ("compile-fault", "clftj"),
+    ("evaluate-over-probes", "clftj"),
+    ("compile-false", "lftj"),
+    ("compile-false", "clftj"),
+]
+
+
+class TestOneTier:
+    """LFTJ and CLFTJ share one build(): same fallbacks, same words in
+    ``compiled_reason`` and in explain(); zero probes is LFTJ's driver."""
+
+    @pytest.mark.parametrize("case,algorithm", FALLBACKS)
+    def test_fallbacks_match_the_oracle_and_explain(self, case, algorithm, monkeypatch):
+        database = Database(
+            [Relation("E", ("a", "b"), _edges())],
+            compaction_floor=0,
+            compaction_threshold=1000.0,
+        )
+        engine = QueryEngine(database)
+        query = cycle_query(3) if algorithm == "lftj" else path_query(4)
+        run, options, faults = engine.count, {}, {}
+        if case == "pending-deltas":
+            engine.count(query, algorithm=algorithm)  # the tries are cached...
+            database.insert("E", [(997, 998), (998, 999), (999, 997)])  # ...and patched
+            reason = "unmerged deltas pending on an atom trie"
+            explained = f"unavailable ({reason}; interpreted until the next compaction)"
+        elif case == "unroll-ceiling":
+            monkeypatch.setattr(compiler_module, "MAX_UNROLLED_CACHE_NODES", 0)
+            reason = "decomposition has 3 probed nodes (unroll ceiling is 0)"
+            explained = f"unavailable ({reason})"
+        elif case == "compile-fault":
+            faults = {"compiler.exec": {"action": "raise", "times": 8}}
+            reason = "compile failed: "
+            # explain cannot foresee the fault: nothing is cached, it will try
+            explained = "will compile on first execution"
+        elif case == "evaluate-over-probes":
+            run = engine.evaluate
+            engine.count(query, algorithm=algorithm)
+            reason = "evaluation runs interpreted"
+            explained = "cached (count mode; evaluation runs interpreted)"
+        else:
+            options = {"compile": False}
+            reason = None
+            explained = "disabled (compile=False; interpreted oracle path)"
+        oracle = run(query, algorithm=algorithm, compile=False)
+        builds = database.index_builds, database.compiled_builds, database.compiled_cache_hits
+        before = _this_query(engine.explain(query, algorithm=algorithm, **options))
+        assert builds == (
+            database.index_builds, database.compiled_builds, database.compiled_cache_hits
+        )  # explain only peeks
+        with inject_faults(faults):
+            result = run(query, algorithm=algorithm, **options)
+        assert before.startswith(explained), before
+        assert result.count == oracle.count
+        assert result.rows == oracle.rows
+        assert result.counter.as_dict() == oracle.counter.as_dict()
+        if reason is None:
+            assert "compiled" not in result.metadata
+        else:
+            assert result.metadata["compiled"] is False
+            assert result.metadata["compiled_reason"].startswith(reason)
+        if case in ("pending-deltas", "unroll-ceiling"):
+            # one string: explain quotes the reason the execution records
+            assert result.metadata["compiled_reason"] in before
+            after = _this_query(engine.explain(query, algorithm=algorithm))
+            assert after == before
+
+    @pytest.mark.parametrize("query", [cycle_query(3), clique_query(4)], ids=lambda q: q.name)
+    def test_zero_probe_clftj_is_the_lftj_driver(self, engine, database, query):
+        plan = engine.plan(query)
+        assert plan.decomposition.num_nodes == 1
+        order = plan.variable_order
+        cached = trie_join_executor(
+            query, database, order, None, decomposition=plan.decomposition
+        )
+        plain = trie_join_executor(query, database, order, None)
+        for mode in ("count", "evaluate"):
+            assert cached.debug_source(mode) == plain.debug_source(mode)
+        assert cached.build() is plain.build()
+        database.clear_compiled_cache()
+        first = engine.count(query, algorithm="lftj", variable_order=order)
+        second = engine.count(query, algorithm="clftj")
+        assert (first.metadata["compiled_builds"], second.metadata["compiled_builds"]) == (1, 0)
+        assert database.compiled_cache_size() == 1
+        assert second.metadata["compiled"] is True
+        for run in (engine.count, engine.evaluate):
+            compiled = run(query, algorithm="clftj")
+            interpreted = run(query, algorithm="clftj", compile=False)
+            assert compiled.metadata["compiled"] is True
+            assert "compiled_reason" not in compiled.metadata
+            assert compiled.count == interpreted.count > 0
+            assert compiled.rows == interpreted.rows
+            assert compiled.counter.as_dict() == interpreted.counter.as_dict()
