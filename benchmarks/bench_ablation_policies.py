@@ -39,7 +39,7 @@ def _run_policy(database, policy):
     return joiner.count(), joiner, cache
 
 
-POLICY_NAMES = ("always", "never", "support>=2", "second-touch", "skew-aware", "adaptive-1k")
+POLICY_NAMES = ("always", "never", "support>=2", "second-touch", "skew-aware", "bounded-1k")
 
 
 @pytest.mark.parametrize("policy_name", POLICY_NAMES)

@@ -53,7 +53,8 @@ BENCH6_JSON = str(Path(__file__).resolve().parent.parent / "BENCH_6.json")
 BENCH7_JSON = str(Path(__file__).resolve().parent.parent / "BENCH_7.json")
 
 #: PR 8's trajectory file: compiled + parallel CLFTJ cells (compiled cached
-#: trie join vs the interpreted CLFTJ oracle, plus the pclftj identity cell).
+#: trie join vs the interpreted CLFTJ oracle, plus the parallel-clftj identity
+#: cell).
 BENCH8_JSON = str(Path(__file__).resolve().parent.parent / "BENCH_8.json")
 
 #: Scale of the compiled-driver cells: large enough for stable timing.
@@ -259,12 +260,12 @@ def _clftj_cells(scale=ENCODING_SCALE, rounds=ENCODING_ROUNDS):
             }
 
 
-def _pclftj_identity_cell(scale=0.3, workers=2, backend="processes"):
+def _parallel_clftj_identity_cell(scale=0.3, workers=2, backend="processes"):
     """Parallel CLFTJ vs serial CLFTJ: identical counts AND row streams.
 
     Runs at a modest scale (row materialisation, not counting, bounds the
     cell) over the multi-bag lollipop query so worker-local adhesion caches
-    actually serve hits; the merged pclftj stream must be byte-identical to
+    actually serve hits; the merged parallel stream must be byte-identical to
     the serial one and the per-worker cache statistics must surface in the
     result metadata.
     """
@@ -277,11 +278,11 @@ def _pclftj_identity_cell(scale=0.3, workers=2, backend="processes"):
     query = lollipop_query(3, 2)
     serial = engine.evaluate(query, algorithm="clftj")
     parallel = engine.evaluate(
-        query, algorithm="pclftj", parallel=workers, parallel_backend=backend
+        query, algorithm="clftj", parallel=workers, parallel_backend=backend
     )
     count_serial = engine.count(query, algorithm="clftj")
     count_parallel = engine.count(
-        query, algorithm="pclftj", parallel=workers, parallel_backend=backend
+        query, algorithm="clftj", parallel=workers, parallel_backend=backend
     )
     cell = {
         "query": query.name,
@@ -305,16 +306,17 @@ def _record_clftj_cells(cells, identity, quick=False):
         "algorithm": "clftj",
         "quick": quick,
         "cells": {f"{c['dataset']}/{c['query']}": c for c in cells},
+        # clftj + parallel=; the key is BENCH_8.json's frozen schema.
         "pclftj_identity": identity,
     }
     write_bench_json(BENCH8_JSON, "compiled_clftj", payload)
 
 
 def test_clftj_compiled_speedup_and_parallel_identity():
-    """Warm compiled CLFTJ >= 2x interpreted on triangle/4-clique; pclftj
-    reproduces the serial row stream byte for byte."""
+    """Warm compiled CLFTJ >= 2x interpreted on triangle/4-clique; clftj
+    with ``parallel=`` reproduces the serial row stream byte for byte."""
     cells = list(_clftj_cells())
-    identity = _pclftj_identity_cell()
+    identity = _parallel_clftj_identity_cell()
     _record_clftj_cells(cells, identity)
     for cell in cells:
         report_row(
@@ -351,11 +353,11 @@ def test_clftj_compiled_speedup_and_parallel_identity():
         rows_identical=identity["rows_identical"],
     )
     assert identity["rows_identical"], (
-        "pclftj must reproduce the serial clftj row stream byte for byte"
+        "parallel clftj must reproduce the serial row stream byte for byte"
     )
     assert identity["count_serial"] == identity["count_parallel"]
     assert identity["worker_caches"], (
-        "pclftj must report per-worker adhesion-cache statistics"
+        "parallel clftj must report per-worker adhesion-cache statistics"
     )
 
 
@@ -561,7 +563,7 @@ def main(argv=None):
     clftj_scale = 0.5 if args.quick else ENCODING_SCALE
     clftj_rounds = 2 if args.quick else ENCODING_ROUNDS
     clftj_cells = list(_clftj_cells(scale=clftj_scale, rounds=clftj_rounds))
-    identity = _pclftj_identity_cell(
+    identity = _parallel_clftj_identity_cell(
         scale=0.15 if args.quick else 0.3,
         backend="threads" if args.quick else "processes",
     )
@@ -590,7 +592,7 @@ def main(argv=None):
                   f"{cell['dataset']}/{cell['query']}", file=sys.stderr)
             return 1
     if not identity["rows_identical"]:
-        print("FAIL: pclftj row stream diverges from serial clftj",
+        print("FAIL: parallel clftj row stream diverges from serial clftj",
               file=sys.stderr)
         return 1
     if args.parallel is not None:

@@ -240,7 +240,7 @@ def run_parallel_benchmark(
 ) -> Dict[str, object]:
     """Serial vs morsel-parallel cells over warm caches; counts cross-checked.
 
-    ``compile`` is passed through to the engine for lftj/plftj cells:
+    ``compile`` is passed through to the engine for lftj/clftj cells:
     ``False`` pins the interpreted join loop (so parallel speedups are
     measured against the interpreter on both sides), ``None`` keeps the
     engine default.

@@ -28,6 +28,7 @@ from repro.datasets.snap import SNAP_DATASETS, dataset_specs, load_snap_standin
 from repro.engine.engine import AUTO_ALGORITHM, QueryEngine
 from repro.engine.executors import registered_algorithms
 from repro.engine.faults import QueryTimeoutError
+from repro.engine.parallel import DEFAULT_BACKEND, PARALLEL_BACKENDS, Schedule
 from repro.query.atoms import ConjunctiveQuery
 from repro.query.parser import parse_query
 from repro.query.patterns import (
@@ -116,15 +117,18 @@ def build_parser() -> argparse.ArgumentParser:
                      help="a registered algorithm, or 'auto' for cost-based selection")
     run.add_argument("--parallel", type=int, default=None, metavar="N",
                      help="run the join morsel-parallel on a persistent pool "
-                          "of N workers (lftj/generic_join/clftj/plftj/"
-                          "pclftj; 0 = automatic worker count)")
-    run.add_argument("--parallel-backend", choices=("threads", "processes"),
+                          "of N workers (lftj/generic_join/clftj; 0 = "
+                          "automatic worker count); a request the pool would "
+                          "not repay runs serial, and the 'parallel:' line "
+                          "printed after the results says why")
+    run.add_argument("--parallel-backend", choices=PARALLEL_BACKENDS,
                      default=None,
-                     help="parallel execution backend (default: threads)")
+                     help="transport of the --parallel pool "
+                          f"(default: {DEFAULT_BACKEND})")
     run.add_argument("--no-compile", action="store_true",
                      help="run the interpreted join loop instead of the "
-                          "compiled driver (lftj/clftj/plftj/pclftj; the "
-                          "differential oracle path)")
+                          "compiled driver (lftj/clftj; the differential "
+                          "oracle path)")
     run.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                      help="cooperative query deadline in seconds; on expiry the "
                           "run aborts with a QueryTimeoutError (exit code 3)")
@@ -157,12 +161,14 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("--algorithm", choices=cli_algorithms(), default=AUTO_ALGORITHM,
                          help="algorithm to explain (default: auto, with selector reasoning)")
     explain.add_argument("--parallel", type=int, default=None, metavar="N",
-                         help="also show the morsel layout for N workers "
-                              "(0 = automatic worker count; requires a concrete "
-                              "--algorithm such as plftj, pclftj or lftj)")
+                         help="also show the schedule --parallel N resolves "
+                              "to: workers, transport and ranges, or why it "
+                              "stays serial (0 = automatic worker count; "
+                              "requires a concrete --algorithm: lftj, clftj "
+                              "or generic_join)")
     explain.add_argument("--no-compile", action="store_true",
                          help="explain the interpreted path instead of the "
-                              "compiled driver (lftj/clftj/plftj/pclftj)")
+                              "compiled driver (lftj/clftj)")
     explain.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                          help="include the cooperative deadline in the explanation")
     explain.add_argument("--memory-budget", type=int, default=None, metavar="BYTES",
@@ -291,6 +297,14 @@ def _command_run(args: argparse.Namespace) -> int:
                   f"(version {database.relation_version(mutated_relation)})")
         results.append(prepared.count() if args.mode == "count" else prepared.evaluate())
     print(format_results(results))
+    if "parallel" in parallel_options:
+        # The schedule the last execution ran, worded as `repro explain` does.
+        ran = results[-1].metadata
+        if ran["parallel"]:
+            print(f"\nparallel: backend={ran['parallel_backend']}, "
+                  f"workers={ran['workers']}, morsels={ran['morsels']}")
+        else:
+            print("\n" + Schedule(reason=ran["parallel_reason"]).describe())
     if args.repeat > 1:
         last = results[-1]
         print(

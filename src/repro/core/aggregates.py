@@ -21,13 +21,12 @@ carries over unchanged.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generic, Iterator, List, Mapping, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Generic, List, Mapping, Optional, Sequence, Tuple, TypeVar
 
-from repro.core.cache import AdhesionCache, AlwaysCachePolicy, CachePolicy
+from repro.core.cache import AdhesionCache, CachePolicy
+from repro.core.clftj import CachedLeapfrogTrieJoin
 from repro.core.instrumentation import OperationCounter
 from repro.core.leapfrog import LeapfrogJoin
-from repro.core.lftj import TrieJoinBase
-from repro.decomposition.ordering import is_strongly_compatible, strongly_compatible_order
 from repro.decomposition.tree_decomposition import TreeDecomposition
 from repro.query.atoms import Atom, ConjunctiveQuery
 from repro.query.terms import Variable
@@ -188,7 +187,7 @@ def uniform_weights(_atom: Atom, _values: Tuple[object, ...]) -> object:
     return None  # interpreted as the semiring's multiplicative identity
 
 
-class CachedAggregateTrieJoin(TrieJoinBase):
+class CachedAggregateTrieJoin(CachedLeapfrogTrieJoin):
     """CLFTJ generalised from counting to an arbitrary commutative semiring.
 
     The per-variable contribution is the product, over the atoms for which
@@ -200,7 +199,10 @@ class CachedAggregateTrieJoin(TrieJoinBase):
     aggregate of a subtree given its adhesion assignment is a semiring value
     that can be multiplied into any outer context — so the cache stores one
     semiring value per ``(node, adhesion assignment)``, exactly as in
-    Figure 2.
+    Figure 2.  The plan geometry (validation, contraction, depth tables) and
+    the per-execution cache/policy binding are
+    :class:`~repro.core.clftj.CachedLeapfrogTrieJoin`'s; only the semiring
+    recursion and the weight tables live here.
     """
 
     def __init__(
@@ -215,16 +217,9 @@ class CachedAggregateTrieJoin(TrieJoinBase):
         cache: Optional[AdhesionCache] = None,
         counter: Optional[OperationCounter] = None,
     ) -> None:
-        decomposition.validate(query)
-        decomposition = decomposition.contract_ownerless_bags()
-        if variable_order is None:
-            variable_order = strongly_compatible_order(decomposition)
-        if not is_strongly_compatible(decomposition, variable_order):
-            raise ValueError(
-                "the decomposition is not strongly compatible with the variable order"
-            )
-        super().__init__(query, database, variable_order, counter)
-        self.decomposition = decomposition
+        super().__init__(
+            query, database, decomposition, variable_order, policy, cache, counter
+        )
         self.semiring = semiring
         self.weight = weight
         # Weight functions receive *values* (they look up user-facing weight
@@ -232,36 +227,13 @@ class CachedAggregateTrieJoin(TrieJoinBase):
         # decoded at this boundary.  Uniform weights never look at the
         # values, keeping plain counting zero-decode.
         self._decode_weight_values = weight is not uniform_weights
-        self.policy = policy if policy is not None else AlwaysCachePolicy()
-        self.cache = cache if cache is not None else AdhesionCache()
-        if self.cache.counter is None:
-            self.cache.counter = self.counter
-
-        order = self.variable_order
-        depth_of = {variable: depth for depth, variable in enumerate(order)}
-        self._owner_at_depth = [decomposition.owner(variable) for variable in order]
-        self._own_depths: Dict[int, Tuple[int, ...]] = {}
-        self._last_own_depth: Dict[int, int] = {}
-        self._subtree_last_depth: Dict[int, int] = {}
-        self._adhesion_vars: Dict[int, Tuple[Variable, ...]] = {}
-        self._adhesion_depths: Dict[int, Tuple[int, ...]] = {}
-        for node in decomposition.preorder():
-            owned = decomposition.owned_variables(node)
-            own_depths = tuple(sorted(depth_of[variable] for variable in owned))
-            self._own_depths[node] = own_depths
-            self._last_own_depth[node] = own_depths[-1]
-            self._subtree_last_depth[node] = max(
-                depth_of[variable] for variable in decomposition.subtree_variables(node)
-            )
-            adhesion = sorted(decomposition.adhesion(node), key=lambda v: depth_of[v])
-            self._adhesion_vars[node] = tuple(adhesion)
-            self._adhesion_depths[node] = tuple(depth_of[v] for v in adhesion)
 
         # For weighting: per atom, the depth at which all its variables are
         # bound (its last variable in the global order) and the depths of its
         # variables in the atom's first-occurrence order — the order in which
         # the weight function receives the matched values.
-        self._atoms_completed_at: List[List[int]] = [[] for _ in order]
+        depth_of = self._depth_of
+        self._atoms_completed_at: List[List[int]] = [[] for _ in self.variable_order]
         self._atom_value_depths: List[Tuple[int, ...]] = []
         for atom_index, atom in enumerate(query.atoms):
             first_occurrence_vars = atom_variables_in_order(atom)
@@ -269,8 +241,6 @@ class CachedAggregateTrieJoin(TrieJoinBase):
             self._atom_value_depths.append(depths)
             self._atoms_completed_at[max(depths)].append(atom_index)
 
-        self._total = semiring.zero
-        self._intrmd: Dict[int, object] = {}
         # Accumulated weight of the atoms completed at the owner's own depths
         # along the current path (needed so cached subtree aggregates include
         # the weights of atoms completed while binding the node's own vars).
@@ -279,15 +249,15 @@ class CachedAggregateTrieJoin(TrieJoinBase):
     # ------------------------------------------------------------------ run
     def aggregate(self) -> object:
         """Evaluate the aggregate (the semiring-generalised CachedTJCount)."""
+        # One cache never mixes aggregates of two semirings, nor an aggregate
+        # with CLFTJ's own count / evaluate entries.
+        self.cache.bind_mode(f"aggregate:{self.semiring.name}")
         self._prepare()
         self._total = self.semiring.zero
         self._intrmd = {node: self.semiring.zero for node in self.decomposition.preorder()}
         self._own_weight = [self.semiring.one] * self.num_variables
         self._recurse(0, self.semiring.one)
         return self._total
-
-    def _adhesion_key(self, node: int) -> Tuple[object, ...]:
-        return tuple(self._assignment[depth] for depth in self._adhesion_depths[node])
 
     def _depth_weight(self, depth: int) -> object:
         """Product of weights of the atoms fully bound at ``depth``."""

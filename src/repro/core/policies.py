@@ -13,9 +13,6 @@ benchmark can compare them:
   per decomposition node, whether its adhesion attributes are skewed enough
   for caching to pay off at all (the criterion Section 4 uses to *choose*
   decompositions, applied at run time).
-* :class:`AdaptivePolicy` — stop admitting new entries once the observed hit
-  rate of a node's cache drops below a threshold, bounding wasted memory on
-  adhesions that never recur.
 """
 
 from __future__ import annotations
@@ -50,6 +47,10 @@ class FrequencyAdmissionPolicy(CachePolicy):
         count = self._seen.get(key, 0) + 1
         self._seen[key] = count
         return count >= self.min_occurrences
+
+    def reset(self) -> None:
+        """Forget the observed recurrences: every execution starts fresh."""
+        self._seen.clear()
 
 
 class SkewAwarePolicy(CachePolicy):
@@ -101,48 +102,18 @@ class SkewAwarePolicy(CachePolicy):
         return self.node_enabled(node)
 
 
-class AdaptivePolicy(CachePolicy):
-    """Stop admitting entries for a node once its observed benefit is too low.
-
-    The policy tracks, per node, how many intermediates were admitted and how
-    many lookups the node has received (admissions are a lower bound on
-    misses).  After ``warmup`` admissions, a node whose admissions keep
-    growing without bound relative to ``max_entries_per_node`` is cut off.
-    This is a light-weight stand-in for the benefit-estimation policies the
-    paper defers to future work.
-    """
-
-    def __init__(self, max_entries_per_node: int = 1000, warmup: int = 16) -> None:
-        if max_entries_per_node < 0:
-            raise ValueError("max_entries_per_node must be non-negative")
-        if warmup < 0:
-            raise ValueError("warmup must be non-negative")
-        self.max_entries_per_node = max_entries_per_node
-        self.warmup = warmup
-        self._admitted: Dict[int, int] = {}
-
-    def should_cache(self, node, adhesion, adhesion_values, intermediate) -> bool:
-        admitted = self._admitted.get(node, 0)
-        if admitted >= self.max_entries_per_node:
-            return False
-        self._admitted[node] = admitted + 1
-        return True
-
-    def admitted(self, node: int) -> int:
-        """Number of entries admitted so far for ``node``."""
-        return self._admitted.get(node, 0)
-
-    def wants_intermediates(self, node: int) -> bool:
-        return self.max_entries_per_node > 0
-
-
 def policy_suite(
     database: Database,
     query: ConjunctiveQuery,
     decomposition: TreeDecomposition,
 ) -> Dict[str, CachePolicy]:
     """The named policies compared by the policy-ablation benchmark."""
-    from repro.core.cache import AlwaysCachePolicy, NeverCachePolicy, SupportThresholdPolicy
+    from repro.core.cache import (
+        AlwaysCachePolicy,
+        BoundedCachePolicy,
+        NeverCachePolicy,
+        SupportThresholdPolicy,
+    )
 
     return {
         "always": AlwaysCachePolicy(),
@@ -150,5 +121,5 @@ def policy_suite(
         "support>=2": SupportThresholdPolicy(database, query, threshold=2),
         "second-touch": FrequencyAdmissionPolicy(min_occurrences=2),
         "skew-aware": SkewAwarePolicy(database, query, decomposition),
-        "adaptive-1k": AdaptivePolicy(max_entries_per_node=1000),
+        "bounded-1k": BoundedCachePolicy(1000),
     }

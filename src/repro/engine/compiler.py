@@ -134,7 +134,7 @@ from repro.storage.trie import TrieIndex
 from repro.storage.views import atom_column_order, peek_atom_trie, query_signature
 
 #: Algorithms that execute through compiled drivers (``compile`` parameter).
-COMPILED_ALGORITHMS: Tuple[str, ...] = ("lftj", "plftj", "clftj", "pclftj")
+COMPILED_ALGORITHMS: Tuple[str, ...] = ("lftj", "clftj")
 
 #: CLFTJ drivers unroll one cache probe/store site per decomposition node
 #: entered below the root; decompositions with more probed nodes than this
@@ -767,8 +767,8 @@ class _Codegen:
         for atom, _level in clamped:
             self.emit(2, f"hi{atom}_0 = _bisect(K{atom}_0, hi, lo{atom}_0, hi{atom}_0)")
         # Prologue hoists derive only from the captured (immutable) columns,
-        # so they are memoised on the function itself: every shard of a
-        # plftj execution reuses them instead of rebuilding per call.
+        # so they are memoised on the function itself: every morsel of a
+        # parallel execution reuses them instead of rebuilding per call.
         for name, expression in self.hoist_builds.get(-1, ()):
             self.emit(1, f"{name} = _hoist.get({name!r})")
             self.emit(1, f"if {name} is None:")

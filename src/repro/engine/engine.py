@@ -37,6 +37,7 @@ from repro.engine.executors import (
     registered_algorithms,
 )
 from repro.engine.faults import Deadline
+from repro.engine.parallel import OVER_BUDGET, resolve_schedule
 from repro.engine.planner import ExecutionPlan, Planner
 from repro.engine.prepared import PreparedQuery
 from repro.engine.results import ExecutionResult
@@ -124,11 +125,10 @@ class QueryEngine:
         returned :class:`~repro.engine.prepared.PreparedQuery` re-executes
         through the plan and index caches and, for CLFTJ, keeps a persistent
         adhesion cache per execution mode (warm across runs).  With
-        ``parallel=`` (on ``lftj``/``generic_join``/``clftj``/``plftj``/
-        ``pclftj``), every re-execution runs morsel-parallel on the
-        database's persistent worker pool — warm repeats spawn no new
-        workers, and parallel CLFTJ workers keep their adhesion caches
-        warm across re-executions.
+        ``parallel=`` (on ``lftj``/``generic_join``/``clftj``), every
+        re-execution runs morsel-parallel on the database's persistent
+        worker pool — warm repeats spawn no new workers, and parallel CLFTJ
+        workers keep their adhesion caches warm across re-executions.
         """
         parameters: Dict[str, object] = {
             "decomposition": decomposition,
@@ -181,11 +181,13 @@ class QueryEngine:
         """Run a count query with the chosen algorithm and return the result.
 
         Pass ``parallel=N`` (worker count; ``True`` for automatic) with
-        ``algorithm`` ``"lftj"``/``"generic_join"``/``"clftj"``/``"plftj"``/
-        ``"pclftj"`` to run the
+        ``algorithm`` ``"lftj"``/``"generic_join"``/``"clftj"`` to run the
         execution morsel-parallel over the top join variable on the
-        database's persistent worker pool; ``parallel_backend`` selects
-        ``"threads"`` (default) or fork-based ``"processes"``.
+        database's persistent worker pool; ``parallel_backend`` names the
+        transport (``"threads"`` or fork-based ``"processes"``).  A request
+        the pool would not repay runs serial and says why in
+        ``metadata["parallel_reason"]`` (see
+        :func:`repro.engine.parallel.resolve_schedule`).
 
         ``timeout=`` (seconds) arms a cooperative deadline across every
         backend — interpreted, compiled and pool-parallel executions all
@@ -310,9 +312,10 @@ class QueryEngine:
         """A human-readable account of how ``query`` would be executed.
 
         Shows the (memoised) execution plan, the selector's reasoning when
-        ``algorithm="auto"``, the partition layout for parallel executions
-        (shard count and bounds), and the current plan-/index-cache state of
-        the database — without executing the query.
+        ``algorithm="auto"``, the schedule a ``parallel=`` request resolves
+        to (workers, transport and range bounds, or why it stays serial),
+        and the current plan-/index-cache state of the database — without
+        executing the query.
         """
         lines = []
         parameters: Dict[str, object] = {
@@ -350,7 +353,18 @@ class QueryEngine:
                 plan_consulted = plan_consulted or decomposition is None
                 lines.append("")
                 lines.append(plan.describe())
-        if resolved in ("clftj", "pclftj") and plan is not None:
+        schedule = resolve_schedule(
+            self.database,
+            query,
+            plan.variable_order
+            if plan is not None
+            else tuple(variable_order or query.variables),
+            parallel,
+            parallel_backend,
+            self.selector,
+            plan if resolved == "clftj" else None,
+        )
+        if resolved == "clftj":
             capacity = (
                 plan.cache_capacity
                 if plan.cache_capacity is not None
@@ -358,7 +372,7 @@ class QueryEngine:
             )
             scope = (
                 "worker-local persistent caches (one per pool worker)"
-                if resolved == "pclftj" or parallel is not None
+                if schedule is not None and schedule.parallel
                 else "one cache per execution (prepare() keeps it warm)"
             )
             lines.append("")
@@ -366,18 +380,9 @@ class QueryEngine:
                 f"adhesion caching: policy={type(plan.policy).__name__}, "
                 f"capacity={capacity}, {scope}"
             )
-        if resolved in ("plftj", "pclftj") or parallel is not None:
+        if schedule is not None:
             lines.append("")
-            lines.append(
-                self._describe_partitions(
-                    query,
-                    variable_order if variable_order is not None
-                    else (plan.variable_order if plan is not None else None),
-                    parallel,
-                    parallel_backend,
-                    plan if resolved in ("clftj", "pclftj") else None,
-                )
-            )
+            lines.append(schedule.describe())
         if decomposition is not None:
             plan_state = "bypassed (explicit decomposition)"
         elif not plan_consulted:
@@ -429,59 +434,6 @@ class QueryEngine:
         return "\n".join(lines)
 
     # --------------------------------------------------------------- internals
-    def _describe_partitions(
-        self,
-        query: ConjunctiveQuery,
-        variable_order: Optional[Sequence[Variable]],
-        parallel: Optional[object],
-        parallel_backend: Optional[str],
-        clftj_plan: Optional[ExecutionPlan] = None,
-    ) -> str:
-        """One explain line describing the morsel/worker layout.
-
-        Reads through the same memoised plan as execution
-        (:func:`repro.engine.parallel.cached_partition_plan`), so the bounds
-        shown here are exactly the bounds the next execution will use, and
-        says why that many morsels were asked for.
-        """
-        from repro.engine.parallel import (
-            MIN_MORSEL_KEYS,
-            MORSEL_OVERPARTITION,
-            cached_partition_plan,
-        )
-
-        order = (
-            tuple(variable_order)
-            if variable_order is not None
-            else tuple(query.variables)
-        )
-        if parallel is None or parallel is True:
-            workers = self.selector.recommend_workers(query, order)
-        else:
-            workers = max(int(parallel), 1)
-        morsels = self.selector.recommend_morsels(
-            query, order, workers=workers, plan=clftj_plan
-        )
-        if workers <= 1:
-            reason = "one per worker"
-        elif morsels == workers * MORSEL_OVERPARTITION:
-            reason = f"{MORSEL_OVERPARTITION} per worker"
-        else:
-            reason = "work floor: a smaller morsel would not repay its dispatch"
-        plan = cached_partition_plan(
-            self.database,
-            self.selector.catalog,
-            query,
-            order,
-            morsels,
-            min_keys_per_range=MIN_MORSEL_KEYS,
-        )
-        backend = parallel_backend or "threads"
-        return (
-            f"parallel: backend={backend}, workers={workers}, {plan.describe()}; "
-            f"planned morsels: {morsels} ({reason})"
-        )
-
     def _driver(
         self,
         query: ConjunctiveQuery,
@@ -492,12 +444,12 @@ class QueryEngine:
         """The order ``algorithm``'s trie join would run, then what
         :func:`resolve_driver` makes of it: ``(order, key, decomposition,
         reason)``.  ``plan`` is the execution plan where one applies:
-        clftj/pclftj's, or the selector's when ``auto`` resolved to lftj.
+        clftj's, or the selector's when ``auto`` resolved to lftj.
         """
         if plan is not None:
             variable_order = plan.variable_order
         order = tuple(variable_order or query.variables)
-        decomposition = plan.decomposition if algorithm in ("clftj", "pclftj") else None
+        decomposition = plan.decomposition if algorithm == "clftj" else None
         return (order, *resolve_driver(query, order, decomposition))
 
     def _compiled_state(
@@ -583,7 +535,7 @@ class QueryEngine:
                 cache=cache,
                 parallel=parallel,
                 parallel_backend=parallel_backend,
-                    compile=compile,
+                compile=compile,
                 timeout=timeout,
                 selection=selection,
             )
@@ -645,7 +597,8 @@ class QueryEngine:
         # Memory-budget degradation (after validation, before planning):
         # over budget, progressively give up memory-hungry machinery in the
         # documented order instead of crashing.  Each step is recorded in
-        # metadata["degradations"].
+        # metadata["degradations"]; the last rung, serial instead of
+        # parallel, is the schedule resolver's to take (see below).
         degradations: list = []
         budget = self.database.memory_budget_bytes
         if budget is not None:
@@ -654,7 +607,7 @@ class QueryEngine:
                 # Step 1: stop growing (and drop) adhesion caches.
                 if cache is not None:
                     cache.invalidate()
-                if spec.name in ("clftj", "pclftj"):
+                if spec.name == "clftj":
                     cache_capacity = 0
                 degradations.append(
                     f"adhesion caching disabled (footprint {footprint} "
@@ -667,17 +620,6 @@ class QueryEngine:
                 self.database.clear_index_cache()
                 degradations.append(
                     "evicted compiled drivers and cached indexes "
-                    f"(footprint {footprint} > budget {budget} bytes)"
-                )
-                footprint = self.database.memory_footprint()
-            if footprint > budget:
-                # Step 3: give up parallel amplification (per-worker caches,
-                # result buffers); dedicated p* algorithms degrade through
-                # the selector's worker recommendation instead.
-                if parallel not in (None, False):
-                    parallel = 1
-                degradations.append(
-                    "parallel execution restricted to one worker "
                     f"(footprint {footprint} > budget {budget} bytes)"
                 )
 
@@ -706,9 +648,8 @@ class QueryEngine:
                 deadline=deadline,
             )
         )
-        # The cooperative deadline travels inside the request (factories
-        # that construct schedulers wire it at construction) and is then
-        # re-assigned UNCONDITIONALLY: interpreted recursion, compiled
+        # The cooperative deadline travels inside the request and is
+        # assigned here UNCONDITIONALLY: interpreted recursion, compiled
         # drivers and the parallel scheduler all read ``executor.deadline``,
         # and overwriting — even with ``None`` — guarantees an executor can
         # never inherit a previous execution's clock, concurrent or not
@@ -749,6 +690,13 @@ class QueryEngine:
             query, label, value, elapsed, executor, plan, selection, scope
         )
         result.metadata["decodes"] = dictionary.decodes - decodes_before
+        declined = result.metadata.get("parallel_reason", "")
+        if declined.startswith(OVER_BUDGET):
+            # Step 3: the pool's amplification (per-worker caches, result
+            # buffers) was given up — by the resolver, in its words.
+            degradations.append(
+                f"parallel execution restricted to one worker ({declined})"
+            )
         if degradations:
             result.metadata["degradations"] = degradations
         if timeout is not None:

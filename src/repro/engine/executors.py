@@ -35,6 +35,7 @@ from repro.core.cache import AdhesionCache
 from repro.core.instrumentation import OperationCounter
 from repro.engine.compiler import trie_join_executor
 from repro.engine.faults import Deadline
+from repro.engine.parallel import ParallelExecutor, resolve_schedule
 from repro.engine.planner import ExecutionPlan
 from repro.query.atoms import ConjunctiveQuery
 from repro.query.terms import Variable
@@ -88,12 +89,11 @@ class Executor(Protocol):
 class ExecutorRequest:
     """Everything a factory may need to build one executor.
 
-    ``parallel`` carries the worker request for the morsel-parallel
-    executor: an ``int`` pins the worker count, ``True`` asks for an
-    automatic count (the cost-based ``selector``, when present, charges a
-    per-worker engagement cost so tiny queries stay serial), ``None`` means
-    serial execution.  ``parallel_backend`` picks ``"threads"`` (default)
-    or ``"processes"``.
+    ``parallel`` asks for a morsel-parallel schedule: an ``int`` pins the
+    worker count, ``True`` asks for an automatic one, ``None`` / ``False``
+    mean serial execution; ``parallel_backend`` names the transport.  What
+    comes of the request is decided by
+    :func:`repro.engine.parallel.resolve_schedule` alone.
 
     ``deadline`` is this execution's cooperative deadline (or ``None``).
     It travels in the request — not as a post-construction patch — so a
@@ -174,66 +174,46 @@ class RowStreamAdapter:
 
 
 # ---------------------------------------------------------------- factories
-def _build_parallel(request: ExecutorRequest, inner: str) -> Executor:
-    """Build a morsel-parallel executor around ``inner``."""
-    from repro.engine.parallel import ParallelExecutor
+def _scheduled(request: ExecutorRequest, executor, inner: str) -> Executor:
+    """``executor`` itself, or — when ``parallel=`` asks — the morsel
+    scheduler around it (the serial executor is the scheduler's template).
 
-    workers = request.parallel
-    if workers is True:
-        workers = None  # auto: selector-recommended (or usable core count)
-    return ParallelExecutor(
-        request.query,
-        request.database,
-        variable_order=request.variable_order,
-        counter=request.counter,
-        inner=inner,
-        workers=workers,
-        backend=request.parallel_backend or "threads",
-        selector=request.selector,
-        compile=request.compile,
-        plan=request.plan,
-        deadline=request.deadline,
-    )
-
-
-def _check_parallel_params(request: ExecutorRequest) -> bool:
-    """Should this request route through the parallel executor?
-
-    ``parallel=False`` is an explicit request for serial execution, same
-    as ``None``; ``True`` asks for an automatic worker count; any ``int``
-    pins it.
+    Resolved after ``executor`` built its indexes, so the partition planner
+    sees the encoded domain of the top variable.
     """
-    if request.parallel is not None and request.parallel is not False:
-        return True
-    if request.parallel_backend is not None:
+    schedule = resolve_schedule(
+        request.database,
+        request.query,
+        executor.variable_order,
+        request.parallel,
+        request.parallel_backend,
+        request.selector,
+        request.plan,  # clftj's; the other two are planned nothing
+    )
+    if schedule is None:
+        return executor
+    if request.cache is not None:
         raise ValueError(
-            "parallel_backend requires parallel= (a worker count or True)"
+            "clftj cannot combine cache= with parallel=: parallel "
+            "workers keep their own persistent adhesion caches"
         )
-    return False
+    return ParallelExecutor(executor, schedule, inner, request.compile, request.plan)
 
 
 def _build_lftj(request: ExecutorRequest) -> Executor:
-    if _check_parallel_params(request):
-        return _build_parallel(request, "lftj")
-    return trie_join_executor(
+    executor = trie_join_executor(
         request.query,
         request.database,
         request.variable_order,
         request.compile,
         counter=request.counter,
     )
+    return _scheduled(request, executor, "lftj")
 
 
 def _build_clftj(request: ExecutorRequest) -> Executor:
     plan = request.plan
-    if _check_parallel_params(request):
-        if request.cache is not None:
-            raise ValueError(
-                "clftj cannot combine cache= with parallel=: parallel "
-                "workers keep their own persistent adhesion caches"
-            )
-        return _build_parallel(request, "clftj")
-    return trie_join_executor(
+    executor = trie_join_executor(
         request.query,
         request.database,
         plan.variable_order,
@@ -243,6 +223,7 @@ def _build_clftj(request: ExecutorRequest) -> Executor:
         cache=request.cache if request.cache is not None else plan.make_cache(),
         counter=request.counter,
     )
+    return _scheduled(request, executor, "clftj")
 
 
 def _build_ytd(request: ExecutorRequest) -> Executor:
@@ -253,23 +234,10 @@ def _build_ytd(request: ExecutorRequest) -> Executor:
 
 
 def _build_generic_join(request: ExecutorRequest) -> Executor:
-    if _check_parallel_params(request):
-        return _build_parallel(request, "generic_join")
-    return GenericJoin(
+    executor = GenericJoin(
         request.query, request.database, request.variable_order, request.counter
     )
-
-
-def _build_plftj(request: ExecutorRequest) -> Executor:
-    # Dedicated name for the parallel LFTJ: parallel even without an
-    # explicit parallel= (shard count then comes from the selector).
-    return _build_parallel(request, "lftj")
-
-
-def _build_pclftj(request: ExecutorRequest) -> Executor:
-    # Dedicated name for the parallel CLFTJ: morsel-parallel cached trie
-    # join with worker-local persistent adhesion caches.
-    return _build_parallel(request, "clftj")
+    return _scheduled(request, executor, "generic_join")
 
 
 def _build_pairwise(request: ExecutorRequest) -> Executor:
@@ -313,7 +281,7 @@ register_algorithm(
                 "variable_order",
                 "parallel",
                 "parallel_backend",
-                            "compile",
+                "compile",
                 "timeout",
             }
         ),
@@ -334,7 +302,7 @@ register_algorithm(
                 "cache",
                 "parallel",
                 "parallel_backend",
-                            "compile",
+                "compile",
                 "timeout",
             }
         ),
@@ -364,47 +332,5 @@ register_algorithm(
         name="pairwise",
         factory=_build_pairwise,
         description="left-deep pairwise hash joins with a greedy optimiser",
-    )
-)
-register_algorithm(
-    AlgorithmSpec(
-        name="plftj",
-        factory=_build_plftj,
-        description=(
-            "partition-parallel Leapfrog Trie Join (top-variable sharding "
-            "over shared tries; threads or fork-based processes)"
-        ),
-        accepts=frozenset(
-            {
-                "variable_order",
-                "parallel",
-                "parallel_backend",
-                            "compile",
-                "timeout",
-            }
-        ),
-    )
-)
-register_algorithm(
-    AlgorithmSpec(
-        name="pclftj",
-        factory=_build_pclftj,
-        description=(
-            "partition-parallel Cached Leapfrog Trie Join (morsel-driven, "
-            "worker-local persistent adhesion caches; threads or fork)"
-        ),
-        needs_plan=True,
-        accepts=frozenset(
-            {
-                "decomposition",
-                "variable_order",
-                "cache_capacity",
-                "policy",
-                "parallel",
-                "parallel_backend",
-                            "compile",
-                "timeout",
-            }
-        ),
     )
 )

@@ -42,9 +42,14 @@ database (warm index and compiled-driver caches included) by copy-on-write
 and is the backend that scales CPU-bound pure-Python joins across cores;
 ``"threads"`` is safe everywhere but GIL-bound on those joins — it is the
 fallback on platforms without ``fork`` and the scheduler's in-process test
-bed.  The executor registry exposes all of this as ``algorithm="plftj"``
-and as ``parallel=N`` on ``lftj`` / ``generic_join`` (see
-:mod:`repro.engine.executors`); ``N`` now means **workers**, not ranges.
+bed.
+
+Running on the pool is a *schedule* of ``lftj`` / ``clftj`` /
+``generic_join``, asked for with ``parallel=N | True`` (``N`` workers) and
+decided in one place: :func:`resolve_schedule` picks workers, transport and
+ranges, or says why the execution stays serial.  The executor factories,
+``engine.explain()`` and the result metadata all read its
+:class:`Schedule`.
 """
 
 from __future__ import annotations
@@ -52,7 +57,6 @@ from __future__ import annotations
 import copy
 import multiprocessing
 import threading
-import time
 import weakref
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -66,7 +70,6 @@ from repro.engine.faults import Deadline
 from repro.engine.pool import (
     JobReport,
     MorselJob,
-    MorselResult,
     MorselTask,
     TaskOutcome,
     available_workers,
@@ -77,16 +80,15 @@ from repro.query.terms import Variable
 from repro.storage.database import Database
 from repro.storage.views import atom_has_constants
 
-#: Inner algorithms the parallel executor can shard.  CLFTJ shards safely
-#: because a cached subtree count/representation never depends on the top
-#: variable's range restriction (non-root subtrees own only deeper
-#: variables), so every worker keeps its *own* adhesion cache — persistent
-#: on the long-lived pool workers across morsels and queries — instead of
-#: fracturing one shared cache (see ``_worker_adhesion_cache``).
-PARALLEL_INNER_ALGORITHMS: Tuple[str, ...] = ("lftj", "generic_join", "clftj")
-
 #: Supported execution backends.
 PARALLEL_BACKENDS: Tuple[str, ...] = ("threads", "processes")
+
+#: The transport a ``parallel=`` request runs on when it names none.
+DEFAULT_BACKEND: str = "threads"
+
+#: How a schedule's ``reason`` starts when the memory budget's serial rung
+#: declined it (the engine records that one in ``metadata["degradations"]``).
+OVER_BUDGET: str = "memory budget"
 
 #: The executor plans this many ranges per worker (before the cost model and
 #: the key floor cap it): enough over-partitioning that one hot range is a
@@ -322,10 +324,7 @@ def cached_partition_plan(
     Bounds only need to *tile* the key space, so a plan computed from
     slightly stale statistics stays correct across delta updates — the
     cache therefore shares the relation-replacement invalidation of
-    ordinary execution plans and skips per-run re-planning entirely.  Both
-    execution (:meth:`ParallelExecutor._partition`) and
-    ``engine.explain()`` read through this function, so explain always
-    shows exactly the bounds the next execution will use.
+    ordinary execution plans and skips per-run re-planning entirely.
     """
     from repro.storage.views import query_signature
 
@@ -347,6 +346,124 @@ def cached_partition_plan(
         # the cache — once indexes exist, re-planning yields real bounds.
         cache_if=lambda plan: num_shards <= 1 or plan.source != "single",
     )
+
+
+# --------------------------------------------------------------------------
+# The schedule: whether, where and how finely an execution goes parallel.
+# --------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """What :func:`resolve_schedule` decided for one ``parallel=`` request.
+
+    Either a pool run — ``workers`` on ``backend`` over ``plan``'s ranges,
+    ``morsels`` being the count the planner was asked for — or, with
+    ``reason`` set, a declined one: the execution stays serial and
+    ``reason`` says why (``metadata["parallel_reason"]``, the counterpart
+    of ``compiled_reason``).
+    """
+
+    workers: int = 1
+    backend: Optional[str] = None
+    morsels: int = 1
+    plan: Optional[PartitionPlan] = None
+    reason: Optional[str] = None
+
+    @property
+    def parallel(self) -> bool:
+        """Does the execution run on the pool?"""
+        return self.reason is None
+
+    def describe(self) -> str:
+        """The ``parallel:`` line of ``engine.explain()``."""
+        if self.reason is not None:
+            return f"parallel: declined, runs serial ({self.reason})"
+        if self.morsels == self.workers * MORSEL_OVERPARTITION:
+            sizing = f"{MORSEL_OVERPARTITION} per worker"
+        else:
+            sizing = "work floor: a smaller morsel would not repay its dispatch"
+        return (
+            f"parallel: backend={self.backend}, workers={self.workers}, "
+            f"{self.plan.describe()}; planned morsels: {self.morsels} ({sizing})"
+        )
+
+
+def resolve_schedule(
+    database: Database,
+    query: ConjunctiveQuery,
+    variable_order: Sequence[Variable],
+    parallel: Optional[object],
+    backend: Optional[str],
+    selector=None,
+    clftj_plan=None,
+) -> Optional[Schedule]:
+    """Decide one execution's schedule; ``None`` when ``parallel=`` did not ask.
+
+    The one place that validates the transport name, applies
+    :data:`DEFAULT_BACKEND`, takes the memory budget's serial rung, turns
+    ``True`` / an int into workers, sizes the morsels, reads the memoised
+    partition plan and falls back from ``processes`` where ``fork`` is
+    missing.  It builds no index, so ``engine.explain()`` calls it too and
+    prints what the next execution will do; an execution resolves after its
+    indexes exist, when the top variable's domain is encoded.
+    ``clftj_plan`` is the execution plan when the morsels run cached.
+    """
+    if parallel is None or parallel is False:
+        if backend is not None:
+            raise ValueError(
+                "parallel_backend requires parallel= (a worker count or True)"
+            )
+        return None
+    if backend is None:
+        backend = DEFAULT_BACKEND
+    elif backend not in PARALLEL_BACKENDS:
+        raise ValueError(
+            f"unknown parallel backend {backend!r}; choose one of "
+            f"{PARALLEL_BACKENDS}"
+        )
+    if parallel is True:
+        workers = available_workers()
+        if workers == 1:
+            return Schedule(reason="one usable core")
+        if selector is not None:
+            workers = selector.recommend_workers(query, variable_order, workers)
+        if workers == 1:
+            return Schedule(reason="estimated work is under the pool's break-even")
+    else:
+        workers = int(parallel)
+        if workers < 1:
+            raise ValueError("parallel worker count must be >= 1")
+        if workers == 1:
+            return Schedule(reason="one worker requested")
+    budget = database.memory_budget_bytes
+    if budget is not None and (footprint := database.memory_footprint()) > budget:
+        # The budget ladder's last rung: a pool amplifies the footprint
+        # (per-worker adhesion caches, range result buffers).
+        return Schedule(
+            reason=f"{OVER_BUDGET}: footprint {footprint} > budget {budget} bytes"
+        )
+    if selector is not None:
+        morsels = selector.recommend_morsels(
+            query, variable_order, workers=workers, plan=clftj_plan
+        )
+    else:
+        morsels = workers * MORSEL_OVERPARTITION
+    plan = cached_partition_plan(
+        database,
+        getattr(selector, "catalog", None),
+        query,
+        variable_order,
+        morsels,
+        min_keys_per_range=MIN_MORSEL_KEYS,
+    )
+    if plan.num_shards == 1 and len(database.dictionary):
+        # (An empty dictionary is explain() on a cold database: no index has
+        # encoded the domain yet, and the first execution cuts the ranges.)
+        return Schedule(reason="the top variable's domain does not split")
+    if backend == "processes" and "fork" not in multiprocessing.get_all_start_methods():
+        backend = "threads"
+    return Schedule(workers, backend, morsels, plan)
 
 
 # --------------------------------------------------------------------------
@@ -392,11 +509,11 @@ def make_range_executor(
     """Build one inner executor whose ``count`` / ``evaluate_coded`` take the
     top variable's ``[lo, hi)`` and a counter per call.
 
-    The parallel executor builds one as its full-range template and every
-    pool worker builds one per job, then runs it once per morsel.  Compiled
-    lftj/clftj executors all resolve to the *same* cached driver (the cache
-    key has no range in it), so a parallel query costs one compilation
-    total, and forked workers inherit the parent's already-built driver.
+    Every pool worker builds one per job, then runs it once per morsel.
+    Compiled lftj/clftj executors all resolve to the *same* cached driver
+    as the submitting thread's serial executor (the cache key has no range
+    in it), so a parallel query costs one compilation total, and forked
+    workers inherit the parent's already-built driver.
     """
     if inner == "generic_join":
         return GenericJoin(query, database, variable_order)
@@ -538,16 +655,19 @@ def _skew(work: Sequence[float]) -> float:
 
 
 class ParallelExecutor:
-    """Morsel-parallel execution of LFTJ or GenericJoin over shared tries.
+    """One ``parallel=`` execution of LFTJ, CLFTJ or GenericJoin.
 
-    Implements the standard executor protocol (``count`` / ``evaluate`` /
-    ``evaluate_coded`` / ``execution_metadata``), so the engine treats it
-    like any other algorithm.  Construction builds (or cache-hits) every
-    shared index once, in the calling thread, through a full-range
-    *template* executor; morsel tasks then reuse the warm cache through the
-    database's persistent :class:`~repro.engine.pool.WorkerPool` — a worker
-    constructs one executor per job and runs it once per morsel, and fork
-    workers are spawned once and re-armed across queries.
+    Wraps the serial executor the factory already built — the *template*,
+    whose construction built (or cache-hit) every shared index in the
+    calling thread — and runs the :class:`Schedule` resolved for it.  A
+    declined schedule runs the template itself; otherwise the plan's ranges
+    go as one job to the database's persistent
+    :class:`~repro.engine.pool.WorkerPool`, where a worker constructs one
+    executor per job and runs it once per morsel (fork workers are spawned
+    once and re-armed across queries).  CLFTJ shards safely because a
+    cached subtree never depends on the top variable's range, so every
+    worker keeps its *own* adhesion cache, persistent across morsels and
+    queries (see ``_worker_adhesion_cache``).
 
     The merge is deterministic: results are ordered by ``(planner index,
     split path)`` (ranges are ordered, and within a range the inner
@@ -566,89 +686,33 @@ class ParallelExecutor:
 
     def __init__(
         self,
-        query: ConjunctiveQuery,
-        database: Database,
-        variable_order: Optional[Sequence[Variable]] = None,
-        counter: Optional[OperationCounter] = None,
-        inner: str = "lftj",
-        workers: Optional[object] = None,
-        backend: str = "threads",
-        selector=None,
-        catalog=None,
+        template,
+        schedule: Schedule,
+        inner: str,
         compile: Optional[bool] = None,
         plan=None,
-        deadline: Optional[Deadline] = None,
     ) -> None:
-        if inner not in PARALLEL_INNER_ALGORITHMS:
-            raise ValueError(
-                f"algorithm {inner!r} cannot run partition-parallel; choose "
-                f"one of {PARALLEL_INNER_ALGORITHMS}"
-            )
-        if backend not in PARALLEL_BACKENDS:
-            raise ValueError(
-                f"unknown parallel backend {backend!r}; choose one of "
-                f"{PARALLEL_BACKENDS}"
-            )
-        if workers is not None and workers is not True:
-            workers = int(workers)
-            if workers < 1:
-                raise ValueError("parallel worker count must be >= 1")
-        self.query = query
-        self.database = database
-        self.counter = counter if counter is not None else OperationCounter()
+        self._template = template
+        self.schedule = schedule
+        self.query: ConjunctiveQuery = template.query
+        self.database: Database = template.database
+        self.counter: OperationCounter = template.counter
+        self.variable_order: Tuple[Variable, ...] = template.variable_order
         self.inner_algorithm = inner
-        self.backend = backend
-        self.requested_workers = workers
         #: ``False`` pins the interpreted inner executors (the differential
-        #: oracle); anything else lets lftj morsels run compiled drivers.
+        #: oracle); anything else lets lftj/clftj morsels run compiled drivers.
         self.compile = compile
-        self._selector = selector
-        self._catalog = catalog if catalog is not None else getattr(selector, "catalog", None)
+        #: The CLFTJ execution plan (cache policy and sizing); ``None`` for
+        #: the other inner algorithms.
         self._plan = plan
-        if inner == "clftj" and plan is None:
-            raise ValueError(
-                "parallel clftj needs an execution plan (decomposition + "
-                "cache policy); route construction through the engine"
-            )
-        # The template validates the query/order and pre-builds every shared
-        # index in the calling thread, so morsel construction is cache-hits
-        # only (and, for the process backend, happens before the fork).
-        if variable_order is None and plan is not None:
-            variable_order = plan.variable_order
-        self.variable_order = (
-            tuple(variable_order) if variable_order is not None else None
-        )
-        self._template = make_range_executor(
-            query,
-            database,
-            self.variable_order,
-            inner,
-            compile,
-            decomposition=plan.decomposition if plan is not None else None,
-            policy=plan.policy if plan is not None else None,
-            cache=plan.make_cache() if plan is not None else None,
-        )
-        self.variable_order: Tuple[Variable, ...] = self._template.variable_order
-        self._cache_key: Optional[Tuple[object, ...]] = None
-        if inner == "clftj":
-            # Worker caches share the compiled-driver identity (signature,
-            # order positions, decomposition fingerprint) so two queries
-            # with the same erased shape warm each other's caches, plus the
-            # sizing (a bounded and an unbounded cache are different
-            # objects).
-            driver_key, _decomposition, _reason = resolve_driver(
-                query, self.variable_order, plan.decomposition
-            )
-            self._cache_key = ("adhesion", driver_key, plan.cache_capacity)
-        self._partition_plan: Optional[PartitionPlan] = None
-        self._backend_used = backend
-        self._shard_stats: Optional[Dict[str, object]] = None
-        #: Cooperative deadline for THIS execution, passed at construction
-        #: (the engine also re-assigns it unconditionally from the
-        #: ``ExecutorRequest`` so a stale clock can never be inherited);
-        #: checked at morsel boundaries by the pool and inside morsels by
-        #: the inner executors.
-        self.deadline: Optional[Deadline] = deadline
+        #: Cooperative deadline for THIS execution, assigned by the engine
+        #: from the ``ExecutorRequest``; checked at morsel boundaries by the
+        #: pool and inside morsels (or the serial run) by the inner executors.
+        self.deadline: Optional[Deadline] = None
+        #: The schedule's half of the metadata; a pool job fills in its stats.
+        self._stats: Dict[str, object] = {"parallel": schedule.parallel}
+        if not schedule.parallel:
+            self._stats["parallel_reason"] = schedule.reason
 
     # ------------------------------------------------------------- execution
     def build(self) -> None:
@@ -664,8 +728,11 @@ class ParallelExecutor:
             build()
 
     def count(self) -> int:
-        """Sum of the per-morsel counts."""
-        return sum(result.value for result in self._execute_morsels("count"))
+        """The template's count, or the sum of the per-morsel counts."""
+        if not self.schedule.parallel:
+            self._template.deadline = self.deadline
+            return self._template.count()
+        return sum(result.value for result in self._run_on_pool("count"))
 
     def evaluate(self) -> Iterator[Tuple[object, ...]]:
         """Yield result rows as values (decoded at this boundary)."""
@@ -675,105 +742,28 @@ class ParallelExecutor:
 
     def evaluate_coded(self) -> Iterator[Tuple[object, ...]]:
         """Yield result rows in storage space, concatenated in range order."""
-        for result in self._execute_morsels("evaluate"):
+        if not self.schedule.parallel:
+            self._template.deadline = self.deadline
+            yield from self._template.evaluate_coded()
+            return
+        for result in self._run_on_pool("evaluate"):
             yield from result.rows
 
     # -------------------------------------------------------------- internals
-    def _resolve_workers(self) -> int:
-        requested = self.requested_workers
-        if requested is None or requested is True:
-            if self._selector is not None:
-                return self._selector.recommend_workers(self.query, self.variable_order)
-            return available_workers()
-        return requested
-
-    def _resolve_morsels(self, workers: int) -> int:
-        if workers <= 1:
-            return workers
-        if self._selector is not None:
-            return self._selector.recommend_morsels(
-                self.query,
-                self.variable_order,
-                workers=workers,
-                plan=self._plan if self.inner_algorithm == "clftj" else None,
-            )
-        return workers * MORSEL_OVERPARTITION
-
-    def _partition(self, morsels: int) -> PartitionPlan:
-        """The (memoised) partition plan — see :func:`cached_partition_plan`."""
-        return cached_partition_plan(
-            self.database,
-            self._catalog,
-            self.query,
-            self.variable_order,
-            morsels,
-            min_keys_per_range=MIN_MORSEL_KEYS,
-        )
-
-    def _run_template(self, run_mode: str) -> JobReport:
-        """Serial fallback: the full-range template IS the single morsel."""
-        counter = OperationCounter()
-        executor = self._template
-        executor.deadline = self.deadline
-        started = time.perf_counter()
-        if run_mode == "count":
-            value = executor.count(counter=counter)
-            rows: Optional[List[Tuple[object, ...]]] = None
-        else:
-            rows = [tuple(row) for row in executor.evaluate_coded(counter=counter)]
-            value = len(rows)
-        elapsed = time.perf_counter() - started
-        result = MorselResult(
-            index=0,
-            path=(),
-            lo=None,
-            hi=None,
-            value=value,
-            rows=rows,
-            counter=counter,
-            elapsed=elapsed,
-            worker=0,
-        )
-        worker_stats: Dict[int, dict] = {}
-        if self.inner_algorithm == "clftj":
-            cache = self._template.cache
-            worker_stats[0] = {
-                "entries": len(cache),
-                "memory_bytes": cache.memory_estimate(),
-            }
-        return JobReport(
-            [result], 0, 0, [elapsed], elapsed, 1, worker_stats=worker_stats
-        )
-
-    def _execute_morsels(self, run_mode: str) -> List[MorselResult]:
-        workers = self._resolve_workers()
-        plan = self._partition(self._resolve_morsels(workers))
-        self._partition_plan = plan
-        ranges = plan.ranges()
-        backend = self.backend
-        if backend == "processes" and (
-            len(ranges) == 1
-            or "fork" not in multiprocessing.get_all_start_methods()
-        ):
-            backend = "threads"
-        self._backend_used = backend
-        if len(ranges) == 1:
-            report = self._run_template(run_mode)
-        else:
-            report = self._run_on_pool(run_mode, ranges, backend, workers)
-        for result in report.results:
-            self.counter.merge(result.counter)
-        self._shard_stats = self._collect_stats(report, plan, backend)
-        return report.results
-
-    def _run_on_pool(
-        self,
-        run_mode: str,
-        ranges: Sequence[Tuple[object, object]],
-        backend: str,
-        workers: int,
-    ) -> JobReport:
+    def _run_on_pool(self, run_mode: str) -> list:
+        schedule = self.schedule
         clftj = self.inner_algorithm == "clftj"
+        cache_key: Optional[Tuple[object, ...]] = None
+        if clftj:
+            # Worker caches share the compiled-driver identity (signature,
+            # order positions, decomposition fingerprint) so two queries
+            # with the same erased shape warm each other's caches, plus the
+            # sizing (a bounded and an unbounded cache are different
+            # objects).
+            driver_key, _decomposition, _reason = resolve_driver(
+                self.query, self.variable_order, self._plan.decomposition
+            )
+            cache_key = ("adhesion", driver_key, self._plan.cache_capacity)
         job = MorselJob(
             spec=MorselSpec(
                 query=self.query,
@@ -786,13 +776,13 @@ class ParallelExecutor:
                 decomposition=self._template.decomposition if clftj else None,
                 policy=self._plan.policy if clftj else None,
                 cache_capacity=self._plan.cache_capacity if clftj else None,
-                cache_key=self._cache_key,
+                cache_key=cache_key,
                 deadline=self.deadline,
             ),
             runner=_run_morsel,
             tasks=[
                 MorselTask(index=index, path=(), lo=lo, hi=hi)
-                for index, (lo, hi) in enumerate(ranges)
+                for index, (lo, hi) in enumerate(schedule.plan.ranges())
             ],
             split_threshold=MORSEL_SPLIT_THRESHOLD,
             min_split_span=max(2, MIN_MORSEL_KEYS),
@@ -804,13 +794,15 @@ class ParallelExecutor:
             # worker-side cache hits land in the right result metadata.
             scopes=self.database.active_scopes(),
         )
-        return self.database.worker_pool(backend, workers).run(job)
+        report = self.database.worker_pool(schedule.backend, schedule.workers).run(job)
+        for result in report.results:
+            self.counter.merge(result.counter)
+        self._stats = self._collect_stats(report)
+        return report.results
 
-    def _collect_stats(
-        self, report: JobReport, plan: PartitionPlan, backend: str
-    ) -> Dict[str, object]:
-        """The scheduling half of the metadata, for a pool job and for the
-        one-range template run alike."""
+    def _collect_stats(self, report: JobReport) -> Dict[str, object]:
+        """The scheduling half of a pool job's metadata."""
+        plan = self.schedule.plan
         results = report.results
         morsel_values = [0] * plan.num_shards
         morsel_seconds = [0.0] * plan.num_shards
@@ -849,7 +841,7 @@ class ParallelExecutor:
             **extra,
             "parallel": True,
             "inner_algorithm": self.inner_algorithm,
-            "parallel_backend": backend,
+            "parallel_backend": self.schedule.backend,
             "workers": report.workers,
             "morsels": plan.num_shards,
             "tasks_executed": len(results),
@@ -876,24 +868,11 @@ class ParallelExecutor:
 
     # -------------------------------------------------------------- reporting
     def execution_metadata(self) -> Dict[str, object]:
-        """Template facts plus scheduling merge stats."""
-        metadata = dict(self._template.execution_metadata())
-        if self._shard_stats is not None:
-            metadata.update(self._shard_stats)
-        else:
-            metadata.update(
-                {
-                    "parallel": True,
-                    "inner_algorithm": self.inner_algorithm,
-                    "parallel_backend": self._backend_used,
-                    "workers": 0,
-                    "morsels": 0,
-                }
-            )
-        return metadata
+        """Template facts plus the schedule: pool stats, or why it declined."""
+        return {**self._template.execution_metadata(), **self._stats}
 
     def __repr__(self) -> str:
         return (
             f"ParallelExecutor({self.query.name!r}, inner={self.inner_algorithm!r}, "
-            f"backend={self.backend!r}, workers={self.requested_workers!r})"
+            f"{self.schedule.describe()})"
         )

@@ -1167,8 +1167,9 @@ def create_worker_pool(database, backend: str, size: int) -> WorkerPool:
     """Build a pool for ``backend`` (``"threads"`` or ``"processes"``).
 
     Callers wanting the fork backend on a platform without ``fork`` should
-    fall back to threads *before* calling (as the parallel executor does);
-    asking for it anyway raises.
+    fall back to threads *before* calling (as
+    :func:`repro.engine.parallel.resolve_schedule` does); asking for it
+    anyway raises.
     """
     if backend not in _TRANSPORTS:
         raise ValueError(

@@ -49,15 +49,14 @@ class PreparedQuery:
     caches) always runs under the handle's lock.  For **clftj** the whole
     execution stays under the lock — the warm adhesion caches are plain
     dictionaries mutated during the join, so concurrent cached executions
-    serialise rather than corrupt each other (per-morsel isolation for the
-    parallel algorithms makes this a clftj-only cost).  Every other
-    algorithm (lftj, generic_join, plftj, ytd, pairwise) executes outside
-    the lock and scales across threads; the underlying shared caches are
-    protected by the database's own lock.  Parallel CLFTJ (``pclftj``, or
-    ``clftj`` with ``parallel=``) also executes outside the lock: its warm
-    adhesion caches live on the pool workers themselves (one per worker,
-    persistent across morsels and executions) and are version-checked
-    worker-side, so the handle neither injects nor invalidates them.
+    serialise rather than corrupt each other.  Every other algorithm
+    (lftj, generic_join, ytd, pairwise) executes outside the lock and
+    scales across threads; the underlying shared caches are protected by
+    the database's own lock.  ``clftj`` with ``parallel=`` also executes
+    outside the lock: its warm adhesion caches live on the pool workers
+    themselves (one per worker, persistent across morsels and executions)
+    and are version-checked worker-side, so the handle neither injects nor
+    invalidates them.
     """
 
     def __init__(
@@ -104,10 +103,10 @@ class PreparedQuery:
     def _run(self, mode: str) -> ExecutionResult:
         if self.algorithm == "clftj" and not self._parameters.get("parallel"):
             # The warm adhesion caches are mutated during execution, so
-            # cached runs serialise (see the locking model).  Parallel CLFTJ
-            # (pclftj, or clftj with parallel=) does not take this path:
-            # the pool workers keep their own persistent adhesion caches,
-            # version-checked worker-side on every morsel.
+            # cached runs serialise (see the locking model).  clftj with
+            # parallel= does not take this path: the pool workers keep
+            # their own persistent adhesion caches, version-checked
+            # worker-side on every morsel.
             with self._lock:
                 return self._run_unlocked(mode)
         with self._lock:
@@ -236,7 +235,7 @@ class PreparedQuery:
         if self._parameters.get("compile") is False:
             return None
         plan = None
-        if self.algorithm in ("clftj", "pclftj") or self.selection is not None:
+        if self.algorithm == "clftj" or self.selection is not None:
             plan = self._plan()
         _order, key, _probing, _reason = self.engine._driver(
             self.query, self.algorithm, self._parameters.get("variable_order"), plan

@@ -131,19 +131,12 @@ class CostBasedSelector:
         CPU affinity, unlike a bare ``os.cpu_count()``).  Skew smoothing is
         the morsel scheduler's job (see :meth:`recommend_morsels`); extra
         workers on a persistent pool would just thrash the ones doing work.
+        A function of query, statistics and cores only: the memory budget's
+        serial rung is :func:`repro.engine.parallel.resolve_schedule`'s.
         """
         if available is None:
             available = available_workers()
         available = max(int(available), 1)
-        if available == 1:
-            return 1
-        budget = self.database.memory_budget_bytes
-        if budget is not None and self.database.memory_footprint() > budget:
-            # Memory-budget degradation, final rung: parallel execution
-            # amplifies footprint (per-worker adhesion caches, shard result
-            # buffers), so an over-budget database runs serial until it is
-            # back under (see Database.memory_budget_bytes).
-            return 1
         cost = self._order_cost(query, variable_order)
         return max(1, min(available, int(cost // _MORSEL_DISPATCH_COST)))
 
@@ -294,9 +287,9 @@ class CostBasedSelector:
             workers = self.recommend_workers(query, plan.variable_order)
             if workers > 1:
                 reasons.append(
-                    f"parallel: pclftj with {workers} worker(s) would engage "
-                    f"the persistent pool (worker-local adhesion caches stay "
-                    f"warm across morsels and executions)"
+                    f"parallel: clftj with parallel=True would engage "
+                    f"{workers} worker(s) of the persistent pool (worker-local "
+                    f"adhesion caches stay warm across morsels and executions)"
                 )
         runner_up = min(
             (name for name in AUTO_CANDIDATES if name != algorithm),

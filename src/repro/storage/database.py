@@ -677,7 +677,7 @@ class Database:
         return len(self._compiled_cache)
 
     # ----------------------------------------------------------- worker pools
-    def worker_pool(self, backend: str = "threads", size: Optional[int] = None):
+    def worker_pool(self, backend: str, size: Optional[int] = None):
         """Return (and memoise) the persistent worker pool for ``backend``.
 
         Pools are keyed by ``(backend, size)`` and live until

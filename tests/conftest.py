@@ -7,10 +7,21 @@ from typing import Dict, List, Set, Tuple
 
 import pytest
 
+from repro.engine.engine import ALGORITHMS
 from repro.query.atoms import ConjunctiveQuery
 from repro.query.terms import Constant, Variable
 from repro.storage.database import Database
 from repro.storage.relation import Relation
+
+
+#: Every registered algorithm as ``(name, engine options)``, then the two trie
+#: joins asking for a pool schedule.  ``algorithm="plftj"`` was
+#: ``algorithm="lftj", parallel=True`` under a registry name of its own
+#: (``pclftj`` likewise); the ids keep those cases' test names.
+ALGORITHM_CASES = [pytest.param(name, {}, id=name) for name in ALGORITHMS] + [
+    pytest.param("lftj", {"parallel": True}, id="plftj"),
+    pytest.param("clftj", {"parallel": True}, id="pclftj"),
+]
 
 
 def brute_force_evaluate(query: ConjunctiveQuery, database: Database) -> Set[Tuple[object, ...]]:

@@ -15,7 +15,7 @@ from repro.core.aggregates import (
     aggregate_exists,
     relation_weight_function,
 )
-from repro.core.cache import AdhesionCache, NeverCachePolicy
+from repro.core.cache import AdhesionCache, NeverCachePolicy, SupportThresholdPolicy
 from repro.core.clftj import CachedLeapfrogTrieJoin
 from repro.core.lftj import LeapfrogTrieJoin
 from repro.decomposition.generic import generic_decompose
@@ -97,6 +97,46 @@ class TestCountingSemiring:
         )
         joiner.aggregate()
         assert joiner.counter.cache_hits > 0
+
+    def test_policy_is_bound_to_code_space_like_clftj(self):
+        """The aggregate run prepares through CLFTJ (``policy.reset()`` /
+        ``bind_space()``): a support-threshold policy over string values
+        admits what it admits under ``count()`` — it used to be probed with
+        codes against a value-space table and silently cached nothing."""
+        rng = random.Random(3)
+        edges = {(f"n{rng.randrange(40)}", f"n{rng.randrange(40)}") for _ in range(220)}
+        database = Database([Relation("E", ("a", "b"), edges)])
+        query = path_query(4)
+        decomposition = generic_decompose(query)
+        stored = {}
+        for kind in ("count", "aggregate"):
+            cache = AdhesionCache()
+            policy = SupportThresholdPolicy(database, query, threshold=2)
+            if kind == "count":
+                joiner = CachedLeapfrogTrieJoin(
+                    query, database, decomposition, policy=policy, cache=cache
+                )
+                value = joiner.count()
+            else:
+                joiner = CachedAggregateTrieJoin(
+                    query, database, decomposition, CountingSemiring(),
+                    policy=policy, cache=cache,
+                )
+                value = joiner.aggregate()
+            stored[kind] = (value, len(cache))
+        assert stored["aggregate"] == stored["count"]
+        assert stored["count"][1] > 0
+
+    def test_aggregate_cache_does_not_mix_with_a_count_cache(self, skewed_graph_db):
+        query = path_query(4)
+        decomposition = generic_decompose(query)
+        cache = AdhesionCache()
+        CachedLeapfrogTrieJoin(query, skewed_graph_db, decomposition, cache=cache).count()
+        joiner = CachedAggregateTrieJoin(
+            query, skewed_graph_db, decomposition, SumProductSemiring(), cache=cache
+        )
+        with pytest.raises(ValueError, match="aggregate:sum-product"):
+            joiner.aggregate()
 
 
 class TestWeightedSemirings:

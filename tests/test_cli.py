@@ -137,6 +137,29 @@ class TestCommands:
         assert info.value.code == 2
         assert "--parallel-mode" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra,declined", [
+        ([], False),
+        (["--memory-budget", "1"], True),
+    ])
+    def test_run_prints_the_schedule_explain_prints(self, capsys, extra, declined):
+        """`repro run --parallel N` ends with the schedule it ran, in the
+        words `repro explain --parallel N` uses for the same request."""
+        request = ["--dataset", "wiki-Vote", "--query", "4-path",
+                   "--algorithm", "clftj", "--parallel", "2", *extra]
+        assert main(["run", *request]) == 0
+        ran = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("parallel:")]
+        assert main(["explain", *request]) == 0
+        explained = [line for line in capsys.readouterr().out.splitlines()
+                     if line.startswith("parallel:")]
+        assert len(ran) == len(explained) == 1
+        if declined:
+            assert ran[0].startswith("parallel: declined, runs serial (memory budget: ")
+            assert explained[0].startswith(ran[0][:ran[0].index("footprint")])
+        else:
+            prefix = "parallel: backend=threads, workers=2, "
+            assert ran[0].startswith(prefix) and explained[0].startswith(prefix)
+
     def test_datasets_listing(self, capsys):
         code = main(["datasets"])
         assert code == 0

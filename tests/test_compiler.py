@@ -98,7 +98,7 @@ class TestParity:
     def test_parallel_shards_share_one_driver(self, engine, database):
         query = cycle_query(3)
         serial = engine.count(query, algorithm="lftj", compile=False)
-        result = engine.count(query, algorithm="plftj", parallel=4,
+        result = engine.count(query, algorithm="lftj", parallel=4,
                               parallel_backend="threads")
         assert result.count == serial.count
         # One compilation serves every shard (plus the template executor).

@@ -156,14 +156,14 @@ class TestCacheDeltaAttribution:
         db = random_edge_database()
         engine = QueryEngine(db)
         result = engine.count(
-            cycle_query(3), algorithm="pclftj", parallel=2, parallel_backend=backend
+            cycle_query(3), algorithm="clftj", parallel=2, parallel_backend=backend
         )
         # >= 1 (not == 1): the parallel executor also plans its morsel
         # template — still this run's own work.
         assert result.metadata["plan_builds"] >= 1
         assert result.metadata["index_builds"] >= 1
         warm = engine.count(
-            cycle_query(3), algorithm="pclftj", parallel=2, parallel_backend=backend
+            cycle_query(3), algorithm="clftj", parallel=2, parallel_backend=backend
         )
         for key in BUILD_COUNTERS:
             assert warm.metadata[key] == 0, (key, warm.metadata)
@@ -259,7 +259,7 @@ class TestConcurrentClientsStress:
             (cycle_query(3), "clftj", {}, True),
             (cycle_query(3), "lftj", {}, True),
             (path_query(3), "generic_join", {}, False),
-            (cycle_query(3), "pclftj", {"parallel": 2}, True),
+            (cycle_query(3), "clftj", {"parallel": 2}, True),
             (path_query(4), "clftj", {"compile": False}, True),
             (cycle_query(4), "lftj", {}, True),
         ]

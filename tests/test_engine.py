@@ -3,12 +3,12 @@
 import pytest
 
 from repro.core.cache import AdhesionCache, NeverCachePolicy
-from repro.engine.engine import ALGORITHMS, QueryEngine
+from repro.engine.engine import QueryEngine
 from repro.engine.results import ExecutionResult
 from repro.query.parser import parse_query
 from repro.query.patterns import cycle_query, path_query
 
-from tests.conftest import brute_force_count, brute_force_evaluate
+from tests.conftest import ALGORITHM_CASES, brute_force_count, brute_force_evaluate
 
 
 @pytest.fixture
@@ -17,10 +17,12 @@ def engine(small_graph_db) -> QueryEngine:
 
 
 class TestCount:
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_every_algorithm_agrees_with_brute_force(self, engine, small_graph_db, algorithm):
+    @pytest.mark.parametrize("algorithm,options", ALGORITHM_CASES)
+    def test_every_algorithm_agrees_with_brute_force(
+        self, engine, small_graph_db, algorithm, options
+    ):
         query = cycle_query(4)
-        result = engine.count(query, algorithm=algorithm)
+        result = engine.count(query, algorithm=algorithm, **options)
         assert result.count == brute_force_count(query, small_graph_db)
 
     def test_unknown_algorithm_rejected(self, engine):
@@ -63,10 +65,10 @@ class TestCount:
 
 
 class TestEvaluate:
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_rows_match_brute_force(self, engine, small_graph_db, algorithm):
+    @pytest.mark.parametrize("algorithm,options", ALGORITHM_CASES)
+    def test_rows_match_brute_force(self, engine, small_graph_db, algorithm, options):
         query = path_query(3)
-        result = engine.evaluate(query, algorithm=algorithm)
+        result = engine.evaluate(query, algorithm=algorithm, **options)
         expected = brute_force_evaluate(query, small_graph_db)
         by_name = {variable: index for index, variable in enumerate(result.variable_order)}
         positions = [by_name[variable] for variable in query.variables]

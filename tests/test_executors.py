@@ -15,7 +15,7 @@ from repro.engine.executors import (
 )
 from repro.query.patterns import cycle_query, path_query
 
-from tests.conftest import brute_force_evaluate, random_edge_database
+from tests.conftest import ALGORITHM_CASES, brute_force_evaluate, random_edge_database
 
 
 @pytest.fixture
@@ -31,8 +31,7 @@ def engine(database):
 class TestRegistry:
     def test_all_paper_algorithms_registered(self):
         assert set(ALGORITHMS) == {
-            "lftj", "clftj", "ytd", "generic_join", "pairwise", "plftj",
-            "pclftj",
+            "lftj", "clftj", "ytd", "generic_join", "pairwise",
         }
         assert registered_algorithms() == ALGORITHMS
 
@@ -96,18 +95,18 @@ class TestParameterContracts:
 class TestUniformEvaluation:
     """Every executor yields rows as tuples in its declared variable order."""
 
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_rows_follow_declared_order(self, engine, database, algorithm):
+    @pytest.mark.parametrize("algorithm,options", ALGORITHM_CASES)
+    def test_rows_follow_declared_order(self, engine, database, algorithm, options):
         query = cycle_query(3)
-        result = engine.evaluate(query, algorithm=algorithm)
+        result = engine.evaluate(query, algorithm=algorithm, **options)
         expected = brute_force_evaluate(query, database)
         positions = {variable: i for i, variable in enumerate(result.variable_order)}
         remap = [positions[variable] for variable in query.variables]
         assert {tuple(row[p] for p in remap) for row in result.rows} == expected
 
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_execution_metadata_merged(self, engine, algorithm):
-        result = engine.count(cycle_query(3), algorithm=algorithm)
+    @pytest.mark.parametrize("algorithm,options", ALGORITHM_CASES)
+    def test_execution_metadata_merged(self, engine, algorithm, options):
+        result = engine.count(cycle_query(3), algorithm=algorithm, **options)
         # Every executor contributes at least one algorithm-specific fact.
         own_keys = set(result.metadata) - {
             "num_bags", "max_adhesion_size", "index_builds", "index_cache_hits",

@@ -78,7 +78,7 @@ class TestWorkerRecovery:
             {"pool.before_morsel": {"action": "kill", "after": 1, "times": 1}}
         ) as armed:
             result = engine.evaluate(
-                query, algorithm="pclftj", parallel=2,
+                query, algorithm="clftj", parallel=2,
                 parallel_backend="processes",
             )
         assert armed["pool.before_morsel"].fired == 1
@@ -88,7 +88,7 @@ class TestWorkerRecovery:
         assert result.metadata["morsel_retries"] >= 1
         # The pool is warm and healthy for the next query.
         again = engine.evaluate(
-            query, algorithm="pclftj", parallel=2, parallel_backend="processes"
+            query, algorithm="clftj", parallel=2, parallel_backend="processes"
         )
         assert again.rows == serial.rows
         assert again.metadata["worker_restarts"] == 0
@@ -180,10 +180,10 @@ class TestDeadlines:
         query = cycle_query(3)
         serial = engine.count(query, algorithm="lftj").count
         with pytest.raises(QueryTimeoutError):
-            engine.count(query, algorithm="plftj", parallel=2,
+            engine.count(query, algorithm="lftj", parallel=2,
                          parallel_backend=backend, timeout=1e-9)
         # The pool was cancelled, not poisoned: immediately reusable.
-        result = engine.count(query, algorithm="plftj", parallel=2,
+        result = engine.count(query, algorithm="lftj", parallel=2,
                               parallel_backend=backend)
         assert result.count == serial
 
@@ -256,7 +256,7 @@ class TestMemoryBudget:
         engine = QueryEngine(database)
         query = cycle_query(3)
         serial_count = None
-        result = engine.count(query, algorithm="pclftj", parallel=2)
+        result = engine.count(query, algorithm="clftj", parallel=2)
         serial_count = QueryEngine(self._database(budget=None)).count(
             query, algorithm="clftj"
         ).count

@@ -6,8 +6,8 @@ registered serial algorithms *and* the pool-backed parallel configurations
 (thread and fork backends) produce exactly the brute-force oracle's result
 set, and optionally again after a random insert/delete stream.
 
-The compiled-driver configurations (lftj/clftj/plftj/pclftj with
-``compile=True``, serial and parallel) are additionally checked *ordered and
+The compiled-driver configurations (lftj/clftj with ``compile=True``,
+serial and ``parallel=``) are additionally checked *ordered and
 byte-identical* against their interpreted twins (``compile=False``), and the
 serial pair must report identical instrumentation counters.
 
@@ -49,10 +49,10 @@ SERIAL_ALGORITHMS = ("lftj", "clftj", "ytd", "generic_join", "pairwise")
 COMPILED_CONFIGS = (
     ("lftj", {}),
     ("lftj", {"parallel": 3, "parallel_backend": "threads"}),
-    ("plftj", {"parallel": 2, "parallel_backend": "threads"}),
+    ("lftj", {"parallel": 2, "parallel_backend": "threads"}),
     ("clftj", {}),
     ("clftj", {"parallel": 2, "parallel_backend": "threads"}),
-    ("pclftj", {"parallel": 4, "parallel_backend": "threads"}),
+    ("clftj", {"parallel": 4, "parallel_backend": "threads"}),
 )
 
 #: Pool-backed parallel configurations exercised per instance:
@@ -61,25 +61,25 @@ PARALLEL_CONFIGS = (
     ("lftj", 2, "threads"),
     ("lftj", 5, "threads"),
     ("generic_join", 3, "threads"),
-    ("plftj", 4, "processes"),
-    ("plftj", 2, "processes"),
-    ("pclftj", 1, "threads"),
-    ("pclftj", 2, "processes"),
-    ("pclftj", 4, "threads"),
+    ("lftj", 4, "processes"),
+    ("lftj", 2, "processes"),
+    ("clftj", 1, "threads"),
+    ("clftj", 2, "processes"),
+    ("clftj", 4, "threads"),
 )
 
-#: Fault-injected parallel configurations: (algorithm, serial oracle
-#: algorithm, backend, armed faults).  SIGKILLs only make sense on the fork
+#: Fault-injected parallel configurations: (algorithm — its serial run is
+#: the oracle —, backend, armed faults).  SIGKILLs only make sense on the fork
 #: backend (thread workers share the test process); injected exceptions on
 #: the thread backend are absorbed by the per-morsel retry budget.  Bounded
 #: ``times`` keeps every fault within the recovery budget, so each run must
 #: still equal its serial twin ordered and byte-identical.
 FAULT_CONFIGS = (
-    ("plftj", "lftj", "processes",
+    ("lftj", "processes",
      {"pool.before_morsel": {"action": "kill", "after": 1, "times": 1}}),
-    ("pclftj", "clftj", "processes",
+    ("clftj", "processes",
      {"pool.before_morsel": {"action": "kill", "after": 2, "times": 2}}),
-    ("pclftj", "clftj", "threads",
+    ("clftj", "threads",
      {"pool.before_morsel": {"action": "raise", "after": 1, "times": 2}}),
 )
 
@@ -194,9 +194,12 @@ def _check_all_agree(query, database, expected):
             f"parallel {algorithm} x{workers} ({backend}) disagrees on "
             f"{query.name!r} over {database.name!r}"
         )
-        if result.metadata["partition_source"] != "single":
+        if result.metadata["parallel"]:
             assert result.metadata["workers"] == workers
-            assert result.metadata["morsels"] >= 1
+            assert result.metadata["morsels"] >= 2
+        else:  # one worker asked for, or a domain too small to cut
+            assert result.metadata["parallel_reason"]
+            assert "partition_source" not in result.metadata
 
 
 def _check_compiled_agrees(query, database, expected):
@@ -279,13 +282,15 @@ def test_cross_type_join_is_empty_everywhere():
     assert brute_force_evaluate(query, database) == set()
     engine = QueryEngine(database)
     try:
-        for algorithm in SERIAL_ALGORITHMS + ("plftj", "pclftj", "auto"):
+        configurations = [(name, {}) for name in SERIAL_ALGORITHMS + ("auto",)]
+        configurations += [("lftj", {"parallel": 2}), ("clftj", {"parallel": True})]
+        for algorithm, schedule in configurations:
             compiles = (None, False) if algorithm in COMPILED_ALGORITHMS else (None,)
             for compile in compiles:
-                options = {} if compile is None else {"compile": compile}
+                options = dict(schedule) if compile is None else {"compile": compile, **schedule}
                 assert engine.count(query, algorithm=algorithm, **options).count == 0
                 result = engine.evaluate(query, algorithm=algorithm, **options)
-                assert result.rows == [] and result.count == 0, (algorithm, compile)
+                assert result.rows == [] and result.count == 0, (algorithm, options)
     finally:
         database.close_pools()
 
@@ -303,8 +308,8 @@ def test_fault_injected_parallel_matches_serial_oracle(seed):
     try:
         engine = QueryEngine(database)
         expected = brute_force_evaluate(query, database)
-        for algorithm, oracle, backend, faults in FAULT_CONFIGS:
-            serial = engine.evaluate(query, algorithm=oracle)
+        for algorithm, backend, faults in FAULT_CONFIGS:
+            serial = engine.evaluate(query, algorithm=algorithm)
             assert _rows_in_query_order(serial, query) == expected
             # Kill faults must be armed before the pool forks so the worker
             # processes inherit the armed registry.
@@ -315,8 +320,8 @@ def test_fault_injected_parallel_matches_serial_oracle(seed):
                     parallel_backend=backend,
                 )
             assert result.rows == serial.rows, (
-                f"fault-injected {algorithm} ({backend}) row stream diverges "
-                f"from serial {oracle} on {query.name!r} (seed {seed})"
+                f"fault-injected parallel {algorithm} ({backend}) row stream "
+                f"diverges from its serial run on {query.name!r} (seed {seed})"
             )
             assert result.count == serial.count == len(serial.rows)
     finally:

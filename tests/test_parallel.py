@@ -20,6 +20,7 @@ Four suites:
   work floor.
 """
 
+import re
 import threading
 
 import pytest
@@ -27,9 +28,11 @@ import pytest
 import repro.engine.parallel as parallel_module
 import repro.engine.selector as selector_module
 from repro.core.cache import AdhesionCache
+from repro.core.lftj import LeapfrogTrieJoin
 from repro.engine import QueryEngine
 from repro.engine.executors import registered_algorithms
-from repro.engine.parallel import ParallelExecutor, PartitionPlanner
+from repro.engine.parallel import ParallelExecutor, PartitionPlanner, resolve_schedule
+from repro.engine.pool import available_workers
 from repro.query.parser import parse_query
 from repro.query.patterns import cycle_query, path_query
 from repro.storage.database import Database
@@ -84,9 +87,14 @@ class TestDifferential:
         )
         assert result.count == serial.count
         assert sorted(result.rows) == sorted(serial.rows)
-        assert result.metadata["parallel"] is True
-        assert result.metadata["workers"] == (1 if workers == 1 else workers)
         assert "parallel_mode" not in result.metadata  # one discipline, no label
+        if workers == 1:  # declined: the serial executor ran, no pool stats
+            assert result.metadata["parallel"] is False
+            assert result.metadata["parallel_reason"] == "one worker requested"
+            assert "shard_results" not in result.metadata
+            return
+        assert result.metadata["parallel"] is True
+        assert result.metadata["workers"] == workers
         assert result.metadata["inner_algorithm"] == algorithm
         assert sum(result.metadata["shard_results"]) == result.count
         assert "shards" not in result.metadata  # the PR 5 alias is gone
@@ -129,7 +137,12 @@ class TestDifferential:
         engine = QueryEngine(database)
         result = engine.count(cycle_query(3), algorithm="lftj", parallel=7)
         assert result.count == 3
-        assert result.metadata["morsels"] == 1  # 3 keys < MIN_MORSEL_KEYS
+        # 3 keys < MIN_MORSEL_KEYS: one range is no pool job at all.
+        assert result.metadata["parallel"] is False
+        assert result.metadata["parallel_reason"] == (
+            "the top variable's domain does not split"
+        )
+        assert "morsels" not in result.metadata
         database.close_pools()
 
     def test_parallel_counts_on_longer_pattern(self, engine_and_serial):
@@ -152,14 +165,19 @@ class TestDifferential:
     def test_count_only_parallel_runs_never_decode(self):
         database = _edge_database()
         engine = QueryEngine(database)
-        result = engine.count(cycle_query(3), algorithm="plftj", parallel=4)
+        result = engine.count(cycle_query(3), algorithm="lftj", parallel=4)
         assert "encoded" not in result.metadata  # a key that could only say True
         assert database.dictionary.decodes == 0
 
-    def test_plftj_registered_and_runs(self, engine_and_serial):
+    def test_parallel_is_a_schedule_not_an_algorithm(self, engine_and_serial):
+        """``plftj`` / ``pclftj`` left the registry: ``parallel=`` on the
+        algorithm itself is the only way to ask."""
         engine, query, serial_results = engine_and_serial
-        assert "plftj" in registered_algorithms()
-        result = engine.count(query, algorithm="plftj", parallel=2)
+        for name in ("plftj", "pclftj"):
+            assert name not in registered_algorithms()
+            with pytest.raises(ValueError, match="unknown algorithm"):
+                engine.count(query, algorithm=name, parallel=2)
+        result = engine.count(query, algorithm="lftj", parallel=2)
         assert result.count == serial_results["lftj"].count
         assert result.metadata["parallel"] is True
 
@@ -176,10 +194,12 @@ class TestDifferential:
             query, algorithm="lftj", parallel=1, parallel_backend="processes"
         )
         assert result.count == serial_results["lftj"].count
-        # One worker never pays for a pool, whatever backend was asked for.
-        assert result.metadata["parallel_backend"] == "threads"
-        assert result.metadata["workers"] == 1
-        assert result.metadata["morsels"] == 1
+        # One worker never pays for a pool, whatever backend was asked for:
+        # no transport ran, so none is reported.
+        assert result.metadata["parallel"] is False
+        assert result.metadata["parallel_reason"] == "one worker requested"
+        for key in ("parallel_backend", "workers", "morsels", "partition_source"):
+            assert key not in result.metadata
 
     def test_morsel_metadata_reports_scheduling(self, engine_and_serial):
         engine, query, _serial = engine_and_serial
@@ -241,14 +261,117 @@ class TestParameterSurface:
             engine.count(query, algorithm="lftj", parallel=2, parallel_backend="mpi")
 
     def test_parallel_executor_rejects_uncuttable_inner(self, engine_and_serial):
+        """An algorithm no factory wraps says so through its parameter
+        contract (the scheduler itself constructs no executor to guard)."""
         engine, query, _serial = engine_and_serial
-        with pytest.raises(ValueError, match="cannot run partition-parallel"):
-            ParallelExecutor(query, engine.database, inner="ytd")
+        for algorithm in ("ytd", "pairwise"):
+            with pytest.raises(ValueError, match="does not use the 'parallel'"):
+                engine.count(query, algorithm=algorithm, parallel=2)
 
-    def test_parallel_clftj_requires_a_plan(self, engine_and_serial):
-        engine, query, _serial = engine_and_serial
-        with pytest.raises(ValueError, match="needs an execution plan"):
-            ParallelExecutor(query, engine.database, inner="clftj")
+    def test_parallel_executor_wraps_the_serial_executor(self, engine_and_serial):
+        """The scheduler takes the serial executor as its template and the
+        resolved schedule; a declined one runs that very executor."""
+        engine, query, serial = engine_and_serial
+        template = LeapfrogTrieJoin(query, engine.database)
+        schedule = resolve_schedule(
+            engine.database, query, template.variable_order, 1, None, engine.selector
+        )
+        executor = ParallelExecutor(template, schedule, "lftj")
+        assert executor.counter is template.counter
+        assert executor.variable_order == template.variable_order
+        assert executor.count() == serial["lftj"].count
+        assert template.counter.results_emitted == serial["lftj"].count
+        assert executor.execution_metadata()["parallel_reason"] == "one worker requested"
+
+    # The schedule table: what ``explain()`` prints just before an execution
+    # is what that execution's metadata says it did, in every cell.
+    ASKS = (None, False, True, 1, 2)
+    TRANSPORTS = (None, "threads", "processes")
+    ALGORITHMS = ("lftj", "clftj", "generic_join")
+    GRAPHS = {
+        "3-node": lambda: [(1, 2), (2, 3), (3, 1)],
+        "300-node": lambda: list(
+            random_edge_database(num_nodes=300, num_edges=3000, seed=5).relation("E").tuples
+        ),
+    }
+
+    @staticmethod
+    def _schedule_line(text):
+        lines = [line for line in text.splitlines() if line.startswith("parallel:")]
+        assert len(lines) <= 1
+        return lines[0] if lines else None
+
+    @pytest.mark.parametrize("budget", (None, 1), ids=("no-budget", "budget-1"))
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    def test_explain_and_execution_agree_on_the_schedule(self, graph, budget):
+        database = Database(
+            [Relation("E", ("s", "t"), self.GRAPHS[graph]())],
+            name=f"schedule-{graph}",
+            memory_budget_bytes=budget,
+        )
+        engine = QueryEngine(database)
+        query = cycle_query(3)
+        engaged = set()
+        for algorithm in self.ALGORITHMS:
+            oracle = engine.evaluate(query, algorithm=algorithm)
+            for ask in self.ASKS:
+                for transport in self.TRANSPORTS:
+                    cell = (algorithm, ask, transport)
+                    options = {"parallel": ask, "parallel_backend": transport}
+                    if ask in (None, False) and transport is not None:
+                        for call in (engine.explain, engine.count, engine.evaluate):
+                            with pytest.raises(ValueError, match="requires parallel="):
+                                call(query, algorithm=algorithm, **options)
+                        continue
+                    text = engine.explain(query, algorithm=algorithm, **options)
+                    line = self._schedule_line(text)
+                    counted = engine.count(query, algorithm=algorithm, **options)
+                    result = engine.evaluate(query, algorithm=algorithm, **options)
+                    assert counted.count == result.count == oracle.count, cell
+                    if algorithm == "generic_join":  # hash order within a range
+                        assert sorted(result.rows) == sorted(oracle.rows), cell
+                    else:
+                        assert result.rows == oracle.rows, cell
+                    for metadata in (counted.metadata, result.metadata):
+                        self._check_cell(cell, text, line, metadata)
+                    if result.metadata.get("parallel"):
+                        engaged.add(ask)
+        if graph == "3-node" or budget is not None:
+            assert not engaged  # nothing to cut, or the budget's serial rung
+        else:
+            assert engaged == ({True, 2} if available_workers() > 1 else {2})
+        database.close_pools()
+
+    @staticmethod
+    def _check_cell(cell, text, line, metadata):
+        _algorithm, ask, transport = cell
+        serial_rung = any(
+            "restricted to one worker" in step
+            for step in metadata.get("degradations", ())
+        )
+        if ask in (None, False):  # not asked: no schedule anywhere
+            assert line is None and "worker-local" not in text, cell
+            assert "parallel" not in metadata and "parallel_reason" not in metadata, cell
+            assert not serial_rung, cell
+            return
+        if metadata["parallel"]:
+            assert line.startswith(
+                f"parallel: backend={metadata['parallel_backend']}, "
+                f"workers={metadata['workers']}, {metadata['morsels']} range(s) "
+            ), (cell, line)
+            assert f"bounds: {metadata['partition_bounds']!r};" in line, (cell, line)
+            assert metadata["parallel_backend"] == (transport or "threads"), cell
+            assert "parallel_reason" not in metadata and not serial_rung, cell
+        else:
+            # Same words; the footprint the budget rung quotes moves between
+            # the two calls (an over-budget execution evicts and rebuilds).
+            expected = f"parallel: declined, runs serial ({metadata['parallel_reason']})"
+            assert re.sub(r"\d+", "N", line) == re.sub(r"\d+", "N", expected), cell
+            for key in ("parallel_backend", "workers", "morsels", "partition_source",
+                        "shard_results", "steals", "worker_caches"):
+                assert key not in metadata, (cell, key)
+            assert serial_rung == metadata["parallel_reason"].startswith("memory budget"), cell
+        assert ("worker-local" in text) == (cell[0] == "clftj" and metadata["parallel"]), cell
 
     def test_auto_worker_count_keeps_tiny_queries_serial(self):
         """The selector charges every worker one morsel's work floor."""
@@ -260,7 +383,11 @@ class TestParameterSurface:
         )
         assert workers == 1
         result = engine.count(cycle_query(3), algorithm="lftj", parallel=True)
-        assert result.metadata["workers"] == 1
+        assert result.metadata["parallel"] is False
+        assert result.metadata["parallel_reason"] in (
+            "estimated work is under the pool's break-even",
+            "one usable core",
+        )
         database.close_pools()
 
     def test_auto_worker_count_scales_with_work(self):
@@ -291,7 +418,7 @@ class TestParameterSurface:
 
     def test_explain_shows_partition_bounds(self, engine_and_serial):
         engine, query, _serial = engine_and_serial
-        text = engine.explain(query, algorithm="plftj", parallel=3)
+        text = engine.explain(query, algorithm="lftj", parallel=3)
         assert "parallel: backend=threads, workers=3" in text
         assert "mode=" not in text
         assert "range(s) on variable" in text
@@ -305,15 +432,16 @@ class TestParameterSurface:
         engine = QueryEngine(database)
         query = cycle_query(3)
         assert len(database.dictionary) == 0
-        engine.explain(query, algorithm="plftj", parallel=4)
+        cold = engine.explain(query, algorithm="lftj", parallel=4)
+        assert "parallel: backend=threads, workers=4, 1 range(s)" in cold
         assert len(database.dictionary) == 0  # no side effects
-        result = engine.count(query, algorithm="plftj", parallel=4)
+        result = engine.count(query, algorithm="lftj", parallel=4)
         assert result.metadata["morsels"] > 1
         assert (
             len(result.metadata["partition_bounds"])
             == result.metadata["morsels"] - 1
         )
-        text = engine.explain(query, algorithm="plftj", parallel=4)
+        text = engine.explain(query, algorithm="lftj", parallel=4)
         assert str(result.metadata["partition_bounds"]) in text
         database.close_pools()
 
@@ -674,10 +802,12 @@ class TestPerJobCost:
             return estimate(cache)
 
         monkeypatch.setattr(AdhesionCache, "memory_estimate", counting_estimate)
-        result = engine.count(query, algorithm="pclftj", parallel=2)
+        result = engine.count(query, algorithm="clftj", parallel=2)
         assert result.count == serial.count
         assert result.metadata["tasks_executed"] >= 8
-        assert len(built) <= 1 + 2  # the parent's template, then one per worker
+        # One per worker: the submitting thread's template is the serial
+        # executor the factory built, not a range executor.
+        assert 1 <= len(built) <= 2
         assert len(walks) <= 1 + 2 and max(walks.values()) == 1
         caches = result.metadata["worker_caches"]
         assert [entry["worker"] for entry in caches] == sorted(
@@ -703,16 +833,17 @@ class TestPerJobCost:
         assert recommend(light, light.variables, workers=4) == 4
         assert recommend(heavy, heavy.variables, workers=2) == 32
         assert "planned morsels: 2 (work floor" in engine.explain(
-            light, algorithm="plftj", parallel=2
+            light, algorithm="lftj", parallel=2
         )
         assert "planned morsels: 32 (16 per worker)" in engine.explain(
-            heavy, algorithm="plftj", parallel=2
+            heavy, algorithm="lftj", parallel=2
         )
         database.close_pools()
 
     def test_cached_work_is_sized_by_the_cached_estimate(self):
         """A path's CLFTJ estimate is an order of magnitude under LFTJ's, so
-        pclftj plans fewer morsels than plftj for the same query."""
+        parallel clftj plans fewer morsels than parallel lftj for the same
+        query."""
         base = random_edge_database(num_nodes=60, num_edges=420, seed=11)
         database = Database(list(base), name="work-floor-clftj")
         engine = QueryEngine(database)
@@ -722,10 +853,10 @@ class TestPerJobCost:
         uncached = recommend(query, plan.variable_order, workers=2)
         cached = recommend(query, plan.variable_order, workers=2, plan=plan)
         assert uncached > cached == 2
-        result = engine.count(query, algorithm="pclftj", parallel=2)
+        result = engine.count(query, algorithm="clftj", parallel=2)
         assert result.metadata["morsels"] == cached
         assert f"planned morsels: {cached} (work floor" in engine.explain(
-            query, algorithm="pclftj", parallel=2
+            query, algorithm="clftj", parallel=2
         )
         database.close_pools()
 

@@ -1,16 +1,17 @@
-"""Tests for the extended caching policies (admission, skew-aware, adaptive)."""
+"""Tests for the extended caching policies (admission, skew-aware)."""
 
 import pytest
 
 from repro.core.cache import AdhesionCache
 from repro.core.clftj import CachedLeapfrogTrieJoin
 from repro.core.policies import (
-    AdaptivePolicy,
     FrequencyAdmissionPolicy,
     SkewAwarePolicy,
     policy_suite,
 )
 from repro.decomposition.generic import generic_decompose
+from repro.engine import QueryEngine
+from repro.engine.parallel import _execution_policy
 from repro.query.patterns import cycle_query, path_query
 from repro.query.terms import Variable
 
@@ -45,6 +46,34 @@ class TestFrequencyAdmissionPolicy:
             policy=FrequencyAdmissionPolicy(min_occurrences=2),
         )
         assert joiner.count() == brute_force_count(query, skewed_graph_db)
+
+    def test_reset_starts_every_execution_fresh(self, skewed_graph_db):
+        """``CachePolicy.reset``'s contract: one instance reused across runs
+        admits the same entries every time (it used to remember the previous
+        runs' misses: 936, 664, 664 hits)."""
+        engine = QueryEngine(skewed_graph_db)
+        policy = FrequencyAdmissionPolicy(min_occurrences=2)
+        runs = [
+            engine.count(path_query(4), algorithm="clftj", policy=policy)
+            for _ in range(3)
+        ]
+        assert runs[0].counter.cache_hits > 0
+        assert (
+            runs[0].counter.as_dict()
+            == runs[1].counter.as_dict()
+            == runs[2].counter.as_dict()
+        )
+        policy.should_cache(1, (), (5,), 10)
+        policy.reset()
+        assert not policy._seen
+
+    def test_pool_workers_get_their_own_copy(self):
+        """A policy with state is never shared across worker threads."""
+        policy = FrequencyAdmissionPolicy(min_occurrences=2)
+        policy.should_cache(1, (), (5,), 10)
+        copy = _execution_policy(policy)
+        assert copy is not policy and copy._seen is not policy._seen
+        assert copy.min_occurrences == 2
 
 
 class TestSkewAwarePolicy:
@@ -86,45 +115,13 @@ class TestSkewAwarePolicy:
         assert joiner.count() == brute_force_count(query, skewed_graph_db)
 
 
-class TestAdaptivePolicy:
-    def test_budget_enforced(self):
-        policy = AdaptivePolicy(max_entries_per_node=2)
-        assert policy.should_cache(1, (), (1,), 0)
-        assert policy.should_cache(1, (), (2,), 0)
-        assert not policy.should_cache(1, (), (3,), 0)
-        assert policy.admitted(1) == 2
-
-    def test_budgets_are_per_node(self):
-        policy = AdaptivePolicy(max_entries_per_node=1)
-        assert policy.should_cache(1, (), (1,), 0)
-        assert policy.should_cache(2, (), (1,), 0)
-
-    def test_zero_budget_disables_intermediates(self):
-        assert not AdaptivePolicy(max_entries_per_node=0).wants_intermediates(3)
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            AdaptivePolicy(max_entries_per_node=-1)
-        with pytest.raises(ValueError):
-            AdaptivePolicy(warmup=-1)
-
-    def test_correctness_under_clftj(self, skewed_graph_db):
-        query = path_query(4)
-        decomposition = generic_decompose(query)
-        joiner = CachedLeapfrogTrieJoin(
-            query, skewed_graph_db, decomposition,
-            policy=AdaptivePolicy(max_entries_per_node=3),
-        )
-        assert joiner.count() == brute_force_count(query, skewed_graph_db)
-
-
 class TestPolicySuite:
     def test_suite_contains_all_named_policies(self, skewed_graph_db):
         query = path_query(4)
         decomposition = generic_decompose(query)
         suite = policy_suite(skewed_graph_db, query, decomposition)
         assert set(suite) == {
-            "always", "never", "support>=2", "second-touch", "skew-aware", "adaptive-1k"
+            "always", "never", "support>=2", "second-touch", "skew-aware", "bounded-1k"
         }
 
     def test_every_policy_in_the_suite_is_correct(self, skewed_graph_db):

@@ -450,7 +450,7 @@ class TestScheduling:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_forced_splits_preserve_clftj_row_order(self, monkeypatch, backend):
-        """pclftj under forced splitting: worker-local adhesion caches warm
+        """Parallel clftj under forced splitting: worker-local adhesion caches warm
         up in whatever interleaving the scheduler produces, yet the merged
         stream must equal the serial clftj stream byte for byte."""
         database = _edge_database(
@@ -462,7 +462,7 @@ class TestScheduling:
         monkeypatch.setattr(parallel_module, "MORSEL_SPLIT_THRESHOLD", 0.0)
         monkeypatch.setattr(selector_module, "_MORSEL_DISPATCH_COST", 1.0)
         result = engine.evaluate(
-            query, algorithm="pclftj", parallel=3, parallel_backend=backend
+            query, algorithm="clftj", parallel=3, parallel_backend=backend
         )
         assert result.rows == serial.rows
         assert result.count == serial.count

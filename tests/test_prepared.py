@@ -2,14 +2,19 @@
 
 import pytest
 
-from repro.engine.engine import ALGORITHMS, QueryEngine
+from repro.engine.engine import QueryEngine
 from repro.engine.selector import AUTO_CANDIDATES, CostBasedSelector
 from repro.query.parser import parse_query
 from repro.query.patterns import cycle_query, path_query
 from repro.storage.relation import Relation
 from repro.storage.views import query_signature
 
-from tests.conftest import brute_force_count, random_edge_database, skewed_edge_database
+from tests.conftest import (
+    ALGORITHM_CASES,
+    brute_force_count,
+    random_edge_database,
+    skewed_edge_database,
+)
 
 
 @pytest.fixture
@@ -104,23 +109,25 @@ class TestPlanCache:
 
 
 class TestPreparedQuery:
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_prepared_count_agrees_with_fresh_runs(self, engine, database, algorithm):
+    @pytest.mark.parametrize("algorithm,options", ALGORITHM_CASES)
+    def test_prepared_count_agrees_with_fresh_runs(
+        self, engine, database, algorithm, options
+    ):
         query = cycle_query(3)
-        prepared = engine.prepare(query, algorithm=algorithm)
+        prepared = engine.prepare(query, algorithm=algorithm, **options)
         first = prepared.count()
         second = prepared.count()
-        fresh = engine.count(query, algorithm=algorithm)
+        fresh = engine.count(query, algorithm=algorithm, **options)
         expected = brute_force_count(query, database)
         assert first.count == second.count == fresh.count == expected
 
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_prepared_evaluate_agrees_with_fresh_runs(self, engine, algorithm):
+    @pytest.mark.parametrize("algorithm,options", ALGORITHM_CASES)
+    def test_prepared_evaluate_agrees_with_fresh_runs(self, engine, algorithm, options):
         query = path_query(3)
-        prepared = engine.prepare(query, algorithm=algorithm)
+        prepared = engine.prepare(query, algorithm=algorithm, **options)
         first = prepared.evaluate()
         second = prepared.evaluate()
-        fresh = engine.evaluate(query, algorithm=algorithm)
+        fresh = engine.evaluate(query, algorithm=algorithm, **options)
         assert set(first.rows) == set(second.rows) == set(fresh.rows)
 
     def test_reexecution_reports_plan_hit_and_zero_rebuilds(self, engine):

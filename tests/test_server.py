@@ -540,7 +540,7 @@ class TestAcceptance:
             {"query": "4-cycle", "algorithm": "lftj"},
             {"query": "3-path", "algorithm": "lftj"},
             {"query": "4-path", "algorithm": "lftj"},
-            {"query": "3-cycle", "algorithm": "pclftj", "parallel": 2},
+            {"query": "3-cycle", "algorithm": "clftj", "parallel": 2},
         ]
         metadata_sums = {name: 0 for name in SCOPED_COUNTERS}
         sums_lock = threading.Lock()
