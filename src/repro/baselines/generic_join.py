@@ -239,9 +239,7 @@ class GenericJoin:
         :meth:`evaluate_coded` and decodes lazily at the result boundary
         instead.
         """
-        decode_row = self.database.dictionary.decode_row
-        for row in self.evaluate_coded():
-            yield decode_row(row)
+        return self.database.dictionary.decode_stream(self.evaluate_coded())
 
     def evaluate_coded(
         self, lo=None, hi=None, counter=None

@@ -322,7 +322,7 @@ def _command_run(args: argparse.Namespace) -> int:
         result = results[-1]
         header = ", ".join(variable.name for variable in result.variable_order)
         print(f"\nfirst {args.show_rows} rows ({header}):")
-        for row in result.rows[: args.show_rows]:
+        for row in result.head(args.show_rows):
             print("  ", row)
     return 0
 

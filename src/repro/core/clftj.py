@@ -298,7 +298,7 @@ class CachedLeapfrogTrieJoin(TrieJoinBase):
         the engine consumes :meth:`evaluate_coded` and defers decoding to
         the result boundary.
         """
-        yield from self._decoded(self.evaluate_coded())
+        return self.database.dictionary.decode_stream(self.evaluate_coded())
 
     def evaluate_coded(
         self, lo=None, hi=None, counter=None

@@ -202,13 +202,6 @@ class TrieJoinBase:
             metadata["delta_tries"] = delta_tries
         return metadata
 
-    # ------------------------------------------------------------- decoding
-    def _decoded(self, rows: Iterator[Tuple[object, ...]]) -> Iterator[Tuple[object, ...]]:
-        """Decode a stream of code-space rows back to value tuples."""
-        decode_row = self.database.dictionary.decode_row
-        for row in rows:
-            yield decode_row(row)
-
 
 class LeapfrogTrieJoin(TrieJoinBase):
     """Vanilla LFTJ: worst-case-optimal multiway join without caching."""
@@ -318,7 +311,7 @@ class LeapfrogTrieJoin(TrieJoinBase):
         consumes :meth:`evaluate_coded` and defers decoding to the result
         object, so untouched result sets never decode.
         """
-        yield from self._decoded(self.evaluate_coded())
+        return self.database.dictionary.decode_stream(self.evaluate_coded())
 
     def evaluate_coded(
         self, lo=None, hi=None, counter=None

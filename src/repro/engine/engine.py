@@ -674,10 +674,11 @@ class QueryEngine:
             value = executor.count()
         elif mode == "evaluate":
             if getattr(executor, "encoded", False):
-                # Code-space executors stream code tuples; materialise them
-                # as-is and let the result decode lazily on first access —
-                # a result whose rows are never read costs zero decodes.
-                coded_rows = [tuple(row) for row in executor.evaluate_coded()]
+                # Code-space executors stream code tuples (always ``tuple``s);
+                # keep them as-is and let the result decode lazily on first
+                # access — a result whose rows are never read costs zero
+                # decodes.
+                coded_rows = list(executor.evaluate_coded())
                 value = len(coded_rows)
             else:
                 rows = [tuple(row) for row in executor.evaluate()]
@@ -690,6 +691,8 @@ class QueryEngine:
             query, label, value, elapsed, executor, plan, selection, scope
         )
         result.metadata["decodes"] = dictionary.decodes - decodes_before
+        # Time spent at the result boundary, after ``elapsed``: none yet.
+        result.metadata["decode_seconds"] = 0.0
         declined = result.metadata.get("parallel_reason", "")
         if declined.startswith(OVER_BUDGET):
             # Step 3: the pool's amplification (per-worker caches, result

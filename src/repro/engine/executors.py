@@ -68,9 +68,11 @@ class Executor(Protocol):
     over indexes (the trie-join family, ``generic_join``, the parallel
     executor) run in code space: they carry the class constant
     ``encoded = True`` plus an ``evaluate_coded()`` generator yielding rows
-    of int codes, and the engine collects codes and defers decoding to the
-    result boundary (:class:`repro.engine.results.ExecutionResult.rows`),
-    so count-only executions and untouched result sets never decode.  The
+    of int codes, each a ``tuple`` (the engine keeps them with ``list(...)``
+    and the batch decode kernel unpacks them), and the engine defers
+    decoding to the result boundary
+    (:class:`repro.engine.results.ExecutionResult.rows`), so count-only
+    executions and untouched result sets never decode.  The
     value-space baselines (``ytd``, ``pairwise``) have neither member; the
     engine duck-types them and takes plain ``evaluate()``.
     """

@@ -630,7 +630,7 @@ def _run_morsel(database: Database, spec: MorselSpec, task: MorselTask) -> TaskO
         value = executor.count(task.lo, task.hi, counter)
         rows: Optional[List[Tuple[object, ...]]] = None
     else:
-        rows = [tuple(row) for row in executor.evaluate_coded(task.lo, task.hi, counter)]
+        rows = list(executor.evaluate_coded(task.lo, task.hi, counter))
         value = len(rows)
     return TaskOutcome(value=value, rows=rows, counter=counter)
 
@@ -736,9 +736,7 @@ class ParallelExecutor:
 
     def evaluate(self) -> Iterator[Tuple[object, ...]]:
         """Yield result rows as values (decoded at this boundary)."""
-        decode_row = self.database.dictionary.decode_row
-        for row in self.evaluate_coded():
-            yield decode_row(row)
+        return self.database.dictionary.decode_stream(self.evaluate_coded())
 
     def evaluate_coded(self) -> Iterator[Tuple[object, ...]]:
         """Yield result rows in storage space, concatenated in range order."""

@@ -390,6 +390,10 @@ class QueryService:
     def _render_result(
         self, result: ExecutionResult, mode: str, max_rows: int
     ) -> Dict[str, object]:
+        # Read the rows first: decoding them updates ``result.metadata``
+        # (``decodes``, ``decode_seconds``), and only the ``max_rows`` that
+        # are returned are decoded.
+        rows = result.head(max_rows) if mode == "evaluate" else None
         metadata = {
             key: value if isinstance(value, (int, float, str, bool, list)) else str(value)
             for key, value in result.metadata.items()
@@ -401,12 +405,11 @@ class QueryService:
             "elapsed_seconds": result.elapsed_seconds,
             "metadata": metadata,
         }
-        if mode == "evaluate":
-            rows = result.rows or []
-            response["rows"] = [list(row) for row in rows[:max_rows]]
-            response["rows_truncated"] = len(rows) > max_rows
+        if rows is not None:
+            response["rows"] = [list(row) for row in rows]
+            response["rows_truncated"] = result.count > max_rows
             with self._stats_lock:
-                self._rows_returned_total += min(len(rows), max_rows)
+                self._rows_returned_total += len(rows)
         return response
 
     # ------------------------------------------------------------- accounting

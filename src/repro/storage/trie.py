@@ -816,11 +816,8 @@ class LsmTrieIndex:
         (this is an inspection/export surface, not a join hot path).
         """
         if self.dictionary is None:
-            yield from self._iter_coded_rows()
-            return
-        decode_row = self.dictionary.decode_row
-        for row in self._iter_coded_rows():
-            yield decode_row(row)
+            return self._iter_coded_rows()
+        return self.dictionary.decode_stream(self._iter_coded_rows())
 
     def _iter_coded_rows(self) -> Iterator[Tuple[object, ...]]:
         """Yield every live tuple in storage (code) space, sorted."""

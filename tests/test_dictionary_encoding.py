@@ -9,6 +9,8 @@ the relations' value tuples that shares no code with the engine.
 """
 
 import random
+import re
+from itertools import islice
 
 import pytest
 
@@ -20,7 +22,7 @@ from repro.engine.engine import QueryEngine
 from repro.query.parser import parse_query
 from repro.query.patterns import cycle_query, path_query
 from repro.storage.database import Database
-from repro.storage.dictionary import ValueDictionary, ValueEncodingError
+from repro.storage.dictionary import STREAM_CHUNK, ValueDictionary, ValueEncodingError
 from repro.storage.relation import Relation
 from repro.storage.trie import TrieIndex
 
@@ -76,6 +78,100 @@ class TestValueDictionary:
         dictionary = ValueDictionary()
         with pytest.raises(ValueError):
             dictionary.decode(5)
+
+
+#: Values of every kind a relation may hold, so a decoded row mixes them.
+MIXED_VALUES = [7, "seven", ("nested", 7), None, -3, "", (), 2.5, "x" * 40]
+
+
+def _mixed_dictionary():
+    dictionary = ValueDictionary()
+    for value in MIXED_VALUES:
+        dictionary.encode(value)
+    return dictionary
+
+
+def _coded_rows(width, count, seed=0):
+    rng = random.Random(seed)
+    return [
+        tuple(rng.randrange(len(MIXED_VALUES)) for _ in range(width))
+        for _ in range(count)
+    ]
+
+
+class TestBatchDecode:
+    """``decode_rows`` is the per-row decode, done a batch at a time."""
+
+    @pytest.mark.parametrize("width", range(9))
+    def test_batch_equals_row_by_row(self, width):
+        dictionary = _mixed_dictionary()
+        rows = _coded_rows(width, 37, seed=width)
+        expected = [dictionary.decode_row(row) for row in rows]
+        assert all(type(row) is tuple and len(row) == width for row in expected)
+        for given in (rows, (row for row in rows), tuple(rows)):
+            before = dictionary.decodes
+            assert dictionary.decode_rows(given) == expected
+            assert dictionary.decodes - before == width * len(rows)
+        before = dictionary.decodes
+        assert dictionary.decode_rows([]) == []
+        assert dictionary.decode_rows(iter(())) == []
+        assert dictionary.decodes == before
+
+    @pytest.mark.parametrize("code", [-1, -len(MIXED_VALUES), len(MIXED_VALUES), None, "0", 1.0])
+    def test_scalar_decodes_refuse_what_is_not_a_code(self, code):
+        """One contract: ``ValueError`` naming the code, never a wrapped
+        negative index (``decode(-1)`` returned the *last* value) nor a bare
+        ``IndexError`` (``decode_row((5,))`` did)."""
+        dictionary = _mixed_dictionary()
+        message = re.escape(f"unknown dictionary code {code!r}")
+        with pytest.raises(ValueError, match=message):
+            dictionary.decode(code)
+        with pytest.raises(ValueError, match=message):
+            dictionary.decode_row((0, code, 1))
+        assert dictionary.decodes == 0
+
+    def test_batch_names_the_first_unknown_code_and_counts_nothing(self):
+        dictionary = _mixed_dictionary()
+        rows = _coded_rows(3, 20) + [(0, 99, 1), (0, 1, 77)] + _coded_rows(3, 5)
+        for given in (rows, iter(rows)):
+            with pytest.raises(ValueError, match="unknown dictionary code 99"):
+                dictionary.decode_rows(given)
+        with pytest.raises(ValueError, match="unknown dictionary code 99"):
+            list(dictionary.decode_stream(rows))
+        assert dictionary.decodes == 0
+
+    def test_ragged_batch_is_decoded_row_by_row_or_refused(self):
+        dictionary = _mixed_dictionary()
+        ragged = [(0, 1), (2,), (3, 4, 5), ()]
+        assert dictionary.decode_rows(ragged) == [
+            (7, "seven"), (("nested", 7),), (None, -3, ""), (),
+        ]
+        assert dictionary.decodes == 6
+        with pytest.raises(ValueError, match="unknown dictionary code 42"):
+            dictionary.decode_rows(ragged + [(1, 42, 1)])
+        with pytest.raises(ValueError, match="unknown dictionary code -2"):
+            dictionary.decode_rows([(0, 1), (-2,)])
+        assert dictionary.decodes == 6
+
+    def test_stream_decodes_at_most_one_chunk_ahead(self):
+        dictionary = _mixed_dictionary()
+        rows = _coded_rows(2, 2 * STREAM_CHUNK + 10)
+        expected = [tuple(MIXED_VALUES[code] for code in row) for row in rows]
+        pulled = []
+
+        def source():
+            for row in rows:
+                pulled.append(row)
+                yield row
+
+        stream = dictionary.decode_stream(source())
+        assert (len(pulled), dictionary.decodes) == (0, 0)  # nothing until read
+        assert next(stream) == expected[0]
+        assert (len(pulled), dictionary.decodes) == (STREAM_CHUNK, 2 * STREAM_CHUNK)
+        assert list(islice(stream, STREAM_CHUNK)) == expected[1 : STREAM_CHUNK + 1]
+        assert (len(pulled), dictionary.decodes) == (2 * STREAM_CHUNK, 4 * STREAM_CHUNK)
+        assert list(stream) == expected[STREAM_CHUNK + 1 :]
+        assert (len(pulled), dictionary.decodes) == (len(rows), 2 * len(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +425,33 @@ class TestZeroDecodeGuarantee:
         # Second access reuses the decoded list.
         assert result.rows is rows
         assert database.dictionary.decodes == expected_decodes
+
+    def test_head_decodes_only_the_rows_it_returns(self):
+        database = _mixed_database(4)
+        engine = QueryEngine(database)
+        dictionary = database.dictionary
+        query = parse_query("R(x, y), S(y, z)", name="mixed-join")
+        oracle = engine.evaluate(query, algorithm="lftj", compile=False).rows
+        result = engine.evaluate(query, algorithm="lftj")
+        metadata, start = result.metadata, dictionary.decodes
+        assert len(oracle) > 4 and metadata["decode_seconds"] == 0.0
+        assert result.head(4) == oracle[:4]
+        assert dictionary.decodes - start == metadata["decodes"] == 4 * 3
+        head_seconds = metadata["decode_seconds"]
+        assert head_seconds > 0.0
+        assert result.head(0) == [] and metadata["decodes"] == 4 * 3
+        # head() keeps nothing: .rows is still the whole result, and the
+        # metadata is the work actually done (the prefix, then everything).
+        assert result.rows == oracle
+        done = (4 + len(oracle)) * 3
+        assert dictionary.decodes - start == metadata["decodes"] == done
+        assert metadata["decode_seconds"] > head_seconds
+        # Once decoded, a prefix is a slice of the kept rows.
+        assert result.head(2) == oracle[:2] and result.head(10 ** 9) == oracle
+        assert metadata["decodes"] == done
+        # Rows that never were codes are sliced; a count has no rows.
+        assert len(engine.evaluate(query, algorithm="pairwise").head(3)) == 3
+        assert engine.count(query, algorithm="lftj").head(3) is None
 
     def test_direct_executor_evaluate_returns_values(self):
         database = _mixed_database(6)

@@ -115,6 +115,55 @@ class TestUniformEvaluation:
         assert own_keys, f"{algorithm} reported no execution metadata"
 
 
+class TestCodedRowStream:
+    """``evaluate_coded()`` yields ``tuple``s of codes: the engine and the
+    pool runner keep them with ``list(...)`` (no ``tuple(row)`` pass) and the
+    batch decode kernel unpacks them."""
+
+    POOLS = (
+        {"parallel": 2, "parallel_backend": "threads"},
+        {"parallel": 2, "parallel_backend": "processes"},
+    )
+
+    @pytest.mark.parametrize("algorithm,options", ALGORITHM_CASES)
+    def test_coded_rows_are_tuples_and_decode_to_the_oracle(
+        self, engine, database, algorithm, options
+    ):
+        spec = algorithm_spec(algorithm)
+        query = path_query(3)  # two bags: clftj grafts cached subtrees too
+        compiles = (False, None) if "compile" in spec.accepts else (None,)
+        schedules = [options]
+        if "parallel" in spec.accepts and not options:
+            schedules += self.POOLS
+        oracle = None
+        try:
+            for schedule in schedules:
+                for compile in compiles:
+                    executor = spec.factory(ExecutorRequest(
+                        query=query, database=database, counter=OperationCounter(),
+                        plan=engine.plan(query) if spec.needs_plan else None,
+                        selector=engine.selector, compile=compile, **schedule,
+                    ))
+                    if not getattr(executor, "encoded", False):
+                        # value space (ytd, pairwise): the engine takes evaluate()
+                        assert not hasattr(executor, "evaluate_coded")
+                        continue
+                    getattr(executor, "build", lambda: None)()
+                    coded = list(executor.evaluate_coded())
+                    assert coded and all(type(row) is tuple for row in coded)
+                    assert {type(code) for row in coded for code in row} == {int}
+                    result = engine.evaluate(
+                        query, algorithm=algorithm, compile=compile, **schedule
+                    )
+                    # The first run is serial and interpreted: the oracle.
+                    oracle = result.rows if oracle is None else oracle
+                    assert result.rows == oracle == database.dictionary.decode_rows(coded)
+                    if schedule in self.POOLS:  # a pool ran it, not the template
+                        assert result.metadata["parallel"] is True
+        finally:
+            database.close_pools()
+
+
 class TestRowStreamAdapter:
     def test_adapter_streams_tuples(self, database):
         from repro.baselines.binary_join import PairwiseHashJoin

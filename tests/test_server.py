@@ -287,6 +287,25 @@ class TestService:
         assert response["rows_truncated"] is True
         assert response["count"] > 5  # the count stays exact
 
+    def test_evaluate_decodes_only_the_rows_it_returns(self, service):
+        dictionary = service.database.dictionary
+        full = service.evaluate({"query": "3-path", "algorithm": "lftj"})
+        width = len(full["rows"][0])
+        assert full["count"] > 10
+        assert full["metadata"]["decodes"] == dictionary.decodes == full["count"] * width
+        before = dictionary.decodes
+        response = service.evaluate({"query": "3-path", "algorithm": "lftj", "max_rows": 10})
+        # The response reports the decode work it caused (it said 0: the
+        # metadata was copied before the rows were read) and that work is
+        # the ten rows returned, not the whole result.
+        assert dictionary.decodes - before == response["metadata"]["decodes"] == 10 * width
+        assert response["metadata"]["decode_seconds"] > 0.0
+        assert response["rows"] == full["rows"][:10]
+        assert (response["rows_truncated"], response["count"]) == (True, full["count"])
+        exact = service.evaluate({"query": "3-path", "max_rows": full["count"]})
+        assert exact["rows_truncated"] is False and len(exact["rows"]) == full["count"]
+        assert service.evaluate({"query": "3-path", "max_rows": 0})["rows"] == []
+
     def test_bad_payloads_raise_request_error(self, service):
         for payload in (
             {},
