@@ -9,9 +9,9 @@ YTD, checks that all algorithms agree, and prints the per-dataset speedups of
 CLFTJ — the shape of the paper's Figure 5.
 """
 
-from repro.bench.harness import consistency_check, run_grid, speedup_table
-from repro.bench.reporting import format_results, format_speedups
+from repro.bench.reporting import RESULT_COLUMNS, format_records, results_to_records
 from repro.bench.workloads import snap_databases
+from repro.engine.engine import QueryEngine
 from repro.query.patterns import cycle_query, path_query
 
 
@@ -21,17 +21,41 @@ def main() -> None:
     algorithms = ("lftj", "clftj", "ytd")
 
     print("running", len(databases) * len(queries) * len(algorithms), "workload cells ...")
-    results = run_grid(databases, queries, algorithms)
-    consistency_check(results)
+    records = []
+    speedups = []
+    reductions = []
+    for dataset, database in databases.items():
+        engine = QueryEngine(database)  # one engine: plans and tries are reused
+        for query in queries:
+            results = engine.compare(query, algorithms=algorithms)
+            counts = {name: result.count for name, result in results.items()}
+            assert len(set(counts.values())) == 1, (
+                f"algorithms disagree on {query.name!r} over {dataset!r}: {counts}"
+            )
+            records += results_to_records(results.values(), dataset=dataset)
+            lftj = results.pop("lftj")
+            cell = {"dataset": dataset, "query": query.name, "count": lftj.count}
+            speedups.append({
+                **cell,
+                "lftj_elapsed_seconds": lftj.elapsed_seconds,
+                **{f"speedup_{name}": result.speedup_over(lftj)
+                   for name, result in results.items()},
+            })
+            reductions.append({
+                **cell,
+                "lftj_memory_accesses": lftj.memory_accesses,
+                **{f"reduction_{name}": lftj.memory_accesses / max(result.memory_accesses, 1)
+                   for name, result in results.items()},
+            })
 
     print("\nper-cell results:")
-    print(format_results(results))
+    print(format_records(records, columns=RESULT_COLUMNS))
 
     print("\nCLFTJ / YTD speedups over LFTJ (wall clock):")
-    print(format_speedups(speedup_table(results, baseline="lftj")))
+    print(format_records(speedups))
 
     print("\nCLFTJ / YTD reductions over LFTJ (abstract memory accesses):")
-    print(format_speedups(speedup_table(results, baseline="lftj", metric="memory_accesses")))
+    print(format_records(reductions))
 
     print(
         "\nNote how the skewed datasets (wiki-Vote, ego-Facebook) benefit far more "

@@ -28,7 +28,7 @@ def main() -> None:
 
     results = engine.compare(query, algorithms=("lftj", "clftj", "ytd"))
     print("\n5-cycle count results:")
-    print(format_results(results.values()))
+    print(format_results(results.values(), dataset="wiki-Vote"))
 
     clftj = results["clftj"]
     lftj = results["lftj"]

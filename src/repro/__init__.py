@@ -12,8 +12,8 @@ The package implements, in pure Python:
 * the baselines the paper compares against (YTD, GenericJoin, pairwise hash
   joins) — :mod:`repro.baselines`;
 * synthetic stand-ins for the SNAP / IMDB workloads — :mod:`repro.datasets`;
-* a high-level query engine and the benchmark harness — :mod:`repro.engine`,
-  :mod:`repro.bench`.
+* a high-level query engine, and the paper's workload families with a
+  result-table formatter — :mod:`repro.engine`, :mod:`repro.bench`.
 
 Quickstart::
 

@@ -1,19 +1,16 @@
-"""Benchmark harness utilities.
+"""The paper's workload families and the result-table formatter.
 
-The modules here are shared by the ``benchmarks/`` pytest-benchmark targets
-and by the examples:
+Nothing here measures: timing lives in ``benchmarks/e2e`` and the
+paper-figure shape checks in ``benchmarks/bench_*.py``.  What the CLI, those
+benches, the examples and the tests share is:
 
-* :mod:`repro.bench.harness` -- run one workload cell (query x dataset x
-  algorithm), collect :class:`~repro.engine.results.ExecutionResult` records
-  and compute the speedup figures the paper reports.
+* :mod:`repro.bench.workloads` -- the figure-by-figure workload definitions
+  (datasets, queries, parameters).
 * :mod:`repro.bench.reporting` -- render result records as aligned text
   tables (the "same rows/series as the paper" output).
-* :mod:`repro.bench.workloads` -- the figure-by-figure workload definitions
-  (datasets, queries, algorithms, parameters).
 """
 
-from repro.bench.harness import BenchmarkCell, run_cell, run_grid, speedup_table
-from repro.bench.reporting import format_records, format_speedups, print_records
+from repro.bench.reporting import format_records, format_results, results_to_records
 from repro.bench.workloads import (
     FIGURE5_DATASETS,
     FIGURE5_QUERIES,
@@ -26,19 +23,15 @@ from repro.bench.workloads import (
 )
 
 __all__ = [
-    "BenchmarkCell",
     "FIGURE5_DATASETS",
     "FIGURE5_QUERIES",
     "cycle_queries",
     "evaluation_datasets",
     "figure10_cache_sizes",
     "format_records",
-    "format_speedups",
+    "format_results",
     "path_queries",
-    "print_records",
     "random_queries",
-    "run_cell",
-    "run_grid",
+    "results_to_records",
     "snap_databases",
-    "speedup_table",
 ]

@@ -1,54 +1,18 @@
-"""Plain-text reporting of benchmark records.
+"""Plain-text tables of execution results.
 
-The benchmark modules print the same rows/series the paper's figures show;
-these helpers keep that output aligned and stable without pulling in any
-plotting dependency.
+The CLI and the examples print the same rows/series the paper's figures
+show; these helpers keep that output aligned and stable without pulling in
+any plotting dependency.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.engine.results import ExecutionResult
 
-
-def write_bench_json(path: str, section: str, payload: Mapping[str, object]) -> Dict[str, object]:
-    """Merge one benchmark section into a machine-readable JSON file.
-
-    Benchmarks record their headline numbers (wall times, seeks, decodes,
-    cache counters) under named sections of one file — ``BENCH_4.json`` at
-    the repository root — so future PRs have a concrete perf baseline to
-    regress against.  Existing sections from other benchmarks are preserved;
-    an unreadable file is replaced.  A ``--quick`` payload (``quick: True``)
-    never overwrites a full-scale section: CI smoke runs must not clobber
-    the committed baseline with small-scale noise.  Returns the merged
-    document.
-    """
-    document: Dict[str, object] = {}
-    if os.path.exists(path):
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                loaded = json.load(handle)
-            if isinstance(loaded, dict):
-                document = loaded
-        except (OSError, ValueError):
-            document = {}
-    existing = document.get(section)
-    if (
-        payload.get("quick") is True
-        and isinstance(existing, dict)
-        and existing.get("quick") is False
-    ):
-        return document
-    document[section] = dict(payload)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return document
-
-_DEFAULT_COLUMNS = (
+#: The columns :func:`format_results` shows unless told otherwise.
+RESULT_COLUMNS = (
     "dataset",
     "query",
     "algorithm",
@@ -102,65 +66,20 @@ def format_records(
     return "\n".join(lines)
 
 
-def results_to_records(results: Iterable[ExecutionResult]) -> List[Dict[str, object]]:
-    """Flatten execution results into report-friendly dictionaries."""
-    records = []
-    for result in results:
-        record = result.as_record()
-        record.setdefault("dataset", result.metadata.get("dataset", ""))
-        records.append(record)
-    return records
+def results_to_records(
+    results: Iterable[ExecutionResult], dataset: str = ""
+) -> List[Dict[str, object]]:
+    """Flatten execution results into report-friendly dictionaries.
+
+    A result does not know which dataset it ran over; the caller names it.
+    """
+    return [{"dataset": dataset, **result.as_record()} for result in results]
 
 
 def format_results(
     results: Iterable[ExecutionResult],
-    columns: Sequence[str] = _DEFAULT_COLUMNS,
+    columns: Sequence[str] = RESULT_COLUMNS,
+    dataset: str = "",
 ) -> str:
     """Render execution results with the default benchmark columns."""
-    return format_records(results_to_records(results), columns=columns)
-
-
-def format_speedups(rows: Iterable[Mapping[str, object]]) -> str:
-    """Render the output of :func:`repro.bench.harness.speedup_table`."""
-    return format_records(rows)
-
-
-def print_records(records: Iterable[Mapping[str, object]], title: str = "") -> None:
-    """Print a table (with an optional title) — used by the benchmark modules."""
-    if title:
-        print(f"\n== {title} ==")
-    print(format_records(records))
-
-
-def format_bar_chart(
-    values: Mapping[str, float],
-    width: int = 50,
-    unit: str = "",
-    log_scale: bool = False,
-) -> str:
-    """Render a horizontal ASCII bar chart (a plotting-free stand-in for a figure).
-
-    ``values`` maps labels (e.g. algorithm names) to non-negative magnitudes;
-    ``log_scale`` is useful when the paper's figures span orders of magnitude
-    (runtime of LFTJ vs CLFTJ on long paths).
-    """
-    import math
-
-    if not values:
-        return "(no data)"
-    magnitudes: Dict[str, float] = {}
-    for label, value in values.items():
-        value = float(value)
-        if value < 0:
-            raise ValueError("bar chart values must be non-negative")
-        magnitudes[label] = math.log10(value + 1.0) if log_scale else value
-    peak = max(magnitudes.values()) or 1.0
-    label_width = max(len(str(label)) for label in values)
-    lines = []
-    for label, raw in values.items():
-        filled = int(round(width * magnitudes[label] / peak)) if peak else 0
-        bar = "#" * filled
-        rendered_value = _format_value(float(raw))
-        suffix = f" {rendered_value}{unit}"
-        lines.append(f"{str(label).ljust(label_width)} |{bar}{suffix}")
-    return "\n".join(lines)
+    return format_records(results_to_records(results, dataset), columns=columns)

@@ -12,9 +12,7 @@ in the paper).
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.datasets.imdb import ImdbSpec, imdb_cast
 from repro.datasets.snap import (
@@ -27,7 +25,6 @@ from repro.datasets.snap import (
 from repro.query.atoms import ConjunctiveQuery
 from repro.query.patterns import (
     bipartite_cycle_query,
-    clique_query,
     cycle_query,
     lollipop_query,
     path_query,
@@ -124,85 +121,3 @@ def lollipop_workload() -> Tuple[ConjunctiveQuery, Dict[str, Database]]:
     """The {3,2}-lollipop query of Figure 11 over two SNAP stand-ins."""
     return lollipop_query(3, 2), snap_databases(("wiki-Vote", "ca-GrQc"))
 
-
-# ---------------------------------------------------------------- updates
-@dataclass(frozen=True)
-class UpdateBatch:
-    """One streaming step: edges to insert and edges to delete."""
-
-    inserts: Tuple[Tuple[int, int], ...]
-    deletes: Tuple[Tuple[int, int], ...] = ()
-
-
-@dataclass(frozen=True)
-class UpdateWorkload:
-    """An update-heavy serving scenario over one mutating relation.
-
-    ``make_database`` builds a fresh, identical starting database every time
-    it is called, so competing maintenance strategies (delta updates vs.
-    drop-and-rebuild) replay the exact same stream from the exact same
-    state.  The stream interleaves ``batches`` of edge mutations with
-    re-executions of ``queries`` — the paper's repeated-subtree workloads
-    (triangle / clique counting) on continuously-changing data.
-    """
-
-    make_database: Callable[[], Database]
-    relation_name: str
-    batches: Tuple[UpdateBatch, ...]
-    queries: Tuple[ConjunctiveQuery, ...]
-
-
-def update_stream_workload(
-    scale: float = 1.0,
-    num_batches: int = 6,
-    batch_size: int = 20,
-    delete_fraction: float = 0.25,
-    seed: int = 2026,
-    dataset: str = "wiki-Vote",
-) -> UpdateWorkload:
-    """Streaming edge inserts (plus some deletes) under repeated count queries.
-
-    Every batch inserts ``batch_size`` fresh edges between existing nodes
-    and deletes ``batch_size * delete_fraction`` original edges, then the
-    triangle and 4-clique counts are re-executed.  Small per-batch deltas
-    against a comparatively large base are exactly the regime where
-    in-place index maintenance should beat drop-and-rebuild.
-    """
-    make_database = lambda: snap_databases((dataset,), scale=scale)[dataset]  # noqa: E731
-    probe = make_database()
-    relation = probe.relation("E")
-    existing = set(relation.tuples)
-    nodes = sorted({value for row in existing for value in row})
-    rng = random.Random(seed)
-
-    used = set(existing)
-    deletable = sorted(existing)
-    rng.shuffle(deletable)
-    batches: List[UpdateBatch] = []
-    deletes_per_batch = int(batch_size * delete_fraction)
-    for _ in range(num_batches):
-        inserts: List[Tuple[int, int]] = []
-        attempts = 0
-        while len(inserts) < batch_size:
-            attempts += 1
-            if attempts > batch_size * 200:
-                raise ValueError(
-                    f"graph too small/dense at scale {scale} to supply "
-                    f"{num_batches}x{batch_size} fresh edges; lower the batch "
-                    f"size or raise the scale"
-                )
-            edge = (rng.choice(nodes), rng.choice(nodes))
-            if edge[0] != edge[1] and edge not in used:
-                used.add(edge)
-                inserts.append(edge)
-        deletes = tuple(
-            deletable.pop() for _ in range(min(deletes_per_batch, len(deletable)))
-        )
-        batches.append(UpdateBatch(inserts=tuple(inserts), deletes=deletes))
-
-    return UpdateWorkload(
-        make_database=make_database,
-        relation_name="E",
-        batches=tuple(batches),
-        queries=(cycle_query(3), clique_query(4)),
-    )

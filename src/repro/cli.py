@@ -138,12 +138,13 @@ def build_parser() -> argparse.ArgumentParser:
                           "fall back serial) instead of growing further")
     run.add_argument("--mode", choices=("count", "evaluate"), default="count")
     run.add_argument("--show-rows", type=int, default=0,
-                     help="print the first N result rows (evaluate mode)")
+                     help="print the first N result rows (needs --mode evaluate)")
     run.add_argument("--repeat", type=int, default=1,
                      help="execute the prepared query N times (plan/index caches warm up)")
     run.add_argument("--mutate", type=int, default=0, metavar="N",
                      help="insert N random fresh edges into the queried relation "
-                          "between repeats (exercises delta index maintenance)")
+                          "between repeats (needs --repeat >= 2; exercises "
+                          "delta index maintenance)")
 
     compare = subparsers.add_parser("compare", help="run one query with several algorithms")
     _add_common_arguments(compare)
@@ -273,6 +274,18 @@ def _apply_memory_budget(database: Database, budget: Optional[int]) -> None:
 def _command_run(args: argparse.Namespace) -> int:
     import random
 
+    # A flag that cannot take effect is an error, never dropped silently
+    # (the engine's own rule, ``AlgorithmSpec.reject_unused``).
+    if args.mutate and args.repeat < 2:
+        raise ValueError(
+            f"--mutate {args.mutate} inserts rows between repeats and needs "
+            f"--repeat >= 2 (got --repeat {args.repeat})"
+        )
+    if args.show_rows and args.mode != "evaluate":
+        raise ValueError(
+            f"--show-rows {args.show_rows} needs --mode evaluate "
+            f"(--mode {args.mode} produces no rows)"
+        )
     database = resolve_dataset(args.dataset, args.scale)
     _apply_memory_budget(database, args.memory_budget)
     query = resolve_query(args.query)
@@ -296,7 +309,7 @@ def _command_run(args: argparse.Namespace) -> int:
             print(f"mutated {mutated_relation}: +{inserted} rows "
                   f"(version {database.relation_version(mutated_relation)})")
         results.append(prepared.count() if args.mode == "count" else prepared.evaluate())
-    print(format_results(results))
+    print(format_results(results, dataset=args.dataset))
     if "parallel" in parallel_options:
         # The schedule the last execution ran, worded as `repro explain` does.
         ran = results[-1].metadata
@@ -312,7 +325,7 @@ def _command_run(args: argparse.Namespace) -> int:
             f"index_builds={last.metadata['index_builds']} "
             f"adhesion_cache_hits={last.counter.cache_hits}"
         )
-        if args.mutate and builds_after_warmup is not None:
+        if args.mutate:
             print(
                 f"updates: index_patches={database.index_patches} "
                 f"index_compactions={database.index_compactions} "
@@ -335,7 +348,7 @@ def _command_compare(args: argparse.Namespace) -> int:
                                   cache_capacity=args.cache_capacity)
     results = list(by_algorithm.values())
     counts = {result.count for result in results}
-    print(format_results(results))
+    print(format_results(results, dataset=args.dataset))
     if len(counts) > 1:
         print("ERROR: algorithms disagree on the count!", file=sys.stderr)
         return 1

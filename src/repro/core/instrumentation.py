@@ -13,8 +13,8 @@ operation reports an abstract access count to an :class:`OperationCounter`:
   counted separately and folded into the total.
 
 The counters also track cache behaviour (hits, misses, insertions,
-evictions), emitted results and recursive calls, which the benchmark harness
-reports alongside wall-clock time.
+evictions), emitted results and recursive calls, which the CLI and the
+benches report alongside wall-clock time.
 """
 
 from __future__ import annotations

@@ -18,7 +18,6 @@ where no recursion hangs off the matched keys and only their number matters
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left
 from typing import Iterator, List, Optional, Sequence
 
@@ -182,31 +181,15 @@ def _pair_intersection(a, alo: int, ahi: int, b, blo: int, bhi: int) -> List[int
     return out
 
 
-def _kernel_crossover() -> int:
-    """The numpy/two-pointer crossover, overridable via the environment.
-
-    Total spanned elements below which the pure-Python galloping merge beats
-    numpy's set ops.  The default of 256 was calibrated on the BENCH_4
-    triangle workload (wiki-Vote / ego-Facebook adjacency runs): short runs
-    lose more to numpy's fixed per-call overhead (slicing, concat, sort)
-    than its C inner loop wins back; from a few hundred elements up the C
-    path dominates (>20x at 8k-element runs).  Set ``REPRO_KERNEL_CROSSOVER``
-    to re-tune for a different box without editing code; invalid values fall
-    back to the calibrated default.
-    """
-    raw = os.environ.get("REPRO_KERNEL_CROSSOVER", "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return 256
-    return value if value >= 0 else 256
-
-
 #: Total spanned elements at or above which intersections take the numpy
-#: path.  See :func:`_kernel_crossover` for calibration; the compiled-driver
-#: codegen reads this at compile time, so a monkeypatched value specializes
-#: freshly generated drivers too.
-KERNEL_CROSSOVER: int = _kernel_crossover()
+#: path; below it the pure-Python galloping merge beats numpy's set ops.
+#: Calibrated on warm triangle counting over the wiki-Vote / ego-Facebook
+#: adjacency runs: short runs lose more to numpy's fixed per-call overhead
+#: (slicing, concat, sort) than its C inner loop wins back; from a few
+#: hundred elements up the C path dominates (>20x at 8k-element runs).  The
+#: compiled-driver codegen reads this at compile time, so a monkeypatched
+#: value specializes freshly generated drivers too.
+KERNEL_CROSSOVER: int = 256
 
 
 def _fast_child_run(iterator):

@@ -67,7 +67,7 @@ _SPECS: Dict[str, SnapDatasetSpec] = {
     ),
 }
 
-#: Registry used by the benchmark harness: dataset name -> factory.
+#: Registry behind ``load_snap_standin`` and the CLI: dataset name -> factory.
 SNAP_DATASETS: Dict[str, Callable[..., Database]] = {}
 
 

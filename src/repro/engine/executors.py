@@ -10,7 +10,7 @@ rejected loudly instead of silently dropped), and calls the spec's factory
 with an :class:`ExecutorRequest`.
 
 New algorithms plug in with :func:`register_algorithm`; nothing else in the
-engine, CLI or benchmark harness needs to change.
+engine or the CLI needs to change.
 """
 
 from __future__ import annotations

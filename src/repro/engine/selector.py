@@ -47,8 +47,8 @@ _YTD_MATERIALIZE_FACTOR = 3.0
 
 #: Cost of one trie-seek unit relative to YTD's per-tuple materialisation
 #: work: seeks gallop over dense int-code arrays (with batched block kernels
-#: at the deepest level), while YTD's work is value-shaped.  Calibrated
-#: against the BENCH_4 triangle workload.
+#: at the deepest level), while YTD's work is value-shaped.  Calibrated on
+#: warm triangle counting over the wiki-Vote / ego-Facebook stand-ins.
 _SEEK_UNIT = 0.5
 
 #: The work floor of a *morsel* — and of engaging a worker — in estimated

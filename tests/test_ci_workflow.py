@@ -1,0 +1,18 @@
+"""Every file a CI step names exists: a deleted script takes its step along."""
+
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKFLOW = ROOT / ".github" / "workflows" / "ci.yml"
+
+#: ``benchmarks/…py``, ``scripts/…sh``, ``tests/…py``, ``examples/…py`` as a
+#: step spells them, shell globs (``bench_fig*.py``) included.
+_NAMED_PATH = re.compile(r"\b(?:benchmarks|scripts|tests|examples)/[\w./*-]*\.(?:py|sh)\b")
+
+
+def test_every_path_the_workflow_names_exists():
+    named = sorted(set(_NAMED_PATH.findall(WORKFLOW.read_text(encoding="utf-8"))))
+    assert "benchmarks/e2e/run.py" in named, named  # the pattern still finds paths
+    missing = [path for path in named if not any(ROOT.glob(path))]
+    assert not missing, f"ci.yml names files that do not exist: {missing}"

@@ -130,6 +130,30 @@ class TestCommands:
         assert code == 2
         assert "does not use" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["run"],
+        ["compare", "--algorithms", "lftj", "clftj"],
+    ])
+    def test_dataset_column_is_filled_from_the_flag(self, capsys, command):
+        code = main([*command, "--dataset", "wiki-Vote", "--query", "3-cycle",
+                     "--scale", "0.3"])
+        assert code == 0
+        header, _rule, *rows = capsys.readouterr().out.splitlines()
+        assert header.split()[0] == "dataset"
+        assert rows and all(row.split()[:2] == ["wiki-Vote", "3-cycle"] for row in rows)
+
+    @pytest.mark.parametrize("flags,named", [
+        (["--mutate", "5"], "--mutate 5"),
+        (["--show-rows", "3"], "--show-rows 3"),
+    ])
+    def test_flag_that_cannot_take_effect_is_a_clean_error(self, capsys, flags, named):
+        code = main(["run", "--dataset", "wiki-Vote", "--query", "3-cycle",
+                     "--scale", "0.3", *flags])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and named in captured.err
+        assert captured.out == ""
+
     def test_removed_parallel_mode_flag_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["run", "--dataset", "wiki-Vote", "--query", "3-cycle",

@@ -11,13 +11,12 @@ surface.
 import ast
 import random
 import re
-import subprocess
-import sys
 
 import pytest
 
 import repro.engine.compiler as compiler_module
 from repro.cli import main
+from repro.core import leapfrog
 from repro.core.instrumentation import OperationCounter
 from repro.core.lftj import LeapfrogTrieJoin
 from repro.engine import QueryEngine, inject_faults
@@ -31,6 +30,7 @@ from repro.engine.parallel import make_range_executor
 from repro.query.parser import parse_query
 from repro.query.patterns import clique_query, cycle_query, path_query
 from repro.storage.database import Database
+from repro.storage.dictionary import numpy
 from repro.storage.relation import Relation
 
 
@@ -491,38 +491,19 @@ class TestCounterModel:
 
 
 class TestKernelCrossover:
-    def test_env_override_changes_crossover_and_driver_records_it(self):
-        script = (
-            "import sys; sys.path.insert(0, 'src')\n"
-            "from repro.core import leapfrog\n"
-            "assert leapfrog.KERNEL_CROSSOVER == 7, leapfrog.KERNEL_CROSSOVER\n"
-            "import random\n"
-            "from repro.engine.compiler import CompiledTrieJoin\n"
-            "from repro.query.parser import parse_query\n"
-            "from repro.storage.database import Database\n"
-            "from repro.storage.dictionary import numpy\n"
-            "from repro.storage.relation import Relation\n"
-            "rng = random.Random(3)\n"
-            "rows = sorted({(rng.randrange(40), rng.randrange(40))"
-            " for _ in range(260)})\n"
-            "db = Database([Relation('E', ('a', 'b'), rows),"
-            " Relation('F', ('a', 'b'), rows[::2])])\n"
-            # two runs bound by the same loop meet at the leaf: the inlined
-            # pair kernel, whose crossover is a literal of the source
-            "executor = CompiledTrieJoin(parse_query('E(a,b), F(a,b)'), db)\n"
-            "source = executor.debug_source('count')\n"
-            "assert numpy is None or 'if sa + sb >= 7:' in source, source\n"
-            "print(executor.count())\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env={"REPRO_KERNEL_CROSSOVER": "7", "PATH": "/usr/bin:/bin"},
-            cwd=".",
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert int(proc.stdout.strip()) >= 0
+    def test_crossover_is_read_at_codegen_and_driver_records_it(self, monkeypatch):
+        assert leapfrog.KERNEL_CROSSOVER == 256  # a constant: no env override
+        monkeypatch.setattr(leapfrog, "KERNEL_CROSSOVER", 7)
+        rng = random.Random(3)
+        rows = sorted({(rng.randrange(40), rng.randrange(40)) for _ in range(260)})
+        db = Database([Relation("E", ("a", "b"), rows),
+                       Relation("F", ("a", "b"), rows[::2])])
+        # two runs bound by the same loop meet at the leaf: the inlined
+        # pair kernel, whose crossover is a literal of the source
+        executor = CompiledTrieJoin(parse_query("E(a,b), F(a,b)"), db)
+        source = executor.debug_source("count")
+        assert numpy is None or "if sa + sb >= 7:" in source, source
+        assert executor.count() == len(rows[::2])
 
 
 class TestClftjCompiled:

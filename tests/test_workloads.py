@@ -13,7 +13,6 @@ from repro.bench.workloads import (
     path_queries,
     random_queries,
     snap_databases,
-    update_stream_workload,
 )
 
 
@@ -76,32 +75,3 @@ class TestOtherWorkloads:
         assert query.name == "{3,2}-lollipop"
         assert set(databases) == {"wiki-Vote", "ca-GrQc"}
 
-
-class TestUpdateStreamWorkload:
-    def test_batches_insert_fresh_edges_only(self):
-        workload = update_stream_workload(scale=0.3, num_batches=3, batch_size=5)
-        database = workload.make_database()
-        existing = set(database.relation(workload.relation_name).tuples)
-        seen = set()
-        for batch in workload.batches:
-            for edge in batch.inserts:
-                assert edge not in existing, "inserts must be genuinely new"
-                assert edge not in seen, "inserts must not repeat across batches"
-                seen.add(edge)
-            for edge in batch.deletes:
-                assert edge in existing, "deletes target original edges"
-
-    def test_deletes_do_not_repeat(self):
-        workload = update_stream_workload(scale=0.3, num_batches=4, batch_size=8)
-        deleted = [edge for batch in workload.batches for edge in batch.deletes]
-        assert len(deleted) == len(set(deleted))
-
-    def test_make_database_is_reproducible(self):
-        workload = update_stream_workload(scale=0.3)
-        first = workload.make_database()
-        second = workload.make_database()
-        assert first.relation("E").tuples == second.relation("E").tuples
-
-    def test_queries_are_triangle_and_clique(self):
-        workload = update_stream_workload(scale=0.3)
-        assert [query.name for query in workload.queries] == ["3-cycle", "4-clique"]
