@@ -24,6 +24,12 @@ What the generated driver does differently from the interpreter:
 * loop-invariant runs are hoisted: a run whose parent key was bound at an
   earlier depth is computed right after that binding, not once per
   iteration of intermediate loops (the interpreter re-gathers it each time);
+* a count's last two levels lose their loop where the deepest one is a
+  fused leaf of a single run positioned by the walk above it (paths, tails):
+  a hoisted weight table holds each key's child-run length and the whole
+  walked run goes through ``map`` / ``sum`` at C level
+  (:meth:`_Codegen.emit_leaf_run`) — the same trie positions, no bytecode
+  per key;
 * operation counters are *derived*, not kept: the interpreter charges a
   fixed amount per visit of an intersection — one access and one open per
   participant going in, one seek, one access coming out, one recursive-call
@@ -65,19 +71,23 @@ past its filters, each branch of a CLFTJ cache probe, the lower-bound seek
 of a ``[lo, hi)`` range — is a *site* (:class:`_Site`).  What the
 interpreter charges per visit of a site is known at codegen time, so the
 site carries it as coefficients and the generated code only counts visits.
-The innermost loop of the 4-path LFTJ count is the whole of it::
+The innermost loop left in the 4-path LFTJ count, with the reduced leaf
+run under it, is the whole of it::
 
-    for i3 in range(lo2_1, hi2_1):
-        k3 = K2_1[i3]
-        p3_0 = fd3_0.get(k3)
-        if p3_0 is None:
+    for i2 in range(lo1_1, hi1_1):
+        k2 = K1_1[i2]
+        p2_0 = fd2_0.get(k2)
+        if p2_0 is None:
             continue
-        lo3_1 = B3_0[p3_0]; hi3_1 = E3_0[p3_0]
-        n5 += 1
-        # depth 4: fused leaf count
-        st = (hi3_1 - lo3_1)
-        c_acc += st if st > 1 else 1
-        m = hi3_1 - lo3_1
+        lo2_1 = B2_0[p2_0]; hi2_1 = E2_0[p2_0]
+        n4 += 1
+        # depth 3: interior intersection
+        c_acc += (hi2_1 - lo2_1)
+        # depth 4: fused leaf count, whole run at once
+        ws = list(map(w3_0.get, K2_1[lo2_1:hi2_1], _zeros))
+        n5 += len(ws) - ws.count(0)
+        m = sum(ws)
+        c_acc += m
         total += m
     ...
     counter.trie_accesses += c_acc + 2 + ... + 204 * n4 + 2 * n5
@@ -90,9 +100,11 @@ What a loop still measures is what no trip count determines: ``total``;
 the span charge ``max(1, summed run spans)`` (minus the spans of root runs
 first met below depth 0 — constants of the captured columns, and one such
 unit makes the ``max`` static — which move to the site: the ``204`` above
-is 2 opens + 2 ups + a 200-key root run); CLFTJ's per-node intermediates
-``im<node>``; and CLFTJ's per-match recursive calls ``c_rec += m``, which
-under a cache hit differ from ``total``'s ``factor * m``.  Everything else
+is 2 opens + 2 ups + a 200-key root run); the keys a reduced leaf run finds
+(``n5`` above: its leaf site is visited once per non-zero weight); CLFTJ's
+per-node intermediates ``im<node>``; and CLFTJ's per-match recursive calls
+``c_rec += m``, which under a cache hit differ from ``total``'s
+``factor * m``.  Everything else
 is derived: count mode adds each match to ``total`` and to nothing else,
 so emitted results *are* ``total`` and so is LFTJ's per-match share of the
 recursive calls.  Parity with the interpreter is exact because the
@@ -111,6 +123,7 @@ import time
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core import leapfrog
@@ -290,9 +303,17 @@ class CompiledDriver:
     variable_names: Tuple[str, ...]
     relation_versions: Dict[str, int]
     probed_nodes: Tuple[int, ...]
+    #: What the count loop is made of, outermost first: one word per depth
+    #: (``merge``, ``walk``, ``fused-leaf``, ``set-leaf``, ``unfused-leaf``),
+    #: ``leaf-run`` for a last pair of depths reduced without a loop, and
+    #: ``probe@<node>`` before the depth a probed node is entered at.
+    levels: Tuple[str, ...]
     _columns: Tuple[Tuple[object, ...], ...] = field(repr=False)
     _sources: Dict[str, str] = field(repr=False)
     _functions: Dict[str, Callable] = field(repr=False)
+    #: Per mode, the tables its prologue hoisted out of the captured columns
+    #: (built by the first call); a field so ``memory_footprint()`` sees them.
+    _hoists: Dict[str, Dict[str, object]] = field(repr=False)
 
     def count(
         self, counter: OperationCounter, lo=None, hi=None, deadline=None,
@@ -300,11 +321,15 @@ class CompiledDriver:
     ) -> int:
         """Run the generated count loop over codes in ``[lo, hi)``."""
         probe = (cache, policy) if self.probed_nodes else ()
-        return self._functions["count"](self._columns, counter, *probe, lo, hi, deadline)
+        return self._functions["count"](
+            self._columns, self._hoists["count"], counter, *probe, lo, hi, deadline
+        )
 
     def evaluate(self, counter: OperationCounter, lo=None, hi=None, deadline=None):
         """Yield coded result rows (variable-order positions) in ``[lo, hi)``."""
-        return self._functions["evaluate"](self._columns, counter, lo, hi, deadline)
+        return self._functions["evaluate"](
+            self._columns, self._hoists["evaluate"], counter, lo, hi, deadline
+        )
 
     def debug_source(self, mode: str = "count") -> str:
         """The generated Python source for ``mode`` (``count``/``evaluate``)."""
@@ -491,6 +516,8 @@ class _Codegen:
         #: top-level call the interpreter records on entry.
         self.site = _Site("1", rec=1)
         self.sites: List[_Site] = [self.site]
+        #: What was emitted at each depth (:meth:`levels`).
+        self.level_words: Dict[int, List[str]] = {}
         self._plan_leaf_sets()
         self._plan_interior()
 
@@ -574,9 +601,18 @@ class _Codegen:
             if len(drivers) != 1:
                 continue
             filters = [pair for pair in participants if pair != drivers[0]]
+            leaf_run = self._leaf_run_parent(depth, filters)
             for atom, level in filters:
                 bind = self.bind_depth(atom, level)
-                if self.needs_positions(atom, level):
+                if (atom, level) == leaf_run:
+                    # Nothing but the leaf reads this position, and the leaf
+                    # only for the length of the child run under it.
+                    build = (
+                        f"w{atom}_{level}",
+                        f"{{K{atom}_{level}[i]: E{atom}_{level}[i] - B{atom}_{level}[i]"
+                        f" for i in range(lo{atom}_{level}, hi{atom}_{level})}}",
+                    )
+                elif self.needs_positions(atom, level):
                     build = (
                         f"fd{atom}_{level}",
                         f"{{K{atom}_{level}[i]: i for i in "
@@ -592,11 +628,48 @@ class _Codegen:
             self.interior_plan[depth] = {
                 "driver": drivers[0],
                 "filters": filters,
+                "leaf_run": leaf_run,
             }
+
+    def _leaf_run_parent(
+        self, depth: int, filters: Sequence[Tuple[int, int]]
+    ) -> Optional[Tuple[int, int]]:
+        """The walk filter whose child runs are the whole deepest level.
+
+        A count's last two levels reduce to straight-line code
+        (:meth:`emit_leaf_run`) when the deepest level is a fused leaf of
+        *one* run positioned by this walk's position dict, no cache probe is
+        entered between the two, and every other filter only narrows the
+        walked run (a second position dict would make the leaf a pair).
+        """
+        deepest = self.num_variables - 1
+        if (
+            self.mode != "count"
+            or depth != deepest - 1
+            or deepest in self.shape_at_entry
+            or len(self.participants[deepest]) != 1
+        ):
+            return None
+        ((atom, level),) = self.participants[deepest]
+        parent = (atom, level - 1)
+        return parent if parent in filters else None
 
     # ------------------------------------------------------------- utilities
     def emit(self, indent: int, text: str) -> None:
         self.lines.append("    " * indent + text)
+
+    def note_level(self, depth: int, word: str) -> None:
+        """Record what ``depth`` is emitted as (a hit's continuation emits a
+        depth a second time, as the same thing)."""
+        words = self.level_words.setdefault(depth, [])
+        if word not in words:
+            words.append(word)
+
+    def levels(self) -> Tuple[str, ...]:
+        """The emitted driver as words, outermost depth first."""
+        return tuple(
+            word for depth in sorted(self.level_words) for word in self.level_words[depth]
+        )
 
     def run_expr(self, atom: int, level: int) -> str:
         return (
@@ -620,12 +693,13 @@ class _Codegen:
         return level + 1 < len(self.atom_depths[atom])
 
     @contextmanager
-    def visit_site(self, indent: int) -> Iterator[None]:
-        """Open the site of a loop body or branch and count its visits."""
+    def visit_site(self, indent: int, trips: str = "1") -> Iterator[None]:
+        """Open the site of a loop body or branch and count its visits
+        (``trips`` at once where a whole run is reduced without a loop)."""
         outer = self.site
         self.site = _Site(f"n{len(self.sites)}")
         self.sites.append(self.site)
-        self.emit(indent, f"{self.site.visits} += 1")
+        self.emit(indent, f"{self.site.visits} += {trips}")
         yield
         self.site = outer
 
@@ -641,7 +715,11 @@ class _Codegen:
         constants of the visit, so they go to the site; only the span is
         data and stays in the loop.
         """
-        count = len(participants)
+        self.charge_level(depth, len(participants))
+        self.emit_span_charge(indent, participants)
+
+    def charge_level(self, depth: int, count: int) -> None:
+        """The constants of one visit of a ``count``-way intersection."""
         site = self.site
         site.acc += 2 * count
         site.seek += count
@@ -651,7 +729,6 @@ class _Codegen:
         # A probe preamble that already recorded the call (the interpreter
         # records *before* consulting the cache) owns this visit's record.
         self._skip_entry_record = False
-        self.emit_span_charge(indent, participants)
 
     def emit_span_charge(
         self, indent: int, participants: Sequence[Tuple[int, int]]
@@ -679,10 +756,11 @@ class _Codegen:
         if varying:
             self.emit(indent, f"c_acc += {self.span_expr(varying)}")
 
-    def emit_deadline_check(self, indent: int) -> None:
-        """One counter-gated deadline check inside a loop body."""
+    def emit_deadline_check(self, indent: int, trips: str = "1") -> None:
+        """One counter-gated deadline check per loop trip (or per reduced
+        run, which advances the gate by the ``trips`` it stands for)."""
         self.emit(indent, "if _dl_at is not None:")
-        self.emit(indent + 1, "_dlt += 1")
+        self.emit(indent + 1, f"_dlt += {trips}")
         self.emit(indent + 1, f"if _dlt >= {COMPILED_DEADLINE_STRIDE}:")
         self.emit(indent + 2, "_dlt = 0")
         self.emit(indent + 2, "if _monotonic() >= _dl_at:")
@@ -693,7 +771,7 @@ class _Codegen:
         probe = "cache, policy, " if self.probed else ""
         self.emit(
             0,
-            f"def _{self.mode}(columns, counter, {probe}lo=None, hi=None, deadline=None,",
+            f"def _{self.mode}(columns, _hoist, counter, {probe}lo=None, hi=None, deadline=None,",
         )
         self.emit(
             0,
@@ -702,7 +780,7 @@ class _Codegen:
         self.emit(
             0,
             "           _run_keys=_run_keys, _pair_count=_pair_count, "
-            "_np=_np, _bisect=_bisect, _hoist={}):",
+            "_np=_np, _bisect=_bisect):",
         )
         self.prologue()
         self.emit_depth(0, 1)
@@ -767,8 +845,8 @@ class _Codegen:
         for atom, _level in clamped:
             self.emit(2, f"hi{atom}_0 = _bisect(K{atom}_0, hi, lo{atom}_0, hi{atom}_0)")
         # Prologue hoists derive only from the captured (immutable) columns,
-        # so they are memoised on the function itself: every morsel of a
-        # parallel execution reuses them instead of rebuilding per call.
+        # so they are memoised in the driver's ``_hoist`` dict: every morsel
+        # of a parallel execution reuses them instead of rebuilding per call.
         for name, expression in self.hoist_builds.get(-1, ()):
             self.emit(1, f"{name} = _hoist.get({name!r})")
             self.emit(1, f"if {name} is None:")
@@ -847,6 +925,7 @@ class _Codegen:
             key = f"(k{shape.adhesion_depths[0]},)"
         else:
             key = "(" + ", ".join(f"k{d}" for d in shape.adhesion_depths) + ")"
+        self.note_level(depth, f"probe@{node}")
         self.emit(indent, f"# node {node}: adhesion-cache probe")
         # The interpreter records the recursive call before consulting.
         self.site.rec += 1
@@ -884,6 +963,7 @@ class _Codegen:
         if plan is not None:
             self.emit_interior_walk(depth, indent, plan)
             return
+        self.note_level(depth, "merge")
         need = tuple(
             self.needs_positions(atom, level) for atom, level in participants
         )
@@ -953,6 +1033,10 @@ class _Codegen:
         probes of the invariant runs, and positions for descending
         participants come from the hoisted dicts instead of merge output.
         """
+        if plan["leaf_run"] is not None:
+            self.emit_leaf_run(depth, indent, plan)
+            return
+        self.note_level(depth, "walk")
         atom, level = plan["driver"]
         self.emit(
             indent,
@@ -976,6 +1060,39 @@ class _Codegen:
         if self.needs_positions(atom, level):
             self.emit(body, f"p{atom}_{level} = i{depth}")
         self.emit_descent(depth, body)
+
+    def emit_leaf_run(self, depth: int, indent: int, plan: Dict[str, object]) -> None:
+        """The walk over the driver run *and* the leaf under it, reduced.
+
+        Per walked key the loop this replaces looked a position up and added
+        the child run's length to two sums; the hoisted weight table holds
+        that length per key, so the pair of levels is a C-level ``map`` over
+        the run and a ``sum``.  The same trie positions are visited and the
+        site model holds: the leaf's site is visited once per key found
+        (weights are >= 1 — a key of a delta-free trie has a non-empty child
+        run — so the misses are the zeros), its span charge ``max(1, span)``
+        is its span, and all its spans together are the matches ``m``.
+        """
+        atom, level = plan["driver"]
+        span = f"hi{atom}_{level} - lo{atom}_{level}"
+        keys = f"K{atom}_{level}[lo{atom}_{level}:hi{atom}_{level}]"
+        narrowing = [
+            f"fs{other}_{other_level}"
+            for other, other_level in plan["filters"]
+            if (other, other_level) != plan["leaf_run"]
+        ]
+        if narrowing:
+            keys = f"{narrowing[0]}.intersection({', '.join([keys] + narrowing[1:])})"
+        self.note_level(depth, "leaf-run")
+        self.emit(indent, f"# depth {depth + 1}: fused leaf count, whole run at once")
+        self.emit_deadline_check(indent, span)
+        weighted, weighted_level = plan["leaf_run"]
+        self.emit(indent, f"ws = list(map(w{weighted}_{weighted_level}.get, {keys}, _zeros))")
+        with self.visit_site(indent, "len(ws) - ws.count(0)"):
+            self.charge_level(depth + 1, 1)
+            self.emit(indent, "m = sum(ws)")
+            self.emit(indent, "c_acc += m")
+            self.emit_leaf_tally(indent)
 
     def emit_leaf_count(
         self, participants: Sequence[Tuple[int, int]], indent: int
@@ -1057,10 +1174,12 @@ class _Codegen:
             # replaces the whole open/intersect/up cycle and is charged with
             # the operations it elides, so a visit costs what an unfused
             # one does.
+            self.note_level(depth, "fused-leaf" if self.leaf_set_name is None else "set-leaf")
             self.emit(indent, f"# depth {depth}: fused leaf count")
         else:
             # Some participant first appears at the deepest depth: the fused
             # child read is unavailable and the interpreter recurses for real.
+            self.note_level(depth, "unfused-leaf")
             self.emit(indent, f"# depth {depth}: leaf count (unfused)")
         self.emit_level_charges(indent, depth, participants)
         self.emit_leaf_count(participants, indent)
@@ -1108,6 +1227,7 @@ def _compile_function(
         "_np": numpy,
         "_bisect": bisect_left,
         "_monotonic": time.monotonic,
+        "_zeros": repeat(0),
         "_TimeoutError": QueryTimeoutError,
         **extra,
     }
@@ -1166,9 +1286,11 @@ def compile_driver(
         variable_names=tuple(variable.name for variable in variable_order),
         relation_versions=database.relation_versions(query.relation_names),
         probed_nodes=tuple(shape.node for shape in probed),
+        levels=codegens["count"].levels(),
         _columns=bundles,
         _sources=sources,
         _functions=functions,
+        _hoists={mode: {} for mode in sources},
     )
 
 

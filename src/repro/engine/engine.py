@@ -462,7 +462,8 @@ class QueryEngine:
     ) -> str:
         """The explain() account of this query's compiled-driver state: what
         the executor's ``build()`` would find, but only peeking — it builds
-        no index, compiles nothing and bumps no counter."""
+        no index, compiles nothing and bumps no counter.  A cached driver
+        adds a ``levels:`` line: what its count loop is made of."""
         if algorithm not in COMPILED_ALGORITHMS:
             return f"not applicable (algorithm {algorithm!r} runs interpreted)"
         if compile is False:
@@ -472,11 +473,13 @@ class QueryEngine:
             return f"unavailable ({DELTAS_PENDING}; interpreted until the next compaction)"
         if reason is not None:
             return f"unavailable ({reason})"
-        if self.database.peek_compiled_driver(key) is not None:
+        driver = self.database.peek_compiled_driver(key)
+        if driver is not None:
             state, note = "cached", "count mode; evaluation runs interpreted"
+            levels = f"\n  levels: {' > '.join(driver.levels)}"
         else:
-            state, note = "will compile on first execution", "count mode"
-        return f"{state} ({note})" if probing is not None else state
+            state, note, levels = "will compile on first execution", "count mode", ""
+        return (f"{state} ({note})" if probing is not None else state) + levels
 
     def _resolve_algorithm(
         self,

@@ -406,7 +406,8 @@ class QueryService:
             "metadata": metadata,
         }
         if rows is not None:
-            response["rows"] = [list(row) for row in rows]
+            # tuples as decoded: ``json.dumps`` writes them as arrays itself
+            response["rows"] = rows
             response["rows_truncated"] = result.count > max_rows
             with self._stats_lock:
                 self._rows_returned_total += len(rows)

@@ -11,6 +11,9 @@ surface.
 import ast
 import random
 import re
+import sys
+import time
+from typing import NamedTuple, Optional, Tuple
 
 import pytest
 
@@ -19,7 +22,8 @@ from repro.cli import main
 from repro.core import leapfrog
 from repro.core.instrumentation import OperationCounter
 from repro.core.lftj import LeapfrogTrieJoin
-from repro.engine import QueryEngine, inject_faults
+from repro.decomposition.tree_decomposition import TreeDecomposition
+from repro.engine import QueryEngine, QueryTimeoutError, inject_faults
 from repro.engine.compiler import (
     COMPILED_ALGORITHMS,
     CompiledTrieJoin,
@@ -190,6 +194,22 @@ class TestCacheAndInvalidation:
         assert fresh.relation_versions != driver.relation_versions
 
 
+    def test_memory_footprint_sees_the_tables_a_driver_hoists(self, database):
+        """What budget rung 2 ("evict compiled drivers") frees is counted:
+        the prologue's tables live on the driver, not in a default argument."""
+        executor = CompiledTrieJoin(path_query(4), database)  # resolves the tries
+        index_only = database.memory_footprint()
+        driver = executor.build()
+        built = database.memory_footprint()
+        assert built > index_only and driver._hoists == {"count": {}, "evaluate": {}}
+        executor.count()
+        tables = driver._hoists["count"]
+        assert sorted(tables) == ["fd1_0", "fd2_0", "w3_0"]
+        assert database.memory_footprint() - built >= sum(map(sys.getsizeof, tables.values()))
+        assert database.clear_compiled_cache() == 1
+        assert database.memory_footprint() == index_only
+
+
 class TestPrepared:
     def test_prepared_holds_and_refreshes_compiled_handle(self, engine, database):
         query = cycle_query(3)
@@ -265,6 +285,21 @@ class TestReporting:
         assert "cached (count mode; evaluation runs interpreted)" in other_warm
         interpreted = engine.explain(query, algorithm="ytd")
         assert "not applicable" in interpreted
+
+    def test_explain_says_what_a_cached_driver_is_made_of(self, engine):
+        def levels(text, algorithm):
+            query = parse_query(text)
+            assert "levels:" not in engine.explain(query, algorithm=algorithm)  # nothing cached
+            engine.count(query, algorithm=algorithm)
+            lines = engine.explain(query, algorithm=algorithm).splitlines()
+            (at,) = [i for i, line in enumerate(lines) if line.startswith("compiled drivers:")]
+            assert "this query: cached" in lines[at]
+            return lines[at + 1]
+
+        assert levels(P4, "lftj") == "  levels: merge > walk > walk > leaf-run"
+        assert levels(C4, "lftj") == "  levels: merge > walk > walk > set-leaf"
+        # a probe entered at the leaf keeps the loop over the run above it
+        assert levels(P4, "clftj").endswith("walk > probe@3 > fused-leaf")
 
     def test_metadata_counters_always_present(self, engine):
         result = engine.count(cycle_query(3), algorithm="pairwise")
@@ -342,21 +377,70 @@ P4 = "E(a,b), E(b,c), E(c,d), E(d,e)"
 C4 = "E(a,b), E(b,c), E(c,d), E(d,a)"
 LOLLIPOP = "E(a,b), E(a,c), E(b,c), E(c,d), E(d,e)"
 
-#: One query per kind of emission site: (id, text, algorithm, patterns the
-#: generated count source must match for the case to be the kind it claims).
+class SiteCase(NamedTuple):
+    """One query per kind of emission site."""
+
+    name: str
+    text: str
+    algorithm: str
+    #: regexes the generated count source must match ...
+    patterns: Tuple[str, ...]
+    #: ... and what the driver says it is made of (``CompiledDriver.levels``)
+    levels: Tuple[str, ...]
+    #: an explicit decomposition as (bags, parents); the planner's otherwise
+    bags: Optional[tuple] = None
+
+    def options(self):
+        if self.bags is None:
+            return {}
+        return {"decomposition": TreeDecomposition(*self.bags)}
+
+
+LEAF_RUN = (r"ws = list\(map\(w\d_\d\.get, ", r"n\d+ \+= len\(ws\) - ws\.count\(0\)", r"m = sum\(ws\)")
+
 SITE_CASES = [
-    ("interior-merge", "E(a,b), F(a,b), E(b,c)", "lftj", [r"ks1, \(.*_run_intersect"]),
-    ("interior-walk-leaf-of-1", P4, "lftj", [r"fd3_0\.get\(k3\)", r"m = hi3_1 - lo3_1"]),
-    ("leaf-of-2", "E(a,b), F(a,b)", "lftj", [r"fused leaf", r"m = _pair_count\("]),
-    ("leaf-of-3", "E(a,b), F(a,b), G(a,b)", "lftj", [r"fused leaf", r"m = _run_count\("]),
-    ("leaf-invariant-set", "E(a,b), E(b,c), E(c,a)", "lftj", [r"m = len\(sl0\.intersection"]),
-    ("leaf-unfused", "E(a,b), U(b)", "lftj", [r"leaf count \(unfused\)"]),
-    # hit and miss continuations, and a hit that lands on the base case
-    ("probe-path", P4, "clftj", [r"adhesion-cache probe", r"else:\n.*\n.*\n +n\d+ \+= 1\n +total \+= f\d+\n"]),
-    ("probe-two-variable-adhesion", C4, "clftj", [r"ak\d+ = \(k\d, k\d\)"]),
-    ("probe-under-walk", LOLLIPOP, "clftj", [r"adhesion-cache probe", r"fs2_1"]),
+    SiteCase("interior-merge", "E(a,b), F(a,b), E(b,c)", "lftj",
+             (r"ks1, \(.*_run_intersect",), ("merge", "merge", "fused-leaf")),
+    SiteCase("leaf-run", P4, "lftj",
+             LEAF_RUN + (r"map\(w3_0\.get, K2_1\[lo2_1:hi2_1\], _zeros\)",),
+             ("merge", "walk", "walk", "leaf-run")),
+    # every third b of E has no H row: fewer leaf visits than walked keys
+    SiteCase("leaf-run-dangling", "E(a,b), H(b,c)", "lftj", LEAF_RUN, ("merge", "leaf-run")),
+    # the lollipop's tail, under the walk its set filter gates
+    SiteCase("leaf-run-under-set-filter", LOLLIPOP, "lftj",
+             LEAF_RUN + (r"not in fs1_1",), ("merge", "walk", "walk", "leaf-run")),
+    # a set filter on the reduced level itself narrows the run first
+    SiteCase("leaf-run-narrowed", "E(a,b), E(b,c), F(a,c), E(c,d)", "lftj",
+             LEAF_RUN + (r"map\(w3_0\.get, fs2_1\.intersection\(K1_1\[lo1_1:hi1_1\]\), _zeros\)",),
+             ("merge", "walk", "leaf-run")),
+    # the last bag owns the last two variables: the reduction runs in a
+    # probe's miss branch, once under a hit's factor
+    SiteCase("leaf-run-in-miss-branch", "E(a,b), E(b,c), E(a,d), E(d,e)", "clftj",
+             LEAF_RUN + (r"c_rec \+= m; total \+= m\n +im2 \+= m\n",
+                         r"c_rec \+= m; total \+= f\d+ \* m\n +im2 \+= m\n"),
+             ("merge", "walk", "probe@1", "merge", "probe@2", "leaf-run"),
+             bags=([["a", "b"], ["b", "c"], ["a", "d", "e"]], [None, 0, 0])),
+    SiteCase("leaf-of-2", "E(a,b), F(a,b)", "lftj",
+             (r"fused leaf", r"m = _pair_count\("), ("merge", "fused-leaf")),
+    SiteCase("leaf-of-3", "E(a,b), F(a,b), G(a,b)", "lftj",
+             (r"fused leaf", r"m = _run_count\("), ("merge", "fused-leaf")),
+    SiteCase("leaf-invariant-set", "E(a,b), E(b,c), E(c,a)", "lftj",
+             (r"m = len\(sl0\.intersection",), ("merge", "walk", "set-leaf")),
+    SiteCase("leaf-unfused", "E(a,b), U(b)", "lftj",
+             (r"leaf count \(unfused\)",), ("merge", "unfused-leaf")),
+    # hit and miss continuations, and a hit that lands on the base case; the
+    # probe entered at the leaf keeps the walk above it a loop
+    SiteCase("probe-path", P4, "clftj",
+             (r"adhesion-cache probe", r"else:\n.*\n.*\n +n\d+ \+= 1\n +total \+= f\d+\n",
+              r"for i3 in range\(lo2_1, hi2_1\):"),
+             ("merge", "walk", "probe@1", "merge", "probe@2", "walk", "probe@3", "fused-leaf")),
+    SiteCase("probe-two-variable-adhesion", C4, "clftj",
+             (r"ak\d+ = \(k\d, k\d\)",), ("merge", "walk", "walk", "probe@1", "set-leaf")),
+    SiteCase("probe-under-walk", LOLLIPOP, "clftj",
+             (r"adhesion-cache probe", r"fs2_1"),
+             ("merge", "walk", "probe@1", "walk", "walk", "probe@2", "fused-leaf")),
 ]
-SITE_IDS = [case[0] for case in SITE_CASES]
+SITE_IDS = [case.name for case in SITE_CASES]
 
 
 def _site_database(empty=False):
@@ -368,6 +452,7 @@ def _site_database(empty=False):
         Relation("E", ("a", "b"), rows(1)),
         Relation("F", ("a", "b"), rows(2)),
         Relation("G", ("a", "b"), rows(3)),
+        Relation("H", ("a", "b"), [row for row in rows(4) if row[0] % 3]),
         Relation("U", ("a",), unary),
     ])
 
@@ -376,11 +461,21 @@ def _capacities(algorithm):
     return (None, 0, 100) if algorithm == "clftj" else (None,)
 
 
-def _sharded(database, query, algorithm, capacity, compile, rows=False):
+def _count_source(engine, case):
+    """Count once, then the driver's generated count loop and its levels."""
+    prepared = engine.prepare(
+        parse_query(case.text), algorithm=case.algorithm, **case.options()
+    )
+    prepared.count()
+    driver = prepared.compiled_driver()
+    return driver.debug_source("count"), driver.levels
+
+
+def _sharded(database, query, algorithm, capacity, compile, rows=False, **planned):
     """Run three ``[lo, hi)`` code ranges through one executor (and one
     adhesion cache), the way a pool worker runs its morsels: the summed
     count — or, with ``rows``, the concatenated coded rows — and counters."""
-    plan = QueryEngine(database).plan(query, cache_capacity=capacity)
+    plan = QueryEngine(database).plan(query, cache_capacity=capacity, **planned)
     executor = make_range_executor(
         query, database, plan.variable_order, algorithm, compile,
         decomposition=plan.decomposition, policy=plan.policy, cache=plan.make_cache(),
@@ -399,19 +494,20 @@ def _sharded(database, query, algorithm, capacity, compile, rows=False):
 
 
 class TestCounterModel:
-    @pytest.mark.parametrize("name,text,algorithm,patterns", SITE_CASES, ids=SITE_IDS)
-    def test_every_site_kind_charges_what_the_interpreter_charges(
-        self, name, text, algorithm, patterns
-    ):
-        query = parse_query(text)
+    @pytest.mark.parametrize("case", SITE_CASES, ids=SITE_IDS)
+    def test_every_site_kind_charges_what_the_interpreter_charges(self, case):
+        name, algorithm = case.name, case.algorithm
+        query = parse_query(case.text)
         database = _site_database()
         engine = QueryEngine(database)
-        engine.count(query, algorithm=algorithm)
-        source = engine.prepare(query, algorithm=algorithm).compiled_driver().debug_source("count")
-        for pattern in patterns:
+        source, levels = _count_source(engine, case)
+        assert levels == case.levels
+        for pattern in case.patterns:
             assert re.search(pattern, source), f"{name}: no {pattern!r} in\n{source}"
         for capacity in _capacities(algorithm):
-            options = {} if capacity is None else {"cache_capacity": capacity}
+            options = case.options()
+            if capacity is not None:
+                options["cache_capacity"] = capacity
 
             def run(compile, **extra):
                 result = engine.count(
@@ -426,8 +522,10 @@ class TestCounterModel:
             # a deadline that never fires changes no counter
             assert run(None, timeout=3600.0) == whole == run(False, timeout=3600.0)
             # three shards, summed: a worker's morsels over one executor
-            sharded = _sharded(database, query, algorithm, capacity, None)
-            assert sharded == _sharded(database, query, algorithm, capacity, False)
+            sharded = _sharded(database, query, algorithm, capacity, None, **case.options())
+            assert sharded == _sharded(
+                database, query, algorithm, capacity, False, **case.options()
+            )
             assert sharded[0] == whole[0]
         if algorithm == "lftj":
             # evaluate mode derives the same interior charges per range
@@ -435,24 +533,24 @@ class TestCounterModel:
             assert coded == _sharded(database, query, algorithm, None, False, rows=True)
             assert len(coded[0]) == whole[0]
 
-    @pytest.mark.parametrize("name,text,algorithm,patterns", SITE_CASES, ids=SITE_IDS)
-    def test_parity_over_empty_relations(self, name, text, algorithm, patterns):
-        query = parse_query(text)
+    @pytest.mark.parametrize("case", SITE_CASES, ids=SITE_IDS)
+    def test_parity_over_empty_relations(self, case):
+        query = parse_query(case.text)
         engine = QueryEngine(_site_database(empty=True))
-        compiled = engine.count(query, algorithm=algorithm)
-        interpreted = engine.count(query, algorithm=algorithm, compile=False)
+        compiled = engine.count(query, algorithm=case.algorithm, **case.options())
+        interpreted = engine.count(
+            query, algorithm=case.algorithm, compile=False, **case.options()
+        )
         assert compiled.metadata["compiled"] is True
         assert compiled.count == interpreted.count == 0
         assert compiled.counter.as_dict() == interpreted.counter.as_dict()
 
-    @pytest.mark.parametrize("name,text,algorithm,patterns", SITE_CASES, ids=SITE_IDS)
-    def test_no_loop_keeps_derivable_counters(self, name, text, algorithm, patterns):
+    @pytest.mark.parametrize("case", SITE_CASES, ids=SITE_IDS)
+    def test_no_loop_keeps_derivable_counters(self, case):
         """Seeks, opens and emitted results are functions of the trip counts
         and ``total``: no ``for`` body may keep them by hand again."""
-        query = parse_query(text)
-        engine = QueryEngine(_site_database())
-        engine.count(query, algorithm=algorithm)
-        source = engine.prepare(query, algorithm=algorithm).compiled_driver().debug_source("count")
+        name, algorithm = case.name, case.algorithm
+        source, _levels = _count_source(QueryEngine(_site_database()), case)
         loops = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.For)]
         assert loops
         for loop in loops:
@@ -466,28 +564,88 @@ class TestCounterModel:
             # One generator serves LFTJ and CLFTJ; nothing of a probe may
             # leak into a plan that has none.
             assert source.startswith(
-                "def _count(columns, counter, lo=None, hi=None, deadline=None,\n"
+                "def _count(columns, _hoist, counter, lo=None, hi=None, deadline=None,\n"
             )
             assert not re.search(r"cache|policy|c_rec|c_mat|_cget|\bim\d", source), source
 
     def test_path_inner_loop_keeps_three_accumulators(self):
-        """README's example: the innermost body of the 4-path LFTJ count."""
+        """README's example, the 4-path LFTJ count: five variables, three
+        loops — none over the deepest walked run — and the innermost one
+        left keeps the same three accumulators the reduced loop kept."""
         query = parse_query(P4)
         engine = QueryEngine(_site_database())
         engine.count(query, algorithm="lftj")
         source = engine.prepare(query, algorithm="lftj").compiled_driver().debug_source("count")
-        innermost = [
-            loop for loop in ast.walk(ast.parse(source))
-            if isinstance(loop, ast.For)
-            and not any(isinstance(node, ast.For) for node in ast.walk(loop) if node is not loop)
-        ]
-        assert len(innermost) == 1
-        targets = [
+        loops = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.For)]
+        assert [loop.target.id for loop in loops] == ["i0", "i1", "i2"]
+        assert "range(lo2_1, hi2_1)" not in source
+        innermost = loops[-1]
+        assert not any(isinstance(node, ast.For) for node in ast.walk(innermost) if node is not innermost)
+        targets = {
             re.sub(r"^n\d+$", "n<site>", node.target.id)
-            for node in ast.walk(innermost[0])
+            for node in ast.walk(innermost)
             if isinstance(node, ast.AugAssign) and node.target.id != "_dlt"
-        ]
-        assert sorted(targets) == ["c_acc", "n<site>", "total"]
+        }
+        assert targets == {"c_acc", "n<site>", "total"}
+
+    def test_leaf_run_visits_the_leaf_once_per_key_found(self):
+        """``leaf-run-dangling``: the walk passes keys the weight table does
+        not hold, so the leaf's trips are the found keys, not the run."""
+        database = _site_database()
+        walked = [b for _a, b in database.relation("E").tuples]
+        held = {b for b, _c in database.relation("H").tuples}
+        found = sum(b in held for b in walked)
+        assert 0 < found < len(walked)
+        query = parse_query("E(a,b), H(b,c)")
+        result = QueryEngine(database).count(query, algorithm="lftj")
+        oracle = QueryEngine(database).count(query, algorithm="lftj", compile=False)
+        assert result.metadata["compiled"] is True
+        assert result.counter.as_dict() == oracle.counter.as_dict()
+        # one call per execution, per a, per (a, b) found in H, per match
+        firsts = len({a for a, _b in database.relation("E").tuples})
+        assert result.counter.recursive_calls == 1 + firsts + found + result.count
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_leaf_run_shapes_match_the_oracle(self, seed):
+        """Chains over mixed relations (``H`` leaves keys dangling), some with
+        a chord or a unary atom that narrows the reduced run first."""
+        rng = random.Random(seed)
+        length = rng.randint(2, 4)
+        names = "abcde"[: length + 1]
+        walked = names[-2]
+        atoms = [f"{rng.choice('EFGH')}({x},{y})" for x, y in zip(names, names[1:])]
+        if length >= 3 and rng.random() < 0.5:
+            atoms.append(f"{rng.choice('EFG')}({rng.choice(names[:-3])},{walked})")
+        if rng.random() < 0.3:
+            atoms.append(f"U({walked})")
+        query = parse_query(", ".join(atoms))
+        database = _site_database()
+        engine = QueryEngine(database)
+        prepared = engine.prepare(query, algorithm="lftj")
+        compiled = prepared.count()
+        assert prepared.compiled_driver().levels[-1] == "leaf-run", atoms
+        oracle = engine.count(query, algorithm="lftj", compile=False)
+        assert compiled.count == oracle.count > 0
+        assert compiled.counter.as_dict() == oracle.counter.as_dict(), atoms
+        assert _sharded(database, query, "lftj", None, None) == _sharded(
+            database, query, "lftj", None, False
+        )
+
+    def test_deadline_fires_inside_a_leaf_run(self):
+        """The reduced level advances the deadline gate by the run it stands
+        for: a 4-path count times out about as promptly as its loop did."""
+        rng = random.Random(5)
+        rows = sorted({(rng.randrange(400), rng.randrange(400)) for _ in range(6000)})
+        engine = QueryEngine(Database([Relation("E", ("a", "b"), rows)]))
+        query = parse_query(P4)
+        prepared = engine.prepare(query, algorithm="lftj")
+        timeout = 0.02
+        assert prepared.count().elapsed_seconds > 2 * timeout  # there is a middle to stop in
+        assert prepared.compiled_driver().levels[-1] == "leaf-run"
+        started = time.perf_counter()
+        with pytest.raises(QueryTimeoutError):
+            engine.count(query, algorithm="lftj", timeout=timeout)
+        assert time.perf_counter() - started < 2 * timeout + 0.05
 
 
 class TestKernelCrossover:

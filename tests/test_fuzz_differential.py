@@ -227,6 +227,15 @@ def _check_compiled_agrees(query, database, expected):
                 f"compiled {algorithm} instrumentation diverges on "
                 f"{query.name!r} over {database.name!r}"
             )
+            # The count loop is generated separately (its last levels may be
+            # a set leaf or a reduced leaf run): same oracle, same contract.
+            counted = engine.count(query, algorithm=algorithm, compile=True)
+            oracle = engine.count(query, algorithm=algorithm, compile=False)
+            assert counted.count == oracle.count == len(expected)
+            assert counted.counter.as_dict() == oracle.counter.as_dict(), (
+                f"compiled {algorithm} count instrumentation diverges on "
+                f"{query.name!r} over {database.name!r}"
+            )
 
 
 def _random_update_stream(rng, database, schemas):

@@ -281,6 +281,12 @@ class TestService:
         assert {tuple(row) for row in response["rows"]} == expected
         assert response["rows_truncated"] is False
 
+    def test_evaluate_returns_the_decoded_rows_without_a_copy(self, service):
+        response = service.evaluate({"query": "3-path", "algorithm": "lftj", "max_rows": 7})
+        oracle = service.engine.evaluate(path_query(3), algorithm="lftj")
+        assert response["rows"] == oracle.rows[:7]
+        assert all(type(row) is tuple for row in response["rows"])
+
     def test_evaluate_truncates_rows(self, service):
         response = service.evaluate({"query": "3-path", "max_rows": 5})
         assert len(response["rows"]) == 5
@@ -400,6 +406,21 @@ class TestHTTP:
         status, body, _ = _post(base, "/count", {"query": "3-cycle"})
         assert status == 200
         assert body["count"] == expected
+
+    def test_evaluate_body_is_what_lists_of_lists_serialised_to(self, http_server):
+        """The service hands ``json.dumps`` the decoded tuples; the bytes on
+        the wire are those of the list-of-lists copy it used to make."""
+        _, base, _ = http_server
+        request = urllib.request.Request(
+            base + "/evaluate",
+            data=json.dumps({"query": "3-path", "algorithm": "lftj", "max_rows": 50}).encode("utf-8"),
+            method="POST",
+        )
+        with urllib.request.urlopen(request, timeout=30) as response:
+            raw = response.read()
+        body = json.loads(raw)
+        assert len(body["rows"]) == 50 and all(type(row) is list for row in body["rows"])
+        assert json.dumps(body).encode("utf-8") == raw
 
     def test_session_header_binds_warm_handle(self, http_server):
         _, base, _ = http_server
