@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import Callable, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
 from repro.decomposition.separators import (
     component_side,
     enumerate_constrained_separators,
@@ -22,11 +20,11 @@ from repro.decomposition.separators import (
 )
 from repro.decomposition.tree_decomposition import TreeDecomposition
 from repro.query.atoms import ConjunctiveQuery
-from repro.query.gaifman import gaifman_graph
+from repro.query.gaifman import Graph, gaifman_graph
 
 #: A separator chooser receives (graph, constraint set) and returns a
 #: separating set or ``None`` ("no good separator; stop decomposing here").
-SeparatorChooser = Callable[[nx.Graph, FrozenSet], Optional[FrozenSet]]
+SeparatorChooser = Callable[[Graph, FrozenSet], Optional[FrozenSet]]
 
 
 class _MutableNode:
@@ -75,10 +73,10 @@ class GenericDecomposer:
         self._chooser = chooser or self._default_chooser
 
     # ----------------------------------------------------------------- oracle
-    def _default_chooser(self, graph: nx.Graph, constraint: FrozenSet) -> Optional[FrozenSet]:
-        if graph.number_of_nodes() <= 2:
+    def _default_chooser(self, graph: Graph, constraint: FrozenSet) -> Optional[FrozenSet]:
+        if len(graph.nodes) <= 2:
             return None
-        if self.max_bag_size is not None and graph.number_of_nodes() <= self.max_bag_size:
+        if self.max_bag_size is not None and len(graph.nodes) <= self.max_bag_size:
             return None
         return minimum_constrained_separator(
             graph, constraint, max_size=self.max_adhesion_size
@@ -93,12 +91,12 @@ class GenericDecomposer:
         decomposition.validate(query)
         return decomposition
 
-    def decompose_graph(self, graph: nx.Graph) -> TreeDecomposition:
+    def decompose_graph(self, graph: Graph) -> TreeDecomposition:
         """Build one ordered TD of an arbitrary Gaifman-style graph."""
         root = self._recursive_td(graph, frozenset())
         return _to_tree_decomposition(root).remove_redundant_bags()
 
-    def _recursive_td(self, graph: nx.Graph, constraint: FrozenSet) -> _MutableNode:
+    def _recursive_td(self, graph: Graph, constraint: FrozenSet) -> _MutableNode:
         separator = self._chooser(graph, constraint)
         if separator is None:
             return _MutableNode(frozenset(graph.nodes))
@@ -107,7 +105,7 @@ class GenericDecomposer:
 
     def _expand(
         self,
-        graph: nx.Graph,
+        graph: Graph,
         constraint: FrozenSet,
         separator: FrozenSet,
         side: FrozenSet,
@@ -115,17 +113,17 @@ class GenericDecomposer:
         """Lines 4-10 of ``RecursiveTD``: recurse on the C-side and each component."""
         c_side_nodes = set(separator) | set(side)
         c_side_root = self._recursive_td(
-            graph.subgraph(c_side_nodes).copy(), frozenset(constraint | separator)
+            graph.subgraph(c_side_nodes), frozenset(constraint | separator)
         )
         remaining = graph.copy()
         remaining.remove_nodes_from(c_side_nodes)
         components = sorted(
-            nx.connected_components(remaining),
+            remaining.connected_components(),
             key=lambda component: tuple(sorted(map(repr, component))),
         )
         for component in components:
             child = self._recursive_td(
-                graph.subgraph(set(component) | set(separator)).copy(),
+                graph.subgraph(set(component) | set(separator)),
                 frozenset(separator),
             )
             c_side_root.children.append(child)

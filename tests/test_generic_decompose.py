@@ -8,6 +8,7 @@ from repro.decomposition.generic import (
     generic_decompose,
 )
 from repro.decomposition.ordering import strongly_compatible_order, is_strongly_compatible
+from repro.query.gaifman import Graph
 from repro.query.parser import parse_query
 from repro.query.patterns import (
     clique_query,
@@ -73,9 +74,8 @@ class TestGenericDecompose:
             assert is_strongly_compatible(decomposition, order)
 
     def test_decompose_graph_directly(self):
-        import networkx as nx
-
-        graph = nx.relabel_nodes(nx.path_graph(6), {node: f"v{node}" for node in range(6)})
+        nodes = [f"v{node}" for node in range(6)]
+        graph = Graph(nodes, zip(nodes, nodes[1:]))
         decomposer = GenericDecomposer()
         decomposition = decomposer.decompose_graph(graph)
         assert decomposition.num_nodes >= 2

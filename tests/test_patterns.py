@@ -52,7 +52,7 @@ class TestCycleQuery:
 
     def test_gaifman_graph_is_a_cycle(self):
         graph = gaifman_graph(cycle_query(6))
-        assert all(degree == 2 for _, degree in graph.degree())
+        assert all(len(graph.neighbors(node)) == 2 for node in graph.nodes)
 
 
 class TestCliqueAndStar:
@@ -61,7 +61,7 @@ class TestCliqueAndStar:
 
     def test_clique_gaifman_is_complete(self):
         graph = gaifman_graph(clique_query(5))
-        assert graph.number_of_edges() == 10
+        assert len(graph.edges) == 10
 
     def test_star_structure(self):
         query = star_query(4)
@@ -118,9 +118,7 @@ class TestRandomPatternQuery:
     def test_connected_by_default(self):
         query = random_pattern_query(6, 0.4, seed=3)
         graph = gaifman_graph(query)
-        import networkx as nx
-
-        assert nx.is_connected(graph)
+        assert len(graph.connected_components()) == 1
 
     def test_name_mentions_parameters(self):
         assert "5-rand(0.4)" == random_pattern_query(5, 0.4, seed=1).name
@@ -148,4 +146,4 @@ class TestBipartiteCycle:
 
     def test_gaifman_is_a_cycle(self):
         graph = gaifman_graph(bipartite_cycle_query(6))
-        assert all(degree == 2 for _, degree in graph.degree())
+        assert all(len(graph.neighbors(node)) == 2 for node in graph.nodes)

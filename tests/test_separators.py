@@ -1,7 +1,5 @@
 """Tests for constrained separators and their ranked enumeration."""
 
-import networkx as nx
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,14 +10,23 @@ from repro.decomposition.separators import (
     is_separating_set,
     minimum_constrained_separator,
 )
+from repro.query.gaifman import Graph
 
 
-def path_graph(length: int) -> nx.Graph:
-    return nx.path_graph(length)
+def path_graph(length: int) -> Graph:
+    return Graph(range(length), zip(range(length - 1), range(1, length)))
 
 
-def cycle_graph(length: int) -> nx.Graph:
-    return nx.cycle_graph(length)
+def cycle_graph(length: int) -> Graph:
+    return Graph(range(length), [(node, (node + 1) % length) for node in range(length)])
+
+
+def complete_graph(size: int) -> Graph:
+    return Graph(range(size), [(u, v) for u in range(size) for v in range(u + 1, size)])
+
+
+def star_graph(rays: int) -> Graph:
+    return Graph(range(rays + 1), [(0, leaf) for leaf in range(1, rays + 1)])
 
 
 class TestIsSeparatingSet:
@@ -56,12 +63,12 @@ class TestMinimumConstrainedSeparator:
         assert len(separator) == 2
 
     def test_star_centre_is_the_only_separator(self):
-        star = nx.star_graph(4)  # centre 0
+        star = star_graph(4)  # centre 0
         separator = minimum_constrained_separator(star)
         assert separator == frozenset({0})
 
     def test_clique_has_no_separator(self):
-        assert minimum_constrained_separator(nx.complete_graph(4)) is None
+        assert minimum_constrained_separator(complete_graph(4)) is None
 
     def test_constraint_respected(self):
         separator = minimum_constrained_separator(path_graph(5), constraint={0, 1})
@@ -82,12 +89,11 @@ class TestMinimumConstrainedSeparator:
         assert minimum_constrained_separator(path_graph(5), include={2}, exclude={2}) is None
 
     def test_max_size_bound(self):
-        assert minimum_constrained_separator(nx.complete_graph(5), max_size=2) is None
+        assert minimum_constrained_separator(complete_graph(5), max_size=2) is None
         assert minimum_constrained_separator(path_graph(5), max_size=1) is not None
 
     def test_disconnected_graph_has_empty_separator(self):
-        graph = nx.Graph()
-        graph.add_edges_from([(0, 1), (2, 3)])
+        graph = Graph(edges=[(0, 1), (2, 3)])
         separator = minimum_constrained_separator(graph)
         assert separator == frozenset()
 
@@ -120,7 +126,7 @@ class TestEnumeration:
             assert is_separating_set(graph, separator, constraint={0})
 
     def test_clique_yields_nothing(self):
-        assert list(enumerate_constrained_separators(nx.complete_graph(4), max_results=5)) == []
+        assert list(enumerate_constrained_separators(complete_graph(4), max_results=5)) == []
 
 
 class TestConstrainedSeparatorHelper:
@@ -142,7 +148,7 @@ class TestConstrainedSeparatorHelper:
         assert side in (frozenset({0, 1}), frozenset({3, 4}))
 
     def test_none_for_clique(self):
-        assert constrained_separator(nx.complete_graph(4)) is None
+        assert constrained_separator(complete_graph(4)) is None
 
 
 @given(st.integers(min_value=4, max_value=8))
