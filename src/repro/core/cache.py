@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import sys
 from collections import OrderedDict
+from itertools import chain
+from operator import itemgetter
 from typing import Dict, FrozenSet, Hashable, Iterable, Optional, Sequence, Tuple
 
 from repro.core.instrumentation import OperationCounter
@@ -56,6 +58,7 @@ def affected_cache_nodes(decomposition, query, changed_relations) -> FrozenSet[i
 
 
 _sizeof = sys.getsizeof
+_adhesion_values = itemgetter(1)
 
 
 def entry_bytes(key: CacheKey, value: object) -> int:
@@ -87,12 +90,13 @@ class AdhesionCache:
 
     The cache keeps the byte estimate of its entries as they come and go,
     so :meth:`memory_estimate` is O(1) and executors report it after every
-    run.  The one exception is LRU eviction: a cache that evicts churns
-    through far more entries than it holds (51 000 evictions against 100
-    entries per count in the benchmark's Figure-10 class), and sizing each
-    on the way in and out again doubled that count's time.  An eviction
-    therefore drops the running figure, and the next ``memory_estimate``
-    re-adds the at most ``capacity`` survivors.
+    run.  Two things drop the running figure until the next
+    ``memory_estimate`` recomputes it.  An LRU eviction: a cache that evicts
+    churns through far more entries than it holds (51 000 evictions against
+    100 entries per count in the benchmark's Figure-10 class), and sizing
+    each on the way in and out again doubled that count's time.  And stores
+    into :attr:`table` past :meth:`put` (the compiled count's inline probe),
+    which call :meth:`drop_byte_sum` instead of sizing each entry.
     """
 
     def __init__(
@@ -113,7 +117,8 @@ class AdhesionCache:
         self.content_mode: Optional[str] = None
         self._entries: "OrderedDict[CacheKey, object]" = OrderedDict()
         #: Sum of :func:`entry_bytes` over ``_entries``; ``None`` between an
-        #: LRU eviction and the next :meth:`memory_estimate`.
+        #: LRU eviction or :meth:`drop_byte_sum` and the next
+        #: :meth:`memory_estimate`.
         self._held_bytes: Optional[int] = 0
 
     def __len__(self) -> int:
@@ -221,6 +226,22 @@ class AdhesionCache:
                 self._held_bytes -= entry_bytes(key, value)
         return len(keys)
 
+    @property
+    def table(self) -> "OrderedDict[CacheKey, object]":
+        """The ``(node, adhesion values) -> value`` table itself.
+
+        The compiled count's inline probe reads and stores into it without
+        a method call (:func:`repro.engine.compiler.probe_form` says when);
+        a caller that stored must :meth:`drop_byte_sum` afterwards.
+        """
+        return self._entries
+
+    def drop_byte_sum(self) -> None:
+        """Forget the running byte sum: entries were stored into
+        :attr:`table` directly, and the next :meth:`memory_estimate`
+        recomputes it."""
+        self._held_bytes = None
+
     def keys(self) -> Iterable[CacheKey]:
         """The stored ``(node, adhesion values)`` keys (insertion/LRU order)."""
         return iter(self._entries.keys())
@@ -239,9 +260,19 @@ class AdhesionCache:
         observability figure, not an allocator audit.
         """
         if self._held_bytes is None:
-            self._held_bytes = sum(
-                entry_bytes(key, value) for key, value in self._entries.items()
-            )
+            entries = self._entries
+            if self.content_mode == "count":
+                # entry_bytes term by term at C level: every key is a
+                # (node, values) pair of one size, count values are ints
+                self._held_bytes = (
+                    len(entries) * _sizeof((0, ()))
+                    + sum(map(_sizeof, chain.from_iterable(map(_adhesion_values, entries))))
+                    + sum(map(_sizeof, entries.values()))
+                )
+            else:
+                self._held_bytes = sum(
+                    entry_bytes(key, value) for key, value in entries.items()
+                )
         return _sizeof(self._entries) + self._held_bytes
 
     def __repr__(self) -> str:

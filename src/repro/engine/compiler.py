@@ -48,6 +48,13 @@ CLFTJ is LFTJ plus adhesion-cache probes (the paper's Section 3.2: the two
 coincide when no caching takes place): a decomposition only adds a cache
 consult at every node entered below depth 0 (:class:`_Codegen`), and a plan
 with no such node is LFTJ's driver under LFTJ's key (:func:`resolve_driver`).
+A probing driver's count loop comes in two forms over the same hoisted
+tables, picked per call by :func:`probe_form`: under
+:class:`~repro.core.cache.AlwaysCachePolicy` and an unbounded, non-LRU
+cache every consult is a ``.get`` on the cache's own table and every miss
+a store into it, and the cache counters are derived from the hit and miss
+branches' trip counters like the trie counters below; every other (policy,
+cache) pair calls ``cache.get`` / ``policy.should_cache`` / ``cache.put``.
 
 Because the driver holds direct references to trie columns, it is only
 valid while those columns are current: the database drops cached drivers on
@@ -107,7 +114,9 @@ per-node intermediates ``im<node>``; and CLFTJ's per-match recursive calls
 ``factor * m``.  Everything else
 is derived: count mode adds each match to ``total`` and to nothing else,
 so emitted results *are* ``total`` and so is LFTJ's per-match share of the
-recursive calls.  Parity with the interpreter is exact because the
+recursive calls; in the inline probe form a hit is a visit of a hit
+branch, and a miss, an insertion and a materialised tuple are each a
+visit of a miss branch.  Parity with the interpreter is exact because the
 derivation is algebra over the same charges, not an approximation of them:
 ``tests/test_compiler.py`` holds one query per kind of site to the
 interpreted ``counter.as_dict()`` over the whole key space, over summed
@@ -127,7 +136,7 @@ from itertools import repeat
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core import leapfrog
-from repro.core.cache import AdhesionCache, CachePolicy
+from repro.core.cache import AdhesionCache, AlwaysCachePolicy, CachePolicy
 from repro.core.clftj import CachedLeapfrogTrieJoin
 from repro.core.instrumentation import OperationCounter
 from repro.core.leapfrog import (
@@ -254,6 +263,36 @@ def resolve_driver(
     return driver_cache_key(query, order, decomposition), decomposition, reason
 
 
+#: :func:`probe_form`'s answer when a compiled count probes without calls.
+INLINE_PROBE: str = "inline"
+
+
+def probe_form(policy: CachePolicy, cache: AdhesionCache) -> str:
+    """How a compiled count consults ``cache`` under ``policy``:
+    :data:`INLINE_PROBE`, or ``"policy call (<why>)"``.
+
+    Inline is the one pair whose decisions are all static: exactly
+    :class:`AlwaysCachePolicy` (a subclass may override ``should_cache``)
+    over an exact :class:`AdhesionCache` that is unbounded and not LRU, so
+    a consult never evicts, rejects or reorders and every miss stores.  The
+    loop then reads and writes ``(node, values)`` in the cache's table and
+    derives hits, misses and insertions from its trip counters.  Every
+    other pair goes through ``cache.get`` / ``policy.should_cache`` /
+    ``cache.put``.  The driver asks this per call; ``explain()`` prints it.
+    """
+    reasons = []
+    if type(policy) is not AlwaysCachePolicy:
+        reasons.append(type(policy).__name__)
+    if type(cache) is not AdhesionCache:
+        reasons.append(type(cache).__name__)
+    elif cache.capacity is not None:
+        lru = "LRU " if cache.eviction == "lru" else ""
+        reasons.append(f"{lru}capacity {cache.capacity}")
+    elif cache.eviction == "lru":
+        reasons.append("LRU order")
+    return f"policy call ({', '.join(reasons)})" if reasons else INLINE_PROBE
+
+
 def pending_deltas(
     query: ConjunctiveQuery, database: Database, variable_order: Sequence[Variable]
 ) -> bool:
@@ -294,8 +333,11 @@ class CompiledDriver:
 
     ``probed_nodes`` are the decomposition nodes whose adhesion-cache probe
     the count loop inlines.  With none, there is an evaluate loop too; with
-    some, the count loop takes the cache and the policy at *run time*, so
-    one driver serves every cache (serial, prepared, per-worker) of its key.
+    some, there are two count loops over the same hoisted tables — one that
+    reads and writes the cache's table itself, one that calls the cache and
+    the policy — and the count takes the cache and the policy at *run
+    time*, so one driver serves every cache (serial, prepared, per-worker)
+    of its key.
     """
 
     key: Tuple[object, ...]
@@ -319,11 +361,27 @@ class CompiledDriver:
         self, counter: OperationCounter, lo=None, hi=None, deadline=None,
         cache: Optional[AdhesionCache] = None, policy: Optional[CachePolicy] = None,
     ) -> int:
-        """Run the generated count loop over codes in ``[lo, hi)``."""
-        probe = (cache, policy) if self.probed_nodes else ()
-        return self._functions["count"](
-            self._columns, self._hoists["count"], counter, *probe, lo, hi, deadline
-        )
+        """Run the generated count loop over codes in ``[lo, hi)``.
+
+        A probing driver picks its form per call (:func:`probe_form`): the
+        inline loop over ``cache``'s own table, or the policy-call loop.
+        """
+        columns, hoist = self._columns, self._hoists["count"]
+        if not self.probed_nodes:
+            return self._functions["count"](columns, hoist, counter, lo, hi, deadline)
+        if probe_form(policy, cache) != INLINE_PROBE:
+            return self._functions["count"](
+                columns, hoist, counter, cache, policy, lo, hi, deadline
+            )
+        table = cache.table
+        held = len(table)
+        try:
+            return self._functions["count-inline"](
+                columns, hoist, counter, table, lo, hi, deadline
+            )
+        finally:
+            if len(table) != held:  # inline probes only ever add entries
+                cache.drop_byte_sum()
 
     def evaluate(self, counter: OperationCounter, lo=None, hi=None, deadline=None):
         """Yield coded result rows (variable-order positions) in ``[lo, hi)``."""
@@ -332,7 +390,9 @@ class CompiledDriver:
         )
 
     def debug_source(self, mode: str = "count") -> str:
-        """The generated Python source for ``mode`` (``count``/``evaluate``)."""
+        """The generated Python source for ``mode``: ``count``, ``evaluate``
+        (no probed node) or ``count-inline`` (probed nodes; ``count`` is
+        then the policy-call form)."""
         if mode not in self._sources:
             raise ValueError(
                 f"unknown driver mode {mode!r}; choose one of "
@@ -453,6 +513,11 @@ class _Codegen:
     including its persist-across-iterations staleness, since locals behave
     the same way — and every counter charge lands where the interpreter
     lands it.  With no probed node none of this is emitted: LFTJ's source.
+
+    ``inline`` selects the probe's form (:func:`probe_form`): calls to the
+    cache and the policy, or — the ``count-inline`` loop — a ``.get`` on
+    the cache's table and a store into it on every miss, with the hit and
+    miss branches' trip counters standing in for the cache counters.
     """
 
     def __init__(
@@ -462,7 +527,9 @@ class _Codegen:
         mode: str,
         shapes: Dict[int, _ClftjNodeShape],
         owner_at_depth: Tuple[int, ...],
+        inline: bool = False,
     ) -> None:
+        self.inline = inline
         self.atom_depths = tuple(atom_depths)
         self.num_variables = 1 + max(
             depth for depths in atom_depths for depth in depths
@@ -516,6 +583,9 @@ class _Codegen:
         #: top-level call the interpreter records on entry.
         self.site = _Site("1", rec=1)
         self.sites: List[_Site] = [self.site]
+        #: The trip counters of every probe's hit and miss branches.
+        self.hit_visits: List[str] = []
+        self.miss_visits: List[str] = []
         #: What was emitted at each depth (:meth:`levels`).
         self.level_words: Dict[int, List[str]] = {}
         self._plan_leaf_sets()
@@ -768,7 +838,7 @@ class _Codegen:
 
     # ------------------------------------------------------------ generation
     def generate(self) -> str:
-        probe = "cache, policy, " if self.probed else ""
+        probe = ("_tab, " if self.inline else "cache, policy, ") if self.probed else ""
         self.emit(
             0,
             f"def _{self.mode}(columns, _hoist, counter, {probe}lo=None, hi=None, deadline=None,",
@@ -853,10 +923,14 @@ class _Codegen:
             self.emit(2, f"{name} = {expression}")
             self.emit(2, f"_hoist[{name!r}] = {name}")
         if self.probed:
-            self.emit(
-                1, "_cget = cache.get; _cput = cache.put; _should = policy.should_cache"
-            )
-            self.emit(1, "c_mat = 0; c_rec = 0")
+            if self.inline:
+                self.emit(1, "_tget = _tab.get")
+                self.emit(1, "c_rec = 0")
+            else:
+                self.emit(
+                    1, "_cget = cache.get; _cput = cache.put; _should = policy.should_cache"
+                )
+                self.emit(1, "c_mat = 0; c_rec = 0")
             self.emit(
                 1, "; ".join(f"im{shape.node} = 0" for shape in self.probed)
             )
@@ -882,6 +956,13 @@ class _Codegen:
         per_match = "c_rec" if self.probed or self.mode == "evaluate" else "total"
         results = "total" if self.mode == "count" else "c_res"
         if self.probed:
+            if self.inline:
+                # A hit or a miss is a visit of its branch, and every miss
+                # stores one entry: what the cache's calls would have recorded.
+                self.emit(1, f"c_mat = {' + '.join(self.miss_visits)}")
+                self.emit(1, f"counter.cache_hits += {' + '.join(self.hit_visits)}")
+                self.emit(1, "counter.cache_misses += c_mat")
+                self.emit(1, "counter.cache_insertions += c_mat")
             self.emit(1, "counter.tuples_materialized += c_mat")
         self.emit(1, f"counter.trie_accesses += {self.derived('acc', 'c_acc')}")
         self.emit(1, f"counter.trie_seeks += {self.derived('seek')}")
@@ -929,17 +1010,26 @@ class _Codegen:
         self.emit(indent, f"# node {node}: adhesion-cache probe")
         # The interpreter records the recursive call before consulting.
         self.site.rec += 1
-        self.emit(indent, f"ak{pid} = {key}")
-        self.emit(indent, f"cv{pid} = _cget({node}, ak{pid})")
+        if self.inline:
+            # the cache's own key, so interpreted runs share the entries
+            self.emit(indent, f"ak{pid} = ({node}, {key})")
+            self.emit(indent, f"cv{pid} = _tget(ak{pid})")
+        else:
+            self.emit(indent, f"ak{pid} = {key}")
+            self.emit(indent, f"cv{pid} = _cget({node}, ak{pid})")
         self.emit(indent, f"if cv{pid} is None:")
         body = indent + 1
         self.emit(body, f"im{node} = 0")
         self._skip_entry_record = True
         with self.visit_site(body):
+            self.miss_visits.append(self.site.visits)
             self.emit_loops(depth, body)
-        self.emit(body, f"if _should({node}, _AV{node}, ak{pid}, im{node}):")
-        self.emit(body + 1, f"if _cput({node}, ak{pid}, im{node}):")
-        self.emit(body + 2, "c_mat += 1")
+        if self.inline:
+            self.emit(body, f"_tab[ak{pid}] = im{node}")
+        else:
+            self.emit(body, f"if _should({node}, _AV{node}, ak{pid}, im{node}):")
+            self.emit(body + 1, f"if _cput({node}, ak{pid}, im{node}):")
+            self.emit(body + 2, "c_mat += 1")
         self.emit(indent, "else:")
         self.emit(body, f"im{node} = cv{pid}")
         fid = self._factor_serial
@@ -951,6 +1041,7 @@ class _Codegen:
         saved = self.factor
         self.factor = f"f{fid}"
         with self.visit_site(body):
+            self.hit_visits.append(self.site.visits)
             self.emit_depth(shape.subtree_last + 1, body)
         self.factor = saved
 
@@ -1251,7 +1342,8 @@ def compile_driver(
     ``key`` and ``decomposition`` are :func:`resolve_driver`'s: the
     contracted decomposition (so the baked node ids line up with interpreted
     executors sharing the caches), or ``None`` when the plan probes nothing
-    — only then is the evaluate loop generated too.
+    — only then is the evaluate loop generated too; otherwise the count
+    loop comes in both probe forms.
     """
     depth_of = {variable: depth for depth, variable in enumerate(variable_order)}
     atom_depths = tuple(
@@ -1260,12 +1352,16 @@ def compile_driver(
     )
     bundles = tuple(_atom_bundle(base) for base in pure_tries)
     shapes, owner_at_depth = _clftj_shapes(decomposition, variable_order)
+    if decomposition is None:
+        forms = {"count": ("count", False), "evaluate": ("evaluate", False)}
+    else:
+        forms = {"count": ("count", False), "count-inline": ("count", True)}
     codegens = {
-        mode: _Codegen(atom_depths, bundles, mode, shapes, owner_at_depth)
-        for mode in (("count", "evaluate") if decomposition is None else ("count",))
+        name: _Codegen(atom_depths, bundles, mode, shapes, owner_at_depth, inline)
+        for name, (mode, inline) in forms.items()
     }
     probed = codegens["count"].probed
-    sources = {mode: codegen.generate() for mode, codegen in codegens.items()}
+    sources = {name: codegen.generate() for name, codegen in codegens.items()}
     # The policy protocol receives the adhesion *variables*; they are
     # compile-time constants of the plan, pre-bound per probed node.
     adhesion_variables = {
@@ -1275,10 +1371,10 @@ def compile_driver(
         for shape in probed
     }
     functions = {
-        mode: _compile_function(
-            source, f"_{mode}", f"{query.name}:{mode}", adhesion_variables
+        name: _compile_function(
+            source, f"_{forms[name][0]}", f"{query.name}:{name}", adhesion_variables
         )
-        for mode, source in sources.items()
+        for name, source in sources.items()
     }
     return CompiledDriver(
         key=key,
@@ -1290,7 +1386,8 @@ def compile_driver(
         _columns=bundles,
         _sources=sources,
         _functions=functions,
-        _hoists={mode: {} for mode in sources},
+        # both count forms hoist the same tables from the same columns
+        _hoists={mode: {} for mode, _inline in forms.values()},
     )
 
 

@@ -28,6 +28,7 @@ from repro.engine.compiler import (
     COMPILED_ALGORITHMS,
     DELTAS_PENDING,
     pending_deltas,
+    probe_form,
     resolve_driver,
 )
 from repro.engine.executors import (
@@ -370,15 +371,23 @@ class QueryEngine:
                 if plan.cache_capacity is not None
                 else "unbounded"
             )
+            pooled = schedule is not None and schedule.parallel
             scope = (
                 "worker-local persistent caches (one per pool worker)"
-                if schedule is not None and schedule.parallel
+                if pooled
                 else "one cache per execution (prepare() keeps it warm)"
             )
+            # The form a compiled count with probes would run, as the driver
+            # picks it: pool workers cache like the plan's fresh cache.
+            _order, _key, probing, _reason = self._driver(query, resolved, None, plan)
+            probes = ""
+            if compile is not False and probing is not None:
+                probed_cache = cache if cache is not None and not pooled else plan.make_cache()
+                probes = f", compiled probe: {probe_form(plan.policy, probed_cache)}"
             lines.append("")
             lines.append(
                 f"adhesion caching: policy={type(plan.policy).__name__}, "
-                f"capacity={capacity}, {scope}"
+                f"capacity={capacity}, {scope}{probes}"
             )
         if schedule is not None:
             lines.append("")

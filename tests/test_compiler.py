@@ -20,14 +20,26 @@ import pytest
 import repro.engine.compiler as compiler_module
 from repro.cli import main
 from repro.core import leapfrog
+from repro.core.cache import (
+    AdhesionCache,
+    AlwaysCachePolicy,
+    BoundedCachePolicy,
+    CompositePolicy,
+    NeverCachePolicy,
+    SupportThresholdPolicy,
+    entry_bytes,
+)
 from repro.core.instrumentation import OperationCounter
 from repro.core.lftj import LeapfrogTrieJoin
+from repro.core.policies import FrequencyAdmissionPolicy
 from repro.decomposition.tree_decomposition import TreeDecomposition
 from repro.engine import QueryEngine, QueryTimeoutError, inject_faults
 from repro.engine.compiler import (
     COMPILED_ALGORITHMS,
+    INLINE_PROBE,
     CompiledTrieJoin,
     driver_cache_key,
+    probe_form,
     trie_join_executor,
 )
 from repro.engine.parallel import make_range_executor
@@ -301,6 +313,27 @@ class TestReporting:
         # a probe entered at the leaf keeps the loop over the run above it
         assert levels(P4, "clftj").endswith("walk > probe@3 > fused-leaf")
 
+    def test_explain_names_the_compiled_probe_form(self, engine, capsys):
+        """The adhesion-caching line ends with the form the driver picks
+        (:func:`probe_form`), in the same words from the library and the CLI;
+        a plan with no compiled probe says nothing about one."""
+        def caching(query, **options):
+            (line,) = [line for line in engine.explain(query, algorithm="clftj", **options)
+                       .splitlines() if line.startswith("adhesion caching:")]
+            return line
+
+        p4 = path_query(4)
+        assert caching(p4).endswith(", compiled probe: inline")
+        assert caching(p4, cache_capacity=100).endswith(
+            ", compiled probe: policy call (LRU capacity 100)")
+        assert caching(p4, policy=_OddKeysRefused(), cache=AdhesionCache(capacity=0)).endswith(
+            ", compiled probe: policy call (_OddKeysRefused, capacity 0)")
+        assert "compiled probe" not in caching(p4, compile=False)
+        assert "compiled probe" not in caching(cycle_query(3))  # a single bag
+        assert main(["explain", "--dataset", "wiki-Vote", "--query", "4-path",
+                     "--algorithm", "clftj", "--cache-capacity", "100"]) == 0
+        assert ", compiled probe: policy call (LRU capacity 100)\n" in capsys.readouterr().out
+
     def test_metadata_counters_always_present(self, engine):
         result = engine.count(cycle_query(3), algorithm="pairwise")
         assert result.metadata["compiled_builds"] == 0
@@ -441,6 +474,28 @@ SITE_CASES = [
              ("merge", "walk", "probe@1", "walk", "walk", "probe@2", "fused-leaf")),
 ]
 SITE_IDS = [case.name for case in SITE_CASES]
+PROBE_CASES = [case for case in SITE_CASES if case.algorithm == "clftj"]
+
+
+class _OddKeysRefused(AlwaysCachePolicy):
+    """An exact-type check must see through this: it overrides the decision."""
+
+    def should_cache(self, node, adhesion, adhesion_values, intermediate):
+        return sum(adhesion_values) % 2 == 0
+
+
+#: Every policy the probe forms must agree on, built per (database, query).
+PROBE_POLICIES = {
+    "always": lambda database, query: AlwaysCachePolicy(),
+    "always-subclass": lambda database, query: _OddKeysRefused(),
+    "never": lambda database, query: NeverCachePolicy(),
+    "support-2": lambda database, query: SupportThresholdPolicy(database, query, threshold=2),
+    "bounded-3": lambda database, query: BoundedCachePolicy(3),
+    "frequency-2": lambda database, query: FrequencyAdmissionPolicy(2),
+    "composite": lambda database, query: CompositePolicy(
+        [SupportThresholdPolicy(database, query, threshold=1), BoundedCachePolicy(5)]
+    ),
+}
 
 
 def _site_database(empty=False):
@@ -631,6 +686,63 @@ class TestCounterModel:
             database, query, "lftj", None, False
         )
 
+    @pytest.mark.parametrize("capacity", [None, 0, 100], ids=lambda c: f"capacity-{c}")
+    @pytest.mark.parametrize("policy_name", sorted(PROBE_POLICIES))
+    @pytest.mark.parametrize("case", PROBE_CASES, ids=[case.name for case in PROBE_CASES])
+    def test_both_probe_forms_match_the_interpreter(self, case, policy_name, capacity):
+        """Per (policy, capacity) pair, a cold run, a warm prepared run and a
+        run after an update that invalidates part of the cache: counts,
+        counters and the cache's entries, order and byte figure all equal the
+        interpreter's — and only (AlwaysCachePolicy, unbounded) runs inline."""
+        database = _site_database()
+        # the last atom reads F: an update of F leaves some entries warm
+        head, _, tail = case.text.rpartition("E(")
+        query = parse_query(f"{head}F({tail}")
+        engine = QueryEngine(database)
+        handles, caches = {}, {}
+        for compile in (None, False):
+            caches[compile] = (AdhesionCache() if capacity is None
+                               else AdhesionCache(capacity=capacity, eviction="lru"))
+            policy = PROBE_POLICIES[policy_name](database, query)
+            handles[compile] = engine.prepare(
+                query, algorithm="clftj", compile=compile, cache=caches[compile],
+                policy=policy, **case.options(),
+            )
+        cache = caches[None]
+        form = probe_form(policy, cache)
+        inline = form == INLINE_PROBE
+        assert inline is (policy_name == "always" and capacity is None), form
+        assert f", compiled probe: {form}\n" in handles[None].explain()
+        consults = []  # the policy-call form reads the cache through get()
+        cache.get = lambda *key, get=cache.get: consults.append(key) or get(*key)
+        for step in ("cold", "warm", "updated"):
+            held = len(cache)
+            if step == "updated":
+                database.insert("F", [(1, 29), (29, 3), (4, 28)])
+                database.delete("F", database.relation("F").tuples[:4])
+            consults.clear()
+            runs = {}
+            for compile, prepared in handles.items():
+                result = prepared.count()
+                assert result.metadata.get("compiled", False) is (compile is None)
+                runs[compile] = (
+                    result.count, result.counter.as_dict(), list(caches[compile].table.items()),
+                    caches[compile].memory_estimate(),
+                    result.metadata.get("prepared_cache_invalidations", 0),
+                )
+            assert runs[None] == runs[False], (step, form)
+            _count, counters, entries, estimate, dropped = runs[None]
+            assert estimate == sys.getsizeof(cache.table) + sum(
+                entry_bytes(key, value) for key, value in entries
+            )
+            lookups = counters["cache_hits"] + counters["cache_misses"]
+            assert lookups > 0 and len(consults) == (0 if inline else lookups), step
+            if step == "updated" and inline:
+                # selective: with a second probed node, entries stay warm
+                assert 0 < dropped <= held
+                assert (dropped < held) is (len(handles[None].compiled_driver().probed_nodes) > 1)
+        assert not inline or counters["cache_hits"] > 0
+
     def test_deadline_fires_inside_a_leaf_run(self):
         """The reduced level advances the deadline gate by the run it stands
         for: a 4-path count times out about as promptly as its loop did."""
@@ -681,6 +793,21 @@ class TestClftjCompiled:
         # No generic dispatch survives specialization: the adhesion keys are
         # straight-line tuple constructions over bound depth locals.
         assert "_adhesion_depths" not in source
+        # The inline form consults the cache's own table; no loop calls a
+        # method of the cache or the policy, or keeps a cache counter.
+        inline = driver.debug_source("count-inline")
+        assert inline.startswith("def _count(columns, _hoist, counter, _tab, lo=None,")
+        assert re.search(r"ak\d+ = \(\d+, \(k\d,\)\)\n +cv\d+ = _tget\(ak\d+\)", inline)
+        assert re.search(r"_tab\[ak\d+\] = im\d+", inline)
+        assert not re.search(r"_cget|_cput|_should|cache\.|policy", inline)
+        loops = [node for node in ast.walk(ast.parse(inline)) if isinstance(node, ast.For)]
+        assert loops and not any(
+            isinstance(node, ast.Name) and node.id in ("counter", "c_mat")
+            for loop in loops for node in ast.walk(loop)
+        )
+        for name in ("cache_hits", "cache_misses", "cache_insertions", "tuples_materialized"):
+            assert f"\n    counter.{name} += " in inline
+        assert driver._hoists.keys() == {"count"}  # both forms share the tables
         database.close_pools()
 
     def test_count_counters_and_cache_hits_match_interpreted(self, engine):

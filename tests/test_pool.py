@@ -545,7 +545,10 @@ class TestScheduling:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_query_under_the_work_floor_gets_one_morsel_per_worker(self, backend):
         """Too little work to repay a third morsel: the plan is one range
-        per worker, nothing is stolen, nothing is split, rows equal serial."""
+        per worker, nothing is split, rows equal serial.  Which worker takes
+        which range is the scheduler's business, not the plan's: a thread
+        that wakes before its sibling may take both ranges (one steal), a
+        fork worker owns its range."""
         database = _edge_database(name=f"pool-floor-{backend}", nodes=300, edges=900, seed=5)
         engine = QueryEngine(database)
         query = path_query(3)
@@ -558,7 +561,7 @@ class TestScheduling:
         assert result.rows == serial.rows
         assert result.metadata["morsels"] == result.metadata["workers"] == 2
         assert result.metadata["tasks_executed"] == 2
-        assert result.metadata["steals"] == 0
+        assert result.metadata["steals"] <= (1 if backend == "threads" else 0)
         assert result.metadata["splits"] == 0
         database.close_pools()
 
