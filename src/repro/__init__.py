@@ -9,8 +9,8 @@ The package implements, in pure Python:
   :mod:`repro.core`;
 * the tree-decomposition machinery of Section 4 (constrained-separator
   enumeration, GenericDecompose, cost models) — :mod:`repro.decomposition`;
-* the baselines the paper compares against (YTD, GenericJoin, pairwise hash
-  joins) — :mod:`repro.baselines`;
+* the baselines the paper compares against (YTD, pairwise hash joins) —
+  :mod:`repro.baselines`;
 * synthetic stand-ins for the SNAP / IMDB workloads — :mod:`repro.datasets`;
 * a high-level query engine, and the paper's workload families with a
   result-table formatter — :mod:`repro.engine`, :mod:`repro.bench`.
@@ -56,7 +56,7 @@ from repro.decomposition import (
     select_decomposition,
     strongly_compatible_order,
 )
-from repro.baselines import GenericJoin, PairwiseHashJoin, YannakakisTreeJoin
+from repro.baselines import PairwiseHashJoin, YannakakisTreeJoin
 from repro.engine import (
     ExecutionPlan,
     ExecutionResult,
@@ -78,7 +78,6 @@ __all__ = [
     "Database",
     "ExecutionPlan",
     "ExecutionResult",
-    "GenericJoin",
     "LeapfrogTrieJoin",
     "NeverCachePolicy",
     "OperationCounter",

@@ -2,8 +2,10 @@
 
 This is the paper's main "traditional" competitor (Section 5.1): every bag of
 the decomposition is materialised with a worst-case-optimal join
-(:class:`~repro.baselines.generic_join.GenericJoin`), the bag relations are
-then fully reduced with semi-joins along the tree, and finally either
+(:class:`~repro.core.lftj.LeapfrogTrieJoin` over the database's shared
+tries, so bag joins are counted in trie accesses like LFTJ and CLFTJ), the
+bag relations are then fully reduced with semi-joins along the tree, and
+finally either
 
 * counted with a weighted message-passing pass (for count queries, matching
   the paper's note that only the relevant adhesion aggregates are kept), or
@@ -18,8 +20,8 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
-from repro.baselines.generic_join import GenericJoin
 from repro.core.instrumentation import OperationCounter
+from repro.core.lftj import LeapfrogTrieJoin
 from repro.decomposition.tree_decomposition import TreeDecomposition
 from repro.query.atoms import Atom, ConjunctiveQuery
 from repro.query.terms import Variable
@@ -84,11 +86,11 @@ class YannakakisTreeJoin:
         return assignments
 
     def _materialize_bag(self, node: int) -> List[Dict[Variable, object]]:
-        """Compute the bag relation with GenericJoin and project onto the bag."""
+        """Compute the bag relation with LFTJ and project onto the bag."""
         bag = self.decomposition.bag(node)
         atoms = self._bag_atoms[node]
         subquery = ConjunctiveQuery(atoms, name=f"bag_{node}")
-        join = GenericJoin(subquery, self.database, counter=self.counter)
+        join = LeapfrogTrieJoin(subquery, self.database, counter=self.counter)
         seen = set()
         rows: List[Dict[Variable, object]] = []
         order = join.variable_order

@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="a registered algorithm, or 'auto' for cost-based selection")
     run.add_argument("--parallel", type=int, default=None, metavar="N",
                      help="run the join morsel-parallel on a persistent pool "
-                          "of N workers (lftj/generic_join/clftj; 0 = "
+                          "of N workers (lftj/clftj; 0 = "
                           "automatic worker count); a request the pool would "
                           "not repay runs serial, and the 'parallel:' line "
                           "printed after the results says why")
@@ -165,8 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also show the schedule --parallel N resolves "
                               "to: workers, transport and ranges, or why it "
                               "stays serial (0 = automatic worker count; "
-                              "requires a concrete --algorithm: lftj, clftj "
-                              "or generic_join)")
+                              "requires a concrete --algorithm: lftj or "
+                              "clftj)")
     explain.add_argument("--no-compile", action="store_true",
                          help="explain the interpreted path instead of the "
                               "compiled driver (lftj/clftj)")

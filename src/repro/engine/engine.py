@@ -126,7 +126,7 @@ class QueryEngine:
         returned :class:`~repro.engine.prepared.PreparedQuery` re-executes
         through the plan and index caches and, for CLFTJ, keeps a persistent
         adhesion cache per execution mode (warm across runs).  With
-        ``parallel=`` (on ``lftj``/``generic_join``/``clftj``), every
+        ``parallel=`` (on ``lftj``/``clftj``), every
         re-execution runs morsel-parallel on the database's persistent
         worker pool — warm repeats spawn no new workers, and parallel CLFTJ
         workers keep their adhesion caches warm across re-executions.
@@ -182,7 +182,7 @@ class QueryEngine:
         """Run a count query with the chosen algorithm and return the result.
 
         Pass ``parallel=N`` (worker count; ``True`` for automatic) with
-        ``algorithm`` ``"lftj"``/``"generic_join"``/``"clftj"`` to run the
+        ``algorithm`` ``"lftj"``/``"clftj"`` to run the
         execution morsel-parallel over the top join variable on the
         database's persistent worker pool; ``parallel_backend`` names the
         transport (``"threads"`` or fork-based ``"processes"``).  A request

@@ -29,7 +29,6 @@ from typing import (
 )
 
 from repro.baselines.binary_join import PairwiseHashJoin
-from repro.baselines.generic_join import GenericJoin
 from repro.baselines.yannakakis import YannakakisTreeJoin
 from repro.core.cache import AdhesionCache
 from repro.core.instrumentation import OperationCounter
@@ -65,8 +64,8 @@ class Executor(Protocol):
     that the engine merges into the result metadata.
 
     Every index is keyed by dictionary codes, so the executors that join
-    over indexes (the trie-join family, ``generic_join``, the parallel
-    executor) run in code space: they carry the class constant
+    over indexes (the trie-join family and the parallel executor) run in
+    code space: they carry the class constant
     ``encoded = True`` plus an ``evaluate_coded()`` generator yielding rows
     of int codes, each a ``tuple`` (the engine keeps them with ``list(...)``
     and the batch decode kernel unpacks them), and the engine defers
@@ -190,7 +189,7 @@ def _scheduled(request: ExecutorRequest, executor, inner: str) -> Executor:
         request.parallel,
         request.parallel_backend,
         request.selector,
-        request.plan,  # clftj's; the other two are planned nothing
+        request.plan,  # clftj's; lftj is planned nothing
     )
     if schedule is None:
         return executor
@@ -233,13 +232,6 @@ def _build_ytd(request: ExecutorRequest) -> Executor:
         request.query, request.database, request.plan.decomposition, request.counter
     )
     return RowStreamAdapter(inner, request.query.variables)
-
-
-def _build_generic_join(request: ExecutorRequest) -> Executor:
-    executor = GenericJoin(
-        request.query, request.database, request.variable_order, request.counter
-    )
-    return _scheduled(request, executor, "generic_join")
 
 
 def _build_pairwise(request: ExecutorRequest) -> Executor:
@@ -314,19 +306,9 @@ register_algorithm(
     AlgorithmSpec(
         name="ytd",
         factory=_build_ytd,
-        description="Yannakakis over a tree decomposition with per-bag GenericJoin",
+        description="Yannakakis over a tree decomposition with per-bag LFTJ",
         needs_plan=True,
         accepts=frozenset({"decomposition"}),
-    )
-)
-register_algorithm(
-    AlgorithmSpec(
-        name="generic_join",
-        factory=_build_generic_join,
-        description="NPRR-style worst-case-optimal join over hash prefix indexes",
-        accepts=frozenset(
-            {"variable_order", "parallel", "parallel_backend"}
-        ),
     )
 )
 register_algorithm(

@@ -44,10 +44,10 @@ and is the backend that scales CPU-bound pure-Python joins across cores;
 fallback on platforms without ``fork`` and the scheduler's in-process test
 bed.
 
-Running on the pool is a *schedule* of ``lftj`` / ``clftj`` /
-``generic_join``, asked for with ``parallel=N | True`` (``N`` workers) and
-decided in one place: :func:`resolve_schedule` picks workers, transport and
-ranges, or says why the execution stays serial.  The executor factories,
+Running on the pool is a *schedule* of ``lftj`` / ``clftj``, asked for
+with ``parallel=N | True`` (``N`` workers) and decided in one place:
+:func:`resolve_schedule` picks workers, transport and ranges, or says why
+the execution stays serial.  The executor factories,
 ``engine.explain()`` and the result metadata all read its
 :class:`Schedule`.
 """
@@ -61,7 +61,6 @@ import weakref
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.baselines.generic_join import GenericJoin
 from repro.core.cache import AdhesionCache, CachePolicy
 from repro.core.instrumentation import OperationCounter
 from repro.decomposition.tree_decomposition import TreeDecomposition
@@ -478,8 +477,8 @@ class MorselSpec:
     The last four fields carry the CLFTJ plan: the (contracted)
     decomposition the compiled driver and the adhesion caches are keyed
     against, the caching policy, the cache sizing, and the worker-cache
-    identity key.  They stay ``None`` for every other inner algorithm, so
-    the fork-pipe payload is unchanged for lftj/generic_join jobs.
+    identity key.  They stay ``None`` for lftj, so the fork-pipe payload
+    of an lftj job carries no plan.
     """
 
     query: ConjunctiveQuery
@@ -515,8 +514,6 @@ def make_range_executor(
     in it), so a parallel query costs one compilation total, and forked
     workers inherit the parent's already-built driver.
     """
-    if inner == "generic_join":
-        return GenericJoin(query, database, variable_order)
     return trie_join_executor(
         query,
         database,
@@ -655,7 +652,7 @@ def _skew(work: Sequence[float]) -> float:
 
 
 class ParallelExecutor:
-    """One ``parallel=`` execution of LFTJ, CLFTJ or GenericJoin.
+    """One ``parallel=`` execution of LFTJ or CLFTJ.
 
     Wraps the serial executor the factory already built — the *template*,
     whose construction built (or cache-hit) every shared index in the
@@ -703,7 +700,7 @@ class ParallelExecutor:
         #: oracle); anything else lets lftj/clftj morsels run compiled drivers.
         self.compile = compile
         #: The CLFTJ execution plan (cache policy and sizing); ``None`` for
-        #: the other inner algorithms.
+        #: lftj.
         self._plan = plan
         #: Cooperative deadline for THIS execution, assigned by the engine
         #: from the ``ExecutorRequest``; checked at morsel boundaries by the

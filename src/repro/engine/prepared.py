@@ -8,8 +8,8 @@ all three caching layers:
 
 * the **plan cache** — re-executions look the memoised decomposition/order
   up by query signature (a dictionary hit, reported in the result metadata);
-* the **shared index cache** — executor construction finds every trie and
-  prefix index already built, so re-executions report zero index builds;
+* the **shared index cache** — executor construction finds every trie
+  already built, so re-executions report zero index builds;
 * for CLFTJ, a **persistent adhesion cache** per mode — the warm-cache
   workflow of the paper's Figure 10, without threading a cache by hand.
 
@@ -50,7 +50,7 @@ class PreparedQuery:
     execution stays under the lock — the warm adhesion caches are plain
     dictionaries mutated during the join, so concurrent cached executions
     serialise rather than corrupt each other.  Every other algorithm
-    (lftj, generic_join, ytd, pairwise) executes outside the lock and
+    (lftj, ytd, pairwise) executes outside the lock and
     scales across threads; the underlying shared caches are protected by
     the database's own lock.  ``clftj`` with ``parallel=`` also executes
     outside the lock: its warm adhesion caches live on the pool workers

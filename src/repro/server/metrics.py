@@ -28,7 +28,7 @@ from repro.storage.database import SCOPED_COUNTERS
 __all__ = ["render_metrics"]
 
 _PROM_HELP: Dict[str, str] = {
-    "index_builds": "trie/prefix indexes built",
+    "index_builds": "trie indexes built",
     "index_cache_hits": "index cache hits",
     "index_patches": "cached indexes patched in place after updates",
     "index_compactions": "cached indexes compacted",

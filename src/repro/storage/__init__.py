@@ -3,7 +3,7 @@
 The paper evaluates joins over in-memory trie-indexed relations; this
 subpackage provides the equivalent substrate in pure Python.  There is one
 index representation: every index a :class:`Database` hands out is a
-columnar trie (or hash prefix index) whose keys are codes of the database's
+columnar trie whose keys are codes of the database's
 shared value dictionary; values reappear only at decode boundaries.
 
 * :mod:`repro.storage.relation` -- immutable sorted relations.

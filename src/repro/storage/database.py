@@ -22,8 +22,8 @@ from repro.storage.dictionary import ValueDictionary
 from repro.storage.relation import DeltaBatch, Relation, VersionedRelation
 from repro.storage.trie import LsmTrieIndex
 
-#: A cached-index key: (index kind, relation name, view signature, column order).
-IndexKey = Tuple[str, str, Tuple[object, ...], Tuple[int, ...]]
+#: A cached-index key: (relation name, view signature, column order).
+IndexKey = Tuple[str, Tuple[object, ...], Tuple[int, ...]]
 
 #: The cache/build counters an execution scope tracks (every name is also a
 #: plain attribute of :class:`Database`, so the global totals stay readable).
@@ -128,14 +128,14 @@ def _rough_bytes(obj: object, depth: int = 4, seen: Optional[set] = None) -> int
 class Database:
     """A named catalog of :class:`~repro.storage.relation.Relation` objects.
 
-    The database also memoises secondary indexes (tries for the LFTJ family,
-    hash prefix indexes for GenericJoin) in one shared cache keyed by
-    ``(kind, relation, view signature, column order)``.  The *view signature*
-    normalises an atom's selection/projection pattern — constants and repeated
-    variables — with variable names erased, so syntactically different atoms
-    over the same data share one physical index.  Repeated executions of the
-    same (or overlapping) queries therefore reuse indexes instead of paying a
-    full rebuild per run; the join algorithms ask for tries through
+    The database also memoises the tries every join over indexes reads in
+    one shared cache keyed by ``(relation, view signature, column order)``.
+    The *view signature* normalises an atom's selection/projection pattern —
+    constants and repeated variables — with variable names erased, so
+    syntactically different atoms over the same data share one physical
+    index.  Repeated executions of the same (or overlapping) queries
+    therefore reuse indexes instead of paying a full rebuild per run; the
+    join algorithms ask for tries through
     :meth:`trie_index` / :meth:`view_index`.
 
     A second, structurally identical cache memoises *execution plans*
@@ -224,7 +224,7 @@ class Database:
         self.dictionary = ValueDictionary()
         self._relations: Dict[str, VersionedRelation] = {}
         self._versions: Dict[str, int] = {}
-        self._index_cache: Dict[IndexKey, object] = {}
+        self._index_cache: Dict[IndexKey, LsmTrieIndex] = {}
         #: Number of index builds (cache misses) since creation.
         self.index_builds: int = 0
         #: Number of index cache hits since creation.
@@ -338,7 +338,7 @@ class Database:
             self._relations[relation.name] = VersionedRelation(
                 relation, created_version=version
             )
-            stale = [key for key in self._index_cache if key[1] == relation.name]
+            stale = [key for key in self._index_cache if key[0] == relation.name]
             for key in stale:
                 del self._index_cache[key]
             stale_plans = [
@@ -439,17 +439,14 @@ class Database:
             self.compact(name)
 
     def _patch_indexes(self, name: str, batch: DeltaBatch) -> None:
-        """Patch (or, failing that, evict) every cached index over ``name``."""
+        """Patch every cached index over ``name`` in place."""
         from repro.storage.views import signature_view_rows
 
         view_cache: Dict[Tuple[object, ...], Tuple[List, List]] = {}
-        for key in [key for key in self._index_cache if key[1] == name]:
-            index = self._index_cache[key]
-            apply_delta = getattr(index, "apply_delta", None)
-            if apply_delta is None:
-                del self._index_cache[key]
+        for key, index in self._index_cache.items():
+            if key[0] != name:
                 continue
-            signature = key[2]
+            signature = key[1]
             views = view_cache.get(signature)
             if views is None:
                 views = (
@@ -458,7 +455,7 @@ class Database:
                 )
                 view_cache[signature] = views
             inserted, deleted = views
-            apply_delta(inserted, deleted)
+            index.apply_delta(inserted, deleted)
             self._bump("index_patches")
 
     def deltas_since(self, name: str, version: int) -> Optional[List[DeltaBatch]]:
@@ -473,8 +470,8 @@ class Database:
     def compact(self, name: Optional[str] = None) -> int:
         """Fold pending deltas into fresh base snapshots; returns tuples folded.
 
-        Compacts the versioned relation wrapper *and* every patchable cached
-        index over it (indexes without a ``compact`` hook are evicted).  With
+        Compacts the versioned relation wrapper *and* every cached index
+        over it that carries pending deltas.  With
         ``name=None`` every relation is compacted.  Versions do not change —
         compaction is a physical reorganisation, not a logical mutation.
         """
@@ -487,22 +484,15 @@ class Database:
                 # Compaction swaps the backing column arrays without a
                 # version bump, so drivers that captured them go stale.
                 self._drop_compiled_for(target)
-                for key in [key for key in self._index_cache if key[1] == target]:
-                    index = self._index_cache[key]
-                    if not getattr(index, "has_deltas", False):
-                        continue  # nothing pending (or not a delta-carrying index)
-                    compact = getattr(index, "compact", None)
-                    if compact is None:
-                        del self._index_cache[key]
-                    else:
-                        compact()
+                for key, index in self._index_cache.items():
+                    if key[0] == target and index.has_deltas:
+                        index.compact()
                         self._bump("index_compactions")
             return folded
 
     # --------------------------------------------------------------- indexes
     def view_index(
         self,
-        kind: str,
         relation_name: str,
         signature: Tuple[object, ...],
         column_order: Sequence[int],
@@ -512,10 +502,9 @@ class Database:
 
         ``signature`` identifies the view's selection/projection pattern (see
         :func:`repro.storage.views.atom_signature`); ``build`` constructs the
-        index on a cache miss.  ``kind`` namespaces index families ("trie",
-        "prefix", ...) so they never collide.
+        index on a cache miss.
         """
-        key = (kind, relation_name, signature, tuple(column_order))
+        key = (relation_name, signature, tuple(column_order))
         with self._lock:
             index = self._index_cache.get(key)
             if index is None:
@@ -528,16 +517,13 @@ class Database:
 
     def peek_view_index(
         self,
-        kind: str,
         relation_name: str,
         signature: Tuple[object, ...],
         column_order: Sequence[int],
     ) -> Optional[object]:
         """The cached index :meth:`view_index` would return, or ``None`` — a
         pure read: never builds, never counts as a cache hit."""
-        return self._index_cache.get(
-            (kind, relation_name, signature, tuple(column_order))
-        )
+        return self._index_cache.get((relation_name, signature, tuple(column_order)))
 
     def trie_index(self, relation_name: str, attribute_order: Sequence[int]) -> LsmTrieIndex:
         """Return (and memoise) a trie over ``relation_name`` in the given column order.
@@ -554,7 +540,7 @@ class Database:
         order = tuple(attribute_order)
         signature = tuple(range(relation.arity))
         return self.view_index(
-            "trie", relation_name, signature, order,
+            relation_name, signature, order,
             lambda: LsmTrieIndex.build(relation, order, self.dictionary),
         )
 

@@ -156,22 +156,18 @@ def signature_view_rows(
     return result
 
 
-def shared_atom_index(
-    database: Database,
-    atom: Atom,
-    column_order: Sequence[int],
-    kind: str,
-    build,
-):
-    """Get-or-build the shared index of ``kind`` for ``atom``'s view.
+def atom_trie(database: Database, atom: Atom, column_order: Sequence[int]) -> LsmTrieIndex:
+    """Return the shared trie for ``atom``'s view in ``column_order`` level order.
 
-    ``build(view, order, dictionary)`` constructs the index from the
-    materialised view in the code space of ``dictionary``, the database's
-    shared value dictionary.  The index is memoised
-    in the database's cache under the atom's name-erased signature, so
+    ``column_order`` is a permutation of the view's columns (the atom's
+    distinct variables in first-occurrence order).  The trie is built in
+    the code space of the database's shared value dictionary, as an
+    updatable :class:`~repro.storage.trie.LsmTrieIndex` that
+    :meth:`Database.insert` / ``delete`` patch in place, and memoised in
+    the database's index cache under the atom's name-erased signature, so
     repeated executor constructions — and different atoms inducing the same
     view, e.g. the three atoms of a triangle self-join — share one physical
-    index.
+    trie.
 
     Constant-bearing atoms are *not* memoised: their signatures embed the
     constant values, so a parameterized workload (``R(x, c)`` for ever-new
@@ -179,28 +175,14 @@ def shared_atom_index(
     small, so per-construction builds stay cheap — the seed behaviour.
     """
     order = tuple(column_order)
-    dictionary = database.dictionary
+
+    def build() -> LsmTrieIndex:
+        view = materialize_atom(database, atom)
+        return LsmTrieIndex.build(view, order, database.dictionary)
+
     if atom_has_constants(atom):
-        return build(materialize_atom(database, atom), order, dictionary)
-    return database.view_index(
-        kind,
-        atom.relation,
-        atom_signature(atom),
-        order,
-        lambda: build(materialize_atom(database, atom), order, dictionary),
-    )
-
-
-def atom_trie(database: Database, atom: Atom, column_order: Sequence[int]) -> LsmTrieIndex:
-    """Return the shared trie for ``atom``'s view in ``column_order`` level order.
-
-    ``column_order`` is a permutation of the view's columns (the atom's
-    distinct variables in first-occurrence order); sharing and the
-    constants exclusion follow :func:`shared_atom_index`.  Tries are built
-    as updatable :class:`~repro.storage.trie.LsmTrieIndex` wrappers so
-    :meth:`Database.insert` / ``delete`` can patch them in place.
-    """
-    return shared_atom_index(database, atom, column_order, "trie", LsmTrieIndex.build)
+        return build()
+    return database.view_index(atom.relation, atom_signature(atom), order, build)
 
 
 def peek_atom_trie(
@@ -210,17 +192,15 @@ def peek_atom_trie(
     would build one (atoms with constants always do) — a pure read."""
     if atom_has_constants(atom):
         return None
-    return database.peek_view_index(
-        "trie", atom.relation, atom_signature(atom), column_order
-    )
+    return database.peek_view_index(atom.relation, atom_signature(atom), column_order)
 
 
 def atom_column_order(atom: Atom, depth_of: Dict[Variable, int]) -> Tuple[Tuple[Variable, ...], Tuple[int, ...]]:
     """The atom's distinct variables sorted by global depth, plus the matching
     permutation of its view columns.
 
-    Shared by the trie-join family and GenericJoin so both derive identical
-    level orders (and therefore identical shared-index cache keys).
+    Every trie-join executor derives its level orders here, so equal
+    orders yield identical shared-trie cache keys.
     """
     variables = atom_variables_in_order(atom)
     ordered = tuple(sorted(variables, key=lambda variable: depth_of[variable]))

@@ -16,3 +16,12 @@ def test_every_path_the_workflow_names_exists():
     assert "benchmarks/e2e/run.py" in named, named  # the pattern still finds paths
     missing = [path for path in named if not any(ROOT.glob(path))]
     assert not missing, f"ci.yml names files that do not exist: {missing}"
+
+
+def test_a_two_bag_ytd_join_is_compared_outside_pytest():
+    """The 3-cycle smoke is one bag; the 5-cycle step makes YTD join two
+    bags, and ``compare`` exits 1 on any count disagreement."""
+    assert (
+        "python -m repro compare --dataset ca-GrQc --query 5-cycle "
+        "--algorithms lftj clftj ytd"
+    ) in WORKFLOW.read_text(encoding="utf-8")

@@ -161,6 +161,15 @@ class TestCommands:
         assert info.value.code == 2
         assert "--parallel-mode" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "explain"])
+    def test_retired_generic_join_is_a_usage_error(self, capsys, command):
+        """``generic_join`` is no registered algorithm, so argparse refuses it."""
+        with pytest.raises(SystemExit) as info:
+            main([command, "--dataset", "wiki-Vote", "--query", "3-cycle",
+                  "--algorithm", "generic_join"])
+        assert info.value.code == 2
+        assert "invalid choice: 'generic_join'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("extra,declined", [
         ([], False),
         (["--memory-budget", "1"], True),

@@ -369,7 +369,7 @@ class TestReporting:
 
 class TestValidation:
     def test_compile_rejected_for_non_compiled_algorithms(self, engine):
-        for algorithm in ("ytd", "pairwise", "generic_join"):
+        for algorithm in ("ytd", "pairwise"):
             assert algorithm not in COMPILED_ALGORITHMS
             with pytest.raises(ValueError, match="compile"):
                 engine.count(cycle_query(3), algorithm=algorithm, compile=False)

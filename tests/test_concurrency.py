@@ -258,7 +258,7 @@ class TestConcurrentClientsStress:
             # (query, algorithm, extra params, algorithm honours timeout=)
             (cycle_query(3), "clftj", {}, True),
             (cycle_query(3), "lftj", {}, True),
-            (path_query(3), "generic_join", {}, False),
+            (path_query(3), "ytd", {}, False),
             (cycle_query(3), "clftj", {"parallel": 2}, True),
             (path_query(4), "clftj", {"compile": False}, True),
             (cycle_query(4), "lftj", {}, True),

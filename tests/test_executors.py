@@ -31,7 +31,7 @@ def engine(database):
 class TestRegistry:
     def test_all_paper_algorithms_registered(self):
         assert set(ALGORITHMS) == {
-            "lftj", "clftj", "ytd", "generic_join", "pairwise",
+            "lftj", "clftj", "ytd", "pairwise",
         }
         assert registered_algorithms() == ALGORITHMS
 
@@ -49,7 +49,6 @@ class TestRegistry:
         assert algorithm_spec("clftj").needs_plan
         assert algorithm_spec("ytd").needs_plan
         assert not algorithm_spec("lftj").needs_plan
-        assert not algorithm_spec("generic_join").needs_plan
         assert not algorithm_spec("pairwise").needs_plan
 
 
@@ -64,7 +63,7 @@ class TestParameterContracts:
             ("lftj", {"cache": AdhesionCache()}),
             ("pairwise", {"variable_order": ()}),
             ("pairwise", {"cache_capacity": 5}),
-            ("generic_join", {"policy": NeverCachePolicy()}),
+            ("ytd", {"policy": NeverCachePolicy()}),
             ("ytd", {"cache_capacity": 5}),
             ("ytd", {"variable_order": ()}),
         ],

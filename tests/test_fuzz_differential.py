@@ -40,7 +40,7 @@ from repro.storage.relation import Relation
 from tests.conftest import brute_force_evaluate
 
 #: All serial algorithms under differential test.
-SERIAL_ALGORITHMS = ("lftj", "clftj", "ytd", "generic_join", "pairwise")
+SERIAL_ALGORITHMS = ("lftj", "clftj", "ytd", "pairwise")
 
 #: Compiled configurations per instance: (algorithm, extra engine kwargs).
 #: Each runs twice — compiled and interpreted — and must agree byte for
@@ -60,7 +60,7 @@ COMPILED_CONFIGS = (
 PARALLEL_CONFIGS = (
     ("lftj", 2, "threads"),
     ("lftj", 5, "threads"),
-    ("generic_join", 3, "threads"),
+    ("lftj", 3, "threads"),
     ("lftj", 4, "processes"),
     ("lftj", 2, "processes"),
     ("clftj", 1, "threads"),

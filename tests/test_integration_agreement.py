@@ -17,7 +17,7 @@ from repro.query.patterns import (
     random_pattern_query,
 )
 
-ALGOS = ("lftj", "clftj", "ytd", "generic_join", "pairwise")
+ALGOS = ("lftj", "clftj", "ytd", "pairwise")
 
 
 @pytest.fixture(scope="module")

@@ -43,7 +43,7 @@ from tests.conftest import brute_force_evaluate, random_edge_database
 from tests.node_trie import NodeTrieIndex
 
 BACKENDS = ("threads", "processes")
-INNER_ALGORITHMS = ("lftj", "generic_join")
+INNER_ALGORITHMS = ("lftj", "clftj")
 WORKER_COUNTS = (1, 2, 4, 7)
 
 
@@ -287,7 +287,7 @@ class TestParameterSurface:
     # is what that execution's metadata says it did, in every cell.
     ASKS = (None, False, True, 1, 2)
     TRANSPORTS = (None, "threads", "processes")
-    ALGORITHMS = ("lftj", "clftj", "generic_join")
+    ALGORITHMS = ("lftj", "clftj")
     GRAPHS = {
         "3-node": lambda: [(1, 2), (2, 3), (3, 1)],
         "300-node": lambda: list(
@@ -328,10 +328,7 @@ class TestParameterSurface:
                     counted = engine.count(query, algorithm=algorithm, **options)
                     result = engine.evaluate(query, algorithm=algorithm, **options)
                     assert counted.count == result.count == oracle.count, cell
-                    if algorithm == "generic_join":  # hash order within a range
-                        assert sorted(result.rows) == sorted(oracle.rows), cell
-                    else:
-                        assert result.rows == oracle.rows, cell
+                    assert result.rows == oracle.rows, cell
                     for metadata in (counted.metadata, result.metadata):
                         self._check_cell(cell, text, line, metadata)
                     if result.metadata.get("parallel"):
@@ -725,23 +722,24 @@ class TestThreadSafety:
         assert database.index_cache_hits == 7
         assert all(index is built[0] for index in built)
 
-    def test_concurrent_view_index_fills_across_kinds(self):
+    def test_concurrent_view_index_fills_across_algorithms(self):
         database = _edge_database()
         engine = QueryEngine(database)
         query = cycle_query(3)
 
         def worker(index):
-            algorithm = "lftj" if index % 2 == 0 else "generic_join"
+            algorithm = "lftj" if index % 2 == 0 else "ytd"
             result = engine.count(query, algorithm=algorithm)
             assert result.count >= 0
 
         _run_threads(worker, 8)
-        # The triangle needs two column orders per index kind ((0,1) and
-        # (1,0) for the E(x3, x1) atom): 2 tries + 2 prefix indexes, each
-        # built exactly once despite 8 racing threads.
-        assert database.index_builds == 4
+        # The triangle needs two column orders ((0,1) and (1,0) for the
+        # E(x3, x1) atom), and YTD's one bag joins over the same shared
+        # tries as LFTJ: 2 tries, each built exactly once despite 8 racing
+        # threads.
+        assert database.index_builds == 2
 
-    @pytest.mark.parametrize("algorithm", ["lftj", "generic_join", "clftj"])
+    @pytest.mark.parametrize("algorithm", ["lftj", "ytd", "clftj"])
     def test_concurrent_prepared_executions(self, algorithm):
         database = _edge_database()
         engine = QueryEngine(database)

@@ -575,7 +575,7 @@ class TestAcceptance:
         workload = [
             {"query": "3-cycle", "algorithm": "clftj"},
             {"query": "3-cycle", "algorithm": "lftj"},
-            {"query": "3-path", "algorithm": "generic_join"},
+            {"query": "3-path", "algorithm": "ytd"},
             {"query": "4-path", "algorithm": "clftj"},
             {"query": "4-cycle", "algorithm": "lftj"},
             {"query": "3-path", "algorithm": "lftj"},

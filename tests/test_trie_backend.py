@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.baselines.generic_join import GenericJoin
+from repro.baselines.yannakakis import YannakakisTreeJoin
 from repro.core.clftj import CachedLeapfrogTrieJoin
 from repro.core.instrumentation import OperationCounter
 from repro.core.lftj import LeapfrogTrieJoin
@@ -202,14 +202,18 @@ class TestSharedIndexCache:
         # The single directed 3-cycle matches in its three rotations.
         assert fresh.count() == 3
 
-    def test_generic_join_prefix_indexes_are_shared(self, small_graph_db):
-        query = cycle_query(3)
-        first = GenericJoin(query, small_graph_db)
+    @pytest.mark.parametrize("length", [3, 5])
+    def test_ytd_bags_join_over_the_lftj_tries(self, small_graph_db, length):
+        """YTD's per-bag joins are LFTJ over the shared tries: after an LFTJ
+        count, a YTD count of the same cycle builds no index of its own."""
+        engine = QueryEngine(small_graph_db)
+        query = cycle_query(length)
+        lftj = engine.count(query, algorithm="lftj")
         builds = small_graph_db.index_builds
-        second = GenericJoin(query, small_graph_db)
+        ytd = engine.count(query, algorithm="ytd")
+        assert ytd.count == lftj.count
+        assert ytd.metadata["index_builds"] == 0
         assert small_graph_db.index_builds == builds
-        for left, right in zip(first._indexes, second._indexes):
-            assert left is right
 
     def test_trie_backend_is_not_an_option(self, small_graph_db):
         """One trie layout: asking an executor for another fails loudly."""
@@ -218,7 +222,7 @@ class TestSharedIndexCache:
 
 
 class TestBackendAgreement:
-    """LFTJ / CLFTJ / GenericJoin agree on the columnar backend."""
+    """LFTJ / CLFTJ / YTD agree on the columnar backend."""
 
     QUERIES = [
         lambda: cycle_query(3),
@@ -236,8 +240,8 @@ class TestBackendAgreement:
         query = query_factory()
         expected = brute_force_count(query, database)
         assert LeapfrogTrieJoin(query, database).count() == expected
-        assert GenericJoin(query, database).count() == expected
         decomposition = generic_decompose(query)
+        assert YannakakisTreeJoin(query, database, decomposition).count() == expected
         clftj = CachedLeapfrogTrieJoin(query, database, decomposition)
         assert clftj.count() == expected
 
@@ -255,6 +259,7 @@ class TestBackendAgreement:
             }
 
         assert rows(LeapfrogTrieJoin(query, database)) == expected
-        assert rows(GenericJoin(query, database)) == expected
         decomposition = generic_decompose(query)
+        ytd = YannakakisTreeJoin(query, database, decomposition)
+        assert set(ytd.evaluate_tuples(query.variables)) == expected
         assert rows(CachedLeapfrogTrieJoin(query, database, decomposition)) == expected

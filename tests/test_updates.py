@@ -32,7 +32,7 @@ from repro.storage.views import signature_view_rows
 
 from tests.conftest import brute_force_count, random_edge_database
 
-ALGORITHMS = ("lftj", "clftj", "ytd", "generic_join", "pairwise")
+ALGORITHMS = ("lftj", "clftj", "ytd", "pairwise")
 
 
 def lazy_database(*relations, **kwargs) -> Database:

@@ -4,10 +4,17 @@ import pytest
 
 from repro.baselines.yannakakis import YannakakisTreeJoin, ytd_count
 from repro.core.instrumentation import OperationCounter
-from repro.decomposition.generic import generic_decompose
+from repro.core.lftj import LeapfrogTrieJoin
+from repro.decomposition.generic import enumerate_tree_decompositions, generic_decompose
 from repro.decomposition.tree_decomposition import TreeDecomposition
 from repro.query.parser import parse_query
-from repro.query.patterns import cycle_query, lollipop_query, path_query, star_query
+from repro.query.patterns import (
+    clique_query,
+    cycle_query,
+    lollipop_query,
+    path_query,
+    star_query,
+)
 
 from tests.conftest import brute_force_count, brute_force_evaluate
 
@@ -133,3 +140,83 @@ class TestBehaviour:
         wrong = generic_decompose(path_query(4))
         with pytest.raises(ValueError):
             YannakakisTreeJoin(query, small_graph_db, wrong)
+
+
+class TestBagJoins:
+    """Every bag is joined by LFTJ over the database's shared tries."""
+
+    @pytest.mark.parametrize("query_factory", [
+        pytest.param(lambda: path_query(2), id="path2"),
+        pytest.param(lambda: path_query(4), id="path4"),
+        pytest.param(lambda: cycle_query(3), id="cycle3"),
+        pytest.param(lambda: clique_query(3), id="clique3"),
+        pytest.param(lambda: star_query(4), id="star4"),
+    ])
+    def test_matches_brute_force(self, small_graph_db, query_factory):
+        query = query_factory()
+        decomposition = generic_decompose(query)
+        assert YannakakisTreeJoin(query, small_graph_db, decomposition).count() == (
+            brute_force_count(query, small_graph_db)
+        )
+
+    @pytest.mark.parametrize("length", [4, 5, 6])
+    def test_every_enumerated_decomposition_agrees(self, small_graph_db, length):
+        query = cycle_query(length)
+        expected = brute_force_count(query, small_graph_db)
+        decompositions = list(enumerate_tree_decompositions(query))
+        assert decompositions
+        for decomposition in decompositions:
+            assert YannakakisTreeJoin(query, small_graph_db, decomposition).count() == expected
+
+    def test_matches_lftj_on_skewed_data(self, skewed_graph_db):
+        query = cycle_query(4)
+        decomposition = generic_decompose(query)
+        assert YannakakisTreeJoin(query, skewed_graph_db, decomposition).count() == (
+            LeapfrogTrieJoin(query, skewed_graph_db).count()
+        )
+
+    def test_two_relation_bag(self, two_relation_db):
+        query = parse_query("R(x, y), S(y, z)")
+        decomposition = generic_decompose(query)
+        assert YannakakisTreeJoin(query, two_relation_db, decomposition).count() == (
+            brute_force_count(query, two_relation_db)
+        )
+
+    @pytest.mark.parametrize("text", [
+        pytest.param("E(x, y), E(y, 3)", id="one-bag"),
+        pytest.param("E(x, y), E(y, z), E(z, w), E(w, 3)", id="across-bags"),
+    ])
+    def test_query_with_constant(self, small_graph_db, text):
+        query = parse_query(text)
+        decomposition = generic_decompose(query)
+        assert YannakakisTreeJoin(query, small_graph_db, decomposition).count() == (
+            brute_force_count(query, small_graph_db)
+        )
+
+    def test_evaluate_tuples_follow_a_custom_order(self, small_graph_db):
+        query = cycle_query(4)
+        decomposition = generic_decompose(query)
+        reversed_order = tuple(reversed(query.variables))
+        rows = YannakakisTreeJoin(query, small_graph_db, decomposition).evaluate_tuples(
+            reversed_order
+        )
+        expected = {tuple(reversed(row)) for row in brute_force_evaluate(query, small_graph_db)}
+        assert set(rows) == expected
+
+    def test_bag_joins_are_counted_in_trie_accesses(self, small_graph_db):
+        counter = OperationCounter()
+        query = cycle_query(5)
+        decomposition = generic_decompose(query)
+        YannakakisTreeJoin(query, small_graph_db, decomposition, counter).count()
+        assert counter.trie_seeks > 0
+        assert counter.trie_accesses > 0
+        assert counter.memory_accesses > counter.hash_probes + counter.tuples_materialized
+
+    def test_repeated_counts_rematerialise_the_same_bags(self, small_graph_db):
+        query = cycle_query(5)
+        decomposition = generic_decompose(query)
+        joiner = YannakakisTreeJoin(query, small_graph_db, decomposition)
+        first = joiner.count()
+        first_sizes = joiner.bag_sizes()
+        assert joiner.count() == first
+        assert joiner.bag_sizes() == first_sizes
