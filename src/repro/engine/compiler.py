@@ -24,12 +24,14 @@ What the generated driver does differently from the interpreter:
 * loop-invariant runs are hoisted: a run whose parent key was bound at an
   earlier depth is computed right after that binding, not once per
   iteration of intermediate loops (the interpreter re-gathers it each time);
-* a count's last two levels lose their loop where the deepest one is a
-  fused leaf of a single run positioned by the walk above it (paths, tails):
-  a hoisted weight table holds each key's child-run length and the whole
-  walked run goes through ``map`` / ``sum`` at C level
-  (:meth:`_Codegen.emit_leaf_run`) — the same trie positions, no bytecode
-  per key;
+* a count's last two levels lose their loop where the deepest one
+  intersects a single run positioned by the walk above it: alone (paths,
+  tails), a hoisted weight table holds each key's child-run length; beside
+  the hoisted invariant set (a cycle's closing pair, a clique's last
+  level), a hoisted children table holds each key's child run as a
+  ``frozenset``.  Either way the whole walked run goes through ``map`` /
+  ``sum`` at C level (:meth:`_Codegen.emit_leaf_run`) — the same trie
+  positions, no bytecode per key;
 * operation counters are *derived*, not kept: the interpreter charges a
   fixed amount per visit of an intersection — one access and one open per
   participant going in, one seek, one access coming out, one recursive-call
@@ -347,8 +349,9 @@ class CompiledDriver:
     probed_nodes: Tuple[int, ...]
     #: What the count loop is made of, outermost first: one word per depth
     #: (``merge``, ``walk``, ``fused-leaf``, ``set-leaf``, ``unfused-leaf``),
-    #: ``leaf-run`` for a last pair of depths reduced without a loop, and
-    #: ``probe@<node>`` before the depth a probed node is entered at.
+    #: ``leaf-run`` / ``set-leaf-run`` for a last pair of depths reduced
+    #: without a loop (over a fused leaf / a set-leaf), and ``probe@<node>``
+    #: before the depth a probed node is entered at.
     levels: Tuple[str, ...]
     _columns: Tuple[Tuple[object, ...], ...] = field(repr=False)
     _sources: Dict[str, str] = field(repr=False)
@@ -674,12 +677,21 @@ class _Codegen:
             leaf_run = self._leaf_run_parent(depth, filters)
             for atom, level in filters:
                 bind = self.bind_depth(atom, level)
-                if (atom, level) == leaf_run:
+                if (atom, level) == leaf_run and self.leaf_set_name is None:
                     # Nothing but the leaf reads this position, and the leaf
-                    # only for the length of the child run under it.
+                    # only for the length of the child run under it ...
                     build = (
                         f"w{atom}_{level}",
                         f"{{K{atom}_{level}[i]: E{atom}_{level}[i] - B{atom}_{level}[i]"
+                        f" for i in range(lo{atom}_{level}, hi{atom}_{level})}}",
+                    )
+                elif (atom, level) == leaf_run:
+                    # ... or, beside an invariant set, for the child run
+                    # itself: the trie level re-keyed.
+                    build = (
+                        f"ch{atom}_{level}",
+                        f"{{K{atom}_{level}[i]: frozenset(K{atom}_{level + 1}"
+                        f"[B{atom}_{level}[i]:E{atom}_{level}[i]])"
                         f" for i in range(lo{atom}_{level}, hi{atom}_{level})}}",
                     )
                 elif self.needs_positions(atom, level):
@@ -704,23 +716,28 @@ class _Codegen:
     def _leaf_run_parent(
         self, depth: int, filters: Sequence[Tuple[int, int]]
     ) -> Optional[Tuple[int, int]]:
-        """The walk filter whose child runs are the whole deepest level.
+        """The walk filter whose child runs are the deepest level's one
+        varying run.
 
         A count's last two levels reduce to straight-line code
-        (:meth:`emit_leaf_run`) when the deepest level is a fused leaf of
-        *one* run positioned by this walk's position dict, no cache probe is
+        (:meth:`emit_leaf_run`) when the deepest level intersects *one* run
+        positioned by this walk's position dict — alone (a fused leaf) or
+        with the hoisted invariant set (a set-leaf) — no cache probe is
         entered between the two, and every other filter only narrows the
         walked run (a second position dict would make the leaf a pair).
         """
         deepest = self.num_variables - 1
+        varying = (
+            self.participants[deepest] if self.leaf_set_name is None else self.leaf_varying
+        )
         if (
             self.mode != "count"
             or depth != deepest - 1
             or deepest in self.shape_at_entry
-            or len(self.participants[deepest]) != 1
+            or len(varying) != 1
         ):
             return None
-        ((atom, level),) = self.participants[deepest]
+        ((atom, level),) = varying
         parent = (atom, level - 1)
         return parent if parent in filters else None
 
@@ -811,13 +828,7 @@ class _Codegen:
         static: the constant part goes to the site and the loop adds only
         the spans that vary.
         """
-        fixed = 0
-        varying: List[Tuple[int, int]] = []
-        for atom, level in participants:
-            if level == 0 and self.atom_depths[atom][0] > 0:
-                fixed += len(self.bundles[atom][0])
-            else:
-                varying.append((atom, level))
+        fixed, varying = self.split_spans(participants)
         if not fixed:
             self.emit(indent, f"st = {self.span_expr(participants)}")
             self.emit(indent, "c_acc += st if st > 1 else 1")
@@ -825,6 +836,20 @@ class _Codegen:
         self.site.acc += fixed
         if varying:
             self.emit(indent, f"c_acc += {self.span_expr(varying)}")
+
+    def split_spans(
+        self, participants: Sequence[Tuple[int, int]]
+    ) -> Tuple[int, List[Tuple[int, int]]]:
+        """The summed spans of root runs first met below depth 0 (constants
+        of the captured columns), and the participants whose span varies."""
+        fixed = 0
+        varying: List[Tuple[int, int]] = []
+        for atom, level in participants:
+            if level == 0 and self.atom_depths[atom][0] > 0:
+                fixed += len(self.bundles[atom][0])
+            else:
+                varying.append((atom, level))
+        return fixed, varying
 
     def emit_deadline_check(self, indent: int, trips: str = "1") -> None:
         """One counter-gated deadline check per loop trip (or per reduced
@@ -1163,6 +1188,16 @@ class _Codegen:
         (weights are >= 1 — a key of a delta-free trie has a non-empty child
         run — so the misses are the zeros), its span charge ``max(1, span)``
         is its span, and all its spans together are the matches ``m``.
+
+        Beside an invariant set ``sl<k>`` (a cycle's closing intersection,
+        ``set-leaf-run``) the hoisted children table holds each key's child
+        run as a ``frozenset`` instead, the empty one for a key it lacks: the
+        found runs' lengths are the varying part of the span charge (the
+        invariant runs add the same spans per key found, and the ``max``
+        stays static because a found run is non-empty), and ``m`` is the
+        summed sizes of their intersections with ``sl<k>``.  A frozenset
+        because ``set.intersection`` with a set argument iterates the smaller
+        side: a hub's long child run costs no more than ``sl<k>``.
         """
         atom, level = plan["driver"]
         span = f"hi{atom}_{level} - lo{atom}_{level}"
@@ -1174,15 +1209,42 @@ class _Codegen:
         ]
         if narrowing:
             keys = f"{narrowing[0]}.intersection({', '.join([keys] + narrowing[1:])})"
-        self.note_level(depth, "leaf-run")
-        self.emit(indent, f"# depth {depth + 1}: fused leaf count, whole run at once")
+        parent, parent_level = plan["leaf_run"]
+        found = "len(ws) - ws.count(0)"
+        fused = self.leaf_set_name is None
+        self.note_level(depth, "leaf-run" if fused else "set-leaf-run")
+        self.emit(
+            indent,
+            f"# depth {depth + 1}: {'fused leaf' if fused else 'set-leaf'} count, whole run at once",
+        )
         self.emit_deadline_check(indent, span)
-        weighted, weighted_level = plan["leaf_run"]
-        self.emit(indent, f"ws = list(map(w{weighted}_{weighted_level}.get, {keys}, _zeros))")
-        with self.visit_site(indent, "len(ws) - ws.count(0)"):
-            self.charge_level(depth + 1, 1)
-            self.emit(indent, "m = sum(ws)")
-            self.emit(indent, "c_acc += m")
+        if fused:
+            self.emit(indent, f"ws = list(map(w{parent}_{parent_level}.get, {keys}, _zeros))")
+            with self.visit_site(indent, found):
+                self.charge_level(depth + 1, 1)
+                self.emit(indent, "m = sum(ws)")
+                self.emit(indent, "c_acc += m")
+                self.emit_leaf_tally(indent)
+            return
+        leaf = self.participants[depth + 1]
+        self.emit(indent, f"cs = list(map(ch{parent}_{parent_level}.get, {keys}, _empty))")
+        self.emit(indent, "ws = list(map(len, cs))")
+        with self.visit_site(indent, found):
+            self.charge_level(depth + 1, len(leaf))
+            fixed, varying = self.split_spans(
+                [pair for pair in leaf if pair not in self.leaf_varying]
+            )
+            self.site.acc += fixed
+            spans = "sum(ws)"
+            if varying:
+                invariant = self.span_expr(varying)
+                if len(varying) > 1:
+                    invariant = f"({invariant})"
+                spans += f" + ({found}) * {invariant}"
+            self.emit(indent, f"c_acc += {spans}")
+            self.emit(
+                indent, f"m = sum(map(len, map({self.leaf_set_name}.intersection, cs)))"
+            )
             self.emit_leaf_tally(indent)
 
     def emit_leaf_count(
@@ -1319,6 +1381,7 @@ def _compile_function(
         "_bisect": bisect_left,
         "_monotonic": time.monotonic,
         "_zeros": repeat(0),
+        "_empty": repeat(frozenset()),
         "_TimeoutError": QueryTimeoutError,
         **extra,
     }

@@ -5,6 +5,7 @@ from __future__ import annotations
 import sys
 import threading
 from contextlib import contextmanager
+from itertools import islice
 from typing import (
     Callable,
     Dict,
@@ -71,14 +72,24 @@ class CacheCounterScope:
         return dict(self._deltas)
 
 
-def _rough_bytes(obj: object, depth: int = 4, seen: Optional[set] = None) -> int:
+#: Items :func:`_rough_bytes` walks in one container; a bigger one is priced
+#: from a sample of about this many.
+_WALKED_ITEMS = 64
+
+
+def _rough_bytes(obj: object, depth: int = 5, seen: Optional[set] = None) -> int:
     """A cheap, bounded size estimate for memory-budget accounting.
 
     ``sys.getsizeof`` plus a shallow walk of containers and ``__dict__``
     attributes.  Numpy arrays report their exact ``nbytes``; objects with a
-    ``memory_estimate()`` hook (adhesion caches) use it; large flat
-    containers are charged a per-item flat rate instead of being walked, so
-    the estimate stays O(structure), not O(data).
+    ``memory_estimate()`` hook (adhesion caches) use it; a container of more
+    than :data:`_WALKED_ITEMS` items walks an evenly strided sample of them
+    (a set or dict is stepped through at C level) with the same depth budget
+    and charges every item the sample's average, so the Python-level work
+    stays O(structure), not O(data), and a table of containers (a compiled
+    driver's children table) is still charged for what its values hold.
+    The default depth reaches the items of those values (driver, hoists per
+    mode, one mode's tables, a table, a value).
     """
     if obj is None:
         return 0
@@ -103,21 +114,22 @@ def _rough_bytes(obj: object, depth: int = 4, seen: Optional[set] = None) -> int
         size = 64
     if depth <= 0:
         return size
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        if len(obj) > 64:
-            # Flat data columns (sorted key runs, range arrays): charge a
-            # per-item flat rate instead of walking millions of ints.
-            return size + 28 * len(obj)
-        for item in obj:
-            size += _rough_bytes(item, depth - 1, seen)
-        return size
-    if isinstance(obj, dict):
-        if len(obj) > 64:
-            return size + 100 * len(obj)
-        for key, value in obj.items():
-            size += _rough_bytes(key, depth - 1, seen)
-            size += _rough_bytes(value, depth - 1, seen)
-        return size
+    if isinstance(obj, (list, tuple, set, frozenset, dict)):
+        count = len(obj)
+        items = obj.items() if isinstance(obj, dict) else obj
+        if count > _WALKED_ITEMS:
+            step = count // _WALKED_ITEMS
+            if isinstance(obj, (list, tuple)):
+                items = obj[::step]
+            else:
+                items = list(islice(items, 0, None, step))
+        walked = 0
+        for item in items:
+            for part in item if isinstance(obj, dict) else (item,):
+                walked += _rough_bytes(part, depth - 1, seen)
+        if count > _WALKED_ITEMS:
+            walked = walked * count // len(items)
+        return size + walked
     attributes = getattr(obj, "__dict__", None)
     if isinstance(attributes, dict):
         for value in attributes.values():

@@ -5,7 +5,8 @@ SNAP ca-GrQc: LFTJ ~45e9 > YTD ~16e9 > CLFTJ ~1.4e9.  This table pins, to the
 unit, what the counted model says on the ca-GrQc stand-in at two scales for
 three query families and the paper's three algorithms: ``count``,
 ``memory_accesses`` and ``cache_hits``.  A plan, cache, codegen or cost-model
-change that moves any cell has to say so by editing the table.
+change that moves any cell has to say so by editing the table.  The
+wiki-Vote stand-in (a directed graph; the triangle too) has its own table.
 
 LFTJ and CLFTJ are run both compiled and interpreted (``compile=False``);
 instrumentation parity means both give the same numbers.  YTD joins each bag
@@ -15,11 +16,16 @@ same trie accesses.
 
 import pytest
 
-from repro.datasets.snap import ca_grqc
+from repro.datasets.snap import ca_grqc, wiki_vote
 from repro.engine.engine import QueryEngine
 from repro.query.patterns import cycle_query, path_query
 
-QUERIES = {"4-cycle": cycle_query(4), "5-cycle": cycle_query(5), "4-path": path_query(4)}
+QUERIES = {
+    "3-cycle": cycle_query(3),
+    "4-cycle": cycle_query(4),
+    "5-cycle": cycle_query(5),
+    "4-path": path_query(4),
+}
 
 #: (scale, query) -> count, then (memory_accesses, cache_hits) per algorithm.
 TABLE = {
@@ -31,16 +37,32 @@ TABLE = {
     (1, "4-path"): (159498, {"lftj": (634994, 0), "clftj": (25718, 1016), "ytd": (7719, 0)}),
 }
 
+#: The same cells on the wiki-Vote stand-in.
+WIKI_VOTE_TABLE = {
+    (0.3, "3-cycle"): (147, {"lftj": (3355, 0), "clftj": (3355, 0), "ytd": (3503, 0)}),
+    (0.3, "4-cycle"): (902, {"lftj": (18261, 0), "clftj": (14015, 288), "ytd": (8593, 0)}),
+    (0.3, "5-cycle"): (4540, {"lftj": (99457, 0), "clftj": (49167, 3344), "ytd": (83004, 0)}),
+    (0.3, "4-path"): (23354, {"lftj": (69617, 0), "clftj": (2942, 430), "ytd": (2891, 0)}),
+    (1, "3-cycle"): (531, {"lftj": (20072, 0), "clftj": (20072, 0), "ytd": (20604, 0)}),
+    (1, "4-cycle"): (4322, {"lftj": (140148, 0), "clftj": (111677, 1179), "ytd": (51137, 0)}),
+    (1, "5-cycle"): (34600, {"lftj": (1136139, 0), "clftj": (622670, 24679), "ytd": (979759, 0)}),
+    (1, "4-path"): (273707, {"lftj": (828435, 0), "clftj": (21735, 1431), "ytd": (9498, 0)}),
+}
+
 
 @pytest.fixture(scope="module", params=[0.3, 1], ids=["scale-0.3", "scale-1"])
 def engine(request):
     return request.param, QueryEngine(ca_grqc(scale=request.param))
 
 
-@pytest.mark.parametrize("query_name", sorted(QUERIES))
-def test_e0_cells_are_exact(engine, query_name):
+@pytest.fixture(scope="module", params=[0.3, 1], ids=["scale-0.3", "scale-1"])
+def wiki_vote_engine(request):
+    return request.param, QueryEngine(wiki_vote(scale=request.param))
+
+
+def _assert_cells(engine, table, query_name):
     scale, engine = engine
-    count, cells = TABLE[(scale, query_name)]
+    count, cells = table[(scale, query_name)]
     query = QUERIES[query_name]
     for algorithm, expected in cells.items():
         runs = [engine.count(query, algorithm=algorithm)]
@@ -51,6 +73,16 @@ def test_e0_cells_are_exact(engine, query_name):
             cell = (scale, query_name, algorithm, run.metadata.get("compiled", False))
             assert run.count == count, cell
             assert (run.counter.memory_accesses, run.counter.cache_hits) == expected, cell
+
+
+@pytest.mark.parametrize("query_name", ["4-cycle", "4-path", "5-cycle"])
+def test_e0_cells_are_exact(engine, query_name):
+    _assert_cells(engine, TABLE, query_name)
+
+
+@pytest.mark.parametrize("query_name", sorted(QUERIES))
+def test_wiki_vote_cells_are_exact(wiki_vote_engine, query_name):
+    _assert_cells(wiki_vote_engine, WIKI_VOTE_TABLE, query_name)
 
 
 def test_e0_keeps_the_paper_order_on_the_stand_in():

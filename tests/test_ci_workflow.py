@@ -25,3 +25,20 @@ def test_a_two_bag_ytd_join_is_compared_outside_pytest():
         "python -m repro compare --dataset ca-GrQc --query 5-cycle "
         "--algorithms lftj clftj ytd"
     ) in WORKFLOW.read_text(encoding="utf-8")
+
+
+def test_the_leaf_run_step_compares_both_reduced_forms_with_the_oracle():
+    """Paths (``leaf-run``) and cycles / cliques (``set-leaf-run``), each
+    under lftj and clftj: compiled and ``--no-compile`` must print the same
+    count, memory accesses and cache hits."""
+    text = WORKFLOW.read_text(encoding="utf-8")
+    (step,) = re.findall(
+        r"- name: Leaf-run reduction against the interpreted oracle.*?\n(?=      - name: )",
+        text,
+        re.S,
+    )
+    assert "for query in 4-path 4-cycle 4-clique; do" in step
+    assert "for algorithm in lftj clftj; do" in step
+    assert 'print $at["count"], $at["memory_accesses"], $at["cache_hits"]' in step
+    assert '--algorithm "$algorithm" --no-compile)' in step
+    assert 'test -n "$compiled" && test "$compiled" = "$interpreted"' in step

@@ -221,6 +221,31 @@ class TestCacheAndInvalidation:
         assert database.clear_compiled_cache() == 1
         assert database.memory_footprint() == index_only
 
+    def test_memory_footprint_prices_a_children_table_by_its_values(self):
+        """A cycle's children table maps each key to a frozenset: a big dict
+        whose values hold most of its bytes.  The estimate walks a sample of
+        its items, so the growth tracks the deep size of what was hoisted."""
+        rng = random.Random(7)
+        rows = sorted({(rng.randrange(600), rng.randrange(600)) for _ in range(3000)})
+        database = Database([Relation("E", ("a", "b"), rows)])
+        executor = CompiledTrieJoin(parse_query(C4), database)
+        driver = executor.build()
+        built = database.memory_footprint()
+        executor.count()
+        tables = driver._hoists["count"]
+        assert sorted(tables) == ["ch2_0", "fd1_0"] and len(tables["ch2_0"]) > 500
+
+        def deep(obj):
+            if isinstance(obj, dict):
+                return sys.getsizeof(obj) + sum(deep(k) + deep(v) for k, v in obj.items())
+            if isinstance(obj, frozenset):
+                return sys.getsizeof(obj) + sum(map(deep, obj))
+            return sys.getsizeof(obj)
+
+        hoisted = sum(map(deep, tables.values()))
+        growth = database.memory_footprint() - built
+        assert abs(growth - hoisted) <= 0.25 * hoisted, (growth, hoisted)
+
 
 class TestPrepared:
     def test_prepared_holds_and_refreshes_compiled_handle(self, engine, database):
@@ -309,7 +334,8 @@ class TestReporting:
             return lines[at + 1]
 
         assert levels(P4, "lftj") == "  levels: merge > walk > walk > leaf-run"
-        assert levels(C4, "lftj") == "  levels: merge > walk > walk > set-leaf"
+        assert levels(C4, "lftj") == "  levels: merge > walk > set-leaf-run"
+        assert levels("E(a,b), E(b,c), E(c,a)", "lftj") == "  levels: merge > set-leaf-run"
         # a probe entered at the leaf keeps the loop over the run above it
         assert levels(P4, "clftj").endswith("walk > probe@3 > fused-leaf")
 
@@ -430,6 +456,12 @@ class SiteCase(NamedTuple):
 
 
 LEAF_RUN = (r"ws = list\(map\(w\d_\d\.get, ", r"n\d+ \+= len\(ws\) - ws\.count\(0\)", r"m = sum\(ws\)")
+SET_LEAF_RUN = (
+    r"cs = list\(map\(ch\d_\d\.get, .*, _empty\)\)\n +ws = list\(map\(len, cs\)\)\n",
+    r"n\d+ \+= len\(ws\) - ws\.count\(0\)",
+    r"m = sum\(map\(len, map\(sl\d\.intersection, cs\)\)\)",
+    r"ch\d_\d = \{K\d_0\[i\]: frozenset\(K\d_1\[B\d_0\[i\]:E\d_0\[i\]\]\) for i in ",
+)
 
 SITE_CASES = [
     SiteCase("interior-merge", "E(a,b), F(a,b), E(b,c)", "lftj",
@@ -457,8 +489,35 @@ SITE_CASES = [
              (r"fused leaf", r"m = _pair_count\("), ("merge", "fused-leaf")),
     SiteCase("leaf-of-3", "E(a,b), F(a,b), G(a,b)", "lftj",
              (r"fused leaf", r"m = _run_count\("), ("merge", "fused-leaf")),
-    SiteCase("leaf-invariant-set", "E(a,b), E(b,c), E(c,a)", "lftj",
-             (r"m = len\(sl0\.intersection",), ("merge", "walk", "set-leaf")),
+    # two runs vary under the walk: the set-leaf keeps its loop
+    SiteCase("leaf-invariant-set", "E(a,b), E(b,c), F(b,c), E(c,a)", "lftj",
+             (r"m = len\(sl0\.intersection\(_run_keys\(",), ("merge", "walk", "set-leaf")),
+    SiteCase("set-leaf-run", C4, "lftj",
+             SET_LEAF_RUN + (r"map\(ch2_0\.get, K1_1\[lo1_1:hi1_1\], _empty\)",
+                             r"c_acc \+= sum\(ws\) \+ \(len\(ws\) - ws\.count\(0\)\) \* \(hi3_1 - lo3_1\)\n"),
+             ("merge", "walk", "set-leaf-run")),
+    # every third b of E has no H row: fewer leaf visits than walked keys
+    SiteCase("set-leaf-run-dangling", "E(a,b), H(b,c), E(c,a)", "lftj", SET_LEAF_RUN,
+             ("merge", "set-leaf-run")),
+    # a set filter on the reduced level itself narrows the run first
+    SiteCase("set-leaf-run-narrowed", "E(a,b), E(b,c), F(a,c), E(c,d), E(d,a)", "lftj",
+             SET_LEAF_RUN + (r"map\(ch3_0\.get, fs2_1\.intersection\(K1_1\[lo1_1:hi1_1\]\), _empty\)",),
+             ("merge", "walk", "set-leaf-run")),
+    # two invariant runs: a chained set, and two spans per key found
+    SiteCase("set-leaf-run-clique", "E(a,b), E(a,c), E(a,d), E(b,c), E(b,d), E(c,d)", "lftj",
+             SET_LEAF_RUN + (r"sl1 = sl0\.intersection\(", r"map\(sl1\.intersection, cs\)",
+                             r"\* \(\(hi\d_1 - lo\d_1\) \+ \(hi\d_1 - lo\d_1\)\)\n"),
+             ("merge", "walk", "set-leaf-run")),
+    SiteCase("set-leaf-run-chorded-cycle", C4 + ", F(b,d)", "lftj",
+             SET_LEAF_RUN + (r"sl1 = sl0\.intersection\(", r"map\(sl1\.intersection, cs\)"),
+             ("merge", "walk", "set-leaf-run")),
+    # a path ending in a triangle: the last bag closes it in a probe's miss
+    # branch, once under a hit's factor
+    SiteCase("set-leaf-run-in-miss-branch", "E(a,b), E(b,c), E(c,d), E(d,e), E(c,e)", "clftj",
+             SET_LEAF_RUN + (r"c_rec \+= m; total \+= m\n +im2 \+= m\n",
+                             r"c_rec \+= m; total \+= f\d+ \* m\n +im2 \+= m\n"),
+             ("merge", "walk", "probe@1", "merge", "probe@2", "set-leaf-run"),
+             bags=([["b", "c"], ["a", "b"], ["c", "d", "e"]], [None, 0, 0])),
     SiteCase("leaf-unfused", "E(a,b), U(b)", "lftj",
              (r"leaf count \(unfused\)",), ("merge", "unfused-leaf")),
     # hit and miss continuations, and a hit that lands on the base case; the
@@ -686,6 +745,40 @@ class TestCounterModel:
             database, query, "lftj", None, False
         )
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_set_leaf_run_shapes_match_the_oracle(self, seed):
+        """Cycles over mixed relations (``H`` leaves keys dangling) under the
+        written order, some with a chord into the closing variable (chained
+        invariant sets), a chord onto the walked one (a narrowing filter) or
+        a unary atom on the closing variable (a constant span)."""
+        rng = random.Random(seed)
+        extra = ("none", "unary", "closing", "walked")[seed % 4]
+        length = rng.randint(3 if extra in ("none", "unary") else 4, 5)
+        names = "abcde"[:length]
+        closing, walked = names[-1], names[-2]
+        pairs = list(zip(names, names[1:])) + [(closing, names[0])]
+        atoms = [f"{rng.choice('EFGH')}({x},{y})" for x, y in pairs]
+        if extra == "closing":
+            atoms.append(f"{rng.choice('EFG')}({rng.choice(names[1:-2])},{closing})")
+        elif extra == "walked":
+            atoms.append(f"{rng.choice('EFG')}({rng.choice(names[:-3])},{walked})")
+        elif extra == "unary":
+            atoms.append(f"U({closing})")
+        query = parse_query(", ".join(atoms))
+        order = query.variables
+        database = _site_database()
+        engine = QueryEngine(database)
+        compiled = engine.count(query, algorithm="lftj", variable_order=order)
+        driver = engine.prepare(query, algorithm="lftj", variable_order=order).compiled_driver()
+        assert driver.levels[-1] == "set-leaf-run", atoms
+        oracle = engine.count(query, algorithm="lftj", variable_order=order, compile=False)
+        assert compiled.count == oracle.count > 0, atoms
+        assert compiled.counter.as_dict() == oracle.counter.as_dict(), atoms
+        for algorithm in ("lftj", "clftj"):
+            assert _sharded(database, query, algorithm, None, None) == _sharded(
+                database, query, algorithm, None, False
+            ), (algorithm, atoms)
+
     @pytest.mark.parametrize("capacity", [None, 0, 100], ids=lambda c: f"capacity-{c}")
     @pytest.mark.parametrize("policy_name", sorted(PROBE_POLICIES))
     @pytest.mark.parametrize("case", PROBE_CASES, ids=[case.name for case in PROBE_CASES])
@@ -754,6 +847,22 @@ class TestCounterModel:
         timeout = 0.02
         assert prepared.count().elapsed_seconds > 2 * timeout  # there is a middle to stop in
         assert prepared.compiled_driver().levels[-1] == "leaf-run"
+        started = time.perf_counter()
+        with pytest.raises(QueryTimeoutError):
+            engine.count(query, algorithm="lftj", timeout=timeout)
+        assert time.perf_counter() - started < 2 * timeout + 0.05
+
+    def test_deadline_fires_inside_a_set_leaf_run(self):
+        """The same for a cycle's reduced closing pair: the 4-cycle count's
+        gate advances by each walked run."""
+        rng = random.Random(5)
+        rows = sorted({(rng.randrange(400), rng.randrange(400)) for _ in range(6000)})
+        engine = QueryEngine(Database([Relation("E", ("a", "b"), rows)]))
+        query = parse_query(C4)
+        prepared = engine.prepare(query, algorithm="lftj")
+        timeout = 0.02
+        assert prepared.count().elapsed_seconds > 2 * timeout
+        assert prepared.compiled_driver().levels[-1] == "set-leaf-run"
         started = time.perf_counter()
         with pytest.raises(QueryTimeoutError):
             engine.count(query, algorithm="lftj", timeout=timeout)
