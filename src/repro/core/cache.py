@@ -263,11 +263,13 @@ class AdhesionCache:
             entries = self._entries
             if self.content_mode == "count":
                 # entry_bytes term by term at C level: every key is a
-                # (node, values) pair of one size, count values are ints
+                # (node, values) pair of one size, count values are ints —
+                # never GC-tracked, so ``int.__sizeof__`` is ``getsizeof``
+                # without the call through ``sys``
                 self._held_bytes = (
                     len(entries) * _sizeof((0, ()))
                     + sum(map(_sizeof, chain.from_iterable(map(_adhesion_values, entries))))
-                    + sum(map(_sizeof, entries.values()))
+                    + sum(map(int.__sizeof__, entries.values()))
                 )
             else:
                 self._held_bytes = sum(

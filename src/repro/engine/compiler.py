@@ -32,6 +32,14 @@ What the generated driver does differently from the interpreter:
   ``frozenset``.  Either way the whole walked run goes through ``map`` /
   ``sum`` at C level (:meth:`_Codegen.emit_leaf_run`) — the same trie
   positions, no bytecode per key;
+* a CLFTJ miss multiplies like a hit: in the inline probe form, a miss on a
+  childless bag whose next sibling's subtree ends the order counts the
+  bag's block without its continuation — its last depth reduced like a
+  count's last level, ``m = hi - lo`` for one run, a set-leaf run over a
+  children table beside an invariant set — and then probes the sibling
+  *once* under ``factor * t`` for the block's ``t`` bindings, whose key is
+  bound above the block (:meth:`_Codegen._plan_once`); the other ``t - 1``
+  bindings are the hits they would have been;
 * operation counters are *derived*, not kept: the interpreter charges a
   fixed amount per visit of an intersection — one access and one open per
   participant going in, one seek, one access coming out, one recursive-call
@@ -57,6 +65,8 @@ cache every consult is a ``.get`` on the cache's own table and every miss
 a store into it, and the cache counters are derived from the hit and miss
 branches' trip counters like the trie counters below; every other (policy,
 cache) pair calls ``cache.get`` / ``policy.should_cache`` / ``cache.put``.
+Only the inline form probes a sibling once per counted block: a policy
+call may refuse to store, so there a later binding could miss again.
 
 Because the driver holds direct references to trie columns, it is only
 valid while those columns are current: the database drops cached drivers on
@@ -347,12 +357,16 @@ class CompiledDriver:
     variable_names: Tuple[str, ...]
     relation_versions: Dict[str, int]
     probed_nodes: Tuple[int, ...]
-    #: What the count loop is made of, outermost first: one word per depth
-    #: (``merge``, ``walk``, ``fused-leaf``, ``set-leaf``, ``unfused-leaf``),
-    #: ``leaf-run`` / ``set-leaf-run`` for a last pair of depths reduced
-    #: without a loop (over a fused leaf / a set-leaf), and ``probe@<node>``
-    #: before the depth a probed node is entered at.
-    levels: Tuple[str, ...]
+    #: What each count loop is made of (keyed like :meth:`debug_source`:
+    #: ``count``, and ``count-inline`` for a probing driver), outermost
+    #: first: one word per depth (``merge``, ``walk``, ``fused-leaf``,
+    #: ``set-leaf``, ``unfused-leaf``), ``leaf-run`` / ``set-leaf-run`` for a
+    #: last pair of depths reduced without a loop (over a fused leaf / a
+    #: set-leaf), ``probe@<node>`` before the depth a probed node is entered
+    #: at, and in the inline form ``block-count`` for a childless node's
+    #: last depth counted without its continuation and ``once@<node>`` for
+    #: the sibling then probed once for all of its bindings.
+    levels: Dict[str, Tuple[str, ...]]
     _columns: Tuple[Tuple[object, ...], ...] = field(repr=False)
     _sources: Dict[str, str] = field(repr=False)
     _functions: Dict[str, Callable] = field(repr=False)
@@ -520,7 +534,9 @@ class _Codegen:
     ``inline`` selects the probe's form (:func:`probe_form`): calls to the
     cache and the policy, or — the ``count-inline`` loop — a ``.get`` on
     the cache's table and a store into it on every miss, with the hit and
-    miss branches' trip counters standing in for the cache counters.
+    miss branches' trip counters standing in for the cache counters; there
+    a miss on a childless node may count its block and probe the next
+    node once (:meth:`_plan_once`).
     """
 
     def __init__(
@@ -591,6 +607,20 @@ class _Codegen:
         self.miss_visits: List[str] = []
         #: What was emitted at each depth (:meth:`levels`).
         self.level_words: Dict[int, List[str]] = {}
+        #: Per childless node whose miss is counted without its continuation
+        #: (:meth:`_plan_once`): the next sibling, probed once after its block.
+        self.once: Dict[int, _ClftjNodeShape] = self._plan_once()
+        #: Each such block's last depth -> its node.
+        self.block_ends: Dict[int, int] = {
+            shapes[node].subtree_last: node for node in self.once
+        }
+        #: The depths whose bindings a count only counts: the deepest, and
+        #: the last depth of every block above.
+        self.count_ends = (
+            frozenset((self.num_variables - 1, *self.block_ends))
+            if mode == "count"
+            else frozenset()
+        )
         self._plan_leaf_sets()
         self._plan_interior()
 
@@ -602,50 +632,86 @@ class _Codegen:
         """
         return self.atom_depths[atom][level - 1] if level >= 1 else -1
 
-    def _plan_leaf_sets(self) -> None:
-        """Plan the loop-invariant set hoist for the deepest count.
+    def _plan_once(self) -> Dict[int, _ClftjNodeShape]:
+        """Plan the inline count's once-per-block probes.
 
-        A deepest-level run whose parent key binds at an *outer* depth is
-        constant across the innermost loop, so counting its intersection
-        with the varying runs by a per-iteration merge re-scans it every
-        time.  Instead, build a ``set`` of each invariant run right where
-        it binds, chain-intersect the invariant sets (still outside the
-        innermost loop), and reduce the leaf count to one C-level
+        A miss on a childless node S runs S's block and, per binding of its
+        last depth, the continuation: the probe of the node N entered right
+        after S's subtree.  When N's subtree ends the order (its hit
+        continuation is the base case), N's key is bound above S — the
+        running-intersection property puts N's adhesion before S's entry —
+        so every binding probes the one entry the first binding found or
+        stored.  The block is then only counted (:attr:`count_ends`), and N
+        is probed once under ``factor * t`` for the ``t`` bindings: the
+        first arrival as before, the other ``t - 1`` as the hits they were.
+        The same trie positions are visited, the same counters derived and
+        the same entries stored, in the same order (S stores nothing in its
+        block).  Inline form only: a policy call may refuse to store, so a
+        later binding could miss again.
+        """
+        if not self.inline:
+            return {}
+        once: Dict[int, _ClftjNodeShape] = {}
+        for shape in self.probed:
+            after = self.shape_at_entry.get(shape.subtree_last + 1)
+            if (
+                shape.children
+                or after is None
+                or after.subtree_last != self.num_variables - 1
+            ):
+                continue
+            if max(after.adhesion_depths, default=-1) >= shape.entry_depth:
+                raise AssertionError(
+                    f"node {after.node}'s adhesion reaches into node {shape.node}'s block"
+                )
+            once[shape.node] = after
+        return once
+
+    def _plan_leaf_sets(self) -> None:
+        """Plan the loop-invariant set hoist for every count end.
+
+        A count end's run whose parent key binds at an *outer* depth is
+        constant across the loop right above it, so counting its
+        intersection with the varying runs by a per-iteration merge re-scans
+        it every time.  Instead, build a ``set`` of each invariant run right
+        where it binds, chain-intersect the invariant sets (still outside
+        that loop), and reduce the count to one C-level
         ``set.intersection`` over the varying run only.  This changes how
         the match count ``m`` is computed, never its value — and the
         recorded costs depend only on run spans, which are untouched — so
         counter parity with the interpreter is preserved.
         """
-        self.leaf_set_name: Optional[str] = None
-        self.leaf_varying: List[Tuple[int, int]] = []
-        deepest = self.num_variables - 1
-        if self.mode != "count" or deepest < 1:
-            return
-        participants = self.participants[deepest]
-        if len(participants) < 2:
-            return
-        invariant = sorted(
-            (pair for pair in participants if self.bind_depth(*pair) < deepest - 1),
-            key=lambda pair: self.bind_depth(*pair),
-        )
-        if not invariant:
-            return
-        self.leaf_varying = [
-            pair for pair in participants if self.bind_depth(*pair) == deepest - 1
-        ]
-        previous = None
-        for index, (atom, level) in enumerate(invariant):
-            name = f"sl{index}"
-            run_slice = f"K{atom}_{level}[lo{atom}_{level}:hi{atom}_{level}]"
-            if previous is None:
-                expression = f"set({run_slice})"
-            else:
-                expression = f"{previous}.intersection({run_slice})"
-            self.hoist_builds.setdefault(self.bind_depth(atom, level), []).append(
-                (name, expression)
+        #: Per count end with an invariant run: the hoisted set's name and
+        #: the runs that vary (the deepest end named first, as in LFTJ).
+        self.leaf_sets: Dict[int, Tuple[str, List[Tuple[int, int]]]] = {}
+        serial = 0
+        for end in sorted(self.count_ends, reverse=True):
+            participants = self.participants[end]
+            if end < 1 or len(participants) < 2:
+                continue
+            invariant = sorted(
+                (pair for pair in participants if self.bind_depth(*pair) < end - 1),
+                key=lambda pair: self.bind_depth(*pair),
             )
-            previous = name
-        self.leaf_set_name = previous
+            if not invariant:
+                continue
+            previous = None
+            for atom, level in invariant:
+                name = f"sl{serial}"
+                serial += 1
+                run_slice = f"K{atom}_{level}[lo{atom}_{level}:hi{atom}_{level}]"
+                if previous is None:
+                    expression = f"set({run_slice})"
+                else:
+                    expression = f"{previous}.intersection({run_slice})"
+                self.hoist_builds.setdefault(self.bind_depth(atom, level), []).append(
+                    (name, expression)
+                )
+                previous = name
+            self.leaf_sets[end] = (
+                previous,
+                [pair for pair in participants if self.bind_depth(*pair) == end - 1],
+            )
 
     def _plan_interior(self) -> None:
         """Plan driver-walk specializations for interior intersections.
@@ -665,7 +731,7 @@ class _Codegen:
         self.interior_plan: Dict[int, Dict[str, object]] = {}
         for depth in range(1, self.num_variables - 1):
             participants = self.participants[depth]
-            if len(participants) < 2:
+            if len(participants) < 2 or depth in self.count_ends:
                 continue
             latest = max(self.bind_depth(*pair) for pair in participants)
             drivers = [
@@ -677,7 +743,7 @@ class _Codegen:
             leaf_run = self._leaf_run_parent(depth, filters)
             for atom, level in filters:
                 bind = self.bind_depth(atom, level)
-                if (atom, level) == leaf_run and self.leaf_set_name is None:
+                if (atom, level) == leaf_run and depth + 1 not in self.leaf_sets:
                     # Nothing but the leaf reads this position, and the leaf
                     # only for the length of the child run under it ...
                     build = (
@@ -716,26 +782,23 @@ class _Codegen:
     def _leaf_run_parent(
         self, depth: int, filters: Sequence[Tuple[int, int]]
     ) -> Optional[Tuple[int, int]]:
-        """The walk filter whose child runs are the deepest level's one
-        varying run.
+        """The walk filter whose child runs are the next level's one varying
+        run, when that level is a count end.
 
-        A count's last two levels reduce to straight-line code
-        (:meth:`emit_leaf_run`) when the deepest level intersects *one* run
-        positioned by this walk's position dict — alone (a fused leaf) or
-        with the hoisted invariant set (a set-leaf) — no cache probe is
-        entered between the two, and every other filter only narrows the
-        walked run (a second position dict would make the leaf a pair).
+        A count's last two levels — or a block's, counted without its
+        continuation — reduce to straight-line code (:meth:`emit_leaf_run`)
+        when the count end intersects *one* run positioned by this walk's
+        position dict — alone (a fused leaf) or with the hoisted invariant
+        set (a set-leaf) — no cache probe is entered between the two, and
+        every other filter only narrows the walked run (a second position
+        dict would make the leaf a pair).
         """
-        deepest = self.num_variables - 1
-        varying = (
-            self.participants[deepest] if self.leaf_set_name is None else self.leaf_varying
-        )
-        if (
-            self.mode != "count"
-            or depth != deepest - 1
-            or deepest in self.shape_at_entry
-            or len(varying) != 1
-        ):
+        end = depth + 1
+        if end not in self.count_ends or end in self.shape_at_entry:
+            return None
+        leaf_set = self.leaf_sets.get(end)
+        varying = self.participants[end] if leaf_set is None else leaf_set[1]
+        if len(varying) != 1:
             return None
         ((atom, level),) = varying
         parent = (atom, level - 1)
@@ -753,9 +816,12 @@ class _Codegen:
             words.append(word)
 
     def levels(self) -> Tuple[str, ...]:
-        """The emitted driver as words, outermost depth first."""
+        """The emitted driver as words, outermost depth first (a depth's
+        probes before what it is emitted as)."""
         return tuple(
-            word for depth in sorted(self.level_words) for word in self.level_words[depth]
+            word
+            for depth in sorted(self.level_words)
+            for word in sorted(self.level_words[depth], key=lambda word: "@" not in word)
         )
 
     def run_expr(self, atom: int, level: int) -> str:
@@ -1012,16 +1078,25 @@ class _Codegen:
 
     def emit_loops(self, depth: int, indent: int) -> None:
         """The depth's intersection and everything nested below it."""
-        if depth + 1 == self.num_variables:
-            if self.mode == "count":
-                self.emit_deepest_count(depth, indent)
-            else:
-                self.emit_deepest_evaluate(depth, indent)
-            return
-        self.emit_interior(depth, indent)
+        if depth in self.count_ends:
+            self.emit_count_end(depth, indent)
+        elif depth + 1 == self.num_variables:
+            self.emit_deepest_evaluate(depth, indent)
+        else:
+            self.emit_interior(depth, indent)
 
-    def emit_probe(self, depth: int, indent: int, shape: _ClftjNodeShape) -> None:
-        """The inlined cache consult at one probed node's entry depth."""
+    def emit_probe(
+        self, depth: int, indent: int, shape: _ClftjNodeShape, word: str = "probe"
+    ) -> str:
+        """The inlined cache consult at one probed node's entry depth.
+
+        A hit multiplies the running factor by the cached count and jumps to
+        the continuation; a miss runs the node's block and stores its
+        intermediate.  A miss on a node of :attr:`once` counts its block
+        without the continuation and then consults the next sibling once
+        (:meth:`emit_probe_once`); ``word`` names such a consult in
+        :meth:`levels`.  Returns the hit branch's trip counter.
+        """
         pid = self._probe_serial
         self._probe_serial += 1
         node = shape.node
@@ -1031,7 +1106,7 @@ class _Codegen:
             key = f"(k{shape.adhesion_depths[0]},)"
         else:
             key = "(" + ", ".join(f"k{d}" for d in shape.adhesion_depths) + ")"
-        self.note_level(depth, f"probe@{node}")
+        self.note_level(depth, f"{word}@{node}")
         self.emit(indent, f"# node {node}: adhesion-cache probe")
         # The interpreter records the recursive call before consulting.
         self.site.rec += 1
@@ -1049,6 +1124,9 @@ class _Codegen:
         with self.visit_site(body):
             self.miss_visits.append(self.site.visits)
             self.emit_loops(depth, body)
+        after = self.once.get(node)
+        if after is not None:
+            self.emit_probe_once(body, shape, after)
         if self.inline:
             self.emit(body, f"_tab[ak{pid}] = im{node}")
         else:
@@ -1066,8 +1144,30 @@ class _Codegen:
         saved = self.factor
         self.factor = f"f{fid}"
         with self.visit_site(body):
-            self.hit_visits.append(self.site.visits)
+            hit = self.site.visits
+            self.hit_visits.append(hit)
             self.emit_depth(shape.subtree_last + 1, body)
+        self.factor = saved
+        return hit
+
+    def emit_probe_once(
+        self, indent: int, shape: _ClftjNodeShape, after: _ClftjNodeShape
+    ) -> None:
+        """The next sibling's consult, once for the ``t = im<node>``
+        bindings a miss on ``shape`` counted (:meth:`_plan_once`).
+
+        Each binding recorded the recursive call into the sibling — a site
+        visited ``t`` times.  The first arrival misses or hits as it did,
+        under ``factor * t``, since the other ``t - 1`` would have hit the
+        entry it found or stored: visits of its hit branch.
+        """
+        bindings = f"im{shape.node}"
+        saved = self.factor
+        self.factor = bindings if saved == "1" else f"{saved} * {bindings}"
+        with self.visit_site(indent, bindings):
+            self.emit(indent, f"if {bindings}:")
+            hit = self.emit_probe(after.entry_depth, indent + 1, after, "once")
+            self.emit(indent + 1, f"{hit} += {bindings} - 1")
         self.factor = saved
 
     def emit_interior(self, depth: int, indent: int) -> None:
@@ -1198,6 +1298,9 @@ class _Codegen:
         summed sizes of their intersections with ``sl<k>``.  A frozenset
         because ``set.intersection`` with a set argument iterates the smaller
         side: a hub's long child run costs no more than ``sl<k>``.
+
+        At a block's end (:attr:`block_ends`) the pair is a block's last
+        two depths and ``m`` its bindings, for the probe once after it.
         """
         atom, level = plan["driver"]
         span = f"hi{atom}_{level} - lo{atom}_{level}"
@@ -1211,28 +1314,31 @@ class _Codegen:
             keys = f"{narrowing[0]}.intersection({', '.join([keys] + narrowing[1:])})"
         parent, parent_level = plan["leaf_run"]
         found = "len(ws) - ws.count(0)"
-        fused = self.leaf_set_name is None
-        self.note_level(depth, "leaf-run" if fused else "set-leaf-run")
-        self.emit(
-            indent,
-            f"# depth {depth + 1}: {'fused leaf' if fused else 'set-leaf'} count, whole run at once",
-        )
+        end = depth + 1
+        leaf_set = self.leaf_sets.get(end)
+        self.note_level(depth, "leaf-run" if leaf_set is None else "set-leaf-run")
+        if end in self.block_ends:
+            what = f"node {self.block_ends[end]}'s bindings"
+        else:
+            what = f"{'fused leaf' if leaf_set is None else 'set-leaf'} count"
+        self.emit(indent, f"# depth {end}: {what}, whole run at once")
         self.emit_deadline_check(indent, span)
-        if fused:
+        if leaf_set is None:
             self.emit(indent, f"ws = list(map(w{parent}_{parent_level}.get, {keys}, _zeros))")
             with self.visit_site(indent, found):
-                self.charge_level(depth + 1, 1)
+                self.charge_level(end, 1)
                 self.emit(indent, "m = sum(ws)")
                 self.emit(indent, "c_acc += m")
-                self.emit_leaf_tally(indent)
+                self.emit_leaf_tally(end, indent)
             return
-        leaf = self.participants[depth + 1]
+        set_name, set_varying = leaf_set
+        leaf = self.participants[end]
         self.emit(indent, f"cs = list(map(ch{parent}_{parent_level}.get, {keys}, _empty))")
         self.emit(indent, "ws = list(map(len, cs))")
         with self.visit_site(indent, found):
-            self.charge_level(depth + 1, len(leaf))
+            self.charge_level(end, len(leaf))
             fixed, varying = self.split_spans(
-                [pair for pair in leaf if pair not in self.leaf_varying]
+                [pair for pair in leaf if pair not in set_varying]
             )
             self.site.acc += fixed
             spans = "sum(ws)"
@@ -1242,20 +1348,17 @@ class _Codegen:
                     invariant = f"({invariant})"
                 spans += f" + ({found}) * {invariant}"
             self.emit(indent, f"c_acc += {spans}")
-            self.emit(
-                indent, f"m = sum(map(len, map({self.leaf_set_name}.intersection, cs)))"
-            )
-            self.emit_leaf_tally(indent)
+            self.emit(indent, f"m = sum(map(len, map({set_name}.intersection, cs)))")
+            self.emit_leaf_tally(end, indent)
 
-    def emit_leaf_count(
-        self, participants: Sequence[Tuple[int, int]], indent: int
-    ) -> None:
-        """Bind ``m`` via the invariant-set plan when one exists."""
-        if self.leaf_set_name is None:
-            self.emit_count_of_runs(participants, indent)
+    def emit_leaf_count(self, depth: int, indent: int) -> None:
+        """Bind ``m`` to a count end's bindings, via the invariant-set plan
+        when one exists."""
+        leaf_set = self.leaf_sets.get(depth)
+        if leaf_set is None:
+            self.emit_count_of_runs(self.participants[depth], indent)
             return
-        final = self.leaf_set_name
-        varying = self.leaf_varying
+        final, varying = leaf_set
         if not varying:
             self.emit(indent, f"m = len({final})")
         elif len(varying) == 1:
@@ -1320,14 +1423,20 @@ class _Codegen:
             return
         self.emit(indent, f"m = _run_count({self.runs_expr(participants)})")
 
-    def emit_deepest_count(self, depth: int, indent: int) -> None:
+    def emit_count_end(self, depth: int, indent: int) -> None:
+        """A count end: its intersection's size, without a loop over it."""
         participants = self.participants[depth]
-        if all(level >= 1 for _atom, level in participants):
+        if depth in self.block_ends:
+            # A block's last depth: an interior intersection, charged as
+            # one; its bindings only count the continuation's visits.
+            self.note_level(depth, "block-count")
+            self.emit(indent, f"# depth {depth}: node {self.block_ends[depth]}'s bindings")
+        elif all(level >= 1 for _atom, level in participants):
             # The interpreter's fused leaf: one stateless child intersection
             # replaces the whole open/intersect/up cycle and is charged with
             # the operations it elides, so a visit costs what an unfused
             # one does.
-            self.note_level(depth, "fused-leaf" if self.leaf_set_name is None else "set-leaf")
+            self.note_level(depth, "fused-leaf" if depth not in self.leaf_sets else "set-leaf")
             self.emit(indent, f"# depth {depth}: fused leaf count")
         else:
             # Some participant first appears at the deepest depth: the fused
@@ -1335,11 +1444,17 @@ class _Codegen:
             self.note_level(depth, "unfused-leaf")
             self.emit(indent, f"# depth {depth}: leaf count (unfused)")
         self.emit_level_charges(indent, depth, participants)
-        self.emit_leaf_count(participants, indent)
-        self.emit_leaf_tally(indent)
+        self.emit_leaf_count(depth, indent)
+        if depth in self.block_ends:
+            self.emit_deadline_check(indent, "m")
+        self.emit_leaf_tally(depth, indent)
 
-    def emit_leaf_tally(self, indent: int) -> None:
-        """The deepest level's arithmetic for ``m`` matches."""
+    def emit_leaf_tally(self, depth: int, indent: int) -> None:
+        """A count end's arithmetic for ``m`` matches: at a block's end,
+        ``m`` more bindings for its node's intermediate."""
+        if depth in self.block_ends:
+            self.emit(indent, f"im{self.block_ends[depth]} += m")
+            return
         if not self.probed:
             self.emit(indent, "total += m")
             return
@@ -1445,7 +1560,11 @@ def compile_driver(
         variable_names=tuple(variable.name for variable in variable_order),
         relation_versions=database.relation_versions(query.relation_names),
         probed_nodes=tuple(shape.node for shape in probed),
-        levels=codegens["count"].levels(),
+        levels={
+            name: codegen.levels()
+            for name, codegen in codegens.items()
+            if codegen.mode == "count"
+        },
         _columns=bundles,
         _sources=sources,
         _functions=functions,

@@ -27,6 +27,7 @@ from repro.decomposition.tree_decomposition import TreeDecomposition
 from repro.engine.compiler import (
     COMPILED_ALGORITHMS,
     DELTAS_PENDING,
+    INLINE_PROBE,
     pending_deltas,
     probe_form,
     resolve_driver,
@@ -365,6 +366,7 @@ class QueryEngine:
             self.selector,
             plan if resolved == "clftj" else None,
         )
+        form: Optional[str] = None  # the compiled probe's, for the levels line
         if resolved == "clftj":
             capacity = (
                 plan.cache_capacity
@@ -383,7 +385,8 @@ class QueryEngine:
             probes = ""
             if compile is not False and probing is not None:
                 probed_cache = cache if cache is not None and not pooled else plan.make_cache()
-                probes = f", compiled probe: {probe_form(plan.policy, probed_cache)}"
+                form = probe_form(plan.policy, probed_cache)
+                probes = f", compiled probe: {form}"
             lines.append("")
             lines.append(
                 f"adhesion caching: policy={type(plan.policy).__name__}, "
@@ -422,7 +425,7 @@ class QueryEngine:
             f"{self.database.compiled_builds} build(s), "
             f"{self.database.compiled_cache_hits} hit(s); "
             f"this query: "
-            f"{self._compiled_state(query, resolved, variable_order, compile, plan)}"
+            f"{self._compiled_state(query, resolved, variable_order, compile, plan, form)}"
         )
         if timeout is not None:
             lines.append(
@@ -468,11 +471,13 @@ class QueryEngine:
         variable_order: Optional[Sequence[Variable]],
         compile: Optional[bool],
         plan: Optional[ExecutionPlan] = None,
+        form: Optional[str] = None,
     ) -> str:
         """The explain() account of this query's compiled-driver state: what
         the executor's ``build()`` would find, but only peeking — it builds
         no index, compiles nothing and bumps no counter.  A cached driver
-        adds a ``levels:`` line: what its count loop is made of."""
+        adds a ``levels:`` line: what the count loop of the probe ``form``
+        that would run is made of."""
         if algorithm not in COMPILED_ALGORITHMS:
             return f"not applicable (algorithm {algorithm!r} runs interpreted)"
         if compile is False:
@@ -485,7 +490,8 @@ class QueryEngine:
         driver = self.database.peek_compiled_driver(key)
         if driver is not None:
             state, note = "cached", "count mode; evaluation runs interpreted"
-            levels = f"\n  levels: {' > '.join(driver.levels)}"
+            loop = "count-inline" if form == INLINE_PROBE else "count"
+            levels = f"\n  levels: {' > '.join(driver.levels[loop])}"
         else:
             state, note, levels = "will compile on first execution", "count mode", ""
         return (f"{state} ({note})" if probing is not None else state) + levels

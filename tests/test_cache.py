@@ -128,8 +128,9 @@ def walked_memory_estimate(cache: AdhesionCache) -> int:
 
 
 def _count_value(rng: random.Random) -> int:
-    # small, machine-word and multi-digit ints are three different sizes
-    return rng.choice((0, 7, 2**31, 2**70)) + rng.randrange(100)
+    # small, machine-word and multi-digit ints are different sizes, with
+    # a size step at every 30-bit digit
+    return rng.choice((0, 7, 2**30, 2**31, 2**60, 2**70)) + rng.randrange(100)
 
 
 def _factorized_value(rng: random.Random) -> FactorizedNode:

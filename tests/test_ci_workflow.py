@@ -28,16 +28,18 @@ def test_a_two_bag_ytd_join_is_compared_outside_pytest():
 
 
 def test_the_leaf_run_step_compares_both_reduced_forms_with_the_oracle():
-    """Paths (``leaf-run``) and cycles / cliques (``set-leaf-run``), each
-    under lftj and clftj: compiled and ``--no-compile`` must print the same
-    count, memory accesses and cache hits."""
+    """Paths (``leaf-run``) and cycles / cliques (``set-leaf-run``), and the
+    shapes whose clftj count probes a bag once after a counted block (the
+    3-path, the lollipop, the 3-star), each under lftj and clftj: compiled
+    and ``--no-compile`` must print the same count, memory accesses and
+    cache hits."""
     text = WORKFLOW.read_text(encoding="utf-8")
     (step,) = re.findall(
         r"- name: Leaf-run reduction against the interpreted oracle.*?\n(?=      - name: )",
         text,
         re.S,
     )
-    assert "for query in 4-path 4-cycle 4-clique; do" in step
+    assert "for query in 4-path 4-cycle 4-clique 3-path lollipop 3-star; do" in step
     assert "for algorithm in lftj clftj; do" in step
     assert 'print $at["count"], $at["memory_accesses"], $at["cache_hits"]' in step
     assert '--algorithm "$algorithm" --no-compile)' in step

@@ -9,6 +9,7 @@ surface.
 """
 
 import ast
+import hashlib
 import random
 import re
 import sys
@@ -220,6 +221,24 @@ class TestCacheAndInvalidation:
         assert database.memory_footprint() - built >= sum(map(sys.getsizeof, tables.values()))
         assert database.clear_compiled_cache() == 1
         assert database.memory_footprint() == index_only
+        # the lollipop's inline CLFTJ count counts its triangle bag's block
+        # over a children table, hoisted on the driver like the rest
+        query = parse_query(LOLLIPOP)
+        plan = QueryEngine(database).plan(query)
+        executor = trie_join_executor(
+            query, database, plan.variable_order, None, plan.decomposition,
+            plan.policy, plan.make_cache(),
+        )
+        driver = executor.build()
+        built = database.memory_footprint()
+        executor.count()
+        assert "once@2" in driver.levels["count-inline"]
+        tables = driver._hoists["count"]
+        (children,) = [name for name in tables if name.startswith("ch")]
+        assert all(type(run) is frozenset for run in tables[children].values())
+        hoisted = sum(map(sys.getsizeof, tables.values()))
+        runs = sum(map(sys.getsizeof, tables[children].values()))
+        assert database.memory_footprint() - built >= hoisted + runs
 
     def test_memory_footprint_prices_a_children_table_by_its_values(self):
         """A cycle's children table maps each key to a frozenset: a big dict
@@ -336,8 +355,19 @@ class TestReporting:
         assert levels(P4, "lftj") == "  levels: merge > walk > walk > leaf-run"
         assert levels(C4, "lftj") == "  levels: merge > walk > set-leaf-run"
         assert levels("E(a,b), E(b,c), E(c,a)", "lftj") == "  levels: merge > set-leaf-run"
-        # a probe entered at the leaf keeps the loop over the run above it
-        assert levels(P4, "clftj").endswith("walk > probe@3 > fused-leaf")
+        # a probe entered at the leaf keeps the loop over the run above it;
+        # the line is the loop of the form that runs: the inline one here ...
+        assert levels(P4, "clftj") == (
+            "  levels: merge > walk > probe@1 > block-count > once@2 > probe@2"
+            " > walk > probe@3 > fused-leaf"
+        )
+        # ... the policy-call one under a bounded cache
+        (line,) = [line for line in engine.explain(
+            parse_query(P4), algorithm="clftj", cache_capacity=100
+        ).splitlines() if line.startswith("  levels:")]
+        assert line == (
+            "  levels: merge > walk > probe@1 > merge > probe@2 > walk > probe@3 > fused-leaf"
+        )
 
     def test_explain_names_the_compiled_probe_form(self, engine, capsys):
         """The adhesion-caching line ends with the form the driver picks
@@ -432,6 +462,7 @@ class TestValidation:
 # The counter model: loops count visits, the epilogue derives the rest.
 # --------------------------------------------------------------------------
 
+P3 = "E(a,b), E(b,c), E(c,d)"
 P4 = "E(a,b), E(b,c), E(c,d), E(d,e)"
 C4 = "E(a,b), E(b,c), E(c,d), E(d,a)"
 LOLLIPOP = "E(a,b), E(a,c), E(b,c), E(c,d), E(d,e)"
@@ -448,6 +479,8 @@ class SiteCase(NamedTuple):
     levels: Tuple[str, ...]
     #: an explicit decomposition as (bags, parents); the planner's otherwise
     bags: Optional[tuple] = None
+    #: the count loop the patterns and levels are of
+    form: str = "count"
 
     def options(self):
         if self.bags is None:
@@ -461,6 +494,14 @@ SET_LEAF_RUN = (
     r"n\d+ \+= len\(ws\) - ws\.count\(0\)",
     r"m = sum\(map\(len, map\(sl\d\.intersection, cs\)\)\)",
     r"ch\d_\d = \{K\d_0\[i\]: frozenset\(K\d_1\[B\d_0\[i\]:E\d_0\[i\]\]\) for i in ",
+)
+
+#: A miss on node 1 counts its block into ``im1``, then probes node 2 once:
+#: the probe's entry record per binding, the other bindings' hits.
+ONCE = (
+    r"im1 \+= m\n +n\d+ \+= im1\n +if im1:\n +# node 2: adhesion-cache probe\n",
+    r"f\d+ = im1 \* cv\d+\n +n(\d+) \+= 1\n +total \+= f\d+\n +n\1 \+= im1 - 1\n",
+    r"n\d+ \+= im1 - 1\n +_tab\[ak0\] = im1\n",
 )
 
 SITE_CASES = [
@@ -479,12 +520,14 @@ SITE_CASES = [
              LEAF_RUN + (r"map\(w3_0\.get, fs2_1\.intersection\(K1_1\[lo1_1:hi1_1\]\), _zeros\)",),
              ("merge", "walk", "leaf-run")),
     # the last bag owns the last two variables: the reduction runs in a
-    # probe's miss branch, once under a hit's factor
+    # probe's miss branch, once under the bindings of the block before it
+    # and once under a hit's factor
     SiteCase("leaf-run-in-miss-branch", "E(a,b), E(b,c), E(a,d), E(d,e)", "clftj",
-             LEAF_RUN + (r"c_rec \+= m; total \+= m\n +im2 \+= m\n",
+             LEAF_RUN + (r"c_rec \+= m; total \+= im1 \* m\n +im2 \+= m\n",
                          r"c_rec \+= m; total \+= f\d+ \* m\n +im2 \+= m\n"),
-             ("merge", "walk", "probe@1", "merge", "probe@2", "leaf-run"),
-             bags=([["a", "b"], ["b", "c"], ["a", "d", "e"]], [None, 0, 0])),
+             ("merge", "walk", "probe@1", "block-count", "once@2", "probe@2", "leaf-run"),
+             bags=([["a", "b"], ["b", "c"], ["a", "d", "e"]], [None, 0, 0]),
+             form="count-inline"),
     SiteCase("leaf-of-2", "E(a,b), F(a,b)", "lftj",
              (r"fused leaf", r"m = _pair_count\("), ("merge", "fused-leaf")),
     SiteCase("leaf-of-3", "E(a,b), F(a,b), G(a,b)", "lftj",
@@ -512,12 +555,14 @@ SITE_CASES = [
              SET_LEAF_RUN + (r"sl1 = sl0\.intersection\(", r"map\(sl1\.intersection, cs\)"),
              ("merge", "walk", "set-leaf-run")),
     # a path ending in a triangle: the last bag closes it in a probe's miss
-    # branch, once under a hit's factor
+    # branch, once under the bindings of the block before it and once under
+    # a hit's factor
     SiteCase("set-leaf-run-in-miss-branch", "E(a,b), E(b,c), E(c,d), E(d,e), E(c,e)", "clftj",
-             SET_LEAF_RUN + (r"c_rec \+= m; total \+= m\n +im2 \+= m\n",
+             SET_LEAF_RUN + (r"c_rec \+= m; total \+= im1 \* m\n +im2 \+= m\n",
                              r"c_rec \+= m; total \+= f\d+ \* m\n +im2 \+= m\n"),
-             ("merge", "walk", "probe@1", "merge", "probe@2", "set-leaf-run"),
-             bags=([["b", "c"], ["a", "b"], ["c", "d", "e"]], [None, 0, 0])),
+             ("merge", "walk", "probe@1", "block-count", "once@2", "probe@2", "set-leaf-run"),
+             bags=([["b", "c"], ["a", "b"], ["c", "d", "e"]], [None, 0, 0]),
+             form="count-inline"),
     SiteCase("leaf-unfused", "E(a,b), U(b)", "lftj",
              (r"leaf count \(unfused\)",), ("merge", "unfused-leaf")),
     # hit and miss continuations, and a hit that lands on the base case; the
@@ -531,6 +576,47 @@ SITE_CASES = [
     SiteCase("probe-under-walk", LOLLIPOP, "clftj",
              (r"adhesion-cache probe", r"fs2_1"),
              ("merge", "walk", "probe@1", "walk", "walk", "probe@2", "fused-leaf")),
+    # The inline form counts a childless bag's block without its
+    # continuation and probes the next bag once for all of its bindings:
+    # one run's bindings are its length ...
+    SiteCase("once-3-path", P3, "clftj",
+             ONCE + (r"# depth 2: node 1's bindings\n +st = .*\n +c_acc \+= .*\n"
+                     r" +m = hi0_1 - lo0_1\n +if _dl_at is not None:\n +_dlt \+= m\n",
+                     r"c_rec \+= m; total \+= im1 \* m\n"),
+             ("merge", "walk", "probe@1", "block-count", "once@2", "probe@2", "fused-leaf"),
+             form="count-inline"),
+    # ... the factor reaches the probes nested in the once-probed bag's miss
+    SiteCase("once-4-path", P4, "clftj",
+             ONCE + (r"m = hi0_1 - lo0_1\n", r"f\d+ = im1 \* cv\d+\n",
+                     r"c_rec \+= m; total \+= im1 \* m\n"),
+             ("merge", "walk", "probe@1", "block-count", "once@2", "probe@2", "walk",
+              "probe@3", "fused-leaf"),
+             form="count-inline"),
+    # ... a walk over a run beside an invariant set is a set-leaf run over a
+    # children table (the lollipop's triangle) ...
+    SiteCase("once-lollipop", LOLLIPOP, "clftj",
+             ONCE + SET_LEAF_RUN + (r"# depth 3: node 1's bindings, whole run at once\n",
+                                    r"ch0_0 = \{K0_0\[i\]: frozenset"),
+             ("merge", "walk", "probe@1", "set-leaf-run", "once@2", "probe@2", "fused-leaf"),
+             form="count-inline"),
+    SiteCase("once-3-star", "E(a,b), E(a,c), E(a,d)", "clftj",
+             ONCE + (r"m = hi1_1 - lo1_1\n",),
+             ("merge", "walk", "probe@1", "block-count", "once@2", "probe@2", "fused-leaf"),
+             form="count-inline"),
+    # ... two runs meet in the block, and often do not: a block with no
+    # bindings probes nothing after it
+    SiteCase("once-dangling", "E(a,b), E(b,c), H(b,c), E(a,d)", "clftj",
+             ONCE + (r"m = _pair_count\(K1_1, lo1_1, hi1_1, K2_1, lo2_1, hi2_1\)",),
+             ("merge", "walk", "probe@1", "block-count", "once@2", "probe@2", "fused-leaf"),
+             bags=([["a", "b"], ["b", "c"], ["a", "d"]], [None, 0, 0]),
+             form="count-inline"),
+    # ... and the once-probed bag's key is the outer variable: a miss below
+    # a new b finds the entry an earlier b under the same a stored
+    SiteCase("once-first-arrival-hits", "E(a,b), E(b,c), E(a,d)", "clftj",
+             ONCE + (r"ak\d+ = \(2, \(k0,\)\)",),
+             ("merge", "walk", "probe@1", "block-count", "once@2", "probe@2", "fused-leaf"),
+             bags=([["a", "b"], ["b", "c"], ["a", "d"]], [None, 0, 0]),
+             form="count-inline"),
 ]
 SITE_IDS = [case.name for case in SITE_CASES]
 PROBE_CASES = [case for case in SITE_CASES if case.algorithm == "clftj"]
@@ -582,7 +668,7 @@ def _count_source(engine, case):
     )
     prepared.count()
     driver = prepared.compiled_driver()
-    return driver.debug_source("count"), driver.levels
+    return driver.debug_source(case.form), driver.levels[case.form]
 
 
 def _sharded(database, query, algorithm, capacity, compile, rows=False, **planned):
@@ -737,7 +823,7 @@ class TestCounterModel:
         engine = QueryEngine(database)
         prepared = engine.prepare(query, algorithm="lftj")
         compiled = prepared.count()
-        assert prepared.compiled_driver().levels[-1] == "leaf-run", atoms
+        assert prepared.compiled_driver().levels["count"][-1] == "leaf-run", atoms
         oracle = engine.count(query, algorithm="lftj", compile=False)
         assert compiled.count == oracle.count > 0
         assert compiled.counter.as_dict() == oracle.counter.as_dict(), atoms
@@ -770,7 +856,7 @@ class TestCounterModel:
         engine = QueryEngine(database)
         compiled = engine.count(query, algorithm="lftj", variable_order=order)
         driver = engine.prepare(query, algorithm="lftj", variable_order=order).compiled_driver()
-        assert driver.levels[-1] == "set-leaf-run", atoms
+        assert driver.levels["count"][-1] == "set-leaf-run", atoms
         oracle = engine.count(query, algorithm="lftj", variable_order=order, compile=False)
         assert compiled.count == oracle.count > 0, atoms
         assert compiled.counter.as_dict() == oracle.counter.as_dict(), atoms
@@ -846,7 +932,7 @@ class TestCounterModel:
         prepared = engine.prepare(query, algorithm="lftj")
         timeout = 0.02
         assert prepared.count().elapsed_seconds > 2 * timeout  # there is a middle to stop in
-        assert prepared.compiled_driver().levels[-1] == "leaf-run"
+        assert prepared.compiled_driver().levels["count"][-1] == "leaf-run"
         started = time.perf_counter()
         with pytest.raises(QueryTimeoutError):
             engine.count(query, algorithm="lftj", timeout=timeout)
@@ -862,11 +948,151 @@ class TestCounterModel:
         prepared = engine.prepare(query, algorithm="lftj")
         timeout = 0.02
         assert prepared.count().elapsed_seconds > 2 * timeout
-        assert prepared.compiled_driver().levels[-1] == "set-leaf-run"
+        assert prepared.compiled_driver().levels["count"][-1] == "set-leaf-run"
         started = time.perf_counter()
         with pytest.raises(QueryTimeoutError):
             engine.count(query, algorithm="lftj", timeout=timeout)
         assert time.perf_counter() - started < 2 * timeout + 0.05
+
+
+    @pytest.mark.parametrize("case", PROBE_CASES, ids=[case.name for case in PROBE_CASES])
+    def test_once_probes_store_what_the_interpreter_stores(self, case):
+        """A fresh and a warm count over one cache each: the compiled cache
+        ends with the interpreter's entries in the interpreter's order,
+        whichever form the case pins."""
+        engine = QueryEngine(_site_database())
+        query = parse_query(case.text)
+        caches = {compile: AdhesionCache() for compile in (None, False)}
+        for _run in ("fresh", "warm"):
+            runs = {
+                compile: engine.count(query, algorithm="clftj", compile=compile,
+                                      cache=cache, **case.options())
+                for compile, cache in caches.items()
+            }
+            assert runs[None].metadata["compiled"] is True
+            assert runs[None].count == runs[False].count > 0
+            assert runs[None].counter.as_dict() == runs[False].counter.as_dict()
+            assert list(caches[None].table.items()) == list(caches[False].table.items())
+
+    def test_a_block_counted_without_its_continuation_has_no_loop(self):
+        """The 3-path's miss on its first probed bag: the call form walks
+        the bag's run and probes the next bag per key; the inline form
+        counts the run and probes once."""
+        engine = QueryEngine(_site_database())
+        prepared = engine.prepare(parse_query(P3), algorithm="clftj")
+        prepared.count()
+        driver = prepared.compiled_driver()
+
+        def loops(form):
+            source = driver.debug_source(form)
+            return [node.target.id for node in ast.walk(ast.parse(source))
+                    if isinstance(node, ast.For)]
+
+        assert loops("count") == ["i0", "i1", "i2"]
+        assert loops("count-inline") == ["i0", "i1"]
+        # node 2's consult: in the miss on node 1 and in the hit on it
+        assert driver.debug_source("count-inline").count("# node 2: adhesion-cache probe") == 2
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_once_shapes_match_the_oracle(self, seed):
+        """Paths, stars and lollipops over mixed relations (``H`` leaves keys
+        dangling): counts, counters and the cache's entries in order, fresh
+        and warm, and three ``[lo, hi)`` shards summed."""
+        rng = random.Random(seed)
+        shape = ("path", "star", "lollipop")[seed % 3]
+        if shape == "path":
+            names = "abcdef"[: rng.randint(4, 6)]
+            pairs = list(zip(names, names[1:]))
+        elif shape == "star":
+            pairs = [("a", ray) for ray in "bcde"[: rng.randint(3, 4)]]
+        else:
+            pairs = [("a", "b"), ("a", "c"), ("b", "c"), ("c", "d"), ("d", "e")]
+        query = parse_query(", ".join(f"{rng.choice('EFGH')}({x},{y})" for x, y in pairs))
+        database = _site_database()
+        engine = QueryEngine(database)
+        prepared = engine.prepare(query, algorithm="clftj")
+        prepared.count()
+        assert any(word.startswith("once@")
+                   for word in prepared.compiled_driver().levels["count-inline"]), query
+        caches = {compile: AdhesionCache() for compile in (None, False)}
+        for _run in ("fresh", "warm"):
+            runs = {
+                compile: engine.count(query, algorithm="clftj", compile=compile, cache=cache)
+                for compile, cache in caches.items()
+            }
+            assert runs[None].metadata["compiled"] is True
+            assert runs[None].count == runs[False].count, query
+            assert runs[None].counter.as_dict() == runs[False].counter.as_dict(), query
+            assert list(caches[None].table.items()) == list(caches[False].table.items())
+        assert _sharded(database, query, "clftj", None, None) == _sharded(
+            database, query, "clftj", None, False
+        )
+
+    def test_deadline_fires_inside_a_counted_block(self):
+        """A count whose blocks are counted without their continuation
+        (each advancing the deadline gate by its bindings, pinned by
+        ``once-3-path``) still stops well before it would finish."""
+        rng = random.Random(5)
+        rows = sorted({(rng.randrange(2000), rng.randrange(2000)) for _ in range(30000)})
+        engine = QueryEngine(Database([Relation("E", ("a", "b"), rows)]))
+        query = parse_query(LOLLIPOP)
+        prepared = engine.prepare(query, algorithm="clftj")
+        prepared.count()  # compiles the driver and hoists its tables
+        assert "once@2" in prepared.compiled_driver().levels["count-inline"]
+        whole = engine.count(query, algorithm="clftj").elapsed_seconds  # a fresh cache
+        assert whole > 0.04  # there is a middle to stop in
+        timeout = whole / 4
+        started = time.perf_counter()
+        with pytest.raises(QueryTimeoutError):
+            engine.count(query, algorithm="clftj", timeout=timeout)
+        assert time.perf_counter() - started < timeout + whole / 2
+
+
+#: sha256 prefixes of generated sources over ``_site_database()``: the LFTJ
+#: loops and the CLFTJ policy-call form must not move with a change that
+#: only reshapes the inline form.  A change that means to move one says so
+#: and updates its digest.
+PINNED_SOURCES = {
+    ("3-path", "lftj", "count"): "8568422043263f17",
+    ("3-path", "lftj", "evaluate"): "f03f7df813fd7cec",
+    ("3-path", "clftj", "count"): "623ba12f81626160",
+    ("4-path", "lftj", "count"): "2b0e05c3b1cc7fdc",
+    ("4-path", "lftj", "evaluate"): "3a11bea148324c50",
+    ("4-path", "clftj", "count"): "9f5ee98da3e7d9e7",
+    ("3-star", "lftj", "count"): "4bc916749bda2b52",
+    ("3-star", "lftj", "evaluate"): "8b0309fc990e3063",
+    ("3-star", "clftj", "count"): "dd01238314e7b905",
+    ("lollipop", "lftj", "count"): "9da28f2fb1a17d1e",
+    ("lollipop", "lftj", "evaluate"): "3cb1ff9710501019",
+    ("lollipop", "clftj", "count"): "bfeeb77242c716f8",
+    ("triangle", "lftj", "count"): "9b3e07876d0c97a0",
+    ("triangle", "lftj", "evaluate"): "2e54ff53900f708b",
+    ("4-cycle", "lftj", "count"): "f0508e63b464953c",
+    ("4-cycle", "lftj", "evaluate"): "51e3e51150b8df88",
+    ("4-cycle", "clftj", "count"): "f00c97b72aec0971",
+    ("5-cycle", "lftj", "count"): "0b5dc4d969918927",
+    ("5-cycle", "lftj", "evaluate"): "b0b6ab3767eae7da",
+    ("5-cycle", "clftj", "count"): "da429a18a7c67f19",
+}
+PINNED_SHAPES = {
+    "3-path": P3,
+    "4-path": P4,
+    "3-star": "E(a,b), E(a,c), E(a,d)",
+    "lollipop": LOLLIPOP,
+    "triangle": "E(a,b), E(b,c), E(c,a)",
+    "4-cycle": C4,
+    "5-cycle": "E(a,b), E(b,c), E(c,d), E(d,e), E(e,a)",
+}
+
+
+@pytest.mark.parametrize("shape, algorithm, form", sorted(PINNED_SOURCES), ids="-".join)
+def test_lftj_and_policy_call_sources_are_pinned(shape, algorithm, form):
+    engine = QueryEngine(_site_database())
+    prepared = engine.prepare(parse_query(PINNED_SHAPES[shape]), algorithm=algorithm)
+    prepared.count()
+    source = prepared.compiled_driver().debug_source(form)
+    digest = hashlib.sha256(source.encode()).hexdigest()[:16]
+    assert digest == PINNED_SOURCES[shape, algorithm, form], source
 
 
 class TestKernelCrossover:
