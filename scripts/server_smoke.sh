@@ -57,6 +57,21 @@ done
 wait_pids "${PIDS[@]}" || { echo "a concurrent client failed"; exit 1; }
 echo "8 concurrent clients agree"
 
+# Four concurrent parallel clients: the handler threads fork the worker pool
+# while the others run, and every answer must still agree with the oracle.
+PIDS=()
+for i in $(seq 1 4); do
+    (
+        got="$(curl -fsS --max-time 60 -X POST "$BASE/count" \
+                -d '{"query": "3-cycle", "parallel": 2}' \
+            | python -c "import json,sys; print(json.load(sys.stdin)['count'])")"
+        test "$got" = "$ORACLE" || { echo "parallel client $i: $got != $ORACLE"; exit 1; }
+    ) &
+    PIDS+=($!)
+done
+wait_pids "${PIDS[@]}" || { echo "a concurrent parallel client failed"; exit 1; }
+echo "4 concurrent parallel clients agree"
+
 # Sessions: prepare, then a warm request must report zero builds.
 TOKEN="$(curl -fsS -X POST "$BASE/prepare" -d '{"query": "3-cycle"}' \
     | python -c "import json,sys; print(json.load(sys.stdin)['session'])")"

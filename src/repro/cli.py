@@ -28,7 +28,7 @@ from repro.datasets.snap import SNAP_DATASETS, dataset_specs, load_snap_standin
 from repro.engine.engine import AUTO_ALGORITHM, QueryEngine
 from repro.engine.executors import registered_algorithms
 from repro.engine.faults import QueryTimeoutError
-from repro.engine.parallel import DEFAULT_BACKEND, PARALLEL_BACKENDS, Schedule
+from repro.engine.parallel import Schedule
 from repro.query.atoms import ConjunctiveQuery
 from repro.query.parser import parse_query
 from repro.query.patterns import (
@@ -121,10 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "automatic worker count); a request the pool would "
                           "not repay runs serial, and the 'parallel:' line "
                           "printed after the results says why")
-    run.add_argument("--parallel-backend", choices=PARALLEL_BACKENDS,
-                     default=None,
-                     help="transport of the --parallel pool "
-                          f"(default: {DEFAULT_BACKEND})")
     run.add_argument("--no-compile", action="store_true",
                      help="run the interpreted join loop instead of the "
                           "compiled driver (lftj/clftj; the differential "
@@ -163,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="algorithm to explain (default: auto, with selector reasoning)")
     explain.add_argument("--parallel", type=int, default=None, metavar="N",
                          help="also show the schedule --parallel N resolves "
-                              "to: workers, transport and ranges, or why it "
+                              "to: workers and ranges, or why it "
                               "stays serial (0 = automatic worker count; "
                               "requires a concrete --algorithm: lftj or "
                               "clftj)")
@@ -237,7 +233,7 @@ def _mutate_relation(database: Database, relation_name: str, count: int, rng) ->
 
 
 def _parallel_options(args: argparse.Namespace) -> dict:
-    """Engine kwargs for the CLI's --parallel* flags.
+    """Engine kwargs for the CLI's --parallel and --no-compile flags.
 
     ``--parallel 0`` requests an automatic (cost-based) worker count; any
     positive N pins the count; omitting the flag keeps execution serial.
@@ -246,9 +242,6 @@ def _parallel_options(args: argparse.Namespace) -> dict:
     parallel = getattr(args, "parallel", None)
     if parallel is not None:
         options["parallel"] = True if parallel == 0 else parallel
-    backend = getattr(args, "parallel_backend", None)
-    if backend is not None:
-        options["parallel_backend"] = backend
     # --no-compile is an explicit request, so it is passed through even for
     # algorithms that reject it — the engine's ValueError then exits with 2
     # instead of silently dropping the flag.
@@ -314,8 +307,7 @@ def _command_run(args: argparse.Namespace) -> int:
         # The schedule the last execution ran, worded as `repro explain` does.
         ran = results[-1].metadata
         if ran["parallel"]:
-            print(f"\nparallel: backend={ran['parallel_backend']}, "
-                  f"workers={ran['workers']}, morsels={ran['morsels']}")
+            print(f"\nparallel: workers={ran['workers']}, morsels={ran['morsels']}")
         else:
             print("\n" + Schedule(reason=ran["parallel_reason"]).describe())
     if args.repeat > 1:

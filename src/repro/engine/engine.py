@@ -72,6 +72,25 @@ def _validated_timeout(timeout: Optional[float]) -> Optional[float]:
     return timeout
 
 
+def _check_parallel_backend(parallel: Optional[object], backend: Optional[str]) -> None:
+    """Validate the ``parallel_backend=`` keyword; the engine then drops it.
+
+    The worker pool has one transport, forked processes, so the keyword
+    only stays for callers that name it: ``"processes"`` next to a
+    ``parallel=`` request is accepted and changes nothing, anything else
+    raises.  Nothing below the engine carries it.
+    """
+    if backend is None:
+        return
+    if backend != "processes":
+        raise ValueError(
+            f"unknown parallel backend {backend!r}: the worker pool has one "
+            f"transport, 'processes' (forked workers)"
+        )
+    if parallel is None or parallel is False:
+        raise ValueError("parallel_backend requires parallel= (a worker count or True)")
+
+
 class QueryEngine:
     """Plan and execute conjunctive queries over one database."""
 
@@ -132,6 +151,7 @@ class QueryEngine:
         worker pool — warm repeats spawn no new workers, and parallel CLFTJ
         workers keep their adhesion caches warm across re-executions.
         """
+        _check_parallel_backend(parallel, parallel_backend)
         parameters: Dict[str, object] = {
             "decomposition": decomposition,
             "variable_order": variable_order,
@@ -139,7 +159,6 @@ class QueryEngine:
             "policy": policy,
             "cache": cache,
             "parallel": parallel,
-            "parallel_backend": parallel_backend,
             "compile": compile,
             "timeout": _validated_timeout(timeout),
         }
@@ -185,9 +204,9 @@ class QueryEngine:
         Pass ``parallel=N`` (worker count; ``True`` for automatic) with
         ``algorithm`` ``"lftj"``/``"clftj"`` to run the
         execution morsel-parallel over the top join variable on the
-        database's persistent worker pool; ``parallel_backend`` names the
-        transport (``"threads"`` or fork-based ``"processes"``).  A request
-        the pool would not repay runs serial and says why in
+        database's persistent pool of forked workers (``parallel_backend``
+        may only name that one transport, ``"processes"``).  A request the
+        pool would not repay runs serial and says why in
         ``metadata["parallel_reason"]`` (see
         :func:`repro.engine.parallel.resolve_schedule`).
 
@@ -196,6 +215,7 @@ class QueryEngine:
         raise :class:`repro.engine.faults.QueryTimeoutError` once it
         expires, leaving the worker pool reusable.
         """
+        _check_parallel_backend(parallel, parallel_backend)
         return self._execute(
             query,
             algorithm,
@@ -206,7 +226,6 @@ class QueryEngine:
             policy=policy,
             cache=cache,
             parallel=parallel,
-            parallel_backend=parallel_backend,
             compile=compile,
             timeout=timeout,
         )
@@ -233,6 +252,7 @@ class QueryEngine:
         (``parallel=``) merge shard rows deterministically in partition
         order, which for LFTJ reproduces the serial row order exactly.
         """
+        _check_parallel_backend(parallel, parallel_backend)
         return self._execute(
             query,
             algorithm,
@@ -243,7 +263,6 @@ class QueryEngine:
             policy=policy,
             cache=cache,
             parallel=parallel,
-            parallel_backend=parallel_backend,
             compile=compile,
             timeout=timeout,
         )
@@ -273,13 +292,13 @@ class QueryEngine:
         """
         if mode not in ("count", "evaluate"):
             raise ValueError(f"unknown mode {mode!r}; use 'count' or 'evaluate'")
+        _check_parallel_backend(parallel, parallel_backend)
         parameters: Dict[str, object] = {
             "decomposition": decomposition,
             "variable_order": variable_order,
             "cache_capacity": cache_capacity,
             "policy": policy,
             "parallel": parallel,
-            "parallel_backend": parallel_backend,
             "compile": compile,
         }
         results: Dict[str, ExecutionResult] = {}
@@ -315,10 +334,11 @@ class QueryEngine:
 
         Shows the (memoised) execution plan, the selector's reasoning when
         ``algorithm="auto"``, the schedule a ``parallel=`` request resolves
-        to (workers, transport and range bounds, or why it stays serial),
-        and the current plan-/index-cache state of the database — without
-        executing the query.
+        to (workers and range bounds, or why it stays serial), and the
+        current plan-/index-cache state of the database — without executing
+        the query.
         """
+        _check_parallel_backend(parallel, parallel_backend)
         lines = []
         parameters: Dict[str, object] = {
             "decomposition": decomposition,
@@ -327,7 +347,6 @@ class QueryEngine:
             "policy": policy,
             "cache": cache,
             "parallel": parallel,
-            "parallel_backend": parallel_backend,
             "compile": compile,
             "timeout": _validated_timeout(timeout),
         }
@@ -362,7 +381,6 @@ class QueryEngine:
             if plan is not None
             else tuple(variable_order or query.variables),
             parallel,
-            parallel_backend,
             self.selector,
             plan if resolved == "clftj" else None,
         )
@@ -534,7 +552,6 @@ class QueryEngine:
         policy: Optional[CachePolicy] = None,
         cache: Optional[AdhesionCache] = None,
         parallel: Optional[object] = None,
-        parallel_backend: Optional[str] = None,
         compile: Optional[bool] = None,
         timeout: Optional[float] = None,
         selection: Optional[AlgorithmChoice] = None,
@@ -552,7 +569,6 @@ class QueryEngine:
                 policy=policy,
                 cache=cache,
                 parallel=parallel,
-                parallel_backend=parallel_backend,
                 compile=compile,
                 timeout=timeout,
                 selection=selection,
@@ -570,19 +586,17 @@ class QueryEngine:
         policy: Optional[CachePolicy] = None,
         cache: Optional[AdhesionCache] = None,
         parallel: Optional[object] = None,
-        parallel_backend: Optional[str] = None,
         compile: Optional[bool] = None,
         timeout: Optional[float] = None,
         selection: Optional[AlgorithmChoice] = None,
     ) -> ExecutionResult:
         """The body of :meth:`_execute`, accounting into ``scope``.
 
-        Every cache/build counter bump this execution causes — in this
-        thread, or in a pool worker thread running its morsels — is
-        recorded in ``scope``, so the per-run cache-delta metadata stays
-        correct under concurrent executions (before/after reads of the
-        global counters would attribute overlapping executions' builds to
-        each other).
+        Every cache/build counter bump this execution causes in this
+        thread is recorded in ``scope``, so the per-run cache-delta metadata
+        stays correct under concurrent executions (before/after reads of
+        the global counters would attribute overlapping executions' builds
+        to each other).
         """
         timeout = _validated_timeout(timeout)
         parameters: Dict[str, object] = {
@@ -592,7 +606,6 @@ class QueryEngine:
             "policy": policy,
             "cache": cache,
             "parallel": parallel,
-            "parallel_backend": parallel_backend,
             "compile": compile,
             "timeout": timeout,
         }
@@ -660,8 +673,7 @@ class QueryEngine:
                 variable_order=tuple(variable_order) if variable_order is not None else None,
                 cache=cache,
                 parallel=parallel,
-                parallel_backend=parallel_backend,
-                    selector=self.selector,
+                selector=self.selector,
                 compile=compile,
                 deadline=deadline,
             )

@@ -49,7 +49,6 @@ PARAMETERS: Tuple[str, ...] = (
     "policy",
     "cache",
     "parallel",
-    "parallel_backend",
     "compile",
     "timeout",
 )
@@ -92,8 +91,7 @@ class ExecutorRequest:
 
     ``parallel`` asks for a morsel-parallel schedule: an ``int`` pins the
     worker count, ``True`` asks for an automatic one, ``None`` / ``False``
-    mean serial execution; ``parallel_backend`` names the transport.  What
-    comes of the request is decided by
+    mean serial execution.  What comes of the request is decided by
     :func:`repro.engine.parallel.resolve_schedule` alone.
 
     ``deadline`` is this execution's cooperative deadline (or ``None``).
@@ -111,7 +109,6 @@ class ExecutorRequest:
     variable_order: Optional[Tuple[Variable, ...]] = None
     cache: Optional[AdhesionCache] = None
     parallel: Optional[object] = None
-    parallel_backend: Optional[str] = None
     selector: Optional[object] = None
     compile: Optional[bool] = None
     deadline: Optional[Deadline] = None
@@ -187,7 +184,6 @@ def _scheduled(request: ExecutorRequest, executor, inner: str) -> Executor:
         request.query,
         executor.variable_order,
         request.parallel,
-        request.parallel_backend,
         request.selector,
         request.plan,  # clftj's; lftj is planned nothing
     )
@@ -274,7 +270,6 @@ register_algorithm(
             {
                 "variable_order",
                 "parallel",
-                "parallel_backend",
                 "compile",
                 "timeout",
             }
@@ -295,7 +290,6 @@ register_algorithm(
                 "policy",
                 "cache",
                 "parallel",
-                "parallel_backend",
                 "compile",
                 "timeout",
             }

@@ -29,7 +29,7 @@ Known fault points (the registry accepts any name; these are the ones the
 engine currently compiles in):
 
 ========================  ====================================================
-``pool.worker_start``     entry of every pool worker (thread and fork)
+``pool.worker_start``     entry of every forked pool worker
 ``pool.before_morsel``    immediately before a worker runs one morsel
 ``pool.heartbeat``        each parent-side heartbeat interval without results
 ``compiler.exec``         just before ``exec`` of a generated driver

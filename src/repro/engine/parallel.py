@@ -26,37 +26,33 @@ morsel-driven parallelism:
   variable's ``[lo, hi)`` as an argument of ``count`` / ``evaluate_coded``,
   so a pool worker builds one executor per job and re-ranges it per morsel;
 * :class:`ParallelExecutor` — submits the ranges as one
-  :class:`~repro.engine.pool.MorselJob` to the database's **persistent**
-  :class:`~repro.engine.pool.WorkerPool` (threads or forked processes; the
-  scheduling policy — the shared queue, adaptive splitting of any morsel
-  that runs past ``MORSEL_SPLIT_THRESHOLD``, retries, cancellation — lives
-  in :mod:`repro.engine.pool` alone) and merges results deterministically:
-  tasks are tagged with their planner index (plus split path) and
+  :class:`~repro.engine.pool.MorselJob`, one task per range, to the
+  database's **persistent** :class:`~repro.engine.pool.WorkerPool` of
+  forked processes (the scheduling policy — the shared queue, retries,
+  cancellation — lives in :mod:`repro.engine.pool` alone) and merges
+  results deterministically: tasks are tagged with their planner index and
   reassembled in that order, so parallel LFTJ reproduces the serial row
   stream byte-for-byte under any schedule; counters are summed; scheduling
-  stats (steals, splits, per-worker busy seconds, utilization, skew) are
-  surfaced in metadata.
+  stats (steals, per-worker busy seconds, utilization, skew) are surfaced
+  in metadata.
 
-Backends: ``"processes"`` forks workers that inherit the whole read-only
-database (warm index and compiled-driver caches included) by copy-on-write
-and is the backend that scales CPU-bound pure-Python joins across cores;
-``"threads"`` is safe everywhere but GIL-bound on those joins — it is the
-fallback on platforms without ``fork`` and the scheduler's in-process test
-bed.
+The workers are forked: they inherit the whole read-only database (warm
+index and compiled-driver caches included) by copy-on-write, which is what
+scales CPU-bound pure-Python joins across cores.  Where the platform has no
+``fork`` start method there is no pool, and ``parallel=`` runs serial with
+a reason.
 
 Running on the pool is a *schedule* of ``lftj`` / ``clftj``, asked for
 with ``parallel=N | True`` (``N`` workers) and decided in one place:
-:func:`resolve_schedule` picks workers, transport and ranges, or says why
-the execution stays serial.  The executor factories,
+:func:`resolve_schedule` picks workers and ranges, or says why the
+execution stays serial.  The executor factories,
 ``engine.explain()`` and the result metadata all read its
 :class:`Schedule`.
 """
 
 from __future__ import annotations
 
-import copy
 import multiprocessing
-import threading
 import weakref
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -79,12 +75,6 @@ from repro.query.terms import Variable
 from repro.storage.database import Database
 from repro.storage.views import atom_has_constants
 
-#: Supported execution backends.
-PARALLEL_BACKENDS: Tuple[str, ...] = ("threads", "processes")
-
-#: The transport a ``parallel=`` request runs on when it names none.
-DEFAULT_BACKEND: str = "threads"
-
 #: How a schedule's ``reason`` starts when the memory budget's serial rung
 #: declined it (the engine records that one in ``metadata["degradations"]``).
 OVER_BUDGET: str = "memory budget"
@@ -98,11 +88,6 @@ MORSEL_OVERPARTITION: int = 16
 #: Floor on keys per planned morsel: domains too small to feed the
 #: over-partitioning simply get fewer morsels.
 MIN_MORSEL_KEYS: int = 4
-
-#: A morsel running longer than this (seconds) arms the adaptive splitter:
-#: still-wide queued morsels are halved and requeued so a single hot key
-#: range cannot serialise the query mid-flight.
-MORSEL_SPLIT_THRESHOLD: float = 0.05
 
 
 # --------------------------------------------------------------------------
@@ -356,15 +341,14 @@ def cached_partition_plan(
 class Schedule:
     """What :func:`resolve_schedule` decided for one ``parallel=`` request.
 
-    Either a pool run — ``workers`` on ``backend`` over ``plan``'s ranges,
-    ``morsels`` being the count the planner was asked for — or, with
+    Either a pool run — ``workers`` over ``plan``'s ranges, ``morsels``
+    being the count the planner was asked for — or, with
     ``reason`` set, a declined one: the execution stays serial and
     ``reason`` says why (``metadata["parallel_reason"]``, the counterpart
     of ``compiled_reason``).
     """
 
     workers: int = 1
-    backend: Optional[str] = None
     morsels: int = 1
     plan: Optional[PartitionPlan] = None
     reason: Optional[str] = None
@@ -383,7 +367,7 @@ class Schedule:
         else:
             sizing = "work floor: a smaller morsel would not repay its dispatch"
         return (
-            f"parallel: backend={self.backend}, workers={self.workers}, "
+            f"parallel: workers={self.workers}, "
             f"{self.plan.describe()}; planned morsels: {self.morsels} ({sizing})"
         )
 
@@ -393,34 +377,21 @@ def resolve_schedule(
     query: ConjunctiveQuery,
     variable_order: Sequence[Variable],
     parallel: Optional[object],
-    backend: Optional[str],
     selector=None,
     clftj_plan=None,
 ) -> Optional[Schedule]:
     """Decide one execution's schedule; ``None`` when ``parallel=`` did not ask.
 
-    The one place that validates the transport name, applies
-    :data:`DEFAULT_BACKEND`, takes the memory budget's serial rung, turns
-    ``True`` / an int into workers, sizes the morsels, reads the memoised
-    partition plan and falls back from ``processes`` where ``fork`` is
-    missing.  It builds no index, so ``engine.explain()`` calls it too and
-    prints what the next execution will do; an execution resolves after its
-    indexes exist, when the top variable's domain is encoded.
-    ``clftj_plan`` is the execution plan when the morsels run cached.
+    The one place that turns ``True`` / an int into workers, declines
+    where the platform cannot fork, takes the memory budget's serial rung,
+    sizes the morsels and reads the memoised partition plan.  It builds no
+    index, so ``engine.explain()`` calls it too and prints what the next
+    execution will do; an execution resolves after its indexes exist, when
+    the top variable's domain is encoded.  ``clftj_plan`` is the execution
+    plan when the morsels run cached.
     """
     if parallel is None or parallel is False:
-        if backend is not None:
-            raise ValueError(
-                "parallel_backend requires parallel= (a worker count or True)"
-            )
         return None
-    if backend is None:
-        backend = DEFAULT_BACKEND
-    elif backend not in PARALLEL_BACKENDS:
-        raise ValueError(
-            f"unknown parallel backend {backend!r}; choose one of "
-            f"{PARALLEL_BACKENDS}"
-        )
     if parallel is True:
         workers = available_workers()
         if workers == 1:
@@ -435,6 +406,8 @@ def resolve_schedule(
             raise ValueError("parallel worker count must be >= 1")
         if workers == 1:
             return Schedule(reason="one worker requested")
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return Schedule(reason="the platform has no fork start method")
     budget = database.memory_budget_bytes
     if budget is not None and (footprint := database.memory_footprint()) > budget:
         # The budget ladder's last rung: a pool amplifies the footprint
@@ -460,13 +433,11 @@ def resolve_schedule(
         # (An empty dictionary is explain() on a cold database: no index has
         # encoded the domain yet, and the first execution cuts the ranges.)
         return Schedule(reason="the top variable's domain does not split")
-    if backend == "processes" and "fork" not in multiprocessing.get_all_start_methods():
-        backend = "threads"
-    return Schedule(workers, backend, morsels, plan)
+    return Schedule(workers, morsels, plan)
 
 
 # --------------------------------------------------------------------------
-# The morsel runner (module-level: the fork backend pickles it by reference).
+# The morsel runner (module-level: the pool pickles it by reference).
 # --------------------------------------------------------------------------
 
 
@@ -525,13 +496,13 @@ def make_range_executor(
     )
 
 
-#: Per-thread adhesion-cache store.  Pool worker threads are long-lived, so
-#: each worker's caches persist across morsels *and* across queries; fork
-#: workers run in the child's main thread and inherit the forking thread's
-#: already-warm store by copy-on-write, then keep their own copy warm
-#: across re-armed jobs.  Databases are held weakly — dropping a database
-#: drops its worker caches with it.
-_WORKER_CACHES = threading.local()
+#: A worker's adhesion-cache store, per database.  Filled only inside forked
+#: workers: each keeps its own copy warm across morsels *and* across
+#: re-armed jobs.  Databases are held weakly — dropping a database drops its
+#: worker caches with it.
+_WORKER_CACHES: "weakref.WeakKeyDictionary[Database, dict]" = (
+    weakref.WeakKeyDictionary()
+)
 
 
 @dataclass
@@ -552,14 +523,7 @@ def _worker_adhesion_cache(database: Database, spec: MorselSpec) -> _WorkerCache
     relation makes the snapshot stale and the worker starts a fresh cache,
     mirroring the engine's per-relation invalidation discipline.
     """
-    stores = getattr(_WORKER_CACHES, "stores", None)
-    if stores is None:
-        stores = weakref.WeakKeyDictionary()
-        _WORKER_CACHES.stores = stores
-    per_database = stores.get(database)
-    if per_database is None:
-        per_database = {}
-        stores[database] = per_database
+    per_database = _WORKER_CACHES.setdefault(database, {})
     key = (spec.cache_key, spec.run_mode)
     versions = database.relation_versions(spec.query.relation_names)
     entry = per_database.get(key)
@@ -573,30 +537,19 @@ def _worker_adhesion_cache(database: Database, spec: MorselSpec) -> _WorkerCache
     return entry
 
 
-def _execution_policy(policy: Optional[CachePolicy]) -> Optional[CachePolicy]:
-    """A per-worker policy instance when the policy carries mutable state.
-
-    Stateless policies (``reset`` not overridden — Always/Never/Support
-    threshold) are shared read-only across workers.  Stateful ones (per-node
-    admission budgets) are deep-copied per (job, worker): sharing would race
-    across worker threads.  A budget is a per-execution notion and every
-    morsel is one execution of the worker's executor, which ``reset()``s the
-    policy — each morsel restarting the budget is the documented parallel
-    semantic.
-    """
-    if policy is None or type(policy).reset is CachePolicy.reset:
-        return policy
-    return copy.deepcopy(policy)
-
-
 def _worker_executor(database: Database, spec: MorselSpec, state: dict):
-    """Build the calling worker's executor for this job (its first morsel)."""
+    """Build the calling worker's executor for this job (its first morsel).
+
+    The policy is the worker's own: each job's spec is unpickled afresh in
+    every worker, so a stateful policy (per-node admission budgets) is never
+    shared.  Every morsel is one execution of the executor, which
+    ``reset()``s the policy — each morsel restarting a budget is the
+    documented parallel semantic.
+    """
     cache: Optional[AdhesionCache] = None
-    policy = spec.policy
     if spec.inner == "clftj":
         state["cache"] = _worker_adhesion_cache(database, spec)
         cache = state["cache"].cache
-        policy = _execution_policy(policy)
     executor = state["executor"] = make_range_executor(
         spec.query,
         database,
@@ -604,7 +557,7 @@ def _worker_executor(database: Database, spec: MorselSpec, state: dict):
         spec.inner,
         spec.compile,
         decomposition=spec.decomposition,
-        policy=policy,
+        policy=spec.policy,
         cache=cache,
     )
     # In-executor cooperative checks (every N recursive calls interpreted,
@@ -666,13 +619,13 @@ class ParallelExecutor:
     worker keeps its *own* adhesion cache, persistent across morsels and
     queries (see ``_worker_adhesion_cache``).
 
-    The merge is deterministic: results are ordered by ``(planner index,
-    split path)`` (ranges are ordered, and within a range the inner
-    algorithm emits rows in trie order, so concatenation reproduces the
-    serial row order for LFTJ regardless of which worker ran what),
-    per-morsel operation counters are summed into the executor's counter,
-    and ``execution_metadata`` reports workers, morsels, steals, splits,
-    per-worker busy seconds, utilization and two skew measures
+    The merge is deterministic: results are ordered by planner index
+    (ranges are ordered, and within a range the inner algorithm emits rows
+    in trie order, so concatenation reproduces the serial row order for
+    LFTJ regardless of which worker ran what), per-morsel operation
+    counters are summed into the executor's counter, and
+    ``execution_metadata`` reports workers, morsels, steals, per-worker
+    busy seconds, utilization and two skew measures
     (``partition_skew`` per worker — what stealing equalises — and
     ``morsel_skew`` per planned range).
     """
@@ -716,7 +669,7 @@ class ParallelExecutor:
         """Phase one of build/execute: compile (or fetch) the shared driver.
 
         Runs in the calling thread before any timing starts — and before
-        the fork backend spawns or re-arms workers — so morsels only ever
+        the pool forks or re-arms workers — so morsels only ever
         cache-hit (forked children inherit the driver by copy-on-write).
         Interpreted inners have no build phase; this is then a no-op.
         """
@@ -776,20 +729,13 @@ class ParallelExecutor:
             ),
             runner=_run_morsel,
             tasks=[
-                MorselTask(index=index, path=(), lo=lo, hi=hi)
+                MorselTask(index=index, lo=lo, hi=hi)
                 for index, (lo, hi) in enumerate(schedule.plan.ranges())
             ],
-            split_threshold=MORSEL_SPLIT_THRESHOLD,
-            min_split_span=max(2, MIN_MORSEL_KEYS),
-            # The splitter needs integer midpoints: the dictionary's code span.
-            split_domain=(0, len(self.database.dictionary)),
             deadline=self.deadline,
             summarize=_summarize_worker if clftj else None,
-            # Thread workers adopt this execution's accounting scopes so
-            # worker-side cache hits land in the right result metadata.
-            scopes=self.database.active_scopes(),
         )
-        report = self.database.worker_pool(schedule.backend, schedule.workers).run(job)
+        report = self.database.worker_pool(schedule.workers).run(job)
         for result in report.results:
             self.counter.merge(result.counter)
         self._stats = self._collect_stats(report)
@@ -798,16 +744,11 @@ class ParallelExecutor:
     def _collect_stats(self, report: JobReport) -> Dict[str, object]:
         """The scheduling half of a pool job's metadata."""
         plan = self.schedule.plan
+        # One result per planned range, in range order.
         results = report.results
-        morsel_values = [0] * plan.num_shards
-        morsel_seconds = [0.0] * plan.num_shards
-        morsel_work = [0.0] * plan.num_shards
+        morsel_work = [result.counter.memory_accesses for result in results]
         worker_work = [0.0] * report.workers
-        for result in results:
-            morsel_values[result.index] += result.value
-            morsel_seconds[result.index] += result.elapsed
-            work = result.counter.memory_accesses
-            morsel_work[result.index] += work
+        for result, work in zip(results, morsel_work):
             worker_work[result.worker] += work
         busy = report.worker_busy
         wall = report.wall_seconds
@@ -836,19 +777,16 @@ class ParallelExecutor:
             **extra,
             "parallel": True,
             "inner_algorithm": self.inner_algorithm,
-            "parallel_backend": self.schedule.backend,
             "workers": report.workers,
             "morsels": plan.num_shards,
             "tasks_executed": len(results),
             "steals": report.steals,
-            "splits": report.splits,
             "worker_restarts": report.worker_restarts,
             "morsel_retries": report.morsel_retries,
             "partition_source": plan.source,
             "partition_bounds": list(plan.bounds),
-            "shard_results": morsel_values,
-            "shard_seconds": [round(seconds, 6) for seconds in morsel_seconds],
-            "task_seconds": [round(result.elapsed, 6) for result in results],
+            "shard_results": [result.value for result in results],
+            "shard_seconds": [round(result.elapsed, 6) for result in results],
             "worker_busy_seconds": [round(seconds, 6) for seconds in busy],
             # Wall time the pool spent on anything but the busiest worker's
             # morsels: arming, task/result transport, the end handshake.

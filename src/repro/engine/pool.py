@@ -1,53 +1,39 @@
-"""The persistent morsel-driven worker pool: one scheduler, two transports.
+"""The persistent morsel-driven worker pool: one scheduler over forked workers.
 
 A :class:`WorkerPool` is owned by the
 :class:`~repro.storage.database.Database`, survives across queries, and runs
 *morsels* — many fine-grained sub-ranges of the top join variable — off one
 shared task queue, so a lopsided key space keeps every worker busy anyway
-(morsel-driven parallelism in the sense of Leis et al.).
+(morsel-driven parallelism in the sense of Leis et al.).  Every planned
+range is exactly one task; a morsel's identity is its planner index.
 
 **The scheduler** is this module's policy and exists once.  Parent side,
 :meth:`WorkerPool._run_job` arms the workers, feeds the tasks, and collects
-``("result" | "error" | "split", ...)`` messages into a :class:`_JobTracker`
-until every planner range is tiled by results; it owns the per-morsel retry
-budget, deadline cancellation, error aggregation, the end-of-job handshake
-and the :class:`JobReport`.  Worker side, :func:`_worker_main` /
-:func:`_serve_job` take a task, halve it instead when the worker's previous
-morsel ran hot, run it under :func:`worker_job_state`, and post the outcome.
+``("result" | "error", ...)`` messages into a :class:`_JobTracker` until
+every planner range has a result; it owns the per-morsel retry budget,
+deadline cancellation, error aggregation, the end-of-job handshake and the
+:class:`JobReport`.  Worker side, :func:`_worker_main` / :func:`_serve_job`
+take a task, run it under :func:`worker_job_state`, and post the outcome.
 
-**The transports** only move messages and keep workers alive:
-
-* ``"threads"`` (:class:`_ThreadTransport`) — daemon threads over an
-  in-process queue.  They share the parent's memory, so they are never
-  stale and adopt the submitting execution's accounting scopes around each
-  morsel.  Pure-Python joins gain nothing from them (the GIL); they are the
-  fallback where ``fork`` is missing and the scheduler's in-process test
-  bed.
-* ``"processes"`` (:class:`_ForkTransport`) — workers forked **once** and
-  re-armed over a control pipe per job, amortizing fork + copy-on-write
-  page-table setup across queries.  A worker blocks on the task queue's
-  reader and its control pipe *together*, so the end-of-job handshake —
-  ``("end",)`` down every pipe, one ``("ack", worker, busy seconds,
-  summary)`` back — completes within a pipe round-trip of the last result,
-  and ``("close",)`` is seen just as promptly.  Forked workers snapshot the
-  database at fork time, so the transport records a staleness key (data
-  version, index/compiled builds, dictionary size) and re-forks when the
-  parent built new state — warm repeated queries re-use the same workers
-  with **zero** new spawns (the ``spawns`` counter is the proof, asserted
-  in tests).  Each worker is pinned to one CPU.
+**The transport** (:class:`_ForkTransport`) only moves messages and keeps
+workers alive.  Workers are forked **once** and re-armed over a control
+pipe per job, amortizing fork + copy-on-write page-table setup across
+queries.  A worker blocks on the task queue's reader and its control pipe
+*together*, so the end-of-job handshake — ``("end",)`` down every pipe, one
+``("ack", worker, busy seconds, summary)`` back — completes within a pipe
+round-trip of the last result, and ``("close",)`` is seen just as promptly.
+Forked workers snapshot the database at fork time, so the transport records
+a staleness key (data version, index/compiled builds, dictionary size) and
+re-forks when the parent built new state — warm repeated queries re-use the
+same workers with **zero** new spawns (the ``spawns`` counter is the proof,
+asserted in tests).  Each worker is pinned to one CPU.  Platforms without
+the ``fork`` start method have no pool: the schedule resolver runs such
+executions serial and says why.
 
 Tasks and results carry the job's sequence number, so a leftover of a
 cancelled or recovered job can never be mistaken for the next job's.
-
-**Adaptive splitting**: when a worker's previous morsel ran longer than the
-job's ``split_threshold``, it halves the next task that still spans enough
-dictionary codes and requeues both halves instead of running the original
-— a mis-estimated hot range gets re-fed to the whole pool mid-flight.  One
-slow morsel buys one split: a run of slow morsels keeps splitting, and
-morsels that come out short are left alone.  Split halves carry a binary
-``path`` suffix, so sorting results by ``(index, path)`` reproduces the
-exact planner range order no matter which worker ran what: the merged row
-stream is byte-identical to the serial one under any schedule.
+Results are sorted by planner index, so the merged row stream is
+byte-identical to the serial one under any schedule.
 
 **Locking model** (mirrors the conventions documented in
 :mod:`repro.engine.parallel` and :class:`~repro.storage.database.Database`):
@@ -58,11 +44,9 @@ stream is byte-identical to the serial one under any schedule.
 * lifecycle (``close()``) takes a separate lock, is idempotent, and briefly
   acquires the submit lock so an in-flight job drains before teardown —
   exiting a pool's context manager mid-query therefore finishes the query;
-* the thread transport guards its task queue and control slots with one
-  ``Condition``; task execution runs outside it;
-* forked children replace the inherited ``database._lock`` (a parent thread
-  that held it at fork time does not exist in the child and would never
-  release it) — see :func:`reinitialise_child_locks`;
+* a fork may happen from any thread (``repro serve`` forks from its
+  request-handler threads), so forked children replace every inherited
+  lock they can reach — see :func:`reinitialise_child_locks`;
 * every pool registers in a module-level ``WeakSet`` closed by one
   ``atexit`` hook, so forgotten pools cannot leak forked children past
   interpreter shutdown, while garbage collection of a database (and its
@@ -74,16 +58,16 @@ for dead workers, so a worker that dies between tasks is noticed within
 ``DEAD_WORKER_GRACE`` heartbeats instead of hanging the merge.  A detected
 death does not fail the job: replacements are forked, armed with the
 in-flight job, and every morsel not yet accounted for is re-enqueued —
-morsel identity is ``(index, path)``, so retried results sort back into the
-deterministic merge and duplicates park harmlessly as orphans.  A morsel
-that repeatedly kills its worker (or keeps raising) is a poison pill:
-per-key retries are bounded by ``MAX_MORSEL_RETRIES`` with exponential
-backoff, and only an exhausted budget raises
-:class:`~repro.engine.faults.WorkerFailureError`.  Jobs can also carry a
-:class:`~repro.engine.faults.Deadline`; the parent checks it at every
-message, cancels queued morsels on expiry, drains the in-flight ones, and
-raises :class:`~repro.engine.faults.QueryTimeoutError` — also when the
-first to notice was a worker — with the pool left immediately reusable.
+retried results sort back into the deterministic merge by planner index,
+and duplicates are dropped.  A morsel that repeatedly kills its worker (or
+keeps raising) is a poison pill: per-morsel retries are bounded by
+``MAX_MORSEL_RETRIES`` with exponential backoff, and only an exhausted
+budget raises :class:`~repro.engine.faults.WorkerFailureError`.  Jobs can
+also carry a :class:`~repro.engine.faults.Deadline`; the parent checks it
+at every message, cancels queued morsels on expiry, drains the in-flight
+ones, and raises :class:`~repro.engine.faults.QueryTimeoutError` — also
+when the first to notice was a worker — with the pool left immediately
+reusable.
 """
 
 from __future__ import annotations
@@ -94,10 +78,10 @@ import os
 import threading
 import time
 import weakref
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait
-from queue import Empty, SimpleQueue
+from queue import Empty
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.engine.faults import (
@@ -107,9 +91,6 @@ from repro.engine.faults import (
     WorkerFailureError,
     fault_point,
 )
-
-#: Supported pool backends (mirrors ``PARALLEL_BACKENDS``).
-POOL_BACKENDS: Tuple[str, ...] = ("threads", "processes")
 
 #: Parent-side message-poll timeout; also the worker-liveness heartbeat —
 #: a dead fork worker is noticed within a couple of these.  Below ~0.05 s
@@ -129,17 +110,6 @@ MAX_MORSEL_RETRIES: int = 3
 #: Base of the exponential backoff applied before re-feeding a morsel
 #: whose worker died more than once (caps at one second).
 RETRY_BACKOFF_SECONDS: float = 0.05
-
-#: Smallest code span the adaptive splitter will halve.
-MIN_SPLIT_SPAN: int = 2
-
-#: A morsel's identity: planner range index plus split path.
-MorselKey = Tuple[int, Tuple[int, ...]]
-
-
-def _describe(key: MorselKey) -> str:
-    return f"morsel {key[0]}{list(key[1])!r}"
-
 
 def available_workers() -> int:
     """Usable cores for sizing pools.
@@ -161,21 +131,11 @@ def available_workers() -> int:
 
 @dataclass(frozen=True)
 class MorselTask:
-    """One unit of work: planner range ``index``, split ``path``, ``[lo, hi)``.
-
-    ``path`` is ``()`` for a planner-produced morsel; each adaptive split
-    appends ``0`` (left half) or ``1`` (right half), so lexicographic
-    ``(index, path)`` order equals key-range order.
-    """
+    """One unit of work: planner range ``index`` and its ``[lo, hi)``."""
 
     index: int
-    path: Tuple[int, ...]
     lo: object
     hi: object
-
-    @property
-    def key(self) -> MorselKey:
-        return (self.index, self.path)
 
 
 @dataclass
@@ -192,7 +152,6 @@ class MorselResult:
     """One completed task, with scheduling attribution."""
 
     index: int
-    path: Tuple[int, ...]
     lo: object
     hi: object
     value: int
@@ -201,43 +160,30 @@ class MorselResult:
     elapsed: float
     worker: int
 
-    @property
-    def key(self) -> MorselKey:
-        return (self.index, self.path)
-
 
 @dataclass
 class MorselJob:
     """Everything one :meth:`WorkerPool.run` call needs.
 
     ``runner`` must be a **module-level** callable ``(database, spec, task)
-    -> TaskOutcome`` (the fork transport pickles it by reference); ``spec``
+    -> TaskOutcome`` (the pool pickles it by reference); ``spec``
     is an arbitrary picklable object threaded through to every task.  State
     a runner wants to build once per (job, worker) rather than once per task
     — an executor, say — lives in the dict :func:`worker_job_state`
     returns.  ``summarize``, when set, is a module-level callable
     ``(database, spec, state) -> dict`` a worker that stored such state
     calls after its last task; the answers come back in
-    :attr:`JobReport.worker_stats`.  A ``split_threshold`` of ``None`` (or a
-    ``split_domain`` of ``None``) disables adaptive splitting.  ``deadline``
-    makes the pool cancel the job cooperatively once the instant passes;
-    ``max_retries`` overrides ``MAX_MORSEL_RETRIES``.
+    :attr:`JobReport.worker_stats`.  ``deadline`` makes the pool cancel the
+    job cooperatively once the instant passes; ``max_retries`` overrides
+    ``MAX_MORSEL_RETRIES``.
     """
 
     spec: object
     runner: Callable[[object, object, MorselTask], TaskOutcome]
     tasks: Sequence[MorselTask]
-    split_threshold: Optional[float] = None
-    min_split_span: int = MIN_SPLIT_SPAN
-    split_domain: Optional[Tuple[int, int]] = None
     deadline: Optional[Deadline] = None
     max_retries: Optional[int] = None
     summarize: Optional[Callable[[object, object, dict], dict]] = None
-    #: The submitting execution's cache-accounting scopes
-    #: (:meth:`repro.storage.database.Database.active_scopes`).  Thread
-    #: workers adopt them around each morsel so worker-side index/driver
-    #: cache hits stay attributed to the execution that caused them.
-    scopes: Optional[Sequence[object]] = None
 
 
 @dataclass
@@ -248,7 +194,6 @@ class JobReport:
     #: Tasks some worker ran beyond an even share of the job's tasks — what
     #: pulling from one queue moved off the slow workers.
     steals: int
-    splits: int
     worker_busy: List[float]
     wall_seconds: float
     workers: int
@@ -276,18 +221,11 @@ class _JobPayload:
     spec: object
     runner: Callable[[object, object, MorselTask], TaskOutcome]
     summarize: Optional[Callable[[object, object, dict], dict]]
-    split_threshold: Optional[float]
-    min_split_span: int
-    split_domain: Optional[Tuple[int, int]]
-    scopes: Optional[Sequence[object]]
-
-    def __getstate__(self) -> dict:
-        # Scopes never cross the fork pipe: a fork child bumps copy-on-write
-        # counters the parent never reads.
-        return {**self.__dict__, "scopes": None}
 
 
-_WORKER_JOB = threading.local()
+#: The running job's scratch dict; set only inside a forked worker, whose
+#: one thread runs one task at a time.
+_JOB_STATE: Optional[dict] = None
 
 
 def worker_job_state() -> dict:
@@ -298,53 +236,48 @@ def worker_job_state() -> dict:
     never outlives it.  Called outside a pool worker (a runner driven
     directly), every call returns a fresh dict.
     """
-    state = getattr(_WORKER_JOB, "state", None)
-    return state if state is not None else {}
-
-
-def split_task(
-    task: MorselTask,
-    domain: Optional[Tuple[int, int]],
-    min_span: int,
-) -> Optional[Tuple[MorselTask, MorselTask]]:
-    """Halve ``task``'s code range, or ``None`` when it cannot be split.
-
-    Open ends resolve against ``domain`` (the dictionary's code span at
-    submit time) for the midpoint only; the halves keep the original open
-    bounds so late-appended codes stay covered.  Raw (non-integer) key
-    spaces have no midpoint and never split.
-    """
-    if domain is None:
-        return None
-    lo = task.lo if task.lo is not None else domain[0]
-    hi = task.hi if task.hi is not None else domain[1]
-    if not isinstance(lo, int) or not isinstance(hi, int):
-        return None
-    if hi - lo < max(2, min_span):
-        return None
-    mid = (lo + hi) // 2
-    left = MorselTask(task.index, task.path + (0,), task.lo, mid)
-    right = MorselTask(task.index, task.path + (1,), mid, task.hi)
-    return left, right
+    return _JOB_STATE if _JOB_STATE is not None else {}
 
 
 def reinitialise_child_locks(database) -> None:
     """Replace locks a forked child inherited in unknown state.
 
-    The fork may happen while *another* parent thread holds the database
-    lock (engines are documented as thread-shareable); that thread does not
-    exist in the child, so the inherited lock would never be released.  The
-    child is single-threaded, so a fresh lock is safe.
+    A fork copies every lock as it stands, held or not, but only the
+    forking thread: a lock another parent thread held at fork time is
+    never released in the child.  ``repro serve`` forks from one
+    request-handler thread while others run queries, so this is the audit
+    of every lock in the process and what a worker — whose only code is
+    :func:`_worker_main` running the job's runner — can reach:
+
+    * ``Database._lock`` — **reset here**.  Every executor a runner builds
+      looks its tries, plans and compiled driver up under it.  Only the
+      child's main thread ever takes it, so a fresh lock is safe.
+    * ``StatisticsCatalog._lock`` — unreachable.  The catalog belongs to
+      the engine's selector; only the parent's partition planner and cost
+      model read it, and a runner receives neither.
+    * ``PreparedQuery._lock`` — unreachable.  A job's spec carries the
+      query, order and plan, never the handle.
+    * the fault counters (``_ArmedFault``'s ``multiprocessing.Value``
+      locks) — not reset: they are process-shared semaphores, so a parent
+      thread holding one releases it for the child too.  The task queue's
+      read lock is the same kind; the result queue's feeder state is
+      re-made by ``multiprocessing``'s own after-fork hooks.
+    * the server's admission, session and stats locks — unreachable: the
+      child never runs server code.
+    * ``WorkerPool``'s submit and lifecycle locks — unreachable: the forking
+      thread holds the submit lock, but the child never submits or closes,
+      and leaves through ``os._exit`` without running ``atexit`` hooks or
+      finalisers.
     """
     database._lock = threading.RLock()
 
 
 # --------------------------------------------------------------------------
-# The worker side of the scheduler (runs in a pool thread or a forked child).
+# The worker side of the scheduler (runs in a forked child).
 # --------------------------------------------------------------------------
 
 
-def _worker_main(transport: "_Transport", database, wid: int, conn) -> None:
+def _worker_main(transport: "_ForkTransport", database, wid: int, conn) -> None:
     """One worker's life: wait for a job, serve it, until told to close."""
     fault_point("pool.worker_start")
     while True:
@@ -358,7 +291,7 @@ def _worker_main(transport: "_Transport", database, wid: int, conn) -> None:
 
 
 def _serve_job(
-    transport: "_Transport", database, wid: int, conn, payload: _JobPayload
+    transport: "_ForkTransport", database, wid: int, conn, payload: _JobPayload
 ) -> bool:
     """Run tasks off the shared queue until the parent ends the job.
 
@@ -366,10 +299,10 @@ def _serve_job(
     once the parent wants nothing more from this job.  Returns ``False``
     when the worker was told to close instead.
     """
+    global _JOB_STATE
     job = payload.job
     state: dict = {}
     busy = 0.0
-    hot = False
     while True:
         message = transport.take(conn)
         if message[0] == "close":
@@ -383,37 +316,24 @@ def _serve_job(
         if message[0] != "task" or message[1] != job:
             continue  # left over from a cancelled or recovered job
         task: MorselTask = message[2]
-        if hot and payload.split_threshold is not None:
-            halves = split_task(task, payload.split_domain, payload.min_split_span)
-            if halves is not None:
-                hot = False
-                left, right = halves
-                transport.post(job, ("split", task.key, left.key, right.key))
-                transport.put_task(job, left)
-                transport.put_task(job, right)
-                continue
         started = time.perf_counter()
-        _WORKER_JOB.state = state
+        _JOB_STATE = state
         try:
             fault_point("pool.before_morsel")
-            with database.adopt_scopes(payload.scopes):
-                outcome = payload.runner(database, payload.spec, task)
+            outcome = payload.runner(database, payload.spec, task)
         except BaseException as error:  # noqa: BLE001 - reported to the submitter
-            transport.post(job, ("error", task.key, f"{type(error).__name__}: {error}"))
+            transport.post(job, ("error", task.index, f"{type(error).__name__}: {error}"))
             continue
         finally:
-            _WORKER_JOB.state = None
+            _JOB_STATE = None
         elapsed = time.perf_counter() - started
         busy += elapsed
-        if payload.split_threshold is not None and elapsed >= payload.split_threshold:
-            hot = True
         transport.post(
             job,
             (
                 "result",
                 MorselResult(
                     index=task.index,
-                    path=task.path,
                     lo=task.lo,
                     hi=task.hi,
                     value=outcome.value,
@@ -434,94 +354,46 @@ def _serve_job(
 class _JobTracker:
     """Order-independent completion bookkeeping for one job.
 
-    Messages from different workers may arrive in any interleaving — a
-    split half's result can land before its split announcement.  The
-    tracker keeps a live ``expected`` key set; early arrivals park as
-    orphans and are absorbed the moment their key becomes live, so the job
-    completes exactly when every planner range is tiled by results.
-
-    It also keeps a ``key -> MorselTask`` map and the per-key retry counts,
-    so any still-expected morsel can be re-enqueued after a worker death or
-    a runner error.  Split messages carry only keys, but the halves are
-    recomputed parent-side with the same deterministic :func:`split_task`
-    the worker used — identical inputs, identical halves.
+    Keeps the planner indexes still ``expected``; the first result (or
+    error) for an index completes it, and a later duplicate — a re-fed
+    morsel whose first run also finished — is dropped, so the job completes
+    exactly when every planner range has one outcome.  It also keeps the
+    ``index -> MorselTask`` map and the per-index retry counts, so any
+    still-expected morsel can be re-enqueued after a worker death or a
+    runner error.
     """
 
     def __init__(self, job: MorselJob, tasks: Sequence[MorselTask]) -> None:
-        self.expected: Set[MorselKey] = set()
+        self.tasks: Dict[int, MorselTask] = {task.index: task for task in tasks}
+        self.expected: Set[int] = set(self.tasks)
         self.results: List[MorselResult] = []
-        self.errors: List[Tuple[MorselKey, str]] = []
-        self.splits = 0
-        self.tasks: Dict[MorselKey, MorselTask] = {}
+        self.errors: List[Tuple[int, str]] = []
         self.retries: Counter = Counter()
         self.max_retries = (
             MAX_MORSEL_RETRIES if job.max_retries is None else job.max_retries
         )
-        self._domain = job.split_domain
-        self._min_span = job.min_split_span
-        self._orphans: Dict[MorselKey, tuple] = {}
-        self._orphan_splits: Dict[MorselKey, tuple] = {}
-        for task in tasks:
-            self.expected.add(task.key)
-            self.tasks[task.key] = task
 
     @property
     def done(self) -> bool:
         return not self.expected
 
-    def lost(self) -> List[MorselKey]:
-        """Every morsel not yet accounted for that can be fed again."""
-        return sorted(key for key in self.expected if key in self.tasks)
+    def lost(self) -> List[int]:
+        """Every morsel not yet accounted for."""
+        return sorted(self.expected)
 
-    def can_retry(self, key: MorselKey) -> bool:
-        return (
-            key in self.expected
-            and key in self.tasks
-            and self.retries[key] < self.max_retries
-        )
+    def can_retry(self, index: int) -> bool:
+        return index in self.expected and self.retries[index] < self.max_retries
 
     def absorb(self, message: tuple) -> None:
-        kind = message[0]
-        if kind == "split":
-            key = message[1]
-            if key in self.expected:
-                self.expected.discard(key)
-                self._apply_split(message)
-            else:
-                self._orphan_splits[key] = message
-            return
-        key = message[1] if kind == "error" else message[1].key
-        if key in self.expected:
-            self.expected.discard(key)
-            self._complete(message)
-        else:
-            self._orphans[key] = message
-
-    def _apply_split(self, message: tuple) -> None:
-        self.splits += 1
-        parent = self.tasks.get(message[1])
-        if parent is not None:
-            halves = split_task(parent, self._domain, self._min_span)
-            if halves is not None:
-                for half in halves:
-                    self.tasks[half.key] = half
-        for half_key in (message[2], message[3]):
-            self._register(half_key)
-
-    def _register(self, key: MorselKey) -> None:
-        if key in self._orphans:
-            self._complete(self._orphans.pop(key))
-            return
-        if key in self._orphan_splits:
-            self._apply_split(self._orphan_splits.pop(key))
-            return
-        self.expected.add(key)
-
-    def _complete(self, message: tuple) -> None:
         if message[0] == "result":
-            self.results.append(message[1])
+            index = message[1].index
+            if index in self.expected:
+                self.results.append(message[1])
         else:
-            self.errors.append((message[1], message[2]))
+            index = message[1]
+            if index in self.expected:
+                self.errors.append((index, message[2]))
+        self.expected.discard(index)
 
 
 _ALL_POOLS: "weakref.WeakSet[WorkerPool]" = weakref.WeakSet()
@@ -542,21 +414,20 @@ atexit.register(_close_all_pools)
 class WorkerPool:
     """A persistent worker pool bound to one database.
 
-    Owns the scheduler's parent side (:meth:`_run_job`) and the uniform
-    lifecycle — lazy spawn, one-job-at-a-time submission, idempotent
-    ``close()`` (also via context manager, ``__del__`` and the module atexit
-    hook) — over the ``transport`` that carries its messages, plus the
-    observability counters ``spawns`` (workers ever started — the
-    persistence proof), ``jobs_run`` and ``worker_restarts``.
+    Owns the scheduler's parent side (:meth:`_run_job`) and the lifecycle —
+    lazy fork, one-job-at-a-time submission, idempotent ``close()`` (also
+    via context manager, ``__del__`` and the module atexit hook) — over the
+    ``transport`` that carries its messages, plus the observability
+    counters ``spawns`` (workers ever forked — the persistence proof),
+    ``jobs_run`` and ``worker_restarts``.
     """
 
-    def __init__(self, database, size: int, transport: "type[_Transport]") -> None:
+    def __init__(self, database, size: int) -> None:
         if size < 1:
             raise ValueError("worker pool size must be >= 1")
         self.database = database
         self.size = int(size)
-        self.transport = transport(database, self.size)
-        self.backend = transport.backend
+        self.transport = _ForkTransport(database, self.size)
         self.jobs_run = 0
         #: Stale/dead re-fork events plus mid-job replacement workers.
         self.worker_restarts = 0
@@ -623,8 +494,8 @@ class WorkerPool:
         """Execute every task of ``job``; block until the merged report.
 
         Jobs serialise on the submit lock (see the module docstring's
-        locking model).  Results come back sorted by ``(index, path)`` —
-        planner range order — regardless of scheduling.
+        locking model).  Results come back sorted by planner index —
+        range order — regardless of scheduling.
         """
         if self._closed:
             raise PoolClosedError(f"{self!r} is closed")
@@ -640,7 +511,7 @@ class WorkerPool:
     def _run_job(self, job: MorselJob) -> JobReport:
         tasks = list(job.tasks)
         if not tasks:
-            return JobReport([], 0, 0, [0.0] * self.size, 0.0, self.size)
+            return JobReport([], 0, [0.0] * self.size, 0.0, self.size)
         transport = self.transport
         if transport.ensure_workers():
             self.worker_restarts += 1
@@ -650,10 +521,6 @@ class WorkerPool:
             spec=job.spec,
             runner=job.runner,
             summarize=job.summarize,
-            split_threshold=job.split_threshold,
-            min_split_span=job.min_split_span,
-            split_domain=job.split_domain,
-            scopes=job.scopes,
         )
         # A worker that died before (or while) receiving the payload — e.g.
         # killed during startup — is found dead by the heartbeat sweep
@@ -709,19 +576,18 @@ class WorkerPool:
                 # deadline itself is authoritative.
                 raise QueryTimeoutError(deadline.timeout)
             diagnostics = [
-                f"{_describe(key)}: {text}" for key, text in sorted(tracker.errors)
+                f"morsel {index}: {text}" for index, text in sorted(tracker.errors)
             ]
             raise WorkerFailureError(
                 f"morsel worker(s) failed: {'; '.join(diagnostics)}",
                 diagnostics=diagnostics,
             )
-        results = sorted(tracker.results, key=lambda result: result.key)
+        results = sorted(tracker.results, key=lambda result: result.index)
         share = -(-len(results) // self.size)
         ran = Counter(result.worker for result in results)
         return JobReport(
             results,
             sum(max(0, count - share) for count in ran.values()),
-            tracker.splits,
             busy,
             0.0,
             self.size,
@@ -745,17 +611,17 @@ class WorkerPool:
         return answer
 
     def _refeed(
-        self, keys: Sequence[MorselKey], tracker: _JobTracker, payload: _JobPayload
+        self, indexes: Sequence[int], tracker: _JobTracker, payload: _JobPayload
     ) -> None:
-        """Charge one retry to each of ``keys`` and enqueue them again.
+        """Charge one retry to each morsel of ``indexes`` and enqueue it again.
 
         Duplicates (a morsel merely in flight on a live worker) are safe:
-        the tracker completes a key once and parks later arrivals.
+        the tracker completes an index once and drops later arrivals.
         """
-        tracker.retries.update(keys)
-        self.morsel_retries += len(keys)
-        for key in keys:
-            self.transport.put_task(payload.job, tracker.tasks[key])
+        tracker.retries.update(indexes)
+        self.morsel_retries += len(indexes)
+        for index in indexes:
+            self.transport.put_task(payload.job, tracker.tasks[index])
 
     def _recover(
         self,
@@ -767,13 +633,13 @@ class WorkerPool:
         held; returns the number of replacements."""
         lost = tracker.lost()
         diagnostics = [f"worker {wid} exit code {code}" for wid, code in dead]
-        exhausted = [key for key in lost if not tracker.can_retry(key)]
+        exhausted = [index for index in lost if not tracker.can_retry(index)]
         if exhausted:
             # Poison pill: the same morsel keeps killing workers.
             self.transport.stop()
             morsels = ", ".join(
-                f"{_describe(key)} ({tracker.retries[key]} retries)"
-                for key in exhausted
+                f"morsel {index} ({tracker.retries[index]} retries)"
+                for index in exhausted
             )
             raise WorkerFailureError(
                 f"parallel worker(s) died mid-job: {', '.join(diagnostics)}; "
@@ -790,7 +656,7 @@ class WorkerPool:
                 f"and could not be replaced: {error}"
             )
         self.worker_restarts += replaced
-        repeat = max((tracker.retries[key] for key in lost), default=0)
+        repeat = max((tracker.retries[index] for index in lost), default=0)
         if repeat >= 1:
             # The same morsel's worker died again: back off exponentially
             # before re-feeding it.
@@ -803,13 +669,13 @@ class WorkerPool:
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"
         return (
-            f"WorkerPool({self.backend!r}, size={self.size}, "
+            f"WorkerPool(size={self.size}, "
             f"spawns={self.spawns}, jobs={self.jobs_run}, {state})"
         )
 
 
 # --------------------------------------------------------------------------
-# Transports: how messages move and workers stay alive.  No policy here.
+# The transport: how messages move and workers stay alive.  No policy here.
 # --------------------------------------------------------------------------
 
 
@@ -821,125 +687,6 @@ def _drain(queue) -> None:
             queue.get_nowait()
         except (Empty, OSError, ValueError, EOFError):
             return
-
-
-class _Transport:
-    """What the scheduler needs from a backend.
-
-    Parent side: :meth:`ensure_workers`, :meth:`broadcast` of control
-    messages, :meth:`put_task`, :meth:`get_message`, :meth:`dead_workers` /
-    :meth:`replace_workers`, :meth:`discard_tasks` / :meth:`discard_messages`,
-    the :meth:`end_job` handshake and :meth:`stop`.  Worker side:
-    :meth:`take`, :meth:`post`, :meth:`put_task` (split halves) and
-    :meth:`ack`; ``conn`` is whatever the transport handed the worker as its
-    control channel.
-    """
-
-    backend = "none"
-
-    def __init__(self, database, size: int) -> None:
-        self.database = database
-        self.size = size
-        self.spawns = 0
-        self._result_queue = None
-
-    def post(self, job: int, message: tuple) -> None:
-        self._result_queue.put((job, message))
-
-    def get_message(self, timeout: float) -> Tuple[int, tuple]:
-        """The next ``(job, message)`` from any worker; ``Empty`` on timeout."""
-        return self._result_queue.get(timeout=timeout)
-
-    def discard_messages(self) -> None:
-        _drain(self._result_queue)
-
-
-class _ThreadTransport(_Transport):
-    """Daemon threads over an in-process queue.
-
-    Shared memory: the workers are never stale, and none can die under the
-    scheduler (the worker loop reports every runner exception).
-    """
-
-    backend = "threads"
-
-    def __init__(self, database, size: int) -> None:
-        super().__init__(database, size)
-        self._result_queue = SimpleQueue()
-        self._acks: SimpleQueue = SimpleQueue()
-        #: Guards the task queue and the per-worker control slots.
-        self._cond = threading.Condition()
-        self._tasks: deque = deque()
-        self._controls: List[deque] = [deque() for _ in range(size)]
-        self._threads: List[threading.Thread] = []
-
-    def ensure_workers(self) -> bool:
-        if not self._threads:
-            for wid in range(self.size):
-                thread = threading.Thread(
-                    target=_worker_main,
-                    args=(self, self.database, wid, wid),
-                    name=f"repro-pool-{wid}",
-                    daemon=True,
-                )
-                thread.start()
-                self._threads.append(thread)
-                self.spawns += 1
-        return False
-
-    def broadcast(self, message: tuple) -> None:
-        with self._cond:
-            for control in self._controls:
-                control.append(message)
-            self._cond.notify_all()
-
-    def put_task(self, job: int, task: MorselTask) -> None:
-        with self._cond:
-            self._tasks.append((job, task))
-            self._cond.notify_all()
-
-    def take(self, wid: int, tasks: bool = True) -> tuple:
-        control = self._controls[wid]
-        with self._cond:
-            while True:
-                if control:
-                    return control.popleft()
-                if tasks and self._tasks:
-                    return ("task", *self._tasks.popleft())
-                self._cond.wait()
-
-    def ack(self, conn: int, wid: int, busy: float, summary: Optional[dict]) -> None:
-        self._acks.put((wid, busy, summary))
-
-    def dead_workers(self) -> List[Tuple[int, Optional[int]]]:
-        return []
-
-    def discard_tasks(self) -> None:
-        with self._cond:
-            self._tasks.clear()
-
-    def end_job(self) -> Tuple[List[float], Dict[int, dict]]:
-        self.broadcast(("end",))
-        busy = [0.0] * self.size
-        worker_stats: Dict[int, dict] = {}
-        waiting = dict(enumerate(self._threads))
-        while waiting:
-            try:
-                wid, seconds, summary = self._acks.get(timeout=HEARTBEAT_SECONDS)
-            except Empty:  # stop() reached a worker before its "end" did
-                waiting = {w: t for w, t in waiting.items() if t.is_alive()}
-                continue
-            waiting.pop(wid, None)
-            busy[wid] = seconds
-            if summary is not None:
-                worker_stats[wid] = summary
-        return busy, worker_stats
-
-    def stop(self) -> None:
-        self.broadcast(("close",))
-        for thread in self._threads:
-            thread.join(timeout=2.0)
-        self._threads = []
 
 
 def _pin_to_cpu(wid: int) -> None:
@@ -977,23 +724,31 @@ def _fork_worker_main(transport: "_ForkTransport", wid: int, conn) -> None:
             pass
 
 
-class _ForkTransport(_Transport):
+class _ForkTransport:
     """Forked workers that survive across queries, re-armed per job.
 
     Fork happens lazily on the first job — *after* the parent built the
     query's indexes and compiled driver, so children inherit warm caches by
     copy-on-write.  A staleness key re-forks the set when the parent built
     new state since; warm repeats spawn nothing.
+
+    Parent side: :meth:`ensure_workers`, :meth:`broadcast` of control
+    messages, :meth:`put_task`, :meth:`get_message`, :meth:`dead_workers` /
+    :meth:`replace_workers`, :meth:`discard_tasks` / :meth:`discard_messages`,
+    the :meth:`end_job` handshake and :meth:`stop`.  Worker side:
+    :meth:`take`, :meth:`post` and :meth:`ack` over the worker's control
+    pipe ``conn``.
     """
 
-    backend = "processes"
-
     def __init__(self, database, size: int) -> None:
-        super().__init__(database, size)
+        self.database = database
+        self.size = size
+        self.spawns = 0
         self._context = multiprocessing.get_context("fork")
         self._processes: List = []
         self._pipes: List = []
         self._task_queue = None
+        self._result_queue = None
         self._fork_key: Optional[tuple] = None
 
     def _state_key(self) -> tuple:
@@ -1048,6 +803,16 @@ class _ForkTransport(_Transport):
 
     def put_task(self, job: int, task: MorselTask) -> None:
         self._task_queue.put((job, task))
+
+    def post(self, job: int, message: tuple) -> None:
+        self._result_queue.put((job, message))
+
+    def get_message(self, timeout: float) -> Tuple[int, tuple]:
+        """The next ``(job, message)`` from any worker; ``Empty`` on timeout."""
+        return self._result_queue.get(timeout=timeout)
+
+    def discard_messages(self) -> None:
+        _drain(self._result_queue)
 
     def take(self, conn, tasks: bool = True) -> tuple:
         """The worker sleeps on the queue's reader *and* its control pipe,
@@ -1160,26 +925,11 @@ class _ForkTransport(_Transport):
         self._result_queue = None
 
 
-_TRANSPORTS = {"threads": _ThreadTransport, "processes": _ForkTransport}
+def create_worker_pool(database, size: int) -> WorkerPool:
+    """Build a pool of ``size`` forked workers over ``database``.
 
-
-def create_worker_pool(database, backend: str, size: int) -> WorkerPool:
-    """Build a pool for ``backend`` (``"threads"`` or ``"processes"``).
-
-    Callers wanting the fork backend on a platform without ``fork`` should
-    fall back to threads *before* calling (as
-    :func:`repro.engine.parallel.resolve_schedule` does); asking for it
-    anyway raises.
+    Where the platform has no ``fork`` start method, ``multiprocessing``
+    raises ``ValueError`` here; :func:`repro.engine.parallel.resolve_schedule`
+    declines such executions (they run serial) before ever asking for a pool.
     """
-    if backend not in _TRANSPORTS:
-        raise ValueError(
-            f"unknown pool backend {backend!r}; choose one of {POOL_BACKENDS}"
-        )
-    if (
-        backend == "processes"
-        and "fork" not in multiprocessing.get_all_start_methods()
-    ):
-        raise ValueError(
-            "the 'processes' pool backend requires the fork start method"
-        )
-    return WorkerPool(database, size, _TRANSPORTS[backend])
+    return WorkerPool(database, size)

@@ -38,6 +38,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.engine.engine import QueryEngine
 from repro.engine.faults import PoolClosedError, QueryTimeoutError
+from repro.engine.pool import available_workers
 from repro.engine.results import ExecutionResult
 from repro.server.admission import (
     AdmissionController,
@@ -54,7 +55,6 @@ _ALLOWED_PARAMETERS = (
     "algorithm",
     "timeout",
     "parallel",
-    "parallel_backend",
     "compile",
     "cache_capacity",
 )
@@ -82,7 +82,10 @@ def _coerce_parallel(value: object) -> object:
             return True  # CLI convention: 0 = automatic worker count
         if value < 0:
             raise RequestError("parameter 'parallel' must be >= 0 or a boolean")
-        return value
+        # Clamp, don't reject: every distinct size is a pool of forked
+        # workers the database keeps until shutdown, so a client may not
+        # ask for more workers than there are cores.
+        return min(value, available_workers())
     raise RequestError("parameter 'parallel' must be an integer or boolean")
 
 
@@ -330,10 +333,6 @@ class QueryService:
                 parameters[name] = min(timeout, self.max_timeout)
             elif name == "parallel":
                 parameters[name] = _coerce_parallel(value)
-            elif name == "parallel_backend":
-                if not isinstance(value, str):
-                    raise RequestError("parameter 'parallel_backend' must be a string")
-                parameters[name] = value
             elif name == "compile":
                 parameters[name] = _coerce_bool(name, value)
             elif name == "cache_capacity":

@@ -44,12 +44,12 @@ class CacheCounterScope:
     """Per-execution deltas of the database's cache/build counters.
 
     Created by :meth:`Database.execution_scope`.  Every counter bump that
-    happens *on behalf of this execution* — in the thread that opened the
-    scope, or in a pool worker thread that adopted it for a morsel — is
-    recorded here in addition to the global counter.  Two concurrent
-    executions therefore never see each other's builds: before/after reads
-    of the global counters (the pre-PR-10 scheme) attributed anything that
-    happened to overlap in time.
+    happens in the thread that opened the scope is recorded here in
+    addition to the global counter.  (Forked pool workers bump
+    copy-on-write copies of the counters that never reach the parent.)
+    Two concurrent executions therefore never see each other's builds, as
+    before/after reads of the global counters would: those attribute
+    anything that happens to overlap in time.
 
     ``record`` is only ever called under the database lock (all bumps
     happen inside locked sections), so plain dict updates are safe.
@@ -180,9 +180,8 @@ class Database:
     **Locking model**: one re-entrant lock serialises every cache fill
     (:meth:`view_index`, :meth:`cached_plan`) and every mutation
     (:meth:`add_relation`, :meth:`insert`, :meth:`delete`, :meth:`compact`).
-    Concurrent executors — thread shards of the parallel executor, or
-    independent engine calls from request threads — may therefore share one
-    database: a cold index is built exactly once
+    Concurrent executors — independent engine calls from request threads —
+    may therefore share one database: a cold index is built exactly once
     (the losing threads block on the lock and then take the cache hit, so
     ``index_builds`` never double-counts), and readers of an already-cached
     index only pay an uncontended lock acquisition.  Join execution itself
@@ -227,8 +226,7 @@ class Database:
         self._lock = threading.RLock()
         #: Per-thread stacks of active :class:`CacheCounterScope` objects.
         #: Thread-local so concurrent executions never observe each other's
-        #: bumps; pool worker threads adopt the submitting execution's
-        #: scopes for the duration of a morsel (see ``adopt_scopes``).
+        #: bumps.
         self._scope_stacks = threading.local()
         #: The shared, append-only value <-> int-code table every index of
         #: this database is keyed by.  Shared across relations, so code
@@ -262,8 +260,8 @@ class Database:
         #: prefer the per-relation :meth:`relation_version`.
         self.data_version: int = 0
         #: Persistent worker pools for morsel-parallel execution, keyed by
-        #: ``(backend, size)`` — see :meth:`worker_pool`.
-        self._pools: Dict[Tuple[str, int], object] = {}
+        #: size — see :meth:`worker_pool`.
+        self._pools: Dict[int, object] = {}
         for relation in relations:
             self.add_relation(relation)
 
@@ -304,33 +302,6 @@ class Database:
             yield scope
         finally:
             stack.remove(scope)
-
-    def active_scopes(self) -> Tuple["CacheCounterScope", ...]:
-        """The scopes active on the *calling* thread (for pool handoff)."""
-        return tuple(getattr(self._scope_stacks, "stack", None) or ())
-
-    @contextmanager
-    def adopt_scopes(
-        self, scopes: Optional[Sequence["CacheCounterScope"]]
-    ) -> Iterator[None]:
-        """Record this thread's bumps into ``scopes`` for the duration.
-
-        Used by pool worker threads running a morsel on behalf of another
-        thread's execution, so worker-side cache hits stay attributed to
-        the execution that caused them.  (Fork workers mutate copy-on-write
-        counter copies that never reach the parent; they have nothing to
-        adopt.)
-        """
-        if not scopes:
-            yield
-            return
-        stack = self._scope_stack()
-        stack.extend(scopes)
-        try:
-            yield
-        finally:
-            for scope in scopes:
-                stack.remove(scope)
 
     def add_relation(self, relation: Relation, replace: bool = False) -> None:
         """Register ``relation``; refuses to silently overwrite unless ``replace``.
@@ -675,16 +646,17 @@ class Database:
         return len(self._compiled_cache)
 
     # ----------------------------------------------------------- worker pools
-    def worker_pool(self, backend: str, size: Optional[int] = None):
-        """Return (and memoise) the persistent worker pool for ``backend``.
+    def worker_pool(self, size: Optional[int] = None):
+        """Return (and memoise) the persistent pool of ``size`` forked workers.
 
-        Pools are keyed by ``(backend, size)`` and live until
+        Pools are keyed by size (default: the usable cores) and live until
         :meth:`close_pools` (or interpreter exit — every pool registers an
         atexit safety net), so consecutive parallel queries re-use the same
-        workers: thread workers idle between jobs, fork workers are re-armed
-        over a control pipe instead of being re-forked.  A pool that was
-        closed explicitly (e.g. via its context manager) is transparently
-        replaced on the next request.
+        workers: they are re-armed over a control pipe between jobs instead
+        of being re-forked.  A pool that was closed explicitly (e.g. via its
+        context manager) is transparently replaced on the next request.
+        Any thread may ask — ``repro serve`` forks from its request-handler
+        threads (see :func:`repro.engine.pool.reinitialise_child_locks`).
 
         The pool cache shares the database lock; pool *submission* has its
         own serialisation (see :mod:`repro.engine.pool`'s locking model) and
@@ -692,15 +664,12 @@ class Database:
         """
         from repro.engine.pool import available_workers, create_worker_pool
 
-        if size is None:
-            size = available_workers()
-        size = max(int(size), 1)
-        key = (backend, size)
+        size = max(int(size if size is not None else available_workers()), 1)
         with self._lock:
-            pool = self._pools.get(key)
+            pool = self._pools.get(size)
             if pool is None or pool.closed:
-                pool = create_worker_pool(self, backend, size)
-                self._pools[key] = pool
+                pool = create_worker_pool(self, size)
+                self._pools[size] = pool
             return pool
 
     def close_pools(self, drain_timeout: float = 5.0) -> int:

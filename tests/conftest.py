@@ -7,6 +7,7 @@ from typing import Dict, List, Set, Tuple
 
 import pytest
 
+import repro.server.service as service_module
 from repro.engine.engine import ALGORITHMS
 from repro.query.atoms import ConjunctiveQuery
 from repro.query.terms import Constant, Variable
@@ -102,6 +103,14 @@ def skewed_edge_database(
             edges.add((source, target))
     relation = Relation("E", ("src", "dst"), edges)
     return Database([relation], name="skewed")
+
+
+@pytest.fixture
+def two_cores(monkeypatch):
+    """A two-core host as the HTTP service sees it.  The service clamps a
+    request's ``parallel`` to the cores, so ``parallel: 2`` asks for a
+    pool of two workers on any host."""
+    monkeypatch.setattr(service_module, "available_workers", lambda: 2)
 
 
 @pytest.fixture

@@ -44,3 +44,13 @@ def test_the_leaf_run_step_compares_both_reduced_forms_with_the_oracle():
     assert 'print $at["count"], $at["memory_accesses"], $at["cache_hits"]' in step
     assert '--algorithm "$algorithm" --no-compile)' in step
     assert 'test -n "$compiled" && test "$compiled" = "$interpreted"' in step
+
+
+def test_explain_and_run_name_the_same_schedule():
+    """The interpreted-oracle smoke step greps the worker count off the
+    ``parallel:`` line ``repro run`` prints and finds it in ``repro
+    explain``'s: one schedule resolver, one transport (no backend name)."""
+    text = WORKFLOW.read_text(encoding="utf-8")
+    assert "ran=$(grep -o '^parallel: workers=[0-9]*' run.out)" in text
+    assert "grep '^parallel:' explain.out | grep -F \"$ran\"" in text
+    assert "backend=" not in text

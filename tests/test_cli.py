@@ -190,7 +190,7 @@ class TestCommands:
             assert ran[0].startswith("parallel: declined, runs serial (memory budget: ")
             assert explained[0].startswith(ran[0][:ran[0].index("footprint")])
         else:
-            prefix = "parallel: backend=threads, workers=2, "
+            prefix = "parallel: workers=2, "
             assert ran[0].startswith(prefix) and explained[0].startswith(prefix)
 
     def test_datasets_listing(self, capsys):

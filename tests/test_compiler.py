@@ -10,6 +10,7 @@ surface.
 
 import ast
 import hashlib
+import os
 import random
 import re
 import sys
@@ -112,15 +113,38 @@ class TestParity:
         assert "compiled" not in oracle.metadata
         assert compiled.counter.as_dict() == oracle.counter.as_dict()
 
-    def test_parallel_shards_share_one_driver(self, engine, database):
+    def test_parallel_shards_share_one_driver(self, engine, database, monkeypatch,
+                                              tmp_path):
+        """One compilation, the template's, serves every shard.  A forked
+        worker's lookups only move its own copy of the counters, so the
+        workers, forked after the patch, log each lookup to a file."""
         query = cycle_query(3)
         serial = engine.count(query, algorithm="lftj", compile=False)
-        result = engine.count(query, algorithm="lftj", parallel=4,
-                              parallel_backend="threads")
+        log = tmp_path / "lookups.log"
+        lookup = Database.compiled_driver
+
+        def logged(self, key, relation_names, build):
+            builds = self.compiled_builds
+            driver = lookup(self, key, relation_names, build)
+            kind = "build" if self.compiled_builds > builds else "hit"
+            with open(log, "a") as handle:
+                handle.write(f"{kind} {os.getpid()}\n")
+            return driver
+
+        monkeypatch.setattr(Database, "compiled_driver", logged)
+        result = engine.count(query, algorithm="lftj", parallel=4)
+        database.close_pools()
         assert result.count == serial.count
-        # One compilation serves every shard (plus the template executor).
+        assert result.metadata["parallel"] is True
         assert result.metadata["compiled_builds"] == 1
         assert database.compiled_cache_size() == 1
+        lookups = [line.split() for line in log.read_text().splitlines()]
+        parent = str(os.getpid())
+        assert [kind for kind, pid in lookups if pid == parent] == ["build"]
+        workers = [pid for kind, pid in lookups if pid != parent]
+        # Each worker that ran a morsel looked the driver up once and hit.
+        assert 1 <= len(workers) <= 4 and len(set(workers)) == len(workers)
+        assert {kind for kind, pid in lookups if pid != parent} == {"hit"}
 
 
 class TestCacheAndInvalidation:

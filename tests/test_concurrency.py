@@ -7,9 +7,8 @@ Three groups of regressions:
   :class:`~repro.storage.database.Database` counters before/after an
   execution, so two concurrent executions misattributed each other's
   builds.  The engine now threads a per-execution
-  :class:`~repro.storage.database.CacheCounterScope` through execution
-  (pool worker threads adopt the initiating execution's scopes), so the
-  metadata reports exactly the work that execution performed.
+  :class:`~repro.storage.database.CacheCounterScope` through execution,
+  so the metadata reports exactly the work that execution performed.
 
 * **Per-execution deadlines** — ``timeout=`` travels inside the
   :class:`~repro.engine.executors.ExecutorRequest` and is assigned to the
@@ -149,22 +148,18 @@ class TestCacheDeltaAttribution:
             total = sum(r.metadata[key] for group in results for r in group)
             assert getattr(db, key) - before[key] == total, key
 
-    @pytest.mark.parametrize("backend", ["threads"])
-    def test_parallel_workers_attribute_to_the_initiating_run(self, backend):
-        """Pool worker threads adopt the submitting execution's scope, so a
-        parallel cold run still owns its builds in the metadata."""
+    def test_parallel_cold_run_owns_its_builds(self):
+        """The serial template builds every index and the driver in the
+        submitting thread before the pool forks, so a parallel cold run
+        still owns its builds in the metadata."""
         db = random_edge_database()
         engine = QueryEngine(db)
-        result = engine.count(
-            cycle_query(3), algorithm="clftj", parallel=2, parallel_backend=backend
-        )
+        result = engine.count(cycle_query(3), algorithm="clftj", parallel=2)
         # >= 1 (not == 1): the parallel executor also plans its morsel
         # template — still this run's own work.
         assert result.metadata["plan_builds"] >= 1
         assert result.metadata["index_builds"] >= 1
-        warm = engine.count(
-            cycle_query(3), algorithm="clftj", parallel=2, parallel_backend=backend
-        )
+        warm = engine.count(cycle_query(3), algorithm="clftj", parallel=2)
         for key in BUILD_COUNTERS:
             assert warm.metadata[key] == 0, (key, warm.metadata)
 

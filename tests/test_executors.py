@@ -119,10 +119,7 @@ class TestCodedRowStream:
     pool runner keep them with ``list(...)`` (no ``tuple(row)`` pass) and the
     batch decode kernel unpacks them."""
 
-    POOLS = (
-        {"parallel": 2, "parallel_backend": "threads"},
-        {"parallel": 2, "parallel_backend": "processes"},
-    )
+    POOLS = ({"parallel": 2},)
 
     @pytest.mark.parametrize("algorithm,options", ALGORITHM_CASES)
     def test_coded_rows_are_tuples_and_decode_to_the_oracle(

@@ -10,7 +10,7 @@ Four suites over the fault-tolerance machinery of :mod:`repro.engine.faults`:
   :class:`WorkerFailureError` — after which the pool is immediately
   reusable.
 * **Deadlines** — ``timeout=`` raises :class:`QueryTimeoutError` on the
-  interpreted, compiled, thread-pool and fork-pool paths; the pool stays
+  interpreted, compiled and pool paths; the pool stays
   reusable right after a timeout; validation errors are ``ValueError``.
 * **Degradation** — an over-budget database degrades in the documented
   order (adhesion caching off -> caches evicted -> serial) instead of
@@ -50,13 +50,13 @@ def _edge_database(name="faults", nodes=40, edges=260, seed=7):
     return Database(list(base), name=name)
 
 
-# Module-level runners: the fork backend pickles them by reference.
+# Module-level runners: the pool pickles them by reference.
 def _ok_runner(database, spec, task):
     return TaskOutcome(value=1, rows=None, counter=OperationCounter())
 
 
 def _tasks(count):
-    return [MorselTask(index, (), None, None) for index in range(count)]
+    return [MorselTask(index, None, None) for index in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -77,19 +77,14 @@ class TestWorkerRecovery:
         with inject_faults(
             {"pool.before_morsel": {"action": "kill", "after": 1, "times": 1}}
         ) as armed:
-            result = engine.evaluate(
-                query, algorithm="clftj", parallel=2,
-                parallel_backend="processes",
-            )
+            result = engine.evaluate(query, algorithm="clftj", parallel=2)
         assert armed["pool.before_morsel"].fired == 1
         assert result.rows == serial.rows  # byte-identical merge
         assert result.count == serial.count
         assert result.metadata["worker_restarts"] >= 1
         assert result.metadata["morsel_retries"] >= 1
         # The pool is warm and healthy for the next query.
-        again = engine.evaluate(
-            query, algorithm="clftj", parallel=2, parallel_backend="processes"
-        )
+        again = engine.evaluate(query, algorithm="clftj", parallel=2)
         assert again.rows == serial.rows
         assert again.metadata["worker_restarts"] == 0
         database.close_pools()
@@ -98,7 +93,7 @@ class TestWorkerRecovery:
         """A morsel that kills every worker it lands on must stop after the
         bounded retry budget, not re-fork forever."""
         database = _edge_database(name="faults-poison", nodes=12, edges=30)
-        pool = create_worker_pool(database, "processes", 2)
+        pool = create_worker_pool(database, 2)
         with inject_faults(
             {"pool.before_morsel": {"action": "kill", "times": 1_000_000}}
         ):
@@ -114,9 +109,9 @@ class TestWorkerRecovery:
         assert sum(result.value for result in report.results) == 3
         pool.close()
 
-    def test_thread_backend_retries_injected_exceptions(self):
-        """Injected morsel exceptions on the thread backend are retried
-        within the same budget and counted in the metadata."""
+    def test_injected_exceptions_are_retried(self):
+        """Injected morsel exceptions are retried within the same budget as
+        worker deaths and counted in the metadata."""
         database = _edge_database(name="faults-retry")
         engine = QueryEngine(database)
         query = path_query(3)
@@ -124,9 +119,7 @@ class TestWorkerRecovery:
         with inject_faults(
             {"pool.before_morsel": {"action": "raise", "after": 1, "times": 2}}
         ) as armed:
-            result = engine.evaluate(
-                query, algorithm="lftj", parallel=2, parallel_backend="threads"
-            )
+            result = engine.evaluate(query, algorithm="lftj", parallel=2)
         assert armed["pool.before_morsel"].fired == 2
         assert result.rows == serial.rows
         assert result.metadata["morsel_retries"] >= 2
@@ -142,10 +135,7 @@ class TestWorkerRecovery:
         with inject_faults(
             {"pool.worker_start": {"action": "kill", "times": 1}}
         ):
-            result = engine.count(
-                query, algorithm="lftj", parallel=2,
-                parallel_backend="processes",
-            )
+            result = engine.count(query, algorithm="lftj", parallel=2)
         assert result.count == serial
         database.close_pools()
 
@@ -174,31 +164,27 @@ class TestDeadlines:
         with pytest.raises(QueryTimeoutError):
             engine.count(cycle_query(3), algorithm="clftj", timeout=1e-9)
 
-    @pytest.mark.parametrize("backend", ("threads", "processes"))
-    def test_pool_timeout_leaves_pool_reusable(self, database, backend):
+    def test_pool_timeout_leaves_pool_reusable(self, database):
         engine = QueryEngine(database)
         query = cycle_query(3)
         serial = engine.count(query, algorithm="lftj").count
         with pytest.raises(QueryTimeoutError):
-            engine.count(query, algorithm="lftj", parallel=2,
-                         parallel_backend=backend, timeout=1e-9)
+            engine.count(query, algorithm="lftj", parallel=2, timeout=1e-9)
         # The pool was cancelled, not poisoned: immediately reusable.
-        result = engine.count(query, algorithm="lftj", parallel=2,
-                              parallel_backend=backend)
+        result = engine.count(query, algorithm="lftj", parallel=2)
         assert result.count == serial
 
-    @pytest.mark.parametrize("backend", ("threads", "processes"))
-    def test_mid_query_timeouts_are_typed_on_both_backends(self, backend):
+    def test_mid_query_timeouts_are_typed(self):
         """Timeouts from a few ms up to about the query's run time, so that
         some expire in the parent's wait and some inside a worker's morsel:
         every run that does not complete raises ``QueryTimeoutError`` (a
-        worker-side expiry used to surface as ``WorkerFailureError`` on
-        threads), and the pool serves the next query."""
+        worker-side expiry must not surface as ``WorkerFailureError``), and
+        the pool serves the next query."""
         base = random_edge_database(num_nodes=350, num_edges=1250, seed=1)
-        with Database(list(base), name=f"faults-typed-{backend}") as database:
+        with Database(list(base), name="faults-typed") as database:
             engine = QueryEngine(database)
             query = cycle_query(5)
-            options = {"algorithm": "lftj", "parallel": 2, "parallel_backend": backend}
+            options = {"algorithm": "lftj", "parallel": 2}
             started = time.perf_counter()
             expected = engine.count(query, **options).count
             run_time = time.perf_counter() - started

@@ -3,8 +3,8 @@
 A seeded generator produces random conjunctive queries over random small
 relations with mixed str/int column domains, then asserts that all five
 registered serial algorithms *and* the pool-backed parallel configurations
-(thread and fork backends) produce exactly the brute-force oracle's result
-set, and optionally again after a random insert/delete stream.
+produce exactly the brute-force oracle's result set, and optionally again
+after a random insert/delete stream.
 
 The compiled-driver configurations (lftj/clftj with ``compile=True``,
 serial and ``parallel=``) are additionally checked *ordered and
@@ -48,39 +48,34 @@ SERIAL_ALGORITHMS = ("lftj", "clftj", "ytd", "pairwise")
 #: to the interpreted loop over unmerged deltas; the comparison still holds).
 COMPILED_CONFIGS = (
     ("lftj", {}),
-    ("lftj", {"parallel": 3, "parallel_backend": "threads"}),
-    ("lftj", {"parallel": 2, "parallel_backend": "threads"}),
+    ("lftj", {"parallel": 3}),
+    ("lftj", {"parallel": 2}),
     ("clftj", {}),
-    ("clftj", {"parallel": 2, "parallel_backend": "threads"}),
-    ("clftj", {"parallel": 4, "parallel_backend": "threads"}),
+    ("clftj", {"parallel": 2}),
+    ("clftj", {"parallel": 4}),
 )
 
 #: Pool-backed parallel configurations exercised per instance:
-#: (algorithm, workers, backend).
+#: (algorithm, workers).
 PARALLEL_CONFIGS = (
-    ("lftj", 2, "threads"),
-    ("lftj", 5, "threads"),
-    ("lftj", 3, "threads"),
-    ("lftj", 4, "processes"),
-    ("lftj", 2, "processes"),
-    ("clftj", 1, "threads"),
-    ("clftj", 2, "processes"),
-    ("clftj", 4, "threads"),
+    ("lftj", 2),
+    ("lftj", 5),
+    ("lftj", 3),
+    ("lftj", 4),
+    ("clftj", 1),
+    ("clftj", 2),
+    ("clftj", 4),
 )
 
 #: Fault-injected parallel configurations: (algorithm — its serial run is
-#: the oracle —, backend, armed faults).  SIGKILLs only make sense on the fork
-#: backend (thread workers share the test process); injected exceptions on
-#: the thread backend are absorbed by the per-morsel retry budget.  Bounded
+#: the oracle —, armed faults).  Killed workers are re-forked and injected
+#: exceptions are absorbed by the per-morsel retry budget.  Bounded
 #: ``times`` keeps every fault within the recovery budget, so each run must
 #: still equal its serial twin ordered and byte-identical.
 FAULT_CONFIGS = (
-    ("lftj", "processes",
-     {"pool.before_morsel": {"action": "kill", "after": 1, "times": 1}}),
-    ("clftj", "processes",
-     {"pool.before_morsel": {"action": "kill", "after": 2, "times": 2}}),
-    ("clftj", "threads",
-     {"pool.before_morsel": {"action": "raise", "after": 1, "times": 2}}),
+    ("lftj", {"pool.before_morsel": {"action": "kill", "after": 1, "times": 1}}),
+    ("clftj", {"pool.before_morsel": {"action": "kill", "after": 2, "times": 2}}),
+    ("clftj", {"pool.before_morsel": {"action": "raise", "after": 1, "times": 2}}),
 )
 
 #: Seeds for the fault-injection corpus (kept small: each config pays fork
@@ -185,13 +180,11 @@ def _check_all_agree(query, database, expected):
             f"over {database.name!r}: {len(rows)} vs {len(expected)} rows"
         )
         assert result.count == len(result.rows)
-    for algorithm, workers, backend in PARALLEL_CONFIGS:
-        result = engine.evaluate(
-            query, algorithm=algorithm, parallel=workers, parallel_backend=backend
-        )
+    for algorithm, workers in PARALLEL_CONFIGS:
+        result = engine.evaluate(query, algorithm=algorithm, parallel=workers)
         rows = _rows_in_query_order(result, query)
         assert rows == expected, (
-            f"parallel {algorithm} x{workers} ({backend}) disagrees on "
+            f"parallel {algorithm} x{workers} disagrees on "
             f"{query.name!r} over {database.name!r}"
         )
         if result.metadata["parallel"]:
@@ -317,19 +310,16 @@ def test_fault_injected_parallel_matches_serial_oracle(seed):
     try:
         engine = QueryEngine(database)
         expected = brute_force_evaluate(query, database)
-        for algorithm, backend, faults in FAULT_CONFIGS:
+        for algorithm, faults in FAULT_CONFIGS:
             serial = engine.evaluate(query, algorithm=algorithm)
             assert _rows_in_query_order(serial, query) == expected
             # Kill faults must be armed before the pool forks so the worker
             # processes inherit the armed registry.
             database.close_pools()
             with inject_faults(faults):
-                result = engine.evaluate(
-                    query, algorithm=algorithm, parallel=2,
-                    parallel_backend=backend,
-                )
+                result = engine.evaluate(query, algorithm=algorithm, parallel=2)
             assert result.rows == serial.rows, (
-                f"fault-injected parallel {algorithm} ({backend}) row stream "
+                f"fault-injected parallel {algorithm} ({faults}) row stream "
                 f"diverges from its serial run on {query.name!r} (seed {seed})"
             )
             assert result.count == serial.count == len(serial.rows)

@@ -3,8 +3,8 @@ contract + thread-safety audits.
 
 Four suites:
 
-* **Differential** — every parallel configuration (backend x inner algorithm
-  x worker count, prime counts and empty ranges included) must produce
+* **Differential** — every parallel configuration (inner algorithm x worker
+  count, prime counts and empty ranges included) must produce
   exactly the serial executor's count and row set.
 * **Bounded cursors** — regression tests pinning the
   :class:`~repro.storage.trie.BoundedTrieIterator` contract on all three
@@ -20,6 +20,7 @@ Four suites:
   work floor.
 """
 
+import os
 import re
 import threading
 
@@ -42,7 +43,6 @@ from repro.storage.trie import BoundedTrieIterator, LsmTrieIndex, TrieIndex
 from tests.conftest import brute_force_evaluate, random_edge_database
 from tests.node_trie import NodeTrieIndex
 
-BACKENDS = ("threads", "processes")
 INNER_ALGORITHMS = ("lftj", "clftj")
 WORKER_COUNTS = (1, 2, 4, 7)
 
@@ -76,15 +76,16 @@ def engine_and_serial():
 
 
 class TestDifferential:
+    # compile=False: the forked workers run the interpreted join loop too.
+    @pytest.mark.parametrize("compile", [None, False])
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     @pytest.mark.parametrize("algorithm", INNER_ALGORITHMS)
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_parallel_matches_serial(self, engine_and_serial, backend, algorithm, workers):
+    def test_parallel_matches_serial(self, engine_and_serial, algorithm, workers,
+                                     compile):
         engine, query, serial_results = engine_and_serial
         serial = serial_results[algorithm]
-        result = engine.evaluate(
-            query, algorithm=algorithm, parallel=workers, parallel_backend=backend
-        )
+        result = engine.evaluate(query, algorithm=algorithm, parallel=workers,
+                                 compile=compile)
         assert result.count == serial.count
         assert sorted(result.rows) == sorted(serial.rows)
         assert "parallel_mode" not in result.metadata  # one discipline, no label
@@ -110,8 +111,7 @@ class TestDifferential:
         result = engine.evaluate(query, algorithm="lftj", parallel=4)
         assert result.rows == serial.rows
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_empty_ranges_are_harmless(self, monkeypatch, backend):
+    def test_empty_ranges_are_harmless(self, monkeypatch):
         """More ranges than distinct top-level keys -> some ranges are
         deliberately empty.  (The key floor and the work floor, lifted
         here, would simply plan fewer morsels instead.)"""
@@ -122,9 +122,7 @@ class TestDifferential:
         engine = QueryEngine(database)
         query = cycle_query(3)
         serial = engine.count(query, algorithm="lftj")
-        result = engine.count(
-            query, algorithm="lftj", parallel=7, parallel_backend=backend
-        )
+        result = engine.count(query, algorithm="lftj", parallel=7)
         assert result.count == serial.count == 3  # one triangle, 3 rotations
         assert result.metadata["morsels"] == 7 * parallel_module.MORSEL_OVERPARTITION
         assert 0 in result.metadata["shard_results"]
@@ -181,21 +179,11 @@ class TestDifferential:
         assert result.count == serial_results["lftj"].count
         assert result.metadata["parallel"] is True
 
-    def test_processes_backend_reports_itself(self, engine_and_serial):
-        engine, query, _serial = engine_and_serial
-        result = engine.count(
-            query, algorithm="lftj", parallel=2, parallel_backend="processes"
-        )
-        assert result.metadata["parallel_backend"] == "processes"
-
     def test_single_worker_runs_inline(self, engine_and_serial):
         engine, query, serial_results = engine_and_serial
-        result = engine.count(
-            query, algorithm="lftj", parallel=1, parallel_backend="processes"
-        )
+        result = engine.count(query, algorithm="lftj", parallel=1)
         assert result.count == serial_results["lftj"].count
-        # One worker never pays for a pool, whatever backend was asked for:
-        # no transport ran, so none is reported.
+        # One worker never pays for a pool: nothing is reported about one.
         assert result.metadata["parallel"] is False
         assert result.metadata["parallel_reason"] == "one worker requested"
         for key in ("parallel_backend", "workers", "morsels", "partition_source"):
@@ -206,8 +194,9 @@ class TestDifferential:
         result = engine.count(query, algorithm="lftj", parallel=2)
         metadata = result.metadata
         assert metadata["morsels"] >= metadata["workers"] == 2
-        assert metadata["tasks_executed"] >= metadata["morsels"]
-        assert metadata["steals"] >= 0 and metadata["splits"] >= 0
+        assert metadata["tasks_executed"] == metadata["morsels"]  # one task per range
+        assert metadata["steals"] >= 0
+        assert "splits" not in metadata and "parallel_backend" not in metadata
         assert len(metadata["worker_busy_seconds"]) == 2
         assert metadata["dispatch_seconds"] >= 0.0
         assert 0.0 <= metadata["utilization"] <= 1.0
@@ -234,7 +223,7 @@ class TestParameterSurface:
     def test_parallel_backend_requires_parallel(self, engine_and_serial):
         engine, query, _serial = engine_and_serial
         with pytest.raises(ValueError, match="parallel_backend requires parallel"):
-            engine.count(query, algorithm="lftj", parallel_backend="threads")
+            engine.count(query, algorithm="lftj", parallel_backend="processes")
 
     def test_parallel_mode_is_not_an_option(self, engine_and_serial):
         """The static discipline is gone; asking for it fails loudly."""
@@ -253,12 +242,10 @@ class TestParameterSurface:
         with pytest.raises(ValueError, match="auto"):
             engine.count(query, algorithm="auto", parallel=2)
 
-    def test_invalid_worker_count_and_backend(self, engine_and_serial):
+    def test_invalid_worker_count(self, engine_and_serial):
         engine, query, _serial = engine_and_serial
         with pytest.raises(ValueError, match="worker count"):
             engine.count(query, algorithm="lftj", parallel=0)
-        with pytest.raises(ValueError, match="unknown parallel backend"):
-            engine.count(query, algorithm="lftj", parallel=2, parallel_backend="mpi")
 
     def test_parallel_executor_rejects_uncuttable_inner(self, engine_and_serial):
         """An algorithm no factory wraps says so through its parameter
@@ -274,7 +261,7 @@ class TestParameterSurface:
         engine, query, serial = engine_and_serial
         template = LeapfrogTrieJoin(query, engine.database)
         schedule = resolve_schedule(
-            engine.database, query, template.variable_order, 1, None, engine.selector
+            engine.database, query, template.variable_order, 1, engine.selector
         )
         executor = ParallelExecutor(template, schedule, "lftj")
         assert executor.counter is template.counter
@@ -286,7 +273,6 @@ class TestParameterSurface:
     # The schedule table: what ``explain()`` prints just before an execution
     # is what that execution's metadata says it did, in every cell.
     ASKS = (None, False, True, 1, 2)
-    TRANSPORTS = (None, "threads", "processes")
     ALGORITHMS = ("lftj", "clftj")
     GRAPHS = {
         "3-node": lambda: [(1, 2), (2, 3), (3, 1)],
@@ -315,24 +301,17 @@ class TestParameterSurface:
         for algorithm in self.ALGORITHMS:
             oracle = engine.evaluate(query, algorithm=algorithm)
             for ask in self.ASKS:
-                for transport in self.TRANSPORTS:
-                    cell = (algorithm, ask, transport)
-                    options = {"parallel": ask, "parallel_backend": transport}
-                    if ask in (None, False) and transport is not None:
-                        for call in (engine.explain, engine.count, engine.evaluate):
-                            with pytest.raises(ValueError, match="requires parallel="):
-                                call(query, algorithm=algorithm, **options)
-                        continue
-                    text = engine.explain(query, algorithm=algorithm, **options)
-                    line = self._schedule_line(text)
-                    counted = engine.count(query, algorithm=algorithm, **options)
-                    result = engine.evaluate(query, algorithm=algorithm, **options)
-                    assert counted.count == result.count == oracle.count, cell
-                    assert result.rows == oracle.rows, cell
-                    for metadata in (counted.metadata, result.metadata):
-                        self._check_cell(cell, text, line, metadata)
-                    if result.metadata.get("parallel"):
-                        engaged.add(ask)
+                cell = (algorithm, ask)
+                text = engine.explain(query, algorithm=algorithm, parallel=ask)
+                line = self._schedule_line(text)
+                counted = engine.count(query, algorithm=algorithm, parallel=ask)
+                result = engine.evaluate(query, algorithm=algorithm, parallel=ask)
+                assert counted.count == result.count == oracle.count, cell
+                assert result.rows == oracle.rows, cell
+                for metadata in (counted.metadata, result.metadata):
+                    self._check_cell(cell, text, line, metadata)
+                if result.metadata.get("parallel"):
+                    engaged.add(ask)
         if graph == "3-node" or budget is not None:
             assert not engaged  # nothing to cut, or the budget's serial rung
         else:
@@ -341,7 +320,7 @@ class TestParameterSurface:
 
     @staticmethod
     def _check_cell(cell, text, line, metadata):
-        _algorithm, ask, transport = cell
+        _algorithm, ask = cell
         serial_rung = any(
             "restricted to one worker" in step
             for step in metadata.get("degradations", ())
@@ -353,18 +332,17 @@ class TestParameterSurface:
             return
         if metadata["parallel"]:
             assert line.startswith(
-                f"parallel: backend={metadata['parallel_backend']}, "
-                f"workers={metadata['workers']}, {metadata['morsels']} range(s) "
+                f"parallel: workers={metadata['workers']}, "
+                f"{metadata['morsels']} range(s) "
             ), (cell, line)
             assert f"bounds: {metadata['partition_bounds']!r};" in line, (cell, line)
-            assert metadata["parallel_backend"] == (transport or "threads"), cell
             assert "parallel_reason" not in metadata and not serial_rung, cell
         else:
             # Same words; the footprint the budget rung quotes moves between
             # the two calls (an over-budget execution evicts and rebuilds).
             expected = f"parallel: declined, runs serial ({metadata['parallel_reason']})"
             assert re.sub(r"\d+", "N", line) == re.sub(r"\d+", "N", expected), cell
-            for key in ("parallel_backend", "workers", "morsels", "partition_source",
+            for key in ("workers", "morsels", "partition_source",
                         "shard_results", "steals", "worker_caches"):
                 assert key not in metadata, (cell, key)
             assert serial_rung == metadata["parallel_reason"].startswith("memory budget"), cell
@@ -416,7 +394,7 @@ class TestParameterSurface:
     def test_explain_shows_partition_bounds(self, engine_and_serial):
         engine, query, _serial = engine_and_serial
         text = engine.explain(query, algorithm="lftj", parallel=3)
-        assert "parallel: backend=threads, workers=3" in text
+        assert "parallel: workers=3, " in text
         assert "mode=" not in text
         assert "range(s) on variable" in text
         assert "bounds:" in text
@@ -430,7 +408,7 @@ class TestParameterSurface:
         query = cycle_query(3)
         assert len(database.dictionary) == 0
         cold = engine.explain(query, algorithm="lftj", parallel=4)
-        assert "parallel: backend=threads, workers=4, 1 range(s)" in cold
+        assert "parallel: workers=4, 1 range(s)" in cold
         assert len(database.dictionary) == 0  # no side effects
         result = engine.count(query, algorithm="lftj", parallel=4)
         assert result.metadata["morsels"] > 1
@@ -774,10 +752,13 @@ class TestThreadSafety:
 
 
 class TestPerJobCost:
-    def test_one_executor_and_one_cache_walk_per_worker_per_job(self, monkeypatch):
+    def test_one_executor_and_one_cache_walk_per_worker_per_job(
+        self, monkeypatch, tmp_path
+    ):
         """A worker builds its range executor once per job and re-ranges it
         per morsel, and its cache footprint is measured once, after its last
-        morsel — not once per morsel each."""
+        morsel — not once per morsel each.  The workers are forked after the
+        patches, so they log each call to a file the parent reads back."""
         base = random_edge_database(num_nodes=60, num_edges=420, seed=11)
         database = Database(list(base), name="per-job-cost")
         engine = QueryEngine(database)
@@ -785,28 +766,38 @@ class TestPerJobCost:
         serial = engine.count(query, algorithm="clftj")
         # Lift the work floor so the job has many morsels per worker.
         monkeypatch.setattr(selector_module, "_MORSEL_DISPATCH_COST", 1.0)
-        built = []
+        log = tmp_path / "calls.log"
+
+        def record(kind, key=""):
+            with open(log, "a") as handle:
+                handle.write(f"{kind} {os.getpid()} {key}\n")
+
         make = parallel_module.make_range_executor
         monkeypatch.setattr(
             parallel_module,
             "make_range_executor",
-            lambda *args, **kwargs: built.append(1) or make(*args, **kwargs),
+            lambda *args, **kwargs: record("build") or make(*args, **kwargs),
         )
-        walks = {}
         estimate = AdhesionCache.memory_estimate
 
         def counting_estimate(cache):
-            walks[id(cache)] = walks.get(id(cache), 0) + 1
+            record("walk", id(cache))
             return estimate(cache)
 
         monkeypatch.setattr(AdhesionCache, "memory_estimate", counting_estimate)
         result = engine.count(query, algorithm="clftj", parallel=2)
         assert result.count == serial.count
         assert result.metadata["tasks_executed"] >= 8
+        calls = [line.split() for line in log.read_text().splitlines()]
+        builds = [pid for kind, pid, *_ in calls if kind == "build"]
+        walks = [(pid, *key) for kind, pid, *key in calls if kind == "walk"]
+        parent = str(os.getpid())
         # One per worker: the submitting thread's template is the serial
         # executor the factory built, not a range executor.
-        assert 1 <= len(built) <= 2
-        assert len(walks) <= 1 + 2 and max(walks.values()) == 1
+        assert 1 <= len(builds) <= 2 and len(set(builds)) == len(builds)
+        assert parent not in builds
+        worker_walks = [walk for walk in walks if walk[0] != parent]
+        assert 1 <= len(worker_walks) <= 2 and len(set(walks)) == len(walks)
         caches = result.metadata["worker_caches"]
         assert [entry["worker"] for entry in caches] == sorted(
             {entry["worker"] for entry in caches}
@@ -895,7 +886,7 @@ class TestForkSafety:
         outcomes = []
         worker = threading.Thread(
             target=lambda: outcomes.append(
-                _run_morsel(database, spec, MorselTask(0, (), None, None))
+                _run_morsel(database, spec, MorselTask(0, None, None))
             ),
             daemon=True,
         )
@@ -912,9 +903,7 @@ class TestPreparedParallel:
         engine = QueryEngine(database)
         query = cycle_query(3)
         serial = engine.count(query, algorithm="lftj").count
-        prepared = engine.prepare(
-            query, algorithm="lftj", parallel=3, parallel_backend="processes"
-        )
+        prepared = engine.prepare(query, algorithm="lftj", parallel=3)
         first = prepared.count()
         second = prepared.count()
         assert first.count == second.count == serial

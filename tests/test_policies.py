@@ -11,11 +11,10 @@ from repro.core.policies import (
 )
 from repro.decomposition.generic import generic_decompose
 from repro.engine import QueryEngine
-from repro.engine.parallel import _execution_policy
 from repro.query.patterns import cycle_query, path_query
 from repro.query.terms import Variable
 
-from tests.conftest import brute_force_count
+from tests.conftest import brute_force_count, random_edge_database
 
 
 class TestFrequencyAdmissionPolicy:
@@ -67,13 +66,20 @@ class TestFrequencyAdmissionPolicy:
         policy.reset()
         assert not policy._seen
 
-    def test_pool_workers_get_their_own_copy(self):
-        """A policy with state is never shared across worker threads."""
+    def test_pool_workers_run_their_own_copy(self):
+        """Every forked worker unpickles the job's policy for itself, so a
+        stateful policy is never shared: the caller's instance stays
+        untouched and the parallel count equals the serial one."""
+        database = random_edge_database(num_nodes=60, num_edges=420, seed=11)
+        engine = QueryEngine(database)
+        query = path_query(4)
+        serial = engine.count(query, algorithm="clftj")
         policy = FrequencyAdmissionPolicy(min_occurrences=2)
-        policy.should_cache(1, (), (5,), 10)
-        copy = _execution_policy(policy)
-        assert copy is not policy and copy._seen is not policy._seen
-        assert copy.min_occurrences == 2
+        result = engine.count(query, algorithm="clftj", policy=policy, parallel=2)
+        assert result.metadata["parallel"] is True
+        assert result.count == serial.count
+        assert result.counter.cache_hits > 0 and not policy._seen
+        database.close_pools()
 
 
 class TestSkewAwarePolicy:

@@ -1,50 +1,51 @@
-"""Persistent worker-pool lifecycle, persistence and scheduling guarantees.
+"""Persistent fork-pool lifecycle, persistence and scheduling guarantees.
 
-Four suites:
+Six suites:
 
 * **Persistence** — the headline property of PR 7: fork workers survive
   across queries (two consecutive warm executions spawn **zero** new
   processes, counter-asserted), re-fork exactly once after the parent
-  mutates data, and thread workers are reused likewise.
+  mutates data, and the database memoises one pool per size.
 * **Lifecycle** — idempotent ``close()``, safe atexit sweep, closed pools
   refusing jobs, the database replacing closed pools and closing everything
   on context-manager exit, and a close racing an in-flight job draining
   the job first.
-* **Scheduling** — deterministic ``(index, path)`` merge under forced
-  adaptive splitting on both backends, a query under the work floor
-  getting one morsel per worker with nothing stolen or split, worker-side
-  deadline expiries surfacing as the typed timeout, and dead fork workers
-  surfacing as a bounded-time error instead of a hang.
-* **Handshake** — the fork pool's event-driven job end: a warm job costs
-  about a millisecond, idle workers see a cancellation or a close at once,
-  a worker killed while it waits is replaced, and leftovers of an earlier
+* **Scheduling** — deterministic merge by planner index, a query under the
+  work floor getting one morsel per worker with nothing stolen,
+  worker-side deadline expiries surfacing as the typed timeout, and dead
+  workers surfacing as a bounded-time error instead of a hang.
+* **Job tracker** — the parent's bookkeeping: one outcome per planner
+  index, late duplicates of a re-fed morsel dropped, per-index retries.
+* **Handshake** — the pool's event-driven job end: a warm job costs about
+  a millisecond, idle workers see a cancellation or a close at once, a
+  worker killed while it waits is replaced, and leftovers of an earlier
   job are never mistaken for the next one's.
-* **Unit** — ``split_task`` range algebra and ``available_workers`` sizing.
+* **Sizing** — ``available_workers`` and the default pool size.
 """
 
 import os
 import signal
 import statistics
-import sys
 import threading
 import time
 from multiprocessing.connection import wait
 
 import pytest
 
-import repro.engine.parallel as parallel_module
 import repro.engine.pool as pool_module
-import repro.engine.selector as selector_module
 from repro.core.instrumentation import OperationCounter
 from repro.engine import QueryEngine
 from repro.engine.faults import Deadline, PoolClosedError, QueryTimeoutError
 from repro.engine.pool import (
+    MAX_MORSEL_RETRIES,
     MorselJob,
+    MorselResult,
     MorselTask,
     TaskOutcome,
+    _JobTracker,
     available_workers,
     create_worker_pool,
-    split_task,
+    worker_job_state,
 )
 from repro.query.patterns import cycle_query, path_query
 from repro.storage.database import Database
@@ -52,15 +53,12 @@ from repro.storage.relation import Relation
 
 from tests.conftest import random_edge_database
 
-BACKENDS = ("threads", "processes")
-
-
 def _edge_database(name="pool", nodes=18, edges=55, seed=23):
     base = random_edge_database(num_nodes=nodes, num_edges=edges, seed=seed)
     return Database(list(base), name=name)
 
 
-# Module-level runners: the fork backend pickles them by reference.
+# Module-level runners: the pool pickles them by reference.
 def _sleepy_runner(database, spec, task):
     time.sleep(spec)
     return TaskOutcome(value=1, rows=None, counter=OperationCounter())
@@ -68,12 +66,6 @@ def _sleepy_runner(database, spec, task):
 
 def _suicide_runner(database, spec, task):
     os.kill(os.getpid(), signal.SIGKILL)
-
-
-def _slow_first_runner(database, spec, task):
-    if task.index == 0:
-        time.sleep(spec)
-    return TaskOutcome(value=1, rows=None, counter=OperationCounter())
 
 
 def _noop_runner(database, spec, task):
@@ -87,8 +79,24 @@ def _spin_until_expired_runner(database, spec, task):
     spec.check()
 
 
+def _failing_runner(database, spec, task):
+    raise ValueError("morsel exploded")
+
+
 def _range_runner(database, spec, task):
     return TaskOutcome(value=task.lo, rows=None, counter=OperationCounter())
+
+
+def _reverse_sleepy_range_runner(database, spec, task):
+    """Later ranges finish first: ``spec`` is the job's task count."""
+    time.sleep(0.02 * (spec - task.index))
+    return TaskOutcome(value=task.lo, rows=None, counter=OperationCounter())
+
+
+def _locking_runner(database, spec, task):
+    """Take the database lock, as every executor a runner builds does."""
+    with database._lock:
+        return TaskOutcome(value=1, rows=None, counter=OperationCounter())
 
 
 def _pid_logging_runner(database, spec, task):
@@ -118,7 +126,12 @@ def _busy_and_idle(pool, pid_file):
 
 
 def _tasks(count):
-    return [MorselTask(index, (), None, None) for index in range(count)]
+    return [MorselTask(index, None, None) for index in range(count)]
+
+
+def _result(index, worker=0):
+    return MorselResult(index=index, lo=None, hi=None, value=1, rows=None,
+                        counter=OperationCounter(), elapsed=0.0, worker=worker)
 
 
 # ---------------------------------------------------------------------------
@@ -127,26 +140,19 @@ def _tasks(count):
 
 
 class TestPersistence:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_zero_spawns_on_consecutive_warm_queries(self, backend):
+    def test_zero_spawns_on_consecutive_warm_queries(self):
         """The acceptance bar: two warm repeats, spawn counter flat."""
         database = _edge_database()
         engine = QueryEngine(database)
         query = cycle_query(3)
         serial = engine.count(query, algorithm="lftj").count
-        first = engine.count(
-            query, algorithm="lftj", parallel=2, parallel_backend=backend
-        )
+        first = engine.count(query, algorithm="lftj", parallel=2)
         assert first.count == serial
-        pool = database.worker_pool(backend, 2)
+        pool = database.worker_pool(2)
         spawned = pool.spawns
         assert spawned >= 2  # the first job spawned the workers
-        second = engine.count(
-            query, algorithm="lftj", parallel=2, parallel_backend=backend
-        )
-        third = engine.count(
-            query, algorithm="lftj", parallel=2, parallel_backend=backend
-        )
+        second = engine.count(query, algorithm="lftj", parallel=2)
+        third = engine.count(query, algorithm="lftj", parallel=2)
         assert second.count == third.count == serial
         assert pool.spawns == spawned  # zero new spawns across two warm queries
         assert pool.jobs_run == 3
@@ -158,28 +164,26 @@ class TestPersistence:
         database = _edge_database(name="pool-stale")
         engine = QueryEngine(database)
         query = cycle_query(3)
-        engine.count(query, algorithm="lftj", parallel=2, parallel_backend="processes")
-        engine.count(query, algorithm="lftj", parallel=2, parallel_backend="processes")
-        pool = database.worker_pool("processes", 2)
+        engine.count(query, algorithm="lftj", parallel=2)
+        engine.count(query, algorithm="lftj", parallel=2)
+        pool = database.worker_pool(2)
         restarts, spawned = pool.worker_restarts, pool.spawns
         database.insert("E", [(97, 96), (96, 95), (95, 97)])
         serial = engine.count(query, algorithm="lftj").count
-        result = engine.count(
-            query, algorithm="lftj", parallel=2, parallel_backend="processes"
-        )
+        result = engine.count(query, algorithm="lftj", parallel=2)
         assert result.count == serial
         assert pool.worker_restarts == restarts + 1
         assert pool.spawns == spawned + 2
         # And warm again afterwards:
-        engine.count(query, algorithm="lftj", parallel=2, parallel_backend="processes")
+        engine.count(query, algorithm="lftj", parallel=2)
         assert pool.spawns == spawned + 2
         database.close_pools()
 
-    def test_database_keys_pools_by_backend_and_size(self):
+    def test_database_keys_pools_by_size(self):
         database = _edge_database(name="pool-keys")
-        a = database.worker_pool("threads", 2)
-        b = database.worker_pool("threads", 2)
-        c = database.worker_pool("threads", 3)
+        a = database.worker_pool(2)
+        b = database.worker_pool(2)
+        c = database.worker_pool(3)
         assert a is b and a is not c
         assert database.close_pools() == 2
 
@@ -192,7 +196,7 @@ class TestPersistence:
 class TestLifecycle:
     def test_close_is_idempotent_and_atexit_safe(self):
         database = _edge_database(name="pool-close")
-        pool = database.worker_pool("threads", 2)
+        pool = database.worker_pool(2)
         pool.run(MorselJob(spec=0.0, runner=_sleepy_runner, tasks=_tasks(4)))
         pool.close()
         pool.close()  # idempotent
@@ -204,25 +208,20 @@ class TestLifecycle:
 
     def test_database_replaces_closed_pools(self):
         database = _edge_database(name="pool-reopen")
-        first = database.worker_pool("threads", 2)
+        first = database.worker_pool(2)
         first.close()
-        second = database.worker_pool("threads", 2)
+        second = database.worker_pool(2)
         assert second is not first and not second.closed
         database.close_pools()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_queries_recover_after_close(self, backend):
+    def test_queries_recover_after_close(self):
         """close_pools() between queries is invisible to correctness."""
-        database = _edge_database(name=f"pool-recover-{backend}")
+        database = _edge_database(name="pool-recover")
         engine = QueryEngine(database)
         query = cycle_query(3)
-        first = engine.count(
-            query, algorithm="lftj", parallel=2, parallel_backend=backend
-        )
+        first = engine.count(query, algorithm="lftj", parallel=2)
         database.close_pools()
-        second = engine.count(
-            query, algorithm="lftj", parallel=2, parallel_backend=backend
-        )
+        second = engine.count(query, algorithm="lftj", parallel=2)
         assert first.count == second.count
         database.close_pools()
 
@@ -230,13 +229,13 @@ class TestLifecycle:
         with _edge_database(name="pool-ctx") as database:
             engine = QueryEngine(database)
             engine.count(cycle_query(3), algorithm="lftj", parallel=2)
-            pool = database.worker_pool("threads", 2)
+            pool = database.worker_pool(2)
             assert not pool.closed
         assert pool.closed
 
     def test_pool_context_manager(self):
         database = _edge_database(name="pool-with")
-        with create_worker_pool(database, "threads", 2) as pool:
+        with create_worker_pool(database, 2) as pool:
             report = pool.run(
                 MorselJob(spec=0.0, runner=_sleepy_runner, tasks=_tasks(3))
             )
@@ -246,7 +245,7 @@ class TestLifecycle:
     def test_close_mid_job_drains_the_job_first(self):
         """Exiting the context manager mid-query finishes the query."""
         database = _edge_database(name="pool-drain")
-        pool = create_worker_pool(database, "threads", 2)
+        pool = create_worker_pool(database, 2)
         job = MorselJob(spec=0.1, runner=_sleepy_runner, tasks=_tasks(4))
         reports = []
         runner = threading.Thread(target=lambda: reports.append(pool.run(job)))
@@ -264,7 +263,7 @@ class TestLifecycle:
         nor raise from close(); the run() call itself reports the failure
         (or drains clean) and the pool ends closed."""
         database = _edge_database(name="pool-close-race")
-        pool = create_worker_pool(database, "processes", 2)
+        pool = create_worker_pool(database, 2)
         outcomes = []
 
         def _run():
@@ -288,14 +287,13 @@ class TestLifecycle:
         with pytest.raises(PoolClosedError, match="closed"):
             pool.run(MorselJob(spec=0.0, runner=_sleepy_runner, tasks=_tasks(1)))
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_close_races_many_submitting_threads(self, backend):
+    def test_close_races_many_submitting_threads(self):
         """Multi-threaded-caller close race: several threads submitting jobs
         while another thread closes the pool.  Every submitter must resolve
         — a complete report or a typed :class:`PoolClosedError` — and
         nothing may hang or crash, whichever thread wins each race."""
-        database = _edge_database(name=f"pool-mt-close-{backend}")
-        pool = create_worker_pool(database, backend, 2)
+        database = _edge_database(name="pool-mt-close")
+        pool = create_worker_pool(database, 2)
         outcomes = []
         outcomes_lock = threading.Lock()
         barrier = threading.Barrier(5)
@@ -332,14 +330,14 @@ class TestLifecycle:
         for kind, detail in outcomes:
             if kind == "report":
                 assert detail == 2  # completed jobs are never truncated
-        # Each backend saw at least one job complete before the close won.
+        # At least one job completed before the close won.
         assert ("report", 2) in outcomes
 
     def test_abandoned_in_flight_job_raises_pool_closed(self):
         """A job that outlives ``drain_timeout`` is abandoned with the typed
         error (not a hang, not a bare RuntimeError)."""
         database = _edge_database(name="pool-abandon")
-        pool = create_worker_pool(database, "threads", 2)
+        pool = create_worker_pool(database, 2)
         failures = []
 
         def _run():
@@ -406,130 +404,25 @@ class TestLifecycle:
         assert after.count == expected
         database.close_pools()
 
-    def test_create_worker_pool_rejects_unknown_backend(self):
+    def test_create_worker_pool_validates_size(self):
         database = _edge_database(name="pool-bad")
-        with pytest.raises(ValueError, match="unknown pool backend"):
-            create_worker_pool(database, "mpi", 2)
         with pytest.raises(ValueError, match="size must be >= 1"):
-            create_worker_pool(database, "threads", 0)
+            create_worker_pool(database, 0)
 
     def test_empty_job_completes_without_workers(self):
         database = _edge_database(name="pool-empty")
-        pool = create_worker_pool(database, "threads", 2)
+        pool = create_worker_pool(database, 2)
         report = pool.run(MorselJob(spec=0.0, runner=_sleepy_runner, tasks=[]))
         assert report.results == [] and pool.spawns == 0
         pool.close()
 
 
 # ---------------------------------------------------------------------------
-# Scheduling: determinism under stealing/splitting, failure detection.
+# Scheduling: determinism under stealing, failure detection.
 # ---------------------------------------------------------------------------
 
 
 class TestScheduling:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_forced_splits_preserve_serial_row_order(self, monkeypatch, backend):
-        """A zero split threshold makes every worker split wide morsels
-        mid-flight; the (index, path) merge must still reproduce the serial
-        row stream byte for byte."""
-        database = _edge_database(name=f"pool-split-{backend}", nodes=60, edges=420, seed=11)
-        engine = QueryEngine(database)
-        query = cycle_query(3)
-        serial = engine.evaluate(query, algorithm="lftj")
-        monkeypatch.setattr(parallel_module, "MORSEL_SPLIT_THRESHOLD", 0.0)
-        # This little query is under the work floor; lift it, so that there
-        # are queued morsels left to split.
-        monkeypatch.setattr(selector_module, "_MORSEL_DISPATCH_COST", 1.0)
-        result = engine.evaluate(
-            query, algorithm="lftj", parallel=3, parallel_backend=backend
-        )
-        assert result.rows == serial.rows
-        assert result.metadata["splits"] > 0
-        assert result.metadata["tasks_executed"] > result.metadata["morsels"]
-        database.close_pools()
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_forced_splits_preserve_clftj_row_order(self, monkeypatch, backend):
-        """Parallel clftj under forced splitting: worker-local adhesion caches warm
-        up in whatever interleaving the scheduler produces, yet the merged
-        stream must equal the serial clftj stream byte for byte."""
-        database = _edge_database(
-            name=f"pool-clftj-split-{backend}", nodes=60, edges=420, seed=11
-        )
-        engine = QueryEngine(database)
-        query = path_query(4)
-        serial = engine.evaluate(query, algorithm="clftj")
-        monkeypatch.setattr(parallel_module, "MORSEL_SPLIT_THRESHOLD", 0.0)
-        monkeypatch.setattr(selector_module, "_MORSEL_DISPATCH_COST", 1.0)
-        result = engine.evaluate(
-            query, algorithm="clftj", parallel=3, parallel_backend=backend
-        )
-        assert result.rows == serial.rows
-        assert result.count == serial.count
-        assert result.metadata["splits"] > 0
-        caches = result.metadata["worker_caches"]
-        assert caches and all(entry["entries"] >= 0 for entry in caches)
-        database.close_pools()
-
-    def test_one_slow_morsel_buys_one_split(self):
-        """The splitter halves the task after a slow one and then stands
-        down: fast morsels are left whole (a flag that stayed up used to
-        shatter every later task down to the minimum span)."""
-        database = _edge_database(name="pool-one-split")
-        with create_worker_pool(database, "threads", 1) as pool:
-            report = pool.run(
-                MorselJob(
-                    spec=0.03,
-                    runner=_slow_first_runner,
-                    tasks=[MorselTask(i, (), 64 * i, 64 * (i + 1)) for i in range(4)],
-                    split_threshold=0.01,
-                    split_domain=(0, 256),
-                )
-            )
-        assert report.splits == 1
-        assert [(r.index, r.path) for r in report.results] == [
-            (0, ()), (1, (0,)), (1, (1,)), (2, ()), (3, ()),
-        ]
-
-    def test_thread_transport_loses_no_task_under_contention(self):
-        """Eight threads on two cores, a switch interval of 10 us, every
-        morsel splitting the next: each job's results must tile its key
-        space exactly once, and nothing may hang."""
-        database = _edge_database(name="pool-stress")
-        failures = []
-
-        def _jobs():
-            with create_worker_pool(database, "threads", 8) as pool:
-                for _ in range(20):
-                    report = pool.run(
-                        MorselJob(
-                            spec=None,
-                            runner=_range_runner,
-                            tasks=[MorselTask(i, (), 16 * i, 16 * (i + 1)) for i in range(64)],
-                            split_threshold=0.0,
-                            split_domain=(0, 1024),
-                        )
-                    )
-                    spans = [(r.lo, r.hi) for r in report.results]  # merge order
-                    if not (
-                        spans[0][0] == 0
-                        and spans[-1][1] == 1024
-                        and all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
-                        and len(spans) == 64 + report.splits
-                    ):
-                        failures.append(spans)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            runner = threading.Thread(target=_jobs, daemon=True)
-            runner.start()
-            runner.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not runner.is_alive(), "the thread pool hung"
-        assert not failures
-
     def test_steals_are_deterministic_for_results(self):
         """Whatever the stealing schedule, repeated runs merge identically."""
         database = _edge_database(name="pool-steal", nodes=40, edges=220, seed=3)
@@ -542,36 +435,43 @@ class TestScheduling:
         assert streams[0] == streams[1] == streams[2]
         database.close_pools()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_query_under_the_work_floor_gets_one_morsel_per_worker(self, backend):
+    def test_results_merge_by_planner_index(self):
+        """Completion order is the reverse of range order; the report is
+        still in planner-index order, one result per task."""
+        database = _edge_database(name="pool-merge")
+        tasks = [MorselTask(index, index * 10, index * 10 + 10) for index in range(6)]
+        with create_worker_pool(database, 2) as pool:
+            report = pool.run(MorselJob(spec=len(tasks),
+                                        runner=_reverse_sleepy_range_runner,
+                                        tasks=tasks))
+        assert [result.index for result in report.results] == list(range(6))
+        assert [(r.lo, r.hi, r.value) for r in report.results] == [
+            (task.lo, task.hi, task.lo) for task in tasks
+        ]
+
+    def test_query_under_the_work_floor_gets_one_morsel_per_worker(self):
         """Too little work to repay a third morsel: the plan is one range
-        per worker, nothing is split, rows equal serial.  Which worker takes
-        which range is the scheduler's business, not the plan's: a thread
-        that wakes before its sibling may take both ranges (one steal), a
-        fork worker owns its range."""
-        database = _edge_database(name=f"pool-floor-{backend}", nodes=300, edges=900, seed=5)
+        per worker, one task each, rows equal serial, and each worker owns
+        its range."""
+        database = _edge_database(name="pool-floor", nodes=300, edges=900, seed=5)
         engine = QueryEngine(database)
         query = path_query(3)
         # Interpreted, so that each morsel outlasts the other worker's wake-up.
         serial = engine.evaluate(query, algorithm="lftj", compile=False)
         assert engine.selector.recommend_morsels(query, query.variables, workers=2) == 2
-        result = engine.evaluate(
-            query, algorithm="lftj", compile=False, parallel=2, parallel_backend=backend
-        )
+        result = engine.evaluate(query, algorithm="lftj", compile=False, parallel=2)
         assert result.rows == serial.rows
         assert result.metadata["morsels"] == result.metadata["workers"] == 2
         assert result.metadata["tasks_executed"] == 2
-        assert result.metadata["steals"] <= (1 if backend == "threads" else 0)
-        assert result.metadata["splits"] == 0
+        assert result.metadata["steals"] == 0
         database.close_pools()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_worker_side_deadline_expiry_is_a_timeout(self, backend):
+    def test_worker_side_deadline_expiry_is_a_timeout(self):
         """The runner notices the expired deadline itself; the parent may or
         may not have noticed first.  Either way the typed timeout surfaces
         and the pool stays usable."""
-        database = _edge_database(name=f"pool-worker-timeout-{backend}")
-        with create_worker_pool(database, backend, 2) as pool:
+        database = _edge_database(name="pool-worker-timeout")
+        with create_worker_pool(database, 2) as pool:
             for _ in range(5):
                 deadline = Deadline.start(0.02)
                 with pytest.raises(QueryTimeoutError):
@@ -582,13 +482,38 @@ class TestScheduling:
             report = pool.run(MorselJob(spec=None, runner=_noop_runner, tasks=_tasks(4)))
             assert len(report.results) == 4
 
+    def test_fork_while_another_thread_holds_the_database_lock(self):
+        """``repro serve`` forks from one handler thread while another may
+        hold the database lock.  That thread does not exist in the child,
+        so a worker that kept the inherited lock would wait forever; it
+        gets a fresh one and the job completes."""
+        database = _edge_database(name="pool-held-lock")
+        holding, release = threading.Event(), threading.Event()
+
+        def holder():
+            with database._lock:
+                holding.set()
+                release.wait(timeout=30)
+
+        thread = threading.Thread(target=holder)
+        thread.start()
+        assert holding.wait(timeout=10)
+        try:
+            with create_worker_pool(database, 2) as pool:  # forks now
+                report = pool.run(MorselJob(spec=None, runner=_locking_runner,
+                                            tasks=_tasks(4), deadline=Deadline.start(10)))
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert sum(result.value for result in report.results) == 4
+
     def test_dead_fork_worker_is_detected_not_hung(self):
         """With the retry budget pinned to zero a worker killed mid-job
         surfaces as RuntimeError within the heartbeat deadline; the pool
         re-forks for the next job.  (Recovery under the default budget is
         covered in tests/test_faults.py.)"""
         database = _edge_database(name="pool-dead")
-        pool = create_worker_pool(database, "processes", 2)
+        pool = create_worker_pool(database, 2)
         with pytest.raises(RuntimeError, match="died mid-job"):
             pool.run(MorselJob(spec=None, runner=_suicide_runner, tasks=_tasks(2),
                                max_retries=0))
@@ -599,23 +524,72 @@ class TestScheduling:
 
     def test_worker_errors_propagate_with_morsel_attribution(self):
         database = _edge_database(name="pool-errors")
-        engine = QueryEngine(database)
-        query = cycle_query(3)
-
-        def _boom(database, spec, task):
-            raise ValueError("morsel exploded")
-
-        pool = create_worker_pool(database, "threads", 2)
-        with pytest.raises(RuntimeError, match="morsel worker"):
-            pool.run(MorselJob(spec=None, runner=_boom, tasks=_tasks(2)))
+        pool = create_worker_pool(database, 2)
+        with pytest.raises(RuntimeError, match="morsel 0: ValueError: morsel exploded"):
+            pool.run(MorselJob(spec=None, runner=_failing_runner, tasks=_tasks(2),
+                               max_retries=0))
         # The pool survives a failed job.
         report = pool.run(MorselJob(spec=0.0, runner=_sleepy_runner, tasks=_tasks(2)))
         assert len(report.results) == 2
         pool.close()
 
 
+class TestJobTracker:
+    """The parent's per-job bookkeeping: one outcome per planner index."""
+
+    def _tracker(self, count, max_retries=None):
+        job = MorselJob(spec=None, runner=_noop_runner, tasks=_tasks(count),
+                        max_retries=max_retries)
+        return _JobTracker(job, job.tasks)
+
+    def test_out_of_order_results_complete_the_job(self):
+        tracker = self._tracker(3)
+        for index in (2, 0):
+            tracker.absorb(("result", _result(index)))
+            assert not tracker.done
+        tracker.absorb(("result", _result(1)))
+        assert tracker.done and tracker.lost() == []
+        assert sorted(result.index for result in tracker.results) == [0, 1, 2]
+
+    def test_late_duplicate_of_a_refed_morsel_is_dropped(self):
+        tracker = self._tracker(2)
+        tracker.absorb(("result", _result(0, worker=0)))
+        tracker.absorb(("result", _result(0, worker=1)))  # the re-fed copy
+        tracker.absorb(("error", 0, "ValueError: late"))
+        assert [result.worker for result in tracker.results] == [0]
+        assert tracker.errors == [] and tracker.lost() == [1]
+
+    def test_an_error_accounts_for_its_index(self):
+        tracker = self._tracker(2)
+        tracker.absorb(("error", 1, "ValueError: boom"))
+        tracker.absorb(("result", _result(0)))
+        assert tracker.done
+        assert tracker.errors == [(1, "ValueError: boom")]
+        assert [result.index for result in tracker.results] == [0]
+
+    def test_retry_budget_is_per_index_and_job_overridable(self):
+        tracker = self._tracker(2)
+        assert tracker.max_retries == MAX_MORSEL_RETRIES
+        tracker.retries[0] = MAX_MORSEL_RETRIES
+        assert not tracker.can_retry(0) and tracker.can_retry(1)
+        assert not self._tracker(2, max_retries=0).can_retry(1)
+        tracker.absorb(("result", _result(1)))
+        assert not tracker.can_retry(1)  # finished: nothing to re-feed
+
+    def test_lost_lists_unaccounted_indexes_in_order(self):
+        tracker = self._tracker(5)
+        tracker.absorb(("result", _result(3)))
+        tracker.absorb(("error", 0, "ValueError: boom"))
+        assert tracker.lost() == [1, 2, 4]
+
+    def test_job_state_outside_a_worker_is_fresh_each_call(self):
+        first = worker_job_state()
+        first["executor"] = object()
+        assert worker_job_state() == {}
+
+
 # ---------------------------------------------------------------------------
-# Handshake: the fork pool's event-driven job end.
+# Handshake: the pool's event-driven job end.
 # ---------------------------------------------------------------------------
 
 
@@ -624,7 +598,7 @@ class TestForkHandshake:
         """Eight no-op morsels on two warm workers: about a millisecond.
         (A worker that polls its control pipe every 50 ms makes this >= 50.)"""
         database = _edge_database(name="pool-handshake")
-        with create_worker_pool(database, "processes", 2) as pool:
+        with create_worker_pool(database, 2) as pool:
             job = MorselJob(spec=None, runner=_noop_runner, tasks=_tasks(8))
             pool.run(job)  # forks the workers
             walls = []
@@ -641,7 +615,7 @@ class TestForkHandshake:
         timeout surfaces within 10 ms of the sleeper finishing (best of
         three; a 50 ms poll would put every attempt past that)."""
         database = _edge_database(name="pool-cancel")
-        with create_worker_pool(database, "processes", 2) as pool:
+        with create_worker_pool(database, 2) as pool:
             pool.run(MorselJob(spec=0.0, runner=_sleepy_runner, tasks=_tasks(2)))
             overshoots = []
             for _ in range(3):
@@ -666,7 +640,7 @@ class TestForkHandshake:
         latencies = []
         for attempt in range(3):
             database = _edge_database(name=f"pool-close-idle-{attempt}")
-            pool = create_worker_pool(database, "processes", 2)
+            pool = create_worker_pool(database, 2)
             pid_file = tmp_path / f"busy-{attempt}.pid"
             job = MorselJob(spec=(str(pid_file), 0.3), runner=_pid_logging_runner,
                             tasks=_tasks(1))
@@ -704,7 +678,7 @@ class TestForkHandshake:
         unfinished morsel is re-fed, and the next job runs normally."""
         monkeypatch.setattr(pool_module, "HEARTBEAT_SECONDS", 0.05)
         database = _edge_database(name="pool-kill-idle")
-        with create_worker_pool(database, "processes", 2) as pool:
+        with create_worker_pool(database, 2) as pool:
             pool.run(MorselJob(spec=None, runner=_noop_runner, tasks=_tasks(2)))
             pid_file = tmp_path / "busy.pid"
             reports = []
@@ -733,48 +707,21 @@ class TestForkHandshake:
         """A task or result still in a queue when its job ended carries that
         job's number and must not leak into the next one."""
         database = _edge_database(name="pool-leftovers")
-        with create_worker_pool(database, "processes", 2) as pool:
+        with create_worker_pool(database, 2) as pool:
             pool.run(MorselJob(spec=None, runner=_noop_runner, tasks=_tasks(2)))
             stale = pool._job_seq
-            pool.transport._task_queue.put((stale, MorselTask(0, (), 100, 200)))
-            pool.transport._result_queue.put((stale, ("error", (0, ()), "ValueError: stale")))
+            pool.transport._task_queue.put((stale, MorselTask(0, 100, 200)))
+            pool.transport._result_queue.put((stale, ("error", 0, "ValueError: stale")))
             report = pool.run(
                 MorselJob(spec=None, runner=_range_runner,
-                          tasks=[MorselTask(0, (), 7, 9), MorselTask(1, (), 9, 11)])
+                          tasks=[MorselTask(0, 7, 9), MorselTask(1, 9, 11)])
             )
             assert [(r.lo, r.value) for r in report.results] == [(7, 7), (9, 9)]
 
 
 # ---------------------------------------------------------------------------
-# Unit: split algebra and worker sizing.
+# Sizing.
 # ---------------------------------------------------------------------------
-
-
-class TestSplitTask:
-    def test_halves_tile_the_range_and_extend_the_path(self):
-        task = MorselTask(3, (), 10, 20)
-        left, right = split_task(task, (0, 100), 2)
-        assert (left.lo, left.hi) == (10, 15)
-        assert (right.lo, right.hi) == (15, 20)
-        assert left.path == (0,) and right.path == (1,)
-        assert left.index == right.index == 3
-
-    def test_open_ends_resolve_against_domain_but_stay_open(self):
-        task = MorselTask(0, (), None, None)
-        left, right = split_task(task, (0, 8), 2)
-        assert left.lo is None and left.hi == 4  # midpoint from the domain
-        assert right.lo == 4 and right.hi is None  # late codes stay covered
-
-    def test_narrow_and_raw_ranges_do_not_split(self):
-        assert split_task(MorselTask(0, (), 4, 5), (0, 10), 2) is None
-        assert split_task(MorselTask(0, (), 4, 8), (0, 10), 8) is None
-        assert split_task(MorselTask(0, (), "a", "q"), (0, 10), 2) is None
-        assert split_task(MorselTask(0, (), 0, 10), None, 2) is None
-
-    def test_split_order_matches_path_order(self):
-        task = MorselTask(1, (1,), 0, 8)
-        left, right = split_task(task, (0, 8), 2)
-        assert (left.index, left.path) < (right.index, right.path)
 
 
 class TestWorkerSizing:
@@ -792,6 +739,6 @@ class TestWorkerSizing:
         database = Database(
             [Relation("E", ("s", "t"), [(1, 2), (2, 3), (3, 1)])], name="sizing"
         )
-        pool = database.worker_pool("threads")
+        pool = database.worker_pool()
         assert pool.size == 3
         database.close_pools()

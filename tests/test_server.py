@@ -366,7 +366,7 @@ class TestService:
         with pytest.raises(ServiceUnavailableError, match="memory budget"):
             service.count({"query": "3-cycle"})
 
-    def test_graceful_shutdown_drains_and_closes_pools(self):
+    def test_graceful_shutdown_drains_and_closes_pools(self, two_cores):
         service = QueryService(random_edge_database(), max_concurrency=2)
         service.count({"query": "3-cycle", "parallel": 2})  # spin up a pool
         summary = service.shutdown(drain_timeout=5.0)
@@ -662,3 +662,102 @@ class TestAcceptance:
         # performed belongs to exactly one served request.
         for name in BUILD_COUNTERS:
             assert getattr(database, name) == metadata_sums[name], name
+
+
+# ---------------------------------------------------------------------------
+# The pool forks from request-handler threads.
+# ---------------------------------------------------------------------------
+
+
+class TestForkFromHandlerThreads:
+    """``repro serve`` answers ``parallel`` requests on the fork pool, so a
+    handler thread forks while other handler threads hold the database,
+    session, admission and stats locks.  A child that inherited one of them
+    held would hang its request; a wrong snapshot would answer wrongly."""
+
+    PARALLEL_CLIENTS = 4
+    ROUNDS = 6
+    #: No request may take longer than this (seconds).
+    REQUEST_TIMEOUT = 30.0
+    QUERIES = ("3-cycle", "4-path")
+
+    def _traffic(self, base, serial):
+        """Parallel clients beside one serial client with a ``/prepare``;
+        returns the failures and every request's latency."""
+        barrier = threading.Barrier(self.PARALLEL_CLIENTS + 1)
+        failures = []
+        latencies = []
+
+        def timed_post(path, payload):
+            started = time.perf_counter()
+            status, body, _ = _post(base, path, payload)
+            latencies.append(time.perf_counter() - started)
+            return status, body
+
+        def parallel_client(index):
+            barrier.wait(timeout=60)
+            for round_ in range(self.ROUNDS):
+                query = self.QUERIES[(index + round_) % len(self.QUERIES)]
+                status, body = timed_post("/count", {"query": query, "parallel": 2})
+                if status != 200 or body["count"] != serial[query]:
+                    failures.append((index, query, status, body))
+                elif not body["metadata"]["parallel"]:
+                    failures.append((index, query, "ran serial", body["metadata"]))
+
+        def serial_client():
+            barrier.wait(timeout=60)
+            status, body = timed_post("/prepare", {"query": "4-path"})
+            if status != 200 or not body.get("session"):
+                failures.append(("prepare", status, body))
+            for round_ in range(self.ROUNDS):
+                query = self.QUERIES[round_ % len(self.QUERIES)]
+                status, body = timed_post("/count", {"query": query})
+                if status != 200 or body["count"] != serial[query]:
+                    failures.append(("serial", query, status, body))
+
+        threads = [
+            threading.Thread(target=parallel_client, args=(index,))
+            for index in range(self.PARALLEL_CLIENTS)
+        ]
+        threads.append(threading.Thread(target=serial_client))
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive(), "a client hung behind a forked worker"
+        assert len(latencies) == (self.PARALLEL_CLIENTS + 1) * self.ROUNDS + 1
+        return failures, latencies
+
+    def test_parallel_counts_beside_serial_traffic(self, http_server, two_cores):
+        service, base, _ = http_server
+        serial = {}
+        for query in self.QUERIES:  # the oracle; builds every index and driver
+            status, body, _ = _post(base, "/count", {"query": query})
+            assert status == 200
+            serial[query] = body["count"]
+        # Cold pool: the first parallel request forks from a handler thread
+        # while the other clients run.
+        failures, latencies = self._traffic(base, serial)
+        assert failures == []
+        pool = service.database.worker_pool(2)
+        spawns = pool.spawns
+        assert spawns >= 2
+        # Warm: the same traffic re-arms the same workers, no fork.
+        failures, warm_latencies = self._traffic(base, serial)
+        assert failures == []
+        assert max(latencies + warm_latencies) < self.REQUEST_TIMEOUT
+        assert service.database.worker_pool(2) is pool
+        assert pool.spawns == spawns and pool.worker_restarts == 0
+
+    def test_oversized_parallel_is_clamped_to_the_cores(self, http_server, two_cores):
+        """Each distinct size is a pool the database keeps until shutdown, so
+        a client asking for more workers than cores gets the cores' pool."""
+        service, base, _ = http_server
+        status, serial, _ = _post(base, "/count", {"query": "3-cycle"})
+        assert status == 200
+        for asked in (2, 3, 64, 2):
+            status, body, _ = _post(base, "/count", {"query": "3-cycle", "parallel": asked})
+            assert status == 200 and body["count"] == serial["count"]
+            assert body["metadata"]["workers"] == 2
+        pools = service.database._pools
+        assert list(pools) == [2] and pools[2].spawns == 2
