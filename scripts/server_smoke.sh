@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Server smoke: boot `repro serve`, hit it with concurrent clients, scrape
-# /metrics, force a 429 under saturation, and verify a clean SIGTERM
-# shutdown (exit 0, drained summary printed).
+# /metrics, force a 429 under saturation, verify a clean SIGTERM shutdown
+# (exit 0, drained summary printed), and that after a `kill -9` the port is
+# free at once and the forked pool workers die with the server.
 #
 # Run from the repo root: bash scripts/server_smoke.sh
 set -euo pipefail
@@ -20,9 +21,16 @@ wait_pids() {
     return "$failed"
 }
 
+alive() { # alive <pid>: running, not a zombie
+    local state
+    state="$(ps -o stat= -p "$1" 2>/dev/null || true)"
+    test -n "$state" && test "${state:0:1}" != Z
+}
+
+PORT=0
 boot() { # boot <logfile> <extra serve flags...>; sets BASE and SERVER_PID
     local log="$1"; shift
-    PYTHONPATH=src python -m repro serve --dataset wiki-Vote --port 0 "$@" \
+    PYTHONPATH=src python -m repro serve --dataset wiki-Vote --port "$PORT" "$@" \
         >"$log" 2>&1 &
     SERVER_PID=$!
     for _ in $(seq 1 100); do
@@ -124,5 +132,38 @@ echo "saturation shed with 429 + Retry-After"
 
 kill -TERM "$SERVER_PID"
 wait "$SERVER_PID" || { echo "tiny server exited nonzero"; exit 1; }
+
+echo "=== 4. kill -9 frees the port and ends the workers ==="
+boot "$WORKDIR/serve-kill.log"
+curl -fsS --max-time 60 -X POST "$BASE/count" \
+    -d '{"query": "3-cycle", "parallel": 2}' >/dev/null
+WORKERS="$(pgrep -P "$SERVER_PID" | xargs)"
+echo "pool workers: ${WORKERS:-none}"
+kill -KILL "$SERVER_PID"
+wait "$SERVER_PID" || true
+
+# Nobody may hold the listening socket: a connect is refused (curl exit 7),
+# not queued for an accept that never comes (exit 28).
+CODE=0
+curl -sS -o /dev/null --max-time 4 "$BASE/healthz" 2>/dev/null || CODE=$?
+test "$CODE" -eq 7 || { echo "expected a refused connect (curl 7), got $CODE"; exit 1; }
+
+PORT="${BASE##*:}"
+boot "$WORKDIR/serve-again.log"
+curl -fsS "$BASE/healthz" | grep -q '"ok"'
+echo "re-served on port $PORT"
+kill -TERM "$SERVER_PID"
+wait "$SERVER_PID" || { echo "re-served server exited nonzero"; exit 1; }
+
+for _ in $(seq 1 50); do
+    LEFT=""
+    for pid in $WORKERS; do
+        if alive "$pid"; then LEFT="$LEFT $pid"; fi
+    done
+    test -z "$LEFT" && break
+    sleep 0.1
+done
+test -z "$LEFT" || { echo "workers outlived the killed server:$LEFT"; exit 1; }
+echo "kill -9: port refused then re-bound, workers gone"
 
 echo "server smoke: OK"

@@ -396,7 +396,7 @@ def _command_serve(args: argparse.Namespace) -> int:
           flush=True)
 
     # SIGTERM/SIGINT trigger a graceful drain from a helper thread —
-    # ThreadingHTTPServer.shutdown() must not run on the serve loop thread.
+    # server.shutdown() must not run on the serve loop thread.
     shutdown_threads = []
 
     def _graceful(signum, _frame):

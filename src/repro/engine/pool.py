@@ -46,7 +46,11 @@ byte-identical to the serial one under any schedule.
   exiting a pool's context manager mid-query therefore finishes the query;
 * a fork may happen from any thread (``repro serve`` forks from its
   request-handler threads), so forked children replace every inherited
-  lock they can reach — see :func:`reinitialise_child_locks`;
+  lock they can reach — see :func:`reinitialise_child_locks` — and drop
+  every inherited descriptor they must not hold: the server's sockets and
+  the parent ends of the workers' control pipes, so a worker sees EOF and
+  exits the moment its parent dies, even by SIGKILL — see
+  :func:`release_inherited_descriptors`;
 * every pool registers in a module-level ``WeakSet`` closed by one
   ``atexit`` hook, so forgotten pools cannot leak forked children past
   interpreter shutdown, while garbage collection of a database (and its
@@ -75,6 +79,7 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import os
+import socket
 import threading
 import time
 import weakref
@@ -270,6 +275,56 @@ def reinitialise_child_locks(database) -> None:
       finalisers.
     """
     database._lock = threading.RLock()
+
+
+def release_inherited_descriptors(own_parent_end) -> None:
+    """Drop the descriptors a forked child inherited but must not hold.
+
+    The fd audit beside :func:`reinitialise_child_locks`' lock audit.  A
+    fork copies every open descriptor of the parent:
+
+    * the parent-side end of every pool worker's control pipe — this
+      worker's own (``own_parent_end``) and those of the workers forked
+      before it, in any pool — **closed here**.  A worker learns that its
+      parent died from EOF on its control pipe, and EOF arrives only once
+      no process holds the other end.
+    * every ``AF_INET`` / ``AF_INET6`` socket — **released here**:
+      ``repro serve``'s listening socket and the client connections its
+      other handler threads hold.  A worker holding the listening socket
+      keeps the port bound after the server died, and the kernel queues
+      connections nobody accepts.  The descriptor is pointed at
+      ``/dev/null`` rather than closed, so a parent socket object that the
+      child garbage-collects later closes that, never a reused number.
+    * the worker's own control pipe and the task and result queues'
+      pipes — kept: they are its transport.
+    * anything else (files, the interpreter's own descriptors) — kept; no
+      worker code reads them.
+    """
+    own_parent_end.close()
+    for pool in list(_ALL_POOLS):
+        for pipe in pool.transport._pipes:
+            pipe.close()
+    for directory in ("/proc/self/fd", "/dev/fd"):
+        try:
+            descriptors = [int(name) for name in os.listdir(directory)]
+            break
+        except OSError:
+            continue
+    else:  # pragma: no cover - no descriptor listing on this platform
+        return
+    null = os.open(os.devnull, os.O_RDWR)
+    try:
+        for fd in descriptors:
+            try:
+                probe = socket.socket(fileno=fd)
+            except OSError:  # not a socket, or closed since the listing
+                continue
+            family = probe.family
+            probe.detach()
+            if family in (socket.AF_INET, socket.AF_INET6):
+                os.dup2(null, fd)
+    finally:
+        os.close(null)
 
 
 # --------------------------------------------------------------------------
@@ -706,13 +761,17 @@ def _pin_to_cpu(wid: int) -> None:
         pass
 
 
-def _fork_worker_main(transport: "_ForkTransport", wid: int, conn) -> None:
+def _fork_worker_main(
+    transport: "_ForkTransport", wid: int, conn, parent_end
+) -> None:
     """Entry point of one forked worker.
 
     Runs with the whole parent state inherited by copy-on-write — the
     database, its warm index and compiled-driver caches, and the
     transport's queues; only control messages and results ever cross a pipe.
+    ``parent_end`` is the parent's end of ``conn``, which the child drops.
     """
+    release_inherited_descriptors(parent_end)
     reinitialise_child_locks(transport.database)
     _pin_to_cpu(wid)
     try:
@@ -768,7 +827,9 @@ class _ForkTransport:
     def _fork(self, wid: int):
         parent_conn, child_conn = self._context.Pipe()
         process = self._context.Process(
-            target=_fork_worker_main, args=(self, wid, child_conn), daemon=True
+            target=_fork_worker_main,
+            args=(self, wid, child_conn, parent_conn),
+            daemon=True,
         )
         process.start()
         child_conn.close()
@@ -823,7 +884,10 @@ class _ForkTransport:
             if conn in wait(waitables):
                 try:
                     return conn.recv()
-                except (EOFError, OSError):  # the parent is gone
+                except (EOFError, OSError):
+                    # The parent is gone: nobody reads what this worker
+                    # still has queued, so exit must not wait to flush it.
+                    self._result_queue.cancel_join_thread()
                     return ("close",)
             try:
                 return ("task", *self._task_queue.get_nowait())

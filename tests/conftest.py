@@ -105,6 +105,16 @@ def skewed_edge_database(
     return Database([relation], name="skewed")
 
 
+def process_running(pid: int) -> bool:
+    """True while ``pid`` runs; an unreaped zombie counts as exited (an
+    orphan's new parent may never reap it)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
+
+
 @pytest.fixture
 def two_cores(monkeypatch):
     """A two-core host as the HTTP service sees it.  The service clamps a

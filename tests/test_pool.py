@@ -1,6 +1,6 @@
 """Persistent fork-pool lifecycle, persistence and scheduling guarantees.
 
-Six suites:
+Seven suites:
 
 * **Persistence** — the headline property of PR 7: fork workers survive
   across queries (two consecutive warm executions spawn **zero** new
@@ -20,15 +20,22 @@ Six suites:
   a millisecond, idle workers see a cancellation or a close at once, a
   worker killed while it waits is replaced, and leftovers of an earlier
   job are never mistaken for the next one's.
+* **Inheritance** — a worker holds nothing of its parent it must not: it
+  exits when its parent is SIGKILLed and holds none of its network
+  sockets.
 * **Sizing** — ``available_workers`` and the default pool size.
 """
 
 import os
 import signal
+import socket
 import statistics
+import subprocess
+import sys
 import threading
 import time
 from multiprocessing.connection import wait
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +44,7 @@ from repro.core.instrumentation import OperationCounter
 from repro.engine import QueryEngine
 from repro.engine.faults import Deadline, PoolClosedError, QueryTimeoutError
 from repro.engine.pool import (
+    HEARTBEAT_SECONDS,
     MAX_MORSEL_RETRIES,
     MorselJob,
     MorselResult,
@@ -51,7 +59,7 @@ from repro.query.patterns import cycle_query, path_query
 from repro.storage.database import Database
 from repro.storage.relation import Relation
 
-from tests.conftest import random_edge_database
+from tests.conftest import process_running, random_edge_database
 
 def _edge_database(name="pool", nodes=18, edges=55, seed=23):
     base = random_edge_database(num_nodes=nodes, num_edges=edges, seed=seed)
@@ -717,6 +725,77 @@ class TestForkHandshake:
                           tasks=[MorselTask(0, 7, 9), MorselTask(1, 9, 11)])
             )
             assert [(r.lo, r.value) for r in report.results] == [(7, 7), (9, 9)]
+
+
+# ---------------------------------------------------------------------------
+# Inheritance.
+# ---------------------------------------------------------------------------
+
+#: A process that owns a two-worker pool, runs one job, prints the worker
+#: pids and waits to be killed.
+_POOL_OWNER = """
+from repro.engine.pool import MorselJob, create_worker_pool
+from tests.test_pool import _edge_database, _noop_runner, _tasks
+import time
+pool = create_worker_pool(_edge_database(), 2)
+pool.run(MorselJob(spec=None, runner=_noop_runner, tasks=_tasks(4)))
+print(*(process.pid for process in pool.transport._processes), flush=True)
+time.sleep(120)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+class TestInheritance:
+    def test_workers_exit_when_the_parent_is_killed(self):
+        root = Path(__file__).resolve().parents[1]
+        owner = subprocess.Popen(
+            [sys.executable, "-c", _POOL_OWNER],
+            cwd=root,
+            env=dict(os.environ, PYTHONPATH=f"{root / 'src'}{os.pathsep}{root}"),
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        workers = []
+        try:
+            workers = [int(pid) for pid in owner.stdout.readline().split()]
+            assert len(workers) == 2 and all(map(process_running, workers))
+            owner.kill()
+            owner.wait(timeout=10)
+            deadline = time.monotonic() + 2 * HEARTBEAT_SECONDS
+            while any(map(process_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert not any(map(process_running, workers))
+        finally:
+            for pid in workers:  # pragma: no cover - cleanup on failure
+                if process_running(pid):
+                    os.kill(pid, signal.SIGKILL)
+            if owner.poll() is None:  # pragma: no cover - cleanup on failure
+                owner.kill()
+                owner.wait(timeout=10)
+            owner.stdout.close()
+
+    def test_workers_hold_no_inet_socket(self):
+        """Forked beside a listening socket and a live connection, a worker
+        holds neither, and still runs jobs over its own pipes."""
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            with socket.create_connection(listener.getsockname()) as client:
+                accepted, _ = listener.accept()
+                with accepted:
+                    inodes = {
+                        f"socket:[{os.fstat(sock.fileno()).st_ino}]"
+                        for sock in (listener, client, accepted)
+                    }
+                    database = _edge_database(name="pool-sockets")
+                    with create_worker_pool(database, 2) as pool:
+                        job = MorselJob(spec=None, runner=_noop_runner, tasks=_tasks(4))
+                        pool.run(job)
+                        for process in pool.transport._processes:
+                            fd_dir = f"/proc/{process.pid}/fd"
+                            held = {os.readlink(f"{fd_dir}/{fd}") for fd in os.listdir(fd_dir)}
+                            assert not held & inodes
+                            assert any(link.startswith("socket:") for link in held)
+                        assert len(pool.run(job).results) == 4
+                        assert pool.worker_restarts == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """The query service layer: sessions, admission, HTTP front-end, shutdown.
 
-Four suites plus the PR 10 acceptance test:
+Five suites plus the acceptance test:
 
 * **Sessions** — token minting, TTL/LRU eviction, shared warm handles;
 * **Admission** — the concurrency bound, bounded queue, typed shedding,
@@ -10,6 +10,9 @@ Four suites plus the PR 10 acceptance test:
   handles, memory-pressure shedding, graceful shutdown;
 * **HTTP** — the stdlib front-end: routes, error mapping (400/404/408/
   429/503 + Retry-After), session header, /metrics and /healthz;
+* **Front-end** — the handler pool's own HTTP: the stdlib handler's
+  guards, one-pass parsing, the thread bound and the read deadline; and
+  the CLI, including a ``kill -9`` that leaves the port free;
 * **Acceptance** — 8 concurrent clients x 50 requests over one warm
   database return results identical to the serial oracle, report zero
   misattributed cache-delta metadata, and /metrics totals reconcile
@@ -19,27 +22,40 @@ Four suites plus the PR 10 acceptance test:
 from __future__ import annotations
 
 import json
+import os
+import signal
+import socket
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
 from repro.engine.faults import QueryTimeoutError
+from repro.engine.pool import available_workers
+from repro.server import http as http_module
 from repro.server.admission import (
     AdmissionController,
     QueueFullError,
     ServiceUnavailableError,
 )
-from repro.server.http import serve
+from repro.server.http import MAX_BODY_BYTES, serve
 from repro.server.metrics import render_metrics
 from repro.server.service import QueryService, RequestError
 from repro.server.sessions import SessionManager, SessionNotFoundError
 from repro.storage.database import SCOPED_COUNTERS
 from repro.query.patterns import cycle_query, path_query
 
-from tests.conftest import brute_force_count, brute_force_evaluate, random_edge_database
+from tests.conftest import (
+    brute_force_count,
+    brute_force_evaluate,
+    process_running,
+    random_edge_database,
+)
 
 BUILD_COUNTERS = ("index_builds", "plan_builds", "compiled_builds")
 
@@ -70,6 +86,50 @@ def _get(base: str, path: str):
             return response.status, response.read().decode("utf-8")
     except urllib.error.HTTPError as error:
         return error.code, error.read().decode("utf-8")
+
+
+def _raw(address, *chunks: bytes, pause: float = 0.0):
+    """Send ``chunks`` on one connection, each its own TCP segment (Nagle
+    off, ``pause`` seconds apart); returns ``(status, headers, body)``."""
+    with socket.create_connection(address, timeout=30) as connection:
+        connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for chunk in chunks:
+            connection.sendall(chunk)
+            time.sleep(pause)
+        received = bytearray()
+        while True:
+            data = connection.recv(65536)
+            if not data:
+                break
+            received += data
+    head, _, body = bytes(received).partition(b"\r\n\r\n")
+    status_line, *lines = head.decode("iso-8859-1").split("\r\n")
+    headers = {}
+    for line in lines:
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return int(status_line.split()[1]), headers, body
+
+
+def _post_request(path: str, body: bytes, headers: str = "") -> bytes:
+    return (
+        f"POST {path} HTTP/1.0\r\nContent-Length: {len(body)}\r\n{headers}\r\n"
+    ).encode("iso-8859-1") + body
+
+
+def _boot_cli(dataset: str, *flags: str) -> "tuple[subprocess.Popen, str]":
+    """``repro serve`` in a subprocess; returns it and its base URL."""
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--dataset", dataset, *flags],
+        cwd=Path(__file__).resolve().parents[1],
+        env=dict(os.environ, PYTHONPATH="src"),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+    )
+    banner = process.stdout.readline()
+    assert "serving" in banner and "http://" in banner, banner
+    return process, "http://" + banner.split("http://", 1)[1].split(" ", 1)[0]
 
 
 @pytest.fixture
@@ -507,18 +567,197 @@ class TestHTTP:
             service.count({"query": "3-cycle"})
 
 
+@pytest.fixture(scope="class")
+def front_end():
+    """One server shared by a class's tests (each would otherwise pay the
+    serve loop's shutdown poll)."""
+    svc = QueryService(random_edge_database(), max_concurrency=2, max_queue=4)
+    server = serve(svc, port=0)
+    yield svc, server
+    server.shutdown()
+    server.server_close()
+    svc.shutdown(drain_timeout=5.0)
+
+
+class TestFrontEnd:
+    """The handler pool's own HTTP: guards, parsing, threads, deadlines."""
+
+    @pytest.mark.parametrize(
+        "request_bytes, status",
+        [
+            (b"GARBAGE\r\n\r\n", 400),
+            (b"GET /healthz\r\n\r\n", 400),
+            (b"GET /" + b"a" * 70000 + b" HTTP/1.0\r\n\r\n", 414),
+            (b"GET /healthz HTTP/1.0\r\n" + b"X-Pad: 1\r\n" * 101 + b"\r\n", 431),
+            (b"PUT /count HTTP/1.0\r\nContent-Length: 0\r\n\r\n", 501),
+            (b"POST /count HTTP/1.0\r\nContent-Length: -1\r\n\r\n", 400),
+        ],
+        ids=["malformed", "no-version", "long-line", "101-headers", "put", "negative-length"],
+    )
+    def test_stdlib_guards(self, front_end, request_bytes, status):
+        _, server = front_end
+        got, headers, body = _raw(server.server_address, request_bytes)
+        assert got == status
+        assert headers["content-type"] == "application/json" and json.loads(body)["error"]
+
+    def test_one_hundred_headers_are_accepted(self, front_end):
+        _, server = front_end
+        request = b"GET /healthz HTTP/1.0\r\n" + b"X-Pad: 1\r\n" * 100 + b"\r\n"
+        assert _raw(server.server_address, request)[0] == 200
+
+    def test_oversized_body_is_400(self, front_end):
+        """Refused unread, the body is drained before the close, so even a
+        client that sends all of it reads the 400 (not a reset)."""
+        service, server = front_end
+        refused = service.stats()["requests_total"].get(("count", 400), 0)
+        request = _post_request("/count", b" " * (2 * MAX_BODY_BYTES))
+        for _ in range(3):
+            status, _, body = _raw(server.server_address, request)
+            assert status == 400 and "too large" in json.loads(body)["error"]
+        assert service.stats()["requests_total"][("count", 400)] == refused + 3
+
+    def test_lower_case_session_header_reaches_the_warm_handle(self, front_end):
+        _, server = front_end
+        base = "http://%s:%d" % server.server_address[:2]
+        status, prep, _ = _post(base, "/prepare", {"query": "4-path"})
+        assert status == 200
+        token = prep["session"]
+        request = _post_request(
+            "/count", b'{"query": "4-path"}', f"x-repro-session: {token}\r\n"
+        )
+        for _ in range(2):
+            status, _, raw = _raw(server.server_address, request)
+            body = json.loads(raw)
+            assert status == 200 and body["session"] == token
+        for key in BUILD_COUNTERS:
+            assert body["metadata"][key] == 0
+
+    def test_a_request_in_several_segments_parses(self, front_end):
+        service, server = front_end
+        expected = brute_force_count(cycle_query(3), service.database)
+        request = _post_request("/count", b'{"query": "3-cycle"}')
+        cut = request.index(b"\r\n\r\n") + 4
+        chunks = (request[:9], request[9:cut], request[cut:cut + 5], request[cut + 5:])
+        status, _, body = _raw(server.server_address, *chunks, pause=0.02)
+        assert status == 200 and json.loads(body)["count"] == expected
+
+    def test_response_is_one_status_line_headers_and_body(self, front_end):
+        _, server = front_end
+        status, headers, body = _raw(server.server_address, b"GET /healthz HTTP/1.0\r\n\r\n")
+        assert status == 200 and int(headers["content-length"]) == len(body)
+        assert json.loads(body)["status"] == "ok"
+
+
+def _new_handlers(before):
+    """HTTP handler threads alive now that were not in ``before``."""
+    return [
+        thread for thread in threading.enumerate()
+        if thread.name.startswith("repro-http-") and thread not in before
+    ]
+
+
+class TestHandlerPool:
+    def test_sequential_requests_reuse_a_bounded_set_of_handlers(self):
+        before = threading.enumerate()
+        service = QueryService(random_edge_database(), max_concurrency=1, max_queue=0)
+        server = serve(service, port=0)
+        try:
+            assert server.max_handlers == 2
+            for _ in range(200):
+                status, _, _ = _raw(server.server_address, b"GET /healthz HTTP/1.0\r\n\r\n")
+                assert status == 200
+            assert 1 <= len(_new_handlers(before)) <= server.max_handlers
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.shutdown(drain_timeout=2.0)
+
+    def test_concurrent_bursts_stay_within_the_bound(self):
+        """Sixteen clients on a bound of four, with a short switch interval:
+        every request is answered and no burst spawns past the bound."""
+        before = threading.enumerate()
+        service = QueryService(random_edge_database(), max_concurrency=1, max_queue=2)
+        server = serve(service, port=0)
+        statuses = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            def client(index):
+                for round_ in range(25):
+                    if (index + round_) % 4:
+                        request = b"GET /healthz HTTP/1.0\r\n\r\n"
+                    else:
+                        request = _post_request("/count", b'{"query": "3-cycle"}')
+                    statuses.append(_raw(server.server_address, request)[0])
+
+            clients = [threading.Thread(target=client, args=(i,)) for i in range(16)]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=120)
+                assert not thread.is_alive(), "a client hung"
+            assert len(statuses) == 16 * 25 and set(statuses) <= {200, 429}
+            assert server.max_handlers == 4
+            assert 1 <= len(_new_handlers(before)) <= server.max_handlers
+        finally:
+            sys.setswitchinterval(interval)
+            server.shutdown()
+            server.server_close()
+            service.shutdown(drain_timeout=2.0)
+
+    def test_idle_connection_is_closed_at_the_read_deadline(self, monkeypatch):
+        before = threading.enumerate()
+        monkeypatch.setattr(http_module, "READ_DEADLINE_SECONDS", 0.5)
+        service = QueryService(random_edge_database(), max_concurrency=1, max_queue=0)
+        server = serve(service, port=0)
+        try:
+            with socket.create_connection(server.server_address, timeout=10) as idle:
+                # The idle client pins one handler; the spare answers the rest.
+                status, _, _ = _raw(server.server_address, b"GET /healthz HTTP/1.0\r\n\r\n")
+                assert status == 200
+                started = time.monotonic()
+                assert idle.recv(1) == b""  # closed by the server, no response
+                assert time.monotonic() - started < 5.0
+            with socket.create_connection(server.server_address, timeout=10):
+                # Accepted before this request, so a handler holds it now.
+                assert _raw(server.server_address, b"GET /healthz HTTP/1.0\r\n\r\n")[0] == 200
+                server.shutdown()
+                started = time.monotonic()
+                server.server_close()
+                assert time.monotonic() - started < 0.25
+        finally:
+            service.shutdown(drain_timeout=2.0)
+        deadline = time.monotonic() + 5.0
+        while _new_handlers(before):
+            assert time.monotonic() < deadline, "a handler thread outlived server_close"
+            time.sleep(0.01)
+
+
 # ---------------------------------------------------------------------------
 # The CLI entry point, end to end in a subprocess.
 # ---------------------------------------------------------------------------
 
 
+def _children(pid: int) -> list:
+    """The live processes whose parent is ``pid``."""
+    found = []
+    for name in os.listdir("/proc"):
+        if name.isdigit():
+            try:
+                with open(f"/proc/{name}/stat") as stat:
+                    fields = stat.read().rsplit(")", 1)[1].split()
+            except OSError:  # exited while listing
+                continue
+            if int(fields[1]) == pid and fields[0] not in ("Z", "X"):
+                found.append(int(name))
+    return found
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
 class TestServeCLI:
     def test_serve_boot_query_sigterm(self, tmp_path):
-        import os
-        import signal
-        import subprocess
-        import sys
-
+        """Boot, answer, SIGTERM: exit 0 with the drain summary, and an idle
+        client holding a connection open does not hold up the exit."""
         edges = tmp_path / "tiny.txt"
         edges.write_text(
             "# tiny directed cycle + chords\n"
@@ -528,28 +767,20 @@ class TestServeCLI:
                         + [(2, 0), (5, 3)])  # close two directed triangles
             + "\n"
         )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = "src"
-        process = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve",
-             "--dataset", str(edges), "--port", "0",
-             "--max-concurrency", "2", "--drain-timeout", "5"],
-            cwd="/root/repo",
-            env=env,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
+        process, base = _boot_cli(
+            str(edges), "--port", "0", "--max-concurrency", "2", "--drain-timeout", "5"
         )
         try:
-            banner = process.stdout.readline()
-            assert "serving" in banner and "http://" in banner, banner
-            base = "http://" + banner.split("http://", 1)[1].split(" ", 1)[0]
             status, body, _ = _post(base, "/count", {"query": "3-cycle"})
             assert status == 200 and body["count"] > 0
             status, text = _get(base, "/metrics")
             assert status == 200 and "repro_queries_total 1" in text
-            process.send_signal(signal.SIGTERM)
-            code = process.wait(timeout=30)
+            host, port = base[len("http://"):].rsplit(":", 1)
+            with socket.create_connection((host, int(port)), timeout=5):
+                started = time.monotonic()
+                process.send_signal(signal.SIGTERM)
+                code = process.wait(timeout=30)
+            assert time.monotonic() - started < http_module.READ_DEADLINE_SECONDS
             assert code == 0
             tail = process.stdout.read()
             assert "shutdown: drained=True" in tail, tail
@@ -557,6 +788,45 @@ class TestServeCLI:
             if process.poll() is None:  # pragma: no cover - cleanup on failure
                 process.kill()
                 process.wait(timeout=10)
+            process.stdout.close()
+
+    def test_sigkill_frees_the_port_and_ends_the_workers(self):
+        """``kill -9`` after a parallel request: the forked workers hold
+        neither the listening socket nor their parent's pipe ends, so a
+        connect is refused at once, the port re-binds and the workers exit."""
+        process, base = _boot_cli("ca-GrQc", "--port", "0")
+        processes = [process]
+        workers = []
+        try:
+            status, body, _ = _post(base, "/count", {"query": "3-cycle", "parallel": 2})
+            assert status == 200
+            workers = _children(process.pid)
+            if available_workers() >= 2:
+                assert body["metadata"]["parallel"] is True and len(workers) == 2
+            process.kill()
+            process.wait(timeout=10)
+            port = int(base.rsplit(":", 1)[1])
+            with pytest.raises(ConnectionRefusedError):
+                socket.create_connection(("127.0.0.1", port), timeout=5).close()
+            again, again_base = _boot_cli("ca-GrQc", "--port", str(port))
+            processes.append(again)
+            assert again_base == base
+            assert _get(again_base, "/healthz")[0] == 200
+            again.send_signal(signal.SIGTERM)
+            assert again.wait(timeout=30) == 0
+            deadline = time.monotonic() + 5.0
+            while any(map(process_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not any(map(process_running, workers))
+        finally:
+            for pid in workers:  # pragma: no cover - cleanup on failure
+                if process_running(pid):
+                    os.kill(pid, signal.SIGKILL)
+            for child in processes:
+                if child.poll() is None:  # pragma: no cover - cleanup on failure
+                    child.kill()
+                    child.wait(timeout=10)
+                child.stdout.close()
 
 
 # ---------------------------------------------------------------------------
