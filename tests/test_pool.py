@@ -76,6 +76,13 @@ def _suicide_runner(database, spec, task):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
+def _late_bulky_runner(database, spec, task):
+    """Sleep ``spec`` seconds, then return far more rows than a pipe buffers."""
+    time.sleep(spec)
+    rows = [(index, index) for index in range(100_000)]
+    return TaskOutcome(value=len(rows), rows=rows, counter=OperationCounter())
+
+
 def _noop_runner(database, spec, task):
     return TaskOutcome(value=1, rows=None, counter=OperationCounter())
 
@@ -732,24 +739,38 @@ class TestForkHandshake:
 # ---------------------------------------------------------------------------
 
 #: A process that owns a two-worker pool, runs one job, prints the worker
-#: pids and waits to be killed.
+#: pids and waits to be killed; with ``late``, it prints them and then
+#: runs a job whose bulky results are ready only after the kill.
 _POOL_OWNER = """
+import sys, time
 from repro.engine.pool import MorselJob, create_worker_pool
-from tests.test_pool import _edge_database, _noop_runner, _tasks
-import time
+from tests.test_pool import _edge_database, _late_bulky_runner, _noop_runner, _tasks
 pool = create_worker_pool(_edge_database(), 2)
-pool.run(MorselJob(spec=None, runner=_noop_runner, tasks=_tasks(4)))
+late = sys.argv[1] == "late"
+if not late:
+    pool.run(MorselJob(spec=None, runner=_noop_runner, tasks=_tasks(4)))
+pool.transport.ensure_workers()
 print(*(process.pid for process in pool.transport._processes), flush=True)
+if late:
+    pool.run(MorselJob(spec=1.0, runner=_late_bulky_runner, tasks=_tasks(2)))
 time.sleep(120)
 """
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
 class TestInheritance:
-    def test_workers_exit_when_the_parent_is_killed(self):
+    @pytest.mark.parametrize(
+        "mode, grace",
+        [("idle", 0.0), ("late", 1.0)],
+        ids=["idle-workers", "results-after-the-kill"],
+    )
+    def test_workers_exit_when_the_parent_is_killed(self, mode, grace):
+        """Idle workers exit within two heartbeats of the kill; workers
+        still running a task exit once it is done, although nobody will
+        read the results they queue."""
         root = Path(__file__).resolve().parents[1]
         owner = subprocess.Popen(
-            [sys.executable, "-c", _POOL_OWNER],
+            [sys.executable, "-c", _POOL_OWNER, mode],
             cwd=root,
             env=dict(os.environ, PYTHONPATH=f"{root / 'src'}{os.pathsep}{root}"),
             stdout=subprocess.PIPE,
@@ -759,9 +780,11 @@ class TestInheritance:
         try:
             workers = [int(pid) for pid in owner.stdout.readline().split()]
             assert len(workers) == 2 and all(map(process_running, workers))
+            if mode == "late":
+                time.sleep(0.2)  # both workers are inside the task
             owner.kill()
             owner.wait(timeout=10)
-            deadline = time.monotonic() + 2 * HEARTBEAT_SECONDS
+            deadline = time.monotonic() + grace + 2 * HEARTBEAT_SECONDS
             while any(map(process_running, workers)) and time.monotonic() < deadline:
                 time.sleep(0.005)
             assert not any(map(process_running, workers))
