@@ -94,6 +94,21 @@ for key in ('index_builds', 'plan_builds', 'compiled_builds'):
 print('warm session request: zero builds')
 "
 
+# A truncated /evaluate computes only the rows it returns, and still tells
+# the exact count: the one /count answers.
+COUNT="$(curl -fsS -X POST "$BASE/count" -d '{"query": "3-path"}' \
+    | python -c "import json,sys; print(json.load(sys.stdin)['count'])")"
+curl -fsS -X POST "$BASE/evaluate" \
+        -d '{"query": "3-path", "algorithm": "lftj", "max_rows": 3}' \
+    | python -c "
+import json, sys
+body = json.load(sys.stdin)
+assert len(body['rows']) == 3, body['rows']
+assert body['rows_truncated'] is True, body['rows_truncated']
+assert body['count'] == $COUNT, (body['count'], $COUNT)
+print('truncated /evaluate: 3 rows of', body['count'])
+"
+
 # /metrics must expose the reconciliation families and the request ledger.
 curl -fsS "$BASE/metrics" >"$WORKDIR/metrics.txt"
 grep -q "^repro_db_index_builds_total" "$WORKDIR/metrics.txt"
@@ -114,13 +129,15 @@ echo "SIGTERM: exit 0, drained"
 echo "=== 3. forced saturation sheds with 429 ==="
 boot "$WORKDIR/serve-tiny.log" --max-concurrency 1 --queue-depth 0
 
-# One slot, no queue: under a concurrent burst of slow-ish queries at
-# least one client must be shed with a 429 + Retry-After.
+# One slot, no queue: under a concurrent burst of slow queries at least
+# one client must be shed with a 429 + Retry-After.  An interpreted 5-cycle
+# count takes ~0.25 s, so the burst overlaps it; a count of a few ms can
+# finish before the next curl connects, and then nobody is shed.
 PIDS=()
 for i in $(seq 1 8); do
     curl -sS -o /dev/null -D "$WORKDIR/headers.$i" \
         -w "%{http_code}\n" -X POST "$BASE/count" \
-        -d '{"query": "4-clique"}' >"$WORKDIR/status.$i" &
+        -d '{"query": "5-cycle", "compile": false}' >"$WORKDIR/status.$i" &
     PIDS+=($!)
 done
 wait_pids "${PIDS[@]}"

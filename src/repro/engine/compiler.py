@@ -32,6 +32,11 @@ What the generated driver does differently from the interpreter:
   ``frozenset``.  Either way the whole walked run goes through ``map`` /
   ``sum`` at C level (:meth:`_Codegen.emit_leaf_run`) — the same trie
   positions, no bytecode per key;
+* an evaluation's deepest depth has no loop either: its keys — one run's
+  slice, or the varying run filtered by the hoisted invariant set — become
+  rows in one ``rows.extend(zip(...))`` per leaf, into the one list the
+  driver returns, and a ``limit`` stops the loop nest once it holds more
+  rows than the caller keeps (:meth:`_Codegen.emit_deepest_evaluate`);
 * a CLFTJ miss multiplies like a hit: in the inline probe form, a miss on a
   childless bag whose next sibling's subtree ends the order counts the
   bag's block without its continuation — its last depth reduced like a
@@ -134,12 +139,14 @@ derivation is algebra over the same charges, not an approximation of them:
 interpreted ``counter.as_dict()`` over the whole key space, over summed
 ``[lo, hi)`` ranges, over empty relations and under a deadline, and fails
 if a loop body starts keeping a derivable counter again.  Evaluate mode
-derives the same interior charges and keeps its per-row ``c_rec``/``c_res``
-(a generator abandoned midway flushes nothing, as before).
+derives the same interior charges and adds each leaf's batch of rows to
+``c_res``, its matches and its share of the recursive calls; a loop stopped
+at a ``limit`` still runs the epilogue, so its counters hold the work done.
 """
 
 from __future__ import annotations
 
+import sys
 import time
 from bisect import bisect_left
 from contextlib import contextmanager
@@ -186,6 +193,11 @@ DELTAS_PENDING: str = "unmerged deltas pending on an atom trie"
 #: kernels stay untouched), while an expired deadline is still noticed
 #: within a bounded slice of work.
 COMPILED_DEADLINE_STRIDE: int = 1024
+
+
+class _RowLimit(Exception):
+    """Raised out of a generated evaluate loop once it holds more rows than
+    its ``limit``; caught above the outermost loop, before the epilogue."""
 
 
 def decomposition_fingerprint(
@@ -357,15 +369,18 @@ class CompiledDriver:
     variable_names: Tuple[str, ...]
     relation_versions: Dict[str, int]
     probed_nodes: Tuple[int, ...]
-    #: What each count loop is made of (keyed like :meth:`debug_source`:
-    #: ``count``, and ``count-inline`` for a probing driver), outermost
-    #: first: one word per depth (``merge``, ``walk``, ``fused-leaf``,
-    #: ``set-leaf``, ``unfused-leaf``), ``leaf-run`` / ``set-leaf-run`` for a
-    #: last pair of depths reduced without a loop (over a fused leaf / a
-    #: set-leaf), ``probe@<node>`` before the depth a probed node is entered
-    #: at, and in the inline form ``block-count`` for a childless node's
-    #: last depth counted without its continuation and ``once@<node>`` for
-    #: the sibling then probed once for all of its bindings.
+    #: What each loop is made of (keyed like :meth:`debug_source`:
+    #: ``count`` and ``evaluate``, or ``count`` and ``count-inline`` for a
+    #: probing driver), outermost first: one word per depth (``merge``,
+    #: ``walk``, ``fused-leaf``, ``set-leaf``, ``unfused-leaf``),
+    #: ``leaf-run`` / ``set-leaf-run`` for a count's last pair of depths
+    #: reduced without a loop (over a fused leaf / a set-leaf),
+    #: ``leaf-batch`` / ``set-leaf-batch`` for an evaluation's deepest depth
+    #: emitted as one batch of rows (over the runs / beside the invariant
+    #: set), ``probe@<node>`` before the depth a probed node is entered at,
+    #: and in the inline form ``block-count`` for a childless node's last
+    #: depth counted without its continuation and ``once@<node>`` for the
+    #: sibling then probed once for all of its bindings.
     levels: Dict[str, Tuple[str, ...]]
     _columns: Tuple[Tuple[object, ...], ...] = field(repr=False)
     _sources: Dict[str, str] = field(repr=False)
@@ -400,10 +415,19 @@ class CompiledDriver:
             if len(table) != held:  # inline probes only ever add entries
                 cache.drop_byte_sum()
 
-    def evaluate(self, counter: OperationCounter, lo=None, hi=None, deadline=None):
-        """Yield coded result rows (variable-order positions) in ``[lo, hi)``."""
+    def evaluate(
+        self, counter: OperationCounter, lo=None, hi=None, deadline=None, limit=None
+    ) -> List[Tuple[int, ...]]:
+        """The coded result rows (variable-order positions) in ``[lo, hi)``,
+        as one list.
+
+        With a ``limit`` the loop stops once it holds more than ``limit``
+        rows: a list no longer than ``limit`` is the whole result, a longer
+        one starts with the result's first ``limit`` rows (and its counters
+        charge only the work done).
+        """
         return self._functions["evaluate"](
-            self._columns, self._hoists["evaluate"], counter, lo, hi, deadline
+            self._columns, self._hoists["evaluate"], counter, lo, hi, deadline, limit
         )
 
     def debug_source(self, mode: str = "count") -> str:
@@ -668,7 +692,8 @@ class _Codegen:
         return once
 
     def _plan_leaf_sets(self) -> None:
-        """Plan the loop-invariant set hoist for every count end.
+        """Plan the loop-invariant set hoist for every count end, and for an
+        evaluation's deepest depth.
 
         A count end's run whose parent key binds at an *outer* depth is
         constant across the loop right above it, so counting its
@@ -676,16 +701,19 @@ class _Codegen:
         it every time.  Instead, build a ``set`` of each invariant run right
         where it binds, chain-intersect the invariant sets (still outside
         that loop), and reduce the count to one C-level
-        ``set.intersection`` over the varying run only.  This changes how
-        the match count ``m`` is computed, never its value — and the
-        recorded costs depend only on run spans, which are untouched — so
-        counter parity with the interpreter is preserved.
+        ``set.intersection`` over the varying run only — or, for an
+        evaluation's keys, a C-level ``filter`` of the varying run by the
+        set, which keeps the run's sorted order.  This changes how the
+        matches are computed, never what they are — and the recorded costs
+        depend only on run spans, which are untouched — so counter parity
+        with the interpreter is preserved.
         """
         #: Per count end with an invariant run: the hoisted set's name and
         #: the runs that vary (the deepest end named first, as in LFTJ).
         self.leaf_sets: Dict[int, Tuple[str, List[Tuple[int, int]]]] = {}
         serial = 0
-        for end in sorted(self.count_ends, reverse=True):
+        ends = self.count_ends if self.mode == "count" else (self.num_variables - 1,)
+        for end in sorted(ends, reverse=True):
             participants = self.participants[end]
             if end < 1 or len(participants) < 2:
                 continue
@@ -930,9 +958,10 @@ class _Codegen:
     # ------------------------------------------------------------ generation
     def generate(self) -> str:
         probe = ("_tab, " if self.inline else "cache, policy, ") if self.probed else ""
+        limit = " limit=None," if self.mode == "evaluate" else ""
         self.emit(
             0,
-            f"def _{self.mode}(columns, _hoist, counter, {probe}lo=None, hi=None, deadline=None,",
+            f"def _{self.mode}(columns, _hoist, counter, {probe}lo=None, hi=None, deadline=None,{limit}",
         )
         self.emit(
             0,
@@ -944,7 +973,13 @@ class _Codegen:
             "_np=_np, _bisect=_bisect):",
         )
         self.prologue()
-        self.emit_depth(0, 1)
+        if self.mode == "evaluate":
+            self.emit(1, "try:")
+            self.emit_depth(0, 2)
+            self.emit(1, "except _RowLimit:")
+            self.emit(2, "pass  # more than ``limit`` rows: the caller keeps a prefix")
+        else:
+            self.emit_depth(0, 1)
         # The trip counters are only known once the loops are emitted, so
         # their zeroing is spliced into the prologue afterwards.
         counters = [site.visits for site in self.sites[1:]]
@@ -968,7 +1003,9 @@ class _Codegen:
             self.emit(1, f"({target}) = columns[{atom}]")
         self.emit(1, "c_acc = 0")
         if self.mode == "evaluate":
-            self.emit(1, "c_rec = 0; c_res = 0")
+            self.emit(1, "c_res = 0")
+            self.emit(1, "rows = []; _ext = rows.extend")
+            self.emit(1, "_cap = _maxsize if limit is None else limit")
         # Cooperative deadline: resolve the instant once, check already
         # expired deadlines immediately (so tiny inputs still time out),
         # then re-check once per stride of outer-loop iterations.  The
@@ -1043,9 +1080,9 @@ class _Codegen:
         # the recursive calls — unless there are probes: under a cache hit
         # ``total`` grows by ``factor * m`` while the interpreter still
         # recurses ``m`` times, so the calls keep their own local.  Evaluate
-        # mode charges both per row.
-        per_match = "c_rec" if self.probed or self.mode == "evaluate" else "total"
+        # mode's matches are its rows, ``c_res``.
         results = "total" if self.mode == "count" else "c_res"
+        per_match = "c_rec" if self.probed else results
         if self.probed:
             if self.inline:
                 # A hit or a miss is a visit of its branch, and every miss
@@ -1060,8 +1097,7 @@ class _Codegen:
         self.emit(1, f"counter.trie_opens += {self.derived('opens')}")
         self.emit(1, f"counter.recursive_calls += {self.derived('rec', per_match)}")
         self.emit(1, f"counter.results_emitted += {results}")
-        if self.mode == "count":
-            self.emit(1, "return total")
+        self.emit(1, f"return {'total' if self.mode == 'count' else 'rows'}")
 
     def emit_depth(self, depth: int, indent: int) -> None:
         if depth == self.num_variables:
@@ -1469,19 +1505,47 @@ class _Codegen:
             self.emit(indent, f"im{node} += m")
 
     def emit_deepest_evaluate(self, depth: int, indent: int) -> None:
+        """An evaluation's deepest depth: its keys, then all of their rows
+        in one batch, without a loop over them.
+
+        One run's keys are its slice; beside the hoisted invariant set
+        (:meth:`_plan_leaf_sets`) they are the varying run filtered by the
+        set at C level; only an intersection of runs with no hoisted set
+        calls the kernel.  Every way keeps the keys sorted, so the rows come
+        out in the interpreter's order.  Each key is a match and a row:
+        ``m`` of them go to ``c_res`` and the deadline gate, and the rows
+        (the bound keys above, repeated, zipped with the keys) to
+        ``rows.extend``.  More rows than ``limit`` stop the whole loop nest
+        (``_RowLimit``, caught above the outermost loop).
+        """
         participants = self.participants[depth]
-        self.emit(indent, f"# depth {depth}: deepest keys, one row per match")
+        leaf_set = self.leaf_sets.get(depth)
+        self.note_level(depth, "leaf-batch" if leaf_set is None else "set-leaf-batch")
+        self.emit(indent, f"# depth {depth}: deepest keys, one batch of rows")
         self.emit_level_charges(indent, depth, participants)
-        self.emit(
-            indent, f"ks{depth} = _run_keys({self.runs_expr(participants)})"
-        )
-        self.emit(indent, f"for k{depth} in ks{depth}:")
-        self.emit_deadline_check(indent + 1)
-        row = ", ".join(f"k{inner}" for inner in range(self.num_variables))
-        if self.num_variables == 1:
-            row += ","
-        self.emit(indent + 1, "c_rec += 1; c_res += 1")
-        self.emit(indent + 1, f"yield ({row})")
+        if leaf_set is not None:
+            final, varying = leaf_set
+            if not varying:
+                keys = f"sorted({final})"
+            elif len(varying) == 1:
+                ((atom, level),) = varying
+                run = f"K{atom}_{level}[lo{atom}_{level}:hi{atom}_{level}]"
+                keys = f"list(filter({final}.__contains__, {run}))"
+            else:
+                keys = f"list(filter({final}.__contains__, _run_keys({self.runs_expr(varying)})))"
+        elif len(participants) == 1:
+            ((atom, level),) = participants
+            keys = f"K{atom}_{level}[lo{atom}_{level}:hi{atom}_{level}]"
+        else:
+            keys = f"_run_keys({self.runs_expr(participants)})"
+        self.emit(indent, f"ks = {keys}")
+        self.emit(indent, "m = len(ks)")
+        self.emit_deadline_check(indent, "m")
+        self.emit(indent, "c_res += m")
+        columns = [f"_repeat(k{inner})" for inner in range(depth)] + ["ks"]
+        self.emit(indent, f"_ext(zip({', '.join(columns)}))")
+        self.emit(indent, "if c_res > _cap:")
+        self.emit(indent + 1, "raise _RowLimit")
 
 
 def _compile_function(
@@ -1498,6 +1562,9 @@ def _compile_function(
         "_zeros": repeat(0),
         "_empty": repeat(frozenset()),
         "_TimeoutError": QueryTimeoutError,
+        "_repeat": repeat,
+        "_RowLimit": _RowLimit,
+        "_maxsize": sys.maxsize,
         **extra,
     }
     fault_point("compiler.exec")
@@ -1560,11 +1627,7 @@ def compile_driver(
         variable_names=tuple(variable.name for variable in variable_order),
         relation_versions=database.relation_versions(query.relation_names),
         probed_nodes=tuple(shape.node for shape in probed),
-        levels={
-            name: codegen.levels()
-            for name, codegen in codegens.items()
-            if codegen.mode == "count"
-        },
+        levels={name: codegen.levels() for name, codegen in codegens.items()},
         _columns=bundles,
         _sources=sources,
         _functions=functions,
@@ -1666,21 +1729,47 @@ class _CompiledTier:
         self._reason = None
         return driver.count(self.counter, lo, hi, self.deadline, *self._bind("count"))
 
-    def evaluate_coded(self, lo=None, hi=None, counter=None):
+    def _evaluate_driver(self) -> Optional[CompiledDriver]:
+        """The driver whose evaluate loop runs, or ``None`` (interpreted)."""
         driver = self.build()
         if driver is not None and driver.probed_nodes:
             self._reason = (
                 "evaluation runs interpreted (factorized-representation grafting)"
             )
-            driver = None
+            return None
+        return driver
+
+    def evaluate_coded(self, lo=None, hi=None, counter=None):
+        """The coded rows in ``[lo, hi)``: the driver's one list, or the
+        interpreted base class's generator."""
+        driver = self._evaluate_driver()
         if driver is None:
-            yield from super().evaluate_coded(lo, hi, counter)
-            return
+            return super().evaluate_coded(lo, hi, counter)
         if counter is not None:
             self.counter = counter
         self._reason = None
         self._bind("evaluate")
-        yield from driver.evaluate(self.counter, lo, hi, self.deadline)
+        return driver.evaluate(self.counter, lo, hi, self.deadline)
+
+    def evaluate_head(self, limit: int) -> Optional[Tuple[List[Tuple[int, ...]], int]]:
+        """The first ``limit`` coded rows and the exact row count, or
+        ``None`` when this execution cannot stop early (it runs interpreted).
+
+        The evaluate loop stops once it holds more than ``limit`` rows; only
+        then does the same driver's count loop, which materialises nothing,
+        supply the count.  The counter holds both loops' work.
+        """
+        driver = self._evaluate_driver()
+        if driver is None:
+            return None
+        self._reason = None
+        self._bind("evaluate")
+        rows = driver.evaluate(self.counter, None, None, self.deadline, limit)
+        if len(rows) <= limit:
+            return rows, len(rows)
+        del rows[limit:]
+        # No probed node: the count loop takes no cache and no policy.
+        return rows, driver.count(self.counter, None, None, self.deadline)
 
     # ------------------------------------------------------------- metadata
     def execution_metadata(self) -> Dict[str, object]:

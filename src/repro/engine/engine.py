@@ -72,6 +72,15 @@ def _validated_timeout(timeout: Optional[float]) -> Optional[float]:
     return timeout
 
 
+def _validated_limit(limit: Optional[int]) -> Optional[int]:
+    """Check a ``limit=`` argument: ``None`` or a non-negative ``int``."""
+    if limit is not None and (
+        not isinstance(limit, int) or isinstance(limit, bool) or limit < 0
+    ):
+        raise ValueError(f"limit must be a non-negative integer, got {limit!r}")
+    return limit
+
+
 def _check_parallel_backend(parallel: Optional[object], backend: Optional[str]) -> None:
     """Validate the ``parallel_backend=`` keyword; the engine then drops it.
 
@@ -89,6 +98,27 @@ def _check_parallel_backend(parallel: Optional[object], backend: Optional[str]) 
         )
     if parallel is None or parallel is False:
         raise ValueError("parallel_backend requires parallel= (a worker count or True)")
+
+
+def _coded_rows(executor: Executor, limit: Optional[int]) -> Tuple[list, int]:
+    """An encoded executor's rows (the first ``limit`` of them) and count.
+
+    A compiled driver stops at the rows kept (``evaluate_head``); every
+    other executor evaluates in full, then the list is cut.  A driver's
+    list is kept as it comes, never copied.
+    """
+    head = getattr(executor, "evaluate_head", None)
+    if limit is not None and head is not None:
+        taken = head(limit)
+        if taken is not None:
+            return taken
+    coded_rows = executor.evaluate_coded()
+    if not isinstance(coded_rows, list):
+        coded_rows = list(coded_rows)
+    value = len(coded_rows)
+    if limit is not None:
+        del coded_rows[limit:]
+    return coded_rows, value
 
 
 class QueryEngine:
@@ -243,6 +273,7 @@ class QueryEngine:
         parallel_backend: Optional[str] = None,
         compile: Optional[bool] = None,
         timeout: Optional[float] = None,
+        limit: Optional[int] = None,
     ) -> ExecutionResult:
         """Run a full evaluation and return the materialised result rows.
 
@@ -251,6 +282,13 @@ class QueryEngine:
         adapters around YTD and the pairwise baseline).  Parallel executions
         (``parallel=``) merge shard rows deterministically in partition
         order, which for LFTJ reproduces the serial row order exactly.
+
+        ``limit=N`` keeps only the first ``N`` rows (``result.rows`` is the
+        full result's ``rows[:N]``) while ``result.count`` stays the exact
+        row count.  A compiled driver then stops its evaluate loop past
+        ``N`` rows and counts the rest without materialising them; every
+        other execution evaluates in full and truncates.  Under a limit the
+        operation counter holds the work done, not a full evaluation's.
         """
         _check_parallel_backend(parallel, parallel_backend)
         return self._execute(
@@ -265,6 +303,7 @@ class QueryEngine:
             parallel=parallel,
             compile=compile,
             timeout=timeout,
+            limit=limit,
         )
 
     # -------------------------------------------------------------- comparison
@@ -495,7 +534,8 @@ class QueryEngine:
         the executor's ``build()`` would find, but only peeking — it builds
         no index, compiles nothing and bumps no counter.  A cached driver
         adds a ``levels:`` line: what the count loop of the probe ``form``
-        that would run is made of."""
+        that would run is made of — and, for a driver with an evaluate
+        loop, an ``evaluate levels:`` line under it."""
         if algorithm not in COMPILED_ALGORITHMS:
             return f"not applicable (algorithm {algorithm!r} runs interpreted)"
         if compile is False:
@@ -510,6 +550,8 @@ class QueryEngine:
             state, note = "cached", "count mode; evaluation runs interpreted"
             loop = "count-inline" if form == INLINE_PROBE else "count"
             levels = f"\n  levels: {' > '.join(driver.levels[loop])}"
+            if "evaluate" in driver.levels:
+                levels += f"\n  evaluate levels: {' > '.join(driver.levels['evaluate'])}"
         else:
             state, note, levels = "will compile on first execution", "count mode", ""
         return (f"{state} ({note})" if probing is not None else state) + levels
@@ -555,6 +597,7 @@ class QueryEngine:
         compile: Optional[bool] = None,
         timeout: Optional[float] = None,
         selection: Optional[AlgorithmChoice] = None,
+        limit: Optional[int] = None,
     ) -> ExecutionResult:
         """One execution through registry lookup, planning and the executor."""
         with self.database.execution_scope() as scope:
@@ -572,6 +615,7 @@ class QueryEngine:
                 compile=compile,
                 timeout=timeout,
                 selection=selection,
+                limit=limit,
             )
 
     def _execute_scoped(
@@ -589,6 +633,7 @@ class QueryEngine:
         compile: Optional[bool] = None,
         timeout: Optional[float] = None,
         selection: Optional[AlgorithmChoice] = None,
+        limit: Optional[int] = None,
     ) -> ExecutionResult:
         """The body of :meth:`_execute`, accounting into ``scope``.
 
@@ -599,6 +644,7 @@ class QueryEngine:
         to each other).
         """
         timeout = _validated_timeout(timeout)
+        limit = _validated_limit(limit)
         parameters: Dict[str, object] = {
             "decomposition": decomposition,
             "variable_order": variable_order,
@@ -704,15 +750,16 @@ class QueryEngine:
             value = executor.count()
         elif mode == "evaluate":
             if getattr(executor, "encoded", False):
-                # Code-space executors stream code tuples (always ``tuple``s);
-                # keep them as-is and let the result decode lazily on first
-                # access — a result whose rows are never read costs zero
-                # decodes.
-                coded_rows = list(executor.evaluate_coded())
-                value = len(coded_rows)
+                # Code-space executors produce code tuples (always
+                # ``tuple``s); keep them as-is and let the result decode
+                # lazily on first access — a result whose rows are never
+                # read costs zero decodes.
+                coded_rows, value = _coded_rows(executor, limit)
             else:
                 rows = [tuple(row) for row in executor.evaluate()]
                 value = len(rows)
+                if limit is not None:
+                    del rows[limit:]
         else:
             raise ValueError(f"unknown mode {mode!r}; use 'count' or 'evaluate'")
         elapsed = time.perf_counter() - started

@@ -65,12 +65,17 @@ class Executor(Protocol):
     Every index is keyed by dictionary codes, so the executors that join
     over indexes (the trie-join family and the parallel executor) run in
     code space: they carry the class constant
-    ``encoded = True`` plus an ``evaluate_coded()`` generator yielding rows
-    of int codes, each a ``tuple`` (the engine keeps them with ``list(...)``
-    and the batch decode kernel unpacks them), and the engine defers
-    decoding to the result boundary
-    (:class:`repro.engine.results.ExecutionResult.rows`), so count-only
-    executions and untouched result sets never decode.  The
+    ``encoded = True`` plus an ``evaluate_coded()`` returning rows of int
+    codes, each a ``tuple`` (the batch decode kernel unpacks them): a
+    compiled driver's one ``list``, which the engine keeps as it is, or an
+    interpreted generator, which the engine drains with ``list(...)``.  A
+    compiled executor also has ``evaluate_head(limit)``: the first
+    ``limit`` rows and the exact count, computed without materialising the
+    rest (``None`` when the execution runs interpreted); under an
+    evaluation ``limit`` every other executor evaluates in full and the
+    engine cuts the list.  The engine defers decoding to the result
+    boundary (:class:`repro.engine.results.ExecutionResult.rows`), so
+    count-only executions and untouched result sets never decode.  The
     value-space baselines (``ytd``, ``pairwise``) have neither member; the
     engine duck-types them and takes plain ``evaluate()``.
     """

@@ -55,7 +55,8 @@ from __future__ import annotations
 import multiprocessing
 import weakref
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.cache import AdhesionCache, CachePolicy
 from repro.core.instrumentation import OperationCounter
@@ -580,7 +581,9 @@ def _run_morsel(database: Database, spec: MorselSpec, task: MorselTask) -> TaskO
         value = executor.count(task.lo, task.hi, counter)
         rows: Optional[List[Tuple[object, ...]]] = None
     else:
-        rows = list(executor.evaluate_coded(task.lo, task.hi, counter))
+        rows = executor.evaluate_coded(task.lo, task.hi, counter)
+        if not isinstance(rows, list):  # interpreted: a generator
+            rows = list(rows)
         value = len(rows)
     return TaskOutcome(value=value, rows=rows, counter=counter)
 
@@ -631,7 +634,7 @@ class ParallelExecutor:
     """
 
     #: Executor-protocol marker: every inner algorithm runs in code space
-    #: and ``evaluate_coded()`` yields code tuples.
+    #: and ``evaluate_coded()`` returns code tuples.
     encoded = True
 
     def __init__(
@@ -688,14 +691,15 @@ class ParallelExecutor:
         """Yield result rows as values (decoded at this boundary)."""
         return self.database.dictionary.decode_stream(self.evaluate_coded())
 
-    def evaluate_coded(self) -> Iterator[Tuple[object, ...]]:
-        """Yield result rows in storage space, concatenated in range order."""
+    def evaluate_coded(self) -> Iterable[Tuple[object, ...]]:
+        """Result rows in storage space: the serial template's as it returns
+        them, or the morsels' concatenated in range order."""
         if not self.schedule.parallel:
             self._template.deadline = self.deadline
-            yield from self._template.evaluate_coded()
-            return
-        for result in self._run_on_pool("evaluate"):
-            yield from result.rows
+            return self._template.evaluate_coded()
+        return list(chain.from_iterable(
+            result.rows for result in self._run_on_pool("evaluate")
+        ))
 
     # -------------------------------------------------------------- internals
     def _run_on_pool(self, run_mode: str) -> list:

@@ -96,11 +96,12 @@ class PreparedQuery:
         """Execute as a count query, reusing the plan and all caches."""
         return self._run("count")
 
-    def evaluate(self) -> ExecutionResult:
-        """Execute as a full evaluation, reusing the plan and all caches."""
-        return self._run("evaluate")
+    def evaluate(self, limit: Optional[int] = None) -> ExecutionResult:
+        """Execute as a full evaluation, reusing the plan and all caches;
+        ``limit`` as for :meth:`QueryEngine.evaluate`."""
+        return self._run("evaluate", limit)
 
-    def _run(self, mode: str) -> ExecutionResult:
+    def _run(self, mode: str, limit: Optional[int] = None) -> ExecutionResult:
         if self.algorithm == "clftj" and not self._parameters.get("parallel"):
             # The warm adhesion caches are mutated during execution, so
             # cached runs serialise (see the locking model).  clftj with
@@ -108,26 +109,31 @@ class PreparedQuery:
             # their own persistent adhesion caches, version-checked
             # worker-side on every morsel.
             with self._lock:
-                return self._run_unlocked(mode)
+                return self._run_unlocked(mode, limit)
         with self._lock:
             dropped = self._refresh_versions()
-        return self._execute(mode, dict(self._parameters), dropped)
+        return self._execute(mode, dict(self._parameters), dropped, limit)
 
-    def _run_unlocked(self, mode: str) -> ExecutionResult:
+    def _run_unlocked(self, mode: str, limit: Optional[int]) -> ExecutionResult:
         dropped = self._refresh_versions()
         parameters = dict(self._parameters)
         if self.algorithm == "clftj" and parameters.get("cache") is None:
             parameters["cache"] = self._persistent_cache(mode)
-        return self._execute(mode, parameters, dropped)
+        return self._execute(mode, parameters, dropped, limit)
 
     def _execute(
-        self, mode: str, parameters: Dict[str, object], dropped: int
+        self,
+        mode: str,
+        parameters: Dict[str, object],
+        dropped: int,
+        limit: Optional[int] = None,
     ) -> ExecutionResult:
         result = self.engine._execute(
             self.query,
             self.algorithm,
             mode,
             selection=self.selection,
+            limit=limit,
             **parameters,
         )
         with self._lock:

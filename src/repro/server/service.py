@@ -209,17 +209,24 @@ class QueryService:
                         fingerprint,
                         lambda: self._prepare_handle(query_text, parameters),
                     )
-                    result = handle.count() if mode == "count" else handle.evaluate()
+                    result = (
+                        handle.count()
+                        if mode == "count"
+                        else handle.evaluate(limit=max_rows)
+                    )
                 else:
                     query = self._resolve_query(query_text)
                     algorithm = parameters.pop("algorithm", "clftj")
                     parameters.setdefault("timeout", self.default_timeout)
                     if parameters.get("timeout") is None:
                         parameters.pop("timeout")
-                    runner = (
-                        self.engine.count if mode == "count" else self.engine.evaluate
-                    )
-                    result = runner(query, algorithm=algorithm, **parameters)
+                    if mode == "count":
+                        result = self.engine.count(query, algorithm=algorithm, **parameters)
+                    else:
+                        # only the rows the response carries are computed
+                        result = self.engine.evaluate(
+                            query, algorithm=algorithm, limit=max_rows, **parameters
+                        )
             except QueryTimeoutError:
                 self._record_request(mode, 408)
                 raise

@@ -340,7 +340,15 @@ class TestReporting:
         evaluate_source = executor.debug_source("evaluate")
         assert "def _count" in count_source
         assert "def _evaluate" in evaluate_source
-        assert "yield" in evaluate_source and "yield" not in count_source
+        # The evaluate loop returns one list and has no loop over the
+        # deepest run: a triangle loops over a and b only, and c's keys
+        # become rows in one batch.
+        tree = ast.parse(evaluate_source)
+        assert not any(isinstance(node, (ast.Yield, ast.YieldFrom)) for node in ast.walk(tree))
+        loops = [node for node in ast.walk(tree) if isinstance(node, ast.For)]
+        assert [loop.target.id for loop in loops] == ["i0", "i1"]
+        assert "_ext(zip(_repeat(k0), _repeat(k1), ks))" in evaluate_source
+        assert evaluate_source.rstrip().endswith("return rows")
         with pytest.raises(ValueError):
             executor.debug_source("nonsense")
 
@@ -376,9 +384,17 @@ class TestReporting:
             assert "this query: cached" in lines[at]
             return lines[at + 1]
 
+        def evaluate_levels(text):
+            lines = engine.explain(parse_query(text), algorithm="lftj").splitlines()
+            (line,) = [line for line in lines if line.startswith("  evaluate levels:")]
+            return line
+
         assert levels(P4, "lftj") == "  levels: merge > walk > walk > leaf-run"
         assert levels(C4, "lftj") == "  levels: merge > walk > set-leaf-run"
         assert levels("E(a,b), E(b,c), E(c,a)", "lftj") == "  levels: merge > set-leaf-run"
+        # beside the count loop, the evaluate loop: a batch of rows per leaf
+        assert evaluate_levels(P4) == "  evaluate levels: merge > walk > walk > walk > leaf-batch"
+        assert evaluate_levels(C4) == "  evaluate levels: merge > walk > walk > set-leaf-batch"
         # a probe entered at the leaf keeps the loop over the run above it;
         # the line is the loop of the form that runs: the inline one here ...
         assert levels(P4, "clftj") == (
@@ -667,11 +683,11 @@ PROBE_POLICIES = {
 }
 
 
-def _site_database(empty=False):
+def _site_database(empty=False, nodes=30, count=160):
     def rows(seed):
-        return [] if empty else _edges(seed=seed, nodes=30, count=160)
+        return [] if empty else _edges(seed=seed, nodes=nodes, count=count)
 
-    unary = [] if empty else [(value,) for value in range(0, 30, 2)]
+    unary = [] if empty else [(value,) for value in range(0, nodes, 2)]
     return Database([
         Relation("E", ("a", "b"), rows(1)),
         Relation("F", ("a", "b"), rows(2)),
@@ -1072,30 +1088,133 @@ class TestCounterModel:
         assert time.perf_counter() - started < timeout + whole / 2
 
 
+@pytest.fixture(scope="class")
+def site_engine():
+    """One engine over a smaller ``_site_database()`` for a class, so its
+    ``parallel=2`` runs share one worker pool (every site case still has
+    rows)."""
+    database = _site_database(nodes=20, count=80)
+    yield QueryEngine(database)
+    database.close_pools()
+
+
+class TestRowLimit:
+    """``evaluate(limit=N)`` keeps the first ``N`` rows and the exact count
+    on every path; a compiled driver with no probed node stops its evaluate
+    loop past ``N`` rows, every other execution evaluates in full."""
+
+    @pytest.mark.parametrize("case", SITE_CASES, ids=SITE_IDS)
+    def test_rows_and_count_under_a_limit(self, case, site_engine):
+        query = parse_query(case.text)
+        for algorithm in ("lftj", "clftj"):
+            options = case.options() if algorithm == "clftj" else {}
+            oracle = site_engine.evaluate(query, algorithm=algorithm, compile=False, **options)
+            full = site_engine.evaluate(query, algorithm=algorithm, **options)
+            # without a limit: the same rows, and every counter
+            assert full.rows == oracle.rows
+            assert full.counter.as_dict() == oracle.counter.as_dict(), (algorithm, case.name)
+            count = oracle.count
+            for compile in (None, False):
+                for parallel in (None, 2):
+                    for limit in sorted({0, 1, max(count - 1, 0), count, count + 1}):
+                        result = site_engine.evaluate(
+                            query, algorithm=algorithm, compile=compile,
+                            parallel=parallel, limit=limit, **options,
+                        )
+                        assert (result.count, result.rows) == (count, oracle.rows[:limit]), (
+                            algorithm, compile, parallel, limit
+                        )
+
+    def test_the_evaluate_loop_stops_past_the_limit(self):
+        engine = QueryEngine(_site_database())
+        prepared = engine.prepare(parse_query(P3), algorithm="lftj")
+        full = prepared.evaluate()
+        driver = prepared.compiled_driver()
+        whole, cut = OperationCounter(), OperationCounter()
+        everything = driver.evaluate(whole)
+        head = driver.evaluate(cut, limit=10)
+        # past the limit by less than one leaf's batch, and the work of it
+        assert 10 < len(head) < len(everything) == full.count
+        assert head == everything[: len(head)]
+        assert cut.memory_accesses < whole.memory_accesses
+        # a limit the result does not pass is the whole result
+        assert driver.evaluate(OperationCounter(), limit=full.count) == everything
+        # the engine keeps the prefix and takes the count from the count
+        # loop: the counter holds both loops' work
+        limited = prepared.evaluate(limit=10)
+        assert (limited.count, limited.rows) == (full.count, full.rows[:10])
+        assert limited.counter.results_emitted == len(head) + full.count
+
+    @pytest.mark.parametrize("limit", [-1, 1.0, True, "3"])
+    def test_a_limit_is_a_non_negative_int(self, engine, limit):
+        with pytest.raises(ValueError, match="limit must be a non-negative integer"):
+            engine.evaluate(path_query(2), algorithm="lftj", limit=limit)
+        with pytest.raises(ValueError, match="limit must be a non-negative integer"):
+            engine.prepare(path_query(2), algorithm="lftj").evaluate(limit=limit)
+
+    def test_deadline_fires_inside_a_leaf_heavy_evaluation(self):
+        """Every leaf is one batch of 2000 rows, which advances the deadline
+        gate by its rows: an evaluation of 4M rows stops soon after its
+        deadline, long before it has materialised them."""
+        hub = 0
+        edges = [(a, hub) for a in range(1, 2001)] + [(hub, c) for c in range(2001, 4001)]
+        engine = QueryEngine(Database([Relation("E", ("a", "b"), edges)]))
+        query = parse_query("E(a,b), E(b,c)")
+        prepared = engine.prepare(query, algorithm="lftj")
+        assert prepared.count().count == 2000 * 2000
+        assert prepared.compiled_driver().levels["evaluate"] == ("merge", "walk", "leaf-batch")
+        timeout = 0.01
+        started = time.perf_counter()
+        with pytest.raises(QueryTimeoutError):
+            engine.evaluate(query, algorithm="lftj", timeout=timeout)
+        assert time.perf_counter() - started < timeout + 0.25
+        # the engine is reusable, and a limit stops at the first leaf
+        head = prepared.evaluate(limit=5)
+        assert (head.count, head.rows) == (2000 * 2000, [(1, hub, c) for c in range(2001, 2006)])
+
+    def test_a_warm_clftj_handle_evaluates_alike_after_a_truncated_evaluation(self):
+        """A limit never leaves a half-filled adhesion cache behind: probed
+        CLFTJ evaluates in full, a single bag stores nothing."""
+        for text in (P4, LOLLIPOP, "E(a,b), E(b,c), E(c,a)"):
+            query = parse_query(text)
+            truncated = QueryEngine(_site_database()).prepare(query, algorithm="clftj")
+            untouched = QueryEngine(_site_database()).prepare(query, algorithm="clftj")
+            first, reference = truncated.evaluate(limit=3), untouched.evaluate()
+            assert (first.count, first.rows) == (reference.count, reference.rows[:3])
+            again, warm = truncated.evaluate(), untouched.evaluate()
+            assert (again.count, again.rows) == (warm.count, warm.rows) == (
+                reference.count, reference.rows
+            )
+            assert again.counter.as_dict() == warm.counter.as_dict(), text
+            assert truncated.count().count == reference.count
+
+
 #: sha256 prefixes of generated sources over ``_site_database()``: the LFTJ
 #: loops and the CLFTJ policy-call form must not move with a change that
 #: only reshapes the inline form.  A change that means to move one says so
-#: and updates its digest.
+#: and updates its digest.  (The ``evaluate`` entries moved when the
+#: evaluate loop started emitting one batch of rows per leaf into the one
+#: list it returns.)
 PINNED_SOURCES = {
     ("3-path", "lftj", "count"): "8568422043263f17",
-    ("3-path", "lftj", "evaluate"): "f03f7df813fd7cec",
+    ("3-path", "lftj", "evaluate"): "4f5a6bcc0e998aea",
     ("3-path", "clftj", "count"): "623ba12f81626160",
     ("4-path", "lftj", "count"): "2b0e05c3b1cc7fdc",
-    ("4-path", "lftj", "evaluate"): "3a11bea148324c50",
+    ("4-path", "lftj", "evaluate"): "933949f55052986d",
     ("4-path", "clftj", "count"): "9f5ee98da3e7d9e7",
     ("3-star", "lftj", "count"): "4bc916749bda2b52",
-    ("3-star", "lftj", "evaluate"): "8b0309fc990e3063",
+    ("3-star", "lftj", "evaluate"): "52301bb3c3bde01e",
     ("3-star", "clftj", "count"): "dd01238314e7b905",
     ("lollipop", "lftj", "count"): "9da28f2fb1a17d1e",
-    ("lollipop", "lftj", "evaluate"): "3cb1ff9710501019",
+    ("lollipop", "lftj", "evaluate"): "824e50909fb4418b",
     ("lollipop", "clftj", "count"): "bfeeb77242c716f8",
     ("triangle", "lftj", "count"): "9b3e07876d0c97a0",
-    ("triangle", "lftj", "evaluate"): "2e54ff53900f708b",
+    ("triangle", "lftj", "evaluate"): "f1ce177bbc28c36f",
     ("4-cycle", "lftj", "count"): "f0508e63b464953c",
-    ("4-cycle", "lftj", "evaluate"): "51e3e51150b8df88",
+    ("4-cycle", "lftj", "evaluate"): "f56e5e31b42e0699",
     ("4-cycle", "clftj", "count"): "f00c97b72aec0971",
     ("5-cycle", "lftj", "count"): "0b5dc4d969918927",
-    ("5-cycle", "lftj", "evaluate"): "b0b6ab3767eae7da",
+    ("5-cycle", "lftj", "evaluate"): "a841e696242a294e",
     ("5-cycle", "clftj", "count"): "da429a18a7c67f19",
 }
 PINNED_SHAPES = {

@@ -372,6 +372,37 @@ class TestService:
         assert exact["rows_truncated"] is False and len(exact["rows"]) == full["count"]
         assert service.evaluate({"query": "3-path", "max_rows": 0})["rows"] == []
 
+    @pytest.mark.parametrize("algorithm", ["lftj", "clftj"])
+    def test_evaluate_under_max_rows_answers_as_a_full_evaluation_would(self, service, algorithm):
+        """``max_rows`` reaches the engine as ``limit``: a compiled driver
+        stops at the rows the response keeps.  The response is the one a
+        full evaluation cut at ``max_rows`` renders, timing aside, on the
+        query-text path and through a session."""
+        timing = ("elapsed_seconds", "decode_seconds")
+
+        def untimed(response):
+            body = {key: value for key, value in response.items()
+                    if key not in timing and key != "session"}
+            body["metadata"] = {key: value for key, value in response["metadata"].items()
+                                if key not in timing + ("prepared_executions",)}
+            return body
+
+        query = {"query": "3-path", "algorithm": algorithm}
+        count = service.evaluate(dict(query, max_rows=0))["count"]  # warms every cache
+        token = service.prepare(query)["session"]
+        for max_rows in (0, 1, count // 2, count - 1, count, count + 1):
+            full = service.engine.evaluate(
+                path_query(3), algorithm=algorithm, timeout=service.default_timeout
+            )
+            before = untimed(service._render_result(full, "evaluate", max_rows))
+            response = service.evaluate(dict(query, max_rows=max_rows))
+            assert untimed(response) == before, max_rows
+            assert response["rows_truncated"] is (max_rows < count)
+            assert len(response["rows"]) == min(max_rows, count)
+            session = service.evaluate(dict(query, max_rows=max_rows, session=token))
+            for key in ("rows", "count", "rows_truncated"):
+                assert session[key] == before[key], (max_rows, key)
+
     def test_bad_payloads_raise_request_error(self, service):
         for payload in (
             {},
