@@ -32,6 +32,12 @@ What the generated driver does differently from the interpreter:
   ``frozenset``.  Either way the whole walked run goes through ``map`` /
   ``sum`` at C level (:meth:`_Codegen.emit_leaf_run`) — the same trie
   positions, no bytecode per key;
+* in a count with no cache probe the walk right above such a pair loses
+  its loop too, where it descends through one root-level filter into the
+  pair's run: a hoisted run table maps each walked key to its child run,
+  and the pair is reduced over the found runs chained
+  (:meth:`_Codegen.emit_walk_run`) — still every position per binding,
+  with nothing carried from one binding to the next;
 * an evaluation's deepest depth has no loop either: its keys — one run's
   slice, or the varying run filtered by the hoisted invariant set — become
   rows in one ``rows.extend(zip(...))`` per leaf, into the one list the
@@ -69,9 +75,13 @@ tables, picked per call by :func:`probe_form`: under
 cache every consult is a ``.get`` on the cache's own table and every miss
 a store into it, and the cache counters are derived from the hit and miss
 branches' trip counters like the trie counters below; every other (policy,
-cache) pair calls ``cache.get`` / ``policy.should_cache`` / ``cache.put``.
-Only the inline form probes a sibling once per counted block: a policy
-call may refuse to store, so there a later binding could miss again.
+cache) pair calls ``cache.get`` / ``policy.should_cache`` / ``cache.put`` —
+but for an LRU-bounded cache (Figure 10's), whose inline loop also moves a
+hit to the end and evicts the oldest entry before a store into a full
+table, counting evictions by the eviction branch's trips; that variant is
+compiled on its first use.  Only the inline form probes a sibling once per
+counted block: a policy call may refuse to store, so there a later binding
+could miss again, while an inline one stores its entry last.
 
 Because the driver holds direct references to trie columns, it is only
 valid while those columns are current: the database drops cached drivers on
@@ -95,20 +105,26 @@ past its filters, each branch of a CLFTJ cache probe, the lower-bound seek
 of a ``[lo, hi)`` range — is a *site* (:class:`_Site`).  What the
 interpreter charges per visit of a site is known at codegen time, so the
 site carries it as coefficients and the generated code only counts visits.
-The innermost loop left in the 4-path LFTJ count, with the reduced leaf
-run under it, is the whole of it::
+The innermost loop left in the 4-path LFTJ count, with the walk-run and
+the reduced leaf run under it, is the whole of it::
 
-    for i2 in range(lo1_1, hi1_1):
-        k2 = K1_1[i2]
-        p2_0 = fd2_0.get(k2)
-        if p2_0 is None:
+    for i1 in range(lo0_1, hi0_1):
+        k1 = K0_1[i1]
+        p1_0 = fd1_0.get(k1)
+        if p1_0 is None:
             continue
-        lo2_1 = B2_0[p2_0]; hi2_1 = E2_0[p2_0]
-        n4 += 1
-        # depth 3: interior intersection
-        c_acc += (hi2_1 - lo2_1)
+        lo1_1 = B1_0[p1_0]; hi1_1 = E1_0[p1_0]
+        n3 += 1
+        # depth 2: interior intersection
+        c_acc += (hi1_1 - lo1_1)
+        # depth 2: walk, every found run at once
+        rs = list(map(kr2_0.get, K1_1[lo1_1:hi1_1], _noruns))
+        ls = list(map(len, rs))
+        n4 += len(ls) - ls.count(0)
+        # depth 3: interior intersection, per run found
+        c_acc += sum(ls)
         # depth 4: fused leaf count, whole run at once
-        ws = list(map(w3_0.get, K2_1[lo2_1:hi2_1], _zeros))
+        ws = list(map(w3_0.get, _chain(rs), _zeros))
         n5 += len(ws) - ws.count(0)
         m = sum(ws)
         c_acc += m
@@ -124,21 +140,23 @@ What a loop still measures is what no trip count determines: ``total``;
 the span charge ``max(1, summed run spans)`` (minus the spans of root runs
 first met below depth 0 — constants of the captured columns, and one such
 unit makes the ``max`` static — which move to the site: the ``204`` above
-is 2 opens + 2 ups + a 200-key root run); the keys a reduced leaf run finds
-(``n5`` above: its leaf site is visited once per non-zero weight); CLFTJ's
+is 2 opens + 2 ups + a 200-key root run); the runs a walk-run finds and the
+keys a reduced leaf run finds (``n4`` and ``n5`` above: a site visited once
+per non-empty run, once per non-zero weight); CLFTJ's
 per-node intermediates ``im<node>``; and CLFTJ's per-match recursive calls
 ``c_rec += m``, which under a cache hit differ from ``total``'s
 ``factor * m``.  Everything else
 is derived: count mode adds each match to ``total`` and to nothing else,
 so emitted results *are* ``total`` and so is LFTJ's per-match share of the
 recursive calls; in the inline probe form a hit is a visit of a hit
-branch, and a miss, an insertion and a materialised tuple are each a
-visit of a miss branch.  Parity with the interpreter is exact because the
-derivation is algebra over the same charges, not an approximation of them:
-``tests/test_compiler.py`` holds one query per kind of site to the
-interpreted ``counter.as_dict()`` over the whole key space, over summed
-``[lo, hi)`` ranges, over empty relations and under a deadline, and fails
-if a loop body starts keeping a derivable counter again.  Evaluate mode
+branch, a miss, an insertion and a materialised tuple are each a visit of
+a miss branch, and an eviction is a visit of an eviction branch.  Parity
+with the interpreter is exact because the derivation is algebra over the
+same charges, not an approximation of them: ``tests/test_compiler.py``
+holds one query per kind of site to the interpreted ``counter.as_dict()``
+over the whole key space, over summed ``[lo, hi)`` ranges, over empty
+relations and under a deadline, and fails if a loop body starts keeping a
+derivable counter again.  Evaluate mode
 derives the same interior charges and adds each leaf's batch of rows to
 ``c_res``, its matches and its share of the recursive calls; a loop stopped
 at a ``limit`` still runs the epilogue, so its counters hold the work done.
@@ -151,7 +169,8 @@ import time
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import repeat
+from functools import partial
+from itertools import chain, repeat
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core import leapfrog
@@ -291,30 +310,48 @@ def resolve_driver(
 INLINE_PROBE: str = "inline"
 
 
-def probe_form(policy: CachePolicy, cache: AdhesionCache) -> str:
-    """How a compiled count consults ``cache`` under ``policy``:
-    :data:`INLINE_PROBE`, or ``"policy call (<why>)"``.
-
-    Inline is the one pair whose decisions are all static: exactly
-    :class:`AlwaysCachePolicy` (a subclass may override ``should_cache``)
-    over an exact :class:`AdhesionCache` that is unbounded and not LRU, so
-    a consult never evicts, rejects or reorders and every miss stores.  The
-    loop then reads and writes ``(node, values)`` in the cache's table and
-    derives hits, misses and insertions from its trip counters.  Every
-    other pair goes through ``cache.get`` / ``policy.should_cache`` /
-    ``cache.put``.  The driver asks this per call; ``explain()`` prints it.
-    """
+def _probe_reasons(policy: CachePolicy, cache: AdhesionCache) -> List[str]:
+    """Why a compiled count would consult ``cache`` under ``policy`` through
+    calls; none means inline (:func:`probe_form`)."""
     reasons = []
     if type(policy) is not AlwaysCachePolicy:
         reasons.append(type(policy).__name__)
     if type(cache) is not AdhesionCache:
         reasons.append(type(cache).__name__)
-    elif cache.capacity is not None:
-        lru = "LRU " if cache.eviction == "lru" else ""
-        reasons.append(f"{lru}capacity {cache.capacity}")
-    elif cache.eviction == "lru":
+    elif cache.eviction != "lru":
+        if cache.capacity is not None:
+            reasons.append(f"capacity {cache.capacity}")
+    elif cache.capacity is None:
         reasons.append("LRU order")
-    return f"policy call ({', '.join(reasons)})" if reasons else INLINE_PROBE
+    elif cache.capacity == 0:
+        reasons.append("LRU capacity 0")
+    return reasons
+
+
+def probe_form(policy: CachePolicy, cache: AdhesionCache) -> str:
+    """How a compiled count consults ``cache`` under ``policy``:
+    :data:`INLINE_PROBE`, ``"inline (LRU capacity <n>)"`` or
+    ``"policy call (<why>)"``.
+
+    Inline is for the pairs whose decisions are all static: exactly
+    :class:`AlwaysCachePolicy` (a subclass may override ``should_cache``)
+    over an exact :class:`AdhesionCache` that is unbounded and not LRU, so
+    a consult never evicts, rejects or reorders and every miss stores — or
+    that is LRU-bounded with room for an entry, so every miss stores after
+    evicting the least recently used entry of a full table and every hit
+    moves its entry to the end.  The loop then reads and writes
+    ``(node, values)`` in the cache's table and derives hits, misses,
+    insertions and evictions from its trip counters.  Every other pair
+    (the ``reject`` discipline, a capacity of 0, another policy) goes
+    through ``cache.get`` / ``policy.should_cache`` / ``cache.put``.  The
+    driver asks this per call; ``explain()`` prints it.
+    """
+    reasons = _probe_reasons(policy, cache)
+    if reasons:
+        return f"policy call ({', '.join(reasons)})"
+    if cache.capacity is not None:
+        return f"{INLINE_PROBE} (LRU capacity {cache.capacity})"
+    return INLINE_PROBE
 
 
 def pending_deltas(
@@ -351,6 +388,10 @@ def _atom_bundle(base: TrieIndex) -> Tuple[object, ...]:
     return tuple(parts)
 
 
+#: One generated loop: its source, its compiled function and its levels.
+_Loop = Tuple[str, Callable, Tuple[str, ...]]
+
+
 @dataclass
 class CompiledDriver:
     """One compiled driver over captured trie columns.
@@ -359,9 +400,10 @@ class CompiledDriver:
     the count loop inlines.  With none, there is an evaluate loop too; with
     some, there are two count loops over the same hoisted tables — one that
     reads and writes the cache's table itself, one that calls the cache and
-    the policy — and the count takes the cache and the policy at *run
-    time*, so one driver serves every cache (serial, prepared, per-worker)
-    of its key.
+    the policy — plus, compiled on the first count over an LRU-bounded
+    cache, the first one's LRU variant; the count takes the cache and the
+    policy at *run time*, so one driver serves every cache (serial,
+    prepared, per-worker) of its key.
     """
 
     key: Tuple[object, ...]
@@ -371,10 +413,12 @@ class CompiledDriver:
     probed_nodes: Tuple[int, ...]
     #: What each loop is made of (keyed like :meth:`debug_source`:
     #: ``count`` and ``evaluate``, or ``count`` and ``count-inline`` for a
-    #: probing driver), outermost first: one word per depth (``merge``,
-    #: ``walk``, ``fused-leaf``, ``set-leaf``, ``unfused-leaf``),
-    #: ``leaf-run`` / ``set-leaf-run`` for a count's last pair of depths
-    #: reduced without a loop (over a fused leaf / a set-leaf),
+    #: probing driver, and ``count-inline-lru`` once compiled), outermost
+    #: first: one word per depth (``merge``, ``walk``, ``fused-leaf``,
+    #: ``set-leaf``, ``unfused-leaf``), ``leaf-run`` / ``set-leaf-run`` for a
+    #: count's last pair of depths reduced without a loop (over a fused leaf
+    #: / a set-leaf), ``walk-run`` for the walk above one that loses its
+    #: loop too,
     #: ``leaf-batch`` / ``set-leaf-batch`` for an evaluation's deepest depth
     #: emitted as one batch of rows (over the runs / beside the invariant
     #: set), ``probe@<node>`` before the depth a probed node is entered at,
@@ -388,6 +432,8 @@ class CompiledDriver:
     #: Per mode, the tables its prologue hoisted out of the captured columns
     #: (built by the first call); a field so ``memory_footprint()`` sees them.
     _hoists: Dict[str, Dict[str, object]] = field(repr=False)
+    #: The loops compiled on first use (:meth:`_loop`), by name.
+    _deferred: Dict[str, Callable[[], _Loop]] = field(repr=False, default_factory=dict)
 
     def count(
         self, counter: OperationCounter, lo=None, hi=None, deadline=None,
@@ -396,24 +442,46 @@ class CompiledDriver:
         """Run the generated count loop over codes in ``[lo, hi)``.
 
         A probing driver picks its form per call (:func:`probe_form`): the
-        inline loop over ``cache``'s own table, or the policy-call loop.
+        inline loop over ``cache``'s own table (its LRU variant over an
+        LRU-bounded cache), or the policy-call loop.
         """
         columns, hoist = self._columns, self._hoists["count"]
         if not self.probed_nodes:
             return self._functions["count"](columns, hoist, counter, lo, hi, deadline)
-        if probe_form(policy, cache) != INLINE_PROBE:
+        inline = None
+        if not _probe_reasons(policy, cache):
+            bound = cache.capacity is not None
+            inline = self._loop("count-inline-lru" if bound else "count-inline")
+        if inline is None:
             return self._functions["count"](
                 columns, hoist, counter, cache, policy, lo, hi, deadline
             )
         table = cache.table
         held = len(table)
         try:
-            return self._functions["count-inline"](
-                columns, hoist, counter, table, lo, hi, deadline
-            )
+            if not bound:
+                return inline(columns, hoist, counter, table, lo, hi, deadline)
+            return inline(columns, hoist, counter, table, cache.capacity, lo, hi, deadline)
         finally:
-            if len(table) != held:  # inline probes only ever add entries
+            # unbounded inline probes only ever add entries; a full LRU
+            # cache evicts as it stores, at a constant length
+            if bound or len(table) != held:
                 cache.drop_byte_sum()
+
+    def _loop(self, name: str) -> Optional[Callable]:
+        """The compiled loop ``name``, compiled now if it is deferred; ``None``
+        when that compilation fails (the count then takes the policy-call
+        loop, which the same cache and policy run alike)."""
+        function = self._functions.get(name)
+        if function is None:
+            build = self._deferred[name]
+            try:
+                source, function, levels = build()
+            except Exception:  # degrade, never fail the query
+                return None
+            self._sources[name], self.levels[name] = source, levels
+            self._functions[name] = function
+        return function
 
     def evaluate(
         self, counter: OperationCounter, lo=None, hi=None, deadline=None, limit=None
@@ -432,12 +500,15 @@ class CompiledDriver:
 
     def debug_source(self, mode: str = "count") -> str:
         """The generated Python source for ``mode``: ``count``, ``evaluate``
-        (no probed node) or ``count-inline`` (probed nodes; ``count`` is
-        then the policy-call form)."""
+        (no probed node) or ``count-inline`` and ``count-inline-lru``
+        (probed nodes; ``count`` is then the policy-call form, and the LRU
+        variant is compiled here if no count has needed it yet)."""
+        if mode in self._deferred:
+            self._loop(mode)
         if mode not in self._sources:
             raise ValueError(
                 f"unknown driver mode {mode!r}; choose one of "
-                f"{tuple(self._sources)}"
+                f"{tuple(dict.fromkeys([*self._sources, *self._deferred]))}"
             )
         return self._sources[mode]
 
@@ -560,7 +631,11 @@ class _Codegen:
     the cache's table and a store into it on every miss, with the hit and
     miss branches' trip counters standing in for the cache counters; there
     a miss on a childless node may count its block and probe the next
-    node once (:meth:`_plan_once`).
+    node once (:meth:`_plan_once`).  ``lru`` makes the inline loop the
+    ``count-inline-lru`` one, which takes the cache's capacity ``cap``: a
+    hit moves its entry to the end, a store into a full table first pops
+    the oldest entry, and an eviction branch's trip counter stands in for
+    the evictions.
     """
 
     def __init__(
@@ -571,8 +646,10 @@ class _Codegen:
         shapes: Dict[int, _ClftjNodeShape],
         owner_at_depth: Tuple[int, ...],
         inline: bool = False,
+        lru: bool = False,
     ) -> None:
         self.inline = inline
+        self.lru = lru
         self.atom_depths = tuple(atom_depths)
         self.num_variables = 1 + max(
             depth for depths in atom_depths for depth in depths
@@ -626,9 +703,11 @@ class _Codegen:
         #: top-level call the interpreter records on entry.
         self.site = _Site("1", rec=1)
         self.sites: List[_Site] = [self.site]
-        #: The trip counters of every probe's hit and miss branches.
+        #: The trip counters of every probe's hit and miss branches, and of
+        #: every store's eviction branch (``lru`` only).
         self.hit_visits: List[str] = []
         self.miss_visits: List[str] = []
+        self.evict_visits: List[str] = []
         #: What was emitted at each depth (:meth:`levels`).
         self.level_words: Dict[int, List[str]] = {}
         #: Per childless node whose miss is counted without its continuation
@@ -768,12 +847,28 @@ class _Codegen:
             if len(drivers) != 1:
                 continue
             filters = [pair for pair in participants if pair != drivers[0]]
-            leaf_run = self._leaf_run_parent(depth, filters)
-            for atom, level in filters:
+            self.interior_plan[depth] = {
+                "driver": drivers[0],
+                "filters": filters,
+                "leaf_run": self._leaf_run_parent(depth, filters),
+            }
+        for depth, plan in self.interior_plan.items():
+            plan["walk_run"] = walk_run = self._walk_run_parent(depth, plan)
+            leaf_run = plan["leaf_run"]
+            for atom, level in plan["filters"]:
                 bind = self.bind_depth(atom, level)
-                if (atom, level) == leaf_run and depth + 1 not in self.leaf_sets:
-                    # Nothing but the leaf reads this position, and the leaf
-                    # only for the length of the child run under it ...
+                if (atom, level) == walk_run:
+                    # Nothing but the walk below reads this position, and
+                    # only for the child run under it, a slice of the column ...
+                    build = (
+                        f"kr{atom}_{level}",
+                        f"{{K{atom}_{level}[i]: K{atom}_{level + 1}"
+                        f"[B{atom}_{level}[i]:E{atom}_{level}[i]]"
+                        f" for i in range(lo{atom}_{level}, hi{atom}_{level})}}",
+                    )
+                elif (atom, level) == leaf_run and depth + 1 not in self.leaf_sets:
+                    # ... or nothing but the leaf, and only for the length
+                    # of the child run under it ...
                     build = (
                         f"w{atom}_{level}",
                         f"{{K{atom}_{level}[i]: E{atom}_{level}[i] - B{atom}_{level}[i]"
@@ -801,11 +896,6 @@ class _Codegen:
                         f"[lo{atom}_{level}:hi{atom}_{level}])",
                     )
                 self.hoist_builds.setdefault(bind, []).append(build)
-            self.interior_plan[depth] = {
-                "driver": drivers[0],
-                "filters": filters,
-                "leaf_run": leaf_run,
-            }
 
     def _leaf_run_parent(
         self, depth: int, filters: Sequence[Tuple[int, int]]
@@ -831,6 +921,32 @@ class _Codegen:
         ((atom, level),) = varying
         parent = (atom, level - 1)
         return parent if parent in filters else None
+
+    def _walk_run_parent(
+        self, depth: int, plan: Dict[str, object]
+    ) -> Optional[Tuple[int, int]]:
+        """The walk filter whose child runs the walk below chains, when the
+        walk at ``depth`` loses its loop too (:meth:`emit_walk_run`).
+
+        That takes a count with no probed node whose next depth is a reduced
+        leaf run (:meth:`_leaf_run_parent`) driven by the child run of this
+        walk's one descending filter, a root-level filter, so its run table
+        is hoisted once per driver.  Nothing else descends here — the walked
+        run does not, and every other filter only narrows it — so nothing
+        below varies with this depth's key but the chained run.
+        """
+        if self.mode != "count" or self.probed or plan["leaf_run"] is not None:
+            return None
+        below = self.interior_plan.get(depth + 1)
+        if below is None or below["leaf_run"] is None:
+            return None
+        descending = [pair for pair in plan["filters"] if self.needs_positions(*pair)]
+        if self.needs_positions(*plan["driver"]) or len(descending) != 1:
+            return None
+        ((atom, level),) = descending
+        if level != 0 or below["driver"] != (atom, 1):
+            return None
+        return atom, level
 
     # ------------------------------------------------------------- utilities
     def emit(self, indent: int, text: str) -> None:
@@ -957,7 +1073,11 @@ class _Codegen:
 
     # ------------------------------------------------------------ generation
     def generate(self) -> str:
-        probe = ("_tab, " if self.inline else "cache, policy, ") if self.probed else ""
+        probe = ""
+        if self.probed:
+            probe = "cache, policy, "
+            if self.inline:
+                probe = "_tab, cap, " if self.lru else "_tab, "
         limit = " limit=None," if self.mode == "evaluate" else ""
         self.emit(
             0,
@@ -1053,6 +1173,8 @@ class _Codegen:
         if self.probed:
             if self.inline:
                 self.emit(1, "_tget = _tab.get")
+                if self.lru:
+                    self.emit(1, "_tmove = _tab.move_to_end; _tpop = _tab.popitem")
                 self.emit(1, "c_rec = 0")
             else:
                 self.emit(
@@ -1091,6 +1213,8 @@ class _Codegen:
                 self.emit(1, f"counter.cache_hits += {' + '.join(self.hit_visits)}")
                 self.emit(1, "counter.cache_misses += c_mat")
                 self.emit(1, "counter.cache_insertions += c_mat")
+                if self.lru:
+                    self.emit(1, f"counter.cache_evictions += {' + '.join(self.evict_visits)}")
             self.emit(1, "counter.tuples_materialized += c_mat")
         self.emit(1, f"counter.trie_accesses += {self.derived('acc', 'c_acc')}")
         self.emit(1, f"counter.trie_seeks += {self.derived('seek')}")
@@ -1164,12 +1288,20 @@ class _Codegen:
         if after is not None:
             self.emit_probe_once(body, shape, after)
         if self.inline:
+            if self.lru:
+                # a full cache makes room by evicting its least recently used
+                self.emit(body, "if len(_tab) >= cap:")
+                with self.visit_site(body + 1):
+                    self.evict_visits.append(self.site.visits)
+                    self.emit(body + 1, "_tpop(False)")
             self.emit(body, f"_tab[ak{pid}] = im{node}")
         else:
             self.emit(body, f"if _should({node}, _AV{node}, ak{pid}, im{node}):")
             self.emit(body + 1, f"if _cput({node}, ak{pid}, im{node}):")
             self.emit(body + 2, "c_mat += 1")
         self.emit(indent, "else:")
+        if self.lru:
+            self.emit(body, f"_tmove(ak{pid})")
         self.emit(body, f"im{node} = cv{pid}")
         fid = self._factor_serial
         self._factor_serial += 1
@@ -1288,6 +1420,9 @@ class _Codegen:
         if plan["leaf_run"] is not None:
             self.emit_leaf_run(depth, indent, plan)
             return
+        if plan["walk_run"] is not None:
+            self.emit_walk_run(depth, indent, plan)
+            return
         self.note_level(depth, "walk")
         atom, level = plan["driver"]
         self.emit(
@@ -1313,7 +1448,70 @@ class _Codegen:
             self.emit(body, f"p{atom}_{level} = i{depth}")
         self.emit_descent(depth, body)
 
-    def emit_leaf_run(self, depth: int, indent: int, plan: Dict[str, object]) -> None:
+    def emit_walk_run(self, depth: int, indent: int, plan: Dict[str, object]) -> None:
+        """A walk whose every found key descends into the leaf run below,
+        reduced with it (``walk-run``).
+
+        Per walked key the loop this replaces looked the descending filter's
+        position up and ran the leaf run over the child run there.  The
+        hoisted run table ``kr<a>_0`` holds that child run per key (the trie
+        level re-keyed, like the weight and children tables), so the walked
+        keys map to their runs at C level and the leaf run goes over all of
+        them at once, chained.  Each binding still visits every position
+        below it — nothing is kept across bindings — and a binding's chain
+        is at most one relation long.  The site model holds per found run,
+        which is non-empty: the level below is visited once per run found,
+        its span charge is the run's length plus the invariant runs' spans
+        (static ``max``), and the leaf run below keeps its own sites.
+        """
+        parent, parent_level = plan["walk_run"]
+        keys = self.narrowed_run(plan, plan["walk_run"])
+        below = depth + 1
+        self.note_level(depth, "walk-run")
+        self.emit(indent, f"# depth {depth}: walk, every found run at once")
+        self.emit(indent, f"rs = list(map(kr{parent}_{parent_level}.get, {keys}, _noruns))")
+        self.emit(indent, "ls = list(map(len, rs))")
+        found = "len(ls) - ls.count(0)"
+        with self.visit_site(indent, found):
+            self.emit(indent, f"# depth {below}: interior intersection, per run found")
+            participants = self.participants[below]
+            self.charge_level(below, len(participants))
+            others = [pair for pair in participants if pair != (parent, parent_level + 1)]
+            self.emit_run_spans(indent, others, "sum(ls)", found)
+            self.emit_leaf_run(below, indent, self.interior_plan[below], chained=True)
+
+    def narrowed_run(self, plan: Dict[str, object], descending: Tuple[int, int]) -> str:
+        """A walk's driver run as a slice, intersected with the set of every
+        filter but the ``descending`` one (a run's keys are unique, so the
+        intersection keeps each)."""
+        atom, level = plan["driver"]
+        keys = f"K{atom}_{level}[lo{atom}_{level}:hi{atom}_{level}]"
+        narrowing = [f"fs{other}_{other_level}" for other, other_level in plan["filters"]
+                     if (other, other_level) != descending]
+        if narrowing:
+            keys = f"{narrowing[0]}.intersection({', '.join([keys] + narrowing[1:])})"
+        return keys
+
+    def emit_run_spans(
+        self, indent: int, others: Sequence[Tuple[int, int]], lengths: str, found: str
+    ) -> None:
+        """Charge the span charges of ``found`` visits of one intersection
+        at once: ``lengths`` sums the varying run's spans, and the ``others``
+        add their fixed spans to the site and their invariant ones per
+        visit.  A visited run is non-empty, so ``max(1, span)`` is static."""
+        fixed, varying = self.split_spans(others)
+        self.site.acc += fixed
+        spans = lengths
+        if varying:
+            invariant = self.span_expr(varying)
+            if len(varying) > 1:
+                invariant = f"({invariant})"
+            spans += f" + ({found}) * {invariant}"
+        self.emit(indent, f"c_acc += {spans}")
+
+    def emit_leaf_run(
+        self, depth: int, indent: int, plan: Dict[str, object], chained: bool = False
+    ) -> None:
         """The walk over the driver run *and* the leaf under it, reduced.
 
         Per walked key the loop this replaces looked a position up and added
@@ -1335,20 +1533,25 @@ class _Codegen:
         because ``set.intersection`` with a set argument iterates the smaller
         side: a hub's long child run costs no more than ``sl<k>``.
 
+        ``chained``: the walked run is every run the walk above found
+        (:meth:`emit_walk_run`), one after another.  A key may repeat across
+        runs and each copy is a visit, so a narrowing set filters the chain
+        and keeps every copy (an intersection would drop them).
+
         At a block's end (:attr:`block_ends`) the pair is a block's last
         two depths and ``m`` its bindings, for the probe once after it.
         """
-        atom, level = plan["driver"]
-        span = f"hi{atom}_{level} - lo{atom}_{level}"
-        keys = f"K{atom}_{level}[lo{atom}_{level}:hi{atom}_{level}]"
-        narrowing = [
-            f"fs{other}_{other_level}"
-            for other, other_level in plan["filters"]
-            if (other, other_level) != plan["leaf_run"]
-        ]
-        if narrowing:
-            keys = f"{narrowing[0]}.intersection({', '.join([keys] + narrowing[1:])})"
         parent, parent_level = plan["leaf_run"]
+        if chained:
+            # the gate advances by both loops' trips: the walk's and this one's
+            span, keys = "len(ls) + sum(ls)", "_chain(rs)"
+            for other, other_level in plan["filters"]:
+                if (other, other_level) != plan["leaf_run"]:
+                    keys = f"filter(fs{other}_{other_level}.__contains__, {keys})"
+        else:
+            atom, level = plan["driver"]
+            span = f"hi{atom}_{level} - lo{atom}_{level}"
+            keys = self.narrowed_run(plan, plan["leaf_run"])
         found = "len(ws) - ws.count(0)"
         end = depth + 1
         leaf_set = self.leaf_sets.get(end)
@@ -1373,17 +1576,9 @@ class _Codegen:
         self.emit(indent, "ws = list(map(len, cs))")
         with self.visit_site(indent, found):
             self.charge_level(end, len(leaf))
-            fixed, varying = self.split_spans(
-                [pair for pair in leaf if pair not in set_varying]
+            self.emit_run_spans(
+                indent, [pair for pair in leaf if pair not in set_varying], "sum(ws)", found
             )
-            self.site.acc += fixed
-            spans = "sum(ws)"
-            if varying:
-                invariant = self.span_expr(varying)
-                if len(varying) > 1:
-                    invariant = f"({invariant})"
-                spans += f" + ({found}) * {invariant}"
-            self.emit(indent, f"c_acc += {spans}")
             self.emit(indent, f"m = sum(map(len, map({set_name}.intersection, cs)))")
             self.emit_leaf_tally(end, indent)
 
@@ -1561,6 +1756,8 @@ def _compile_function(
         "_monotonic": time.monotonic,
         "_zeros": repeat(0),
         "_empty": repeat(frozenset()),
+        "_noruns": repeat(()),
+        "_chain": chain.from_iterable,
         "_TimeoutError": QueryTimeoutError,
         "_repeat": repeat,
         "_RowLimit": _RowLimit,
@@ -1588,7 +1785,8 @@ def compile_driver(
     contracted decomposition (so the baked node ids line up with interpreted
     executors sharing the caches), or ``None`` when the plan probes nothing
     — only then is the evaluate loop generated too; otherwise the count
-    loop comes in both probe forms.
+    loop comes in both probe forms, and the inline one's LRU variant is
+    left to :meth:`CompiledDriver._loop` to compile on first use.
     """
     depth_of = {variable: depth for depth, variable in enumerate(variable_order)}
     atom_depths = tuple(
@@ -1597,16 +1795,24 @@ def compile_driver(
     )
     bundles = tuple(_atom_bundle(base) for base in pure_tries)
     shapes, owner_at_depth = _clftj_shapes(decomposition, variable_order)
+    # loop name -> (mode, inline, lru)
     if decomposition is None:
-        forms = {"count": ("count", False), "evaluate": ("evaluate", False)}
+        forms = {"count": ("count", False, False), "evaluate": ("evaluate", False, False)}
     else:
-        forms = {"count": ("count", False), "count-inline": ("count", True)}
-    codegens = {
-        name: _Codegen(atom_depths, bundles, mode, shapes, owner_at_depth, inline)
-        for name, (mode, inline) in forms.items()
-    }
+        forms = {
+            "count": ("count", False, False),
+            "count-inline": ("count", True, False),
+            "count-inline-lru": ("count", True, True),
+        }
+    # compiled on first use: a count over an unbounded cache never pays for it
+    deferred = ("count-inline-lru",)
+
+    def codegen(name: str) -> _Codegen:
+        mode, inline, lru = forms[name]
+        return _Codegen(atom_depths, bundles, mode, shapes, owner_at_depth, inline, lru)
+
+    codegens = {name: codegen(name) for name in forms if name not in deferred}
     probed = codegens["count"].probed
-    sources = {name: codegen.generate() for name, codegen in codegens.items()}
     # The policy protocol receives the adhesion *variables*; they are
     # compile-time constants of the plan, pre-bound per probed node.
     adhesion_variables = {
@@ -1615,24 +1821,29 @@ def compile_driver(
         )
         for shape in probed
     }
-    functions = {
-        name: _compile_function(
+
+    def build(name: str, generator: Optional[_Codegen] = None) -> _Loop:
+        generator = generator or codegen(name)
+        source = generator.generate()
+        function = _compile_function(
             source, f"_{forms[name][0]}", f"{query.name}:{name}", adhesion_variables
         )
-        for name, source in sources.items()
-    }
+        return source, function, generator.levels()
+
+    loops = {name: build(name, generator) for name, generator in codegens.items()}
     return CompiledDriver(
         key=key,
         query_name=query.name,
         variable_names=tuple(variable.name for variable in variable_order),
         relation_versions=database.relation_versions(query.relation_names),
         probed_nodes=tuple(shape.node for shape in probed),
-        levels={name: codegen.levels() for name, codegen in codegens.items()},
+        levels={name: loop[2] for name, loop in loops.items()},
         _columns=bundles,
-        _sources=sources,
-        _functions=functions,
-        # both count forms hoist the same tables from the same columns
-        _hoists={mode: {} for mode, _inline in forms.values()},
+        _sources={name: loop[0] for name, loop in loops.items()},
+        _functions={name: loop[1] for name, loop in loops.items()},
+        # every count form hoists the same tables from the same columns
+        _hoists={mode: {} for mode, _inline, _lru in forms.values()},
+        _deferred={name: partial(build, name) for name in deferred if name in forms},
     )
 
 

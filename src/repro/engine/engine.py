@@ -548,7 +548,10 @@ class QueryEngine:
         driver = self.database.peek_compiled_driver(key)
         if driver is not None:
             state, note = "cached", "count mode; evaluation runs interpreted"
-            loop = "count-inline" if form == INLINE_PROBE else "count"
+            # the LRU variant, compiled on first use, is made of what the
+            # inline loop is made of
+            inline = form is not None and form.startswith(INLINE_PROBE)
+            loop = "count-inline" if inline else "count"
             levels = f"\n  levels: {' > '.join(driver.levels[loop])}"
             if "evaluate" in driver.levels:
                 levels += f"\n  evaluate levels: {' > '.join(driver.levels['evaluate'])}"

@@ -30,10 +30,11 @@ def test_a_two_bag_ytd_join_is_compared_outside_pytest():
 def test_the_leaf_run_step_compares_both_reduced_forms_with_the_oracle():
     """Paths (``leaf-run``) and cycles / cliques (``set-leaf-run``), and the
     shapes whose clftj count probes a bag once after a counted block (the
-    3-path, the lollipop, the 3-star), each under lftj and clftj, and lftj
-    evaluations of a cycle, a path and the lollipop: compiled and
-    ``--no-compile`` must print the same count, memory accesses and cache
-    hits."""
+    3-path, the lollipop, the 3-star), each under lftj and clftj; the lftj
+    5-cycle (``walk > walk-run``); clftj counts over an LRU cache of 100
+    entries (the inline probe's LRU variant); and lftj evaluations of a
+    cycle, a path and the lollipop: compiled and ``--no-compile`` must print
+    the same count, memory accesses and cache hits."""
     text = WORKFLOW.read_text(encoding="utf-8")
     (step,) = re.findall(
         r"- name: Leaf-run reduction against the interpreted oracle.*?\n(?=      - name: )",
@@ -45,6 +46,10 @@ def test_the_leaf_run_step_compares_both_reduced_forms_with_the_oracle():
     assert 'print $at["count"], $at["memory_accesses"], $at["cache_hits"]' in step
     assert '--algorithm "$algorithm" --no-compile)' in step
     assert 'test -n "$compiled" && test "$compiled" = "$interpreted"' in step
+    assert 'interpreted=$(columns "$@" --no-compile)' in step
+    assert "compare --query 5-cycle --algorithm lftj\n" in step
+    assert "for query in 4-path 4-cycle lollipop; do" in step
+    assert 'compare --query "$query" --algorithm clftj --cache-capacity 100\n' in step
     # lftj evaluation, one batch of rows per leaf, against the same oracle
     assert "for query in 4-cycle 3-path lollipop; do" in step
     assert "--algorithm lftj --mode evaluate --no-compile)" in step

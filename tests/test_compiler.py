@@ -241,7 +241,7 @@ class TestCacheAndInvalidation:
         assert built > index_only and driver._hoists == {"count": {}, "evaluate": {}}
         executor.count()
         tables = driver._hoists["count"]
-        assert sorted(tables) == ["fd1_0", "fd2_0", "w3_0"]
+        assert sorted(tables) == ["fd1_0", "kr2_0", "w3_0"]
         assert database.memory_footprint() - built >= sum(map(sys.getsizeof, tables.values()))
         assert database.clear_compiled_cache() == 1
         assert database.memory_footprint() == index_only
@@ -276,7 +276,7 @@ class TestCacheAndInvalidation:
         built = database.memory_footprint()
         executor.count()
         tables = driver._hoists["count"]
-        assert sorted(tables) == ["ch2_0", "fd1_0"] and len(tables["ch2_0"]) > 500
+        assert sorted(tables) == ["ch2_0", "kr1_0"] and len(tables["ch2_0"]) > 500
 
         def deep(obj):
             if isinstance(obj, dict):
@@ -389,8 +389,8 @@ class TestReporting:
             (line,) = [line for line in lines if line.startswith("  evaluate levels:")]
             return line
 
-        assert levels(P4, "lftj") == "  levels: merge > walk > walk > leaf-run"
-        assert levels(C4, "lftj") == "  levels: merge > walk > set-leaf-run"
+        assert levels(P4, "lftj") == "  levels: merge > walk > walk-run > leaf-run"
+        assert levels(C4, "lftj") == "  levels: merge > walk-run > set-leaf-run"
         assert levels("E(a,b), E(b,c), E(c,a)", "lftj") == "  levels: merge > set-leaf-run"
         # beside the count loop, the evaluate loop: a batch of rows per leaf
         assert evaluate_levels(P4) == "  evaluate levels: merge > walk > walk > walk > leaf-batch"
@@ -401,11 +401,19 @@ class TestReporting:
             "  levels: merge > walk > probe@1 > block-count > once@2 > probe@2"
             " > walk > probe@3 > fused-leaf"
         )
-        # ... the policy-call one under a bounded cache
-        (line,) = [line for line in engine.explain(
-            parse_query(P4), algorithm="clftj", cache_capacity=100
-        ).splitlines() if line.startswith("  levels:")]
-        assert line == (
+        # ... its LRU variant's under an LRU-bounded cache, the same words ...
+        def bounded_levels(**options):
+            (line,) = [line for line in engine.explain(
+                parse_query(P4), algorithm="clftj", **options
+            ).splitlines() if line.startswith("  levels:")]
+            return line
+
+        assert bounded_levels(cache_capacity=100) == (
+            "  levels: merge > walk > probe@1 > block-count > once@2 > probe@2"
+            " > walk > probe@3 > fused-leaf"
+        )
+        # ... and the policy-call one under a cache that rejects when full
+        assert bounded_levels(cache=AdhesionCache(capacity=100)) == (
             "  levels: merge > walk > probe@1 > merge > probe@2 > walk > probe@3 > fused-leaf"
         )
 
@@ -421,14 +429,18 @@ class TestReporting:
         p4 = path_query(4)
         assert caching(p4).endswith(", compiled probe: inline")
         assert caching(p4, cache_capacity=100).endswith(
-            ", compiled probe: policy call (LRU capacity 100)")
+            ", compiled probe: inline (LRU capacity 100)")
+        assert caching(p4, cache=AdhesionCache(capacity=100)).endswith(
+            ", compiled probe: policy call (capacity 100)")
+        assert caching(p4, cache=AdhesionCache(capacity=0, eviction="lru")).endswith(
+            ", compiled probe: policy call (LRU capacity 0)")
         assert caching(p4, policy=_OddKeysRefused(), cache=AdhesionCache(capacity=0)).endswith(
             ", compiled probe: policy call (_OddKeysRefused, capacity 0)")
         assert "compiled probe" not in caching(p4, compile=False)
         assert "compiled probe" not in caching(cycle_query(3))  # a single bag
         assert main(["explain", "--dataset", "wiki-Vote", "--query", "4-path",
                      "--algorithm", "clftj", "--cache-capacity", "100"]) == 0
-        assert ", compiled probe: policy call (LRU capacity 100)\n" in capsys.readouterr().out
+        assert ", compiled probe: inline (LRU capacity 100)\n" in capsys.readouterr().out
 
     def test_metadata_counters_always_present(self, engine):
         result = engine.count(cycle_query(3), algorithm="pairwise")
@@ -529,6 +541,14 @@ class SiteCase(NamedTuple):
 
 
 LEAF_RUN = (r"ws = list\(map\(w\d_\d\.get, ", r"n\d+ \+= len\(ws\) - ws\.count\(0\)", r"m = sum\(ws\)")
+#: The walk above the leaf run maps its keys to their child runs and chains
+#: the runs found: one visit per run found, whose lengths are its spans.
+WALK_RUN = (
+    r"rs = list\(map\(kr\d_0\.get, .*, _noruns\)\)\n +ls = list\(map\(len, rs\)\)\n"
+    r" +n\d+ \+= len\(ls\) - ls\.count\(0\)\n",
+    r"kr\d_0 = \{K\d_0\[i\]: K\d_1\[B\d_0\[i\]:E\d_0\[i\]\] for i in ",
+    r"_dlt \+= len\(ls\) \+ sum\(ls\)\n",
+)
 SET_LEAF_RUN = (
     r"cs = list\(map\(ch\d_\d\.get, .*, _empty\)\)\n +ws = list\(map\(len, cs\)\)\n",
     r"n\d+ \+= len\(ws\) - ws\.count\(0\)",
@@ -548,17 +568,37 @@ SITE_CASES = [
     SiteCase("interior-merge", "E(a,b), F(a,b), E(b,c)", "lftj",
              (r"ks1, \(.*_run_intersect",), ("merge", "merge", "fused-leaf")),
     SiteCase("leaf-run", P4, "lftj",
-             LEAF_RUN + (r"map\(w3_0\.get, K2_1\[lo2_1:hi2_1\], _zeros\)",),
-             ("merge", "walk", "walk", "leaf-run")),
+             LEAF_RUN + WALK_RUN + (r"map\(kr2_0\.get, K1_1\[lo1_1:hi1_1\], _noruns\)",
+                                    r"c_acc \+= sum\(ls\)\n",
+                                    r"map\(w3_0\.get, _chain\(rs\), _zeros\)"),
+             ("merge", "walk", "walk-run", "leaf-run")),
+    # a walk over the run of a root-level filter, reduced with the leaf run
+    # below it: the 3-path loses every loop but the top one
+    SiteCase("walk-run-3-path", P3, "lftj",
+             LEAF_RUN + WALK_RUN + (r"map\(kr1_0\.get, K0_1\[lo0_1:hi0_1\], _noruns\)",
+                                    r"map\(w2_0\.get, _chain\(rs\), _zeros\)"),
+             ("merge", "walk-run", "leaf-run")),
+    # every third b of H has no run and H's runs hold keys E lacks: the
+    # walk-run finds fewer runs than it walks, the leaf fewer keys
+    SiteCase("walk-run-dangling", "E(a,b), H(b,c), H(c,d)", "lftj",
+             LEAF_RUN + WALK_RUN + (r"map\(w2_0\.get, _chain\(rs\), _zeros\)",),
+             ("merge", "walk-run", "leaf-run")),
+    # a chord onto the chained level narrows the chain, whose keys repeat
+    # (one d under many c): a filter keeps every copy
+    SiteCase("walk-run-chain-narrowed", P4 + ", F(b,d)", "lftj",
+             LEAF_RUN + WALK_RUN + (r"map\(w3_0\.get, filter\(fs4_1\.__contains__, _chain\(rs\)\), _zeros\)",),
+             ("merge", "walk", "walk-run", "leaf-run")),
     # every third b of E has no H row: fewer leaf visits than walked keys
     SiteCase("leaf-run-dangling", "E(a,b), H(b,c)", "lftj", LEAF_RUN, ("merge", "leaf-run")),
-    # the lollipop's tail, under the walk its set filter gates
+    # the lollipop's tail, under the walk-run its set filter narrows (a
+    # chord onto the walked level)
     SiteCase("leaf-run-under-set-filter", LOLLIPOP, "lftj",
-             LEAF_RUN + (r"not in fs1_1",), ("merge", "walk", "walk", "leaf-run")),
-    # a set filter on the reduced level itself narrows the run first
+             LEAF_RUN + WALK_RUN + (r"map\(kr3_0\.get, fs1_1\.intersection\(K2_1\[lo2_1:hi2_1\]\), _noruns\)",),
+             ("merge", "walk", "walk-run", "leaf-run")),
+    # a set filter on the reduced level itself narrows the chained runs first
     SiteCase("leaf-run-narrowed", "E(a,b), E(b,c), F(a,c), E(c,d)", "lftj",
-             LEAF_RUN + (r"map\(w3_0\.get, fs2_1\.intersection\(K1_1\[lo1_1:hi1_1\]\), _zeros\)",),
-             ("merge", "walk", "leaf-run")),
+             LEAF_RUN + WALK_RUN + (r"map\(w3_0\.get, filter\(fs2_1\.__contains__, _chain\(rs\)\), _zeros\)",),
+             ("merge", "walk-run", "leaf-run")),
     # the last bag owns the last two variables: the reduction runs in a
     # probe's miss branch, once under the bindings of the block before it
     # and once under a hit's factor
@@ -576,16 +616,25 @@ SITE_CASES = [
     SiteCase("leaf-invariant-set", "E(a,b), E(b,c), F(b,c), E(c,a)", "lftj",
              (r"m = len\(sl0\.intersection\(_run_keys\(",), ("merge", "walk", "set-leaf")),
     SiteCase("set-leaf-run", C4, "lftj",
-             SET_LEAF_RUN + (r"map\(ch2_0\.get, K1_1\[lo1_1:hi1_1\], _empty\)",
-                             r"c_acc \+= sum\(ws\) \+ \(len\(ws\) - ws\.count\(0\)\) \* \(hi3_1 - lo3_1\)\n"),
-             ("merge", "walk", "set-leaf-run")),
+             SET_LEAF_RUN + WALK_RUN + (r"map\(ch2_0\.get, _chain\(rs\), _empty\)",
+                                        r"c_acc \+= sum\(ws\) \+ \(len\(ws\) - ws\.count\(0\)\) \* \(hi3_1 - lo3_1\)\n"),
+             ("merge", "walk-run", "set-leaf-run")),
+    # the 5-cycle keeps one walk above its walk-run
+    SiteCase("walk-run-5-cycle", "E(a,b), E(b,c), E(c,d), E(d,e), E(e,a)", "lftj",
+             SET_LEAF_RUN + WALK_RUN + (r"map\(kr2_0\.get, K1_1\[lo1_1:hi1_1\], _noruns\)",
+                                        r"map\(ch3_0\.get, _chain\(rs\), _empty\)"),
+             ("merge", "walk", "walk-run", "set-leaf-run")),
+    # the chained run found at each key is a cycle's closing run: dangling
+    # H keys on both sides of it
+    SiteCase("walk-run-4-cycle-dangling", "E(a,b), H(b,c), H(c,d), E(d,a)", "lftj",
+             SET_LEAF_RUN + WALK_RUN, ("merge", "walk-run", "set-leaf-run")),
     # every third b of E has no H row: fewer leaf visits than walked keys
     SiteCase("set-leaf-run-dangling", "E(a,b), H(b,c), E(c,a)", "lftj", SET_LEAF_RUN,
              ("merge", "set-leaf-run")),
     # a set filter on the reduced level itself narrows the run first
     SiteCase("set-leaf-run-narrowed", "E(a,b), E(b,c), F(a,c), E(c,d), E(d,a)", "lftj",
-             SET_LEAF_RUN + (r"map\(ch3_0\.get, fs2_1\.intersection\(K1_1\[lo1_1:hi1_1\]\), _empty\)",),
-             ("merge", "walk", "set-leaf-run")),
+             SET_LEAF_RUN + WALK_RUN + (r"map\(ch3_0\.get, filter\(fs2_1\.__contains__, _chain\(rs\)\), _empty\)",),
+             ("merge", "walk-run", "set-leaf-run")),
     # two invariant runs: a chained set, and two spans per key found
     SiteCase("set-leaf-run-clique", "E(a,b), E(a,c), E(a,d), E(b,c), E(b,d), E(c,d)", "lftj",
              SET_LEAF_RUN + (r"sl1 = sl0\.intersection\(", r"map\(sl1\.intersection, cs\)",
@@ -809,16 +858,16 @@ class TestCounterModel:
             assert not re.search(r"cache|policy|c_rec|c_mat|_cget|\bim\d", source), source
 
     def test_path_inner_loop_keeps_three_accumulators(self):
-        """README's example, the 4-path LFTJ count: five variables, three
-        loops — none over the deepest walked run — and the innermost one
-        left keeps the same three accumulators the reduced loop kept."""
+        """README's example, the 4-path LFTJ count: five variables, two
+        loops — none over the two deepest walked runs — and the innermost
+        one left keeps the same three accumulators the reduced loops kept."""
         query = parse_query(P4)
         engine = QueryEngine(_site_database())
         engine.count(query, algorithm="lftj")
         source = engine.prepare(query, algorithm="lftj").compiled_driver().debug_source("count")
         loops = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.For)]
-        assert [loop.target.id for loop in loops] == ["i0", "i1", "i2"]
-        assert "range(lo2_1, hi2_1)" not in source
+        assert [loop.target.id for loop in loops] == ["i0", "i1"]
+        assert "range(lo1_1, hi1_1)" not in source and "range(lo2_1, hi2_1)" not in source
         innermost = loops[-1]
         assert not any(isinstance(node, ast.For) for node in ast.walk(innermost) if node is not innermost)
         targets = {
@@ -905,14 +954,18 @@ class TestCounterModel:
                 database, query, algorithm, None, False
             ), (algorithm, atoms)
 
-    @pytest.mark.parametrize("capacity", [None, 0, 100], ids=lambda c: f"capacity-{c}")
+    @pytest.mark.parametrize("capacity", [None, 0, 4, 100], ids=lambda c: f"capacity-{c}")
     @pytest.mark.parametrize("policy_name", sorted(PROBE_POLICIES))
     @pytest.mark.parametrize("case", PROBE_CASES, ids=[case.name for case in PROBE_CASES])
     def test_both_probe_forms_match_the_interpreter(self, case, policy_name, capacity):
         """Per (policy, capacity) pair, a cold run, a warm prepared run and a
         run after an update that invalidates part of the cache: counts,
-        counters and the cache's entries, order and byte figure all equal the
-        interpreter's — and only (AlwaysCachePolicy, unbounded) runs inline."""
+        counters (evictions too) and the cache's entries, order and byte
+        figure all equal the interpreter's — and only AlwaysCachePolicy over
+        an unbounded cache or an LRU one with room runs inline.  Capacity 4
+        is a full cache: it starts full of entries no plan node reads, whose
+        big ints weigh more than what replaces them, and every count evicts
+        at a constant length."""
         database = _site_database()
         # the last atom reads F: an update of F leaves some entries warm
         head, _, tail = case.text.rpartition("E(")
@@ -927,10 +980,14 @@ class TestCounterModel:
                 query, algorithm="clftj", compile=compile, cache=caches[compile],
                 policy=policy, **case.options(),
             )
+        if capacity == 4:
+            for filled in caches.values():
+                for big in range(2**70, 2**70 + capacity):
+                    filled.put(99, (big,), big)
         cache = caches[None]
         form = probe_form(policy, cache)
-        inline = form == INLINE_PROBE
-        assert inline is (policy_name == "always" and capacity is None), form
+        inline = form.startswith(INLINE_PROBE)
+        assert inline is (policy_name == "always" and capacity != 0), form
         assert f", compiled probe: {form}\n" in handles[None].explain()
         consults = []  # the policy-call form reads the cache through get()
         cache.get = lambda *key, get=cache.get: consults.append(key) or get(*key)
@@ -956,11 +1013,15 @@ class TestCounterModel:
             )
             lookups = counters["cache_hits"] + counters["cache_misses"]
             assert lookups > 0 and len(consults) == (0 if inline else lookups), step
-            if step == "updated" and inline:
+            if step == "cold":
+                evictions = counters["cache_evictions"]
+            if step == "updated" and form == INLINE_PROBE:
                 # selective: with a second probed node, entries stay warm
                 assert 0 < dropped <= held
                 assert (dropped < held) is (len(handles[None].compiled_driver().probed_nodes) > 1)
         assert not inline or counters["cache_hits"] > 0
+        # the full cache evicted, and the inline form derived it (parity above)
+        assert not (inline and capacity == 4) or evictions > 0
 
     def test_deadline_fires_inside_a_leaf_run(self):
         """The reduced level advances the deadline gate by the run it stands
@@ -992,6 +1053,27 @@ class TestCounterModel:
         started = time.perf_counter()
         with pytest.raises(QueryTimeoutError):
             engine.count(query, algorithm="lftj", timeout=timeout)
+        assert time.perf_counter() - started < 2 * timeout + 0.05
+
+    def test_deadline_fires_inside_a_walk_run(self):
+        """The 3-path's one loop is over ``a``; each ``a`` walks 100 ``b``s
+        whose 200 ``c``s each are chained into one leaf run.  Fewer ``a``s
+        than a gate stride, so only the walk-run's advance (its walked keys
+        plus the chained run) lets the deadline fire before the end."""
+        outer, middle, inner = range(100), range(100, 200), range(200, 400)
+        rows = ([(a, b) for a in outer for b in middle]
+                + [(b, c) for b in middle for c in inner]
+                + [(c, 400 + c % 7) for c in inner])
+        engine = QueryEngine(Database([Relation("E", ("a", "b"), rows)]))
+        query = parse_query(P3)
+        order = query.variables
+        prepared = engine.prepare(query, algorithm="lftj", variable_order=order)
+        timeout = 0.02
+        assert prepared.count().elapsed_seconds > 2 * timeout
+        assert prepared.compiled_driver().levels["count"] == ("merge", "walk-run", "leaf-run")
+        started = time.perf_counter()
+        with pytest.raises(QueryTimeoutError):
+            engine.count(query, algorithm="lftj", variable_order=order, timeout=timeout)
         assert time.perf_counter() - started < 2 * timeout + 0.05
 
 
@@ -1194,26 +1276,29 @@ class TestRowLimit:
 #: only reshapes the inline form.  A change that means to move one says so
 #: and updates its digest.  (The ``evaluate`` entries moved when the
 #: evaluate loop started emitting one batch of rows per leaf into the one
-#: list it returns.)
+#: list it returns; the LFTJ ``count`` entries of the paths, the lollipop
+#: and the 4-/5-cycles when the walk above a leaf run became a ``walk-run``.
+#: The LRU variant of the inline form is not pinned: the policy-call form
+#: and the unbounded inline form stay what they were.)
 PINNED_SOURCES = {
-    ("3-path", "lftj", "count"): "8568422043263f17",
+    ("3-path", "lftj", "count"): "dac61dadd75ef304",
     ("3-path", "lftj", "evaluate"): "4f5a6bcc0e998aea",
     ("3-path", "clftj", "count"): "623ba12f81626160",
-    ("4-path", "lftj", "count"): "2b0e05c3b1cc7fdc",
+    ("4-path", "lftj", "count"): "43db6dc3bf63e990",
     ("4-path", "lftj", "evaluate"): "933949f55052986d",
     ("4-path", "clftj", "count"): "9f5ee98da3e7d9e7",
     ("3-star", "lftj", "count"): "4bc916749bda2b52",
     ("3-star", "lftj", "evaluate"): "52301bb3c3bde01e",
     ("3-star", "clftj", "count"): "dd01238314e7b905",
-    ("lollipop", "lftj", "count"): "9da28f2fb1a17d1e",
+    ("lollipop", "lftj", "count"): "b288590eae45b3a0",
     ("lollipop", "lftj", "evaluate"): "824e50909fb4418b",
     ("lollipop", "clftj", "count"): "bfeeb77242c716f8",
     ("triangle", "lftj", "count"): "9b3e07876d0c97a0",
     ("triangle", "lftj", "evaluate"): "f1ce177bbc28c36f",
-    ("4-cycle", "lftj", "count"): "f0508e63b464953c",
+    ("4-cycle", "lftj", "count"): "b89d659570064d8d",
     ("4-cycle", "lftj", "evaluate"): "f56e5e31b42e0699",
     ("4-cycle", "clftj", "count"): "f00c97b72aec0971",
-    ("5-cycle", "lftj", "count"): "0b5dc4d969918927",
+    ("5-cycle", "lftj", "count"): "7326fe7e54bd1e5f",
     ("5-cycle", "lftj", "evaluate"): "a841e696242a294e",
     ("5-cycle", "clftj", "count"): "da429a18a7c67f19",
 }
@@ -1285,8 +1370,44 @@ class TestClftjCompiled:
         )
         for name in ("cache_hits", "cache_misses", "cache_insertions", "tuples_materialized"):
             assert f"\n    counter.{name} += " in inline
-        assert driver._hoists.keys() == {"count"}  # both forms share the tables
+        # the LRU variant is compiled by the first count over an LRU-bounded
+        # cache (or asked for here): an unbounded count never pays for it
+        assert set(driver.levels) == set(driver._sources) == {"count", "count-inline"}
+        engine.count(query, algorithm="clftj", cache_capacity=4)
+        assert "count-inline-lru" in driver._sources
+        lru = driver.debug_source("count-inline-lru")
+        assert lru.startswith("def _count(columns, _hoist, counter, _tab, cap, lo=None,")
+        assert driver.levels["count-inline-lru"] == driver.levels["count-inline"]
+        # a hit moves its entry to the end; a store into a full table first
+        # evicts the oldest, counted by a trip counter
+        assert re.search(r"else:\n +_tmove\(ak\d+\)\n", lru)
+        assert re.search(r"if len\(_tab\) >= cap:\n +n\d+ \+= 1\n +_tpop\(False\)\n"
+                         r" +_tab\[ak\d+\] = im\d+", lru)
+        assert "\n    counter.cache_evictions += n" in lru
+        assert not re.search(r"_cget|_cput|_should|cache\.|policy", lru)
+        assert lru.replace("_tab, cap, ", "_tab, ") != inline
+        assert driver._hoists.keys() == {"count"}  # every form shares the tables
         database.close_pools()
+
+    def test_a_failed_lru_compile_runs_the_policy_call_loop(self, engine):
+        """The LRU variant compiles on first use; a failed compilation there
+        degrades like a failed build — the policy-call loop counts, with the
+        interpreter's counters — and the next bounded count compiles it."""
+        query = path_query(4)
+        engine.count(query, algorithm="clftj")
+        driver = engine.prepare(query, algorithm="clftj").compiled_driver()
+        with inject_faults({"compiler.exec": {"action": "raise", "times": 1}}):
+            bounded = engine.count(query, algorithm="clftj", cache_capacity=4)
+        assert bounded.metadata["compiled"] is True
+        assert "count-inline-lru" not in driver._sources
+        oracle = engine.count(query, algorithm="clftj", cache_capacity=4, compile=False)
+        assert (bounded.count, bounded.counter.as_dict()) == (
+            oracle.count, oracle.counter.as_dict()
+        )
+        assert oracle.counter.cache_evictions > 0
+        again = engine.count(query, algorithm="clftj", cache_capacity=4)
+        assert "count-inline-lru" in driver._sources
+        assert again.counter.as_dict() == oracle.counter.as_dict()
 
     def test_count_counters_and_cache_hits_match_interpreted(self, engine):
         for query in (path_query(4), clique_query(4), cycle_query(3)):
