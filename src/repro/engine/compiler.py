@@ -32,17 +32,19 @@ What the generated driver does differently from the interpreter:
   ``frozenset``.  Either way the whole walked run goes through ``map`` /
   ``sum`` at C level (:meth:`_Codegen.emit_leaf_run`) — the same trie
   positions, no bytecode per key;
-* in a count with no cache probe the walk right above such a pair loses
-  its loop too, where it descends through one root-level filter into the
-  pair's run: a hoisted run table maps each walked key to its child run,
-  and the pair is reduced over the found runs chained
+* in a loop with no cache probe the walk right above such a pair — or
+  above an evaluation's deepest depth — loses its loop too, where it
+  descends through one root-level filter into the run below: a hoisted run
+  table maps each walked key to its child run, and the pair is reduced
+  over the found runs chained, or their rows are emitted in one batch
   (:meth:`_Codegen.emit_walk_run`) — still every position per binding,
   with nothing carried from one binding to the next;
 * an evaluation's deepest depth has no loop either: its keys — one run's
   slice, or the varying run filtered by the hoisted invariant set — become
-  rows in one ``rows.extend(zip(...))`` per leaf, into the one list the
-  driver returns, and a ``limit`` stops the loop nest once it holds more
-  rows than the caller keeps (:meth:`_Codegen.emit_deepest_evaluate`);
+  rows in one ``rows.extend(zip(...))`` per leaf, or per binding above a
+  walk-run, into the one list the driver returns, and a ``limit`` stops
+  the loop nest once it holds more rows than the caller keeps
+  (:meth:`_Codegen.emit_deepest_evaluate`);
 * a CLFTJ miss multiplies like a hit: in the inline probe form, a miss on a
   childless bag whose next sibling's subtree ends the order counts the
   bag's block without its continuation — its last depth reduced like a
@@ -157,7 +159,7 @@ holds one query per kind of site to the interpreted ``counter.as_dict()``
 over the whole key space, over summed ``[lo, hi)`` ranges, over empty
 relations and under a deadline, and fails if a loop body starts keeping a
 derivable counter again.  Evaluate mode
-derives the same interior charges and adds each leaf's batch of rows to
+derives the same interior charges and adds each batch of rows to
 ``c_res``, its matches and its share of the recursive calls; a loop stopped
 at a ``limit`` still runs the epilogue, so its counters hold the work done.
 """
@@ -170,7 +172,7 @@ from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core import leapfrog
@@ -429,9 +431,11 @@ class CompiledDriver:
     _columns: Tuple[Tuple[object, ...], ...] = field(repr=False)
     _sources: Dict[str, str] = field(repr=False)
     _functions: Dict[str, Callable] = field(repr=False)
-    #: Per mode, the tables its prologue hoisted out of the captured columns
-    #: (built by the first call); a field so ``memory_footprint()`` sees them.
-    _hoists: Dict[str, Dict[str, object]] = field(repr=False)
+    #: The tables the loops' prologues hoisted out of the captured columns,
+    #: by name (built by the first loop that needs one): one dict for every
+    #: loop, because a name stands for one table of the same columns in
+    #: each.  A field so ``memory_footprint()`` sees them.
+    _hoists: Dict[str, object] = field(repr=False)
     #: The loops compiled on first use (:meth:`_loop`), by name.
     _deferred: Dict[str, Callable[[], _Loop]] = field(repr=False, default_factory=dict)
 
@@ -445,7 +449,7 @@ class CompiledDriver:
         inline loop over ``cache``'s own table (its LRU variant over an
         LRU-bounded cache), or the policy-call loop.
         """
-        columns, hoist = self._columns, self._hoists["count"]
+        columns, hoist = self._columns, self._hoists
         if not self.probed_nodes:
             return self._functions["count"](columns, hoist, counter, lo, hi, deadline)
         inline = None
@@ -495,7 +499,7 @@ class CompiledDriver:
         charge only the work done).
         """
         return self._functions["evaluate"](
-            self._columns, self._hoists["evaluate"], counter, lo, hi, deadline, limit
+            self._columns, self._hoists, counter, lo, hi, deadline, limit
         )
 
     def debug_source(self, mode: str = "count") -> str:
@@ -925,27 +929,37 @@ class _Codegen:
     def _walk_run_parent(
         self, depth: int, plan: Dict[str, object]
     ) -> Optional[Tuple[int, int]]:
-        """The walk filter whose child runs the walk below chains, when the
+        """The walk filter whose child runs the level below chains, when the
         walk at ``depth`` loses its loop too (:meth:`emit_walk_run`).
 
-        That takes a count with no probed node whose next depth is a reduced
-        leaf run (:meth:`_leaf_run_parent`) driven by the child run of this
-        walk's one descending filter, a root-level filter, so its run table
-        is hoisted once per driver.  Nothing else descends here — the walked
-        run does not, and every other filter only narrows it — so nothing
-        below varies with this depth's key but the chained run.
+        That takes a loop with no probed node whose next depth is driven by
+        the child run of this walk's one descending filter, a root-level
+        filter, so its run table is hoisted once per driver: in a count, a
+        reduced leaf run (:meth:`_leaf_run_parent`); in an evaluation, the
+        deepest depth, whose one varying run — alone (``leaf-batch``) or
+        beside the hoisted invariant set (``set-leaf-batch``) — is that child
+        run.  Nothing else descends here — the walked run does not, and
+        every other filter only narrows it — so nothing below varies with
+        this depth's key but the chained run.
         """
-        if self.mode != "count" or self.probed or plan["leaf_run"] is not None:
-            return None
-        below = self.interior_plan.get(depth + 1)
-        if below is None or below["leaf_run"] is None:
+        if self.probed or plan["leaf_run"] is not None:
             return None
         descending = [pair for pair in plan["filters"] if self.needs_positions(*pair)]
         if self.needs_positions(*plan["driver"]) or len(descending) != 1:
             return None
         ((atom, level),) = descending
-        if level != 0 or below["driver"] != (atom, 1):
+        if level != 0:
             return None
+        end = depth + 1
+        if self.mode == "count":
+            below = self.interior_plan.get(end)
+            if below is None or below["leaf_run"] is None or below["driver"] != (atom, 1):
+                return None
+        else:
+            leaf_set = self.leaf_sets.get(end)
+            varying = self.participants[end] if leaf_set is None else leaf_set[1]
+            if end + 1 != self.num_variables or varying != [(atom, 1)]:
+                return None
         return atom, level
 
     # ------------------------------------------------------------- utilities
@@ -1463,16 +1477,28 @@ class _Codegen:
         which is non-empty: the level below is visited once per run found,
         its span charge is the run's length plus the invariant runs' spans
         (static ``max``), and the leaf run below keeps its own sites.
+
+        In an evaluation the level below is the deepest, and its rows come
+        out in one batch per binding (:meth:`emit_chained_evaluate`): the
+        walked keys ``ws`` are kept, in the walk's order, because the rows
+        repeat each of them once per key of its run.
         """
         parent, parent_level = plan["walk_run"]
-        keys = self.narrowed_run(plan, plan["walk_run"])
         below = depth + 1
         self.note_level(depth, "walk-run")
         self.emit(indent, f"# depth {depth}: walk, every found run at once")
+        if self.mode == "evaluate":
+            self.emit(indent, f"ws = {self.narrowed_run(plan, plan['walk_run'], ordered=True)}")
+            keys = "ws"
+        else:
+            keys = self.narrowed_run(plan, plan["walk_run"])
         self.emit(indent, f"rs = list(map(kr{parent}_{parent_level}.get, {keys}, _noruns))")
         self.emit(indent, "ls = list(map(len, rs))")
         found = "len(ls) - ls.count(0)"
         with self.visit_site(indent, found):
+            if self.mode == "evaluate":
+                self.emit_chained_evaluate(below, indent, found)
+                return
             self.emit(indent, f"# depth {below}: interior intersection, per run found")
             participants = self.participants[below]
             self.charge_level(below, len(participants))
@@ -1480,15 +1506,22 @@ class _Codegen:
             self.emit_run_spans(indent, others, "sum(ls)", found)
             self.emit_leaf_run(below, indent, self.interior_plan[below], chained=True)
 
-    def narrowed_run(self, plan: Dict[str, object], descending: Tuple[int, int]) -> str:
+    def narrowed_run(
+        self, plan: Dict[str, object], descending: Tuple[int, int], ordered: bool = False
+    ) -> str:
         """A walk's driver run as a slice, intersected with the set of every
         filter but the ``descending`` one (a run's keys are unique, so the
-        intersection keeps each)."""
+        intersection keeps each) — or, ``ordered``, filtered by those sets
+        into a list that keeps the run's sorted order."""
         atom, level = plan["driver"]
         keys = f"K{atom}_{level}[lo{atom}_{level}:hi{atom}_{level}]"
         narrowing = [f"fs{other}_{other_level}" for other, other_level in plan["filters"]
                      if (other, other_level) != descending]
-        if narrowing:
+        if narrowing and ordered:
+            for name in narrowing:
+                keys = f"filter({name}.__contains__, {keys})"
+            keys = f"list({keys})"
+        elif narrowing:
             keys = f"{narrowing[0]}.intersection({', '.join([keys] + narrowing[1:])})"
         return keys
 
@@ -1711,7 +1744,8 @@ class _Codegen:
         ``m`` of them go to ``c_res`` and the deadline gate, and the rows
         (the bound keys above, repeated, zipped with the keys) to
         ``rows.extend``.  More rows than ``limit`` stop the whole loop nest
-        (``_RowLimit``, caught above the outermost loop).
+        (``_RowLimit``, caught above the outermost loop).  Under a walk-run
+        the depth is emitted by :meth:`emit_chained_evaluate` instead.
         """
         participants = self.participants[depth]
         leaf_set = self.leaf_sets.get(depth)
@@ -1739,6 +1773,48 @@ class _Codegen:
         self.emit(indent, "c_res += m")
         columns = [f"_repeat(k{inner})" for inner in range(depth)] + ["ks"]
         self.emit(indent, f"_ext(zip({', '.join(columns)}))")
+        self.emit_row_limit(indent)
+
+    def emit_chained_evaluate(self, depth: int, indent: int, found: str) -> None:
+        """An evaluation's deepest depth under a walk-run
+        (:meth:`emit_walk_run`): every found run's rows at once.
+
+        The keys are the found runs ``rs`` one after another, the walked
+        key ``ws[j]`` repeated ``ls[j]`` times beside them — one batch per
+        binding of the depth above the walk, in the interpreter's order.
+        The site is visited once per run found (``found``), and its span
+        charge is the summed run lengths plus the invariant runs' spans per
+        run found.  Beside the invariant set the chained keys are filtered
+        at C level by ``compress`` over a second chain of the same runs,
+        which keeps every copy of a key that repeats across runs, and the
+        batch's ``m`` is what the list grew by.  The deadline gate advances
+        by both loops' trips, the walked keys and the rows; the row limit
+        is checked after the batch.
+        """
+        participants = self.participants[depth]
+        leaf_set = self.leaf_sets.get(depth)
+        self.note_level(depth, "leaf-batch" if leaf_set is None else "set-leaf-batch")
+        self.emit(indent, f"# depth {depth}: deepest keys, every found run's rows at once")
+        self.charge_level(depth, len(participants))
+        columns = [f"_repeat(k{inner})" for inner in range(depth - 1)]
+        rows = f"zip({', '.join(columns + ['_chain(map(_repeat, ws, ls))', '_chain(rs)'])})"
+        if leaf_set is None:
+            self.emit(indent, "m = sum(ls)")
+            self.emit_run_spans(indent, [], "m", found)
+            self.emit(indent, f"_ext({rows})")
+        else:
+            set_name, set_varying = leaf_set
+            others = [pair for pair in participants if pair not in set_varying]
+            self.emit_run_spans(indent, others, "sum(ls)", found)
+            self.emit(indent, "before = len(rows)")
+            self.emit(indent, f"_ext(_compress({rows}, map({set_name}.__contains__, _chain(rs))))")
+            self.emit(indent, "m = len(rows) - before")
+        self.emit_deadline_check(indent, "len(ls) + m")
+        self.emit(indent, "c_res += m")
+        self.emit_row_limit(indent)
+
+    def emit_row_limit(self, indent: int) -> None:
+        """Stop the loop nest once the list holds more rows than ``limit``."""
         self.emit(indent, "if c_res > _cap:")
         self.emit(indent + 1, "raise _RowLimit")
 
@@ -1758,6 +1834,7 @@ def _compile_function(
         "_empty": repeat(frozenset()),
         "_noruns": repeat(()),
         "_chain": chain.from_iterable,
+        "_compress": compress,
         "_TimeoutError": QueryTimeoutError,
         "_repeat": repeat,
         "_RowLimit": _RowLimit,
@@ -1841,8 +1918,8 @@ def compile_driver(
         _columns=bundles,
         _sources={name: loop[0] for name, loop in loops.items()},
         _functions={name: loop[1] for name, loop in loops.items()},
-        # every count form hoists the same tables from the same columns
-        _hoists={mode: {} for mode, _inline, _lru in forms.values()},
+        # every loop hoists a name's table from the same columns alike
+        _hoists={},
         _deferred={name: partial(build, name) for name in deferred if name in forms},
     )
 

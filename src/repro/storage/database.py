@@ -88,8 +88,8 @@ def _rough_bytes(obj: object, depth: int = 5, seen: Optional[set] = None) -> int
     and charges every item the sample's average, so the Python-level work
     stays O(structure), not O(data), and a table of containers (a compiled
     driver's children table) is still charged for what its values hold.
-    The default depth reaches the items of those values (driver, hoists per
-    mode, one mode's tables, a table, a value).
+    The default depth reaches the items of those values (driver, its
+    hoisted tables, a table, a value, an item).
     """
     if obj is None:
         return 0

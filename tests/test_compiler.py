@@ -10,11 +10,13 @@ surface.
 
 import ast
 import hashlib
+import itertools
 import os
 import random
 import re
 import sys
 import time
+from types import SimpleNamespace
 from typing import NamedTuple, Optional, Tuple
 
 import pytest
@@ -238,9 +240,9 @@ class TestCacheAndInvalidation:
         index_only = database.memory_footprint()
         driver = executor.build()
         built = database.memory_footprint()
-        assert built > index_only and driver._hoists == {"count": {}, "evaluate": {}}
+        assert built > index_only and driver._hoists == {}
         executor.count()
-        tables = driver._hoists["count"]
+        tables = driver._hoists
         assert sorted(tables) == ["fd1_0", "kr2_0", "w3_0"]
         assert database.memory_footprint() - built >= sum(map(sys.getsizeof, tables.values()))
         assert database.clear_compiled_cache() == 1
@@ -257,7 +259,7 @@ class TestCacheAndInvalidation:
         built = database.memory_footprint()
         executor.count()
         assert "once@2" in driver.levels["count-inline"]
-        tables = driver._hoists["count"]
+        tables = driver._hoists
         (children,) = [name for name in tables if name.startswith("ch")]
         assert all(type(run) is frozenset for run in tables[children].values())
         hoisted = sum(map(sys.getsizeof, tables.values()))
@@ -275,7 +277,7 @@ class TestCacheAndInvalidation:
         driver = executor.build()
         built = database.memory_footprint()
         executor.count()
-        tables = driver._hoists["count"]
+        tables = driver._hoists
         assert sorted(tables) == ["ch2_0", "kr1_0"] and len(tables["ch2_0"]) > 500
 
         def deep(obj):
@@ -340,14 +342,17 @@ class TestReporting:
         evaluate_source = executor.debug_source("evaluate")
         assert "def _count" in count_source
         assert "def _evaluate" in evaluate_source
-        # The evaluate loop returns one list and has no loop over the
-        # deepest run: a triangle loops over a and b only, and c's keys
-        # become rows in one batch.
+        # The evaluate loop returns one list and has no loop over the two
+        # deepest runs: a triangle loops over a only, maps its b's to their
+        # runs, and the c's of every run found become rows in one batch.
         tree = ast.parse(evaluate_source)
         assert not any(isinstance(node, (ast.Yield, ast.YieldFrom)) for node in ast.walk(tree))
         loops = [node for node in ast.walk(tree) if isinstance(node, ast.For)]
-        assert [loop.target.id for loop in loops] == ["i0", "i1"]
-        assert "_ext(zip(_repeat(k0), _repeat(k1), ks))" in evaluate_source
+        assert [loop.target.id for loop in loops] == ["i0"]
+        assert (
+            "_ext(_compress(zip(_repeat(k0), _chain(map(_repeat, ws, ls)), _chain(rs)),"
+            " map(sl0.__contains__, _chain(rs))))"
+        ) in evaluate_source
         assert evaluate_source.rstrip().endswith("return rows")
         with pytest.raises(ValueError):
             executor.debug_source("nonsense")
@@ -392,9 +397,10 @@ class TestReporting:
         assert levels(P4, "lftj") == "  levels: merge > walk > walk-run > leaf-run"
         assert levels(C4, "lftj") == "  levels: merge > walk-run > set-leaf-run"
         assert levels("E(a,b), E(b,c), E(c,a)", "lftj") == "  levels: merge > set-leaf-run"
-        # beside the count loop, the evaluate loop: a batch of rows per leaf
-        assert evaluate_levels(P4) == "  evaluate levels: merge > walk > walk > walk > leaf-batch"
-        assert evaluate_levels(C4) == "  evaluate levels: merge > walk > walk > set-leaf-batch"
+        # beside the count loop, the evaluate loop: a batch of rows per
+        # binding above its walk-run
+        assert evaluate_levels(P4) == "  evaluate levels: merge > walk > walk > walk-run > leaf-batch"
+        assert evaluate_levels(C4) == "  evaluate levels: merge > walk > walk-run > set-leaf-batch"
         # a probe entered at the leaf keeps the loop over the run above it;
         # the line is the loop of the form that runs: the inline one here ...
         assert levels(P4, "clftj") == (
@@ -556,6 +562,30 @@ SET_LEAF_RUN = (
     r"ch\d_\d = \{K\d_0\[i\]: frozenset\(K\d_1\[B\d_0\[i\]:E\d_0\[i\]\]\) for i in ",
 )
 
+#: An evaluation's walk-run keeps its walked keys ``ws`` in order, maps them
+#: to their runs, and every run found becomes rows in one batch per binding
+#: above it: each walked key repeated by its run's length beside the runs
+#: chained, with the row limit checked after the batch.
+EVAL_WALK_RUN = (
+    r"rs = list\(map\(kr\d_0\.get, ws, _noruns\)\)\n +ls = list\(map\(len, rs\)\)\n"
+    r" +n\d+ \+= len\(ls\) - ls\.count\(0\)\n",
+    r"kr\d_0 = \{K\d_0\[i\]: K\d_1\[B\d_0\[i\]:E\d_0\[i\]\] for i in ",
+    r"_dlt \+= len\(ls\) \+ m\n",
+    r"_chain\(map\(_repeat, ws, ls\)\), _chain\(rs\)\)",
+    r"c_res \+= m\n +if c_res > _cap:\n +raise _RowLimit\n",
+)
+#: The walked run as a slice, or filtered in order by a narrowing set.
+WALKED_SLICE = (r"ws = K\d_1\[lo\d_1:hi\d_1\]\n",)
+WALKED_FILTERED = (r"ws = list\(filter\(fs\d_1\.__contains__, K\d_1\[lo\d_1:hi\d_1\]\)\)\n",)
+#: Alone, the runs found are the rows' last column ...
+LEAF_BATCH_CHAINED = (r"m = sum\(ls\)\n +c_acc \+= m\n",)
+#: ... beside the invariant set, a second chain of them selects the rows.
+SET_LEAF_BATCH_CHAINED = (
+    r"c_acc \+= sum\(ls\) \+ \(len\(ls\) - ls\.count\(0\)\) \* ",
+    r"before = len\(rows\)\n +_ext\(_compress\(zip\(.*, _chain\(rs\)\), "
+    r"map\(sl\d\.__contains__, _chain\(rs\)\)\)\)\n +m = len\(rows\) - before\n",
+)
+
 #: A miss on node 1 counts its block into ``im1``, then probes node 2 once:
 #: the probe's entry record per binding, the other bindings' hits.
 ONCE = (
@@ -706,6 +736,50 @@ SITE_CASES = [
              ("merge", "walk", "probe@1", "block-count", "once@2", "probe@2", "fused-leaf"),
              bags=([["a", "b"], ["b", "c"], ["a", "d"]], [None, 0, 0]),
              form="count-inline"),
+    # The evaluate loop's walk-run: the 2-path loses every loop but the top
+    # one ...
+    SiteCase("eval-walk-run-2-path", "E(a,b), E(b,c)", "lftj",
+             EVAL_WALK_RUN + WALKED_SLICE + LEAF_BATCH_CHAINED,
+             ("merge", "walk-run", "leaf-batch"), form="evaluate"),
+    # ... longer paths and the lollipop's tail keep the walks above it ...
+    SiteCase("eval-walk-run-3-path", P3, "lftj",
+             EVAL_WALK_RUN + WALKED_SLICE + LEAF_BATCH_CHAINED,
+             ("merge", "walk", "walk-run", "leaf-batch"), form="evaluate"),
+    SiteCase("eval-walk-run-4-path", P4, "lftj",
+             EVAL_WALK_RUN + WALKED_SLICE + LEAF_BATCH_CHAINED,
+             ("merge", "walk", "walk", "walk-run", "leaf-batch"), form="evaluate"),
+    SiteCase("eval-walk-run-lollipop", LOLLIPOP, "lftj",
+             EVAL_WALK_RUN + WALKED_SLICE + LEAF_BATCH_CHAINED,
+             ("merge", "walk", "walk", "walk-run", "leaf-batch"), form="evaluate"),
+    # ... a cycle's closing run is chained beside its invariant set ...
+    SiteCase("eval-walk-run-4-cycle", C4, "lftj",
+             EVAL_WALK_RUN + WALKED_SLICE + SET_LEAF_BATCH_CHAINED,
+             ("merge", "walk", "walk-run", "set-leaf-batch"), form="evaluate"),
+    SiteCase("eval-walk-run-5-cycle", "E(a,b), E(b,c), E(c,d), E(d,e), E(e,a)", "lftj",
+             EVAL_WALK_RUN + WALKED_SLICE + SET_LEAF_BATCH_CHAINED,
+             ("merge", "walk", "walk", "walk-run", "set-leaf-batch"), form="evaluate"),
+    SiteCase("eval-walk-run-triangle", "E(a,b), E(b,c), E(c,a)", "lftj",
+             EVAL_WALK_RUN + WALKED_SLICE + SET_LEAF_BATCH_CHAINED,
+             ("merge", "walk-run", "set-leaf-batch"), form="evaluate"),
+    # ... every third b and c of H has no run, so the run table misses keys
+    # on both levels ...
+    SiteCase("eval-walk-run-dangling", "E(a,b), H(b,c), H(c,d)", "lftj",
+             EVAL_WALK_RUN + WALKED_SLICE + LEAF_BATCH_CHAINED,
+             ("merge", "walk", "walk-run", "leaf-batch"), form="evaluate"),
+    # ... chords onto the walked level narrow the walked run in its order ...
+    SiteCase("eval-walk-run-chord-narrowed", "E(a,b), E(b,c), F(a,c), G(a,c), E(c,d)", "lftj",
+             EVAL_WALK_RUN + LEAF_BATCH_CHAINED
+             + (r"ws = list\(filter\(fs\d_1\.__contains__, filter\(fs\d_1\.__contains__, "
+                r"K1_1\[lo1_1:hi1_1\]\)\)\)\n",),
+             ("merge", "walk", "walk-run", "leaf-batch"), form="evaluate"),
+    # ... and a set-leaf batch over two invariant runs under a narrowed
+    # walk-run (the 4-clique): keys repeat across the chained runs, and the
+    # selector keeps every copy
+    SiteCase("eval-set-leaf-batch-under-walk-run",
+             "E(a,b), E(a,c), E(a,d), E(b,c), E(b,d), E(c,d)", "lftj",
+             EVAL_WALK_RUN + WALKED_FILTERED + SET_LEAF_BATCH_CHAINED
+             + (r"\* \(\(hi\d_1 - lo\d_1\) \+ \(hi\d_1 - lo\d_1\)\)\n", r"map\(sl1\.__contains__, "),
+             ("merge", "walk", "walk-run", "set-leaf-batch"), form="evaluate"),
 ]
 SITE_IDS = [case.name for case in SITE_CASES]
 PROBE_CASES = [case for case in SITE_CASES if case.algorithm == "clftj"]
@@ -817,7 +891,17 @@ class TestCounterModel:
             )
             assert sharded[0] == whole[0]
         if algorithm == "lftj":
-            # evaluate mode derives the same interior charges per range
+            # evaluate mode: the interpreter's rows in its order and every
+            # counter, with and without a deadline that never fires ...
+            def evaluate(compile, **extra):
+                result = engine.evaluate(query, algorithm=algorithm, compile=compile, **extra)
+                assert result.metadata.get("compiled", False) is (compile is None)
+                return result.rows, result.counter.as_dict()
+
+            evaluated = evaluate(None)
+            assert evaluated == evaluate(False) == evaluate(None, timeout=3600.0), name
+            assert len(evaluated[0]) == whole[0]
+            # ... and the same interior charges per range
             coded = _sharded(database, query, algorithm, None, None, rows=True)
             assert coded == _sharded(database, query, algorithm, None, False, rows=True)
             assert len(coded[0]) == whole[0]
@@ -833,29 +917,73 @@ class TestCounterModel:
         assert compiled.metadata["compiled"] is True
         assert compiled.count == interpreted.count == 0
         assert compiled.counter.as_dict() == interpreted.counter.as_dict()
+        if case.algorithm == "lftj":
+            compiled = engine.evaluate(query, algorithm="lftj")
+            interpreted = engine.evaluate(query, algorithm="lftj", compile=False)
+            assert compiled.metadata["compiled"] is True
+            assert compiled.rows == interpreted.rows == []
+            assert compiled.counter.as_dict() == interpreted.counter.as_dict()
 
     @pytest.mark.parametrize("case", SITE_CASES, ids=SITE_IDS)
     def test_no_loop_keeps_derivable_counters(self, case):
         """Seeks, opens and emitted results are functions of the trip counts
-        and ``total``: no ``for`` body may keep them by hand again."""
+        and ``total`` (an evaluation's rows, ``c_res``, are measured): no
+        ``for`` body may keep them by hand again."""
         name, algorithm = case.name, case.algorithm
         source, _levels = _count_source(QueryEngine(_site_database()), case)
         loops = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.For)]
         assert loops
+        derivable = {"c_seek", "c_open"} | ({"c_res"} if case.form != "evaluate" else set())
         for loop in loops:
             targets = {
                 node.target.id
                 for node in ast.walk(loop)
                 if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name)
             }
-            assert not targets & {"c_seek", "c_open", "c_res"}, (name, targets)
+            assert not targets & derivable, (name, targets)
         if algorithm == "lftj":
             # One generator serves LFTJ and CLFTJ; nothing of a probe may
             # leak into a plan that has none.
+            mode = case.form
             assert source.startswith(
-                "def _count(columns, _hoist, counter, lo=None, hi=None, deadline=None,\n"
+                f"def _{mode}(columns, _hoist, counter, lo=None, hi=None, deadline=None,"
             )
             assert not re.search(r"cache|policy|c_rec|c_mat|_cget|\bim\d", source), source
+
+    @pytest.mark.parametrize("case", SITE_CASES, ids=SITE_IDS)
+    def test_equal_named_hoists_are_equal_across_loops(self, case):
+        """A driver keeps one table per name for all of its loops, so every
+        loop must build a name's table alike: run alone over an empty dict,
+        each loop (count and evaluate, or the three probe forms) hoists
+        every name it shares with another as an equal table."""
+        engine = QueryEngine(_site_database())
+        for algorithm in sorted({"lftj", case.algorithm}):
+            options = case.options() if algorithm == "clftj" else {}
+            prepared = engine.prepare(parse_query(case.text), algorithm=algorithm, **options)
+            prepared.count()
+            driver = prepared.compiled_driver()
+            if driver.probed_nodes:
+                always = AlwaysCachePolicy()
+                loops = {
+                    "count": lambda: driver.count(
+                        OperationCounter(), cache=AdhesionCache(capacity=100), policy=always),
+                    "count-inline": lambda: driver.count(
+                        OperationCounter(), cache=AdhesionCache(), policy=always),
+                    "count-inline-lru": lambda: driver.count(
+                        OperationCounter(), cache=AdhesionCache(capacity=100, eviction="lru"),
+                        policy=always),
+                }
+            else:
+                loops = {"count": lambda: driver.count(OperationCounter()),
+                         "evaluate": lambda: driver.evaluate(OperationCounter())}
+            tables = {}
+            for name, run in loops.items():
+                driver._hoists = {}
+                run()
+                tables[name] = driver._hoists
+            for one, other in itertools.combinations(tables.values(), 2):
+                for shared in one.keys() & other.keys():
+                    assert one[shared] == other[shared], (case.name, algorithm, shared)
 
     def test_path_inner_loop_keeps_three_accumulators(self):
         """README's example, the 4-path LFTJ count: five variables, two
@@ -1227,6 +1355,26 @@ class TestRowLimit:
         assert (limited.count, limited.rows) == (full.count, full.rows[:10])
         assert limited.counter.results_emitted == len(head) + full.count
 
+    @pytest.mark.parametrize("text", ["E(a,b), E(b,c)", "E(a,b), E(b,c), E(c,a)"],
+                             ids=["leaf-batch", "set-leaf-batch"])
+    def test_a_limit_inside_one_bindings_chained_batch(self, text):
+        """Under a walk-run a batch is every row of one binding above it:
+        a limit inside the first ``a``'s rows keeps that whole batch and
+        stops, and the engine still keeps ``limit`` rows and the count."""
+        engine = QueryEngine(_site_database())
+        prepared = engine.prepare(parse_query(text), algorithm="lftj")
+        full = prepared.evaluate()
+        driver = prepared.compiled_driver()
+        assert driver.levels["evaluate"][-2] == "walk-run"
+        everything = driver.evaluate(OperationCounter())
+        first = [row for row in everything if row[0] == everything[0][0]]
+        assert len(first) >= 3
+        limit = len(first) // 2
+        head = driver.evaluate(OperationCounter(), limit=limit)
+        assert head == first and len(head) < len(everything)
+        limited = prepared.evaluate(limit=limit)
+        assert (limited.count, limited.rows) == (full.count, full.rows[:limit])
+
     @pytest.mark.parametrize("limit", [-1, 1.0, True, "3"])
     def test_a_limit_is_a_non_negative_int(self, engine, limit):
         with pytest.raises(ValueError, match="limit must be a non-negative integer"):
@@ -1235,7 +1383,7 @@ class TestRowLimit:
             engine.prepare(path_query(2), algorithm="lftj").evaluate(limit=limit)
 
     def test_deadline_fires_inside_a_leaf_heavy_evaluation(self):
-        """Every leaf is one batch of 2000 rows, which advances the deadline
+        """Every ``a`` is one batch of 2000 rows, which advances the deadline
         gate by its rows: an evaluation of 4M rows stops soon after its
         deadline, long before it has materialised them."""
         hub = 0
@@ -1244,7 +1392,7 @@ class TestRowLimit:
         query = parse_query("E(a,b), E(b,c)")
         prepared = engine.prepare(query, algorithm="lftj")
         assert prepared.count().count == 2000 * 2000
-        assert prepared.compiled_driver().levels["evaluate"] == ("merge", "walk", "leaf-batch")
+        assert prepared.compiled_driver().levels["evaluate"] == ("merge", "walk-run", "leaf-batch")
         timeout = 0.01
         started = time.perf_counter()
         with pytest.raises(QueryTimeoutError):
@@ -1253,6 +1401,55 @@ class TestRowLimit:
         # the engine is reusable, and a limit stops at the first leaf
         head = prepared.evaluate(limit=5)
         assert (head.count, head.rows) == (2000 * 2000, [(1, hub, c) for c in range(2001, 2006)])
+
+    def test_deadline_fires_inside_an_evaluate_walk_run(self):
+        """The evaluate twin of ``test_deadline_fires_inside_a_walk_run``:
+        the 3-path's evaluate loop walks 100 ``b``s under each of 100
+        ``a``s, and each ``(a, b)`` maps 200 ``c``s to their runs at once,
+        of which only 4 hold a ``d``.  The walk-run advances the deadline
+        gate by its walked keys and its rows, so an evaluation that walks
+        2M keys into 40 000 rows stops soon after its deadline."""
+        outer, middle, inner = range(100), range(100, 200), range(200, 400)
+        rows = ([(a, b) for a in outer for b in middle]
+                + [(b, c) for b in middle for c in inner]
+                + [(c, 400 + c % 7) for c in inner if c % 50 == 0])
+        engine = QueryEngine(Database([Relation("E", ("a", "b"), rows)]))
+        query = parse_query(P3)
+        order = query.variables
+        prepared = engine.prepare(query, algorithm="lftj", variable_order=order)
+        timeout = 0.02
+        assert prepared.evaluate().elapsed_seconds > 2 * timeout
+        levels = prepared.compiled_driver().levels["evaluate"]
+        assert levels == ("merge", "walk", "walk-run", "leaf-batch")
+        started = time.perf_counter()
+        with pytest.raises(QueryTimeoutError):
+            engine.evaluate(query, algorithm="lftj", variable_order=order, timeout=timeout)
+        assert time.perf_counter() - started < 2 * timeout + 0.05
+
+    def test_an_evaluate_walk_run_advances_the_gate_by_its_walked_keys(self):
+        """Ten ``a``s walk 500 ``b``s each, and one ``b`` in 100 has a run:
+        50 rows in all, so only the walked keys carry the gate past a
+        stride.  A clock that never reaches the deadline counts its reads:
+        the prologue's, and one per third ``a`` — each brings 506 trips (its
+        own, 500 walked keys, 5 rows), and a read restarts the gate."""
+        rows = ([(a, b) for a in range(10) for b in range(100, 600)]
+                + [(b, 1000 + b) for b in range(100, 600, 100)])
+        engine = QueryEngine(Database([Relation("E", ("a", "b"), rows)]))
+        query = parse_query("E(a,b), E(b,c)")
+        prepared = engine.prepare(query, algorithm="lftj", variable_order=query.variables)
+        assert prepared.evaluate().count == 50
+        driver = prepared.compiled_driver()
+        assert driver.levels["evaluate"] == ("merge", "walk-run", "leaf-batch")
+        namespace = driver._functions["evaluate"].__globals__
+        reads = []
+        clock = namespace["_monotonic"]
+        namespace["_monotonic"] = lambda: reads.append(1) or 0.0
+        try:
+            deadline = SimpleNamespace(at=1.0, timeout=1.0)
+            assert len(driver.evaluate(OperationCounter(), deadline=deadline)) == 50
+        finally:
+            namespace["_monotonic"] = clock
+        assert len(reads) == 1 + 10 // 3
 
     def test_a_warm_clftj_handle_evaluates_alike_after_a_truncated_evaluation(self):
         """A limit never leaves a half-filled adhesion cache behind: probed
@@ -1276,30 +1473,30 @@ class TestRowLimit:
 #: only reshapes the inline form.  A change that means to move one says so
 #: and updates its digest.  (The ``evaluate`` entries moved when the
 #: evaluate loop started emitting one batch of rows per leaf into the one
-#: list it returns; the LFTJ ``count`` entries of the paths, the lollipop
-#: and the 4-/5-cycles when the walk above a leaf run became a ``walk-run``.
-#: The LRU variant of the inline form is not pinned: the policy-call form
-#: and the unbounded inline form stay what they were.)
+#: list it returns, and again when the walk above that batch became a
+#: ``walk-run``; the LFTJ ``count`` entries of the paths, the lollipop and
+#: the 4-/5-cycles when the walk above a leaf run became a ``walk-run``.
+#: The inline forms are pinned below.)
 PINNED_SOURCES = {
     ("3-path", "lftj", "count"): "dac61dadd75ef304",
-    ("3-path", "lftj", "evaluate"): "4f5a6bcc0e998aea",
+    ("3-path", "lftj", "evaluate"): "ab331b8407e1ab07",
     ("3-path", "clftj", "count"): "623ba12f81626160",
     ("4-path", "lftj", "count"): "43db6dc3bf63e990",
-    ("4-path", "lftj", "evaluate"): "933949f55052986d",
+    ("4-path", "lftj", "evaluate"): "b47747e2ff15d341",
     ("4-path", "clftj", "count"): "9f5ee98da3e7d9e7",
     ("3-star", "lftj", "count"): "4bc916749bda2b52",
     ("3-star", "lftj", "evaluate"): "52301bb3c3bde01e",
     ("3-star", "clftj", "count"): "dd01238314e7b905",
     ("lollipop", "lftj", "count"): "b288590eae45b3a0",
-    ("lollipop", "lftj", "evaluate"): "824e50909fb4418b",
+    ("lollipop", "lftj", "evaluate"): "079ad214c21dd4ca",
     ("lollipop", "clftj", "count"): "bfeeb77242c716f8",
     ("triangle", "lftj", "count"): "9b3e07876d0c97a0",
-    ("triangle", "lftj", "evaluate"): "f1ce177bbc28c36f",
+    ("triangle", "lftj", "evaluate"): "42af13543bed6db7",
     ("4-cycle", "lftj", "count"): "b89d659570064d8d",
-    ("4-cycle", "lftj", "evaluate"): "f56e5e31b42e0699",
+    ("4-cycle", "lftj", "evaluate"): "a6f93f086839cf9c",
     ("4-cycle", "clftj", "count"): "f00c97b72aec0971",
     ("5-cycle", "lftj", "count"): "7326fe7e54bd1e5f",
-    ("5-cycle", "lftj", "evaluate"): "a841e696242a294e",
+    ("5-cycle", "lftj", "evaluate"): "f3be0e0e2cb7d72d",
     ("5-cycle", "clftj", "count"): "da429a18a7c67f19",
 }
 PINNED_SHAPES = {
@@ -1321,6 +1518,36 @@ def test_lftj_and_policy_call_sources_are_pinned(shape, algorithm, form):
     source = prepared.compiled_driver().debug_source(form)
     digest = hashlib.sha256(source.encode()).hexdigest()[:16]
     assert digest == PINNED_SOURCES[shape, algorithm, form], source
+
+
+#: The same for the inline CLFTJ count loops, unbounded and LRU: with
+#: ``PINNED_SOURCES``' count entries, every count loop a change to the
+#: evaluate loop must leave byte-identical.
+PINNED_INLINE_SOURCES = {
+    ("3-path", "count-inline"): "3df5ac75b4e4aa94",
+    ("3-path", "count-inline-lru"): "d5d5a6874e4c73ac",
+    ("4-path", "count-inline"): "be89e7f40a401a46",
+    ("4-path", "count-inline-lru"): "012c1ad28b6748ec",
+    ("3-star", "count-inline"): "90fc69e81230514d",
+    ("3-star", "count-inline-lru"): "f5d6171531f0f169",
+    ("lollipop", "count-inline"): "44124703c530cdfd",
+    ("lollipop", "count-inline-lru"): "88e498a7f62f83e4",
+    ("4-cycle", "count-inline"): "8aad0fbde91bf332",
+    ("4-cycle", "count-inline-lru"): "a8143b86436bf4f4",
+    ("5-cycle", "count-inline"): "4bd25fa1f8903ebc",
+    ("5-cycle", "count-inline-lru"): "af2dbd5e6eba237c",
+}
+
+
+@pytest.mark.parametrize("shape, form", sorted(PINNED_INLINE_SOURCES),
+                         ids=[f"{shape}-{form}" for shape, form in sorted(PINNED_INLINE_SOURCES)])
+def test_inline_count_sources_are_pinned(shape, form):
+    engine = QueryEngine(_site_database())
+    prepared = engine.prepare(parse_query(PINNED_SHAPES[shape]), algorithm="clftj")
+    prepared.count()
+    source = prepared.compiled_driver().debug_source(form)
+    digest = hashlib.sha256(source.encode()).hexdigest()[:16]
+    assert digest == PINNED_INLINE_SOURCES[shape, form], source
 
 
 class TestKernelCrossover:
@@ -1386,7 +1613,8 @@ class TestClftjCompiled:
         assert "\n    counter.cache_evictions += n" in lru
         assert not re.search(r"_cget|_cput|_should|cache\.|policy", lru)
         assert lru.replace("_tab, cap, ", "_tab, ") != inline
-        assert driver._hoists.keys() == {"count"}  # every form shares the tables
+        # every form reads one table per name
+        assert sorted(driver._hoists) == ["fd2_0", "fd3_0"]
         database.close_pools()
 
     def test_a_failed_lru_compile_runs_the_policy_call_loop(self, engine):
