@@ -4,7 +4,7 @@
   adhesions, owners, preorder, validation, (strong) compatibility.
 * :mod:`repro.decomposition.ordering` -- strongly-compatible variable orders.
 * :mod:`repro.decomposition.separators` -- constrained separating sets and
-  their ranked (Lawler–Murty) enumeration by increasing size.
+  their enumeration by size, one ranked scan over node subsets.
 * :mod:`repro.decomposition.generic` -- GenericDecompose / RecursiveTD and the
   TD enumerator built on the separator enumeration.
 * :mod:`repro.decomposition.cost` -- TD scoring heuristics and the
@@ -18,7 +18,6 @@ from repro.decomposition.ordering import (
     is_strongly_compatible,
 )
 from repro.decomposition.separators import (
-    constrained_separator,
     enumerate_constrained_separators,
     is_separating_set,
     minimum_constrained_separator,
@@ -38,7 +37,6 @@ __all__ = [
     "ChuCostModel",
     "GenericDecomposer",
     "TreeDecomposition",
-    "constrained_separator",
     "enumerate_constrained_separators",
     "enumerate_tree_decompositions",
     "generic_decompose",

@@ -11,7 +11,7 @@ adhesions (the cache dimensions of CLFTJ).
 
 from __future__ import annotations
 
-from typing import Callable, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.decomposition.separators import (
     component_side,
@@ -22,9 +22,8 @@ from repro.decomposition.tree_decomposition import TreeDecomposition
 from repro.query.atoms import ConjunctiveQuery
 from repro.query.gaifman import Graph, gaifman_graph
 
-#: A separator chooser receives (graph, constraint set) and returns a
-#: separating set or ``None`` ("no good separator; stop decomposing here").
-SeparatorChooser = Callable[[Graph, FrozenSet], Optional[FrozenSet]]
+#: The enumerator expands this many of the smallest root separators.
+ROOT_SEPARATORS = 8
 
 
 class _MutableNode:
@@ -53,34 +52,17 @@ def _to_tree_decomposition(root: _MutableNode) -> TreeDecomposition:
 
 
 class GenericDecomposer:
-    """The recursive decomposer of Figure 4, parameterised by a separator chooser.
+    """The recursive decomposer of Figure 4.
 
-    The default chooser picks a minimum C-constrained separating set of size
-    at most ``max_adhesion_size`` and refuses to split graphs that already
-    fit in a bag of at most ``max_bag_size`` nodes.
+    Each graph of more than two nodes is split at a minimum C-constrained
+    separating set of at most ``max_adhesion_size`` nodes; a graph without
+    one becomes a single bag.
     """
 
-    def __init__(
-        self,
-        max_adhesion_size: int = 2,
-        max_bag_size: Optional[int] = None,
-        chooser: Optional[SeparatorChooser] = None,
-    ) -> None:
+    def __init__(self, max_adhesion_size: int = 2) -> None:
         if max_adhesion_size < 1:
             raise ValueError("max_adhesion_size must be at least 1")
         self.max_adhesion_size = max_adhesion_size
-        self.max_bag_size = max_bag_size
-        self._chooser = chooser or self._default_chooser
-
-    # ----------------------------------------------------------------- oracle
-    def _default_chooser(self, graph: Graph, constraint: FrozenSet) -> Optional[FrozenSet]:
-        if len(graph.nodes) <= 2:
-            return None
-        if self.max_bag_size is not None and len(graph.nodes) <= self.max_bag_size:
-            return None
-        return minimum_constrained_separator(
-            graph, constraint, max_size=self.max_adhesion_size
-        )
 
     # -------------------------------------------------------------- decompose
     def decompose(self, query: ConjunctiveQuery) -> TreeDecomposition:
@@ -91,13 +73,12 @@ class GenericDecomposer:
         decomposition.validate(query)
         return decomposition
 
-    def decompose_graph(self, graph: Graph) -> TreeDecomposition:
-        """Build one ordered TD of an arbitrary Gaifman-style graph."""
-        root = self._recursive_td(graph, frozenset())
-        return _to_tree_decomposition(root).remove_redundant_bags()
-
     def _recursive_td(self, graph: Graph, constraint: FrozenSet) -> _MutableNode:
-        separator = self._chooser(graph, constraint)
+        separator = None
+        if len(graph.nodes) > 2:
+            separator = minimum_constrained_separator(
+                graph, constraint, max_size=self.max_adhesion_size
+            )
         if separator is None:
             return _MutableNode(frozenset(graph.nodes))
         side = component_side(graph, separator, constraint)
@@ -130,28 +111,22 @@ class GenericDecomposer:
         return c_side_root
 
 
-def generic_decompose(
-    query: ConjunctiveQuery,
-    max_adhesion_size: int = 2,
-    max_bag_size: Optional[int] = None,
-) -> TreeDecomposition:
-    """Convenience wrapper: one TD from the default generic decomposer."""
-    return GenericDecomposer(max_adhesion_size, max_bag_size).decompose(query)
+def generic_decompose(query: ConjunctiveQuery, max_adhesion_size: int = 2) -> TreeDecomposition:
+    """Convenience wrapper: one TD from the generic decomposer."""
+    return GenericDecomposer(max_adhesion_size).decompose(query)
 
 
 def enumerate_tree_decompositions(
     query: ConjunctiveQuery,
     max_adhesion_size: int = 2,
-    max_root_separators: int = 8,
     max_decompositions: Optional[int] = 16,
-    max_bag_size: Optional[int] = None,
 ) -> Iterator[TreeDecomposition]:
     """Enumerate distinct TDs of ``query`` biased towards small adhesions.
 
     The top-level separator choice of ``RecursiveTD`` is replaced by the
     ranked enumeration of C-constrained separating sets (so the first
-    ``max_root_separators`` smallest separators are each expanded into a
-    decomposition); deeper levels use the default minimum-separator chooser.
+    :data:`ROOT_SEPARATORS` smallest separators are each expanded into a
+    decomposition); deeper levels split at a minimum separator.
     Duplicates (structurally identical TDs) are suppressed.
 
     When the query admits no decomposition within the adhesion bound (e.g. a
@@ -159,7 +134,7 @@ def enumerate_tree_decompositions(
     observation that CLFTJ degenerates to LFTJ on cliques.
     """
     graph = gaifman_graph(query)
-    decomposer = GenericDecomposer(max_adhesion_size, max_bag_size)
+    decomposer = GenericDecomposer(max_adhesion_size)
     seen: Set[Tuple] = set()
     produced = 0
 
@@ -171,7 +146,7 @@ def enumerate_tree_decompositions(
         return decomposition
 
     root_separators = enumerate_constrained_separators(
-        graph, frozenset(), max_size=max_adhesion_size, max_results=max_root_separators
+        graph, frozenset(), max_size=max_adhesion_size, max_results=ROOT_SEPARATORS
     )
     found_any = False
     for separator in root_separators:

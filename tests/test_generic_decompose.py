@@ -3,12 +3,12 @@
 import pytest
 
 from repro.decomposition.generic import (
+    ROOT_SEPARATORS,
     GenericDecomposer,
     enumerate_tree_decompositions,
     generic_decompose,
 )
 from repro.decomposition.ordering import strongly_compatible_order, is_strongly_compatible
-from repro.query.gaifman import Graph
 from repro.query.parser import parse_query
 from repro.query.patterns import (
     clique_query,
@@ -73,13 +73,6 @@ class TestGenericDecompose:
             order = strongly_compatible_order(decomposition)
             assert is_strongly_compatible(decomposition, order)
 
-    def test_decompose_graph_directly(self):
-        nodes = [f"v{node}" for node in range(6)]
-        graph = Graph(nodes, zip(nodes, nodes[1:]))
-        decomposer = GenericDecomposer()
-        decomposition = decomposer.decompose_graph(graph)
-        assert decomposition.num_nodes >= 2
-
     def test_invalid_adhesion_size_rejected(self):
         with pytest.raises(ValueError):
             GenericDecomposer(max_adhesion_size=0)
@@ -103,6 +96,17 @@ class TestEnumeration:
             enumerate_tree_decompositions(path_query(6), max_decompositions=3)
         )
         assert len(decompositions) <= 3
+
+    def test_expands_at_most_the_first_root_separators(self):
+        # A path's inner nodes are its one-node separators, and each one
+        # expanded at the root gives another decomposition.
+        def count(length):
+            return len(list(enumerate_tree_decompositions(
+                path_query(length), max_adhesion_size=1, max_decompositions=None
+            )))
+
+        assert count(6) == 5
+        assert count(12) == ROOT_SEPARATORS < 11
 
     def test_clique_falls_back_to_singleton(self):
         decompositions = list(enumerate_tree_decompositions(clique_query(4)))
