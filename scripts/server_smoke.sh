@@ -109,6 +109,28 @@ assert body['count'] == $COUNT, (body['count'], $COUNT)
 print('truncated /evaluate: 3 rows of', body['count'])
 "
 
+# /evaluate writes its rows from codes: they must be the library's rows.
+# Codes, and with them the row order, are assigned by the first index build,
+# so the library replays the server's first query before it evaluates.
+for QUERY in 3-path lollipop; do
+    curl -fsS -X POST "$BASE/evaluate" -d "{\"query\": \"$QUERY\", \"max_rows\": 1000}" \
+        >"$WORKDIR/rows.json"
+    python - "$QUERY" "$WORKDIR/rows.json" <<'PY'
+import json, sys
+from repro.cli import resolve_dataset, resolve_query
+from repro.engine.engine import QueryEngine
+query, path = sys.argv[1:]
+with open(path) as body:
+    served = json.load(body)["rows"]
+engine = QueryEngine(resolve_dataset("wiki-Vote", 1.0))
+engine.count(resolve_query("3-cycle"), algorithm="clftj")
+rows = engine.evaluate(resolve_query(query), algorithm="clftj").rows[:1000]
+assert len(served) == len(rows) == 1000, (len(served), len(rows))
+assert served == [list(row) for row in rows], query
+print(f"/evaluate {query}: 1000 rows equal to the library's")
+PY
+done
+
 # /metrics must expose the reconciliation families and the request ledger.
 curl -fsS "$BASE/metrics" >"$WORKDIR/metrics.txt"
 grep -q "^repro_db_index_builds_total" "$WORKDIR/metrics.txt"

@@ -269,6 +269,8 @@ def reinitialise_child_locks(database) -> None:
       re-made by ``multiprocessing``'s own after-fork hooks.
     * the server's admission, session and stats locks — unreachable: the
       child never runs server code.
+    * ``ValueDictionary._grow_lock`` — unreachable: only writing a
+      response page grows the JSON fragment table, and that is server code.
     * ``WorkerPool``'s submit and lifecycle locks — unreachable: the forking
       thread holds the submit lock, but the child never submits or closes,
       and leaves through ``os._exit`` without running ``atexit`` hooks or

@@ -2,24 +2,73 @@
 
 This module is also the **decode boundary** of the encoded execution path:
 joins over dictionary-encoded indexes produce rows of int codes, which an
-:class:`ExecutionResult` holds as-is and only translates back to values when
-they are read — all of them, in one batch, the first time
+:class:`ExecutionResult` holds as-is and only translates when they are read:
+to values — all of them, in one batch, the first time
 :attr:`ExecutionResult.rows` is read, or just a prefix through
-:meth:`ExecutionResult.head`.  Count-only queries (the paper's primary
-measurements) therefore perform zero decode operations end to end, and
-evaluation runs whose rows are never inspected pay nothing either;
-``metadata["decodes"]`` and ``metadata["decode_seconds"]`` report the decode
-work done for this result so far.
+:meth:`ExecutionResult.head` — or, for a response, straight to JSON text
+through :meth:`ExecutionResult.page`, which writes each code's fragment from
+the dictionary's table and builds no value tuple at all.  Count-only queries
+(the paper's primary measurements) therefore perform zero decode operations
+end to end, and evaluation runs whose rows are never inspected pay nothing
+either; ``metadata["decodes"]`` and ``metadata["decode_seconds"]`` report the
+decode work done for this result so far, a written page charged as the
+``head`` of the same rows.
 """
 
 from __future__ import annotations
 
+import json
 import time
-from typing import Dict, List, Optional, Tuple
+from collections.abc import Sequence
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.instrumentation import OperationCounter
 from repro.query.terms import Variable
 from repro.storage.dictionary import ValueDictionary
+
+
+class RowPage(Sequence):
+    """The first rows of a result: the JSON text a response carries, and the
+    values behind it on demand.
+
+    ``json`` is the array text ``json.dumps`` writes for the rows, written
+    without building them; ``len`` needs nothing more.  Read as a sequence —
+    indexed, iterated, compared with a list of tuples or another page — the
+    page decodes its rows once, uncounted: the decode was charged when the
+    text was written.
+    """
+
+    __slots__ = ("json", "_length", "_load", "_rows")
+
+    def __init__(
+        self, text: str, length: int, load: Callable[[], List[Tuple[object, ...]]]
+    ) -> None:
+        self.json = text
+        self._length = length
+        self._load = load
+        self._rows: Optional[List[Tuple[object, ...]]] = None
+
+    def _values(self) -> List[Tuple[object, ...]]:
+        if self._rows is None:
+            self._rows = self._load()
+        return self._rows
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, index):
+        return self._values()[index]
+
+    def __iter__(self):
+        return iter(self._values())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, RowPage):
+            other = other._values()
+        return self._values() == other
+
+    def __repr__(self) -> str:
+        return repr(self._values())
 
 
 class ExecutionResult:
@@ -81,17 +130,42 @@ class ExecutionResult:
             return self._decode(self._coded_rows[:n])
         return None if self._rows is None else self._rows[:n]
 
-    def _decode(self, coded_rows: List[Tuple[int, ...]]) -> List[Tuple[object, ...]]:
-        """Cross the decode boundary, charging the work to this result."""
+    def page(self, n: int) -> Optional[RowPage]:
+        """The first ``n`` rows as JSON text (``None`` for count-only runs).
+
+        What a response carries instead of ``head(n)``: the same rows,
+        charged the same — to ``metadata["decodes"]`` / ``["decode_seconds"]``
+        and the dictionary's counter for code rows, nothing for rows held as
+        values — but written by :meth:`ValueDictionary.json_rows` from the
+        codes, without a value tuple or a ``json.dumps`` pass over the rows.
+        Rows held as values were never coded, so there is no decode to
+        spare: they are written by ``json.dumps``.
+        """
+        if self._rows is None and self._coded_rows is not None:
+            codes = self._coded_rows[:n]
+            text = self._decode(codes, as_json=True)
+            decode = self._dictionary.decode_rows_uncounted
+            return RowPage(text, len(codes), lambda: decode(codes))
+        if self._rows is None:
+            return None
+        rows = self._rows[:n]
+        return RowPage(json.dumps(rows), len(rows), lambda: rows)
+
+    def _decode(self, coded_rows: List[Tuple[int, ...]], as_json: bool = False):
+        """Cross the decode boundary, to values or to JSON text, charging the
+        work to this result."""
         dictionary, metadata = self._dictionary, self.metadata
         before = dictionary.decodes
         started = time.perf_counter()
-        rows = dictionary.decode_rows(coded_rows)
+        if as_json:
+            crossed = dictionary.json_rows(coded_rows)
+        else:
+            crossed = dictionary.decode_rows(coded_rows)
         metadata["decode_seconds"] = (
             metadata.get("decode_seconds", 0.0) + time.perf_counter() - started
         )
         metadata["decodes"] = metadata.get("decodes", 0) + dictionary.decodes - before
-        return rows
+        return crossed
 
     @rows.setter
     def rows(self, value: Optional[List[Tuple[object, ...]]]) -> None:

@@ -47,6 +47,7 @@ from http import HTTPStatus
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro.engine.faults import QueryTimeoutError
+from repro.engine.results import RowPage
 from repro.server.admission import QueueFullError, ServiceUnavailableError
 from repro.server.metrics import render_metrics
 from repro.server.service import QueryService, RequestError
@@ -309,7 +310,16 @@ def _parse_json(request: _Request) -> Dict[str, object]:
 
 
 def _json(payload: Dict[str, object]) -> bytes:
-    return json.dumps(payload).encode("utf-8")
+    """``json.dumps(payload)``, a :class:`RowPage` member spliced in as its
+    own text: the same bytes ``json.dumps`` writes for the decoded rows."""
+    rows = payload.get("rows")
+    if not isinstance(rows, RowPage):
+        return json.dumps(payload).encode("utf-8")
+    members = ", ".join(
+        f"{json.dumps(key)}: {rows.json if value is rows else json.dumps(value)}"
+        for key, value in payload.items()
+    )
+    return ("{" + members + "}").encode("utf-8")
 
 
 def _error(status: int, message: str) -> _Response:

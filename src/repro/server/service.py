@@ -237,9 +237,11 @@ class QueryService:
                     "against the next instance"
                 ) from None
         elapsed = time.perf_counter() - started
+        # Rendered before it is counted: a value ``json.dumps`` refuses
+        # fails the page, and the request is then the HTTP layer's 500.
+        response = self._render_result(result, mode, max_rows)
         self._aggregate(result, elapsed)
         self._record_request(mode, 200)
-        response = self._render_result(result, mode, max_rows)
         if session is not None:
             response["session"] = session.token
         return response
@@ -396,10 +398,10 @@ class QueryService:
     def _render_result(
         self, result: ExecutionResult, mode: str, max_rows: int
     ) -> Dict[str, object]:
-        # Read the rows first: decoding them updates ``result.metadata``
+        # Write the rows first: writing them updates ``result.metadata``
         # (``decodes``, ``decode_seconds``), and only the ``max_rows`` that
-        # are returned are decoded.
-        rows = result.head(max_rows) if mode == "evaluate" else None
+        # are returned are written.
+        page = result.page(max_rows) if mode == "evaluate" else None
         metadata = {
             key: value if isinstance(value, (int, float, str, bool, list)) else str(value)
             for key, value in result.metadata.items()
@@ -411,12 +413,13 @@ class QueryService:
             "elapsed_seconds": result.elapsed_seconds,
             "metadata": metadata,
         }
-        if rows is not None:
-            # tuples as decoded: ``json.dumps`` writes them as arrays itself
-            response["rows"] = rows
+        if page is not None:
+            # a RowPage: the HTTP layer splices its JSON text in as it is,
+            # and a library caller reads it as the decoded tuples
+            response["rows"] = page
             response["rows_truncated"] = result.count > max_rows
             with self._stats_lock:
-                self._rows_returned_total += len(rows)
+                self._rows_returned_total += len(page)
         return response
 
     # ------------------------------------------------------------- accounting

@@ -708,7 +708,8 @@ class Database:
 
         Covers the index cache (trie columns dominate), the compiled-driver
         cache (captured column references are shared with the index cache
-        and de-duplicated by identity) and the value dictionary.  Adhesion
+        and de-duplicated by identity), the value dictionary and its JSON
+        fragment table (grown by the pages ``/evaluate`` writes).  Adhesion
         caches report through their own ``memory_estimate()`` and are
         governed at the engine layer, where they live.  The number is an
         *estimate* — budget enforcement degrades gracefully, so rough is
@@ -723,6 +724,7 @@ class Database:
         for entry in entries:
             total += _rough_bytes(entry, seen=seen)
         total += _rough_bytes(self.dictionary, seen=seen)
+        total += _rough_bytes(self.dictionary.fragments, seen=seen)
         return total
 
     def total_tuples(self) -> int:

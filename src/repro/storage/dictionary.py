@@ -20,7 +20,11 @@ run the entire join over ``int`` columns.
 * **decode-counting** — every decode operation bumps :attr:`decodes`, which
   is how tests and benchmarks prove that count-only queries run end to end
   without a single decode (values are only materialised lazily at the result
-  boundary, see :mod:`repro.engine.results`).
+  boundary, see :mod:`repro.engine.results`);
+* **JSON-writing** — beside the values it keeps ``json.dumps(value)`` of
+  each code, built lazily and never invalidated (a code never changes
+  meaning), so :meth:`ValueDictionary.json_rows` writes rows of codes as
+  JSON text without building a value tuple: what ``POST /evaluate`` sends.
 
 ``numpy`` is optional: when importable, encoded key columns additionally
 expose zero-copy ``int64`` views used by the batched leapfrog kernels
@@ -30,6 +34,8 @@ expose zero-copy ``int64`` views used by the batched leapfrog kernels
 
 from __future__ import annotations
 
+import json
+import threading
 from functools import lru_cache
 from itertools import islice
 from operator import index
@@ -66,6 +72,58 @@ def _row_kernel(width: int) -> Callable[[List[object], list], List[Tuple[object,
     return eval(f"lambda v, rows: [({values}) for {target} in rows]")
 
 
+@lru_cache(maxsize=None)
+def _json_kernel(width: int) -> Callable[[Sequence[str], list], List[str]]:
+    """The JSON writing loop for rows of ``width`` codes, generated once.
+
+    ``lambda f, rows: [f"{f[c0]}, {f[c1]}" for c0, c1 in rows]`` for width
+    2: each row's fragments joined as ``json.dumps`` separates list items,
+    brackets left to the caller's ``"], ["`` join.  The twin of
+    :func:`_row_kernel`; an f-string per row beat ``", ".join`` over a
+    ``zip`` of the flattened fragments by 1.7x on 5 000 rows of width 3.
+    """
+    codes = [f"c{position}" for position in range(width)]
+    target = ", ".join(codes) + "," if codes else "()"
+    fields = ", ".join(f"{{f[{code}]}}" for code in codes)
+    return eval(f"lambda f, rows: [f'{fields}' for {target} in rows]")
+
+
+class _Unencodable:
+    """The fragment of a value ``json.dumps`` refuses.
+
+    Formatting it raises the ``TypeError`` the refusal raised, so a page
+    holding such a value fails as ``json.dumps`` of its decoded rows would,
+    and a page without it is written as usual.
+    """
+
+    __slots__ = ("message",)
+
+    def __init__(self, message: str) -> None:
+        self.message = message
+
+    def __format__(self, spec: str) -> str:
+        raise TypeError(self.message)
+
+
+def _json_fragment(value: object):
+    """``json.dumps(value)``, or an :class:`_Unencodable` that raises its error."""
+    try:
+        return json.dumps(value)
+    except (TypeError, ValueError) as error:
+        return _Unencodable(str(error))
+
+
+def _json_array(fragments: Sequence[object], rows: List[Sequence[int]], width: int) -> str:
+    """The JSON array of ``rows``, each ``width`` indexes into ``fragments``.
+
+    Byte for byte ``json.dumps`` of the rows the fragments stand for, with
+    ``json.dumps``' default separators.  Raises ``ValueError`` for a row of
+    another width, ``IndexError`` for an index past ``fragments`` and
+    ``TypeError`` for an unencodable value.
+    """
+    return "[[" + "], [".join(_json_kernel(width)(fragments, rows)) + "]]"
+
+
 class ValueEncodingError(TypeError):
     """A value breaks the storage layer's value contract.
 
@@ -88,11 +146,15 @@ class ValueDictionary:
     representative).
     """
 
-    __slots__ = ("_codes", "_values", "decodes")
+    __slots__ = ("_codes", "_values", "_fragments", "_grow_lock", "decodes")
 
     def __init__(self) -> None:
         self._codes: Dict[object, int] = {}
         self._values: List[object] = []
+        #: ``_json_fragment(value)`` of codes ``0 .. len - 1`` (see
+        #: :attr:`fragments`), grown under :attr:`_grow_lock`.
+        self._fragments: List[object] = []
+        self._grow_lock = threading.Lock()
         #: Number of code->value decode operations performed, ever.  The
         #: zero-decode guarantee for count-only queries is asserted on this.
         self.decodes: int = 0
@@ -201,6 +263,85 @@ class ValueDictionary:
         rows = iter(rows)
         while chunk := list(islice(rows, STREAM_CHUNK)):
             yield from self.decode_rows(chunk)
+
+    def decode_rows_uncounted(self, rows: List[Sequence[int]]) -> List[Tuple[object, ...]]:
+        """:meth:`decode_rows` for rows whose decode was counted already.
+
+        The values behind a page :meth:`json_rows` wrote: that write counted
+        the decode, and reading the same rows back as values is not a second
+        one.
+        """
+        if not rows:
+            return []
+        try:
+            return _row_kernel(len(rows[0]))(self._values, rows)
+        except (IndexError, TypeError, ValueError):
+            return [self._checked_row(row) for row in rows]
+
+    # ------------------------------------------------------------------ JSON
+    @property
+    def fragments(self) -> List[object]:
+        """The JSON fragment table as far as it is built.
+
+        ``_json_fragment(value)`` per code, ``0 .. len - 1``: ``json.dumps``
+        of the value, or a marker that raises its error when written.  The
+        table is one list that only grows, and a fragment never changes,
+        since a code never changes meaning.
+        """
+        return self._fragments
+
+    def _grow_fragments(self, size: int) -> List[object]:
+        """The fragment table, grown to cover the codes below ``size``.
+
+        Growth is **locked**: a thread extends the table under
+        :attr:`_grow_lock`, from the length it finds there, so two growing
+        threads never append the same codes twice; a reader indexes the
+        list without the lock, and every entry below the length it saw is
+        the fragment of its own code.  Grows no further than the codes
+        assigned so far.
+        """
+        fragments = self._fragments
+        if len(fragments) < size:
+            with self._grow_lock:
+                start = len(fragments)
+                fragments.extend(map(_json_fragment, self._values[start:size]))
+        return fragments
+
+    def json_rows(self, rows: List[Sequence[int]]) -> str:
+        """Rows of codes as the JSON text ``json.dumps`` writes for their values.
+
+        Counted as :meth:`decode_rows` counts, since it crosses the same
+        boundary, but no value tuple is built: each code's fragment comes
+        from the table (grown on demand to the largest code in ``rows``) and
+        :func:`_json_array` joins them.  Like :meth:`decode_rows`, the
+        happy path trusts the engine's codes; what it refuses — a code past
+        the table as built so far, rows of unequal width — is checked, so a
+        code that is not one of this table raises the ``ValueError`` of
+        :meth:`decode`, and then written after the table has grown.  A
+        value ``json.dumps`` refuses raises its ``TypeError``;
+        :attr:`decodes` does not move for a page that fails.
+        """
+        if not rows:
+            return "[]"
+        try:
+            width = len(rows[0])
+            text = _json_array(self._fragments, rows, width)
+        except (IndexError, TypeError, ValueError):
+            # A code past the table as built so far, or input the kernel
+            # refuses: name the first code that is not one of ours, grow.
+            for row in rows:
+                self._checked_row(row)
+            top = max(map(max, filter(None, rows)), default=-1)
+            fragments = self._grow_fragments(top + 1)
+            try:
+                text = _json_array(fragments, rows, len(rows[0]))
+            except ValueError:  # rows of unequal width, written one by one
+                lines = [_json_kernel(len(row))(fragments, (row,))[0] for row in rows]
+                text = "[[" + "], [".join(lines) + "]]"
+            self.decodes += sum(map(len, rows))
+        else:
+            self.decodes += width * len(rows)
+        return text
 
     def _checked_row(self, row: Sequence[int]) -> Tuple[object, ...]:
         """Decode one row, uncounted, refusing what is not a code of this table."""

@@ -116,14 +116,47 @@ def test_plans_do_not_depend_on_the_hash_seed():
     assert first == second
 
 
+#: Run in a fresh interpreter: a ``sys.meta_path`` finder first in line
+#: records (and refuses) every attempt to import networkx, so the check holds
+#: whether or not networkx is installed; the last import proves the finder
+#: sees an attempt.
+_NO_NETWORKX = """
+import json, sys
+
+attempts = []
+
+class RecordNetworkx:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "networkx":
+            attempts.append(name)
+            raise ModuleNotFoundError(f"import of {name} recorded and refused")
+        return None
+
+sys.meta_path.insert(0, RecordNetworkx())
+import repro, repro.cli, repro.server.http
+from repro.engine.engine import QueryEngine
+from repro.query.parser import parse_query
+from repro.storage.database import Database
+from repro.storage.relation import Relation
+
+database = Database([Relation("E", ("src", "dst"), [(1, 2), (2, 3), (3, 4), (4, 1)])])
+QueryEngine(database).plan(parse_query("E(a,b), E(b,c), E(c,d), E(d,e)"))
+seen = list(attempts)
+try:
+    import networkx
+except ImportError:
+    pass
+print(json.dumps([seen, attempts]))
+"""
+
+
 def test_importing_the_package_loads_no_networkx():
-    run = _python(
-        "import sys, repro, repro.cli, repro.server.http; "
-        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'networkx'))"
-    )
+    run = _python(_NO_NETWORKX)
     output = run.communicate(timeout=120)[0]
     assert run.returncode == 0
-    assert output.strip() == "[]"
+    seen, attempts = json.loads(output)
+    assert seen == []
+    assert attempts == ["networkx"]
 
 
 if __name__ == "__main__":
