@@ -45,6 +45,8 @@ class YannakakisTreeJoin:
         self.counter = counter if counter is not None else OperationCounter()
         self._bag_atoms: Dict[int, List[Atom]] = self._assign_atoms()
         self._bag_tuples: Dict[int, List[Dict[Variable, object]]] = {}
+        #: Cells of the bag rows decoded from the tries' codes, last run.
+        self._decodes = 0
 
     # --------------------------------------------------------- bag subqueries
     def _assign_atoms(self) -> Dict[int, List[Atom]]:
@@ -94,7 +96,9 @@ class YannakakisTreeJoin:
         seen = set()
         rows: List[Dict[Variable, object]] = []
         order = join.variable_order
+        decoded = 0
         for full_row in join.evaluate():
+            decoded += 1
             assignment = dict(zip(order, full_row))
             projected = tuple(
                 (variable, assignment[variable])
@@ -105,9 +109,11 @@ class YannakakisTreeJoin:
             seen.add(projected)
             rows.append(dict(projected))
         self.counter.record_materialized(len(rows))
+        self._decodes += decoded * len(order)
         return rows
 
     def _materialize_all_bags(self) -> None:
+        self._decodes = 0
         self._bag_tuples = {
             node: self._materialize_bag(node) for node in self.decomposition.preorder()
         }
@@ -230,6 +236,7 @@ class YannakakisTreeJoin:
         return {
             "num_bags": self.decomposition.num_nodes,
             "materialized_bag_tuples": sum(len(rows) for rows in self._bag_tuples.values()),
+            "decodes": self._decodes,
         }
 
 

@@ -95,7 +95,7 @@ class AdhesionCache:
     churns through far more entries than it holds (51 000 evictions against
     100 entries per count in the benchmark's Figure-10 class), and sizing
     each on the way in and out again doubled that count's time.  And stores
-    into :attr:`table` past :meth:`put` (the compiled count's inline probe),
+    into :attr:`table` past :meth:`put` (the compiled count's probe),
     which call :meth:`drop_byte_sum` instead of sizing each entry.
     """
 
@@ -230,9 +230,14 @@ class AdhesionCache:
     def table(self) -> "OrderedDict[CacheKey, object]":
         """The ``(node, adhesion values) -> value`` table itself.
 
-        The compiled count's inline probe reads and stores into it without
-        a method call (:func:`repro.engine.compiler.probe_form` says when);
-        a caller that stored must :meth:`drop_byte_sum` afterwards.
+        A compiled CLFTJ count reads and stores into it without a method
+        call, in the loop of this cache's discipline
+        (:func:`repro.engine.compiler.store_loop`): it moves a hit to the end
+        under LRU, evicts before a store into a full LRU table and refuses
+        one into a full ``reject`` table, as :meth:`get` / :meth:`put` do.
+        Only an exact ``AdhesionCache`` is probed so, since a subclass may
+        override those methods.  A caller that stored must
+        :meth:`drop_byte_sum` afterwards.
         """
         return self._entries
 

@@ -45,7 +45,7 @@ What the generated driver does differently from the interpreter:
   walk-run, into the one list the driver returns, and a ``limit`` stops
   the loop nest once it holds more rows than the caller keeps
   (:meth:`_Codegen.emit_deepest_evaluate`);
-* a CLFTJ miss multiplies like a hit: in the inline probe form, a miss on a
+* a CLFTJ miss multiplies like a hit: where every miss stores, a miss on a
   childless bag whose next sibling's subtree ends the order counts the
   bag's block without its continuation — its last depth reduced like a
   count's last level, ``m = hi - lo`` for one run, a set-leaf run over a
@@ -71,29 +71,35 @@ CLFTJ is LFTJ plus adhesion-cache probes (the paper's Section 3.2: the two
 coincide when no caching takes place): a decomposition only adds a cache
 consult at every node entered below depth 0 (:class:`_Codegen`), and a plan
 with no such node is LFTJ's driver under LFTJ's key (:func:`resolve_driver`).
-A probing driver's count loop comes in two forms over the same hoisted
-tables, picked per call by :func:`probe_form`: under
-:class:`~repro.core.cache.AlwaysCachePolicy` and an unbounded, non-LRU
-cache every consult is a ``.get`` on the cache's own table and every miss
-a store into it, and the cache counters are derived from the hit and miss
-branches' trip counters like the trie counters below; every other (policy,
-cache) pair calls ``cache.get`` / ``policy.should_cache`` / ``cache.put`` —
-but for an LRU-bounded cache (Figure 10's), whose inline loop also moves a
-hit to the end and evicts the oldest entry before a store into a full
-table, counting evictions by the eviction branch's trips; that variant is
-compiled on its first use.  Only the inline form probes a sibling once per
-counted block: a policy call may refuse to store, so there a later binding
-could miss again, while an inline one stores its entry last.
+A probing driver's count consults the adhesion cache in one form: every
+consult is a ``.get`` on the cache's own table and every miss offers its
+entry to that table, and the cache counters are derived from the hit, miss
+and full-table branches' trip counters like the trie counters below.  The
+form compiles only :class:`~repro.core.cache.AlwaysCachePolicy` over an
+exact :class:`~repro.core.cache.AdhesionCache` (:func:`cache_fallback`);
+the cache's store discipline picks one variant of it per call
+(:func:`store_loop`), each over the same hoisted tables: an unbounded
+cache stores every miss (``count``); an LRU cache (Figure 10's) also moves
+a hit to the end and evicts the oldest entry before a store into a full
+table (``count-lru``); a ``reject`` cache, or a capacity of 0 under either
+eviction, refuses a store into a full table and counts the refusal
+(``count-reject``).  The two bounded variants compile on their first use.
+A sibling is probed once per counted block only where every miss stores,
+so not under ``reject``: there a refused store lets a later binding miss
+again.
 
 Because the driver holds direct references to trie columns, it is only
 valid while those columns are current: the database drops cached drivers on
 relation replacement, inserts/deletes *and* delta compaction (compaction
 swaps the backing arrays without a version bump).  An execution falls back
 to the interpreted path — also kept, behind ``compile=False``, as the
-differential oracle — for one of four reasons, named alike by
+differential oracle — for one of five reasons, named alike by
 ``metadata["compiled_reason"]`` and ``engine.explain()``: unmerged deltas
 on an atom trie, more probed nodes than :data:`MAX_UNROLLED_CACHE_NODES`, a
-failed compilation, or an *evaluation* over probed nodes (grafting a cached
+cache policy other than ``AlwaysCachePolicy`` or a cache class other than
+``AdhesionCache`` over probed nodes (:func:`cache_fallback`), a failed
+compilation (``compile failed: ...``, of the driver or of a variant on its
+first use), or an *evaluation* over probed nodes (grafting a cached
 factorized subtree is control flow the driver does not unroll yet).
 
 The generated source is inspectable: ``debug_source()`` on the executors
@@ -150,9 +156,10 @@ per-node intermediates ``im<node>``; and CLFTJ's per-match recursive calls
 ``factor * m``.  Everything else
 is derived: count mode adds each match to ``total`` and to nothing else,
 so emitted results *are* ``total`` and so is LFTJ's per-match share of the
-recursive calls; in the inline probe form a hit is a visit of a hit
-branch, a miss, an insertion and a materialised tuple are each a visit of
-a miss branch, and an eviction is a visit of an eviction branch.  Parity
+recursive calls; in a probing count a hit is a visit of a hit branch, a
+miss a visit of a miss branch, an eviction or a rejection a visit of a
+full-table branch, and an insertion and a materialised tuple each a miss
+that was not rejected.  Parity
 with the interpreter is exact because the derivation is algebra over the
 same charges, not an approximation of them: ``tests/test_compiler.py``
 holds one query per kind of site to the interpreted ``counter.as_dict()``
@@ -219,6 +226,11 @@ COMPILED_DEADLINE_STRIDE: int = 1024
 class _RowLimit(Exception):
     """Raised out of a generated evaluate loop once it holds more rows than
     its ``limit``; caught above the outermost loop, before the epilogue."""
+
+
+class _CompileFailed(Exception):
+    """A count loop compiled on its first use did not compile; its message
+    is the ``compiled_reason`` of the interpreted run that replaces it."""
 
 
 def decomposition_fingerprint(
@@ -308,52 +320,42 @@ def resolve_driver(
     return driver_cache_key(query, order, decomposition), decomposition, reason
 
 
-#: :func:`probe_form`'s answer when a compiled count probes without calls.
-INLINE_PROBE: str = "inline"
+def cache_fallback(policy: CachePolicy, cache: AdhesionCache) -> Optional[str]:
+    """Why a count that probes ``cache`` under ``policy`` runs interpreted,
+    or ``None`` when it compiles.
 
-
-def _probe_reasons(policy: CachePolicy, cache: AdhesionCache) -> List[str]:
-    """Why a compiled count would consult ``cache`` under ``policy`` through
-    calls; none means inline (:func:`probe_form`)."""
-    reasons = []
-    if type(policy) is not AlwaysCachePolicy:
-        reasons.append(type(policy).__name__)
-    if type(cache) is not AdhesionCache:
-        reasons.append(type(cache).__name__)
-    elif cache.eviction != "lru":
-        if cache.capacity is not None:
-            reasons.append(f"capacity {cache.capacity}")
-    elif cache.capacity is None:
-        reasons.append("LRU order")
-    elif cache.capacity == 0:
-        reasons.append("LRU capacity 0")
-    return reasons
-
-
-def probe_form(policy: CachePolicy, cache: AdhesionCache) -> str:
-    """How a compiled count consults ``cache`` under ``policy``:
-    :data:`INLINE_PROBE`, ``"inline (LRU capacity <n>)"`` or
-    ``"policy call (<why>)"``.
-
-    Inline is for the pairs whose decisions are all static: exactly
-    :class:`AlwaysCachePolicy` (a subclass may override ``should_cache``)
-    over an exact :class:`AdhesionCache` that is unbounded and not LRU, so
-    a consult never evicts, rejects or reorders and every miss stores — or
-    that is LRU-bounded with room for an entry, so every miss stores after
-    evicting the least recently used entry of a full table and every hit
-    moves its entry to the end.  The loop then reads and writes
-    ``(node, values)`` in the cache's table and derives hits, misses,
-    insertions and evictions from its trip counters.  Every other pair
-    (the ``reject`` discipline, a capacity of 0, another policy) goes
-    through ``cache.get`` / ``policy.should_cache`` / ``cache.put``.  The
-    driver asks this per call; ``explain()`` prints it.
+    The compiled probe is the paper's "caches that store every result":
+    exactly :class:`AlwaysCachePolicy` (a subclass may override
+    ``should_cache``) over an exact :class:`AdhesionCache` (a subclass may
+    override ``get`` / ``put``), whose table the loop reads and writes
+    itself.  Every other policy decides per entry, which the interpreter —
+    the oracle — runs as written.  Read by the executor's ``build()`` and
+    by ``explain()``.
     """
-    reasons = _probe_reasons(policy, cache)
-    if reasons:
-        return f"policy call ({', '.join(reasons)})"
-    if cache.capacity is not None:
-        return f"{INLINE_PROBE} (LRU capacity {cache.capacity})"
-    return INLINE_PROBE
+    if type(policy) is not AlwaysCachePolicy:
+        return f"cache policy {type(policy).__name__} runs interpreted"
+    if type(cache) is not AdhesionCache:
+        return f"cache class {type(cache).__name__} runs interpreted"
+    return None
+
+
+def store_loop(cache: AdhesionCache) -> Tuple[str, Optional[int]]:
+    """The count loop of ``cache``'s store discipline and the capacity it
+    takes (``None``: the unbounded loop takes none).
+
+    ``count`` for an unbounded cache under the default ``reject``
+    eviction, which stores every miss; ``count-lru`` for an LRU cache with
+    room for an entry, unbounded ones included (a capacity no table
+    reaches); ``count-reject`` for a bounded ``reject`` cache and for a
+    capacity of 0 under either eviction, where the interpreter refuses
+    every store — so an LRU table at 0 holds no entry for a hit to move.
+    """
+    capacity = cache.capacity
+    if capacity == 0 or (capacity is not None and cache.eviction != "lru"):
+        return "count-reject", capacity
+    if cache.eviction == "lru":
+        return "count-lru", sys.maxsize if capacity is None else capacity
+    return "count", None
 
 
 def pending_deltas(
@@ -400,12 +402,11 @@ class CompiledDriver:
 
     ``probed_nodes`` are the decomposition nodes whose adhesion-cache probe
     the count loop inlines.  With none, there is an evaluate loop too; with
-    some, there are two count loops over the same hoisted tables — one that
-    reads and writes the cache's table itself, one that calls the cache and
-    the policy — plus, compiled on the first count over an LRU-bounded
-    cache, the first one's LRU variant; the count takes the cache and the
-    policy at *run time*, so one driver serves every cache (serial,
-    prepared, per-worker) of its key.
+    some, the count loop reads and writes the table of an unbounded cache,
+    and its variants for an LRU and a rejecting cache (:func:`store_loop`)
+    are compiled on the first count that needs them, over the same hoisted
+    tables; the count takes the cache at *run time*, so one driver serves
+    every cache (serial, prepared, per-worker) of its key.
     """
 
     key: Tuple[object, ...]
@@ -414,8 +415,8 @@ class CompiledDriver:
     relation_versions: Dict[str, int]
     probed_nodes: Tuple[int, ...]
     #: What each loop is made of (keyed like :meth:`debug_source`:
-    #: ``count`` and ``evaluate``, or ``count`` and ``count-inline`` for a
-    #: probing driver, and ``count-inline-lru`` once compiled), outermost
+    #: ``count`` and ``evaluate``, or ``count`` for a probing driver, and
+    #: ``count-lru`` / ``count-reject`` once compiled), outermost
     #: first: one word per depth (``merge``, ``walk``, ``fused-leaf``,
     #: ``set-leaf``, ``unfused-leaf``), ``leaf-run`` / ``set-leaf-run`` for a
     #: count's last pair of depths reduced without a loop (over a fused leaf
@@ -424,9 +425,9 @@ class CompiledDriver:
     #: ``leaf-batch`` / ``set-leaf-batch`` for an evaluation's deepest depth
     #: emitted as one batch of rows (over the runs / beside the invariant
     #: set), ``probe@<node>`` before the depth a probed node is entered at,
-    #: and in the inline form ``block-count`` for a childless node's last
-    #: depth counted without its continuation and ``once@<node>`` for the
-    #: sibling then probed once for all of its bindings.
+    #: and where every miss stores ``block-count`` for a childless node's
+    #: last depth counted without its continuation and ``once@<node>`` for
+    #: the sibling then probed once for all of its bindings.
     levels: Dict[str, Tuple[str, ...]]
     _columns: Tuple[Tuple[object, ...], ...] = field(repr=False)
     _sources: Dict[str, str] = field(repr=False)
@@ -441,48 +442,40 @@ class CompiledDriver:
 
     def count(
         self, counter: OperationCounter, lo=None, hi=None, deadline=None,
-        cache: Optional[AdhesionCache] = None, policy: Optional[CachePolicy] = None,
+        cache: Optional[AdhesionCache] = None,
     ) -> int:
         """Run the generated count loop over codes in ``[lo, hi)``.
 
-        A probing driver picks its form per call (:func:`probe_form`): the
-        inline loop over ``cache``'s own table (its LRU variant over an
-        LRU-bounded cache), or the policy-call loop.
+        A probing driver runs the loop of ``cache``'s store discipline over
+        its table (:func:`store_loop`), compiling it first if no count has
+        needed it yet; a failed compilation raises :class:`_CompileFailed`
+        before anything ran.
         """
         columns, hoist = self._columns, self._hoists
         if not self.probed_nodes:
             return self._functions["count"](columns, hoist, counter, lo, hi, deadline)
-        inline = None
-        if not _probe_reasons(policy, cache):
-            bound = cache.capacity is not None
-            inline = self._loop("count-inline-lru" if bound else "count-inline")
-        if inline is None:
-            return self._functions["count"](
-                columns, hoist, counter, cache, policy, lo, hi, deadline
-            )
+        name, capacity = store_loop(cache)
+        loop = self._loop(name)
         table = cache.table
         held = len(table)
         try:
-            if not bound:
-                return inline(columns, hoist, counter, table, lo, hi, deadline)
-            return inline(columns, hoist, counter, table, cache.capacity, lo, hi, deadline)
+            if capacity is None:
+                return loop(columns, hoist, counter, table, lo, hi, deadline)
+            return loop(columns, hoist, counter, table, capacity, lo, hi, deadline)
         finally:
-            # unbounded inline probes only ever add entries; a full LRU
-            # cache evicts as it stores, at a constant length
-            if bound or len(table) != held:
+            # the other loops only ever add entries; a full LRU cache
+            # evicts as it stores, at a constant length
+            if name == "count-lru" or len(table) != held:
                 cache.drop_byte_sum()
 
-    def _loop(self, name: str) -> Optional[Callable]:
-        """The compiled loop ``name``, compiled now if it is deferred; ``None``
-        when that compilation fails (the count then takes the policy-call
-        loop, which the same cache and policy run alike)."""
+    def _loop(self, name: str) -> Callable:
+        """The compiled loop ``name``, compiled now if it is deferred."""
         function = self._functions.get(name)
         if function is None:
-            build = self._deferred[name]
             try:
-                source, function, levels = build()
-            except Exception:  # degrade, never fail the query
-                return None
+                source, function, levels = self._deferred[name]()
+            except Exception as error:
+                raise _CompileFailed(f"compile failed: {error}") from error
             self._sources[name], self.levels[name] = source, levels
             self._functions[name] = function
         return function
@@ -503,10 +496,9 @@ class CompiledDriver:
         )
 
     def debug_source(self, mode: str = "count") -> str:
-        """The generated Python source for ``mode``: ``count``, ``evaluate``
-        (no probed node) or ``count-inline`` and ``count-inline-lru``
-        (probed nodes; ``count`` is then the policy-call form, and the LRU
-        variant is compiled here if no count has needed it yet)."""
+        """The generated Python source for ``mode``: ``count``, and
+        ``evaluate`` (no probed node) or ``count-lru`` and ``count-reject``
+        (probed nodes; compiled here if no count has needed them yet)."""
         if mode in self._deferred:
             self._loop(mode)
         if mode not in self._sources:
@@ -624,22 +616,22 @@ class _Codegen:
     jump the emission to the continuation depth ``subtree_last + 1``
     (always another node's entry depth, or the base case); on a miss run
     the ordinary loops with a per-node intermediate accumulator
-    ``im<node>`` and offer it to the policy/cache on the way out.  The
+    ``im<node>`` and store it in the cache's table on the way out.  The
     accumulators replicate the interpreter's ``_intrmd`` dict exactly —
     including its persist-across-iterations staleness, since locals behave
     the same way — and every counter charge lands where the interpreter
-    lands it.  With no probed node none of this is emitted: LFTJ's source.
+    lands it; the hit and miss branches' trip counters stand in for the
+    cache counters.  With no probed node none of this is emitted: LFTJ's
+    source.
 
-    ``inline`` selects the probe's form (:func:`probe_form`): calls to the
-    cache and the policy, or — the ``count-inline`` loop — a ``.get`` on
-    the cache's table and a store into it on every miss, with the hit and
-    miss branches' trip counters standing in for the cache counters; there
-    a miss on a childless node may count its block and probe the next
-    node once (:meth:`_plan_once`).  ``lru`` makes the inline loop the
-    ``count-inline-lru`` one, which takes the cache's capacity ``cap``: a
-    hit moves its entry to the end, a store into a full table first pops
-    the oldest entry, and an eviction branch's trip counter stands in for
-    the evictions.
+    ``store`` is the cache's store discipline (:func:`store_loop`).
+    ``None``: every miss stores, so a miss on a childless node may count its
+    block and probe the next node once (:meth:`_plan_once`).  ``"lru"``
+    takes the cache's capacity ``cap``: a hit moves its entry to the end, a
+    store into a full table first pops the oldest entry, and that branch's
+    trip counter stands in for the evictions.  ``"reject"`` takes ``cap``
+    too: a store into a full table is refused, that branch's trip counter
+    stands in for the rejections, and no node is probed once.
     """
 
     def __init__(
@@ -649,11 +641,9 @@ class _Codegen:
         mode: str,
         shapes: Dict[int, _ClftjNodeShape],
         owner_at_depth: Tuple[int, ...],
-        inline: bool = False,
-        lru: bool = False,
+        store: Optional[str] = None,
     ) -> None:
-        self.inline = inline
-        self.lru = lru
+        self.store = store
         self.atom_depths = tuple(atom_depths)
         self.num_variables = 1 + max(
             depth for depths in atom_depths for depth in depths
@@ -708,10 +698,11 @@ class _Codegen:
         self.site = _Site("1", rec=1)
         self.sites: List[_Site] = [self.site]
         #: The trip counters of every probe's hit and miss branches, and of
-        #: every store's eviction branch (``lru`` only).
+        #: every store's full-table branch (``lru``: an eviction, ``reject``:
+        #: a rejection).
         self.hit_visits: List[str] = []
         self.miss_visits: List[str] = []
-        self.evict_visits: List[str] = []
+        self.full_visits: List[str] = []
         #: What was emitted at each depth (:meth:`levels`).
         self.level_words: Dict[int, List[str]] = {}
         #: Per childless node whose miss is counted without its continuation
@@ -740,7 +731,7 @@ class _Codegen:
         return self.atom_depths[atom][level - 1] if level >= 1 else -1
 
     def _plan_once(self) -> Dict[int, _ClftjNodeShape]:
-        """Plan the inline count's once-per-block probes.
+        """Plan the count's once-per-block probes.
 
         A miss on a childless node S runs S's block and, per binding of its
         last depth, the continuation: the probe of the node N entered right
@@ -753,10 +744,10 @@ class _Codegen:
         first arrival as before, the other ``t - 1`` as the hits they were.
         The same trie positions are visited, the same counters derived and
         the same entries stored, in the same order (S stores nothing in its
-        block).  Inline form only: a policy call may refuse to store, so a
-        later binding could miss again.
+        block).  Not under ``reject``: a refused store lets a later binding
+        miss again.
         """
-        if not self.inline:
+        if self.store == "reject":
             return {}
         once: Dict[int, _ClftjNodeShape] = {}
         for shape in self.probed:
@@ -1089,9 +1080,7 @@ class _Codegen:
     def generate(self) -> str:
         probe = ""
         if self.probed:
-            probe = "cache, policy, "
-            if self.inline:
-                probe = "_tab, cap, " if self.lru else "_tab, "
+            probe = "_tab, " if self.store is None else "_tab, cap, "
         limit = " limit=None," if self.mode == "evaluate" else ""
         self.emit(
             0,
@@ -1185,16 +1174,10 @@ class _Codegen:
             self.emit(2, f"{name} = {expression}")
             self.emit(2, f"_hoist[{name!r}] = {name}")
         if self.probed:
-            if self.inline:
-                self.emit(1, "_tget = _tab.get")
-                if self.lru:
-                    self.emit(1, "_tmove = _tab.move_to_end; _tpop = _tab.popitem")
-                self.emit(1, "c_rec = 0")
-            else:
-                self.emit(
-                    1, "_cget = cache.get; _cput = cache.put; _should = policy.should_cache"
-                )
-                self.emit(1, "c_mat = 0; c_rec = 0")
+            self.emit(1, "_tget = _tab.get")
+            if self.store == "lru":
+                self.emit(1, "_tmove = _tab.move_to_end; _tpop = _tab.popitem")
+            self.emit(1, "c_rec = 0")
             self.emit(
                 1, "; ".join(f"im{shape.node} = 0" for shape in self.probed)
             )
@@ -1220,15 +1203,19 @@ class _Codegen:
         results = "total" if self.mode == "count" else "c_res"
         per_match = "c_rec" if self.probed else results
         if self.probed:
-            if self.inline:
-                # A hit or a miss is a visit of its branch, and every miss
-                # stores one entry: what the cache's calls would have recorded.
-                self.emit(1, f"c_mat = {' + '.join(self.miss_visits)}")
-                self.emit(1, f"counter.cache_hits += {' + '.join(self.hit_visits)}")
-                self.emit(1, "counter.cache_misses += c_mat")
-                self.emit(1, "counter.cache_insertions += c_mat")
-                if self.lru:
-                    self.emit(1, f"counter.cache_evictions += {' + '.join(self.evict_visits)}")
+            # A hit or a miss is a visit of its branch, and every miss stores
+            # one entry unless refused: what the cache's calls would record.
+            self.emit(1, f"c_mat = {' + '.join(self.miss_visits)}")
+            self.emit(1, f"counter.cache_hits += {' + '.join(self.hit_visits)}")
+            self.emit(1, "counter.cache_misses += c_mat")
+            full = " + ".join(self.full_visits)
+            if self.store == "reject":
+                self.emit(1, f"c_rej = {full}")
+                self.emit(1, "counter.cache_rejections += c_rej")
+                self.emit(1, "c_mat -= c_rej")
+            self.emit(1, "counter.cache_insertions += c_mat")
+            if self.store == "lru":
+                self.emit(1, f"counter.cache_evictions += {full}")
             self.emit(1, "counter.tuples_materialized += c_mat")
         self.emit(1, f"counter.trie_accesses += {self.derived('acc', 'c_acc')}")
         self.emit(1, f"counter.trie_seeks += {self.derived('seek')}")
@@ -1284,13 +1271,9 @@ class _Codegen:
         self.emit(indent, f"# node {node}: adhesion-cache probe")
         # The interpreter records the recursive call before consulting.
         self.site.rec += 1
-        if self.inline:
-            # the cache's own key, so interpreted runs share the entries
-            self.emit(indent, f"ak{pid} = ({node}, {key})")
-            self.emit(indent, f"cv{pid} = _tget(ak{pid})")
-        else:
-            self.emit(indent, f"ak{pid} = {key}")
-            self.emit(indent, f"cv{pid} = _cget({node}, ak{pid})")
+        # the cache's own key, so interpreted runs share the entries
+        self.emit(indent, f"ak{pid} = ({node}, {key})")
+        self.emit(indent, f"cv{pid} = _tget(ak{pid})")
         self.emit(indent, f"if cv{pid} is None:")
         body = indent + 1
         self.emit(body, f"im{node} = 0")
@@ -1301,20 +1284,24 @@ class _Codegen:
         after = self.once.get(node)
         if after is not None:
             self.emit_probe_once(body, shape, after)
-        if self.inline:
-            if self.lru:
+        store = f"_tab[ak{pid}] = im{node}"
+        if self.store == "reject":
+            # a full cache refuses the entry
+            self.emit(body, "if len(_tab) < cap:")
+            self.emit(body + 1, store)
+            self.emit(body, "else:")
+            with self.visit_site(body + 1):
+                self.full_visits.append(self.site.visits)
+        else:
+            if self.store == "lru":
                 # a full cache makes room by evicting its least recently used
                 self.emit(body, "if len(_tab) >= cap:")
                 with self.visit_site(body + 1):
-                    self.evict_visits.append(self.site.visits)
+                    self.full_visits.append(self.site.visits)
                     self.emit(body + 1, "_tpop(False)")
-            self.emit(body, f"_tab[ak{pid}] = im{node}")
-        else:
-            self.emit(body, f"if _should({node}, _AV{node}, ak{pid}, im{node}):")
-            self.emit(body + 1, f"if _cput({node}, ak{pid}, im{node}):")
-            self.emit(body + 2, "c_mat += 1")
+            self.emit(body, store)
         self.emit(indent, "else:")
-        if self.lru:
+        if self.store == "lru":
             self.emit(body, f"_tmove(ak{pid})")
         self.emit(body, f"im{node} = cv{pid}")
         fid = self._factor_serial
@@ -1819,9 +1806,7 @@ class _Codegen:
         self.emit(indent + 1, "raise _RowLimit")
 
 
-def _compile_function(
-    source: str, name: str, label: str, extra: Dict[str, object]
-) -> Callable:
+def _compile_function(source: str, name: str, label: str) -> Callable:
     namespace = {
         "_run_intersect": run_intersect,
         "_run_count": run_count,
@@ -1839,7 +1824,6 @@ def _compile_function(
         "_repeat": repeat,
         "_RowLimit": _RowLimit,
         "_maxsize": sys.maxsize,
-        **extra,
     }
     fault_point("compiler.exec")
     code = compile(source, f"<compiled-driver:{label}>", "exec")
@@ -1862,8 +1846,8 @@ def compile_driver(
     contracted decomposition (so the baked node ids line up with interpreted
     executors sharing the caches), or ``None`` when the plan probes nothing
     — only then is the evaluate loop generated too; otherwise the count
-    loop comes in both probe forms, and the inline one's LRU variant is
-    left to :meth:`CompiledDriver._loop` to compile on first use.
+    loop's variants for an LRU and a rejecting cache (:func:`store_loop`)
+    are left to :meth:`CompiledDriver._loop` to compile on first use.
     """
     depth_of = {variable: depth for depth, variable in enumerate(variable_order)}
     atom_depths = tuple(
@@ -1872,39 +1856,26 @@ def compile_driver(
     )
     bundles = tuple(_atom_bundle(base) for base in pure_tries)
     shapes, owner_at_depth = _clftj_shapes(decomposition, variable_order)
-    # loop name -> (mode, inline, lru)
+    # loop name -> (mode, store discipline)
     if decomposition is None:
-        forms = {"count": ("count", False, False), "evaluate": ("evaluate", False, False)}
+        forms = {"count": ("count", None), "evaluate": ("evaluate", None)}
     else:
-        forms = {
-            "count": ("count", False, False),
-            "count-inline": ("count", True, False),
-            "count-inline-lru": ("count", True, True),
-        }
-    # compiled on first use: a count over an unbounded cache never pays for it
-    deferred = ("count-inline-lru",)
+        forms = {"count": ("count", None), "count-lru": ("count", "lru"),
+                 "count-reject": ("count", "reject")}
+    # compiled on first use: a count over an unbounded cache never pays for them
+    deferred = ("count-lru", "count-reject")
 
     def codegen(name: str) -> _Codegen:
-        mode, inline, lru = forms[name]
-        return _Codegen(atom_depths, bundles, mode, shapes, owner_at_depth, inline, lru)
+        mode, store = forms[name]
+        return _Codegen(atom_depths, bundles, mode, shapes, owner_at_depth, store)
 
     codegens = {name: codegen(name) for name in forms if name not in deferred}
     probed = codegens["count"].probed
-    # The policy protocol receives the adhesion *variables*; they are
-    # compile-time constants of the plan, pre-bound per probed node.
-    adhesion_variables = {
-        f"_AV{shape.node}": tuple(
-            variable_order[depth] for depth in shape.adhesion_depths
-        )
-        for shape in probed
-    }
 
     def build(name: str, generator: Optional[_Codegen] = None) -> _Loop:
         generator = generator or codegen(name)
         source = generator.generate()
-        function = _compile_function(
-            source, f"_{forms[name][0]}", f"{query.name}:{name}", adhesion_variables
-        )
+        function = _compile_function(source, f"_{forms[name][0]}", f"{query.name}:{name}")
         return source, function, generator.levels()
 
     loops = {name: build(name, generator) for name, generator in codegens.items()}
@@ -1970,6 +1941,8 @@ class _CompiledTier:
         key, decomposition, reason = resolve_driver(
             self.query, self.variable_order, self.decomposition
         )
+        if reason is None and decomposition is not None:
+            reason = cache_fallback(self.policy, self.cache)
         if any(trie.has_deltas for trie in self._atom_tries):
             reason = DELTAS_PENDING
         if reason is not None:
@@ -2015,7 +1988,11 @@ class _CompiledTier:
         if counter is not None:
             self.counter = counter
         self._reason = None
-        return driver.count(self.counter, lo, hi, self.deadline, *self._bind("count"))
+        try:
+            return driver.count(self.counter, lo, hi, self.deadline, *self._bind("count"))
+        except _CompileFailed as failed:  # degrade, never fail the query
+            self._reason = str(failed)
+            return super().count(lo, hi, counter)
 
     def _evaluate_driver(self) -> Optional[CompiledDriver]:
         """The driver whose evaluate loop runs, or ``None`` (interpreted)."""
@@ -2056,7 +2033,7 @@ class _CompiledTier:
         if len(rows) <= limit:
             return rows, len(rows)
         del rows[limit:]
-        # No probed node: the count loop takes no cache and no policy.
+        # No probed node: the count loop takes no cache.
         return rows, driver.count(self.counter, None, None, self.deadline)
 
     # ------------------------------------------------------------- metadata
@@ -2076,14 +2053,12 @@ class CompiledCachedTrieJoin(_CompiledTier, CachedLeapfrogTrieJoin):
     """CLFTJ executor that runs through a compiled driver when it can."""
 
     def _bind(self, mode: str) -> Tuple[object, ...]:
-        # The same per-execution cache/policy discipline as the interpreted
-        # _prepare(): counts on the current counter, fresh policy state,
-        # policy probes in the execution's key space.
+        # The interpreted _prepare()'s cache discipline: one mode per cache,
+        # counts on the current counter.  The policy is AlwaysCachePolicy
+        # wherever the count probes (cache_fallback), which keeps no state.
         self.cache.bind_mode(mode)
         self.cache.counter = self.counter
-        self.policy.reset()
-        self.policy.bind_space(self.database)
-        return self.cache, self.policy
+        return (self.cache,)
 
 
 def trie_join_executor(

@@ -27,10 +27,10 @@ from repro.decomposition.tree_decomposition import TreeDecomposition
 from repro.engine.compiler import (
     COMPILED_ALGORITHMS,
     DELTAS_PENDING,
-    INLINE_PROBE,
+    cache_fallback,
     pending_deltas,
-    probe_form,
     resolve_driver,
+    store_loop,
 )
 from repro.engine.executors import (
     Executor,
@@ -423,7 +423,7 @@ class QueryEngine:
             self.selector,
             plan if resolved == "clftj" else None,
         )
-        form: Optional[str] = None  # the compiled probe's, for the levels line
+        probed_cache: Optional[AdhesionCache] = None  # what a compiled count probes
         if resolved == "clftj":
             capacity = (
                 plan.cache_capacity
@@ -436,18 +436,12 @@ class QueryEngine:
                 if pooled
                 else "one cache per execution (prepare() keeps it warm)"
             )
-            # The form a compiled count with probes would run, as the driver
-            # picks it: pool workers cache like the plan's fresh cache.
-            _order, _key, probing, _reason = self._driver(query, resolved, None, plan)
-            probes = ""
-            if compile is not False and probing is not None:
-                probed_cache = cache if cache is not None and not pooled else plan.make_cache()
-                form = probe_form(plan.policy, probed_cache)
-                probes = f", compiled probe: {form}"
+            # pool workers cache like the plan's fresh cache
+            probed_cache = cache if cache is not None and not pooled else plan.make_cache()
             lines.append("")
             lines.append(
                 f"adhesion caching: policy={type(plan.policy).__name__}, "
-                f"capacity={capacity}, {scope}{probes}"
+                f"capacity={capacity}, {scope}"
             )
         if schedule is not None:
             lines.append("")
@@ -482,7 +476,7 @@ class QueryEngine:
             f"{self.database.compiled_builds} build(s), "
             f"{self.database.compiled_cache_hits} hit(s); "
             f"this query: "
-            f"{self._compiled_state(query, resolved, variable_order, compile, plan, form)}"
+            f"{self._compiled_state(query, resolved, variable_order, compile, plan, probed_cache)}"
         )
         if timeout is not None:
             lines.append(
@@ -528,14 +522,14 @@ class QueryEngine:
         variable_order: Optional[Sequence[Variable]],
         compile: Optional[bool],
         plan: Optional[ExecutionPlan] = None,
-        form: Optional[str] = None,
+        cache: Optional[AdhesionCache] = None,
     ) -> str:
         """The explain() account of this query's compiled-driver state: what
         the executor's ``build()`` would find, but only peeking — it builds
         no index, compiles nothing and bumps no counter.  A cached driver
-        adds a ``levels:`` line: what the count loop of the probe ``form``
-        that would run is made of — and, for a driver with an evaluate
-        loop, an ``evaluate levels:`` line under it."""
+        adds a ``levels:`` line: what the count loop that would run over
+        ``cache`` is made of, once compiled — and, for a driver with an
+        evaluate loop, an ``evaluate levels:`` line under it."""
         if algorithm not in COMPILED_ALGORITHMS:
             return f"not applicable (algorithm {algorithm!r} runs interpreted)"
         if compile is False:
@@ -543,16 +537,17 @@ class QueryEngine:
         order, key, probing, reason = self._driver(query, algorithm, variable_order, plan)
         if pending_deltas(query, self.database, order):
             return f"unavailable ({DELTAS_PENDING}; interpreted until the next compaction)"
+        if reason is None and probing is not None:
+            reason = cache_fallback(plan.policy, cache)
         if reason is not None:
             return f"unavailable ({reason})"
         driver = self.database.peek_compiled_driver(key)
         if driver is not None:
             state, note = "cached", "count mode; evaluation runs interpreted"
-            # the LRU variant, compiled on first use, is made of what the
-            # inline loop is made of
-            inline = form is not None and form.startswith(INLINE_PROBE)
-            loop = "count-inline" if inline else "count"
-            levels = f"\n  levels: {' > '.join(driver.levels[loop])}"
+            loop = store_loop(cache)[0] if probing is not None else "count"
+            words = driver.levels.get(loop)
+            levels = (f"\n  levels: {' > '.join(words)}" if words is not None
+                      else f"\n  levels: {loop} compiles on first use")
             if "evaluate" in driver.levels:
                 levels += f"\n  evaluate levels: {' > '.join(driver.levels['evaluate'])}"
         else:
@@ -744,8 +739,6 @@ class QueryEngine:
         if deadline is not None:
             deadline.check()
 
-        dictionary = self.database.dictionary
-        decodes_before = dictionary.decodes
         rows = None
         coded_rows = None
         started = time.perf_counter()
@@ -770,7 +763,9 @@ class QueryEngine:
         result = self._result(
             query, label, value, elapsed, executor, plan, selection, scope
         )
-        result.metadata["decodes"] = dictionary.decodes - decodes_before
+        # Decodes the execution crossed: an executor that decodes reports its
+        # own (ytd's bag rows); code rows are charged as they are read.
+        result.metadata.setdefault("decodes", 0)
         # Time spent at the result boundary, after ``elapsed``: none yet.
         result.metadata["decode_seconds"] = 0.0
         declined = result.metadata.get("parallel_reason", "")
@@ -785,7 +780,7 @@ class QueryEngine:
         if timeout is not None:
             result.metadata["timeout"] = timeout
         if coded_rows is not None:
-            result.set_coded_rows(coded_rows, dictionary)
+            result.set_coded_rows(coded_rows, self.database.dictionary)
         elif rows is not None:
             result.rows = rows
         return result

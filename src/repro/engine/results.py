@@ -153,9 +153,9 @@ class ExecutionResult:
 
     def _decode(self, coded_rows: List[Tuple[int, ...]], as_json: bool = False):
         """Cross the decode boundary, to values or to JSON text, charging the
-        work to this result."""
+        cells crossed to this result (not the dictionary's counter, which
+        other threads' decodes move too)."""
         dictionary, metadata = self._dictionary, self.metadata
-        before = dictionary.decodes
         started = time.perf_counter()
         if as_json:
             crossed = dictionary.json_rows(coded_rows)
@@ -164,7 +164,7 @@ class ExecutionResult:
         metadata["decode_seconds"] = (
             metadata.get("decode_seconds", 0.0) + time.perf_counter() - started
         )
-        metadata["decodes"] = metadata.get("decodes", 0) + dictionary.decodes - before
+        metadata["decodes"] = metadata.get("decodes", 0) + sum(map(len, coded_rows))
         return crossed
 
     @rows.setter

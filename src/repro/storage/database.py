@@ -80,8 +80,9 @@ _WALKED_ITEMS = 64
 def _rough_bytes(obj: object, depth: int = 5, seen: Optional[set] = None) -> int:
     """A cheap, bounded size estimate for memory-budget accounting.
 
-    ``sys.getsizeof`` plus a shallow walk of containers and ``__dict__``
-    attributes.  Numpy arrays report their exact ``nbytes``; objects with a
+    ``sys.getsizeof`` plus a shallow walk of containers and of attributes,
+    in ``__dict__`` or in ``__slots__`` (a trie, the value dictionary).
+    Numpy arrays report their exact ``nbytes``; objects with a
     ``memory_estimate()`` hook (adhesion caches) use it; a container of more
     than :data:`_WALKED_ITEMS` items walks an evenly strided sample of them
     (a set or dict is stepped through at C level) with the same depth budget
@@ -131,9 +132,14 @@ def _rough_bytes(obj: object, depth: int = 5, seen: Optional[set] = None) -> int
             walked = walked * count // len(items)
         return size + walked
     attributes = getattr(obj, "__dict__", None)
-    if isinstance(attributes, dict):
-        for value in attributes.values():
-            size += _rough_bytes(value, depth - 1, seen)
+    values = list(attributes.values()) if isinstance(attributes, dict) else []
+    for cls in type(obj).__mro__:
+        slots = cls.__dict__.get("__slots__", ())
+        for name in (slots,) if isinstance(slots, str) else slots:
+            if not name.startswith("__"):
+                values.append(getattr(obj, name, None))
+    for value in values:
+        size += _rough_bytes(value, depth - 1, seen)
     return size
 
 

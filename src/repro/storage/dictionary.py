@@ -155,8 +155,11 @@ class ValueDictionary:
         #: :attr:`fragments`), grown under :attr:`_grow_lock`.
         self._fragments: List[object] = []
         self._grow_lock = threading.Lock()
-        #: Number of code->value decode operations performed, ever.  The
-        #: zero-decode guarantee for count-only queries is asserted on this.
+        #: Number of code->value decode operations performed, ever: a
+        #: best-effort total, since concurrent threads bump it without a lock
+        #: and may lose an update.  The zero-decode guarantee for count-only
+        #: queries is asserted on this; a result's ``metadata["decodes"]``
+        #: counts its own cells instead.
         self.decodes: int = 0
 
     # ---------------------------------------------------------------- encode

@@ -32,7 +32,8 @@ def test_the_leaf_run_step_compares_both_reduced_forms_with_the_oracle():
     shapes whose clftj count probes a bag once after a counted block (the
     3-path, the lollipop, the 3-star), each under lftj and clftj; the lftj
     5-cycle (``walk > walk-run``); clftj counts over an LRU cache of 100
-    entries (the inline probe's LRU variant); and lftj evaluations of the
+    entries (the ``count-lru`` loop) and of 0 entries (the ``count-reject``
+    loop); and lftj evaluations of the
     3-, 4- and 5-cycle, the 4-clique, the 3-path, the lollipop and the
     3-star (``walk-run > leaf-batch`` / ``set-leaf-batch``, and a batch
     with no walk above it): compiled and ``--no-compile`` must print the
@@ -52,6 +53,7 @@ def test_the_leaf_run_step_compares_both_reduced_forms_with_the_oracle():
     assert "compare --query 5-cycle --algorithm lftj\n" in step
     assert "for query in 4-path 4-cycle lollipop; do" in step
     assert 'compare --query "$query" --algorithm clftj --cache-capacity 100\n' in step
+    assert 'compare --query "$query" --algorithm clftj --cache-capacity 0\n' in step
     # lftj evaluation, one batch of rows per binding above a walk-run,
     # against the same oracle
     assert "for query in 4-cycle 3-path lollipop 3-cycle 5-cycle 4-clique 3-star; do" in step

@@ -16,6 +16,7 @@ import random
 import re
 import sys
 import time
+from functools import partial
 from types import SimpleNamespace
 from typing import NamedTuple, Optional, Tuple
 
@@ -40,10 +41,10 @@ from repro.decomposition.tree_decomposition import TreeDecomposition
 from repro.engine import QueryEngine, QueryTimeoutError, inject_faults
 from repro.engine.compiler import (
     COMPILED_ALGORITHMS,
-    INLINE_PROBE,
     CompiledTrieJoin,
+    cache_fallback,
     driver_cache_key,
-    probe_form,
+    store_loop,
     trie_join_executor,
 )
 from repro.engine.parallel import make_range_executor
@@ -247,8 +248,8 @@ class TestCacheAndInvalidation:
         assert database.memory_footprint() - built >= sum(map(sys.getsizeof, tables.values()))
         assert database.clear_compiled_cache() == 1
         assert database.memory_footprint() == index_only
-        # the lollipop's inline CLFTJ count counts its triangle bag's block
-        # over a children table, hoisted on the driver like the rest
+        # the lollipop's CLFTJ count counts its triangle bag's block over a
+        # children table, hoisted on the driver like the rest
         query = parse_query(LOLLIPOP)
         plan = QueryEngine(database).plan(query)
         executor = trie_join_executor(
@@ -258,7 +259,7 @@ class TestCacheAndInvalidation:
         driver = executor.build()
         built = database.memory_footprint()
         executor.count()
-        assert "once@2" in driver.levels["count-inline"]
+        assert "once@2" in driver.levels["count"]
         tables = driver._hoists
         (children,) = [name for name in tables if name.startswith("ch")]
         assert all(type(run) is frozenset for run in tables[children].values())
@@ -402,51 +403,58 @@ class TestReporting:
         assert evaluate_levels(P4) == "  evaluate levels: merge > walk > walk > walk-run > leaf-batch"
         assert evaluate_levels(C4) == "  evaluate levels: merge > walk > walk-run > set-leaf-batch"
         # a probe entered at the leaf keeps the loop over the run above it;
-        # the line is the loop of the form that runs: the inline one here ...
+        # the line is the loop of the cache's store discipline: the unbounded
+        # one here ...
         assert levels(P4, "clftj") == (
             "  levels: merge > walk > probe@1 > block-count > once@2 > probe@2"
             " > walk > probe@3 > fused-leaf"
         )
-        # ... its LRU variant's under an LRU-bounded cache, the same words ...
+        # ... a bounded cache's, once a count compiled it: the same words
+        # under LRU, every binding probed under reject
         def bounded_levels(**options):
-            (line,) = [line for line in engine.explain(
-                parse_query(P4), algorithm="clftj", **options
-            ).splitlines() if line.startswith("  levels:")]
-            return line
+            def line():
+                (found,) = [found for found in engine.explain(
+                    parse_query(P4), algorithm="clftj", **options
+                ).splitlines() if found.startswith("  levels:")]
+                return found
+
+            before = line()
+            engine.count(parse_query(P4), algorithm="clftj", **options)
+            return before, line()
 
         assert bounded_levels(cache_capacity=100) == (
+            "  levels: count-lru compiles on first use",
             "  levels: merge > walk > probe@1 > block-count > once@2 > probe@2"
-            " > walk > probe@3 > fused-leaf"
+            " > walk > probe@3 > fused-leaf",
         )
-        # ... and the policy-call one under a cache that rejects when full
-        assert bounded_levels(cache=AdhesionCache(capacity=100)) == (
-            "  levels: merge > walk > probe@1 > merge > probe@2 > walk > probe@3 > fused-leaf"
-        )
+        for rejecting in (AdhesionCache(capacity=100), AdhesionCache(capacity=0, eviction="lru")):
+            assert bounded_levels(cache=rejecting)[1] == (
+                "  levels: merge > walk > probe@1 > merge > probe@2 > walk > probe@3 > fused-leaf"
+            )
 
-    def test_explain_names_the_compiled_probe_form(self, engine, capsys):
-        """The adhesion-caching line ends with the form the driver picks
-        (:func:`probe_form`), in the same words from the library and the CLI;
-        a plan with no compiled probe says nothing about one."""
-        def caching(query, **options):
-            (line,) = [line for line in engine.explain(query, algorithm="clftj", **options)
-                       .splitlines() if line.startswith("adhesion caching:")]
-            return line
-
+    def test_explain_and_execution_name_an_interpreted_cache_alike(self, engine):
+        """Another policy, or a cache subclass, over probed nodes runs the
+        interpreter: explain() says why (:func:`cache_fallback`) in the words
+        of the execution's ``compiled_reason``, before and after it; a
+        single bag probes nothing and compiles under any policy."""
         p4 = path_query(4)
-        assert caching(p4).endswith(", compiled probe: inline")
-        assert caching(p4, cache_capacity=100).endswith(
-            ", compiled probe: inline (LRU capacity 100)")
-        assert caching(p4, cache=AdhesionCache(capacity=100)).endswith(
-            ", compiled probe: policy call (capacity 100)")
-        assert caching(p4, cache=AdhesionCache(capacity=0, eviction="lru")).endswith(
-            ", compiled probe: policy call (LRU capacity 0)")
-        assert caching(p4, policy=_OddKeysRefused(), cache=AdhesionCache(capacity=0)).endswith(
-            ", compiled probe: policy call (_OddKeysRefused, capacity 0)")
-        assert "compiled probe" not in caching(p4, compile=False)
-        assert "compiled probe" not in caching(cycle_query(3))  # a single bag
-        assert main(["explain", "--dataset", "wiki-Vote", "--query", "4-path",
-                     "--algorithm", "clftj", "--cache-capacity", "100"]) == 0
-        assert ", compiled probe: inline (LRU capacity 100)\n" in capsys.readouterr().out
+        for options, reason in (
+            ({"policy": _OddKeysRefused()}, "cache policy _OddKeysRefused runs interpreted"),
+            ({"policy": NeverCachePolicy(), "cache_capacity": 100},
+             "cache policy NeverCachePolicy runs interpreted"),
+            ({"cache": _SubclassedCache()}, "cache class _SubclassedCache runs interpreted"),
+        ):
+            before = _this_query(engine.explain(p4, algorithm="clftj", **options))
+            result = engine.count(p4, algorithm="clftj", **options)
+            assert before == f"unavailable ({reason})" == _this_query(
+                engine.explain(p4, algorithm="clftj", **options))
+            assert result.metadata["compiled"] is False
+            assert result.metadata["compiled_reason"] == reason
+        assert cache_fallback(AlwaysCachePolicy(), AdhesionCache(capacity=0, eviction="lru")) is None
+        single = engine.count(cycle_query(3), algorithm="clftj", policy=_OddKeysRefused())
+        assert single.metadata["compiled"] is True
+        explained = engine.explain(p4, algorithm="clftj", cache_capacity=100)
+        assert "compiled probe" not in explained
 
     def test_metadata_counters_always_present(self, engine):
         result = engine.count(cycle_query(3), algorithm="pairwise")
@@ -594,6 +602,14 @@ ONCE = (
     r"n\d+ \+= im1 - 1\n +_tab\[ak0\] = im1\n",
 )
 
+#: A store into a full table is refused, and the refusals are a trip count:
+#: every miss that was not refused inserted an entry.
+REJECT = (
+    r"if len\(_tab\) < cap:\n +_tab\[ak\d+\] = im\d+\n +else:\n +n\d+ \+= 1\n",
+    r"\n    c_rej = n\d+.*\n    counter\.cache_rejections \+= c_rej\n    c_mat -= c_rej\n"
+    r"    counter\.cache_insertions \+= c_mat\n",
+)
+
 SITE_CASES = [
     SiteCase("interior-merge", "E(a,b), F(a,b), E(b,c)", "lftj",
              (r"ks1, \(.*_run_intersect",), ("merge", "merge", "fused-leaf")),
@@ -636,8 +652,7 @@ SITE_CASES = [
              LEAF_RUN + (r"c_rec \+= m; total \+= im1 \* m\n +im2 \+= m\n",
                          r"c_rec \+= m; total \+= f\d+ \* m\n +im2 \+= m\n"),
              ("merge", "walk", "probe@1", "block-count", "once@2", "probe@2", "leaf-run"),
-             bags=([["a", "b"], ["b", "c"], ["a", "d", "e"]], [None, 0, 0]),
-             form="count-inline"),
+             bags=([["a", "b"], ["b", "c"], ["a", "d", "e"]], [None, 0, 0])),
     SiteCase("leaf-of-2", "E(a,b), F(a,b)", "lftj",
              (r"fused leaf", r"m = _pair_count\("), ("merge", "fused-leaf")),
     SiteCase("leaf-of-3", "E(a,b), F(a,b), G(a,b)", "lftj",
@@ -680,62 +695,60 @@ SITE_CASES = [
              SET_LEAF_RUN + (r"c_rec \+= m; total \+= im1 \* m\n +im2 \+= m\n",
                              r"c_rec \+= m; total \+= f\d+ \* m\n +im2 \+= m\n"),
              ("merge", "walk", "probe@1", "block-count", "once@2", "probe@2", "set-leaf-run"),
-             bags=([["b", "c"], ["a", "b"], ["c", "d", "e"]], [None, 0, 0]),
-             form="count-inline"),
+             bags=([["b", "c"], ["a", "b"], ["c", "d", "e"]], [None, 0, 0])),
     SiteCase("leaf-unfused", "E(a,b), U(b)", "lftj",
              (r"leaf count \(unfused\)",), ("merge", "unfused-leaf")),
-    # hit and miss continuations, and a hit that lands on the base case; the
-    # probe entered at the leaf keeps the walk above it a loop
+    # The loop of a rejecting cache (a capacity of 0 under either eviction
+    # too) probes every binding: hit and miss continuations, a hit that lands
+    # on the base case, and a store refused by a full table; the probe
+    # entered at the leaf keeps the walk above it a loop
     SiteCase("probe-path", P4, "clftj",
-             (r"adhesion-cache probe", r"else:\n.*\n.*\n +n\d+ \+= 1\n +total \+= f\d+\n",
-              r"for i3 in range\(lo2_1, hi2_1\):"),
-             ("merge", "walk", "probe@1", "merge", "probe@2", "walk", "probe@3", "fused-leaf")),
+             REJECT + (r"adhesion-cache probe", r"else:\n.*\n.*\n +n\d+ \+= 1\n +total \+= f\d+\n",
+                       r"for i3 in range\(lo2_1, hi2_1\):"),
+             ("merge", "walk", "probe@1", "merge", "probe@2", "walk", "probe@3", "fused-leaf"),
+             form="count-reject"),
     SiteCase("probe-two-variable-adhesion", C4, "clftj",
-             (r"ak\d+ = \(k\d, k\d\)",), ("merge", "walk", "walk", "probe@1", "set-leaf")),
+             REJECT + (r"ak\d+ = \(\d+, \(k\d, k\d\)\)",),
+             ("merge", "walk", "walk", "probe@1", "set-leaf"), form="count-reject"),
     SiteCase("probe-under-walk", LOLLIPOP, "clftj",
-             (r"adhesion-cache probe", r"fs2_1"),
-             ("merge", "walk", "probe@1", "walk", "walk", "probe@2", "fused-leaf")),
-    # The inline form counts a childless bag's block without its
-    # continuation and probes the next bag once for all of its bindings:
-    # one run's bindings are its length ...
+             REJECT + (r"adhesion-cache probe", r"fs2_1"),
+             ("merge", "walk", "probe@1", "walk", "walk", "probe@2", "fused-leaf"),
+             form="count-reject"),
+    # Where every miss stores, the count loop counts a childless bag's block
+    # without its continuation and probes the next bag once for all of its
+    # bindings: one run's bindings are its length ...
     SiteCase("once-3-path", P3, "clftj",
              ONCE + (r"# depth 2: node 1's bindings\n +st = .*\n +c_acc \+= .*\n"
                      r" +m = hi0_1 - lo0_1\n +if _dl_at is not None:\n +_dlt \+= m\n",
                      r"c_rec \+= m; total \+= im1 \* m\n"),
-             ("merge", "walk", "probe@1", "block-count", "once@2", "probe@2", "fused-leaf"),
-             form="count-inline"),
+             ("merge", "walk", "probe@1", "block-count", "once@2", "probe@2", "fused-leaf")),
     # ... the factor reaches the probes nested in the once-probed bag's miss
     SiteCase("once-4-path", P4, "clftj",
              ONCE + (r"m = hi0_1 - lo0_1\n", r"f\d+ = im1 \* cv\d+\n",
                      r"c_rec \+= m; total \+= im1 \* m\n"),
              ("merge", "walk", "probe@1", "block-count", "once@2", "probe@2", "walk",
-              "probe@3", "fused-leaf"),
-             form="count-inline"),
+              "probe@3", "fused-leaf")),
     # ... a walk over a run beside an invariant set is a set-leaf run over a
     # children table (the lollipop's triangle) ...
     SiteCase("once-lollipop", LOLLIPOP, "clftj",
              ONCE + SET_LEAF_RUN + (r"# depth 3: node 1's bindings, whole run at once\n",
                                     r"ch0_0 = \{K0_0\[i\]: frozenset"),
-             ("merge", "walk", "probe@1", "set-leaf-run", "once@2", "probe@2", "fused-leaf"),
-             form="count-inline"),
+             ("merge", "walk", "probe@1", "set-leaf-run", "once@2", "probe@2", "fused-leaf")),
     SiteCase("once-3-star", "E(a,b), E(a,c), E(a,d)", "clftj",
              ONCE + (r"m = hi1_1 - lo1_1\n",),
-             ("merge", "walk", "probe@1", "block-count", "once@2", "probe@2", "fused-leaf"),
-             form="count-inline"),
+             ("merge", "walk", "probe@1", "block-count", "once@2", "probe@2", "fused-leaf")),
     # ... two runs meet in the block, and often do not: a block with no
     # bindings probes nothing after it
     SiteCase("once-dangling", "E(a,b), E(b,c), H(b,c), E(a,d)", "clftj",
              ONCE + (r"m = _pair_count\(K1_1, lo1_1, hi1_1, K2_1, lo2_1, hi2_1\)",),
              ("merge", "walk", "probe@1", "block-count", "once@2", "probe@2", "fused-leaf"),
-             bags=([["a", "b"], ["b", "c"], ["a", "d"]], [None, 0, 0]),
-             form="count-inline"),
+             bags=([["a", "b"], ["b", "c"], ["a", "d"]], [None, 0, 0])),
     # ... and the once-probed bag's key is the outer variable: a miss below
     # a new b finds the entry an earlier b under the same a stored
     SiteCase("once-first-arrival-hits", "E(a,b), E(b,c), E(a,d)", "clftj",
              ONCE + (r"ak\d+ = \(2, \(k0,\)\)",),
              ("merge", "walk", "probe@1", "block-count", "once@2", "probe@2", "fused-leaf"),
-             bags=([["a", "b"], ["b", "c"], ["a", "d"]], [None, 0, 0]),
-             form="count-inline"),
+             bags=([["a", "b"], ["b", "c"], ["a", "d"]], [None, 0, 0])),
     # The evaluate loop's walk-run: the 2-path loses every loop but the top
     # one ...
     SiteCase("eval-walk-run-2-path", "E(a,b), E(b,c)", "lftj",
@@ -792,7 +805,13 @@ class _OddKeysRefused(AlwaysCachePolicy):
         return sum(adhesion_values) % 2 == 0
 
 
-#: Every policy the probe forms must agree on, built per (database, query).
+class _SubclassedCache(AdhesionCache):
+    """A cache subclass may override ``get`` / ``put``: the compiled probe,
+    which reads and writes the table itself, must not run over it."""
+
+
+#: Every policy a CLFTJ count may run under, built per (database, query):
+#: ``always`` compiles, the others run interpreted (:func:`cache_fallback`).
 PROBE_POLICIES = {
     "always": lambda database, query: AlwaysCachePolicy(),
     "always-subclass": lambda database, query: _OddKeysRefused(),
@@ -804,6 +823,33 @@ PROBE_POLICIES = {
         [SupportThresholdPolicy(database, query, threshold=1), BoundedCachePolicy(5)]
     ),
 }
+
+
+#: Every cache a compiled count must agree with the interpreter over: each
+#: store discipline at a capacity of none, 0, 4 (filled before the first
+#: count) and 100.
+PROBE_CACHES = {
+    "unbounded": lambda: AdhesionCache(),
+    "lru-None": lambda: AdhesionCache(eviction="lru"),
+    "lru-0": lambda: AdhesionCache(capacity=0, eviction="lru"),
+    "lru-4": lambda: AdhesionCache(capacity=4, eviction="lru"),
+    "lru-100": lambda: AdhesionCache(capacity=100, eviction="lru"),
+    "reject-0": lambda: AdhesionCache(capacity=0),
+    "reject-4": lambda: AdhesionCache(capacity=4),
+    "reject-100": lambda: AdhesionCache(capacity=100),
+}
+
+
+def _reading_f_last(case):
+    """The case's query with its last atom over F: an update of F
+    (:func:`_update_f`) leaves some cache entries warm."""
+    head, _, tail = case.text.rpartition("E(")
+    return parse_query(f"{head}F({tail}")
+
+
+def _update_f(database):
+    database.insert("F", [(1, 29), (29, 3), (4, 28)])
+    database.delete("F", database.relation("F").tuples[:4])
 
 
 def _site_database(empty=False, nodes=30, count=160):
@@ -954,8 +1000,9 @@ class TestCounterModel:
     def test_equal_named_hoists_are_equal_across_loops(self, case):
         """A driver keeps one table per name for all of its loops, so every
         loop must build a name's table alike: run alone over an empty dict,
-        each loop (count and evaluate, or the three probe forms) hoists
-        every name it shares with another as an equal table."""
+        each loop (count and evaluate, or the three store disciplines'
+        count loops) hoists every name it shares with another as an equal
+        table."""
         engine = QueryEngine(_site_database())
         for algorithm in sorted({"lftj", case.algorithm}):
             options = case.options() if algorithm == "clftj" else {}
@@ -963,15 +1010,11 @@ class TestCounterModel:
             prepared.count()
             driver = prepared.compiled_driver()
             if driver.probed_nodes:
-                always = AlwaysCachePolicy()
+                caches = {"count": AdhesionCache(), "count-reject": AdhesionCache(capacity=100),
+                          "count-lru": AdhesionCache(capacity=100, eviction="lru")}
                 loops = {
-                    "count": lambda: driver.count(
-                        OperationCounter(), cache=AdhesionCache(capacity=100), policy=always),
-                    "count-inline": lambda: driver.count(
-                        OperationCounter(), cache=AdhesionCache(), policy=always),
-                    "count-inline-lru": lambda: driver.count(
-                        OperationCounter(), cache=AdhesionCache(capacity=100, eviction="lru"),
-                        policy=always),
+                    name: partial(driver.count, OperationCounter(), cache=cache)
+                    for name, cache in caches.items()
                 }
             else:
                 loops = {"count": lambda: driver.count(OperationCounter()),
@@ -1082,22 +1125,79 @@ class TestCounterModel:
                 database, query, algorithm, None, False
             ), (algorithm, atoms)
 
-    @pytest.mark.parametrize("capacity", [None, 0, 4, 100], ids=lambda c: f"capacity-{c}")
-    @pytest.mark.parametrize("policy_name", sorted(PROBE_POLICIES))
+    @pytest.mark.parametrize("cache_name", sorted(PROBE_CACHES))
     @pytest.mark.parametrize("case", PROBE_CASES, ids=[case.name for case in PROBE_CASES])
-    def test_both_probe_forms_match_the_interpreter(self, case, policy_name, capacity):
-        """Per (policy, capacity) pair, a cold run, a warm prepared run and a
-        run after an update that invalidates part of the cache: counts,
-        counters (evictions too) and the cache's entries, order and byte
-        figure all equal the interpreter's — and only AlwaysCachePolicy over
-        an unbounded cache or an LRU one with room runs inline.  Capacity 4
-        is a full cache: it starts full of entries no plan node reads, whose
-        big ints weigh more than what replaces them, and every count evicts
-        at a constant length."""
+    def test_every_store_discipline_matches_the_interpreter(self, case, cache_name):
+        """Per cache — unbounded, LRU or rejecting, at a capacity of none,
+        0, 4 or 100 — a cold run, a warm prepared run and a run after an
+        update that invalidates part of the cache: counts, counters
+        (evictions and rejections too) and the cache's entries, order and
+        byte figure all equal the interpreter's, and the compiled count
+        reads the table without a call.  Capacity 4 is a full cache: it
+        starts full of entries no plan node reads, whose big ints weigh
+        more than what replaces them; under LRU every count evicts at a
+        constant length, under reject every store is refused."""
         database = _site_database()
-        # the last atom reads F: an update of F leaves some entries warm
-        head, _, tail = case.text.rpartition("E(")
-        query = parse_query(f"{head}F({tail}")
+        query = _reading_f_last(case)
+        engine = QueryEngine(database)
+        handles, caches = {}, {}
+        for compile in (None, False):
+            caches[compile] = PROBE_CACHES[cache_name]()
+            handles[compile] = engine.prepare(
+                query, algorithm="clftj", compile=compile, cache=caches[compile],
+                **case.options(),
+            )
+        if caches[None].capacity == 4:
+            for filled in caches.values():
+                for big in range(2**70, 2**70 + 4):
+                    filled.put(99, (big,), big)
+        cache = caches[None]
+        loop, _capacity = store_loop(cache)
+        consults = []  # the interpreter reads the cache through get()
+        cache.get = lambda *key, get=cache.get: consults.append(key) or get(*key)
+        for step in ("cold", "warm", "updated"):
+            held = len(cache)
+            if step == "updated":
+                _update_f(database)
+            runs = {}
+            for compile, prepared in handles.items():
+                result = prepared.count()
+                assert result.metadata.get("compiled", False) is (compile is None)
+                runs[compile] = (
+                    result.count, result.counter.as_dict(), list(caches[compile].table.items()),
+                    caches[compile].memory_estimate(),
+                    result.metadata.get("prepared_cache_invalidations", 0),
+                )
+            assert runs[None] == runs[False], (step, loop)
+            _count, counters, entries, estimate, dropped = runs[None]
+            assert estimate == sys.getsizeof(cache.table) + sum(
+                entry_bytes(key, value) for key, value in entries
+            )
+            assert counters["cache_hits"] + counters["cache_misses"] > 0 and not consults, step
+            if step == "cold":
+                cold = counters
+            if step == "updated" and cache_name == "unbounded":
+                # selective: with a second probed node, entries stay warm
+                assert 0 < dropped <= held
+                assert (dropped < held) is (len(handles[None].compiled_driver().probed_nodes) > 1)
+        assert loop in handles[None].compiled_driver().levels
+        refusing = cache.capacity == 0 or cache_name == "reject-4"
+        assert (cold["cache_insertions"] == 0 < cold["cache_rejections"]) is refusing
+        assert loop == "count-reject" or counters["cache_hits"] > 0
+        # the full cache evicted, and the compiled count derived it (parity above)
+        assert cache_name != "lru-4" or cold["cache_evictions"] > 0
+
+    @pytest.mark.parametrize("capacity", [None, 0, 4, 100], ids=lambda c: f"capacity-{c}")
+    @pytest.mark.parametrize("policy_name", sorted(set(PROBE_POLICIES) - {"always"}))
+    @pytest.mark.parametrize("case", PROBE_CASES, ids=[case.name for case in PROBE_CASES])
+    def test_other_policies_run_interpreted(self, case, policy_name, capacity):
+        """Any policy but exactly AlwaysCachePolicy decides per entry: a
+        compiled executor's probing count runs the interpreter — the oracle
+        — and names the policy in ``compiled_reason`` and in explain(), cold,
+        warm and after an update, with the oracle's counts, counters and
+        cache."""
+        database = _site_database()
+        query = _reading_f_last(case)
         engine = QueryEngine(database)
         handles, caches = {}, {}
         for compile in (None, False):
@@ -1108,48 +1208,21 @@ class TestCounterModel:
                 query, algorithm="clftj", compile=compile, cache=caches[compile],
                 policy=policy, **case.options(),
             )
-        if capacity == 4:
-            for filled in caches.values():
-                for big in range(2**70, 2**70 + capacity):
-                    filled.put(99, (big,), big)
-        cache = caches[None]
-        form = probe_form(policy, cache)
-        inline = form.startswith(INLINE_PROBE)
-        assert inline is (policy_name == "always" and capacity != 0), form
-        assert f", compiled probe: {form}\n" in handles[None].explain()
-        consults = []  # the policy-call form reads the cache through get()
-        cache.get = lambda *key, get=cache.get: consults.append(key) or get(*key)
+        reason = f"cache policy {type(policy).__name__} runs interpreted"
+        assert _this_query(handles[None].explain()) == f"unavailable ({reason})"
         for step in ("cold", "warm", "updated"):
-            held = len(cache)
             if step == "updated":
-                database.insert("F", [(1, 29), (29, 3), (4, 28)])
-                database.delete("F", database.relation("F").tuples[:4])
-            consults.clear()
+                _update_f(database)
             runs = {}
             for compile, prepared in handles.items():
                 result = prepared.count()
-                assert result.metadata.get("compiled", False) is (compile is None)
+                assert result.metadata.get("compiled", False) is False
+                assert result.metadata.get("compiled_reason") == (reason if compile is None else None)
                 runs[compile] = (
                     result.count, result.counter.as_dict(), list(caches[compile].table.items()),
                     caches[compile].memory_estimate(),
-                    result.metadata.get("prepared_cache_invalidations", 0),
                 )
-            assert runs[None] == runs[False], (step, form)
-            _count, counters, entries, estimate, dropped = runs[None]
-            assert estimate == sys.getsizeof(cache.table) + sum(
-                entry_bytes(key, value) for key, value in entries
-            )
-            lookups = counters["cache_hits"] + counters["cache_misses"]
-            assert lookups > 0 and len(consults) == (0 if inline else lookups), step
-            if step == "cold":
-                evictions = counters["cache_evictions"]
-            if step == "updated" and form == INLINE_PROBE:
-                # selective: with a second probed node, entries stay warm
-                assert 0 < dropped <= held
-                assert (dropped < held) is (len(handles[None].compiled_driver().probed_nodes) > 1)
-        assert not inline or counters["cache_hits"] > 0
-        # the full cache evicted, and the inline form derived it (parity above)
-        assert not (inline and capacity == 4) or evictions > 0
+            assert runs[None] == runs[False], step
 
     def test_deadline_fires_inside_a_leaf_run(self):
         """The reduced level advances the deadline gate by the run it stands
@@ -1225,9 +1298,9 @@ class TestCounterModel:
             assert list(caches[None].table.items()) == list(caches[False].table.items())
 
     def test_a_block_counted_without_its_continuation_has_no_loop(self):
-        """The 3-path's miss on its first probed bag: the call form walks
-        the bag's run and probes the next bag per key; the inline form
-        counts the run and probes once."""
+        """The 3-path's miss on its first probed bag: a rejecting cache's
+        loop walks the bag's run and probes the next bag per key; where
+        every miss stores, the loop counts the run and probes once."""
         engine = QueryEngine(_site_database())
         prepared = engine.prepare(parse_query(P3), algorithm="clftj")
         prepared.count()
@@ -1238,10 +1311,10 @@ class TestCounterModel:
             return [node.target.id for node in ast.walk(ast.parse(source))
                     if isinstance(node, ast.For)]
 
-        assert loops("count") == ["i0", "i1", "i2"]
-        assert loops("count-inline") == ["i0", "i1"]
+        assert loops("count-reject") == ["i0", "i1", "i2"]
+        assert loops("count") == loops("count-lru") == ["i0", "i1"]
         # node 2's consult: in the miss on node 1 and in the hit on it
-        assert driver.debug_source("count-inline").count("# node 2: adhesion-cache probe") == 2
+        assert driver.debug_source("count").count("# node 2: adhesion-cache probe") == 2
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_once_shapes_match_the_oracle(self, seed):
@@ -1263,7 +1336,7 @@ class TestCounterModel:
         prepared = engine.prepare(query, algorithm="clftj")
         prepared.count()
         assert any(word.startswith("once@")
-                   for word in prepared.compiled_driver().levels["count-inline"]), query
+                   for word in prepared.compiled_driver().levels["count"]), query
         caches = {compile: AdhesionCache() for compile in (None, False)}
         for _run in ("fresh", "warm"):
             runs = {
@@ -1288,7 +1361,7 @@ class TestCounterModel:
         query = parse_query(LOLLIPOP)
         prepared = engine.prepare(query, algorithm="clftj")
         prepared.count()  # compiles the driver and hoists its tables
-        assert "once@2" in prepared.compiled_driver().levels["count-inline"]
+        assert "once@2" in prepared.compiled_driver().levels["count"]
         whole = engine.count(query, algorithm="clftj").elapsed_seconds  # a fresh cache
         assert whole > 0.04  # there is a middle to stop in
         timeout = whole / 4
@@ -1469,35 +1542,28 @@ class TestRowLimit:
 
 
 #: sha256 prefixes of generated sources over ``_site_database()``: the LFTJ
-#: loops and the CLFTJ policy-call form must not move with a change that
-#: only reshapes the inline form.  A change that means to move one says so
-#: and updates its digest.  (The ``evaluate`` entries moved when the
-#: evaluate loop started emitting one batch of rows per leaf into the one
-#: list it returns, and again when the walk above that batch became a
-#: ``walk-run``; the LFTJ ``count`` entries of the paths, the lollipop and
-#: the 4-/5-cycles when the walk above a leaf run became a ``walk-run``.
-#: The inline forms are pinned below.)
+#: loops must not move with a change that only reshapes the CLFTJ probe.  A
+#: change that means to move one says so and updates its digest.  (The
+#: ``evaluate`` entries moved when the evaluate loop started emitting one
+#: batch of rows per leaf into the one list it returns, and again when the
+#: walk above that batch became a ``walk-run``; the LFTJ ``count`` entries
+#: of the paths, the lollipop and the 4-/5-cycles when the walk above a leaf
+#: run became a ``walk-run``.  The CLFTJ count loops are pinned below.)
 PINNED_SOURCES = {
-    ("3-path", "lftj", "count"): "dac61dadd75ef304",
-    ("3-path", "lftj", "evaluate"): "ab331b8407e1ab07",
-    ("3-path", "clftj", "count"): "623ba12f81626160",
-    ("4-path", "lftj", "count"): "43db6dc3bf63e990",
-    ("4-path", "lftj", "evaluate"): "b47747e2ff15d341",
-    ("4-path", "clftj", "count"): "9f5ee98da3e7d9e7",
-    ("3-star", "lftj", "count"): "4bc916749bda2b52",
-    ("3-star", "lftj", "evaluate"): "52301bb3c3bde01e",
-    ("3-star", "clftj", "count"): "dd01238314e7b905",
-    ("lollipop", "lftj", "count"): "b288590eae45b3a0",
-    ("lollipop", "lftj", "evaluate"): "079ad214c21dd4ca",
-    ("lollipop", "clftj", "count"): "bfeeb77242c716f8",
-    ("triangle", "lftj", "count"): "9b3e07876d0c97a0",
-    ("triangle", "lftj", "evaluate"): "42af13543bed6db7",
-    ("4-cycle", "lftj", "count"): "b89d659570064d8d",
-    ("4-cycle", "lftj", "evaluate"): "a6f93f086839cf9c",
-    ("4-cycle", "clftj", "count"): "f00c97b72aec0971",
-    ("5-cycle", "lftj", "count"): "7326fe7e54bd1e5f",
-    ("5-cycle", "lftj", "evaluate"): "f3be0e0e2cb7d72d",
-    ("5-cycle", "clftj", "count"): "da429a18a7c67f19",
+    ("3-path", "count"): "dac61dadd75ef304",
+    ("3-path", "evaluate"): "ab331b8407e1ab07",
+    ("4-path", "count"): "43db6dc3bf63e990",
+    ("4-path", "evaluate"): "b47747e2ff15d341",
+    ("3-star", "count"): "4bc916749bda2b52",
+    ("3-star", "evaluate"): "52301bb3c3bde01e",
+    ("lollipop", "count"): "b288590eae45b3a0",
+    ("lollipop", "evaluate"): "079ad214c21dd4ca",
+    ("triangle", "count"): "9b3e07876d0c97a0",
+    ("triangle", "evaluate"): "42af13543bed6db7",
+    ("4-cycle", "count"): "b89d659570064d8d",
+    ("4-cycle", "evaluate"): "a6f93f086839cf9c",
+    ("5-cycle", "count"): "7326fe7e54bd1e5f",
+    ("5-cycle", "evaluate"): "f3be0e0e2cb7d72d",
 }
 PINNED_SHAPES = {
     "3-path": P3,
@@ -1510,44 +1576,50 @@ PINNED_SHAPES = {
 }
 
 
-@pytest.mark.parametrize("shape, algorithm, form", sorted(PINNED_SOURCES), ids="-".join)
-def test_lftj_and_policy_call_sources_are_pinned(shape, algorithm, form):
+@pytest.mark.parametrize("shape, form", sorted(PINNED_SOURCES), ids="-".join)
+def test_lftj_sources_are_pinned(shape, form):
     engine = QueryEngine(_site_database())
-    prepared = engine.prepare(parse_query(PINNED_SHAPES[shape]), algorithm=algorithm)
+    prepared = engine.prepare(parse_query(PINNED_SHAPES[shape]), algorithm="lftj")
     prepared.count()
     source = prepared.compiled_driver().debug_source(form)
     digest = hashlib.sha256(source.encode()).hexdigest()[:16]
-    assert digest == PINNED_SOURCES[shape, algorithm, form], source
+    assert digest == PINNED_SOURCES[shape, form], source
 
 
-#: The same for the inline CLFTJ count loops, unbounded and LRU: with
+#: The same for the CLFTJ count loops of every store discipline: with
 #: ``PINNED_SOURCES``' count entries, every count loop a change to the
 #: evaluate loop must leave byte-identical.
-PINNED_INLINE_SOURCES = {
-    ("3-path", "count-inline"): "3df5ac75b4e4aa94",
-    ("3-path", "count-inline-lru"): "d5d5a6874e4c73ac",
-    ("4-path", "count-inline"): "be89e7f40a401a46",
-    ("4-path", "count-inline-lru"): "012c1ad28b6748ec",
-    ("3-star", "count-inline"): "90fc69e81230514d",
-    ("3-star", "count-inline-lru"): "f5d6171531f0f169",
-    ("lollipop", "count-inline"): "44124703c530cdfd",
-    ("lollipop", "count-inline-lru"): "88e498a7f62f83e4",
-    ("4-cycle", "count-inline"): "8aad0fbde91bf332",
-    ("4-cycle", "count-inline-lru"): "a8143b86436bf4f4",
-    ("5-cycle", "count-inline"): "4bd25fa1f8903ebc",
-    ("5-cycle", "count-inline-lru"): "af2dbd5e6eba237c",
+PINNED_PROBING_SOURCES = {
+    ("3-path", "count"): "3df5ac75b4e4aa94",
+    ("3-path", "count-lru"): "d5d5a6874e4c73ac",
+    ("3-path", "count-reject"): "8e94a9d1b421efdd",
+    ("4-path", "count"): "be89e7f40a401a46",
+    ("4-path", "count-lru"): "012c1ad28b6748ec",
+    ("4-path", "count-reject"): "a59acd599244585b",
+    ("3-star", "count"): "90fc69e81230514d",
+    ("3-star", "count-lru"): "f5d6171531f0f169",
+    ("3-star", "count-reject"): "199bc8e22987f504",
+    ("lollipop", "count"): "44124703c530cdfd",
+    ("lollipop", "count-lru"): "88e498a7f62f83e4",
+    ("lollipop", "count-reject"): "238a24263359eb52",
+    ("4-cycle", "count"): "8aad0fbde91bf332",
+    ("4-cycle", "count-lru"): "a8143b86436bf4f4",
+    ("4-cycle", "count-reject"): "7bbfdd18f4b2997c",
+    ("5-cycle", "count"): "4bd25fa1f8903ebc",
+    ("5-cycle", "count-lru"): "af2dbd5e6eba237c",
+    ("5-cycle", "count-reject"): "a3783e7b3fa48d3e",
 }
 
 
-@pytest.mark.parametrize("shape, form", sorted(PINNED_INLINE_SOURCES),
-                         ids=[f"{shape}-{form}" for shape, form in sorted(PINNED_INLINE_SOURCES)])
-def test_inline_count_sources_are_pinned(shape, form):
+@pytest.mark.parametrize("shape, form", sorted(PINNED_PROBING_SOURCES),
+                         ids=[f"{shape}-{form}" for shape, form in sorted(PINNED_PROBING_SOURCES)])
+def test_probing_count_sources_are_pinned(shape, form):
     engine = QueryEngine(_site_database())
     prepared = engine.prepare(parse_query(PINNED_SHAPES[shape]), algorithm="clftj")
     prepared.count()
     source = prepared.compiled_driver().debug_source(form)
     digest = hashlib.sha256(source.encode()).hexdigest()[:16]
-    assert digest == PINNED_INLINE_SOURCES[shape, form], source
+    assert digest == PINNED_PROBING_SOURCES[shape, form], source
 
 
 class TestKernelCrossover:
@@ -1579,63 +1651,80 @@ class TestClftjCompiled:
         assert driver.probed_nodes  # at least one adhesion-cache probe
         source = driver.debug_source("count")
         assert "adhesion-cache probe" in source
-        assert "_cget(" in source and "_cput(" in source
         # No generic dispatch survives specialization: the adhesion keys are
         # straight-line tuple constructions over bound depth locals.
         assert "_adhesion_depths" not in source
-        # The inline form consults the cache's own table; no loop calls a
-        # method of the cache or the policy, or keeps a cache counter.
-        inline = driver.debug_source("count-inline")
-        assert inline.startswith("def _count(columns, _hoist, counter, _tab, lo=None,")
-        assert re.search(r"ak\d+ = \(\d+, \(k\d,\)\)\n +cv\d+ = _tget\(ak\d+\)", inline)
-        assert re.search(r"_tab\[ak\d+\] = im\d+", inline)
-        assert not re.search(r"_cget|_cput|_should|cache\.|policy", inline)
-        loops = [node for node in ast.walk(ast.parse(inline)) if isinstance(node, ast.For)]
+        # The loop consults the cache's own table; no loop calls a method of
+        # the cache or a policy, or keeps a cache counter.
+        assert source.startswith("def _count(columns, _hoist, counter, _tab, lo=None,")
+        assert re.search(r"ak\d+ = \(\d+, \(k\d,\)\)\n +cv\d+ = _tget\(ak\d+\)", source)
+        assert re.search(r"_tab\[ak\d+\] = im\d+", source)
+        assert not re.search(r"cache\.|policy|_should|_AV\d", source)
+        loops = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.For)]
         assert loops and not any(
             isinstance(node, ast.Name) and node.id in ("counter", "c_mat")
             for loop in loops for node in ast.walk(loop)
         )
         for name in ("cache_hits", "cache_misses", "cache_insertions", "tuples_materialized"):
-            assert f"\n    counter.{name} += " in inline
-        # the LRU variant is compiled by the first count over an LRU-bounded
-        # cache (or asked for here): an unbounded count never pays for it
-        assert set(driver.levels) == set(driver._sources) == {"count", "count-inline"}
+            assert f"\n    counter.{name} += " in source
+        # the variants of the bounded disciplines are compiled by the first
+        # count that needs one (or asked for here): an unbounded count never
+        # pays for them
+        assert set(driver.levels) == set(driver._sources) == {"count"}
         engine.count(query, algorithm="clftj", cache_capacity=4)
-        assert "count-inline-lru" in driver._sources
-        lru = driver.debug_source("count-inline-lru")
+        assert set(driver._sources) == {"count", "count-lru"}
+        lru = driver.debug_source("count-lru")
         assert lru.startswith("def _count(columns, _hoist, counter, _tab, cap, lo=None,")
-        assert driver.levels["count-inline-lru"] == driver.levels["count-inline"]
+        assert driver.levels["count-lru"] == driver.levels["count"]
         # a hit moves its entry to the end; a store into a full table first
         # evicts the oldest, counted by a trip counter
         assert re.search(r"else:\n +_tmove\(ak\d+\)\n", lru)
         assert re.search(r"if len\(_tab\) >= cap:\n +n\d+ \+= 1\n +_tpop\(False\)\n"
                          r" +_tab\[ak\d+\] = im\d+", lru)
         assert "\n    counter.cache_evictions += n" in lru
-        assert not re.search(r"_cget|_cput|_should|cache\.|policy", lru)
-        assert lru.replace("_tab, cap, ", "_tab, ") != inline
-        # every form reads one table per name
+        assert not re.search(r"cache\.|policy|rejections", lru)
+        assert lru.replace("_tab, cap, ", "_tab, ") != source
+        # a rejecting cache refuses a store into a full table, counted by a
+        # trip counter, and probes every binding (no once@)
+        engine.count(query, algorithm="clftj", cache=AdhesionCache(capacity=4))
+        assert set(driver._sources) == {"count", "count-lru", "count-reject"}
+        reject = driver.debug_source("count-reject")
+        assert reject.startswith("def _count(columns, _hoist, counter, _tab, cap, lo=None,")
+        assert re.search(REJECT[0], reject) and re.search(REJECT[1], reject)
+        assert not any(word.startswith("once@") for word in driver.levels["count-reject"])
+        assert not re.search(r"cache\.|policy|_tmove|_tpop|evictions", reject)
+        # every loop reads one table per name
         assert sorted(driver._hoists) == ["fd2_0", "fd3_0"]
         database.close_pools()
 
-    def test_a_failed_lru_compile_runs_the_policy_call_loop(self, engine):
-        """The LRU variant compiles on first use; a failed compilation there
-        degrades like a failed build — the policy-call loop counts, with the
-        interpreter's counters — and the next bounded count compiles it."""
+    @pytest.mark.parametrize("loop", ["count-lru", "count-reject"])
+    def test_a_failed_variant_compile_runs_interpreted(self, engine, loop):
+        """A bounded discipline's loop compiles on first use; a failed
+        compilation there degrades like a failed build — the interpreter
+        counts, with ``compile failed: ...`` as the reason and the oracle's
+        counters — and the next bounded count compiles it."""
         query = path_query(4)
         engine.count(query, algorithm="clftj")
         driver = engine.prepare(query, algorithm="clftj").compiled_driver()
+
+        def options():
+            if loop == "count-lru":
+                return {"cache_capacity": 4}
+            return {"cache": AdhesionCache(capacity=4)}
+
         with inject_faults({"compiler.exec": {"action": "raise", "times": 1}}):
-            bounded = engine.count(query, algorithm="clftj", cache_capacity=4)
-        assert bounded.metadata["compiled"] is True
-        assert "count-inline-lru" not in driver._sources
-        oracle = engine.count(query, algorithm="clftj", cache_capacity=4, compile=False)
+            bounded = engine.count(query, algorithm="clftj", **options())
+        assert bounded.metadata["compiled"] is False
+        assert bounded.metadata["compiled_reason"].startswith("compile failed: ")
+        assert loop not in driver._sources
+        oracle = engine.count(query, algorithm="clftj", compile=False, **options())
         assert (bounded.count, bounded.counter.as_dict()) == (
             oracle.count, oracle.counter.as_dict()
         )
-        assert oracle.counter.cache_evictions > 0
-        again = engine.count(query, algorithm="clftj", cache_capacity=4)
-        assert "count-inline-lru" in driver._sources
-        assert again.counter.as_dict() == oracle.counter.as_dict()
+        assert oracle.counter.cache_evictions + oracle.counter.cache_rejections > 0
+        again = engine.count(query, algorithm="clftj", **options())
+        assert again.metadata["compiled"] is True and "compiled_reason" not in again.metadata
+        assert loop in driver._sources
 
     def test_count_counters_and_cache_hits_match_interpreted(self, engine):
         for query in (path_query(4), clique_query(4), cycle_query(3)):
@@ -1706,6 +1795,7 @@ FALLBACKS = [
     ("pending-deltas", "lftj"),
     ("pending-deltas", "clftj"),
     ("unroll-ceiling", "clftj"),
+    ("cache-policy", "clftj"),
     ("compile-fault", "lftj"),
     ("compile-fault", "clftj"),
     ("evaluate-over-probes", "clftj"),
@@ -1737,6 +1827,10 @@ class TestOneTier:
             monkeypatch.setattr(compiler_module, "MAX_UNROLLED_CACHE_NODES", 0)
             reason = "decomposition has 3 probed nodes (unroll ceiling is 0)"
             explained = f"unavailable ({reason})"
+        elif case == "cache-policy":
+            options = {"policy": NeverCachePolicy()}
+            reason = "cache policy NeverCachePolicy runs interpreted"
+            explained = f"unavailable ({reason})"
         elif case == "compile-fault":
             faults = {"compiler.exec": {"action": "raise", "times": 8}}
             reason = "compile failed: "
@@ -1751,7 +1845,7 @@ class TestOneTier:
             options = {"compile": False}
             reason = None
             explained = "disabled (compile=False; interpreted oracle path)"
-        oracle = run(query, algorithm=algorithm, compile=False)
+        oracle = run(query, algorithm=algorithm, **dict(options, compile=False))
         builds = database.index_builds, database.compiled_builds, database.compiled_cache_hits
         before = _this_query(engine.explain(query, algorithm=algorithm, **options))
         assert builds == (
@@ -1768,10 +1862,10 @@ class TestOneTier:
         else:
             assert result.metadata["compiled"] is False
             assert result.metadata["compiled_reason"].startswith(reason)
-        if case in ("pending-deltas", "unroll-ceiling"):
+        if case in ("pending-deltas", "unroll-ceiling", "cache-policy"):
             # one string: explain quotes the reason the execution records
             assert result.metadata["compiled_reason"] in before
-            after = _this_query(engine.explain(query, algorithm=algorithm))
+            after = _this_query(engine.explain(query, algorithm=algorithm, **options))
             assert after == before
 
     @pytest.mark.parametrize("query", [cycle_query(3), clique_query(4)], ids=lambda q: q.name)

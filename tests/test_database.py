@@ -1,5 +1,7 @@
 """Tests for the Database catalog."""
 
+import sys
+
 import pytest
 
 from repro.storage.database import Database
@@ -62,3 +64,30 @@ class TestTrieCache:
         db.add_relation(Relation("E", ("src", "dst"), [(7, 8)]), replace=True)
         fresh = db.trie_index("E", (0, 1))
         assert stale is not fresh
+
+
+class TestMemoryFootprint:
+    def test_the_value_dictionarys_tables_are_counted(self):
+        """``ValueDictionary`` keeps its code and value tables in slots: the
+        footprint walks them, so it grows by at least what they grow by."""
+        database = Database([Relation("E", ("a", "b"), [(1, 2)])])
+        dictionary = database.dictionary
+
+        def tables():
+            return sys.getsizeof(dictionary._codes) + sys.getsizeof(dictionary._values)
+
+        empty = database.memory_footprint()
+        assert empty >= tables()
+        before = tables()
+        database.insert("E", [(index + 10, index + 20) for index in range(500)])
+        database.trie_index("E", (0, 1))
+        assert tables() > before
+        assert database.memory_footprint() - empty >= tables() - before
+
+    def test_a_trie_is_counted_by_its_columns(self):
+        """A cached trie keeps its key columns in slots too."""
+        database = Database([Relation("E", ("a", "b"), [(i, i + 1) for i in range(2000)])])
+        empty = database.memory_footprint()
+        trie = database.trie_index("E", (0, 1))
+        columns = sum(map(sys.getsizeof, trie.main._keys[0:1]))
+        assert database.memory_footprint() - empty >= columns

@@ -358,6 +358,39 @@ class TestCounters:
         assert page == rows and dictionary.decodes - before == 2 * head_decodes
         assert by_page.metadata["decodes"] == head_decodes
 
+    def test_concurrent_evaluations_each_report_their_own_decodes(self, graph_service,
+                                                                  fine_switching):
+        """Three threads evaluate at once, through the library and through
+        the service: every result reports exactly the cells it decoded,
+        however the shared dictionary counter moves meanwhile."""
+        engine, width = graph_service.engine, 4
+        query = path_query(3)
+        start = threading.Barrier(3)
+        failures = []
+
+        def worker(slot):
+            start.wait()
+            for step in range(20):
+                rows = 50 + 10 * slot + step
+                headed = engine.evaluate(query, algorithm="lftj")
+                headed.head(rows)
+                paged = engine.evaluate(query, algorithm="lftj")
+                page = paged.page(rows)
+                response = graph_service.evaluate(
+                    {"query": "3-path", "algorithm": "lftj", "max_rows": rows})
+                reported = tuple(result["decodes"] for result in (
+                    headed.metadata, paged.metadata, response["metadata"]))
+                if reported != (rows * width,) * 3 or len(page) != rows:
+                    failures.append((slot, step, reported))
+
+        threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+
     def test_the_response_reports_the_decodes_it_caused(self, graph_service):
         dictionary = graph_service.database.dictionary
         before = dictionary.decodes
