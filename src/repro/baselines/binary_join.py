@@ -16,7 +16,6 @@ from repro.core.instrumentation import OperationCounter
 from repro.query.atoms import Atom, ConjunctiveQuery
 from repro.query.terms import Variable
 from repro.storage.database import Database
-from repro.storage.statistics import StatisticsCatalog
 from repro.storage.views import atom_variables_in_order, materialize_atom
 
 
@@ -45,7 +44,6 @@ class PairwiseHashJoin:
         self.query = query
         self.database = database
         self.counter = counter if counter is not None else OperationCounter()
-        self._catalog = StatisticsCatalog(database)
 
     # ----------------------------------------------------------------- planning
     def _estimated_cardinality(self, atom: Atom) -> int:
@@ -57,7 +55,7 @@ class PairwiseHashJoin:
         if not shared:
             return 1.0
         relation = self.database.relation(atom.relation)
-        stats = self._catalog.relation(atom.relation)
+        stats = self.database.statistics.relation(atom.relation)
         selectivity = 1.0
         for variable in shared:
             for position, term in enumerate(atom.terms):

@@ -24,7 +24,6 @@ from repro.decomposition.tree_decomposition import TreeDecomposition
 from repro.query.atoms import ConjunctiveQuery
 from repro.query.terms import Variable
 from repro.storage.database import Database
-from repro.storage.statistics import StatisticsCatalog
 
 
 class FrequencyAdmissionPolicy(CachePolicy):
@@ -73,7 +72,7 @@ class SkewAwarePolicy(CachePolicy):
         if not 0.0 <= min_skew <= 1.0:
             raise ValueError("min_skew must be within [0, 1]")
         self.min_skew = min_skew
-        catalog = StatisticsCatalog(database)
+        catalog = database.statistics
         variable_skew: Dict[Variable, float] = {}
         for atom in query.atoms:
             relation = database.relation(atom.relation)

@@ -1,4 +1,4 @@
-"""Decomposition scoring and the attribute-order cost model (Section 4.3).
+"""Section 4.3's pricing: decomposition scoring and the order cost walk.
 
 Two cost components are combined when selecting a decomposition for CLFTJ:
 
@@ -6,13 +6,18 @@ Two cost components are combined when selecting a decomposition for CLFTJ:
   small adhesions are paramount (they are the cache dimensions), more bags
   are better (more caches to exploit), and shallower trees are better.
 * :class:`ChuCostModel` -- an adaptation of the cost model of Chu, Balazinska
-  and Suciu (SIGMOD 2015) for estimating the cost of a variable order: the
-  expected number of iterator operations is accumulated depth by depth from
-  per-attribute cardinality statistics under an independence assumption.
+  and Suciu (SIGMOD 2015) for estimating the cost of a variable order: its
+  one :meth:`~ChuCostModel.walk` accumulates the expected number of
+  iterator operations depth by depth from the distinct counts of the
+  database's one statistics catalog (``database.statistics``) under an
+  independence assumption.  Given a decomposition, the walk caps the live
+  estimate at each cached node's distinct adhesion keys.
 
 :func:`select_decomposition` enumerates candidate TDs, scores each together
 with its strongly compatible order, and returns the best pair — this is the
-planner used by :class:`repro.engine.QueryEngine`.
+planner used by :class:`repro.engine.QueryEngine`.  The algorithm selector
+(:mod:`repro.engine.selector`) prices lftj, clftj and ytd as arithmetic
+around the same walk.
 """
 
 from __future__ import annotations
@@ -27,8 +32,9 @@ from repro.decomposition.tree_decomposition import TreeDecomposition
 from repro.query.atoms import ConjunctiveQuery
 from repro.query.terms import Variable
 from repro.storage.database import Database
-from repro.storage.statistics import StatisticsCatalog
-from repro.storage.views import atom_variables_in_order
+
+#: How many candidate decompositions :func:`select_decomposition` scores.
+MAX_CANDIDATES = 16
 
 
 def td_heuristic_score(decomposition: TreeDecomposition) -> Tuple[int, int, int]:
@@ -54,63 +60,32 @@ def td_heuristic_score(decomposition: TreeDecomposition) -> Tuple[int, int, int]
 class ChuCostModel:
     """Estimate the cost of running a trie join with a given variable order.
 
-    The model walks the variable order and maintains an estimate of the
-    number of partial assignments alive at each depth.  For every depth it
-    adds ``partial_assignments * sum(log2 |R| for atoms containing the
-    variable)`` — the expected seek work — and multiplies the running
-    estimate by the expected number of matching values, computed from
-    per-attribute distinct counts under independence (the spirit of Chu et
-    al.'s tributary-join cost model, adapted to our statistics).
+    :meth:`walk` is the one estimate: it walks the variable order and
+    maintains an estimate of the number of partial assignments alive at
+    each depth.  For every depth it adds ``partial_assignments * sum(log2
+    (|R| + 1) for atoms containing the variable)`` — the expected seek work
+    — and multiplies the running estimate by the expected number of
+    matching values, computed from per-attribute distinct counts under
+    independence (the spirit of Chu et al.'s tributary-join cost model,
+    adapted to our statistics).  Statistics come from the database's one
+    catalog (``database.statistics``).
     """
 
-    def __init__(
-        self,
-        database: Database,
-        query: ConjunctiveQuery,
-        catalog: Optional[StatisticsCatalog] = None,
-    ) -> None:
+    def __init__(self, database: Database, query: ConjunctiveQuery) -> None:
         self.database = database
         self.query = query
-        # A caller-provided catalog (e.g. the algorithm selector's) is reused
-        # across queries: it is version-checked per relation and refreshes
-        # itself incrementally from update deltas.
-        self._catalog = catalog if catalog is not None else StatisticsCatalog(database)
-        # Pre-compute, per atom, per variable: the relation attribute backing it.
-        self._atom_attributes: List[Dict[Variable, str]] = []
+        catalog = database.statistics
+        # Per atom: its cardinality (>= 1) and, per variable, the distinct
+        # count (>= 1) of the attribute backing its first occurrence.
+        self._atoms: List[Tuple[int, Dict[Variable, int]]] = []
         for atom in query.atoms:
             relation = database.relation(atom.relation)
-            mapping: Dict[Variable, str] = {}
+            stats = catalog.relation(atom.relation)
+            distinct: Dict[Variable, int] = {}
             for position, term in enumerate(atom.terms):
-                if isinstance(term, Variable) and term not in mapping:
-                    mapping[term] = relation.attributes[position]
-            self._atom_attributes.append(mapping)
-
-    def _atom_cardinality(self, atom_index: int) -> int:
-        relation = self.database.relation(self.query.atoms[atom_index].relation)
-        return max(len(relation), 1)
-
-    def _distinct(self, atom_index: int, variable: Variable) -> int:
-        atom = self.query.atoms[atom_index]
-        attribute = self._atom_attributes[atom_index][variable]
-        stats = self._catalog.relation(atom.relation)
-        return max(stats.distinct(attribute), 1)
-
-    def atom_cardinality(self, atom_index: int) -> int:
-        """Cardinality of the relation backing atom ``atom_index`` (>= 1)."""
-        return self._atom_cardinality(atom_index)
-
-    def variable_distinct(self, variable: Variable) -> int:
-        """Smallest distinct-count estimate for ``variable`` over covering atoms.
-
-        Used by the algorithm selector to bound the number of distinct
-        adhesion keys a CLFTJ cache can ever see.
-        """
-        estimates = [
-            self._distinct(index, variable)
-            for index, atom in enumerate(self.query.atoms)
-            if variable in atom.variable_set()
-        ]
-        return min(estimates) if estimates else 1
+                if isinstance(term, Variable) and term not in distinct:
+                    distinct[term] = max(stats.distinct(relation.attributes[position]), 1)
+            self._atoms.append((max(len(relation), 1), distinct))
 
     def estimate_matches(
         self, atom_index: int, variable: Variable, bound: Iterable[Variable]
@@ -122,39 +97,60 @@ class ChuCostModel:
         cardinality divided by the product of distinct counts of the bound
         attributes (independence assumption), floored at a small constant.
         """
-        atom_vars = set(atom_variables_in_order(self.query.atoms[atom_index]))
-        bound_here = [v for v in bound if v in atom_vars]
+        cardinality, distinct = self._atoms[atom_index]
+        bound_here = [v for v in bound if v in distinct]
         if not bound_here:
-            return float(self._distinct(atom_index, variable))
-        cardinality = float(self._atom_cardinality(atom_index))
+            return float(distinct[variable])
         denominator = 1.0
         for bound_variable in bound_here:
-            denominator *= float(self._distinct(atom_index, bound_variable))
-        return max(cardinality / denominator, 0.05)
+            denominator *= float(distinct[bound_variable])
+        return max(float(cardinality) / denominator, 0.05)
 
-    def order_cost(self, order: Sequence[Variable]) -> float:
-        """The estimated total iterator work for ``order``."""
+    def _distinct_keys(self, variable: Variable) -> float:
+        """Smallest distinct-count estimate for ``variable`` over covering atoms."""
+        estimates = [distinct[variable] for _, distinct in self._atoms if variable in distinct]
+        return float(min(estimates) if estimates else 1)
+
+    def walk(
+        self,
+        order: Sequence[Variable],
+        decomposition: Optional[TreeDecomposition] = None,
+        total: float = 0.0,
+    ) -> Tuple[float, float]:
+        """``(total, live)``: ``total`` plus the estimated iterator work of
+        ``order``, and the partial assignments alive after its last depth.
+
+        With a ``decomposition``, entering a non-root node caps the live
+        estimate at the product of its adhesion variables' distinct counts:
+        an unbounded adhesion cache computes the subtree once per distinct
+        key, and repeats beyond that are (cheap) cache hits.
+        """
         partial = 1.0
-        total = 0.0
         bound: List[Variable] = []
-        for variable in order:
+        owner = None
+        for depth, variable in enumerate(order):
+            if decomposition is not None:
+                node = decomposition.owner(variable)
+                if depth and node != owner:
+                    keys = 1.0
+                    for adhesion_variable in decomposition.adhesion(node):
+                        keys *= self._distinct_keys(adhesion_variable)
+                    partial = min(partial, keys)
+                owner = node
             covering = [
-                index
-                for index, atom in enumerate(self.query.atoms)
-                if variable in atom.variable_set()
+                index for index, (_, distinct) in enumerate(self._atoms) if variable in distinct
             ]
             if not covering:
                 continue
-            seek_work = sum(
-                math.log2(self._atom_cardinality(index) + 1) for index in covering
-            )
-            total += partial * seek_work
-            matches = min(
-                self.estimate_matches(index, variable, bound) for index in covering
-            )
+            total += partial * sum(math.log2(self._atoms[index][0] + 1) for index in covering)
+            matches = min(self.estimate_matches(index, variable, bound) for index in covering)
             partial *= max(matches, 0.05)
             bound.append(variable)
-        return total
+        return total, partial
+
+    def order_cost(self, order: Sequence[Variable]) -> float:
+        """The estimated total iterator work for ``order``."""
+        return self.walk(order)[0]
 
 
 @dataclass(frozen=True)
@@ -175,8 +171,6 @@ def select_decomposition(
     query: ConjunctiveQuery,
     database: Database,
     max_adhesion_size: int = 2,
-    max_candidates: int = 16,
-    cost_model: Optional[ChuCostModel] = None,
 ) -> DecompositionChoice:
     """Enumerate candidate TDs, score them, and return the best choice.
 
@@ -184,12 +178,12 @@ def select_decomposition(
     many bags, shallow), then the Chu-style order cost of the strongly
     compatible order derived from the TD.
     """
-    model = cost_model or ChuCostModel(database, query)
+    model = ChuCostModel(database, query)
     candidates: List[DecompositionChoice] = []
     for decomposition in enumerate_tree_decompositions(
         query,
         max_adhesion_size=max_adhesion_size,
-        max_decompositions=max_candidates,
+        max_decompositions=MAX_CANDIDATES,
     ):
         order = strongly_compatible_order(decomposition)
         candidates.append(

@@ -124,18 +124,9 @@ def _coded_rows(executor: Executor, limit: Optional[int]) -> Tuple[list, int]:
 class QueryEngine:
     """Plan and execute conjunctive queries over one database."""
 
-    def __init__(
-        self,
-        database: Database,
-        max_adhesion_size: int = 2,
-        support_threshold: Optional[int] = None,
-    ) -> None:
+    def __init__(self, database: Database) -> None:
         self.database = database
-        self.planner = Planner(
-            database,
-            max_adhesion_size=max_adhesion_size,
-            support_threshold=support_threshold,
-        )
+        self.planner = Planner(database)
         self.selector = CostBasedSelector(database)
 
     # ------------------------------------------------------------------ plans

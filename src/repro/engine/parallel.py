@@ -136,8 +136,7 @@ class PartitionPlanner:
     """Split the top join variable's key domain into balanced ranges.
 
     The planner weighs each key of the top variable with its value frequency
-    from the statistics catalog (or, without a catalog, a direct
-    ``value_counts`` scan of the backing relation) and cuts the sorted key
+    from the database's statistics catalog and cuts the sorted key
     sequence so every range carries roughly equal weight — frequency mass is
     the best cheap proxy for leapfrog work below a top-level key.  When no
     statistics apply (every covering atom carries constants), it falls back
@@ -154,9 +153,8 @@ class PartitionPlanner:
     order), raw values otherwise.
     """
 
-    def __init__(self, database: Database, catalog=None) -> None:
+    def __init__(self, database: Database) -> None:
         self.database = database
-        self.catalog = catalog
 
     def plan(
         self,
@@ -236,10 +234,7 @@ class PartitionPlanner:
             except KeyError:
                 continue
             attribute = relation.attributes[position]
-            if self.catalog is not None:
-                counts = self.catalog.value_frequencies(atom.relation, attribute)
-            else:
-                counts = relation.value_counts(attribute)
+            counts = self.database.statistics.value_frequencies(atom.relation, attribute)
             if not counts:
                 continue
             if atom_has_constants(atom):
@@ -297,7 +292,6 @@ class PartitionPlanner:
 
 def cached_partition_plan(
     database: Database,
-    catalog,
     query: ConjunctiveQuery,
     variable_order: Sequence[Variable],
     num_shards: int,
@@ -323,7 +317,7 @@ def cached_partition_plan(
     return database.cached_plan(
         key,
         query.relation_names,
-        lambda: PartitionPlanner(database, catalog).plan(
+        lambda: PartitionPlanner(database).plan(
             query, variable_order, num_shards, min_keys_per_range
         ),
         # A degenerate single-range plan computed before any index existed
@@ -424,7 +418,6 @@ def resolve_schedule(
         morsels = workers * MORSEL_OVERPARTITION
     plan = cached_partition_plan(
         database,
-        getattr(selector, "catalog", None),
         query,
         variable_order,
         morsels,

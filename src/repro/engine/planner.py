@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
-from repro.core.cache import AdhesionCache, AlwaysCachePolicy, CachePolicy, SupportThresholdPolicy
-from repro.decomposition.cost import ChuCostModel, select_decomposition
+from repro.core.cache import AdhesionCache, AlwaysCachePolicy, CachePolicy
+from repro.decomposition.cost import select_decomposition
 from repro.decomposition.ordering import strongly_compatible_order
 from repro.decomposition.tree_decomposition import TreeDecomposition
 from repro.query.atoms import ConjunctiveQuery
@@ -52,42 +52,22 @@ class Planner:
     The expensive part of planning — enumerating candidate tree
     decompositions and scoring their orders with the cost model — is
     memoised in the database's plan cache under the query's name-erased
-    signature (:func:`repro.storage.views.query_signature`) plus the planner
-    parameters.  A signature hit for a *renamed* variant of a cached query
-    (``E(a,b), E(b,c)`` after ``E(x,y), E(y,z)``) translates the cached
-    decomposition and order positionally instead of re-planning.  Explicit
-    caller-provided decompositions bypass the cache entirely.
+    signature (:func:`repro.storage.views.query_signature`).  A signature
+    hit for a *renamed* variant of a cached query (``E(a,b), E(b,c)`` after
+    ``E(x,y), E(y,z)``) translates the cached decomposition and order
+    positionally instead of re-planning.  Explicit caller-provided
+    decompositions bypass the cache entirely.
     """
 
-    def __init__(
-        self,
-        database: Database,
-        max_adhesion_size: int = 2,
-        max_candidates: int = 16,
-        support_threshold: Optional[int] = None,
-    ) -> None:
+    def __init__(self, database: Database) -> None:
         self.database = database
-        self.max_adhesion_size = max_adhesion_size
-        self.max_candidates = max_candidates
-        self.support_threshold = support_threshold
 
     def _select(self, query: ConjunctiveQuery) -> Tuple[TreeDecomposition, Tuple[Variable, ...]]:
         """The memoised decomposition/order choice for ``query``."""
-        key = (
-            "decomposition",
-            query_signature(query),
-            self.max_adhesion_size,
-            self.max_candidates,
-        )
+        key = ("decomposition", query_signature(query))
 
         def build() -> Tuple[Tuple[Variable, ...], TreeDecomposition, Tuple[Variable, ...]]:
-            choice = select_decomposition(
-                query,
-                self.database,
-                max_adhesion_size=self.max_adhesion_size,
-                max_candidates=self.max_candidates,
-                cost_model=ChuCostModel(self.database, query),
-            )
+            choice = select_decomposition(query, self.database)
             return (query.variables, choice.decomposition, choice.order)
 
         cached_variables, decomposition, order = self.database.cached_plan(
@@ -118,17 +98,10 @@ class Planner:
                 if variable_order is not None
                 else strongly_compatible_order(decomposition.contract_ownerless_bags())
             )
-        if policy is None:
-            if self.support_threshold is not None:
-                policy = SupportThresholdPolicy(
-                    self.database, query, threshold=self.support_threshold
-                )
-            else:
-                policy = AlwaysCachePolicy()
         return ExecutionPlan(
             query=query,
             decomposition=decomposition,
             variable_order=order,
-            policy=policy,
+            policy=policy if policy is not None else AlwaysCachePolicy(),
             cache_capacity=cache_capacity,
         )

@@ -257,9 +257,14 @@ def reinitialise_child_locks(database) -> None:
     * ``Database._lock`` — **reset here**.  Every executor a runner builds
       looks its tries, plans and compiled driver up under it.  Only the
       child's main thread ever takes it, so a fresh lock is safe.
-    * ``StatisticsCatalog._lock`` — unreachable.  The catalog belongs to
-      the engine's selector; only the parent's partition planner and cost
-      model read it, and a runner receives neither.
+    * ``StatisticsCatalog._lock`` (``database.statistics``) — unreachable.
+      The child inherits the catalog with the database, but only planning
+      reads it: the cost walk, the selector, the partition planner, the
+      pairwise baseline and a statistics-driven policy's constructor.  A
+      job's spec carries the planned order, decomposition and built
+      policy, so a runner reaches none of them
+      (``tests/test_parallel.py::TestForkSafety`` runs a morsel under a
+      held catalog lock).
     * ``PreparedQuery._lock`` — unreachable.  A job's spec carries the
       query, order and plan, never the handle.
     * the fault counters (``_ArmedFault``'s ``multiprocessing.Value``

@@ -1,38 +1,37 @@
 """Cost-based algorithm selection for ``algorithm="auto"``.
 
 The selector estimates, for one planned query, the work each of the three
-paper algorithms would do and picks the cheapest:
+paper algorithms would do and picks the cheapest.  Each estimate is plain
+arithmetic around Section 4.3's one cost walk,
+:meth:`~repro.decomposition.cost.ChuCostModel.walk`, which reads the
+database's one statistics catalog — the planner prices its candidate orders
+with the same walk, keeping the two cost views consistent:
 
-* **lftj** — the Chu-style order cost of the plan's variable order: the
-  expected iterator work of enumerating every partial assignment.
-* **clftj** — the same walk, except that on entry into a non-root
-  decomposition node the running multiplicity is capped by the estimated
-  number of *distinct adhesion keys*: with an (unbounded) adhesion cache the
+* **lftj** — the walk of the plan's variable order: the expected iterator
+  work of enumerating every partial assignment.
+* **clftj** — the same walk given the decomposition: on entry into a
+  non-root node the running multiplicity is capped by the estimated number
+  of *distinct adhesion keys*, since with an (unbounded) adhesion cache the
   subtree below the node is computed once per distinct key, not once per
   partial assignment reaching it.  A small probe overhead charges the cache
   lookups themselves, so on single-bag decompositions (no caching possible)
   plain LFTJ wins.
-* **ytd** — per-bag enumeration plus full materialisation and two semi-join
-  passes over every bag: YTD always pays for assignments that never extend
-  to a full result, which is the memory-traffic weakness the paper measures.
-
-The estimates share :class:`~repro.decomposition.cost.ChuCostModel` (and so
-the per-attribute statistics of :mod:`repro.storage.statistics`) with the
-decomposition planner, keeping the two cost views consistent.
+* **ytd** — per bag, the walk of the order restricted to the bag, plus full
+  materialisation and two semi-join passes over every bag: YTD always pays
+  for assignments that never extend to a full result, which is the
+  memory-traffic weakness the paper measures.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.decomposition.cost import ChuCostModel
 from repro.engine.planner import ExecutionPlan
 from repro.engine.pool import available_workers
 from repro.query.atoms import ConjunctiveQuery
 from repro.storage.database import Database
-from repro.storage.statistics import StatisticsCatalog
 
 #: The candidates ``algorithm="auto"`` chooses between, in tie-break order.
 AUTO_CANDIDATES: Tuple[str, ...] = ("clftj", "lftj", "ytd")
@@ -90,8 +89,8 @@ class AlgorithmChoice:
 class CostBasedSelector:
     """Pick lftj/clftj/ytd per (query, database) from statistics estimates.
 
-    The selector owns one long-lived :class:`StatisticsCatalog`, shared by
-    every cost model it builds: statistics are computed once per relation
+    Every estimate reads the database's one statistics catalog
+    (``database.statistics``): statistics are computed once per relation
     and, when the data changes underneath (``Database.insert``/``delete``),
     refreshed incrementally from the applied delta batches instead of being
     rescanned — so ``algorithm="auto"`` keeps reasoning from *current*
@@ -100,15 +99,14 @@ class CostBasedSelector:
 
     def __init__(self, database: Database) -> None:
         self.database = database
-        self.catalog = StatisticsCatalog(database)
 
     def choose(self, query: ConjunctiveQuery, plan: ExecutionPlan) -> AlgorithmChoice:
         """Estimate every candidate's cost under ``plan`` and pick the cheapest."""
-        model = ChuCostModel(self.database, query, catalog=self.catalog)
+        model = ChuCostModel(self.database, query)
         costs: Dict[str, float] = {
-            "lftj": self._lftj_cost(model, query, plan),
-            "clftj": self._clftj_cost(model, query, plan),
-            "ytd": self._ytd_cost(model, query, plan),
+            "lftj": _lftj_cost(model, plan.variable_order),
+            "clftj": _clftj_cost(model, plan),
+            "ytd": _ytd_cost(model, plan),
         }
         algorithm = min(AUTO_CANDIDATES, key=lambda name: costs[name])
         reasons = self._reasons(query, plan, costs, algorithm)
@@ -137,7 +135,7 @@ class CostBasedSelector:
         if available is None:
             available = available_workers()
         available = max(int(available), 1)
-        cost = self._order_cost(query, variable_order)
+        cost = _lftj_cost(ChuCostModel(self.database, query), variable_order)
         return max(1, min(available, int(cost // _MORSEL_DISPATCH_COST)))
 
     def recommend_morsels(
@@ -166,98 +164,11 @@ class CostBasedSelector:
         workers = max(int(workers), 1)
         if workers == 1:
             return 1
-        if plan is not None:
-            model = ChuCostModel(self.database, query, catalog=self.catalog)
-            cost = self._clftj_cost(model, query, plan)
-        else:
-            cost = self._order_cost(query, variable_order)
+        model = ChuCostModel(self.database, query)
+        cost = _clftj_cost(model, plan) if plan is not None else _lftj_cost(model, variable_order)
         affordable = int(cost // _MORSEL_DISPATCH_COST)
         affordable -= affordable % workers
         return max(workers, min(workers * MORSEL_OVERPARTITION, affordable))
-
-    def _order_cost(self, query: ConjunctiveQuery, variable_order: Sequence) -> float:
-        model = ChuCostModel(self.database, query, catalog=self.catalog)
-        return model.order_cost(tuple(variable_order)) * _SEEK_UNIT
-
-    # ----------------------------------------------------------- cost models
-    def _lftj_cost(
-        self, model: ChuCostModel, query: ConjunctiveQuery, plan: ExecutionPlan
-    ) -> float:
-        return model.order_cost(plan.variable_order) * _SEEK_UNIT
-
-    def _clftj_cost(
-        self, model: ChuCostModel, query: ConjunctiveQuery, plan: ExecutionPlan
-    ) -> float:
-        decomposition = plan.decomposition
-        order = plan.variable_order
-        if decomposition.num_nodes == 1:
-            # No adhesions, no caching: CLFTJ degenerates to LFTJ plus probes.
-            return self._lftj_cost(model, query, plan) * _CLFTJ_PROBE_OVERHEAD
-
-        owner_at_depth = [decomposition.owner(variable) for variable in order]
-        partial = 1.0
-        total = 0.0
-        bound: List = []
-        for depth, variable in enumerate(order):
-            node = owner_at_depth[depth]
-            entering = depth > 0 and owner_at_depth[depth - 1] != node
-            if entering:
-                distinct_keys = 1.0
-                for adhesion_variable in decomposition.adhesion(node):
-                    distinct_keys *= float(model.variable_distinct(adhesion_variable))
-                # An unbounded cache computes the subtree once per distinct
-                # adhesion key; repeats beyond that are (cheap) cache hits.
-                partial = min(partial, distinct_keys)
-            covering = [
-                index
-                for index, atom in enumerate(query.atoms)
-                if variable in atom.variable_set()
-            ]
-            if not covering:
-                continue
-            seek_work = sum(
-                math.log2(model.atom_cardinality(index) + 1) for index in covering
-            )
-            total += partial * seek_work
-            matches = min(
-                model.estimate_matches(index, variable, bound) for index in covering
-            )
-            partial *= max(matches, 0.05)
-            bound.append(variable)
-        return total * _CLFTJ_PROBE_OVERHEAD * _SEEK_UNIT
-
-    def _ytd_cost(
-        self, model: ChuCostModel, query: ConjunctiveQuery, plan: ExecutionPlan
-    ) -> float:
-        decomposition = plan.decomposition
-        order = plan.variable_order
-        total = 0.0
-        for node in decomposition.preorder():
-            bag = decomposition.bag(node)
-            bag_order = [variable for variable in order if variable in bag]
-            partial = 1.0
-            bound: List = []
-            for variable in bag_order:
-                covering = [
-                    index
-                    for index, atom in enumerate(query.atoms)
-                    if variable in atom.variable_set() and atom.variable_set() & bag
-                ]
-                if not covering:
-                    continue
-                seek_work = sum(
-                    math.log2(model.atom_cardinality(index) + 1) for index in covering
-                )
-                total += partial * seek_work
-                matches = min(
-                    model.estimate_matches(index, variable, bound) for index in covering
-                )
-                partial *= max(matches, 0.05)
-                bound.append(variable)
-            # Every bag is fully materialised and reduced twice, whether or
-            # not its assignments survive into the final result.
-            total += _YTD_MATERIALIZE_FACTOR * partial
-        return total
 
     # -------------------------------------------------------------- reporting
     def _reasons(
@@ -301,3 +212,31 @@ class CostBasedSelector:
                 f"{algorithm} is estimated {margin:.2f}x cheaper than {runner_up}"
             )
         return tuple(reasons)
+
+
+def _lftj_cost(model: ChuCostModel, variable_order: Sequence) -> float:
+    """The walk of the order: every partial assignment is enumerated."""
+    return model.walk(variable_order)[0] * _SEEK_UNIT
+
+
+def _clftj_cost(model: ChuCostModel, plan: ExecutionPlan) -> float:
+    """The walk capped at each cached node's distinct adhesion keys."""
+    total, _ = model.walk(plan.variable_order, plan.decomposition)
+    return total * _SEEK_UNIT * _CLFTJ_PROBE_OVERHEAD
+
+
+def _ytd_cost(model: ChuCostModel, plan: ExecutionPlan) -> float:
+    """Per bag, the walk of the bag's order, then its materialisation.
+
+    Every bag is fully materialised and reduced twice, whether or not its
+    assignments survive into the final result.  One running total crosses
+    the bags, as the estimate has always summed.
+    """
+    decomposition = plan.decomposition
+    total = 0.0
+    for node in decomposition.preorder():
+        bag = decomposition.bag(node)
+        bag_order = [variable for variable in plan.variable_order if variable in bag]
+        total, live = model.walk(bag_order, total=total)
+        total += _YTD_MATERIALIZE_FACTOR * live
+    return total

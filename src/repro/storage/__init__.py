@@ -21,7 +21,7 @@ from repro.storage.relation import Relation
 from repro.storage.database import Database
 from repro.storage.dictionary import ValueDictionary, ValueEncodingError
 from repro.storage.trie import TrieIndex, TrieIterator
-from repro.storage.statistics import AttributeStatistics, RelationStatistics, collect_statistics
+from repro.storage.statistics import AttributeStatistics, RelationStatistics
 from repro.storage.loaders import load_edge_list, load_csv_relation, relation_from_edges
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "TrieIterator",
     "ValueDictionary",
     "ValueEncodingError",
-    "collect_statistics",
     "load_csv_relation",
     "load_edge_list",
     "relation_from_edges",

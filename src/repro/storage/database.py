@@ -21,6 +21,7 @@ from typing import (
 
 from repro.storage.dictionary import ValueDictionary
 from repro.storage.relation import DeltaBatch, Relation, VersionedRelation
+from repro.storage.statistics import StatisticsCatalog
 from repro.storage.trie import LsmTrieIndex
 
 #: A cached-index key: (relation name, view signature, column order).
@@ -82,13 +83,14 @@ def _rough_bytes(obj: object, depth: int = 5, seen: Optional[set] = None) -> int
 
     ``sys.getsizeof`` plus a shallow walk of containers and of attributes,
     in ``__dict__`` or in ``__slots__`` (a trie, the value dictionary).
-    Numpy arrays report their exact ``nbytes``; objects with a
-    ``memory_estimate()`` hook (adhesion caches) use it; a container of more
-    than :data:`_WALKED_ITEMS` items walks an evenly strided sample of them
-    (a set or dict is stepped through at C level) with the same depth budget
-    and charges every item the sample's average, so the Python-level work
-    stays O(structure), not O(data), and a table of containers (a compiled
-    driver's children table) is still charged for what its values hold.
+    Numpy arrays report their exact ``nbytes``, a view only its header;
+    objects with a ``memory_estimate()`` hook (adhesion caches) use it; a
+    container of more than :data:`_WALKED_ITEMS` items walks an evenly
+    strided sample of them (a set or dict is stepped through at C level)
+    with the same depth budget and charges every item the sample's average,
+    so the Python-level work stays O(structure), not O(data), and a table
+    of containers (a compiled driver's children table) is still charged for
+    what its values hold.
     The default depth reaches the items of those values (driver, its
     hoisted tables, a table, a value, an item).
     """
@@ -102,6 +104,10 @@ def _rough_bytes(obj: object, depth: int = 5, seen: Optional[set] = None) -> int
     seen.add(identity)
     nbytes = getattr(obj, "nbytes", None)
     if isinstance(nbytes, int):
+        # A view (``.base`` set, e.g. a trie's zero-copy numpy keys) shares
+        # its base's buffer, which is charged where it is held.
+        if getattr(obj, "base", None) is not None:
+            return sys.getsizeof(obj)
         return int(nbytes)
     estimate = getattr(obj, "memory_estimate", None)
     if callable(estimate):
@@ -239,6 +245,9 @@ class Database:
         #: equality means value equality across atoms.
         self.dictionary = ValueDictionary()
         self._relations: Dict[str, VersionedRelation] = {}
+        #: The one statistics catalog every cost estimate, partition plan
+        #: and statistics-driven policy over this database reads.
+        self.statistics = StatisticsCatalog(self)
         self._versions: Dict[str, int] = {}
         self._index_cache: Dict[IndexKey, LsmTrieIndex] = {}
         #: Number of index builds (cache misses) since creation.

@@ -1,21 +1,27 @@
-"""Relation and attribute statistics.
+"""Relation and attribute statistics: one catalog per database.
 
-The caching policies (support thresholds, Section 3.4) and the attribute-order
-cost model (Section 4.3, after Chu et al.) both need simple per-attribute
-statistics: cardinality, number of distinct values, maximum and average
-frequency, and a skew measure.  This module computes them once per relation
-and keeps them in small dataclasses.
+Section 4.3's cost walk (:mod:`repro.decomposition.cost`, after Chu et
+al.) prices an order from per-attribute distinct counts; the skew-aware
+caching policy reads a skew measure; the partition planner weighs a
+parallel query's top-variable keys by their frequencies.  That is all any
+reader asks for, so that is all :class:`StatisticsCatalog` derives: per
+attribute, the value -> frequency map it keeps, the distinct count and the
+skew.  Each :class:`~repro.storage.database.Database` owns one catalog
+(``database.statistics``); every reader uses it.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+import weakref
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, Iterable, Mapping, Tuple
 
-from repro.storage.database import Database
-from repro.storage.relation import DeltaBatch, Relation
+from repro.storage.relation import DeltaBatch
+
+if TYPE_CHECKING:  # the database owns the catalog
+    from repro.storage.database import Database
 
 
 @dataclass(frozen=True)
@@ -25,17 +31,7 @@ class AttributeStatistics:
     attribute: str
     cardinality: int
     distinct: int
-    max_frequency: int
-    mean_frequency: float
     skew: float
-    top_values: Tuple[Tuple[object, int], ...] = ()
-
-    @property
-    def selectivity(self) -> float:
-        """Fraction of distinct values relative to tuples (1.0 == key-like)."""
-        if self.cardinality == 0:
-            return 1.0
-        return self.distinct / self.cardinality
 
 
 @dataclass(frozen=True)
@@ -78,68 +74,14 @@ def _skew_measure(counts: Iterable[int], total: int) -> float:
     return max(0.0, min(1.0, 1.0 - entropy / max_entropy))
 
 
-def statistics_from_counts(
-    attribute: str,
-    counts: Mapping[object, int],
-    cardinality: int,
-    top_k: int = 5,
-) -> AttributeStatistics:
-    """Derive one attribute's statistics from its value-frequency map.
-
-    The shared kernel of :func:`attribute_statistics` (which counts by
-    scanning the relation) and the incremental path of
-    :class:`StatisticsCatalog` (which maintains the counts across update
-    batches and only re-derives the aggregates).
-    """
-    distinct = len(counts)
-    max_frequency = max(counts.values(), default=0)
-    mean_frequency = cardinality / distinct if distinct else 0.0
-    skew = _skew_measure(counts.values(), cardinality)
-    top_values = tuple(
-        sorted(counts.items(), key=lambda item: (-item[1], repr(item[0])))[:top_k]
-    )
-    return AttributeStatistics(
-        attribute=attribute,
-        cardinality=cardinality,
-        distinct=distinct,
-        max_frequency=max_frequency,
-        mean_frequency=mean_frequency,
-        skew=skew,
-        top_values=top_values,
-    )
-
-
-def attribute_statistics(relation: Relation, attribute: str, top_k: int = 5) -> AttributeStatistics:
-    """Compute statistics for one attribute of ``relation``."""
-    return statistics_from_counts(
-        attribute, relation.value_counts(attribute), len(relation), top_k=top_k
-    )
-
-
-def relation_statistics(relation: Relation, top_k: int = 5) -> RelationStatistics:
-    """Compute statistics for every attribute of ``relation``."""
-    per_attribute = {
-        attribute: attribute_statistics(relation, attribute, top_k=top_k)
-        for attribute in relation.attributes
-    }
-    return RelationStatistics(
-        name=relation.name,
-        cardinality=len(relation),
-        attributes=per_attribute,
-    )
-
-
-def collect_statistics(database: Database, top_k: int = 5) -> Dict[str, RelationStatistics]:
-    """Compute statistics for every relation in ``database``, keyed by name."""
-    return {
-        relation.name: relation_statistics(relation, top_k=top_k)
-        for relation in database
-    }
-
-
 class StatisticsCatalog:
-    """Lazily-computed statistics for a database, shared by planner components.
+    """Lazily-computed statistics of one database's relations.
 
+    The database builds one (``database.statistics``) and every reader
+    shares it: the cost walk, the algorithm selector, the partition
+    planner, the pairwise baseline's join order and the skew-aware policy.
+    It holds its database weakly, so it serves only while the database
+    lives.
     Each memoised entry is keyed on the relation's version
     (:meth:`~repro.storage.database.Database.relation_version`), so stale
     statistics are never served after a replacement or update.  When the
@@ -155,12 +97,16 @@ class StatisticsCatalog:
     parallel executor's partition planner and a cost-based selection can
     race) without ever serving a half-refreshed entry.  Reads of a fresh
     entry still pay the lock — statistics lookups are planner-frequency,
-    not join-hot-loop-frequency, so contention is negligible.
+    not join-hot-loop-frequency, so contention is negligible.  The catalog
+    never takes the database's lock, so a plan built under the database's
+    lock may read it.
     """
 
-    def __init__(self, database: Database, top_k: int = 5) -> None:
-        self._database = database
-        self._top_k = top_k
+    def __init__(self, database: "Database") -> None:
+        # Held weakly: the database owns its catalog, and a strong reference
+        # back would make every database a cycle that only the cyclic
+        # collector frees, tries and compiled drivers with it.
+        self._database = weakref.proxy(database)
         self._lock = threading.RLock()
         self._cache: Dict[str, RelationStatistics] = {}
         self._versions: Dict[str, int] = {}
@@ -240,12 +186,15 @@ class StatisticsCatalog:
         self, name: str, version: int, attributes: Tuple[str, ...]
     ) -> RelationStatistics:
         cardinality = self._cardinalities[name]
-        per_attribute = {
-            attribute: statistics_from_counts(
-                attribute, self._counts[name][attribute], cardinality, top_k=self._top_k
+        per_attribute = {}
+        for attribute in attributes:
+            counts = self._counts[name][attribute]
+            per_attribute[attribute] = AttributeStatistics(
+                attribute=attribute,
+                cardinality=cardinality,
+                distinct=len(counts),
+                skew=_skew_measure(counts.values(), cardinality),
             )
-            for attribute in attributes
-        }
         stats = RelationStatistics(
             name=name, cardinality=cardinality, attributes=per_attribute
         )

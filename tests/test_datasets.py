@@ -19,7 +19,6 @@ from repro.datasets.snap import (
     p2p_gnutella04,
     wiki_vote,
 )
-from repro.storage.statistics import attribute_statistics
 import random
 
 
@@ -102,8 +101,9 @@ class TestSnapStandins:
         assert len(large.relation("E")) > len(small.relation("E"))
 
     def test_skewed_datasets_are_more_skewed_than_gnutella(self):
-        skew_twitter = attribute_statistics(ego_twitter().relation("E"), "src").skew
-        skew_gnutella = attribute_statistics(p2p_gnutella04().relation("E"), "src").skew
+        twitter, gnutella = ego_twitter(), p2p_gnutella04()
+        skew_twitter = twitter.statistics.attribute("E", "src").skew
+        skew_gnutella = gnutella.statistics.attribute("E", "src").skew
         assert skew_twitter > skew_gnutella
 
     def test_facebook_denser_than_gnutella(self):
@@ -142,9 +142,8 @@ class TestImdbStandin:
     def test_person_more_skewed_than_movie(self):
         """The property Figures 13-14 rely on."""
         database = imdb_cast()
-        relation = database.relation("male_cast")
-        person_skew = attribute_statistics(relation, "person_id").skew
-        movie_skew = attribute_statistics(relation, "movie_id").skew
+        person_skew = database.statistics.attribute("male_cast", "person_id").skew
+        movie_skew = database.statistics.attribute("male_cast", "movie_id").skew
         assert person_skew > movie_skew
 
     def test_determinism(self):

@@ -430,9 +430,7 @@ class TestPartitionPlanner:
         engine = QueryEngine(database)
         query = cycle_query(3)
         engine.count(query, algorithm="lftj")  # build indexes/dictionary
-        plan = PartitionPlanner(database, engine.selector.catalog).plan(
-            query, query.variables, 4
-        )
+        plan = PartitionPlanner(database).plan(query, query.variables, 4)
         ranges = plan.ranges()
         assert len(ranges) == 4
         assert ranges[0][0] is None and ranges[-1][1] is None
@@ -895,6 +893,55 @@ class TestForkSafety:
         assert not worker.is_alive(), "morsel runner deadlocked on inherited lock"
         assert len(outcomes) == 1
         assert outcomes[0].value == serial  # full-range morsel
+
+    @pytest.mark.parametrize("inner", ["lftj", "clftj"])
+    def test_a_held_statistics_lock_never_reaches_a_morsel(self, inner):
+        """The database's statistics catalog is inherited too, and its lock
+        may be held by a parent thread that is planning or selecting.  A
+        worker never reads statistics (the spec carries the plan), so
+        ``reinitialise_child_locks`` leaves that lock alone and the morsel
+        still completes."""
+        from repro.engine.parallel import MorselSpec, _run_morsel
+        from repro.engine.pool import MorselTask, reinitialise_child_locks
+
+        database = _edge_database()
+        engine = QueryEngine(database)
+        query = path_query(4)
+        serial = engine.count(query, algorithm="lftj").count
+        prepared = engine.prepare(query, algorithm="clftj")
+        prepared.count()  # build the contracted plan's tries and driver
+
+        stuck_lock = threading.RLock()
+        holder = threading.Thread(target=stuck_lock.acquire)
+        holder.start()
+        holder.join()
+        database.statistics._lock = stuck_lock  # held by a thread that no longer exists
+        reinitialise_child_locks(database)
+        assert database.statistics._lock is stuck_lock
+
+        plan = engine.plan(query)
+        clftj = inner == "clftj"
+        spec = MorselSpec(
+            query=query,
+            variable_order=plan.variable_order,
+            inner=inner,
+            compile=None,
+            run_mode="count",
+            decomposition=plan.decomposition.contract_ownerless_bags() if clftj else None,
+            policy=plan.policy if clftj else None,
+            cache_key=("held-statistics-lock",) if clftj else None,
+        )
+        outcomes = []
+        worker = threading.Thread(
+            target=lambda: outcomes.append(
+                _run_morsel(database, spec, MorselTask(0, None, None))
+            ),
+            daemon=True,
+        )
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive(), "morsel runner waited on the statistics lock"
+        assert [outcome.value for outcome in outcomes] == [serial]
 
 
 class TestPreparedParallel:

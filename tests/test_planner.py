@@ -5,6 +5,7 @@ import pytest
 from repro.core.cache import AlwaysCachePolicy, NeverCachePolicy, SupportThresholdPolicy
 from repro.decomposition.generic import generic_decompose
 from repro.decomposition.ordering import is_strongly_compatible
+from repro.engine.engine import QueryEngine
 from repro.engine.planner import ExecutionPlan, Planner
 from repro.query.patterns import clique_query, cycle_query, path_query
 
@@ -34,14 +35,24 @@ class TestPlanner:
         assert isinstance(plan.policy, AlwaysCachePolicy)
 
     def test_support_threshold_policy_injected(self, skewed_graph_db):
-        planner = Planner(skewed_graph_db, support_threshold=2)
-        plan = planner.plan(path_query(3))
-        assert isinstance(plan.policy, SupportThresholdPolicy)
+        query = path_query(3)
+        policy = SupportThresholdPolicy(skewed_graph_db, query, threshold=2)
+        plan = Planner(skewed_graph_db).plan(query, policy=policy)
+        assert plan.policy is policy
 
     def test_explicit_policy_wins(self, skewed_graph_db):
-        planner = Planner(skewed_graph_db, support_threshold=2)
-        plan = planner.plan(path_query(3), policy=NeverCachePolicy())
+        plan = Planner(skewed_graph_db).plan(path_query(3), policy=NeverCachePolicy())
         assert isinstance(plan.policy, NeverCachePolicy)
+
+    def test_support_threshold_policy_runs_through_the_engine(self, skewed_graph_db):
+        engine = QueryEngine(skewed_graph_db)
+        query = path_query(3)
+        policy = SupportThresholdPolicy(skewed_graph_db, query, threshold=2)
+        result = engine.count(query, algorithm="clftj", policy=policy)
+        assert result.count == engine.count(query, algorithm="lftj").count
+        assert result.metadata["compiled_reason"] == (
+            "cache policy SupportThresholdPolicy runs interpreted"
+        )
 
     def test_clique_plan_falls_back_to_singleton(self, skewed_graph_db):
         plan = Planner(skewed_graph_db).plan(clique_query(3))

@@ -2,8 +2,10 @@
 
 ``tests/plan_table.json`` is the committed ``(order, bags, parents)`` of
 every corpus query and every end-to-end benchmark query at adhesion bounds
-1-3; the planner must reproduce it exactly, so any change that moves a plan
-shows here row by row.  Independently of the table: a plan does not depend
+1-3, with the selector's ``[lftj, clftj, ytd]`` prices of that plan; the
+planner and the cost walk must reproduce it exactly (prices as JSON floats,
+which round-trip), so any change that moves a plan or a price shows here
+row by row.  Independently of the table: a plan does not depend
 on ``PYTHONHASHSEED``, and importing the package loads no graph library.
 
 After a deliberate plan change, rewrite the table and review its diff:
@@ -19,6 +21,8 @@ import sys
 from pathlib import Path
 
 from repro.decomposition.cost import select_decomposition
+from repro.engine.planner import ExecutionPlan
+from repro.engine.selector import CostBasedSelector
 from repro.query.parser import parse_query
 from repro.query.patterns import (
     clique_query,
@@ -62,25 +66,31 @@ def corpus():
 
 
 def plans(labelled=None):
-    """(order, bags, parents) of every query (default: the corpus) at adhesion bounds 1-3."""
+    """(order, bags, parents, [lftj, clftj, ytd] prices) of every query
+    (default: the corpus) at adhesion bounds 1-3."""
     rng = random.Random(5)
     edges = sorted({(rng.randrange(40), rng.randrange(40)) for _ in range(160)})
     database = Database([Relation("E", ("src", "dst"), edges)])
+    selector = CostBasedSelector(database)
     planned = []
     for _, query in corpus() if labelled is None else labelled:
         for adhesion in (1, 2, 3):
             choice = select_decomposition(query, database, max_adhesion_size=adhesion)
             decomposition = choice.decomposition
+            plan = ExecutionPlan(query, decomposition, choice.order)
+            costs = selector.choose(query, plan).costs
             planned.append((
                 [variable.name for variable in choice.order],
                 [sorted(variable.name for variable in bag) for bag in decomposition.bags],
                 [decomposition.parent(node) for node in range(decomposition.num_nodes)],
+                [costs[name] for name in ("lftj", "clftj", "ytd")],
             ))
     return planned
 
 
 def plan_table():
-    """One row per query and adhesion bound: label, adhesion, order, bags, parents."""
+    """One row per query and adhesion bound: label, adhesion, order, bags,
+    parents, prices."""
     labelled = corpus() + [(key, parse_query(text, name=key)) for key, text in E2E_QUERIES.items()]
     planned = iter(plans(labelled))
     return [[label, adhesion, *next(planned)] for label, _ in labelled for adhesion in (1, 2, 3)]

@@ -1,15 +1,18 @@
-"""Tests for relation/attribute statistics."""
+"""Tests for relation/attribute statistics: the database's one catalog."""
+
+import gc
+import weakref
 
 import pytest
 
+from repro.core.policies import SkewAwarePolicy
+from repro.baselines.binary_join import PairwiseHashJoin
+from repro.engine.engine import QueryEngine
+from repro.engine.parallel import PartitionPlanner
+from repro.query.patterns import path_query
 from repro.storage.database import Database
 from repro.storage.relation import Relation
-from repro.storage.statistics import (
-    StatisticsCatalog,
-    attribute_statistics,
-    collect_statistics,
-    relation_statistics,
-)
+from repro.storage.statistics import StatisticsCatalog
 
 
 @pytest.fixture
@@ -18,73 +21,100 @@ def skewed() -> Relation:
     return Relation("E", ("src", "dst"), rows)
 
 
+@pytest.fixture
+def database(skewed) -> Database:
+    return Database([skewed])
+
+
+def attribute(relation: Relation, name: str):
+    database = Database([relation])  # the catalog holds its database weakly
+    return database.statistics.attribute(relation.name, name)
+
+
 class TestAttributeStatistics:
     def test_cardinality_and_distinct(self, skewed):
-        stats = attribute_statistics(skewed, "src")
+        stats = attribute(skewed, "src")
         assert stats.cardinality == 12
         assert stats.distinct == 3
 
-    def test_max_and_mean_frequency(self, skewed):
-        stats = attribute_statistics(skewed, "src")
-        assert stats.max_frequency == 10
-        assert stats.mean_frequency == pytest.approx(4.0)
-
     def test_skew_ordering(self, skewed):
-        skew_src = attribute_statistics(skewed, "src").skew
-        skew_dst = attribute_statistics(skewed, "dst").skew
-        assert skew_src > skew_dst
+        assert attribute(skewed, "src").skew > attribute(skewed, "dst").skew
 
     def test_uniform_attribute_has_zero_skew(self):
         rows = [(value, value) for value in range(10)]
         relation = Relation("U", ("a", "b"), rows)
-        assert attribute_statistics(relation, "a").skew == pytest.approx(0.0)
+        assert attribute(relation, "a").skew == pytest.approx(0.0)
 
     def test_single_value_attribute_has_full_skew(self):
         relation = Relation("S", ("a", "b"), [(1, i) for i in range(5)])
-        assert attribute_statistics(relation, "a").skew == pytest.approx(1.0)
-
-    def test_top_values(self, skewed):
-        stats = attribute_statistics(skewed, "src", top_k=2)
-        assert stats.top_values[0] == (1, 10)
-        assert len(stats.top_values) == 2
-
-    def test_selectivity(self, skewed):
-        assert attribute_statistics(skewed, "dst").selectivity == 1.0
+        assert attribute(relation, "a").skew == pytest.approx(1.0)
 
     def test_empty_relation(self):
-        relation = Relation("E", ("a", "b"), [])
-        stats = attribute_statistics(relation, "a")
+        stats = attribute(Relation("E", ("a", "b"), []), "a")
         assert stats.cardinality == 0
         assert stats.distinct == 0
-        assert stats.max_frequency == 0
+        assert stats.skew == 0.0
 
 
 class TestRelationStatistics:
-    def test_all_attributes_covered(self, skewed):
-        stats = relation_statistics(skewed)
+    def test_all_attributes_covered(self, database):
+        stats = database.statistics.relation("E")
         assert set(stats.attributes) == {"src", "dst"}
 
-    def test_distinct_shortcut(self, skewed):
-        assert relation_statistics(skewed).distinct("src") == 3
+    def test_distinct_shortcut(self, database):
+        assert database.statistics.relation("E").distinct("src") == 3
 
-    def test_unknown_attribute(self, skewed):
+    def test_unknown_attribute(self, database):
         with pytest.raises(KeyError):
-            relation_statistics(skewed).attribute("missing")
+            database.statistics.relation("E").attribute("missing")
 
 
 class TestCatalog:
-    def test_collect_statistics(self, skewed):
-        database = Database([skewed])
-        stats = collect_statistics(database)
-        assert stats["E"].cardinality == 12
-
-    def test_catalog_lazy_and_cached(self, skewed):
-        database = Database([skewed])
-        catalog = StatisticsCatalog(database)
+    def test_catalog_lazy_and_cached(self, database):
+        catalog = database.statistics
         first = catalog.relation("E")
         second = catalog.relation("E")
         assert first is second
 
-    def test_catalog_attribute_access(self, skewed):
-        catalog = StatisticsCatalog(Database([skewed]))
+    def test_catalog_attribute_access(self, database):
+        catalog = StatisticsCatalog(database)
         assert catalog.attribute("E", "src").distinct == 3
+
+    def test_a_database_is_freed_without_the_cycle_collector(self, skewed):
+        """The catalog holds its database weakly: a strong reference back
+        made every database a cycle, so a closed database kept its tries
+        and drivers until the cyclic collector ran."""
+        database = Database([skewed])
+        engine = QueryEngine(database)
+        for algorithm in ("lftj", "clftj", "auto", "ytd", "pairwise"):
+            engine.count(path_query(3), algorithm=algorithm)
+        freed = weakref.ref(database)
+        gc.disable()
+        try:
+            del engine, database
+            assert freed() is None
+        finally:
+            gc.enable()
+
+    def test_value_frequencies_are_a_copy(self, database):
+        catalog = database.statistics
+        counts = catalog.value_frequencies("E", "src")
+        assert counts == {1: 10, 2: 1, 3: 1}
+        counts[1] = 0
+        assert catalog.value_frequencies("E", "src")[1] == 10
+
+    def test_every_reader_shares_the_databases_catalog(self, database):
+        """Planning, selection, the partition planner, the pairwise
+        baseline and the skew-aware policy all read one catalog: the
+        relation is scanned once, however many of them ask."""
+        engine = QueryEngine(database)
+        query = path_query(3)
+        plan = engine.plan(query)
+        engine.selector.choose(query, plan)
+        engine.selector.recommend_morsels(query, plan.variable_order, workers=2, plan=plan)
+        database.trie_index("E", (0, 1))
+        PartitionPlanner(database).plan(query, plan.variable_order, 4)
+        PairwiseHashJoin(query, database).plan()
+        SkewAwarePolicy(database, query, plan.decomposition)
+        assert database.statistics.full_recomputes == 1
+        assert database.statistics.incremental_refreshes == 0

@@ -525,7 +525,7 @@ class TestIncrementalStatistics:
         edges = {(rng.randint(1, 40), rng.randint(1, 40)) for _ in range(300)}
         db.add_relation(Relation("E", ("src", "dst"), edges), replace=True)
         engine.count(query, algorithm="auto")
-        stats = engine.selector.catalog.relation("E")
+        stats = db.statistics.relation("E")
         assert stats.cardinality == len(db.relation("E"))
 
 
