@@ -9,9 +9,9 @@ which is what gives LFTJ its worst-case-optimality.
 
 Over dictionary-encoded tries the sibling lists are contiguous sorted *int*
 runs inside flat columns, which admits a second execution strategy:
-:func:`intersect_count` intersects whole runs block-at-a-time (numpy set
-ops when available, a galloping two-pointer merge otherwise) instead of
-rotating per key.  The trie-join algorithms use it at the deepest variable,
+:func:`intersect_count` intersects whole ``(keys, lo, hi)`` runs
+block-at-a-time (a galloping two-pointer merge) instead of rotating per
+key.  The trie-join algorithms use it at the deepest variable,
 where no recursion hangs off the matched keys and only their number matters
 — the single hottest loop of every count query.
 """
@@ -21,7 +21,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterator, List, Optional, Sequence
 
-from repro.storage.dictionary import numpy
 from repro.storage.trie import TrieIterator
 
 _COLUMNAR_ITERATOR = TrieIterator
@@ -181,17 +180,6 @@ def _pair_intersection(a, alo: int, ahi: int, b, blo: int, bhi: int) -> List[int
     return out
 
 
-#: Total spanned elements at or above which intersections take the numpy
-#: path; below it the pure-Python galloping merge beats numpy's set ops.
-#: Calibrated on warm triangle counting over the wiki-Vote / ego-Facebook
-#: adjacency runs: short runs lose more to numpy's fixed per-call overhead
-#: (slicing, concat, sort) than its C inner loop wins back; from a few
-#: hundred elements up the C path dominates (>20x at 8k-element runs).  The
-#: compiled-driver codegen reads this at compile time, so a monkeypatched
-#: value specializes freshly generated drivers too.
-KERNEL_CROSSOVER: int = 256
-
-
 def _fast_child_run(iterator):
     """Child run of one iterator, bypassing method dispatch when possible.
 
@@ -210,10 +198,8 @@ def _fast_child_run(iterator):
         if iterator._ended[level]:
             return None
         position = iterator._pos[level]
-        np_keys = iterator._np_keys
         return (
             iterator._keys[depth],
-            np_keys[depth] if np_keys is not None else None,
             iterator._child_begin[level][position],
             iterator._child_end[level][position],
         )
@@ -221,7 +207,7 @@ def _fast_child_run(iterator):
 
 
 def _gather_runs(iterators: Sequence[object]):
-    """Collect ``(keys, np_view, lo, hi)`` runs, or ``None`` if any iterator
+    """Collect ``(keys, lo, hi)`` runs, or ``None`` if any iterator
     exposes no int run here — an impure level of a merged LSM cursor — and
     the caller takes the generic per-key leapfrog path."""
     runs = []
@@ -231,7 +217,7 @@ def _gather_runs(iterators: Sequence[object]):
         if run is None:
             return None
         runs.append(run)
-        span_total += run[3] - run[2]
+        span_total += run[2] - run[1]
     return runs, span_total
 
 
@@ -239,9 +225,9 @@ def _smallest_first(runs) -> None:
     """Swap the smallest run to the front (later intersections are bounded
     by the first)."""
     best = 0
-    best_span = runs[0][3] - runs[0][2]
+    best_span = runs[0][2] - runs[0][1]
     for index in range(1, len(runs)):
-        span = runs[index][3] - runs[index][2]
+        span = runs[index][2] - runs[index][1]
         if span < best_span:
             best = index
             best_span = span
@@ -249,58 +235,30 @@ def _smallest_first(runs) -> None:
         runs[0], runs[best] = runs[best], runs[0]
 
 
-def _use_numpy(runs, span_total: int) -> bool:
-    """Should this intersection take the vectorised path?"""
-    return (
-        numpy is not None
-        and span_total >= KERNEL_CROSSOVER
-        and all(run[1] is not None for run in runs)
-    )
-
-
-def _common_of_runs(runs, span_total: int):
-    """Intersection of >= 2 gathered runs (the shared kernel core).
-
-    Returns an ``int64`` ndarray on the vectorised path and a plain sorted
-    list on the galloping pure-Python path; callers adapt (``.tolist()`` /
-    ``len``/``.size``) as needed.  Reduction starts from the smallest run,
-    which bounds every later intersection.
-    """
-    if _use_numpy(runs, span_total):
-        order = sorted(range(len(runs)), key=lambda index: runs[index][3] - runs[index][2])
-        first = runs[order[0]]
-        common = first[1][first[2]:first[3]]
-        for index in order[1:]:
-            if common.size == 0:
-                break
-            _keys, view, vlo, vhi = runs[index]
-            common = numpy.intersect1d(common, view[vlo:vhi], assume_unique=True)
-        return common
+def _common_of_runs(runs) -> List[int]:
+    """Intersection of >= 2 gathered runs (the shared kernel core), as a
+    sorted list.  Reduction starts from the smallest run, which bounds
+    every later intersection."""
     _smallest_first(runs)
-    current = _pair_intersection(
-        runs[0][0], runs[0][2], runs[0][3], runs[1][0], runs[1][2], runs[1][3]
-    )
-    for other, _view, olo, ohi in runs[2:]:
+    current = _pair_intersection(*runs[0], *runs[1])
+    for other, olo, ohi in runs[2:]:
         if not current:
             break
         current = _pair_intersection(current, 0, len(current), other, olo, ohi)
     return current
 
 
-def _count_common(runs, span_total: int) -> int:
+def _count_common(runs) -> int:
     """Size of the intersection of gathered runs."""
     _smallest_first(runs)
-    keys, _view, lo, hi = runs[0]
+    keys, lo, hi = runs[0]
     if hi <= lo:
         return 0
     if len(runs) == 1:
         return hi - lo
-    if len(runs) == 2 and not _use_numpy(runs, span_total):
-        other, _v, blo, bhi = runs[1]
-        return _pair_intersection_count(keys, lo, hi, other, blo, bhi)
-    common = _common_of_runs(runs, span_total)
-    size = getattr(common, "size", None)
-    return int(size) if size is not None else len(common)
+    if len(runs) == 2:
+        return _pair_intersection_count(keys, lo, hi, *runs[1])
+    return len(_common_of_runs(runs))
 
 
 def intersect_count(iterators: Sequence[object], counter: Optional[object] = None) -> Optional[int]:
@@ -311,13 +269,10 @@ def intersect_count(iterators: Sequence[object], counter: Optional[object] = Non
     merged LSM iterators at *pure* levels); returns ``None`` otherwise, and
     the caller falls back to the generic per-key :class:`LeapfrogJoin` loop.
 
-    Large runs intersect via numpy set ops over zero-copy views; small runs
-    (and the no-numpy build) take a galloping two-pointer merge.  Either way
-    the iterators are left untouched — callers only ``up()`` afterwards,
-    exactly as after draining a generic leapfrog.  The recorded cost model
-    is implementation-independent (one batched seek per run, accesses =
-    elements spanned), so instrumented results do not depend on whether
-    numpy is installed.
+    The runs intersect by a galloping two-pointer merge, and the iterators
+    are left untouched — callers only ``up()`` afterwards, exactly as after
+    draining a generic leapfrog.  The recorded cost model is one batched
+    seek per run, accesses = elements spanned.
     """
     gathered = _gather_runs(iterators)
     if gathered is None:
@@ -325,7 +280,7 @@ def intersect_count(iterators: Sequence[object], counter: Optional[object] = Non
     runs, span_total = gathered
     if counter is not None:
         counter.record_trie(accesses=max(span_total, 1), seeks=len(runs))
-    return _count_common(runs, span_total)
+    return _count_common(runs)
 
 
 def intersect_child_count(iterators: Sequence[object], counter: Optional[object] = None) -> Optional[int]:
@@ -350,10 +305,8 @@ def intersect_child_count(iterators: Sequence[object], counter: Optional[object]
         run_b = _fast_child_run(second)
         if run_b is None:
             return None
-        a_keys, a_view, alo, ahi = run_a
-        b_keys, b_view, blo, bhi = run_b
-        span_a = ahi - alo
-        span_b = bhi - blo
+        span_a = run_a[2] - run_a[1]
+        span_b = run_b[2] - run_b[1]
         span_total = span_a + span_b
         if counter is not None:
             # Same abstract cost model as record_trie(accesses, seeks, opens)
@@ -362,23 +315,8 @@ def intersect_child_count(iterators: Sequence[object], counter: Optional[object]
             counter.trie_seeks += 2
             counter.trie_opens += 2
         if span_a > span_b:
-            a_keys, a_view, alo, ahi, b_keys, b_view, blo, bhi = (
-                b_keys, b_view, blo, bhi, a_keys, a_view, alo, ahi,
-            )
-        if alo >= ahi:
-            return 0
-        if (
-            numpy is not None
-            and span_total >= KERNEL_CROSSOVER
-            and a_view is not None
-            and b_view is not None
-        ):
-            return int(
-                numpy.intersect1d(
-                    a_view[alo:ahi], b_view[blo:bhi], assume_unique=True
-                ).size
-            )
-        return _pair_intersection_count(a_keys, alo, ahi, b_keys, blo, bhi)
+            run_a, run_b = run_b, run_a
+        return _pair_intersection_count(*run_a, *run_b)
     runs = []
     span_total = 0
     for iterator in iterators:
@@ -386,13 +324,13 @@ def intersect_child_count(iterators: Sequence[object], counter: Optional[object]
         if run is None:
             return None
         runs.append(run)
-        span_total += run[3] - run[2]
+        span_total += run[2] - run[1]
     count = len(runs)
     if counter is not None:
         counter.record_trie(
             accesses=max(span_total, 1) + 2 * count, seeks=count, opens=count
         )
-    return _count_common(runs, span_total)
+    return _count_common(runs)
 
 
 def intersect_positions(iterators: Sequence[object], counter: Optional[object] = None):
@@ -403,7 +341,7 @@ def intersect_positions(iterators: Sequence[object], counter: Optional[object] =
     when any iterator lacks an int run.  The interior-depth walkers use
     this to land every cursor with a trusted ``advance_to`` instead of a
     probing seek per key: the whole repositioning cost is paid once here, at
-    block speed (vectorised ``searchsorted`` under numpy).
+    block speed.
     """
     gathered = _gather_runs(iterators)
     if gathered is None:
@@ -436,7 +374,7 @@ def intersect_keys(iterators: Sequence[object], counter: Optional[object] = None
 
 # --------------------------------------------------------------------------
 # Run-level kernels: the same cores as the iterator-level functions above,
-# but over already-gathered ``(keys, np_view, lo, hi)`` run tuples.  The
+# but over already-gathered ``(keys, lo, hi)`` run tuples.  The
 # compiled drivers (:mod:`repro.engine.compiler`) read trie columns directly
 # and call these, so the generated straight-line loops and the interpreted
 # iterator walk share one set of intersection kernels.
@@ -445,24 +383,19 @@ def intersect_keys(iterators: Sequence[object], counter: Optional[object] = None
 
 def run_count(runs) -> int:
     """Size of the intersection of run tuples (shared with ``intersect_count``)."""
-    runs = list(runs)
-    span_total = sum(run[3] - run[2] for run in runs)
-    return _count_common(runs, span_total)
+    return _count_common(list(runs))
 
 
 def run_keys(runs) -> List[int]:
     """Sorted common keys of run tuples (shared with ``intersect_keys``)."""
     runs = list(runs)
-    span_total = sum(run[3] - run[2] for run in runs)
     _smallest_first(runs)
-    keys, _view, lo, hi = runs[0]
+    keys, lo, hi = runs[0]
     if hi <= lo:
         return []
     if len(runs) == 1:
-        result = keys[lo:hi]
-        return result.tolist() if hasattr(result, "tolist") else list(result)
-    common = _common_of_runs(runs, span_total)
-    return common.tolist() if hasattr(common, "tolist") else common
+        return list(keys[lo:hi])
+    return _common_of_runs(runs)
 
 
 def run_intersect(runs, need):
@@ -476,19 +409,18 @@ def run_intersect(runs, need):
     identical order.
     """
     runs = list(runs)
-    span_total = sum(run[3] - run[2] for run in runs)
     count = len(runs)
     if count == 1:
-        keys, _view, lo, hi = runs[0]
+        keys, lo, hi = runs[0]
         if hi <= lo:
             return [], [None if not need[0] else []]
         return (
             list(keys[lo:hi]),
             [list(range(lo, hi)) if need[0] else None],
         )
-    if count == 2 and runs[0][0] is runs[1][0] and runs[0][2:] == runs[1][2:]:
+    if count == 2 and runs[0][0] is runs[1][0] and runs[0][1:] == runs[1][1:]:
         # Self-join over one shared slice: the intersection is the slice.
-        keys, _view, lo, hi = runs[0]
+        keys, lo, hi = runs[0]
         if hi <= lo:
             return [], [[] if needed else None for needed in need]
         positions = list(range(lo, hi))
@@ -496,9 +428,9 @@ def run_intersect(runs, need):
             list(keys[lo:hi]),
             [positions if needed else None for needed in need],
         )
-    if count == 2 and not _use_numpy(runs, span_total):
-        a, _va, i, ahi = runs[0]
-        b, _vb, j, bhi = runs[1]
+    if count == 2:
+        a, i, ahi = runs[0]
+        b, j, bhi = runs[1]
         keys_out: List[int] = []
         first_positions: Optional[List[int]] = [] if need[0] else None
         second_positions: Optional[List[int]] = [] if need[1] else None
@@ -520,23 +452,13 @@ def run_intersect(runs, need):
         return keys_out, [first_positions, second_positions]
     # ``_common_of_runs`` may reorder its argument; hand it a copy so the
     # returned positions stay aligned with the caller's run order.
-    common = _common_of_runs(list(runs), span_total)
-    if getattr(common, "size", None) is not None:  # vectorised path
-        if common.size == 0:
-            return [], [[] if needed else None for needed in need]
-        positions = [
-            (numpy.searchsorted(run[1][run[2]:run[3]], common) + run[2]).tolist()
-            if needed
-            else None
-            for run, needed in zip(runs, need)
-        ]
-        return common.tolist(), positions
+    common = _common_of_runs(list(runs))
     positions = []
     for run, needed in zip(runs, need):
         if not needed:
             positions.append(None)
             continue
-        keys, _view, lo, hi = run
+        keys, lo, hi = run
         pointer = lo
         run_positions = []
         for key in common:

@@ -12,15 +12,14 @@ compiled-driver cache under the name-erased query signature.
 What the generated driver does differently from the interpreter:
 
 * trie cursors disappear — the driver captures each atom's flat trie
-  columns (key arrays, numpy views, child-range arrays) at compile time and
+  columns (key arrays, child-range arrays) at compile time and
   navigates with plain array indexing, so there are no ``open``/``up``/
   ``advance_to`` method calls on the hot path;
 * the batched kernels (:func:`~repro.core.leapfrog.run_intersect`,
   ``run_count``, ``run_keys`` — the run-level cores behind
   ``intersect_positions`` / ``intersect_count`` / ``intersect_keys``) are
-  pre-bound as default arguments, and the two-run leaf intersection is
-  inlined with the numpy/two-pointer crossover decided from the compile-time
-  :data:`~repro.core.leapfrog.KERNEL_CROSSOVER`;
+  pre-bound as default arguments, and the two-run leaf intersection calls
+  the galloping pair count directly;
 * loop-invariant runs are hoisted: a run whose parent key was bound at an
   earlier depth is computed right after that binding, not once per
   iteration of intermediate loops (the interpreter re-gathers it each time);
@@ -182,7 +181,6 @@ from functools import partial
 from itertools import chain, compress, repeat
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core import leapfrog
 from repro.core.cache import AdhesionCache, AlwaysCachePolicy, CachePolicy
 from repro.core.clftj import CachedLeapfrogTrieJoin
 from repro.core.instrumentation import OperationCounter
@@ -198,7 +196,6 @@ from repro.engine.faults import QueryTimeoutError, fault_point
 from repro.query.atoms import ConjunctiveQuery
 from repro.query.terms import Variable
 from repro.storage.database import Database
-from repro.storage.dictionary import numpy
 from repro.storage.trie import TrieIndex
 from repro.storage.views import atom_column_order, peek_atom_trie, query_signature
 
@@ -377,15 +374,13 @@ def pending_deltas(
 def _atom_bundle(base: TrieIndex) -> Tuple[object, ...]:
     """Flatten one trie's columns into the tuple the generated code unpacks.
 
-    Layout per level ``l``: keys, numpy view (or ``None``), and — below the
-    last level — the child begin/end range arrays.  The generated unpack
-    statement is emitted against exactly this layout.
+    Layout per level ``l``: keys and — below the last level — the child
+    begin/end range arrays.  The generated unpack statement is emitted
+    against exactly this layout.
     """
-    np_keys = base._np_keys
     parts: List[object] = []
     for level in range(base.depth):
         parts.append(base._keys[level])
-        parts.append(np_keys[level] if np_keys is not None else None)
         if level + 1 < base.depth:
             parts.append(base._child_begin[level])
             parts.append(base._child_end[level])
@@ -658,14 +653,6 @@ class _Codegen:
         for atom, depths in enumerate(self.atom_depths):
             for level, depth in enumerate(depths):
                 self.participants[depth].append((atom, level))
-        # Compile-time knowledge of which numpy views exist, per (atom, level).
-        self.has_view: Dict[Tuple[int, int], bool] = {}
-        for atom, depths in enumerate(self.atom_depths):
-            bundle = self.bundles[atom]
-            offset = 0
-            for level in range(len(depths)):
-                self.has_view[(atom, level)] = bundle[offset + 1] is not None
-                offset += 4 if level + 1 < len(depths) else 2
         #: Hoisted structures keyed by the depth whose loop body builds
         #: them (``-1`` = prologue, cached across calls on the driver).
         self.hoist_builds: Dict[int, List[Tuple[str, str]]] = {}
@@ -974,10 +961,7 @@ class _Codegen:
         )
 
     def run_expr(self, atom: int, level: int) -> str:
-        return (
-            f"(K{atom}_{level}, V{atom}_{level}, "
-            f"lo{atom}_{level}, hi{atom}_{level})"
-        )
+        return f"(K{atom}_{level}, lo{atom}_{level}, hi{atom}_{level})"
 
     def runs_expr(self, participants: Sequence[Tuple[int, int]]) -> str:
         inner = ", ".join(self.run_expr(atom, level) for atom, level in participants)
@@ -1093,7 +1077,7 @@ class _Codegen:
         self.emit(
             0,
             "           _run_keys=_run_keys, _pair_count=_pair_count, "
-            "_np=_np, _bisect=_bisect):",
+            "_bisect=_bisect):",
         )
         self.prologue()
         if self.mode == "evaluate":
@@ -1116,7 +1100,6 @@ class _Codegen:
             names: List[str] = []
             for level in range(len(depths)):
                 names.append(f"K{atom}_{level}")
-                names.append(f"V{atom}_{level}")
                 if level + 1 < len(depths):
                     names.append(f"B{atom}_{level}")
                     names.append(f"E{atom}_{level}")
@@ -1632,8 +1615,8 @@ class _Codegen:
         """Bind ``m`` to the intersection size of the participants' runs.
 
         Mirrors ``_count_common``: inline span checks and the two-run
-        numpy/two-pointer crossover; three or more runs go through the
-        shared ``run_count`` kernel.
+        galloping pair count; three or more runs go through the shared
+        ``run_count`` kernel.
         """
         count = len(participants)
         if count == 1:
@@ -1645,30 +1628,11 @@ class _Codegen:
             self.emit(indent, f"sa = hi{a}_{al} - lo{a}_{al}")
             self.emit(indent, f"sb = hi{b}_{bl} - lo{b}_{bl}")
             self.emit(indent, "if sa and sb:")
-            use_numpy = (
-                numpy is not None
-                and self.has_view[(a, al)]
-                and self.has_view[(b, bl)]
+            self.emit(
+                indent + 1,
+                f"m = _pair_count(K{a}_{al}, lo{a}_{al}, hi{a}_{al}, "
+                f"K{b}_{bl}, lo{b}_{bl}, hi{b}_{bl})",
             )
-            if use_numpy:
-                self.emit(indent + 1, f"if sa + sb >= {leapfrog.KERNEL_CROSSOVER}:")
-                self.emit(
-                    indent + 2,
-                    f"m = int(_np.intersect1d(V{a}_{al}[lo{a}_{al}:hi{a}_{al}], "
-                    f"V{b}_{bl}[lo{b}_{bl}:hi{b}_{bl}], assume_unique=True).size)",
-                )
-                self.emit(indent + 1, "else:")
-                self.emit(
-                    indent + 2,
-                    f"m = _pair_count(K{a}_{al}, lo{a}_{al}, hi{a}_{al}, "
-                    f"K{b}_{bl}, lo{b}_{bl}, hi{b}_{bl})",
-                )
-            else:
-                self.emit(
-                    indent + 1,
-                    f"m = _pair_count(K{a}_{al}, lo{a}_{al}, hi{a}_{al}, "
-                    f"K{b}_{bl}, lo{b}_{bl}, hi{b}_{bl})",
-                )
             self.emit(indent, "else:")
             self.emit(indent + 1, "m = 0")
             return
@@ -1812,7 +1776,6 @@ def _compile_function(source: str, name: str, label: str) -> Callable:
         "_run_count": run_count,
         "_run_keys": run_keys,
         "_pair_count": _pair_intersection_count,
-        "_np": numpy,
         "_bisect": bisect_left,
         "_monotonic": time.monotonic,
         "_zeros": repeat(0),

@@ -83,7 +83,7 @@ def _rough_bytes(obj: object, depth: int = 5, seen: Optional[set] = None) -> int
 
     ``sys.getsizeof`` plus a shallow walk of containers and of attributes,
     in ``__dict__`` or in ``__slots__`` (a trie, the value dictionary).
-    Numpy arrays report their exact ``nbytes``, a view only its header;
+    An ``array('q')`` key column's ``sys.getsizeof`` is its whole buffer;
     objects with a ``memory_estimate()`` hook (adhesion caches) use it; a
     container of more than :data:`_WALKED_ITEMS` items walks an evenly
     strided sample of them (a set or dict is stepped through at C level)
@@ -102,13 +102,6 @@ def _rough_bytes(obj: object, depth: int = 5, seen: Optional[set] = None) -> int
     if identity in seen:
         return 0
     seen.add(identity)
-    nbytes = getattr(obj, "nbytes", None)
-    if isinstance(nbytes, int):
-        # A view (``.base`` set, e.g. a trie's zero-copy numpy keys) shares
-        # its base's buffer, which is charged where it is held.
-        if getattr(obj, "base", None) is not None:
-            return sys.getsizeof(obj)
-        return int(nbytes)
     estimate = getattr(obj, "memory_estimate", None)
     if callable(estimate):
         try:

@@ -26,10 +26,9 @@ run the entire join over ``int`` columns.
   meaning), so :meth:`ValueDictionary.json_rows` writes rows of codes as
   JSON text without building a value tuple: what ``POST /evaluate`` sends.
 
-``numpy`` is optional: when importable, encoded key columns additionally
-expose zero-copy ``int64`` views used by the batched leapfrog kernels
-(:func:`repro.core.leapfrog.intersect_count`); without it the pure-Python
-``array('q')`` path serves everything.
+Encoded key columns are ``array('q')``; the batched leapfrog kernels
+(:func:`repro.core.leapfrog.intersect_count`) read them directly.  The
+library imports no third-party package.
 """
 
 from __future__ import annotations
@@ -40,15 +39,6 @@ from functools import lru_cache
 from itertools import islice
 from operator import index
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
-
-try:  # pragma: no cover - exercised via the CI numpy matrix
-    import numpy
-except ImportError:  # pragma: no cover
-    numpy = None  # type: ignore[assignment]
-
-#: True when numpy is importable; the encoded columns then carry zero-copy
-#: ``int64`` views for the batched intersection kernels.
-HAVE_NUMPY = numpy is not None
 
 #: Rows :meth:`ValueDictionary.decode_stream` hands to the batch kernel at a
 #: time: enough to amortise the per-batch cost, small enough that a consumer
@@ -63,7 +53,7 @@ def _row_kernel(width: int) -> Callable[[List[object], list], List[Tuple[object,
     ``lambda v, rows: [(v[c0], v[c1]) for c0, c1 in rows]`` for width 2: the
     unpacking target fixes the width (a row of any other length raises
     ``ValueError``) and every lookup is a plain list index.  Measured against
-    a ``zip(*rows)`` column gather, ``tuple(map(getitem, row))`` and a numpy
+    a ``zip(*rows)`` column gather, ``tuple(map(getitem, row))`` and an
     object-array gather, this comprehension was the fastest at every width.
     """
     codes = [f"c{position}" for position in range(width)]

@@ -28,11 +28,12 @@ The iterator interface follows Veldhuizen's LFTJ:
 Every trie a :class:`~repro.storage.database.Database` builds is
 **dictionary-encoded**: built with the database's shared
 :class:`~repro.storage.dictionary.ValueDictionary`, it stores ``array('q')``
-int-code columns (plus zero-copy numpy views when numpy is importable).
+int-code columns.
 Levels sort by code — an arbitrary but consistent total order, sufficient
 for equi-joins — and the iterators expose contiguous *runs*
-(``current_run``/``child_run``) that the batched kernels in
-:mod:`repro.core.leapfrog` intersect block-at-a-time.  Values only reappear
+(``current_run``/``child_run``, each a ``(keys, lo, hi)`` slice of one
+column) that the batched kernels in :mod:`repro.core.leapfrog` intersect
+block-at-a-time.  Values only reappear
 at explicit decode boundaries (``LsmTrieIndex.iter_rows``/``contains``, the
 engine's result objects).  A trie built without a dictionary
 (``TrieIndex.from_tuples``) holds its keys as given and exposes no runs; it
@@ -54,7 +55,7 @@ from array import array
 from bisect import bisect_left
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.storage.dictionary import HAVE_NUMPY, ValueDictionary, numpy
+from repro.storage.dictionary import ValueDictionary
 from repro.storage.relation import Relation, merge_sorted_rows
 
 
@@ -98,16 +99,6 @@ def _int_columns(keys: List[List[object]]) -> List[array]:
     return [array("q", level) for level in keys]
 
 
-def _np_views(columns: Sequence[array]) -> Optional[List[object]]:
-    """Zero-copy ``int64`` views over ``array('q')`` columns (numpy only)."""
-    if not HAVE_NUMPY:
-        return None
-    return [
-        numpy.frombuffer(column, dtype=numpy.int64) if len(column) else None
-        for column in columns
-    ]
-
-
 class TrieIndex:
     """A columnar trie over a relation for one column permutation.
 
@@ -119,7 +110,7 @@ class TrieIndex:
     described by an integer range plus a position per open level.
     """
 
-    __slots__ = ("_keys", "_child_begin", "_child_end", "_np_keys", "depth",
+    __slots__ = ("_keys", "_child_begin", "_child_end", "depth",
                  "relation_name", "attribute_order", "dictionary", "encoded")
 
     def __init__(
@@ -142,10 +133,8 @@ class TrieIndex:
         #: ``None`` for a trie built without one (keys held as given).
         self.dictionary = dictionary
         self.encoded = dictionary is not None
-        self._np_keys: Optional[List[object]] = None
         if dictionary is not None:
             self._keys = _int_columns(keys)
-            self._np_keys = _np_views(self._keys)
 
     # ------------------------------------------------------------ construction
     @staticmethod
@@ -341,14 +330,13 @@ class TrieIterator:
     and tests assert the guard rails.
     """
 
-    __slots__ = ("_index", "_counter", "_keys", "_np_keys", "_child_begin",
-                 "_child_end", "_depth", "_lo", "_hi", "_pos", "_ended")
+    __slots__ = ("_index", "_counter", "_keys", "_child_begin", "_child_end",
+                 "_depth", "_lo", "_hi", "_pos", "_ended")
 
     def __init__(self, index: TrieIndex, counter: Optional[object] = None) -> None:
         self._index = index
         self._counter = counter
         self._keys = index._keys
-        self._np_keys = index._np_keys
         self._child_begin = index._child_begin
         self._child_end = index._child_end
         self._depth = 0
@@ -473,10 +461,10 @@ class TrieIterator:
             self._counter.record_trie(accesses=max(span.bit_length(), 1), seeks=1)
 
     # -------------------------------------------------------------- utilities
-    def current_run(self) -> Optional[Tuple[object, object, int, int]]:
+    def current_run(self) -> Optional[Tuple[object, int, int]]:
         """The open level's remaining sibling run, for the batched kernels.
 
-        Returns ``(keys, np_view_or_None, lo, hi)`` when this trie is
+        Returns ``(keys, lo, hi)`` when this trie is
         encoded (int key columns) — the contiguous slice ``keys[lo:hi]`` of
         siblings from the current position to the end of the group — or
         ``None`` for a trie without int columns, which tells the caller to
@@ -485,13 +473,7 @@ class TrieIterator:
         if not self._index.encoded or self._depth == 0:
             return None
         level = self._depth - 1
-        np_keys = self._np_keys
-        return (
-            self._keys[level],
-            np_keys[level] if np_keys is not None else None,
-            self._pos[level],
-            self._hi[level],
-        )
+        return self._keys[level], self._pos[level], self._hi[level]
 
     def advance_to(self, position: int) -> None:
         """Trusted batched repositioning within the open level.
@@ -505,7 +487,7 @@ class TrieIterator:
         """
         self._pos[self._depth - 1] = position
 
-    def child_run(self) -> Optional[Tuple[object, object, int, int]]:
+    def child_run(self) -> Optional[Tuple[object, int, int]]:
         """The run ``open()`` would expose below the current key, statelessly.
 
         Same shape as :meth:`current_run`, but for the *next* level: the
@@ -526,10 +508,8 @@ class TrieIterator:
         if self._ended[level]:
             return None
         position = self._pos[level]
-        np_keys = self._np_keys
         return (
             self._keys[depth],
-            np_keys[depth] if np_keys is not None else None,
             self._child_begin[level][position],
             self._child_end[level][position],
         )
@@ -1097,7 +1077,7 @@ class MergedTrieIterator:
         return tombstoned >= span
 
     # -------------------------------------------------------------- utilities
-    def current_run(self) -> Optional[Tuple[object, object, int, int]]:
+    def current_run(self) -> Optional[Tuple[object, int, int]]:
         """The remaining sibling run, when this level delegates to main.
 
         A *pure* level (no delta reaches the current subtree, no tombstone
@@ -1109,7 +1089,7 @@ class MergedTrieIterator:
             return None
         return self._main.current_run()
 
-    def child_run(self) -> Optional[Tuple[object, object, int, int]]:
+    def child_run(self) -> Optional[Tuple[object, int, int]]:
         """The child run below the current key, when the level is pure.
 
         A pure level has no delta or tombstone anywhere under the current
@@ -1279,19 +1259,19 @@ class BoundedTrieIterator:
             inner.seek(value)
 
     # -------------------------------------------------------------- utilities
-    def current_run(self) -> Optional[Tuple[object, object, int, int]]:
+    def current_run(self) -> Optional[Tuple[object, int, int]]:
         """The remaining sibling run, clamped to ``hi`` at the bound level."""
         run = self._inner.current_run()
         if run is None or self._inner.depth != self._level:
             return run
-        keys, view, lo_pos, hi_pos = run
+        keys, lo_pos, hi_pos = run
         if self._bound_ended:
-            return keys, view, lo_pos, lo_pos
+            return keys, lo_pos, lo_pos
         if self._hi is not None:
             hi_pos = bisect_left(keys, self._hi, lo_pos, hi_pos)
-        return keys, view, lo_pos, hi_pos
+        return keys, lo_pos, hi_pos
 
-    def child_run(self) -> Optional[Tuple[object, object, int, int]]:
+    def child_run(self) -> Optional[Tuple[object, int, int]]:
         """The child run below the current key (no clamp: children are one
         level past the bound, and the current key is in range by contract)."""
         if self._bound_ended and self._inner.depth == self._level:

@@ -69,3 +69,29 @@ def test_explain_and_run_name_the_same_schedule():
     assert "ran=$(grep -o '^parallel: workers=[0-9]*' run.out)" in text
     assert "grep '^parallel:' explain.out | grep -F \"$ran\"" in text
     assert "backend=" not in text
+
+
+def _jobs():
+    """Each job's block of ``ci.yml``, keyed by its id."""
+    text = WORKFLOW.read_text(encoding="utf-8")
+    jobs = text.split("\njobs:\n", 1)[1]
+    return dict(re.findall(r"^  ([\w-]+):\n(.*?)(?=^  [\w-]+:\n|\Z)", jobs, re.M | re.S))
+
+
+def test_no_job_runs_a_numpy_matrix():
+    """The library imports no numpy (``tests/test_no_numpy.py``), so a
+    with-numpy / without-numpy axis would run the same code twice."""
+    jobs = _jobs()
+    assert {"tier1", "smoke"} <= set(jobs), sorted(jobs)
+    for name, block in jobs.items():
+        assert "matrix.numpy" not in block, name
+        assert not re.search(r"^\s+numpy:", block, re.M), name
+
+
+def test_tier1_installs_the_benchmark_oracles_numpy():
+    """``benchmarks/e2e/test_e2e_smoke.py`` skips without numpy, the oracle's
+    one dependency: tier-1 installs it, in every cell, so that smoke runs."""
+    steps = _jobs()["tier1"].split("\n      - ")
+    installs = [step for step in steps if re.search(r"pip install .*\bnumpy\b", step)]
+    assert installs, steps
+    assert not any(re.search(r"^\s+if:", step, re.M) for step in installs), installs

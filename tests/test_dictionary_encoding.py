@@ -2,10 +2,10 @@
 
 Joins run in dictionary-code space and must be observationally equivalent
 to a join over the values — same counts, same decoded row sets — across
-every algorithm, every storage regime (fresh builds, shared caches, the
-delta/LSM path) and both kernel flavours (numpy and pure Python).  The
-oracle throughout is ``conftest.brute_force_evaluate``, a nested loop over
-the relations' value tuples that shares no code with the engine.
+every algorithm and every storage regime (fresh builds, shared caches, the
+delta/LSM path).  The oracle throughout is ``conftest.brute_force_evaluate``,
+a nested loop over the relations' value tuples that shares no code with the
+engine.
 """
 
 import random
@@ -14,8 +14,6 @@ from itertools import islice
 
 import pytest
 
-import repro.core.leapfrog as leapfrog_module
-from repro.core.clftj import CachedLeapfrogTrieJoin
 from repro.core.lftj import LeapfrogTrieJoin
 from repro.decomposition.generic import generic_decompose
 from repro.engine.engine import QueryEngine
@@ -379,15 +377,6 @@ class TestDifferentialEncodedVsRaw:
                 name="rebuilt",
             )
             assert LeapfrogTrieJoin(query, rebuilt).count() == expected
-
-    def test_pure_python_kernels_agree_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(leapfrog_module, "numpy", None)
-        database = _mixed_database(9)
-        query = cycle_query(3)
-        expected = brute_force_count(query, database)
-        assert LeapfrogTrieJoin(query, database).count() == expected
-        decomposition = generic_decompose(query)
-        assert CachedLeapfrogTrieJoin(query, database, decomposition).count() == expected
 
 
 # ---------------------------------------------------------------------------

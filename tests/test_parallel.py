@@ -649,7 +649,7 @@ class TestBoundedCursorEdges:
         bounded.open()
         run = bounded.current_run()
         assert run is not None
-        keys, _view, run_lo, run_hi = run
+        keys, run_lo, run_hi = run
         assert all(lo <= keys[i] < hi for i in range(run_lo, run_hi))
 
     def test_bound_level_must_be_positive(self):
