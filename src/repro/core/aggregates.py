@@ -5,7 +5,9 @@ operators" (after Joglekar et al.'s AJAR and Khamis et al.'s FAQ) as future
 work.  This module implements that extension for the class of aggregates
 expressible over a commutative semiring:
 
-* the **counting** semiring reproduces ``CachedTJCount`` exactly;
+* the **counting** semiring computes ``CachedTJCount``'s count (the
+  operations it records are its own: it walks every depth with the
+  per-key leapfrog and records one result per leaf, not per factor);
 * the **sum-product** semiring computes ``SUM(w_1 * w_2 * ...)`` of per-tuple
   weights (e.g. edge weights);
 * the **min/max (tropical) semirings** compute the minimum/maximum weight of
@@ -181,8 +183,8 @@ WeightFunction = Callable[[Atom, Tuple[object, ...]], object]
 def uniform_weights(_atom: Atom, _values: Tuple[object, ...]) -> object:
     """The default weight function: every matched atom contributes ``one``.
 
-    With the counting semiring this makes :class:`CachedAggregateTrieJoin`
-    coincide with ``CachedTJCount``.
+    With the counting semiring :class:`CachedAggregateTrieJoin` then equals
+    ``CachedTJCount``'s count; its operation counts are its own.
     """
     return None  # interpreted as the semiring's multiplicative identity
 
@@ -375,7 +377,7 @@ def aggregate_count(
     decomposition: TreeDecomposition,
     **options,
 ) -> int:
-    """Counting via the semiring machinery (must equal ``CachedTJCount``)."""
+    """Counting via the semiring machinery (the count must equal ``CachedTJCount``'s)."""
     joiner = CachedAggregateTrieJoin(
         query, database, decomposition, CountingSemiring(), **options
     )

@@ -14,15 +14,19 @@ ordered tree decomposition, and:
   per-subtree intermediate result may be cached, subject to the caching
   policy of :mod:`repro.core.cache`.
 
-With a :class:`~repro.core.cache.NeverCachePolicy` (or a zero-capacity cache)
-the algorithm performs exactly the same trie operations as LFTJ — the
-"coincide when no caching takes place" property of Section 3.2, covered by
-tests.
+This is the one interpreted trie join.  A node is consulted only where the
+walk enters it below depth 0, so over a single-bag decomposition nothing is
+probed or stored and the walk is Figure 1's:
+:class:`repro.core.lftj.LeapfrogTrieJoin` is this class over
+:meth:`TreeDecomposition.singleton`.  With a
+:class:`~repro.core.cache.NeverCachePolicy` (or a zero-capacity cache) over
+any decomposition the algorithm performs exactly the same trie operations
+as LFTJ, and records only the misses of the probes it makes — the "coincide
+when no caching takes place" property of Section 3.2, covered by tests.
 """
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.cache import AdhesionCache, AlwaysCachePolicy, CachePolicy
@@ -35,16 +39,29 @@ from repro.core.leapfrog import (
     intersect_keys,
     intersect_positions,
 )
-from repro.core.lftj import TrieJoinBase
 from repro.decomposition.ordering import is_strongly_compatible, strongly_compatible_order
 from repro.decomposition.tree_decomposition import TreeDecomposition
 from repro.query.atoms import ConjunctiveQuery
 from repro.query.terms import Variable
 from repro.storage.database import Database
+from repro.storage.trie import BoundedTrieIterator, LsmTrieIndex, TrieIterator
+from repro.storage.views import atom_column_order, atom_trie
 
 
-class CachedLeapfrogTrieJoin(TrieJoinBase):
+class CachedLeapfrogTrieJoin:
     """CLFTJ: trie join with flexible, optional caching along a tree decomposition.
+
+    Construction validates the plan and obtains, for each atom, a trie over
+    the atom's view (distinct variables, constants and repeated variables
+    applied) whose level order follows the global variable order — shared
+    tries come from the database's index cache, so repeated constructions
+    and equivalent atoms pay no rebuild.  ``count`` / ``evaluate_coded``
+    take a top-variable range ``[lo, hi)`` and a counter, so a
+    morsel-parallel worker runs one executor over many ranges.
+
+    The whole join runs in dictionary-code space: the tries hold int codes,
+    assignments (and adhesion-cache keys) hold codes, and values only
+    materialise at the result boundary.
 
     Parameters
     ----------
@@ -68,6 +85,24 @@ class CachedLeapfrogTrieJoin(TrieJoinBase):
         ``ValueError`` on such mixing instead of corrupting the execution.
     """
 
+    #: Executor-protocol marker: ``evaluate_coded()`` yields code tuples
+    #: the engine decodes lazily (the value-space baselines lack it).
+    encoded = True
+
+    #: Cooperative deadline, set post-construction by the engine when a
+    #: ``timeout=`` was given (any object with ``check()`` — see
+    #: :class:`repro.engine.faults.Deadline`; the core deliberately does not
+    #: import it, so the duck-typed attribute keeps core free of engine
+    #: dependencies).  The class-level ``None`` keeps the common path to a
+    #: single ``is None`` test per recursive call.
+    deadline = None
+
+    #: Recursive calls between deadline clock reads.  64 keeps the check
+    #: essentially free (one integer increment per call, one clock read per
+    #: stride) while an expired deadline is still noticed within
+    #: microseconds of real work.
+    DEADLINE_STRIDE = 64
+
     def __init__(
         self,
         query: ConjunctiveQuery,
@@ -82,19 +117,38 @@ class CachedLeapfrogTrieJoin(TrieJoinBase):
         decomposition = decomposition.contract_ownerless_bags()
         if variable_order is None:
             variable_order = strongly_compatible_order(decomposition)
-        if not is_strongly_compatible(decomposition, variable_order):
+        order = tuple(variable_order)
+        self.query = query
+        self._validate_order(order)
+        if not is_strongly_compatible(decomposition, order):
             raise ValueError(
                 "the decomposition is not strongly compatible with the variable order"
             )
-        super().__init__(query, database, variable_order, counter)
+        self.database = database
+        self.counter = counter if counter is not None else OperationCounter()
+        self.variable_order: Tuple[Variable, ...] = order
+        self.num_variables = len(order)
         self.decomposition = decomposition
         self.policy = policy if policy is not None else AlwaysCachePolicy()
         self.cache = cache if cache is not None else AdhesionCache()
         # The cache's counter is bound in _prepare(), once per execution.
 
-        order = self.variable_order
         depth_of = {variable: depth for depth, variable in enumerate(order)}
         self._depth_of: Dict[Variable, int] = depth_of
+        self._atom_tries: List[LsmTrieIndex] = []
+        self._atom_variables: List[Tuple[Variable, ...]] = []
+        for atom in query.atoms:
+            ordered, column_order = atom_column_order(atom, depth_of)
+            self._atom_tries.append(atom_trie(database, atom, column_order))
+            self._atom_variables.append(ordered)
+        self._atoms_at_depth: List[Tuple[int, ...]] = [
+            tuple(
+                atom_index
+                for atom_index, atom_vars in enumerate(self._atom_variables)
+                if variable in atom_vars
+            )
+            for variable in order
+        ]
 
         self._owner_at_depth: List[int] = [
             decomposition.owner(variable) for variable in order
@@ -130,12 +184,42 @@ class CachedLeapfrogTrieJoin(TrieJoinBase):
             self._maintain_rep[node] = wants or inherited
 
         # Mutable per-execution state.
+        self._assignment: List[Optional[object]] = []
+        self._depth_participants: List[List[TrieIterator]] = []
+        self._deadline_ticks = 0
         self._total: int = 0
         self._intrmd: Dict[int, int] = {}
         self._builders: Dict[int, Optional[FactorizedNode]] = {}
 
+    def _validate_order(self, order: Sequence[Variable]) -> None:
+        query_vars = self.query.variable_set()
+        order_set = set(order)
+        if len(order) != len(order_set):
+            raise ValueError(f"variable order {order!r} contains duplicates")
+        if order_set != query_vars:
+            missing = query_vars - order_set
+            extra = order_set - query_vars
+            raise ValueError(
+                f"variable order does not match the query variables "
+                f"(missing={sorted(v.name for v in missing)!r}, "
+                f"extra={sorted(v.name for v in extra)!r})"
+            )
+
+    # -------------------------------------------------------------- execution
     def _prepare(self, lo=None, hi=None, counter=None) -> None:
-        """Fresh iterators plus per-execution cache/policy state.
+        """Fresh iterators, a blank assignment and per-execution cache and
+        policy state for one execution.
+
+        ``counter``, when given, replaces the executor's counter from this
+        execution on (iterators bind whatever counter is current here).  A
+        ``[lo, hi)`` range bounds the top variable: every atom containing it
+        indexes it at trie level 1 (the global order puts it at minimal
+        depth), so bounding those iterators restricts exactly the depth-0
+        intersection; atoms without it run unrestricted.  Cached
+        intermediates stay range-independent: a probed decomposition node
+        is always entered at depth > 0, so no cache entry's subtree block
+        contains the bounded variable, and a cache warmed by one morsel is
+        valid for every other morsel and for the unrestricted execution.
 
         A cache reused across executions (the Figure 10 workflow) must report
         hits/misses/evictions on the *current* execution's counter, so the
@@ -143,10 +227,40 @@ class CachedLeapfrogTrieJoin(TrieJoinBase):
         stateful admission policies (per-node budgets) restart their budget
         for every execution.
         """
-        super()._prepare(lo, hi, counter)
+        if counter is not None:
+            self.counter = counter
+        iterators = [trie.iterator(self.counter) for trie in self._atom_tries]
+        if lo is not None or hi is not None:
+            for atom_index in self._atoms_at_depth[0]:
+                iterators[atom_index] = BoundedTrieIterator(iterators[atom_index], lo, hi)
+        self._assignment = [None] * self.num_variables
+        # Participant lists are fixed per depth for the execution's lifetime;
+        # materialising them once keeps the per-recursion lookup a plain
+        # index instead of a fresh list comprehension.
+        self._depth_participants = [
+            [iterators[atom_index] for atom_index in atoms]
+            for atoms in self._atoms_at_depth
+        ]
         self.cache.counter = self.counter
         self.policy.reset()
         self.policy.bind_space(self.database)
+
+    def _participants(self, depth: int) -> List[TrieIterator]:
+        return self._depth_participants[depth]
+
+    def _check_deadline(self) -> None:
+        """Cooperative cancellation: read the clock once per stride.
+
+        Called at recursion entries when :attr:`deadline` is set.  Raises
+        :class:`repro.engine.faults.QueryTimeoutError` (via the deadline's
+        own ``check``) once the instant has passed.  Deliberately touches
+        no :class:`OperationCounter` field — compiled/interpreted counter
+        parity must hold with and without a deadline.
+        """
+        self._deadline_ticks += 1
+        if self._deadline_ticks >= self.DEADLINE_STRIDE:
+            self._deadline_ticks = 0
+            self.deadline.check()
 
     # ------------------------------------------------------------------ keys
     def _adhesion_key(self, node: int) -> Tuple[object, ...]:
@@ -159,7 +273,9 @@ class CachedLeapfrogTrieJoin(TrieJoinBase):
     def count(self, lo=None, hi=None, counter=None) -> int:
         """Return ``|q(D)|`` — the algorithm ``CachedTJCount`` of Figure 2.
 
-        ``lo``/``hi``/``counter`` as for :meth:`LeapfrogTrieJoin.count`.
+        With ``lo``/``hi``, only results whose top variable lies in
+        ``[lo, hi)`` (storage key space) are counted; ``counter`` becomes
+        the executor's counter for this and later executions.
         """
         self.cache.bind_mode("count")
         self._prepare(lo, hi, counter)
@@ -303,7 +419,10 @@ class CachedLeapfrogTrieJoin(TrieJoinBase):
     def evaluate_coded(
         self, lo=None, hi=None, counter=None
     ) -> Iterator[Tuple[object, ...]]:
-        """Yield result tuples in storage space (dictionary codes)."""
+        """Yield result tuples in storage space (dictionary codes).
+
+        ``lo``/``hi``/``counter`` as for :meth:`count`.
+        """
         self.cache.bind_mode("evaluate")
         self._prepare(lo, hi, counter)
         if self.deadline is not None:
@@ -407,38 +526,20 @@ class CachedLeapfrogTrieJoin(TrieJoinBase):
 
     # --------------------------------------------------------------- reports
     def execution_metadata(self) -> Dict[str, object]:
-        """Executor-protocol hook: adhesion-cache state on top of the base facts."""
-        metadata = super().execution_metadata()
+        """Executor-protocol hook: per-algorithm facts worth reporting.
+
+        The engine merges this into ``ExecutionResult.metadata`` after every
+        run: the dictionary's size, the atom tries carrying an unmerged LSM
+        delta level (reads go through the merging iterator until the next
+        compaction) and the adhesion cache's state.
+        """
+        metadata: Dict[str, object] = {"dictionary_size": len(self.database.dictionary)}
+        delta_tries = sum(1 for trie in self._atom_tries if trie.has_deltas)
+        if delta_tries:
+            metadata["delta_tries"] = delta_tries
         metadata["cache_entries"] = len(self.cache)
         metadata["cache_memory_bytes"] = self.cache.memory_estimate()
         return metadata
-
-    def invalidate_cache_for(self, changed_relations) -> int:
-        """Selectively drop cache entries reading any of ``changed_relations``.
-
-        Convenience for callers holding a long-lived executor across data
-        updates (prepared queries do this automatically through their
-        version tracking); returns how many entries were dropped.
-        """
-        from repro.core.cache import affected_cache_nodes
-
-        affected = affected_cache_nodes(
-            self.decomposition, self.query, set(changed_relations)
-        )
-        return self.cache.invalidate_nodes(affected)
-
-    def decoded_cache_keys(self, limit: Optional[int] = None) -> List[Tuple[int, Tuple[object, ...]]]:
-        """Cache keys for inspection, decoded to value space.
-
-        Adhesion keys are stored in the traversal's key space — dictionary
-        codes — for small keys and fast hashing; this is the *only* decode
-        boundary, intended for debugging and tests, never for the hot path.
-        """
-        decode_row = self.database.dictionary.decode_row
-        return [
-            (node, decode_row(codes))
-            for node, codes in islice(self.cache.keys(), limit)
-        ]
 
     def cache_report(self) -> Dict[str, object]:
         """A small report of cache behaviour after an execution."""

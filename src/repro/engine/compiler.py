@@ -1,6 +1,7 @@
 """Plan-compiled execution: specialize the hot join loop per query shape.
 
-The interpreted :class:`~repro.core.lftj.LeapfrogTrieJoin` dispatches every
+The interpreted trie join (:class:`~repro.core.clftj.CachedLeapfrogTrieJoin`,
+whose walk over a one-bag plan is LFTJ) dispatches every
 join level through generic per-variable Python — iterator method calls,
 participant-list indirection, per-key counter bookkeeping.  This module
 closes the plan -> compile -> execute split: from a planned (query,
@@ -65,11 +66,13 @@ What the generated driver does differently from the interpreter:
   variable, so every morsel of a parallel query reuses one compiled driver
   parameterized by its range.
 
-There is one generator, one driver class and one executor tier, because
-CLFTJ is LFTJ plus adhesion-cache probes (the paper's Section 3.2: the two
-coincide when no caching takes place): a decomposition only adds a cache
-consult at every node entered below depth 0 (:class:`_Codegen`), and a plan
-with no such node is LFTJ's driver under LFTJ's key (:func:`resolve_driver`).
+There is one generator, one driver class and one executor tier, over one
+interpreted executor, because CLFTJ is LFTJ plus adhesion-cache probes (the
+paper's Section 3.2: the two coincide when no caching takes place): a
+decomposition only adds a cache consult at every node entered below depth 0
+(:class:`_Codegen`), and a plan with no such node is LFTJ's driver under
+LFTJ's key (:func:`resolve_driver`) and, interpreted, CLFTJ's walk over the
+one-bag decomposition (:class:`~repro.core.lftj.LeapfrogTrieJoin`).
 A probing driver's count consults the adhesion cache in one form: every
 consult is a ``.get`` on the cache's own table and every miss offers its
 entry to that table, and the cache counters are derived from the hit, miss
@@ -1880,9 +1883,6 @@ class _CompiledTier:
     ever cache-hits, then calls the driver with each morsel's ``[lo, hi)``.
     """
 
-    #: The plan's decomposition; the CLFTJ base class binds its own.
-    decomposition: Optional[TreeDecomposition] = None
-
     _driver: Optional[CompiledDriver] = None
     _built = False
     #: Why the last execution ran interpreted: for good when :meth:`build`
@@ -1941,8 +1941,14 @@ class _CompiledTier:
 
     # -------------------------------------------------------------- execute
     def _bind(self, mode: str) -> Tuple[object, ...]:
-        """Per-execution state the count loop takes at run time (LFTJ: none)."""
-        return ()
+        """The interpreted _prepare()'s cache discipline — one mode per
+        cache, counts on the current counter — and the cache the count loop
+        takes at run time (a driver without probes ignores it).  The policy
+        is AlwaysCachePolicy wherever the count probes (cache_fallback),
+        which keeps no state."""
+        self.cache.bind_mode(mode)
+        self.cache.counter = self.counter
+        return (self.cache,)
 
     def count(self, lo=None, hi=None, counter=None) -> int:
         driver = self.build()
@@ -2014,14 +2020,6 @@ class CompiledTrieJoin(_CompiledTier, LeapfrogTrieJoin):
 
 class CompiledCachedTrieJoin(_CompiledTier, CachedLeapfrogTrieJoin):
     """CLFTJ executor that runs through a compiled driver when it can."""
-
-    def _bind(self, mode: str) -> Tuple[object, ...]:
-        # The interpreted _prepare()'s cache discipline: one mode per cache,
-        # counts on the current counter.  The policy is AlwaysCachePolicy
-        # wherever the count probes (cache_fallback), which keeps no state.
-        self.cache.bind_mode(mode)
-        self.cache.counter = self.counter
-        return (self.cache,)
 
 
 def trie_join_executor(

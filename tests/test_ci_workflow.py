@@ -1,5 +1,6 @@
 """Every file a CI step names exists: a deleted script takes its step along."""
 
+import json
 import re
 from pathlib import Path
 
@@ -95,3 +96,31 @@ def test_tier1_installs_the_benchmark_oracles_numpy():
     installs = [step for step in steps if re.search(r"pip install .*\bnumpy\b", step)]
     assert installs, steps
     assert not any(re.search(r"^\s+if:", step, re.M) for step in installs), installs
+
+
+def test_every_benchmark_workload_runs_full_size():
+    """Each workload ``BENCHMARK.json`` declares runs at full size (no
+    ``--tiny``) in a step that checks the run's exit status and its
+    ``"correct"`` flag — literally after ``--workload``, or through the
+    step's ``for workload in ...`` loop."""
+    declared = {
+        workload["name"]
+        for workload in json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))[
+            "workloads"
+        ]
+    }
+    covered = set()
+    for block in _jobs().values():
+        for step in block.split("\n      - "):
+            if "result['correct']" not in step or 'test "$status" -eq 0' not in step:
+                continue
+            for line in step.splitlines():
+                run = re.search(r"benchmarks/e2e/run\.py --workload (\S+)", line)
+                if run is None or "--tiny" in line:
+                    continue
+                name = run.group(1).strip('"')
+                if name == "$workload":
+                    covered.update(re.search(r"for workload in ([\w ]+); do", step).group(1).split())
+                else:
+                    covered.add(name)
+    assert declared <= covered, sorted(declared - covered)

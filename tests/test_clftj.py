@@ -15,11 +15,14 @@ from repro.core.lftj import LeapfrogTrieJoin
 from repro.decomposition.generic import enumerate_tree_decompositions, generic_decompose
 from repro.decomposition.ordering import strongly_compatible_order
 from repro.decomposition.tree_decomposition import TreeDecomposition
+from repro.engine.engine import QueryEngine
 from repro.query.parser import parse_query
 from repro.query.patterns import clique_query, cycle_query, lollipop_query, path_query
 from repro.query.terms import Variable
+from repro.storage.database import Database
+from repro.storage.relation import Relation
 
-from tests.conftest import brute_force_count, brute_force_evaluate
+from tests.conftest import brute_force_count, brute_force_evaluate, random_edge_database
 
 
 def _paper_example_query():
@@ -149,31 +152,72 @@ class TestAgreementWithLftjAndBruteForce:
         assert counter.cache_insertions == 0
 
 
+#: The end-to-end benchmark's query shapes, by their benchmark names.
+PARITY_QUERIES = {
+    "tri": "E(a,b), E(b,c), E(c,a)",
+    "p2": "E(a,b), E(b,c)",
+    "p3": "E(a,b), E(b,c), E(c,d)",
+    "p4": "E(a,b), E(b,c), E(c,d), E(d,e)",
+    "c4": "E(a,b), E(b,c), E(c,d), E(d,a)",
+    "c5": "E(a,b), E(b,c), E(c,d), E(d,e), E(e,a)",
+    "lol": "E(a,b), E(a,c), E(b,c), E(c,d), E(d,e)",
+}
+
+
+def _parity_database(storage: str, query) -> Database:
+    """The random graph over compacted tries, or with a resident delta level.
+
+    ``delta``: the tries are built from all but the last ten edges, then an
+    insert of those and a delete of five others land as an unmerged LSM
+    delta level (no compaction floor, a threshold above the stream).  Its
+    impure merged levels expose no run, which is what sends the walk to the
+    per-key ``LeapfrogJoin``.
+    """
+    edges = sorted(random_edge_database(num_edges=70).relation("E").tuples)
+    if storage == "compacted":
+        return Database([Relation("E", ("src", "dst"), edges)])
+    database = Database(
+        [Relation("E", ("src", "dst"), edges[:-10])],
+        compaction_floor=0, compaction_threshold=100.0,
+    )
+    LeapfrogTrieJoin(query, database)  # build the tries the updates patch
+    database.insert("E", edges[-10:])
+    database.delete("E", edges[:5])
+    return database
+
+
 class TestNoCachingCoincidesWithLftj:
     """Section 3.2: with no caching the two algorithms coincide."""
 
-    @pytest.mark.parametrize("query_factory", [
-        lambda: path_query(3),
-        lambda: cycle_query(4),
-    ])
-    def test_trie_operation_counts_identical(self, small_graph_db, query_factory):
-        query = query_factory()
-        decomposition = generic_decompose(query)
-        order = strongly_compatible_order(decomposition)
-
-        lftj_counter = OperationCounter()
-        LeapfrogTrieJoin(query, small_graph_db, order, lftj_counter).count()
-
-        clftj_counter = OperationCounter()
-        CachedLeapfrogTrieJoin(
-            query, small_graph_db, decomposition, order,
-            policy=NeverCachePolicy(), counter=clftj_counter,
-        ).count()
-
-        assert clftj_counter.trie_accesses == lftj_counter.trie_accesses
-        assert clftj_counter.trie_seeks == lftj_counter.trie_seeks
-        assert clftj_counter.trie_nexts == lftj_counter.trie_nexts
-        assert clftj_counter.trie_opens == lftj_counter.trie_opens
+    @pytest.mark.parametrize("storage", ["compacted", "delta"])
+    @pytest.mark.parametrize("mode", ["count", "evaluate_coded"])
+    @pytest.mark.parametrize("name", sorted(PARITY_QUERIES))
+    def test_never_cache_runs_lftjs_trie_operations(self, name, mode, storage):
+        """Under the planner's decomposition and order, CLFTJ with
+        ``NeverCachePolicy`` gives LFTJ's result (rows in the same order)
+        and every counter but the misses its cache consults record."""
+        query = parse_query(PARITY_QUERIES[name], name=name)
+        database = _parity_database(storage, query)
+        plan = QueryEngine(database).plan(query)
+        lftj = LeapfrogTrieJoin(query, database, plan.variable_order, OperationCounter())
+        clftj = CachedLeapfrogTrieJoin(
+            query, database, plan.decomposition, plan.variable_order,
+            policy=NeverCachePolicy(), counter=OperationCounter(),
+        )
+        if storage == "delta":
+            assert lftj.execution_metadata()["delta_tries"] > 0
+        if mode == "count":
+            expected = brute_force_count(query, database)
+            assert lftj.count() == clftj.count() == expected
+        else:
+            rows = list(lftj.evaluate_coded())
+            assert rows == list(clftj.evaluate_coded())
+            assert len(rows) == brute_force_count(query, database)
+        lftj_counts = lftj.counter.as_dict()
+        clftj_counts = clftj.counter.as_dict()
+        assert lftj_counts.pop("cache_misses") == 0
+        clftj_counts.pop("cache_misses")
+        assert clftj_counts == lftj_counts
 
     def test_zero_capacity_cache_behaves_like_lftj(self, small_graph_db):
         query = path_query(4)

@@ -1242,7 +1242,7 @@ class TestCounterModel:
         """The same for a cycle's reduced closing pair: the 4-cycle count's
         gate advances by each walked run."""
         rng = random.Random(5)
-        rows = sorted({(rng.randrange(400), rng.randrange(400)) for _ in range(6000)})
+        rows = sorted({(rng.randrange(400), rng.randrange(400)) for _ in range(8000)})
         engine = QueryEngine(Database([Relation("E", ("a", "b"), rows)]))
         query = parse_query(C4)
         prepared = engine.prepare(query, algorithm="lftj")
@@ -1354,7 +1354,7 @@ class TestCounterModel:
         (each advancing the deadline gate by its bindings, pinned by
         ``once-3-path``) still stops well before it would finish."""
         rng = random.Random(5)
-        rows = sorted({(rng.randrange(2000), rng.randrange(2000)) for _ in range(30000)})
+        rows = sorted({(rng.randrange(2000), rng.randrange(2000)) for _ in range(40000)})
         engine = QueryEngine(Database([Relation("E", ("a", "b"), rows)]))
         query = parse_query(LOLLIPOP)
         prepared = engine.prepare(query, algorithm="clftj")
